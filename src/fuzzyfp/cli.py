@@ -94,7 +94,7 @@ def cmd_axioms(doc: dict, args) -> int:
     grid = cfgmod.build_grid(doc, args.t_max)
     op = cfgmod.build_tnorm(doc)
     carrier_x, carrier_y, mu, nu = cfgmod.build_spaces(doc, grid)
-    params = cfgmod.build_axiom_params(doc)
+    params = cfgmod.build_axiom_params(doc, (carrier_x, carrier_y))
     seed = params["seed"] if args.seed is None else args.seed
 
     reports = [check_tnorm_axioms(op, params["tnorm_samples"], seed)]

@@ -65,6 +65,17 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _number(value, kind, where: str, minimum=None):
+    """value converted by kind (int or float), at least minimum if given."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
+    if minimum is not None and not number >= minimum:
+        raise ConfigError(f"{where} must be >= {minimum}, got {value!r}")
+    return number
+
+
 def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -81,13 +92,16 @@ def build_grid(doc: dict, t_max_override: float | None = None) -> TGrid:
     if "values" in section:
         if any(k in section for k in ("t_min", "t_max", "points")):
             raise ConfigError("grid: give either values or t_min/t_max/points")
-        grid = TGrid(section["values"])
+        try:
+            grid = TGrid(section["values"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"grid: {exc}") from exc
         if t_max_override is not None:
             grid = grid.with_t_max(float(t_max_override))
         return grid
-    t_min = float(section.get("t_min", DEFAULT_T_MIN))
-    t_max = float(section.get("t_max", DEFAULT_T_MAX))
-    points = int(section.get("points", DEFAULT_T_COUNT))
+    t_min = _number(section.get("t_min", DEFAULT_T_MIN), float, "grid.t_min")
+    t_max = _number(section.get("t_max", DEFAULT_T_MAX), float, "grid.t_max")
+    points = _number(section.get("points", DEFAULT_T_COUNT), int, "grid.points")
     if t_max_override is not None:
         t_max = float(t_max_override)
     try:
@@ -233,12 +247,12 @@ def build_solve(doc: dict, grid: TGrid, carrier_x=None, want_x0: bool = True):
     )
     try:
         cfg = SolveConfig(
-            eps=float(section.get("eps", 1e-9)),
-            max_iter=int(section.get("max_iter", 10000)),
+            eps=_number(section.get("eps", 1e-9), float, "solve.eps"),
+            max_iter=_number(section.get("max_iter", 10000), int, "solve.max_iter"),
             grid=grid,
-            stall_window=int(section.get("stall_window", 50)),
-            p_max=int(section.get("p_max", 8)),
-            verify_tol=float(section.get("verify_tol", 1e-6)),
+            stall_window=_number(section.get("stall_window", 50), int, "solve.stall_window"),
+            p_max=_number(section.get("p_max", 8), int, "solve.p_max"),
+            verify_tol=_number(section.get("verify_tol", 1e-6), float, "solve.verify_tol"),
         )
     except ValueError as exc:
         raise ConfigError(f"solve: {exc}") from exc
@@ -270,21 +284,28 @@ def build_samples(doc: dict, grid: TGrid, carrier_x, carrier_y, include_diagonal
     return SampleSet(points_x=pts_x, grid=grid, points_y=pts_y, exclude_diagonal=exclude), dump
 
 
-def build_axiom_params(doc: dict):
+def build_axiom_params(doc: dict, carriers=()):
+    """Axiom-check parameters; the window is checked against the carriers."""
     section = doc.get("axioms", {})
     _check_keys(section, ("tnorm_samples", "fm_triples", "seed", "window"), "axioms")
     window = section.get("window")
     if window is not None:
-        if (
-            not isinstance(window, (list, tuple))
-            or len(window) != 2
-        ):
+        if not isinstance(window, (list, tuple)) or len(window) != 2:
             raise ConfigError("axioms.window must be [lo, hi] coordinate lists")
-        window = (np.asarray(window[0], dtype=float), np.asarray(window[1], dtype=float))
+        try:
+            window = (np.asarray(window[0], dtype=float), np.asarray(window[1], dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"axioms.window: {exc}") from exc
+    boxes = [c for c in carriers if isinstance(c, BoxSpace)]
+    if window is None and any(not c.is_bounded for c in boxes):
+        raise ConfigError("axioms.window is required for an unbounded carrier")
+    if window is not None and any(w.shape != c.lo.shape for c in boxes for w in window):
+        raise ConfigError("axioms.window must match the carrier dimension")
+    get = section.get
     return {
-        "tnorm_samples": int(section.get("tnorm_samples", 1000)),
-        "fm_triples": int(section.get("fm_triples", 1000)),
-        "seed": int(section.get("seed", 0)),
+        "tnorm_samples": _number(get("tnorm_samples", 1000), int, "axioms.tnorm_samples", 1),
+        "fm_triples": _number(get("fm_triples", 1000), int, "axioms.fm_triples", 1),
+        "seed": _number(get("seed", 0), int, "axioms.seed"),
         "window": window,
     }
 
@@ -307,28 +328,31 @@ def build_suite_specs(doc: dict, grid: TGrid, seed_override: int | None = None):
         ),
         "suite",
     )
-    count = int(section.get("count", 100))
-    if count < 1:
-        raise ConfigError("suite.count must be >= 1")
+    count = _number(section.get("count", 100), int, "suite.count", 1)
     factor = section.get("factor", [0.3, 0.9])
     if not (isinstance(factor, (list, tuple)) and len(factor) == 2):
         raise ConfigError("suite.factor must be [lo, hi]")
-    seed = int(section.get("seed", 0))
+    factor_lo = _number(factor[0], float, "suite.factor[0]")
+    factor_hi = _number(factor[1], float, "suite.factor[1]")
+    seed = _number(section.get("seed", 0), int, "suite.seed")
     if seed_override is not None:
         seed = int(seed_override)
-    starts = int(section.get("starts", 4))
+    # the uniqueness probe compares the fixed points of at least two starts
+    starts = _number(section.get("starts", 4), int, "suite.starts", 2)
+    dim = _number(section.get("dim", 2), int, "suite.dim")
+    halfwidth = _number(section.get("halfwidth", 10.0), float, "suite.halfwidth")
     try:
         specs = [
             InstanceSpec(
                 scheme=section.get("scheme", "pair"),
-                dim=int(section.get("dim", 2)),
+                dim=dim,
                 family=section.get("family", "affine"),
-                factor_lo=float(factor[0]),
-                factor_hi=float(factor[1]),
+                factor_lo=factor_lo,
+                factor_hi=factor_hi,
                 metric_form=section.get("metric_form", "standard"),
                 grid=grid,
                 seed=seed + i,
-                halfwidth=float(section.get("halfwidth", 10.0)),
+                halfwidth=halfwidth,
                 expansive=bool(section.get("expansive", False)),
             )
             for i in range(count)

@@ -376,7 +376,7 @@ def run_suite(
 
         probe_starts = [inst.x0] + inst.mu.carrier.sample(rng, starts - 1, window)
         probe = uniqueness_probe(
-            inst.problem, inst.mu, inst.nu, probe_starts, cfg, tol=uniqueness_tol
+            inst.problem, inst.mu, inst.nu, probe_starts, cfg, tol=uniqueness_tol, first=result
         )
         max_dist = None
         if probe.conclusive:

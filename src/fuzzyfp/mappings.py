@@ -55,7 +55,9 @@ class AffineMap(Mapping):
 
     def _raw(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return _freeze(self.matrix @ x + self.offset)
+        out = self.matrix @ x + self.offset  # a fresh array: freeze it in place
+        out.setflags(write=False)
+        return out
 
 
 class ConstantMap(Mapping):

@@ -78,8 +78,12 @@ class TGrid:
 
 
 def _check_ts(ts) -> np.ndarray:
+    """Scales as a float array.  A TGrid was validated when it was built."""
+    if isinstance(ts, TGrid):
+        return ts.values
     arr = np.asarray(ts, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
+    # one pass: NaN fails both comparisons
+    if not ((arr > 0.0) & (arr < np.inf)).all():
         raise DomainError("nearness scale t must be positive and finite")
     return arr
 
@@ -97,7 +101,7 @@ class FuzzyMetric:
         raise NotImplementedError
 
     def mu_grid(self, x, y, ts) -> np.ndarray:
-        """Vectorized evaluation over an array of scales."""
+        """Vectorized evaluation over an array of scales or a TGrid."""
         raise NotImplementedError
 
     def pairwise(self, pts_a, pts_b, ts) -> np.ndarray:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 GENERATOR_NAME = "splitmix64"
 
 _MASK = (1 << 64) - 1
@@ -36,9 +34,6 @@ class SplitMix64:
         u = (self.next_u64() >> 11) * 2.0**-53
         return lo + (hi - lo) * u
 
-    def uniforms(self, count: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        return np.array([self.uniform(lo, hi) for _ in range(count)], dtype=float)
-
     def randint(self, n: int) -> int:
         """Integer in [0, n).  Modulo bias is negligible for desk-scale n."""
         return self.next_u64() % n
@@ -48,6 +43,3 @@ class SplitMix64:
         u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53
         u2 = (self.next_u64() >> 11) * 2.0**-53
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-    def normals(self, count: int) -> np.ndarray:
-        return np.array([self.normal() for _ in range(count)], dtype=float)

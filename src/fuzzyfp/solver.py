@@ -8,9 +8,10 @@ Stopping declares convergence on both sequences simultaneously: every
 step-nearness value of the most recent steps must reach 1 - eps on the
 whole grid.  The limit is the final iterate, no extrapolation.  A run is
 flagged diverging when step nearness at the smallest grid scale strictly
-decreases for stall_window consecutive steps (or collapses below 1e-300,
-which covers exponential-form underflow), and also when an iterate escapes
-its carrier; the schemes must terminate on arbitrary inputs.
+decreases for stall_window consecutive steps, or stays collapsed below
+1e-300 (exponential-form underflow) for stall_window steps that do not
+shrink, and also when an iterate escapes its carrier; the schemes must
+terminate on arbitrary inputs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import CodomainError, DomainError, UsageError
 from .mappings import MapPair, MapQuadruple
 from .metrics import FuzzyMetric, TGrid
-from .sequences import SequenceTrace, is_cauchy
+from .sequences import SequenceTrace
 
 _COLLAPSE = 1e-300
 
@@ -88,26 +89,31 @@ class FixedPointResult:
 
 
 class _DivergenceMonitor:
-    """Tracks step nearness at the smallest grid scale."""
+    """Tracks step nearness at the smallest and the largest grid scale.
+
+    A step at the collapse floor counts only while steps are not shrinking,
+    i.e. while nearness at the largest scale did not rise: with the
+    exponential form, a long but shrinking step underflows at t_min too.
+    """
 
     def __init__(self, window: int):
         self.window = window
-        self.prev = None
+        self.prev = self.prev_top = None
         self.decline_run = 0
         self.collapse_run = 0
 
-    def push(self, value: float) -> bool:
-        if self.prev is not None and value < self.prev:
-            self.decline_run += 1
-        else:
-            self.decline_run = 0
-        self.collapse_run = self.collapse_run + 1 if value <= _COLLAPSE else 0
-        self.prev = value
+    def push(self, row: np.ndarray) -> bool:
+        value, top = float(row[0]), float(row[-1])
+        declining = self.prev is not None and value < self.prev
+        shrinking = self.prev_top is not None and top > self.prev_top
+        self.decline_run = self.decline_run + 1 if declining else 0
+        self.collapse_run = self.collapse_run + 1 if value <= _COLLAPSE and not shrinking else 0
+        self.prev, self.prev_top = value, top
         return self.decline_run >= self.window or self.collapse_run >= self.window
 
 
 def _row_near(row: np.ndarray, eps: float) -> bool:
-    return bool(np.all(row >= 1.0 - eps))
+    return bool((row >= 1.0 - eps).all())
 
 
 def _residual(name: str, row: np.ndarray, tol: float) -> ConclusionCheck:
@@ -120,12 +126,11 @@ def verify_conclusions_pair(
 ) -> tuple[ConclusionCheck, ...]:
     """Nearness residuals of the four pair-scheme conclusion identities:
     ST z = z, TS w = w, T z = w, S w = z."""
-    ts = grid.values
     return (
-        _residual("st_z_fixed", mu.mu_grid(pair.st(z), z, ts), tol),
-        _residual("ts_w_fixed", nu.mu_grid(pair.ts(w), w, ts), tol),
-        _residual("t_z_is_w", nu.mu_grid(pair.T(z), w, ts), tol),
-        _residual("s_w_is_z", mu.mu_grid(pair.S(w), z, ts), tol),
+        _residual("st_z_fixed", mu.mu_grid(pair.st(z), z, grid), tol),
+        _residual("ts_w_fixed", nu.mu_grid(pair.ts(w), w, grid), tol),
+        _residual("t_z_is_w", nu.mu_grid(pair.T(z), w, grid), tol),
+        _residual("s_w_is_z", mu.mu_grid(pair.S(w), z, grid), tol),
     )
 
 
@@ -134,16 +139,33 @@ def verify_conclusions_quadruple(
 ) -> tuple[ConclusionCheck, ...]:
     """Residuals of the eight quadruple conclusions: SA z = z, TB z = z,
     BS w = w, AT w = w, A z = w, B z = w, S w = z, T w = z."""
-    ts = grid.values
     return (
-        _residual("sa_z_fixed", mu.mu_grid(quad.sa(z), z, ts), tol),
-        _residual("tb_z_fixed", mu.mu_grid(quad.tb(z), z, ts), tol),
-        _residual("bs_w_fixed", nu.mu_grid(quad.bs(w), w, ts), tol),
-        _residual("at_w_fixed", nu.mu_grid(quad.at(w), w, ts), tol),
-        _residual("a_z_is_w", nu.mu_grid(quad.A(z), w, ts), tol),
-        _residual("b_z_is_w", nu.mu_grid(quad.B(z), w, ts), tol),
-        _residual("s_w_is_z", mu.mu_grid(quad.S(w), z, ts), tol),
-        _residual("t_w_is_z", mu.mu_grid(quad.T(w), z, ts), tol),
+        _residual("sa_z_fixed", mu.mu_grid(quad.sa(z), z, grid), tol),
+        _residual("tb_z_fixed", mu.mu_grid(quad.tb(z), z, grid), tol),
+        _residual("bs_w_fixed", nu.mu_grid(quad.bs(w), w, grid), tol),
+        _residual("at_w_fixed", nu.mu_grid(quad.at(w), w, grid), tol),
+        _residual("a_z_is_w", nu.mu_grid(quad.A(z), w, grid), tol),
+        _residual("b_z_is_w", nu.mu_grid(quad.B(z), w, grid), tol),
+        _residual("s_w_is_z", mu.mu_grid(quad.S(w), z, grid), tol),
+        _residual("t_w_is_z", mu.mu_grid(quad.T(w), z, grid), tol),
+    )
+
+
+def _trace(points: list, rows: list, grid: TGrid) -> SequenceTrace:
+    nearness = np.array(rows) if rows else np.empty((0, len(grid)))
+    return SequenceTrace(points=tuple(points), nearness=nearness, grid=grid)
+
+
+def _finish(status, xs, ys, x_rows, y_rows, grid, w, checks) -> FixedPointResult:
+    """Bundle a finished run: z is the final x iterate."""
+    return FixedPointResult(
+        z=xs[-1],
+        w=w,
+        status=status,
+        iterations=len(xs) - 1,
+        trace_x=_trace(xs, x_rows, grid),
+        trace_y=_trace(ys, y_rows, grid),
+        conclusion_checks=checks,
     )
 
 
@@ -157,7 +179,7 @@ def iterate_pair(
     """
     cfg = cfg or SolveConfig()
     x0 = mu.carrier.validate_point(x0)
-    ts = cfg.grid.values
+    grid = cfg.grid
     xs = [x0]
     ys = []
     x_rows: list[np.ndarray] = []
@@ -173,13 +195,13 @@ def iterate_pair(
             break
         ys.append(y)
         xs.append(x)
-        x_rows.append(mu.mu_grid(xs[-2], x, ts))
+        x_rows.append(mu.mu_grid(xs[-2], x, grid))
         if len(ys) >= 2:
-            y_rows.append(nu.mu_grid(ys[-2], y, ts))
+            y_rows.append(nu.mu_grid(ys[-2], y, grid))
             if _row_near(x_rows[-1], cfg.eps) and _row_near(y_rows[-1], cfg.eps):
                 status = STATUS_CONVERGED
                 break
-        if monitor.push(float(x_rows[-1][0])):
+        if monitor.push(x_rows[-1]):
             status = STATUS_DIVERGING
             break
 
@@ -188,30 +210,12 @@ def iterate_pair(
         w = pair.T(z)
     except CodomainError:
         w = ys[-1] if ys else None
-    trace_x = SequenceTrace(
-        points=tuple(xs),
-        nearness=np.array(x_rows) if x_rows else np.empty((0, ts.size)),
-        grid=cfg.grid,
-    )
-    trace_y = SequenceTrace(
-        points=tuple(ys),
-        nearness=np.array(y_rows) if y_rows else np.empty((0, ts.size)),
-        grid=cfg.grid,
-    )
     checks = (
-        verify_conclusions_pair(pair, mu, nu, z, w, cfg.grid, cfg.verify_tol)
+        verify_conclusions_pair(pair, mu, nu, z, w, grid, cfg.verify_tol)
         if w is not None
         else ()
     )
-    return FixedPointResult(
-        z=z,
-        w=w,
-        status=status,
-        iterations=len(xs) - 1,
-        trace_x=trace_x,
-        trace_y=trace_y,
-        conclusion_checks=checks,
-    )
+    return _finish(status, xs, ys, x_rows, y_rows, grid, w, checks)
 
 
 def iterate_quadruple(
@@ -226,7 +230,7 @@ def iterate_quadruple(
     four step-nearness rows of the completed cycle to reach 1 - eps."""
     cfg = cfg or SolveConfig()
     x0 = mu.carrier.validate_point(x0)
-    ts = cfg.grid.values
+    grid = cfg.grid
     xs = [x0]
     ys = []
     x_rows: list[np.ndarray] = []
@@ -236,13 +240,13 @@ def iterate_quadruple(
 
     def push_x(p) -> bool:
         xs.append(p)
-        x_rows.append(mu.mu_grid(xs[-2], p, ts))
-        return monitor.push(float(x_rows[-1][0]))
+        x_rows.append(mu.mu_grid(xs[-2], p, grid))
+        return monitor.push(x_rows[-1])
 
     def push_y(p):
         ys.append(p)
         if len(ys) >= 2:
-            y_rows.append(nu.mu_grid(ys[-2], p, ts))
+            y_rows.append(nu.mu_grid(ys[-2], p, grid))
 
     for _ in range(cfg.max_iter):
         try:
@@ -271,30 +275,12 @@ def iterate_quadruple(
 
     z = xs[-1]
     w = ys[-1] if ys else None
-    trace_x = SequenceTrace(
-        points=tuple(xs),
-        nearness=np.array(x_rows) if x_rows else np.empty((0, ts.size)),
-        grid=cfg.grid,
-    )
-    trace_y = SequenceTrace(
-        points=tuple(ys),
-        nearness=np.array(y_rows) if y_rows else np.empty((0, ts.size)),
-        grid=cfg.grid,
-    )
     checks = (
-        verify_conclusions_quadruple(quad, mu, nu, z, w, cfg.grid, cfg.verify_tol)
+        verify_conclusions_quadruple(quad, mu, nu, z, w, grid, cfg.verify_tol)
         if w is not None
         else ()
     )
-    return FixedPointResult(
-        z=z,
-        w=w,
-        status=status,
-        iterations=len(xs) - 1,
-        trace_x=trace_x,
-        trace_y=trace_y,
-        conclusion_checks=checks,
-    )
+    return _finish(status, xs, ys, x_rows, y_rows, grid, w, checks)
 
 
 def solve(problem, mu, nu, x0, cfg: SolveConfig | None = None) -> FixedPointResult:
@@ -325,40 +311,33 @@ def uniqueness_probe(
     starts,
     cfg: SolveConfig | None = None,
     tol: float = 1e-6,
+    first: FixedPointResult | None = None,
 ) -> UniquenessReport:
     """Solve from several starts and compare the returned fixed points.
 
     Passes iff the largest pairwise crisp distance among the z's and among
     the w's is at most tol.  Any non-converged run makes the probe
-    inconclusive (passed = None).
+    inconclusive (passed = None).  A caller that already solved from
+    starts[0] with the same cfg passes that result as first; it is used
+    instead of solving again.
     """
     starts = list(starts)
     if len(starts) < 2:
         raise UsageError("uniqueness probe needs at least two starting points")
-    results = [solve(problem, mu, nu, s, cfg) for s in starts]
+    results = [first] if first is not None else [solve(problem, mu, nu, starts[0], cfg)]
+    results += [solve(problem, mu, nu, s, cfg) for s in starts[1:]]
     statuses = tuple(r.status for r in results)
     zs = tuple(r.z for r in results)
     ws = tuple(r.w for r in results)
-    if any(s != STATUS_CONVERGED for s in statuses):
-        return UniquenessReport(
-            conclusive=False,
-            passed=None,
-            max_z_distance=None,
-            max_w_distance=None,
-            statuses=statuses,
-            tol=tol,
-            zs=zs,
-            ws=ws,
-        )
-    max_z = max(
-        mu.carrier.distance(a, b) for i, a in enumerate(zs) for b in zs[i + 1 :]
-    )
-    max_w = max(
-        nu.carrier.distance(a, b) for i, a in enumerate(ws) for b in ws[i + 1 :]
-    )
+    conclusive = all(s == STATUS_CONVERGED for s in statuses)
+    max_z = max_w = passed = None
+    if conclusive:
+        max_z = max(mu.carrier.distance(a, b) for i, a in enumerate(zs) for b in zs[i + 1 :])
+        max_w = max(nu.carrier.distance(a, b) for i, a in enumerate(ws) for b in ws[i + 1 :])
+        passed = max_z <= tol and max_w <= tol
     return UniquenessReport(
-        conclusive=True,
-        passed=(max_z <= tol and max_w <= tol),
+        conclusive=conclusive,
+        passed=passed,
         max_z_distance=max_z,
         max_w_distance=max_w,
         statuses=statuses,
@@ -366,11 +345,3 @@ def uniqueness_probe(
         zs=zs,
         ws=ws,
     )
-
-
-def cauchy_certificate(
-    result: FixedPointResult, fm: FuzzyMetric, grid: TGrid, eps: float, p_max: int
-) -> bool:
-    """Post-hoc check that a converged trace also satisfies the sampled
-    Cauchy predicate at the given eps."""
-    return is_cauchy(result.trace_x, fm, grid, eps, p_max)

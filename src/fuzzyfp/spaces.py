@@ -18,6 +18,10 @@ DELTA_PT = 1e-9
 
 _CRISP_METRICS = ("euclidean", "max")
 
+# Default slack of BoxSpace.contains: codomain checks run on every map
+# evaluation, so the widened bounds for it are computed once per box.
+_CONTAINS_ATOL = 1e-9
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=float, copy=True)
@@ -44,20 +48,26 @@ class BoxSpace:
         self.lo = _freeze(lo)
         self.hi = _freeze(hi)
         self.crisp_metric = crisp_metric
+        self.is_bounded = bool(np.isfinite(lo).all() and np.isfinite(hi).all())
+        self._lo_tol = lo - _CONTAINS_ATOL
+        self._hi_tol = hi + _CONTAINS_ATOL
 
     @property
     def dimension(self) -> int:
         return self.lo.size
 
-    @property
-    def is_bounded(self) -> bool:
-        return bool(np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi)))
-
-    def contains(self, x, atol: float = 1e-9) -> bool:
+    def contains(self, x, atol: float = _CONTAINS_ATOL) -> bool:
         x = np.asarray(x, dtype=float)
-        if x.shape != self.lo.shape or not np.all(np.isfinite(x)):
+        if x.shape != self.lo.shape:
             return False
-        return bool(np.all(x >= self.lo - atol) and np.all(x <= self.hi + atol))
+        if atol == _CONTAINS_ATOL:
+            lo, hi, finite = self._lo_tol, self._hi_tol, self.is_bounded
+        else:
+            lo, hi, finite = self.lo - atol, self.hi + atol, False
+        # finite bounds already reject NaN and +-inf in the comparisons below
+        if not finite and not np.isfinite(x).all():
+            return False
+        return bool((x >= lo).all() and (x <= hi).all())
 
     def validate_point(self, x) -> np.ndarray:
         arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -86,13 +96,8 @@ class BoxSpace:
             lo, hi = self.lo, self.hi
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise UsageError("cannot sample an unbounded box; pass a finite window")
-        pts = []
-        for _ in range(count):
-            coords = np.array(
-                [rng.uniform(lo[i], hi[i]) for i in range(self.dimension)]
-            )
-            pts.append(_freeze(coords))
-        return pts
+        dim = self.dimension
+        return [_freeze([rng.uniform(lo[i], hi[i]) for i in range(dim)]) for _ in range(count)]
 
 
 class FiniteSpace:
@@ -114,13 +119,11 @@ class FiniteSpace:
         off = t + np.eye(n)
         if np.any(off <= 0.0):
             raise DomainError("distinct points must have positive distance")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if t[i, k] > t[i, j] + t[j, k] + 1e-12:
-                        raise DomainError(
-                            f"triangle inequality fails at ({i}, {j}, {k})"
-                        )
+        # bad[i, j, k]: t[i, k] > t[i, j] + t[j, k]; argwhere keeps loop order
+        bad = np.argwhere(t[:, None, :] > t[:, :, None] + t[None, :, :] + 1e-12)
+        if bad.size:
+            i, j, k = bad[0].tolist()
+            raise DomainError(f"triangle inequality fails at ({i}, {j}, {k})")
         self.table = _freeze(t)
 
     @property

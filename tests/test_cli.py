@@ -168,6 +168,33 @@ class TestAxiomsCommand:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+MALFORMED = [
+    ("axioms", ("axioms", "fm_triples"), "abc"),
+    ("axioms", ("axioms", "fm_triples"), 0),
+    ("solve", ("grid", "points"), "x"),
+    ("suite", ("suite", "starts"), 1),
+    ("axioms", ("axioms", "window"), None),  # unbounded carrier needs a window
+    ("axioms", ("axioms", "window"), [[-1.0, -1.0], [1.0, 1.0]]),  # wrong dimension
+]
+
+
+@pytest.mark.parametrize(
+    "command,key,value", MALFORMED, ids=[f"{k[0]}.{k[1]}={v!r}" for _, k, v in MALFORMED]
+)
+def test_malformed_config_exits_two_without_traceback(command, key, value, tmp_path, capsys):
+    doc = pair_config()
+    section = doc.setdefault(key[0], {})
+    if value is None:  # drop the key
+        section.pop(key[1], None)
+    else:
+        section[key[1]] = value
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 class TestSuiteCommand:
     def test_small_suite_exit_zero_and_rows(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", pair_config())

@@ -1,0 +1,73 @@
+"""Golden digests: every artifact the four subcommands write on the stock
+configs, plus one small quadruple and one small self-quadruple suite on the
+exponential form, must stay byte-identical.
+
+The expected exit codes and SHA-256 digests live in tests/golden/digests.json.
+Regenerate them only when output is meant to change, and say why:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from fuzzyfp.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DIGESTS = GOLDEN / "digests.json"
+
+COMMANDS = ("axioms", "hypotheses", "solve", "suite")
+CONFIGS = sorted((ROOT / "configs").glob("*.json")) + [
+    GOLDEN / "suite_quadruple_exp.json",
+    GOLDEN / "suite_self_quadruple_exp.json",
+]
+CASES = [
+    (f"{path.stem}:{command}", path, command)
+    for path in CONFIGS
+    for command in COMMANDS
+    # the golden suite configs carry only a suite section
+    if path.parent == ROOT / "configs" or command == "suite"
+]
+
+
+def run_case(path: Path, command: str, out: str) -> dict:
+    """Exit code and the digest of every file the command wrote."""
+    code = main([command, "--config", str(path), "--out", out, "--format", "both"])
+    artifacts = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            artifacts[name] = hashlib.sha256(fh.read()).hexdigest()
+    return {"exit": code, "artifacts": artifacts}
+
+
+@pytest.fixture(scope="module")
+def expected():
+    with open(DIGESTS, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_cases_match_digest_file(expected):
+    assert sorted(expected) == sorted(name for name, _, _ in CASES)
+
+
+@pytest.mark.parametrize("name,path,command", CASES, ids=[c[0] for c in CASES])
+def test_artifacts_byte_identical(name, path, command, expected, tmp_path):
+    assert run_case(path, command, str(tmp_path)) == expected[name]
+
+
+if __name__ == "__main__":
+    digests = {}
+    for name, path, command in CASES:
+        with tempfile.TemporaryDirectory() as out:
+            digests[name] = run_case(path, command, out)
+    with open(DIGESTS, "w", encoding="utf-8") as fh:
+        json.dump(digests, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(digests)} cases to {DIGESTS}", file=sys.stderr)

@@ -11,6 +11,7 @@ from fuzzyfp import (
     MapQuadruple,
     SolveConfig,
     TGrid,
+    induced_exponential,
     induced_standard,
     is_cauchy,
     iterate_pair,
@@ -19,7 +20,9 @@ from fuzzyfp import (
     verify_conclusions_pair,
     verify_conclusions_quadruple,
 )
+from fuzzyfp import solver
 from fuzzyfp.errors import DomainError, UsageError
+from fuzzyfp.harness import InstanceSpec, gen_instance
 
 LINE = BoxSpace([-np.inf], [np.inf])
 MU = induced_standard(LINE)
@@ -263,6 +266,67 @@ class TestUniquenessProbe:
     def test_needs_two_starts(self, linear_pair):
         with pytest.raises(UsageError):
             uniqueness_probe(linear_pair, MU, NU, [np.array([0.0])])
+
+    def test_first_result_is_reused(self, linear_pair, monkeypatch):
+        starts = [np.array([v]) for v in (-10.0, 0.0, 3.0)]
+        plain = uniqueness_probe(linear_pair, MU, NU, starts)
+        first = iterate_pair(linear_pair, MU, NU, starts[0])
+        solved = []
+        real_solve = solver.solve
+        monkeypatch.setattr(
+            solver, "solve", lambda *a, **k: solved.append(a[3]) or real_solve(*a, **k)
+        )
+        reused = uniqueness_probe(linear_pair, MU, NU, starts, first=first)
+        assert [s[0] for s in solved] == [0.0, 3.0]
+        assert reused.zs[0] is first.z
+        assert reused.statuses == plain.statuses
+        assert reused.max_z_distance == plain.max_z_distance
+        assert reused.max_w_distance == plain.max_w_distance
+
+
+class TestCollapseRule:
+    """Nearness at t_min sits at the 1e-300 floor for any long step under the
+    exponential form; only steps that do not shrink may count as collapse."""
+
+    def test_shrinking_steps_at_the_floor_converge(self):
+        spec = InstanceSpec(
+            scheme="quadruple",
+            dim=1,
+            factor_lo=0.97,
+            factor_hi=0.995,
+            metric_form="exponential",
+            seed=1281031832,
+        )
+        inst = gen_instance(spec)
+        res = solver.solve(inst.problem, inst.mu, inst.nu, np.array([9.669]))
+        assert res.status == "converged"
+        assert res.conclusions_passed
+        steps = np.abs(np.diff(np.array(res.trace_x.points)[:, 0]))
+        assert res.trace_x.nearness[:60, 0].min() <= 1e-300  # the floor was reached
+        assert steps[0] > steps[60]
+
+    def test_expansive_exponential_pair_still_diverges(self, line):
+        double = AffineMap([[2.0]], [0.0], line)
+        mu = induced_exponential(line)
+        res = iterate_pair(MapPair(T=double, S=double), mu, mu, np.array([1.0]))
+        assert res.status == "diverging"
+        assert res.trace_x.nearness[-1, -1] <= 1e-300
+        assert res.iterations < 100  # stopped by the monitor, long before overflow
+
+    def test_expansive_exponential_quadruple_still_diverges(self):
+        spec = InstanceSpec(
+            scheme="quadruple",
+            dim=2,
+            factor_lo=1.5,
+            factor_hi=2.0,
+            metric_form="exponential",
+            seed=3,
+            expansive=True,
+        )
+        inst = gen_instance(spec)
+        res = solver.solve(inst.problem, inst.mu, inst.nu, inst.x0)
+        assert res.status == "diverging"
+        assert res.iterations < 100
 
 
 def test_conclusion_residuals_meet_declared_tolerance(linear_pair):
