@@ -284,7 +284,7 @@ def build_samples(doc: dict, grid: TGrid, carrier_x, carrier_y, include_diagonal
     return SampleSet(points_x=pts_x, grid=grid, points_y=pts_y, exclude_diagonal=exclude), dump
 
 
-def build_axiom_params(doc: dict, carriers=()):
+def build_axiom_params(doc: dict, carriers):
     """Axiom-check parameters; the window is checked against the carriers."""
     section = doc.get("axioms", {})
     _check_keys(section, ("tnorm_samples", "fm_triples", "seed", "window"), "axioms")

@@ -82,8 +82,7 @@ def _check_ts(ts) -> np.ndarray:
     if isinstance(ts, TGrid):
         return ts.values
     arr = np.asarray(ts, dtype=float)
-    # one pass: NaN fails both comparisons
-    if not ((arr > 0.0) & (arr < np.inf)).all():
+    if not ((arr > 0.0) & (arr < np.inf)).all():  # one pass: NaN fails both
         raise DomainError("nearness scale t must be positive and finite")
     return arr
 

@@ -8,14 +8,14 @@ Stopping declares convergence on both sequences simultaneously: every
 step-nearness value of the most recent steps must reach 1 - eps on the
 whole grid.  The limit is the final iterate, no extrapolation.  A run is
 flagged diverging when step nearness at the smallest grid scale strictly
-decreases for stall_window consecutive steps, or stays collapsed below
-1e-300 (exponential-form underflow) for stall_window steps that do not
-shrink, and also when an iterate escapes its carrier; the schemes must
-terminate on arbitrary inputs.
+decreases for stall_window consecutive steps, or stays at the 1e-300 floor
+for stall_window steps that did not shrink (see _DivergenceMonitor), and
+when an iterate escapes its carrier; the schemes must terminate on any input.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,25 +91,30 @@ class FixedPointResult:
 class _DivergenceMonitor:
     """Tracks step nearness at the smallest and the largest grid scale.
 
-    A step at the collapse floor counts only while steps are not shrinking,
-    i.e. while nearness at the largest scale did not rise: with the
-    exponential form, a long but shrinking step underflows at t_min too.
+    window steps at the collapse floor flag divergence only if nearness at
+    the largest scale did not rise over them (a long but shrinking step
+    underflows at t_min too under the exponential form).  The last step is
+    compared with the steps window - 1 and window back, so the quadruple
+    scheme's alternating S∘A and T∘B steps always meet one of their kind.
     """
 
     def __init__(self, window: int):
         self.window = window
-        self.prev = self.prev_top = None
+        self.prev = -np.inf
+        self.tops: deque[float] = deque(maxlen=window + 1)
         self.decline_run = 0
         self.collapse_run = 0
 
     def push(self, row: np.ndarray) -> bool:
         value, top = float(row[0]), float(row[-1])
-        declining = self.prev is not None and value < self.prev
-        shrinking = self.prev_top is not None and top > self.prev_top
-        self.decline_run = self.decline_run + 1 if declining else 0
-        self.collapse_run = self.collapse_run + 1 if value <= _COLLAPSE and not shrinking else 0
-        self.prev, self.prev_top = value, top
-        return self.decline_run >= self.window or self.collapse_run >= self.window
+        self.decline_run = self.decline_run + 1 if value < self.prev else 0
+        self.collapse_run = self.collapse_run + 1 if value <= _COLLAPSE else 0
+        self.prev = value
+        self.tops.append(top)
+        collapsed = self.collapse_run >= self.window and top <= min(
+            list(self.tops)[-self.window - 1 : 1 - self.window]
+        )
+        return self.decline_run >= self.window or collapsed
 
 
 def _row_near(row: np.ndarray, eps: float) -> bool:

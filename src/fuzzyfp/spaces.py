@@ -18,8 +18,7 @@ DELTA_PT = 1e-9
 
 _CRISP_METRICS = ("euclidean", "max")
 
-# Default slack of BoxSpace.contains: codomain checks run on every map
-# evaluation, so the widened bounds for it are computed once per box.
+# Slack of BoxSpace.contains, added to the bounds once per box.
 _CONTAINS_ATOL = 1e-9
 
 
@@ -56,18 +55,12 @@ class BoxSpace:
     def dimension(self) -> int:
         return self.lo.size
 
-    def contains(self, x, atol: float = _CONTAINS_ATOL) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        if x.shape != self.lo.shape:
-            return False
-        if atol == _CONTAINS_ATOL:
-            lo, hi, finite = self._lo_tol, self._hi_tol, self.is_bounded
-        else:
-            lo, hi, finite = self.lo - atol, self.hi + atol, False
         # finite bounds already reject NaN and +-inf in the comparisons below
-        if not finite and not np.isfinite(x).all():
+        if x.shape != self.lo.shape or not (self.is_bounded or np.isfinite(x).all()):
             return False
-        return bool((x >= lo).all() and (x <= hi).all())
+        return bool((x >= self._lo_tol).all() and (x <= self._hi_tol).all())
 
     def validate_point(self, x) -> np.ndarray:
         arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -96,8 +89,13 @@ class BoxSpace:
             lo, hi = self.lo, self.hi
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise UsageError("cannot sample an unbounded box; pass a finite window")
-        dim = self.dimension
-        return [_freeze([rng.uniform(lo[i], hi[i]) for i in range(dim)]) for _ in range(count)]
+        pts = []
+        for _ in range(count):
+            coords = np.array(
+                [rng.uniform(lo[i], hi[i]) for i in range(self.dimension)]
+            )
+            pts.append(_freeze(coords))
+        return pts
 
 
 class FiniteSpace:
@@ -119,11 +117,13 @@ class FiniteSpace:
         off = t + np.eye(n)
         if np.any(off <= 0.0):
             raise DomainError("distinct points must have positive distance")
-        # bad[i, j, k]: t[i, k] > t[i, j] + t[j, k]; argwhere keeps loop order
-        bad = np.argwhere(t[:, None, :] > t[:, :, None] + t[None, :, :] + 1e-12)
-        if bad.size:
-            i, j, k = bad[0].tolist()
-            raise DomainError(f"triangle inequality fails at ({i}, {j}, {k})")
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    if t[i, k] > t[i, j] + t[j, k] + 1e-12:
+                        raise DomainError(
+                            f"triangle inequality fails at ({i}, {j}, {k})"
+                        )
         self.table = _freeze(t)
 
     @property

@@ -328,6 +328,40 @@ class TestCollapseRule:
         assert res.status == "diverging"
         assert res.iterations < 100
 
+    @pytest.mark.parametrize("window", [50, 7])
+    def test_alternating_shrinking_steps_at_the_floor_converge(self, window, line):
+        # S∘A = -0.97 x takes long steps and T∘B = 0.99 x short ones; each
+        # kind shrinks, but every long step is longer than the one before it
+        ident = AffineMap([[1.0]], [0.0], line)
+        flip, shrink = AffineMap([[-0.97]], [0.0], line), AffineMap([[0.99]], [0.0], line)
+        quad = MapQuadruple(A=ident, B=ident, S=flip, T=shrink)
+        mu = induced_exponential(line)
+        cfg = SolveConfig(stall_window=window)
+        res = iterate_quadruple(quad, mu, mu, np.array([30000.0]), cfg)
+        assert (res.trace_x.nearness[:100, 0] <= 1e-300).all()
+        assert res.status == "converged"
+        assert res.conclusions_passed
+
+    @pytest.mark.parametrize("window", [50, 7])
+    def test_bounded_orbit_with_alternating_steps_diverges(self, window):
+        # quarter turns about two centres: the x orbit has period four and
+        # its step lengths go long, short, short, long, so nearness at
+        # t_max rises every few steps although the steps never shrink
+        plane = BoxSpace([-np.inf] * 2, [np.inf] * 2)
+        turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+        ident = AffineMap(np.eye(2), [0.0, 0.0], plane)
+        about = lambda c: AffineMap(turn, c - turn @ c, plane)  # noqa: E731
+        quad = MapQuadruple(
+            A=ident, B=ident, S=about(np.array([0.0, 0.0])), T=about(np.array([10.0, 0.0]))
+        )
+        mu = induced_exponential(plane)
+        cfg = SolveConfig(stall_window=window)
+        res = iterate_quadruple(quad, mu, mu, np.array([5.0, 3.0]), cfg)
+        steps = np.linalg.norm(np.diff(np.array(res.trace_x.points[:5]), axis=0), axis=1)
+        assert len(set(np.round(steps, 6))) == 2
+        assert res.status == "diverging"
+        assert res.iterations <= window + 4
+
 
 def test_conclusion_residuals_meet_declared_tolerance(linear_pair):
     cfg = SolveConfig(verify_tol=1e-6)
