@@ -19,6 +19,7 @@ from .tnorms import TNorm
 
 _SLACK = 1e-12
 MAX_WITNESSES = 25
+_BLOCK_CELLS = 1 << 20  # (triple, s, t) cells per array pass: 8 MB per array
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class AxiomReport:
 def _op_array(op, a, b):
     if isinstance(op, TNorm):
         return op.apply_array(a, b)
-    return np.vectorize(op)(a, b)
+    return np.vectorize(op, otypes=[float])(a, b)
 
 
 def check_tnorm_axioms(op, sample_count: int, seed: int) -> AxiomReport:
@@ -111,6 +112,10 @@ def check_fm_axioms(
     pairs (s, t).  Monotonicity in t stands in for continuity and is only
     asserted for induced forms; for table-based values it is not certifiable
     by sampling and is left unchecked.
+
+    Triples are drawn as consecutive points x, y, z and checked as arrays,
+    in blocks of at most _BLOCK_CELLS triangle cells; violations are recorded
+    per triple, in sample order.
     """
     if triple_count < 1:
         raise UsageError("triple_count must be >= 1")
@@ -119,76 +124,61 @@ def check_fm_axioms(
         raise UsageError("sampling an unbounded box requires an explicit window")
     rng = SplitMix64(seed)
     report = AxiomReport(subject=f"fm:{fm.form}", samples=triple_count, seed=seed)
-    ts = grid.values
-    st_sum = ts[:, None] + ts[None, :]
-    for _ in range(triple_count):
-        x, y, z = carrier.sample(rng, 3, window)
-        mxy = fm.mu_grid(x, y, ts)
-        myx = fm.mu_grid(y, x, ts)
-        myz = fm.mu_grid(y, z, ts)
-        mxx = fm.mu_grid(x, x, ts)
-
-        report.checks += 1
-        for row in (mxy, myz):
-            bad = row <= 0.0
-            if np.any(bad):
-                k = int(np.argmax(bad))
-                report._record(
-                    "positivity",
-                    (_witness_point(x), _witness_point(y), float(ts[k])),
-                    float(row[k]),
-                )
-                break
-
-        report.checks += 1
-        if np.any(mxx != 1.0):
-            k = int(np.argmax(mxx != 1.0))
-            report._record(
-                "identity", (_witness_point(x), float(ts[k])), abs(1.0 - float(mxx[k]))
-            )
-        if carrier.distance(x, y) > DELTA_PT and np.any(mxy == 1.0):
-            k = int(np.argmax(mxy == 1.0))
-            report._record(
-                "identity",
-                (_witness_point(x), _witness_point(y), float(ts[k])),
-                float(carrier.distance(x, y)),
-            )
-
-        report.checks += 1
-        if np.any(mxy != myx):
-            k = int(np.argmax(mxy != myx))
-            report._record(
-                "symmetry",
-                (_witness_point(x), _witness_point(y), float(ts[k])),
-                float(np.max(np.abs(mxy - myx))),
-            )
-
-        report.checks += 1
-        lhs = _op_array(op, mxy[:, None], myz[None, :])
-        rhs = fm.mu_grid(x, z, st_sum)
-        excess = lhs - rhs
-        if np.any(excess > _SLACK):
-            i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
-            report._record(
-                "triangle",
-                (
-                    _witness_point(x),
-                    _witness_point(y),
-                    _witness_point(z),
-                    float(ts[i]),
-                    float(ts[j]),
-                ),
-                float(excess[i, j]),
-            )
-
-        if fm.monotone_in_t and len(grid) > 1:
-            report.checks += 1
-            drops = -np.diff(mxy)
-            if np.any(drops > _SLACK):
-                k = int(np.argmax(drops))
-                report._record(
-                    "monotone_in_t",
-                    (_witness_point(x), _witness_point(y), float(ts[k])),
-                    float(drops[k]),
-                )
+    monotone = fm.monotone_in_t and len(grid) > 1
+    report.checks = triple_count * (5 if monotone else 4)
+    block = max(1, _BLOCK_CELLS // len(grid) ** 2)
+    for start in range(0, triple_count, block):
+        pts = np.asarray(carrier.sample(rng, 3 * min(block, triple_count - start), window))
+        _check_triples(report, fm, op, grid, pts, monotone)
     return report
+
+
+def _check_triples(report, fm, op, grid, pts, monotone):
+    x, y, z = xyz = pts.reshape(-1, 3, *pts.shape[1:]).swapaxes(0, 1)  # pts: x, y, z, x, ...
+    ts, wp = grid.values, _witness_point
+    mxy, myx, myz, mxx = fm.mu_batch(xyz[[0, 1, 1, 0]], xyz[[1, 0, 2, 0]], grid)
+    dxy = fm.carrier.distances(x, y)
+    lhs = _op_array(op, mxy[:, :, None], myz[:, None, :])
+    excess = (lhs - fm.mu_batch(x, z, ts[:, None] + ts[None, :])).reshape(len(x), -1)
+    drops = -np.diff(mxy, axis=1)
+    pos_xy, pos_yz, sym = mxy <= 0.0, myz <= 0.0, mxy != myx
+
+    def pos(i):
+        row, bad = (mxy[i], pos_xy[i]) if pos_xy[i].any() else (myz[i], pos_yz[i])
+        k = bad.argmax()
+        return (wp(x[i]), wp(y[i]), float(ts[k])), float(row[k])
+
+    def ident(i):
+        k = (mxx[i] != 1.0).argmax()
+        return (wp(x[i]), float(ts[k])), abs(1.0 - float(mxx[i, k]))
+
+    def apart(i):
+        return (wp(x[i]), wp(y[i]), float(ts[(mxy[i] == 1.0).argmax()])), float(dxy[i])
+
+    def symm(i):
+        gap = float(np.abs(mxy[i] - myx[i]).max())
+        return (wp(x[i]), wp(y[i]), float(ts[sym[i].argmax()])), gap
+
+    def tri(i):
+        k = excess[i].argmax()
+        a, b = divmod(int(k), ts.size)
+        return (wp(x[i]), wp(y[i]), wp(z[i]), float(ts[a]), float(ts[b])), float(excess[i, k])
+
+    def mono(i):
+        k = drops[i].argmax()
+        return (wp(x[i]), wp(y[i]), float(ts[k])), float(drops[i, k])
+
+    # (axiom, triples that violate it, witness and magnitude of triple i), in record order
+    checks = [
+        ("positivity", (pos_xy | pos_yz).any(axis=1), pos),
+        ("identity", (mxx != 1.0).any(axis=1), ident),
+        ("identity", (dxy > DELTA_PT) & (mxy == 1.0).any(axis=1), apart),
+        ("symmetry", sym.any(axis=1), symm),
+        ("triangle", (excess > _SLACK).any(axis=1), tri),
+    ]
+    if monotone:
+        checks.append(("monotone_in_t", (drops > _SLACK).any(axis=1), mono))
+    for i in np.flatnonzero(np.logical_or.reduce([bad for _, bad, _ in checks])):
+        for axiom, bad, witness in checks:
+            if bad[i]:
+                report._record(axiom, *witness(i))

@@ -134,7 +134,7 @@ def estimate_k_pair(
 
     lhs = mu.pairwise(st, st, ts)
     m_xx = mu.pairwise(xs, xs, ts)
-    m_self = np.array([mu.mu_grid(xs[i], st[i], ts) for i in range(n)])
+    m_self = mu.mu_batch(np.asarray(xs), np.asarray(st), ts)
     n_tt = nu.pairwise(tx, tx, ts)
     rhs = np.minimum(
         np.minimum(m_xx, m_self[:, None, :]),
@@ -144,10 +144,8 @@ def estimate_k_pair(
 
     valid = np.ones((n, n), dtype=bool)
     if samples.exclude_diagonal:
-        for i in range(n):
-            for j in range(n):
-                if mu.carrier.distance(xs[i], xs[j]) <= DELTA_PT:
-                    valid[i, j] = False
+        pts = np.asarray(xs)
+        valid = mu.carrier.distances(pts[:, None], pts[None]) > DELTA_PT
     valid3 = np.broadcast_to(valid[:, :, None], ratio.shape)
 
     k_hat, idx = _max_with_witness(ratio, valid3)
@@ -422,7 +420,7 @@ def estimate_k_self_quad(
     aty = [quad.at(p) for p in ys]
 
     def vec(pa, pb):  # per-x or per-y aligned vector, shape (n, K)
-        return np.array([fm.mu_grid(a, b, ts) for a, b in zip(pa, pb)])
+        return fm.mu_batch(np.asarray(pa), np.asarray(pb), ts)
 
     mu_sx_ty = fm.pairwise(sx, ty, ts)  # (i, j)
     mu_ax_bsx = vec(ax, bsx)  # (i,)

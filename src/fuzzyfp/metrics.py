@@ -103,14 +103,14 @@ class FuzzyMetric:
         """Vectorized evaluation over an array of scales or a TGrid."""
         raise NotImplementedError
 
+    def mu_batch(self, a, b, ts) -> np.ndarray:
+        """mu_grid over points broadcast on leading axes; the scale axes of ts come last."""
+        raise NotImplementedError
+
     def pairwise(self, pts_a, pts_b, ts) -> np.ndarray:
         """Array of shape (len(pts_a), len(pts_b), len(ts))."""
-        ts = _check_ts(ts)
-        out = np.empty((len(pts_a), len(pts_b), ts.size))
-        for i, a in enumerate(pts_a):
-            for j, b in enumerate(pts_b):
-                out[i, j] = self.mu_grid(a, b, ts)
-        return out
+        a, b = np.asarray(pts_a), np.asarray(pts_b)
+        return self.mu_batch(a[:, None], b[None], np.atleast_1d(ts))
 
 
 class _InducedFuzzyMetric(FuzzyMetric):
@@ -129,13 +129,10 @@ class _InducedFuzzyMetric(FuzzyMetric):
         ts = _check_ts(ts)
         return self._from_d(self.carrier.distance(x, y), ts)
 
-    def pairwise(self, pts_a, pts_b, ts) -> np.ndarray:
-        ts = _check_ts(np.atleast_1d(ts))
-        d = np.empty((len(pts_a), len(pts_b)))
-        for i, a in enumerate(pts_a):
-            for j, b in enumerate(pts_b):
-                d[i, j] = self.carrier.distance(a, b)
-        return self._from_d(d[:, :, None], ts[None, None, :])
+    def mu_batch(self, a, b, ts) -> np.ndarray:
+        ts = _check_ts(ts)
+        d = self.carrier.distances(a, b)
+        return self._from_d(d.reshape(d.shape + (1,) * ts.ndim), ts)
 
 
 class StandardFuzzyMetric(_InducedFuzzyMetric):
@@ -188,11 +185,15 @@ class TableFuzzyMetric(FuzzyMetric):
         return float(self.mu_grid(x, y, float(t)))
 
     def mu_grid(self, x, y, ts) -> np.ndarray:
-        ts = _check_ts(ts)
-        i = self.carrier.validate_point(x)
-        j = self.carrier.validate_point(y)
-        # np.interp clamps to endpoints, which is the documented extrapolation
-        return np.interp(np.log(ts), self._log_grid, self.values[i, j])
+        return self.mu_batch(self.carrier.validate_point(x), self.carrier.validate_point(y), ts)
+
+    def mu_batch(self, a, b, ts) -> np.ndarray:
+        log_ts = np.log(_check_ts(ts))
+        rows = self.values[np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)]
+        out = np.empty(rows.shape[:-1] + log_ts.shape)
+        for idx in np.ndindex(rows.shape[:-1]):  # one row at a time; clamps to the end values
+            out[idx] = np.interp(log_ts, self._log_grid, rows[idx])
+        return out
 
 
 def induced_standard(carrier) -> StandardFuzzyMetric:

@@ -3,12 +3,15 @@
 SplitMix64: the state advances by the golden-gamma increment and the output
 is a bijective mix of the state.  Chosen over library defaults so that every
 report can name the generator and seed, making results reproducible across
-languages and library versions.
+languages and library versions.  The generator is counter-based (draw i is
+mix(seed + i * gamma)), so block() yields the same stream as next_u64().
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 GENERATOR_NAME = "splitmix64"
 
@@ -29,10 +32,17 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return (z ^ (z >> 31)) & _MASK
 
+    def block(self, n: int) -> np.ndarray:
+        """The next n outputs as a uint64 array; uint64 arithmetic wraps."""
+        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        self._state = (self._state + n * _GAMMA) & _MASK
+        z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> 31)
+
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         """Uniform double in [lo, hi) with 53 random bits."""
-        u = (self.next_u64() >> 11) * 2.0**-53
-        return lo + (hi - lo) * u
+        return lo + (hi - lo) * unit(self.next_u64())
 
     def randint(self, n: int) -> int:
         """Integer in [0, n).  Modulo bias is negligible for desk-scale n."""
@@ -43,3 +53,8 @@ class SplitMix64:
         u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53
         u2 = (self.next_u64() >> 11) * 2.0**-53
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def unit(u):
+    """The top 53 bits of a draw (an int or a uint64 array) as doubles in [0, 1)."""
+    return (u >> 11) * 2.0**-53

@@ -30,8 +30,8 @@ class SequenceTrace:
     @classmethod
     def from_points(cls, points, fm: FuzzyMetric, grid: TGrid) -> "SequenceTrace":
         pts = tuple(points)
-        rows = [fm.mu_grid(pts[i], pts[i + 1], grid.values) for i in range(len(pts) - 1)]
-        near = np.array(rows) if rows else np.empty((0, len(grid)))
+        a, b = np.asarray(pts[:-1]), np.asarray(pts[1:])
+        near = fm.mu_batch(a, b, grid.values) if len(pts) > 1 else np.empty((0, len(grid)))
         return cls(points=pts, nearness=near, grid=grid)
 
     def __len__(self) -> int:

@@ -121,8 +121,12 @@ def _row_near(row: np.ndarray, eps: float) -> bool:
     return bool((row >= 1.0 - eps).all())
 
 
-def _residual(name: str, row: np.ndarray, tol: float) -> ConclusionCheck:
-    res = float(np.min(row))
+def _residual(name: str, fm: FuzzyMetric, f, p, q, grid: TGrid, tol: float) -> ConclusionCheck:
+    """min_t mu(f(p), q, t) for the identity f(p) = q; 0.0, failed, if f(p) escapes."""
+    try:
+        res = float(np.min(fm.mu_grid(f(p), q, grid)))
+    except CodomainError:
+        res = 0.0
     return ConclusionCheck(name=name, residual=res, passed=res >= 1.0 - tol)
 
 
@@ -132,10 +136,10 @@ def verify_conclusions_pair(
     """Nearness residuals of the four pair-scheme conclusion identities:
     ST z = z, TS w = w, T z = w, S w = z."""
     return (
-        _residual("st_z_fixed", mu.mu_grid(pair.st(z), z, grid), tol),
-        _residual("ts_w_fixed", nu.mu_grid(pair.ts(w), w, grid), tol),
-        _residual("t_z_is_w", nu.mu_grid(pair.T(z), w, grid), tol),
-        _residual("s_w_is_z", mu.mu_grid(pair.S(w), z, grid), tol),
+        _residual("st_z_fixed", mu, pair.st, z, z, grid, tol),
+        _residual("ts_w_fixed", nu, pair.ts, w, w, grid, tol),
+        _residual("t_z_is_w", nu, pair.T, z, w, grid, tol),
+        _residual("s_w_is_z", mu, pair.S, w, z, grid, tol),
     )
 
 
@@ -145,14 +149,14 @@ def verify_conclusions_quadruple(
     """Residuals of the eight quadruple conclusions: SA z = z, TB z = z,
     BS w = w, AT w = w, A z = w, B z = w, S w = z, T w = z."""
     return (
-        _residual("sa_z_fixed", mu.mu_grid(quad.sa(z), z, grid), tol),
-        _residual("tb_z_fixed", mu.mu_grid(quad.tb(z), z, grid), tol),
-        _residual("bs_w_fixed", nu.mu_grid(quad.bs(w), w, grid), tol),
-        _residual("at_w_fixed", nu.mu_grid(quad.at(w), w, grid), tol),
-        _residual("a_z_is_w", nu.mu_grid(quad.A(z), w, grid), tol),
-        _residual("b_z_is_w", nu.mu_grid(quad.B(z), w, grid), tol),
-        _residual("s_w_is_z", mu.mu_grid(quad.S(w), z, grid), tol),
-        _residual("t_w_is_z", mu.mu_grid(quad.T(w), z, grid), tol),
+        _residual("sa_z_fixed", mu, quad.sa, z, z, grid, tol),
+        _residual("tb_z_fixed", mu, quad.tb, z, z, grid, tol),
+        _residual("bs_w_fixed", nu, quad.bs, w, w, grid, tol),
+        _residual("at_w_fixed", nu, quad.at, w, w, grid, tol),
+        _residual("a_z_is_w", nu, quad.A, z, w, grid, tol),
+        _residual("b_z_is_w", nu, quad.B, z, w, grid, tol),
+        _residual("s_w_is_z", mu, quad.S, w, z, grid, tol),
+        _residual("t_w_is_z", mu, quad.T, w, z, grid, tol),
     )
 
 
@@ -309,6 +313,11 @@ class UniquenessReport:
     ws: tuple
 
 
+def _diameter(carrier, pts) -> float:
+    p = np.asarray(pts)
+    return float(carrier.distances(p[:, None], p[None]).max())
+
+
 def uniqueness_probe(
     problem,
     mu: FuzzyMetric,
@@ -337,8 +346,7 @@ def uniqueness_probe(
     conclusive = all(s == STATUS_CONVERGED for s in statuses)
     max_z = max_w = passed = None
     if conclusive:
-        max_z = max(mu.carrier.distance(a, b) for i, a in enumerate(zs) for b in zs[i + 1 :])
-        max_w = max(nu.carrier.distance(a, b) for i, a in enumerate(ws) for b in ws[i + 1 :])
+        max_z, max_w = _diameter(mu.carrier, zs), _diameter(nu.carrier, ws)
         passed = max_z <= tol and max_w <= tol
     return UniquenessReport(
         conclusive=conclusive,

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, UsageError
+from .rng import unit
 
 # Two points closer than this (in the carrier's crisp metric) are treated
 # as equal.  Needed because box carriers live in floating point.
@@ -80,8 +81,16 @@ class BoxSpace:
             return math.sqrt(float(np.dot(d, d)))
         return float(np.max(np.abs(d)))
 
+    def distances(self, a, b) -> np.ndarray:
+        """distance() over points on leading axes, broadcast.  np.vecdot (numpy >= 2.0)
+        rounds like np.dot; (d * d).sum(-1) does not, since BLAS ddot fuses multiply-adds."""
+        d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+        if self.crisp_metric == "euclidean":
+            return np.sqrt(np.vecdot(d, d))
+        return np.abs(d).max(axis=-1)
+
     def sample(self, rng, count: int, window=None) -> list[np.ndarray]:
-        """Uniform points from the box, or from an explicit (lo, hi) window."""
+        """Uniform read-only points from the box, or from an explicit (lo, hi) window."""
         if window is not None:
             lo = np.asarray(window[0], dtype=float)
             hi = np.asarray(window[1], dtype=float)
@@ -89,13 +98,10 @@ class BoxSpace:
             lo, hi = self.lo, self.hi
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise UsageError("cannot sample an unbounded box; pass a finite window")
-        pts = []
-        for _ in range(count):
-            coords = np.array(
-                [rng.uniform(lo[i], hi[i]) for i in range(self.dimension)]
-            )
-            pts.append(_freeze(coords))
-        return pts
+        u = unit(rng.block(count * self.dimension)).reshape(count, self.dimension)
+        pts = lo + (hi - lo) * u
+        pts.setflags(write=False)
+        return list(pts)
 
 
 class FiniteSpace:
@@ -117,13 +123,11 @@ class FiniteSpace:
         off = t + np.eye(n)
         if np.any(off <= 0.0):
             raise DomainError("distinct points must have positive distance")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if t[i, k] > t[i, j] + t[j, k] + 1e-12:
-                        raise DomainError(
-                            f"triangle inequality fails at ({i}, {j}, {k})"
-                        )
+        for i in range(n):  # bad[j, k]: t[i, k] > t[i, j] + t[j, k], in O(n^2) memory
+            bad = t[i, None, :] > t[i, :, None] + t + 1e-12
+            if bad.any():
+                j, k = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                raise DomainError(f"triangle inequality fails at ({i}, {j}, {k})")
         self.table = _freeze(t)
 
     @property
@@ -141,8 +145,12 @@ class FiniteSpace:
     def distance(self, i, j) -> float:
         return float(self.table[int(i), int(j)])
 
+    def distances(self, a, b) -> np.ndarray:
+        """distance() over index arrays, broadcast."""
+        return self.table[np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)]
+
     def sample(self, rng, count: int, window=None) -> list[int]:
-        return [rng.randint(self.size) for _ in range(count)]
+        return (rng.block(count) % np.uint64(self.size)).tolist()
 
 
 def points_equal(carrier, a, b, tol: float = DELTA_PT) -> bool:

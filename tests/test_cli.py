@@ -68,6 +68,27 @@ class TestSolveCommand:
         summary = json.load(open(os.path.join(out, "solve_summary.json")))
         assert summary["status"] == "diverging"
 
+    @pytest.mark.parametrize("scheme", ["pair", "quadruple"])
+    def test_codomain_escape_fails_conclusions_without_traceback(self, scheme, tmp_path, capsys):
+        # every map doubles, so an iterate leaves the box [-10, 10] within two cycles
+        double = {"form": "affine", "matrix": [[2.0]], "offset": [0.0]}
+        doc = pair_config()
+        doc["carrier"] = {"kind": "box", "lo": [-10.0], "hi": [10.0]}
+        names = ("T", "S") if scheme == "pair" else ("A", "B", "S", "T")
+        doc["maps"] = {"scheme": scheme, **dict.fromkeys(names, double)}
+        doc["solve"] = {"x0": [1.0]}
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", cfg, "--out", out]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        summary = json.load(open(os.path.join(out, "solve_summary.json")))
+        assert summary["status"] == "diverging"
+        checks = summary["conclusion_checks"]
+        assert len(checks) == (4 if scheme == "pair" else 8)
+        assert not all(c["passed"] for c in checks)
+        # the conclusions whose maps escape the box fail with residual 0
+        assert any(c["residual"] == 0.0 and not c["passed"] for c in checks)
+
 
 class TestHypothesesCommand:
     def test_contractive_pair_exit_zero(self, tmp_path):
