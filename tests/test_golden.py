@@ -1,6 +1,8 @@
 """Golden digests: every artifact the four subcommands write on the stock
 configs, plus one small quadruple and one small self-quadruple suite on the
-exponential form, must stay byte-identical.
+exponential form and `hypotheses --format both` on a pair with a dual
+sample, a two-space exponential quadruple and a self-quadruple, must stay
+byte-identical.
 
 The expected exit codes and SHA-256 digests live in tests/golden/digests.json.
 Regenerate them only when output is meant to change, and say why:
@@ -24,16 +26,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 DIGESTS = GOLDEN / "digests.json"
 
 COMMANDS = ("axioms", "hypotheses", "solve", "suite")
-CONFIGS = sorted((ROOT / "configs").glob("*.json")) + [
-    GOLDEN / "suite_quadruple_exp.json",
-    GOLDEN / "suite_self_quadruple_exp.json",
-]
+CONFIGS = sorted((ROOT / "configs").glob("*.json")) + sorted(GOLDEN.glob("*_*.json"))
 CASES = [
     (f"{path.stem}:{command}", path, command)
     for path in CONFIGS
     for command in COMMANDS
-    # the golden suite configs carry only a suite section
-    if path.parent == ROOT / "configs" or command == "suite"
+    # a golden config carries only the sections of the command its name starts with
+    if path.parent == ROOT / "configs" or path.stem.startswith(f"{command}_")
 ]
 
 
