@@ -26,14 +26,6 @@ from .hypotheses import (
     estimate_k_pair_dual,
     estimate_k_quad,
     estimate_k_self_quad,
-    pair_inequality_terms,
-    pair_inequality_terms_dual,
-    quad_denominator,
-    quad_numerator_dual,
-    quad_numerator_primal,
-    self_quad_denominator,
-    self_quad_numerator_dual,
-    self_quad_numerator_primal,
 )
 from .mappings import (
     AffineMap,

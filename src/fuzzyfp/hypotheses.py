@@ -69,57 +69,73 @@ class HypothesisReport:
         return self.k_hat is not None and self.k_hat < 1.0
 
 
+def _report(label, ratio, valid, axes, samples, sample_shape, keep_ratios) -> HypothesisReport:
+    """The report of one inequality over an array of ratios.
+
+    ratio's last axis is the grid and the others index the point lists in
+    axes; valid broadcasts to ratio's shape.  k_hat is the largest valid
+    ratio and its witness the first such cell in C order; the kept ratios
+    list every valid cell in C order.  k_hat is None when no cell is valid.
+    """
+    ts = samples.grid.values
+    valid = np.broadcast_to(valid, ratio.shape)
+    evaluated = int(np.count_nonzero(valid))
+    k_hat = witness = dump = None
+    if evaluated:
+        masked = np.where(valid, ratio, -np.inf)
+        idx = np.unravel_index(int(np.argmax(masked)), masked.shape)
+        k_hat = float(masked[idx])
+        witness = tuple(pts[i] for pts, i in zip(axes, idx)) + (float(ts[idx[-1]]),)
+        if keep_ratios:
+            t_list = ts.tolist()
+            dump = [
+                (*cell[:-1], t_list[cell[-1]], r)
+                for cell, r in zip(np.argwhere(valid).tolist(), ratio[valid].tolist())
+            ]
+    return HypothesisReport(
+        label=label,
+        k_hat=k_hat,
+        witness=witness,
+        evaluated_count=evaluated,
+        skipped_count=ratio.size - evaluated,
+        grid=samples.grid,
+        sample_shape=sample_shape,
+        exclude_diagonal=samples.exclude_diagonal,
+        ratios=dump,
+    )
+
+
+def _quotient_reports(prefix, f, g, h, lhs, axes, samples, keep_ratios, empty_message):
+    """Primal and dual reports of k * lhs >= f / h and k * lhs' >= g / h over
+    (x-sample, y-sample) tuples, each admitted only where num < h < 1
+    (ties num = h are skipped)."""
+    reports = tuple(
+        _report(
+            f"{prefix}-{side}",
+            (num / h) / side_lhs,
+            (num < h) & (h < 1.0),
+            axes,
+            samples,
+            (len(axes[0]), len(axes[-1])),
+            keep_ratios,
+        )
+        for side, num, side_lhs in zip(("primal", "dual"), (f, g), lhs)
+    )
+    if all(r.k_hat is None for r in reports):
+        raise EmptySampleError(empty_message)
+    return reports
+
+
 # ---------------------------------------------------------------------------
 # pair scheme
 # ---------------------------------------------------------------------------
 
 
-def pair_inequality_terms(pair, mu: FuzzyMetric, nu: FuzzyMetric, x, x2, t: float):
-    """Return (lhs, rhs) of the pair inequality at one tuple.
-
-    lhs = mu(STx, STx', t) without the k factor; rhs is the four-term
-    minimum.  The inequality holds with constant k iff k * lhs >= rhs.
-    """
-    stx = pair.st(x)
-    stx2 = pair.st(x2)
-    lhs = mu.mu(stx, stx2, t)
-    rhs = min(
-        mu.mu(x, x2, t),
-        mu.mu(x, stx, t),
-        mu.mu(x2, stx2, t),
-        nu.mu(pair.T(x), pair.T(x2), t),
-    )
-    return lhs, rhs
-
-
-def pair_inequality_terms_dual(pair, mu: FuzzyMetric, nu: FuzzyMetric, y, y2, t: float):
-    """Mirror of pair_inequality_terms with (mu, ST) and (nu, TS) swapped."""
-    tsy = pair.ts(y)
-    tsy2 = pair.ts(y2)
-    lhs = nu.mu(tsy, tsy2, t)
-    rhs = min(
-        nu.mu(y, y2, t),
-        nu.mu(y, tsy, t),
-        nu.mu(y2, tsy2, t),
-        mu.mu(pair.S(y), pair.S(y2), t),
-    )
-    return lhs, rhs
-
-
-def _max_with_witness(ratio: np.ndarray, valid: np.ndarray):
-    """First-encountered argmax in C order over the valid entries."""
-    if not np.any(valid):
-        return None, None
-    masked = np.where(valid, ratio, -np.inf)
-    flat = int(np.argmax(masked))
-    idx = np.unravel_index(flat, masked.shape)
-    return float(masked[idx]), idx
-
-
 def estimate_k_pair(
     pair, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, keep_ratios: bool = False
 ) -> HypothesisReport:
-    """k_hat = max over ordered point pairs and grid scales of rhs / lhs.
+    """k_hat = max over ordered point pairs and grid scales of rhs / lhs,
+    where lhs = mu(STx, STx', t) and rhs is the four-term minimum.
 
     Iteration order for tie-breaking is (x index, x' index, grid index),
     row-major; ties keep the first tuple encountered.
@@ -140,41 +156,15 @@ def estimate_k_pair(
         np.minimum(m_xx, m_self[:, None, :]),
         np.minimum(m_self[None, :, :], n_tt),
     )
-    ratio = rhs / lhs
 
-    valid = np.ones((n, n), dtype=bool)
+    valid = True
     if samples.exclude_diagonal:
         pts = np.asarray(xs)
-        valid = mu.carrier.distances(pts[:, None], pts[None]) > DELTA_PT
-    valid3 = np.broadcast_to(valid[:, :, None], ratio.shape)
-
-    k_hat, idx = _max_with_witness(ratio, valid3)
-    if k_hat is None:
+        valid = (mu.carrier.distances(pts[:, None], pts[None]) > DELTA_PT)[:, :, None]
+    report = _report("pair", rhs / lhs, valid, (xs, xs), samples, (n,), keep_ratios)
+    if report.k_hat is None:
         raise EmptySampleError("every tuple of the sample was skipped")
-    i, j, k = idx
-    witness = (xs[i], xs[j], float(ts[k]))
-    evaluated = int(np.count_nonzero(valid)) * ts.size
-    skipped = (n * n - int(np.count_nonzero(valid))) * ts.size
-    dump = None
-    if keep_ratios:
-        dump = [
-            (a, b, float(ts[c]), float(ratio[a, b, c]))
-            for a in range(n)
-            for b in range(n)
-            for c in range(ts.size)
-            if valid[a, b]
-        ]
-    return HypothesisReport(
-        label="pair",
-        k_hat=k_hat,
-        witness=witness,
-        evaluated_count=evaluated,
-        skipped_count=skipped,
-        grid=samples.grid,
-        sample_shape=(n,),
-        exclude_diagonal=samples.exclude_diagonal,
-        ratios=dump,
-    )
+    return report
 
 
 def estimate_k_pair_dual(
@@ -198,44 +188,6 @@ def estimate_k_pair_dual(
 # ---------------------------------------------------------------------------
 # quadruple scheme (two spaces)
 # ---------------------------------------------------------------------------
-
-
-def quad_numerator_primal(quad, mu, nu, x, x2, y, y2, t: float) -> float:
-    """min of the four nearness products on the primal side."""
-    ax = quad.A(x)
-    bx2 = quad.B(x2)
-    sy = quad.S(y)
-    ty2 = quad.T(y2)
-    return min(
-        mu.mu(x, x2, t) * nu.mu(ax, bx2, t),
-        mu.mu(x, x2, t) * mu.mu(sy, ty2, t),
-        mu.mu(x, ty2, t) * nu.mu(ax, quad.at(y2), t),
-        mu.mu(x2, sy, t) * nu.mu(bx2, quad.bs(y), t),
-    )
-
-
-def quad_numerator_dual(quad, mu, nu, x, x2, y, y2, t: float) -> float:
-    """min of the four nearness products on the dual side."""
-    ax = quad.A(x)
-    bx2 = quad.B(x2)
-    sy = quad.S(y)
-    ty2 = quad.T(y2)
-    return min(
-        nu.mu(y, y2, t) * mu.mu(sy, ty2, t),
-        nu.mu(y, y2, t) * nu.mu(ax, bx2, t),
-        nu.mu(y, bx2, t) * mu.mu(sy, quad.tb(x2), t),
-        nu.mu(y2, ax, t) * mu.mu(ty2, quad.sa(x), t),
-    )
-
-
-def quad_denominator(quad, mu, nu, x, x2, y, y2, t: float) -> float:
-    """Shared denominator: min of four plain nearness values."""
-    return min(
-        nu.mu(quad.A(x), quad.B(x2), t),
-        mu.mu(quad.sa(x), quad.tb(x2), t),
-        mu.mu(quad.S(y), quad.T(y2), t),
-        nu.mu(quad.bs(y), quad.at(y2), t),
-    )
 
 
 def _quad_matrices(quad, mu, nu, xs, ys, ts):
@@ -282,7 +234,6 @@ def estimate_k_quad(
     if not xs or not ys:
         raise EmptySampleError("quadruple sample needs points in both spaces")
     ts = samples.grid.values
-    nx, ny, nt = len(xs), len(ys), ts.size
     m = _quad_matrices(quad, mu, nu, xs, ys, ts)
 
     def ij(a):  # (i, j, 1, 1, t)
@@ -315,85 +266,22 @@ def estimate_k_quad(
         np.minimum(ij(m["nu_ax_bx"]), ij(m["mu_sax_tbx"])),
         np.minimum(kl(m["mu_sy_ty"]), kl(m["nu_bsy_aty"])),
     )
-    lhs_primal = np.broadcast_to(ij(m["mu_sax_tbx"]), h.shape)
-    lhs_dual = np.broadcast_to(kl(m["nu_bsy_aty"]), h.shape)
-
-    shape = (nx, nx, ny, ny, nt)
-    f = np.broadcast_to(f, shape)
-    g = np.broadcast_to(g, shape)
-    h = np.broadcast_to(h, shape)
-
-    def one_side(num, lhs, label):
-        valid = (num < h) & (h < 1.0)
-        ratio = np.where(valid, (num / h) / lhs, -np.inf)
-        k_hat, idx = _max_with_witness(ratio, valid)
-        evaluated = int(np.count_nonzero(valid))
-        witness = None
-        if idx is not None:
-            i, j, k, l, c = idx
-            witness = (xs[i], xs[j], ys[k], ys[l], float(ts[c]))
-        dump = None
-        if keep_ratios and evaluated:
-            idxs = np.argwhere(valid)
-            dump = [
-                (int(a), int(b), int(c), int(d), float(ts[e]), float(ratio[a, b, c, d, e]))
-                for a, b, c, d, e in idxs
-            ]
-        return HypothesisReport(
-            label=label,
-            k_hat=k_hat,
-            witness=witness,
-            evaluated_count=evaluated,
-            skipped_count=int(np.prod(shape)) - evaluated,
-            grid=samples.grid,
-            sample_shape=(nx, ny),
-            exclude_diagonal=samples.exclude_diagonal,
-            ratios=dump,
-        )
-
-    primal = one_side(f, lhs_primal, "quad-primal")
-    dual = one_side(g, lhs_dual, "quad-dual")
-    if primal.k_hat is None and dual.k_hat is None:
-        raise EmptySampleError("every quadruple tuple was skipped (no f,g < h < 1)")
-    return primal, dual
+    return _quotient_reports(
+        "quad",
+        f,
+        g,
+        h,
+        (ij(m["mu_sax_tbx"]), kl(m["nu_bsy_aty"])),
+        (xs, xs, ys, ys),
+        samples,
+        keep_ratios,
+        "every quadruple tuple was skipped (no f,g < h < 1)",
+    )
 
 
 # ---------------------------------------------------------------------------
 # self-map quadruple (single space)
 # ---------------------------------------------------------------------------
-
-
-def self_quad_numerator_primal(quad, fm, x, y, t: float) -> float:
-    sx = quad.S(x)
-    ty = quad.T(y)
-    ax = quad.A(x)
-    return min(
-        fm.mu(sx, ty, t) * fm.mu(ax, quad.bs(x), t),
-        fm.mu(sx, quad.tb(y), t) * fm.mu(x, sx, t),
-        fm.mu(x, y, t) * fm.mu(quad.sa(x), ty, t),
-        fm.mu(x, ty, t) * fm.mu(x, quad.at(y), t),
-    )
-
-
-def self_quad_numerator_dual(quad, fm, x, y, t: float) -> float:
-    sx = quad.S(x)
-    ty = quad.T(y)
-    ax = quad.A(x)
-    return min(
-        fm.mu(x, sx, t) * fm.mu(x, y, t),
-        fm.mu(y, quad.tb(y), t) * fm.mu(y, ax, t),
-        fm.mu(quad.sa(x), ty, t) * fm.mu(ax, quad.B(y), t),
-        fm.mu(ax, quad.at(y), t) * fm.mu(quad.sa(x), sx, t),
-    )
-
-
-def self_quad_denominator(quad, fm, x, y, t: float) -> float:
-    return min(
-        fm.mu(quad.A(x), quad.bs(x), t),
-        fm.mu(x, quad.sa(x), t),
-        fm.mu(quad.S(x), quad.tb(y), t),
-        fm.mu(quad.B(y), quad.at(y), t),
-    )
 
 
 def estimate_k_self_quad(
@@ -408,7 +296,6 @@ def estimate_k_self_quad(
     if not xs:
         raise EmptySampleError("sample contains no points")
     ts = samples.grid.values
-    nx, ny, nt = len(xs), len(ys), ts.size
 
     ax = [quad.A(p) for p in xs]
     sx = [quad.S(p) for p in xs]
@@ -459,39 +346,17 @@ def estimate_k_self_quad(
         np.minimum(mu_sx_tby, vj(mu_by_aty)),
     )
 
-    def one_side(num, lhs, label):
-        valid = (num < h) & (h < 1.0)
-        ratio = np.where(valid, (num / h) / lhs, -np.inf)
-        k_hat, idx = _max_with_witness(ratio, valid)
-        evaluated = int(np.count_nonzero(valid))
-        witness = None
-        if idx is not None:
-            i, j, c = idx
-            witness = (xs[i], ys[j], float(ts[c]))
-        dump = None
-        if keep_ratios and evaluated:
-            idxs = np.argwhere(valid)
-            dump = [
-                (int(a), int(b), float(ts[c]), float(ratio[a, b, c]))
-                for a, b, c in idxs
-            ]
-        return HypothesisReport(
-            label=label,
-            k_hat=k_hat,
-            witness=witness,
-            evaluated_count=evaluated,
-            skipped_count=nx * ny * nt - evaluated,
-            grid=samples.grid,
-            sample_shape=(nx, ny),
-            exclude_diagonal=samples.exclude_diagonal,
-            ratios=dump,
-        )
-
-    primal = one_side(f, mu_sax_tby, "self-quad-primal")
-    dual = one_side(g, mu_bsx_aty, "self-quad-dual")
-    if primal.k_hat is None and dual.k_hat is None:
-        raise EmptySampleError("every self-quadruple tuple was skipped")
-    return primal, dual
+    return _quotient_reports(
+        "self-quad",
+        f,
+        g,
+        h,
+        (mu_sax_tby, mu_bsx_aty),
+        (xs, ys),
+        samples,
+        keep_ratios,
+        "every self-quadruple tuple was skipped",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -96,25 +96,37 @@ class _DivergenceMonitor:
     underflows at t_min too under the exponential form).  The last step is
     compared with the steps window - 1 and window back, so the quadruple
     scheme's alternating S∘A and T∘B steps always meet one of their kind.
+    When the compared steps sit at the floor at the largest scale as well,
+    a rise cannot be seen there, and their crisp lengths decide instead.
     """
 
-    def __init__(self, window: int):
+    def __init__(self, window: int, carrier):
         self.window = window
+        self.carrier = carrier
         self.prev = -np.inf
         self.tops: deque[float] = deque(maxlen=window + 1)
         self.decline_run = 0
         self.collapse_run = 0
 
-    def push(self, row: np.ndarray) -> bool:
+    def push(self, row: np.ndarray, xs: list) -> bool:
+        """Take the nearness row of the step xs[-2] -> xs[-1]."""
         value, top = float(row[0]), float(row[-1])
         self.decline_run = self.decline_run + 1 if value < self.prev else 0
         self.collapse_run = self.collapse_run + 1 if value <= _COLLAPSE else 0
         self.prev = value
         self.tops.append(top)
-        collapsed = self.collapse_run >= self.window and top <= min(
-            list(self.tops)[-self.window - 1 : 1 - self.window]
-        )
-        return self.decline_run >= self.window or collapsed
+        if self.decline_run >= self.window:
+            return True
+        if self.collapse_run < self.window:
+            return False
+        backs = [k for k in (self.window, self.window - 1) if k < len(self.tops)]
+        back_tops = [self.tops[-k - 1] for k in backs]
+        if top > min(back_tops):
+            return False
+        if max(back_tops) > _COLLAPSE:
+            return True
+        dist = self.carrier.distance
+        return dist(xs[-2], xs[-1]) >= max(dist(xs[-k - 2], xs[-k - 1]) for k in backs)
 
 
 def _row_near(row: np.ndarray, eps: float) -> bool:
@@ -165,10 +177,56 @@ def _trace(points: list, rows: list, grid: TGrid) -> SequenceTrace:
     return SequenceTrace(points=tuple(points), nearness=nearness, grid=grid)
 
 
-def _finish(status, xs, ys, x_rows, y_rows, grid, w, checks) -> FixedPointResult:
-    """Bundle a finished run: z is the final x iterate."""
+def _iterate(problem, cycle, w_of, verify, mu, nu, x0, cfg) -> FixedPointResult:
+    """The one iteration loop, shared by both schemes.
+
+    cycle lists the (to_y, to_x) steps of one cycle; max_iter bounds the
+    number of cycles.  Each y is kept as soon as it is computed.  The run
+    converges when every step row of a full cycle reaches 1 - eps, and the
+    first cycle, which has one y row fewer, never counts.  w_of(z, ys) gives
+    w, and verify checks the conclusions at (z, w).
+    """
+    cfg = cfg or SolveConfig()
+    grid, eps = cfg.grid, cfg.eps
+    xs = [mu.carrier.validate_point(x0)]
+    ys = []
+    x_rows: list[np.ndarray] = []
+    y_rows: list[np.ndarray] = []
+    monitor = _DivergenceMonitor(cfg.stall_window, mu.carrier)
+    status = STATUS_MAX_ITER
+    x = xs[0]
+    for cycle_no in range(cfg.max_iter):
+        near = cycle_no > 0
+        diverged = False
+        try:
+            for to_y, to_x in cycle:
+                y = to_y(x)
+                if ys:
+                    row = nu.mu_grid(ys[-1], y, grid)
+                    y_rows.append(row)
+                    near = near and _row_near(row, eps)
+                ys.append(y)
+                x_prev, x = x, to_x(y)
+                xs.append(x)
+                row = mu.mu_grid(x_prev, x, grid)
+                x_rows.append(row)
+                near = near and _row_near(row, eps)
+                diverged = monitor.push(row, xs) or diverged
+        except CodomainError:
+            status = STATUS_DIVERGING
+            break
+        if near:
+            status = STATUS_CONVERGED
+            break
+        if diverged:
+            status = STATUS_DIVERGING
+            break
+
+    z = xs[-1]
+    w = w_of(z, ys)
+    checks = verify(problem, mu, nu, z, w, grid, cfg.verify_tol) if w is not None else ()
     return FixedPointResult(
-        z=xs[-1],
+        z=z,
         w=w,
         status=status,
         iterations=len(xs) - 1,
@@ -186,45 +244,14 @@ def iterate_pair(
     Returns z = final x iterate and w = T(z) (the y limit under a
     continuous T).  A codomain escape mid-run is recorded as diverging.
     """
-    cfg = cfg or SolveConfig()
-    x0 = mu.carrier.validate_point(x0)
-    grid = cfg.grid
-    xs = [x0]
-    ys = []
-    x_rows: list[np.ndarray] = []
-    y_rows: list[np.ndarray] = []
-    monitor = _DivergenceMonitor(cfg.stall_window)
-    status = STATUS_MAX_ITER
-    for _ in range(cfg.max_iter):
-        try:
-            y = pair.T(xs[-1])
-            x = pair.S(y)
-        except CodomainError:
-            status = STATUS_DIVERGING
-            break
-        ys.append(y)
-        xs.append(x)
-        x_rows.append(mu.mu_grid(xs[-2], x, grid))
-        if len(ys) >= 2:
-            y_rows.append(nu.mu_grid(ys[-2], y, grid))
-            if _row_near(x_rows[-1], cfg.eps) and _row_near(y_rows[-1], cfg.eps):
-                status = STATUS_CONVERGED
-                break
-        if monitor.push(x_rows[-1]):
-            status = STATUS_DIVERGING
-            break
 
-    z = xs[-1]
-    try:
-        w = pair.T(z)
-    except CodomainError:
-        w = ys[-1] if ys else None
-    checks = (
-        verify_conclusions_pair(pair, mu, nu, z, w, grid, cfg.verify_tol)
-        if w is not None
-        else ()
-    )
-    return _finish(status, xs, ys, x_rows, y_rows, grid, w, checks)
+    def w_of(z, ys):
+        try:
+            return pair.T(z)
+        except CodomainError:
+            return ys[-1] if ys else None
+
+    return _iterate(pair, ((pair.T, pair.S),), w_of, verify_conclusions_pair, mu, nu, x0, cfg)
 
 
 def iterate_quadruple(
@@ -237,59 +264,16 @@ def iterate_quadruple(
     """Run the interleaved quadruple scheme from x0 for up to max_iter
     cycles (each cycle advances x and y twice).  Convergence requires all
     four step-nearness rows of the completed cycle to reach 1 - eps."""
-    cfg = cfg or SolveConfig()
-    x0 = mu.carrier.validate_point(x0)
-    grid = cfg.grid
-    xs = [x0]
-    ys = []
-    x_rows: list[np.ndarray] = []
-    y_rows: list[np.ndarray] = []
-    monitor = _DivergenceMonitor(cfg.stall_window)
-    status = STATUS_MAX_ITER
-
-    def push_x(p) -> bool:
-        xs.append(p)
-        x_rows.append(mu.mu_grid(xs[-2], p, grid))
-        return monitor.push(x_rows[-1])
-
-    def push_y(p):
-        ys.append(p)
-        if len(ys) >= 2:
-            y_rows.append(nu.mu_grid(ys[-2], p, grid))
-
-    for _ in range(cfg.max_iter):
-        try:
-            y_odd = quad.A(xs[-1])
-            push_y(y_odd)
-            x_odd = quad.S(y_odd)
-            diverged = push_x(x_odd)
-            y_even = quad.B(xs[-1])
-            push_y(y_even)
-            x_even = quad.T(y_even)
-            diverged = push_x(x_even) or diverged
-        except CodomainError:
-            status = STATUS_DIVERGING
-            break
-        if (
-            len(x_rows) >= 2
-            and len(y_rows) >= 2
-            and all(_row_near(r, cfg.eps) for r in x_rows[-2:])
-            and all(_row_near(r, cfg.eps) for r in y_rows[-2:])
-        ):
-            status = STATUS_CONVERGED
-            break
-        if diverged:
-            status = STATUS_DIVERGING
-            break
-
-    z = xs[-1]
-    w = ys[-1] if ys else None
-    checks = (
-        verify_conclusions_quadruple(quad, mu, nu, z, w, grid, cfg.verify_tol)
-        if w is not None
-        else ()
+    return _iterate(
+        quad,
+        ((quad.A, quad.S), (quad.B, quad.T)),
+        lambda z, ys: ys[-1] if ys else None,
+        verify_conclusions_quadruple,
+        mu,
+        nu,
+        x0,
+        cfg,
     )
-    return _finish(status, xs, ys, x_rows, y_rows, grid, w, checks)
 
 
 def solve(problem, mu, nu, x0, cfg: SolveConfig | None = None) -> FixedPointResult:

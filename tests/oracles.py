@@ -1,15 +1,17 @@
-"""Scalar reference code for the batched sampling and distance layers.
+"""Scalar reference code for the batched layers and the k_hat estimators.
 
 Each function here is the straightforward loop that the array code in
 `fuzzyfp` replaces: one RNG draw, one point, one point pair or one triple at
-a time.  The equivalence tests compare the two bit for bit.
+a time.  The equivalence tests compare the two bit for bit.  The inequality
+terms at the end evaluate the contraction hypotheses at one tuple, the
+reference that the estimators' ratio arrays are tested against.
 """
 
 import math
 
 import numpy as np
 
-from fuzzyfp import BoxSpace, SplitMix64, TableFuzzyMetric, TNorm
+from fuzzyfp import BoxSpace, FuzzyMetric, SplitMix64, TableFuzzyMetric, TNorm
 from fuzzyfp.axioms import _SLACK, AxiomReport
 from fuzzyfp.spaces import DELTA_PT
 
@@ -138,3 +140,111 @@ def check_fm_axioms(fm, op, triple_count, grid, seed, window=None):
                     "monotone_in_t", (_wp(x), _wp(y), float(ts[k])), float(drops[k])
                 )
     return report
+
+
+# ---------------------------------------------------------------------------
+# contraction-hypothesis terms at one tuple
+# ---------------------------------------------------------------------------
+
+
+def pair_inequality_terms(pair, mu: FuzzyMetric, nu: FuzzyMetric, x, x2, t: float):
+    """Return (lhs, rhs) of the pair inequality at one tuple.
+
+    lhs = mu(STx, STx', t) without the k factor; rhs is the four-term
+    minimum.  The inequality holds with constant k iff k * lhs >= rhs.
+    """
+    stx = pair.st(x)
+    stx2 = pair.st(x2)
+    lhs = mu.mu(stx, stx2, t)
+    rhs = min(
+        mu.mu(x, x2, t),
+        mu.mu(x, stx, t),
+        mu.mu(x2, stx2, t),
+        nu.mu(pair.T(x), pair.T(x2), t),
+    )
+    return lhs, rhs
+
+
+def pair_inequality_terms_dual(pair, mu: FuzzyMetric, nu: FuzzyMetric, y, y2, t: float):
+    """Mirror of pair_inequality_terms with (mu, ST) and (nu, TS) swapped."""
+    tsy = pair.ts(y)
+    tsy2 = pair.ts(y2)
+    lhs = nu.mu(tsy, tsy2, t)
+    rhs = min(
+        nu.mu(y, y2, t),
+        nu.mu(y, tsy, t),
+        nu.mu(y2, tsy2, t),
+        mu.mu(pair.S(y), pair.S(y2), t),
+    )
+    return lhs, rhs
+
+
+def quad_numerator_primal(quad, mu, nu, x, x2, y, y2, t: float) -> float:
+    """min of the four nearness products on the primal side."""
+    ax = quad.A(x)
+    bx2 = quad.B(x2)
+    sy = quad.S(y)
+    ty2 = quad.T(y2)
+    return min(
+        mu.mu(x, x2, t) * nu.mu(ax, bx2, t),
+        mu.mu(x, x2, t) * mu.mu(sy, ty2, t),
+        mu.mu(x, ty2, t) * nu.mu(ax, quad.at(y2), t),
+        mu.mu(x2, sy, t) * nu.mu(bx2, quad.bs(y), t),
+    )
+
+
+def quad_numerator_dual(quad, mu, nu, x, x2, y, y2, t: float) -> float:
+    """min of the four nearness products on the dual side."""
+    ax = quad.A(x)
+    bx2 = quad.B(x2)
+    sy = quad.S(y)
+    ty2 = quad.T(y2)
+    return min(
+        nu.mu(y, y2, t) * mu.mu(sy, ty2, t),
+        nu.mu(y, y2, t) * nu.mu(ax, bx2, t),
+        nu.mu(y, bx2, t) * mu.mu(sy, quad.tb(x2), t),
+        nu.mu(y2, ax, t) * mu.mu(ty2, quad.sa(x), t),
+    )
+
+
+def quad_denominator(quad, mu, nu, x, x2, y, y2, t: float) -> float:
+    """Shared denominator: min of four plain nearness values."""
+    return min(
+        nu.mu(quad.A(x), quad.B(x2), t),
+        mu.mu(quad.sa(x), quad.tb(x2), t),
+        mu.mu(quad.S(y), quad.T(y2), t),
+        nu.mu(quad.bs(y), quad.at(y2), t),
+    )
+
+
+def self_quad_numerator_primal(quad, fm, x, y, t: float) -> float:
+    sx = quad.S(x)
+    ty = quad.T(y)
+    ax = quad.A(x)
+    return min(
+        fm.mu(sx, ty, t) * fm.mu(ax, quad.bs(x), t),
+        fm.mu(sx, quad.tb(y), t) * fm.mu(x, sx, t),
+        fm.mu(x, y, t) * fm.mu(quad.sa(x), ty, t),
+        fm.mu(x, ty, t) * fm.mu(x, quad.at(y), t),
+    )
+
+
+def self_quad_numerator_dual(quad, fm, x, y, t: float) -> float:
+    sx = quad.S(x)
+    ty = quad.T(y)
+    ax = quad.A(x)
+    return min(
+        fm.mu(x, sx, t) * fm.mu(x, y, t),
+        fm.mu(y, quad.tb(y), t) * fm.mu(y, ax, t),
+        fm.mu(quad.sa(x), ty, t) * fm.mu(ax, quad.B(y), t),
+        fm.mu(ax, quad.at(y), t) * fm.mu(quad.sa(x), sx, t),
+    )
+
+
+def self_quad_denominator(quad, fm, x, y, t: float) -> float:
+    return min(
+        fm.mu(quad.A(x), quad.bs(x), t),
+        fm.mu(x, quad.sa(x), t),
+        fm.mu(quad.S(x), quad.tb(y), t),
+        fm.mu(quad.B(y), quad.at(y), t),
+    )

@@ -68,15 +68,24 @@ class TestSolveCommand:
         summary = json.load(open(os.path.join(out, "solve_summary.json")))
         assert summary["status"] == "diverging"
 
-    @pytest.mark.parametrize("scheme", ["pair", "quadruple"])
-    def test_codomain_escape_fails_conclusions_without_traceback(self, scheme, tmp_path, capsys):
-        # every map doubles, so an iterate leaves the box [-10, 10] within two cycles
-        double = {"form": "affine", "matrix": [[2.0]], "offset": [0.0]}
+    @pytest.mark.parametrize(
+        "scheme,grows", [("pair", m) for m in "TS"] + [("quadruple", m) for m in "ASBT"]
+    )
+    def test_codomain_escape_fails_conclusions_without_traceback(
+        self, scheme, grows, tmp_path, capsys
+    ):
+        # the other maps halve, so each cycle doubles the growing map's output,
+        # the largest iterate of its cycle: that map is the first to leave
+        # [-10, 10].  From x0 = 0.5 it does so only after a full cycle, so
+        # the run has a y at which the conclusions are checked.
+        names = ("T", "S") if scheme == "pair" else ("A", "B", "S", "T")
+        factors = dict.fromkeys(names, 0.5) | {grows: 2.0 ** len(names)}
         doc = pair_config()
         doc["carrier"] = {"kind": "box", "lo": [-10.0], "hi": [10.0]}
-        names = ("T", "S") if scheme == "pair" else ("A", "B", "S", "T")
-        doc["maps"] = {"scheme": scheme, **dict.fromkeys(names, double)}
-        doc["solve"] = {"x0": [1.0]}
+        doc["maps"] = {"scheme": scheme} | {
+            name: {"form": "affine", "matrix": [[a]], "offset": [0.0]} for name, a in factors.items()
+        }
+        doc["solve"] = {"x0": [0.5]}
         cfg = write_config(tmp_path / "c.json", doc)
         out = str(tmp_path / "out")
         assert main(["solve", "--config", cfg, "--out", out]) == 1

@@ -30,6 +30,9 @@ from fuzzyfp import (
     induced_standard,
     iterate_pair,
     iterate_quadruple,
+)
+from fuzzyfp.solver import SolveConfig
+from oracles import (
     pair_inequality_terms,
     pair_inequality_terms_dual,
     quad_denominator,
@@ -39,7 +42,6 @@ from fuzzyfp import (
     self_quad_numerator_dual,
     self_quad_numerator_primal,
 )
-from fuzzyfp.solver import SolveConfig
 
 LINE = BoxSpace([-np.inf], [np.inf])
 MU = induced_standard(LINE)
@@ -340,29 +342,6 @@ class TestEstimateKQuad:
         assert primal.k_hat == pytest.approx(float(best5), abs=1e-12)
         assert dual.k_hat == pytest.approx(float(best6), abs=1e-12)
 
-    def test_skip_logic_soundness(self):
-        """Every evaluated tuple satisfies the strict admission condition."""
-        quad = self._quad()
-        samples = SampleSet(
-            points_x=pts(0.5, 1.0, 2.0), grid=TGrid([1.0]), points_y=pts(1.0, 2.0)
-        )
-        primal, dual = estimate_k_quad(quad, MU, NU, samples, keep_ratios=True)
-        # the reported k_hat is the maximum recorded ratio
-        assert primal.k_hat == max(r for *_, r in primal.ratios)
-        assert dual.k_hat == max(r for *_, r in dual.ratios)
-        for i, j, k, l, t, _ in primal.ratios:
-            x, x2 = samples.points_x[i], samples.points_x[j]
-            y, y2 = samples.points_y[k], samples.points_y[l]
-            f = quad_numerator_primal(quad, MU, NU, x, x2, y, y2, t)
-            h = quad_denominator(quad, MU, NU, x, x2, y, y2, t)
-            assert f < h < 1.0
-        for i, j, k, l, t, _ in dual.ratios:
-            x, x2 = samples.points_x[i], samples.points_x[j]
-            y, y2 = samples.points_y[k], samples.points_y[l]
-            g = quad_numerator_dual(quad, MU, NU, x, x2, y, y2, t)
-            h = quad_denominator(quad, MU, NU, x, x2, y, y2, t)
-            assert g < h < 1.0
-
     def test_all_coincident_sample_raises(self, line):
         z0, w0 = np.array([2.0]), np.array([5.0])
         quad = MapQuadruple(
@@ -492,6 +471,71 @@ class TestSelfQuad:
         # for identity maps f = mu^2, h = mu, so every admissible ratio is 1
         assert primal.k_hat == pytest.approx(1.0, abs=1e-12)
         assert not primal.holds
+
+
+# ---------------------------------------------------------------------------
+# kept ratios of all three schemes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scheme", ["pair", "quadruple", "self-quadruple"])
+def test_ratio_dump_matches_scalar_oracle(scheme):
+    """Every evaluated tuple is kept in C order, k_hat is the largest kept
+    ratio, and the scalar terms admit each kept row and reproduce its ratio."""
+    xs, ys = pts(0.5, 1.0, 2.0), pts(1.0, 2.0)
+    samples = SampleSet(points_x=xs, grid=TGrid([0.5, 1.0]), points_y=ys)
+    if scheme == "pair":
+        pair = MapPair(T=AffineMap([[0.5]], [1.0], LINE), S=AffineMap([[1.0 / 3.0]], [1.0], LINE))
+        reports = [
+            estimate_k_pair(pair, MU, NU, samples, keep_ratios=True),
+            estimate_k_pair_dual(pair, MU, NU, samples, keep_ratios=True),
+        ]
+
+        def oracle(label, i, j, t):
+            if label == "pair":
+                lhs, rhs = pair_inequality_terms(pair, MU, NU, xs[i], xs[j], t)
+            else:
+                lhs, rhs = pair_inequality_terms_dual(pair, MU, NU, ys[i], ys[j], t)
+            return i != j, rhs / lhs
+
+    elif scheme == "quadruple":
+        quad = TestEstimateKQuad()._quad()
+        reports = estimate_k_quad(quad, MU, NU, samples, keep_ratios=True)
+
+        def oracle(label, i, j, k, l, t):
+            x, x2, y, y2 = xs[i], xs[j], ys[k], ys[l]
+            h = quad_denominator(quad, MU, NU, x, x2, y, y2, t)
+            if label == "quad-primal":
+                num = quad_numerator_primal(quad, MU, NU, x, x2, y, y2, t)
+                lhs = MU.mu(quad.sa(x), quad.tb(x2), t)
+            else:
+                num = quad_numerator_dual(quad, MU, NU, x, x2, y, y2, t)
+                lhs = NU.mu(quad.bs(y), quad.at(y2), t)
+            return num < h < 1.0, (num / h) / lhs
+
+    else:
+        quad = TestSelfQuad()._quad()
+        reports = estimate_k_self_quad(quad, MU, samples, keep_ratios=True)
+
+        def oracle(label, i, j, t):
+            x, y = xs[i], ys[j]
+            h = self_quad_denominator(quad, MU, x, y, t)
+            if label == "self-quad-primal":
+                num = self_quad_numerator_primal(quad, MU, x, y, t)
+                lhs = MU.mu(quad.sa(x), quad.tb(y), t)
+            else:
+                num = self_quad_numerator_dual(quad, MU, x, y, t)
+                lhs = MU.mu(quad.bs(x), quad.at(y), t)
+            return num < h < 1.0, (num / h) / lhs
+
+    for report in reports:
+        assert len(report.ratios) == report.evaluated_count > 0
+        assert [row[:-1] for row in report.ratios] == sorted(row[:-1] for row in report.ratios)
+        assert report.k_hat == max(r for *_, r in report.ratios)
+        for *cell, t, r in report.ratios:
+            admitted, ratio = oracle(report.label, *cell, t)
+            assert admitted
+            assert r == pytest.approx(ratio, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

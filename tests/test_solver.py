@@ -313,6 +313,25 @@ class TestCollapseRule:
         assert res.trace_x.nearness[-1, -1] <= 1e-300
         assert res.iterations < 100  # stopped by the monitor, long before overflow
 
+    def test_steps_at_the_floor_at_every_scale_converge(self, line):
+        # from 1e8 every step is so long that nearness at t_max sits at the
+        # floor too; the crisp step lengths show that the steps shrink
+        shrink = AffineMap([[0.99]], [0.0], line)
+        mu = induced_exponential(line)
+        res = iterate_pair(MapPair(T=shrink, S=shrink), mu, mu, np.array([1e8]))
+        assert (res.trace_x.nearness[:60] <= 1e-300).all()
+        assert res.status == "converged"
+        assert res.conclusions_passed
+
+    def test_growing_steps_at_the_floor_at_every_scale_diverge(self, line):
+        grow = AffineMap([[1.01]], [0.0], line)
+        mu = induced_exponential(line)
+        cfg = SolveConfig()
+        res = iterate_pair(MapPair(T=grow, S=grow), mu, mu, np.array([1e8]), cfg)
+        assert (res.trace_x.nearness <= 1e-300).all()
+        assert res.status == "diverging"
+        assert res.iterations <= cfg.stall_window + 1
+
     def test_expansive_exponential_quadruple_still_diverges(self):
         spec = InstanceSpec(
             scheme="quadruple",
