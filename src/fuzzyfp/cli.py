@@ -21,8 +21,8 @@ import numpy as np
 
 from . import config as cfgmod
 from .axioms import check_fm_axioms, check_tnorm_axioms
-from .errors import ConfigError, EmptySampleError
-from .harness import run_suite
+from .errors import CodomainError, ConfigError, EmptySampleError
+from .harness import InstanceVerdict, run_suite
 from .hypotheses import (
     estimate_k_pair,
     estimate_k_pair_dual,
@@ -76,18 +76,7 @@ def _report_dict(report) -> dict:
 
 
 def _axiom_report_dict(report) -> dict:
-    return {
-        "subject": report.subject,
-        "samples": report.samples,
-        "seed": report.seed,
-        "checks": report.checks,
-        "violation_count": report.violation_count,
-        "passed": report.passed,
-        "violations": [
-            {"axiom": v.axiom, "witness": v.witness, "magnitude": v.magnitude}
-            for v in report.violations
-        ],
-    }
+    return {**_jsonable(report), "passed": report.passed}
 
 
 def cmd_axioms(doc: dict, args) -> int:
@@ -142,7 +131,7 @@ def cmd_hypotheses(doc: dict, args) -> int:
             reports.extend(estimate_k_quad(problem, mu, nu, samples, keep_ratios=keep))
         else:
             reports.extend(estimate_k_self_quad(problem, mu, samples, keep_ratios=keep))
-    except EmptySampleError as exc:
+    except (EmptySampleError, CodomainError) as exc:
         note = str(exc)
 
     payload = {
@@ -260,39 +249,9 @@ def cmd_suite(doc: dict, args) -> int:
         path = os.path.join(args.out, "suite_rows.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "index",
-                    "seed",
-                    "scheme",
-                    "status",
-                    "iterations",
-                    "k_hat",
-                    "axiom_violations",
-                    "conclusions_passed",
-                    "min_residual",
-                    "uniqueness_passed",
-                    "uniqueness_max_distance",
-                ]
-            )
+            writer.writerow(field.name for field in dataclasses.fields(InstanceVerdict))
             for r in verdict.rows:
-                writer.writerow(
-                    [
-                        r.index,
-                        r.seed,
-                        r.scheme,
-                        r.status,
-                        r.iterations,
-                        "" if r.k_hat is None else float(r.k_hat),
-                        r.axiom_violations,
-                        r.conclusions_passed,
-                        float(r.min_residual),
-                        "" if r.uniqueness_passed is None else r.uniqueness_passed,
-                        ""
-                        if r.uniqueness_max_distance is None
-                        else float(r.uniqueness_max_distance),
-                    ]
-                )
+                writer.writerow("" if v is None else v for v in dataclasses.astuple(r))
 
     agg = verdict.aggregates
     print(

@@ -1,79 +1,143 @@
 """Declarative JSON run configuration: validation and object construction.
 
 One JSON document with sections {carrier, carrier_y, metric, metric_y,
-tnorm, grid, maps, solve, hypotheses, axioms, suite}.  Validation is
-strict: unknown keys are rejected anywhere in the document, before any
-computation runs.
+tnorm, grid, maps, solve, hypotheses, axioms, suite}.  Every section is
+checked against one {key: kind} table: unknown keys, missing required keys
+and values of the wrong JSON kind are rejected with their JSON path before
+any computation runs.  Only the keys present are passed on, so defaults and
+range checks live in the objects built (TGrid, SolveConfig, SampleSet,
+InstanceSpec).
 """
 
 from __future__ import annotations
 
 import json
+import math
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ConfigError
 from .harness import InstanceSpec
 from .hypotheses import SampleSet
-from .mappings import (
-    AffineMap,
-    ComposedMap,
-    ConstantMap,
-    MapPair,
-    MapQuadruple,
-    TableMap,
-)
-from .metrics import (
-    DEFAULT_T_COUNT,
-    DEFAULT_T_MAX,
-    DEFAULT_T_MIN,
-    TableFuzzyMetric,
-    TGrid,
-    induced_exponential,
-    induced_standard,
-)
+from .mappings import AffineMap, ComposedMap, ConstantMap, MapPair, MapQuadruple, TableMap
+from .metrics import TableFuzzyMetric, TGrid, induced_exponential, induced_standard
 from .solver import SolveConfig
 from .spaces import BoxSpace, FiniteSpace
 from .tnorms import TNORM_KINDS, TNorm
 
-TOP_KEYS = (
-    "carrier",
-    "carrier_y",
-    "metric",
-    "metric_y",
-    "tnorm",
-    "grid",
-    "maps",
-    "solve",
-    "hypotheses",
-    "axioms",
-    "suite",
-)
+# The JSON kind of a field is one of these types; (kind, minimum) also bounds
+# it from below.  _POINT fields are checked against their carrier later.
+_POINT = object
+_KIND_NAMES = {
+    int: "an integer", float: "a finite number", bool: "true or false",
+    str: "a string", list: "a list", dict: "an object",
+}
+
+_SECTIONS = "carrier carrier_y metric metric_y grid maps solve hypotheses axioms suite".split()
+_TOP = {"tnorm": str} | dict.fromkeys(_SECTIONS, dict)
+_GRID = {"t_min": float, "t_max": float, "points": int, "values": list}
+_CARRIERS = {"box": {"lo": list, "hi": list, "crisp_metric": str}, "finite": {"distances": list}}
+_METRICS = {"standard": {}, "exponential": {}, "table": {"values": list}}
+_MAPS = {
+    "affine": {"matrix": list, "offset": list},
+    "constant": {"value": _POINT},
+    "table": {"targets": list},
+    "composed": {"via": dict, "inner": dict, "outer": dict},
+}
+_SCHEMES = {
+    "pair": dict.fromkeys("TS", dict),
+    "quadruple": dict.fromkeys("ABST", dict),
+    "self-quadruple": dict.fromkeys("ABST", dict),
+}
+_SOLVE = {
+    "eps": float, "max_iter": int, "stall_window": int, "p_max": int, "verify_tol": float,
+    "x0": _POINT,
+}
+_HYPOTHESES = {"points_x": list, "points_y": list, "exclude_diagonal": bool, "dump_ratios": bool}
+_AXIOMS = {"tnorm_samples": (int, 1), "fm_triples": (int, 1), "seed": int, "window": list}
+_SUITE = {
+    # the uniqueness probe compares the fixed points of at least two starts
+    "count": (int, 1), "starts": (int, 2), "seed": int, "dim": int, "halfwidth": float,
+    "scheme": str, "family": str, "metric_form": str, "factor": list, "expansive": bool,
+}
 
 
-def _check_keys(section: dict, allowed, where: str):
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be an object")
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
-
-
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"{where} requires key {key!r}")
-    return section[key]
-
-
-def _number(value, kind, where: str, minimum=None):
-    """value converted by kind (int or float), at least minimum if given."""
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
-    if minimum is not None and not number >= minimum:
+def _checked(value, kind, where: str, minimum=None):
+    """value if it has the JSON kind (a number as a float), else ConfigError."""
+    ok = kind is _POINT or type(value) is kind or (kind is float and type(value) is int)
+    if ok and kind is float:
+        try:
+            ok = math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            ok = False
+    if not ok:  # type(True) is bool, so true is no integer
+        raise ConfigError(f"{where} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if minimum is not None and value < minimum:
         raise ConfigError(f"{where} must be >= {minimum}, got {value!r}")
-    return number
+    return float(value) if kind is float else value
+
+
+def _fields(section, where: str, kinds: dict, required=()) -> dict:
+    """The keys present in section, each checked against its kind in kinds.
+    where is the section's JSON path, empty for the document itself."""
+    if type(section) is not dict:
+        raise ConfigError(f"{where or 'config'} must be an object, got {section!r}")
+    for key in required:
+        if key not in section:
+            raise ConfigError(f"{where or 'config'} requires key {key!r}")
+    unknown = sorted(set(section) - set(kinds))
+    if unknown:
+        raise ConfigError(f"unknown keys in {where or 'config'}: {', '.join(unknown)}")
+    out = {}
+    for key, value in section.items():
+        kind = kinds[key] if isinstance(kinds[key], tuple) else (kinds[key],)
+        out[key] = _checked(value, kind[0], f"{where}.{key}" if where else key, *kind[1:])
+    return out
+
+
+def _tagged(section, where: str, tag: str, tables: dict, optional=()):
+    """(name, fields) of a section whose tag key (kind, form or scheme) names
+    its key table; every key of that table is required except optional ones."""
+    kinds = {}  # until the tag is known, _fields reports a non-object or a missing tag
+    if type(section) is dict and tag in section:
+        name = _checked(section[tag], str, f"{where}.{tag}")
+        if name not in tables:
+            raise ConfigError(f"{where}: unknown {tag} {name!r}")
+        kinds = tables[name]
+    required = [tag] + [k for k in kinds if k not in optional]
+    fields = _fields(section, where, {tag: str, **kinds}, required)
+    return fields.pop(tag), fields
+
+
+def _require(doc: dict, key: str):
+    if key not in doc:
+        raise ConfigError(f"config requires key {key!r}")
+    return doc[key]
+
+
+def _array(value, where: str) -> np.ndarray:
+    """A number or a nested list of numbers as a float array."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if type(v) is list:
+            stack += v
+        elif type(v) is not float and type(v) is not int:
+            raise ConfigError(f"{where} must hold numbers only, got {v!r}")
+    try:
+        return np.asarray(value, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+@contextmanager
+def _building(where: str):
+    """A ValueError (DomainError, ConfigError) of a constructor, as a ConfigError at where."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_config(path) -> dict:
@@ -82,75 +146,48 @@ def load_config(path) -> dict:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _check_keys(doc, TOP_KEYS, "config")
-    return doc
+    return _fields(doc, "", _TOP)
 
 
 def build_grid(doc: dict, t_max_override: float | None = None) -> TGrid:
-    section = doc.get("grid", {})
-    _check_keys(section, ("t_min", "t_max", "points", "values"), "grid")
-    if "values" in section:
-        if any(k in section for k in ("t_min", "t_max", "points")):
+    fields = _fields(doc.get("grid", {}), "grid", _GRID)
+    if "values" in fields:
+        if len(fields) > 1:
             raise ConfigError("grid: give either values or t_min/t_max/points")
-        try:
-            grid = TGrid(section["values"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"grid: {exc}") from exc
-        if t_max_override is not None:
-            grid = grid.with_t_max(float(t_max_override))
-        return grid
-    t_min = _number(section.get("t_min", DEFAULT_T_MIN), float, "grid.t_min")
-    t_max = _number(section.get("t_max", DEFAULT_T_MAX), float, "grid.t_max")
-    points = _number(section.get("points", DEFAULT_T_COUNT), int, "grid.points")
+        values = _array(fields["values"], "grid.values")
+        with _building("grid"):
+            grid = TGrid(values)
+            return grid if t_max_override is None else grid.with_t_max(t_max_override)
+    if "points" in fields:
+        fields["count"] = fields.pop("points")
     if t_max_override is not None:
-        t_max = float(t_max_override)
-    try:
-        return TGrid.logspace(t_min, t_max, points)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+        fields["t_max"] = t_max_override
+    with _building("grid"):
+        return TGrid.logspace(**fields)
 
 
-def _bound(values, sign: float, where: str):
-    # null stands for an unbounded coordinate (JSON has no infinity literal)
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{where} must be a coordinate list")
-    return [sign * float("inf") if v is None else float(v) for v in values]
-
-
-def build_carrier(section: dict, where: str = "carrier"):
-    kind = _require(section, "kind", where)
+def build_carrier(section, where: str = "carrier"):
+    kind, fields = _tagged(section, where, "kind", _CARRIERS, optional=("crisp_metric",))
     if kind == "box":
-        _check_keys(section, ("kind", "lo", "hi", "crisp_metric"), where)
-        lo = _bound(_require(section, "lo", where), -1.0, f"{where}.lo")
-        hi = _bound(_require(section, "hi", where), +1.0, f"{where}.hi")
-        try:
-            return BoxSpace(lo, hi, section.get("crisp_metric", "euclidean"))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    if kind == "finite":
-        _check_keys(section, ("kind", "distances"), where)
-        try:
-            return FiniteSpace(_require(section, "distances", where))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown carrier kind {kind!r}")
+        # null stands for an unbounded coordinate (JSON has no infinity literal)
+        lo = _array([-math.inf if v is None else v for v in fields.pop("lo")], f"{where}.lo")
+        hi = _array([math.inf if v is None else v for v in fields.pop("hi")], f"{where}.hi")
+        with _building(where):
+            return BoxSpace(lo, hi, **fields)
+    distances = _array(fields["distances"], f"{where}.distances")
+    with _building(where):
+        return FiniteSpace(distances)
 
 
-def build_metric(section: dict, carrier, grid: TGrid, where: str = "metric"):
-    form = _require(section, "form", where)
+def build_metric(section, carrier, grid: TGrid, where: str = "metric"):
+    form, fields = _tagged(section, where, "form", _METRICS)
     if form == "standard":
-        _check_keys(section, ("form",), where)
         return induced_standard(carrier)
     if form == "exponential":
-        _check_keys(section, ("form",), where)
         return induced_exponential(carrier)
-    if form == "table":
-        _check_keys(section, ("form", "values"), where)
-        try:
-            return TableFuzzyMetric(carrier, grid, _require(section, "values", where))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown metric form {form!r}")
+    values = _array(fields["values"], f"{where}.values")
+    with _building(where):
+        return TableFuzzyMetric(carrier, grid, values)
 
 
 def build_tnorm(doc: dict) -> TNorm:
@@ -160,32 +197,33 @@ def build_tnorm(doc: dict) -> TNorm:
     return TNorm(name)
 
 
-def build_map(section: dict, codomain, where: str):
-    form = _require(section, "form", where)
-    try:
-        if form == "affine":
-            _check_keys(section, ("form", "matrix", "offset"), where)
-            return AffineMap(
-                _require(section, "matrix", where),
-                _require(section, "offset", where),
-                codomain,
-            )
-        if form == "constant":
-            _check_keys(section, ("form", "value"), where)
-            return ConstantMap(_require(section, "value", where), codomain)
-        if form == "table":
-            _check_keys(section, ("form", "targets"), where)
-            return TableMap(_require(section, "targets", where), codomain)
-        if form == "composed":
-            # outer(inner(x)), routed through an explicit intermediate carrier
-            _check_keys(section, ("form", "via", "inner", "outer"), where)
-            via = build_carrier(_require(section, "via", where), f"{where}.via")
-            inner = build_map(_require(section, "inner", where), via, f"{where}.inner")
-            outer = build_map(_require(section, "outer", where), codomain, f"{where}.outer")
-            return ComposedMap(outer, inner)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown map form {form!r}")
+def build_map(section, domain, codomain, where: str):
+    """A map from domain into codomain; its shape is checked against both."""
+    form, fields = _tagged(section, where, "form", _MAPS)
+    if form == "composed":
+        # outer(inner(x)), routed through an explicit intermediate carrier
+        via = build_carrier(fields["via"], f"{where}.via")
+        inner = build_map(fields["inner"], domain, via, f"{where}.inner")
+        outer = build_map(fields["outer"], via, codomain, f"{where}.outer")
+        return ComposedMap(outer, inner)
+    if form == "constant":
+        value = _as_point(fields["value"], codomain, f"{where}.value")
+        return ConstantMap(value, codomain)
+    if form == "affine":
+        matrix = _array(fields["matrix"], f"{where}.matrix")
+        offset = _array(fields["offset"], f"{where}.offset")
+        with _building(where):
+            if not isinstance(domain, BoxSpace):
+                raise ConfigError("affine maps require a box domain")
+            if matrix.shape[-1:] != (domain.dimension,):
+                raise ConfigError(f"matrix needs {domain.dimension} column(s), one per coordinate")
+            return AffineMap(matrix, offset, codomain)
+    targets = fields["targets"]
+    if not isinstance(domain, FiniteSpace) or len(targets) != domain.size:
+        raise ConfigError(f"{where}: table maps need one target per point of a finite domain")
+    targets = [_as_point(t, codomain, f"{where}.targets[{i}]") for i, t in enumerate(targets)]
+    with _building(where):
+        return TableMap(targets, codomain)
 
 
 def build_spaces(doc: dict, grid: TGrid):
@@ -194,8 +232,8 @@ def build_spaces(doc: dict, grid: TGrid):
     carrier_y / metric_y default to the X-side sections; self-quadruple
     problems live on the X space alone.
     """
-    carrier_x = build_carrier(_require(doc, "carrier", "config"), "carrier")
-    metric_section = _require(doc, "metric", "config")
+    carrier_x = build_carrier(_require(doc, "carrier"), "carrier")
+    metric_section = _require(doc, "metric")
     mu = build_metric(metric_section, carrier_x, grid, "metric")
     if "carrier_y" in doc:
         carrier_y = build_carrier(doc["carrier_y"], "carrier_y")
@@ -211,152 +249,91 @@ def build_spaces(doc: dict, grid: TGrid):
 
 
 def build_problem(doc: dict, carrier_x, carrier_y):
-    section = _require(doc, "maps", "config")
-    scheme = _require(section, "scheme", "maps")
-    if scheme == "pair":
-        _check_keys(section, ("scheme", "T", "S"), "maps")
-        t_map = build_map(_require(section, "T", "maps"), carrier_y, "maps.T")
-        s_map = build_map(_require(section, "S", "maps"), carrier_x, "maps.S")
-        return scheme, MapPair(T=t_map, S=s_map)
-    if scheme in ("quadruple", "self-quadruple"):
-        _check_keys(section, ("scheme", "A", "B", "S", "T"), "maps")
-        cy = carrier_x if scheme == "self-quadruple" else carrier_y
-        a_map = build_map(_require(section, "A", "maps"), cy, "maps.A")
-        b_map = build_map(_require(section, "B", "maps"), cy, "maps.B")
-        s_map = build_map(_require(section, "S", "maps"), carrier_x, "maps.S")
-        t_map = build_map(_require(section, "T", "maps"), carrier_x, "maps.T")
-        return scheme, MapQuadruple(A=a_map, B=b_map, S=s_map, T=t_map)
-    raise ConfigError(f"maps: unknown scheme {scheme!r}")
+    scheme, fields = _tagged(_require(doc, "maps"), "maps", "scheme", _SCHEMES)
+    x, y = carrier_x, carrier_x if scheme == "self-quadruple" else carrier_y
+    # T of a pair and A, B of a quadruple map X into Y; the other maps map Y into X
+    into_y = ("T",) if scheme == "pair" else ("A", "B")
+    maps = {}
+    for name in _SCHEMES[scheme]:
+        domain, codomain = (x, y) if name in into_y else (y, x)
+        maps[name] = build_map(fields[name], domain, codomain, f"maps.{name}")
+    return scheme, MapPair(**maps) if scheme == "pair" else MapQuadruple(**maps)
 
 
 def _as_point(value, carrier, where: str):
-    try:
-        if isinstance(carrier, FiniteSpace):
-            return carrier.validate_point(value)
-        return carrier.validate_point(np.asarray(value, dtype=float))
+    if isinstance(carrier, FiniteSpace):
+        value = _checked(value, int, where)
+    else:
+        value = _array(value, where)
+    try:  # a plain try, not _building: samples build points by the hundred
+        return carrier.validate_point(value)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def build_solve(doc: dict, grid: TGrid, carrier_x=None, want_x0: bool = True):
-    section = doc.get("solve", {})
-    _check_keys(
-        section,
-        ("eps", "max_iter", "stall_window", "p_max", "verify_tol", "x0"),
-        "solve",
-    )
-    try:
-        cfg = SolveConfig(
-            eps=_number(section.get("eps", 1e-9), float, "solve.eps"),
-            max_iter=_number(section.get("max_iter", 10000), int, "solve.max_iter"),
-            grid=grid,
-            stall_window=_number(section.get("stall_window", 50), int, "solve.stall_window"),
-            p_max=_number(section.get("p_max", 8), int, "solve.p_max"),
-            verify_tol=_number(section.get("verify_tol", 1e-6), float, "solve.verify_tol"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"solve: {exc}") from exc
-    x0 = None
-    if want_x0 and "x0" in section:
-        if carrier_x is None:
-            raise ConfigError("solve.x0 given without a carrier")
-        x0 = _as_point(section["x0"], carrier_x, "solve.x0")
-    return cfg, x0
+    fields = _fields(doc.get("solve", {}), "solve", _SOLVE)
+    given = "x0" in fields
+    x0 = fields.pop("x0", None)
+    with _building("solve"):
+        cfg = SolveConfig(grid=grid, **fields)
+    if not (want_x0 and given):
+        return cfg, None
+    if carrier_x is None:
+        raise ConfigError("solve.x0 given without a carrier")
+    return cfg, _as_point(x0, carrier_x, "solve.x0")
 
 
 def build_samples(doc: dict, grid: TGrid, carrier_x, carrier_y, include_diagonal=False):
-    section = _require(doc, "hypotheses", "config")
-    _check_keys(
-        section, ("points_x", "points_y", "exclude_diagonal", "dump_ratios"), "hypotheses"
-    )
-    pts_x = tuple(
-        _as_point(p, carrier_x, "hypotheses.points_x")
-        for p in _require(section, "points_x", "hypotheses")
-    )
-    pts_y = tuple(
-        _as_point(p, carrier_y, "hypotheses.points_y")
-        for p in section.get("points_y", [])
-    )
-    exclude = bool(section.get("exclude_diagonal", True))
+    where = "hypotheses"
+    fields = _fields(_require(doc, where), where, _HYPOTHESES, required=("points_x",))
+    dump = fields.pop("dump_ratios", False)
+    for key, carrier in (("points_x", carrier_x), ("points_y", carrier_y)):
+        if key in fields:
+            fields[key] = tuple(
+                _as_point(p, carrier, f"{where}.{key}[{i}]") for i, p in enumerate(fields[key])
+            )
     if include_diagonal:
-        exclude = False
-    dump = bool(section.get("dump_ratios", False))
-    return SampleSet(points_x=pts_x, grid=grid, points_y=pts_y, exclude_diagonal=exclude), dump
+        fields["exclude_diagonal"] = False
+    return SampleSet(grid=grid, **fields), dump
+
+
+def _window(window, carriers):
+    if len(window) != 2:
+        raise ConfigError("axioms.window must be [lo, hi] coordinate lists")
+    window = tuple(_array(w, f"axioms.window[{i}]") for i, w in enumerate(window))
+    if not all(np.isfinite(w).all() for w in window):
+        raise ConfigError("axioms.window must be finite")
+    if any(w.shape != c.lo.shape for c in carriers for w in window):
+        raise ConfigError("axioms.window must match the carrier dimension")
+    return window
 
 
 def build_axiom_params(doc: dict, carriers):
     """Axiom-check parameters; the window is checked against the carriers."""
-    section = doc.get("axioms", {})
-    _check_keys(section, ("tnorm_samples", "fm_triples", "seed", "window"), "axioms")
-    window = section.get("window")
-    if window is not None:
-        if not isinstance(window, (list, tuple)) or len(window) != 2:
-            raise ConfigError("axioms.window must be [lo, hi] coordinate lists")
-        try:
-            window = (np.asarray(window[0], dtype=float), np.asarray(window[1], dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"axioms.window: {exc}") from exc
+    fields = _fields(doc.get("axioms", {}), "axioms", _AXIOMS)
     boxes = [c for c in carriers if isinstance(c, BoxSpace)]
-    if window is None and any(not c.is_bounded for c in boxes):
+    if "window" in fields:
+        fields["window"] = _window(fields["window"], boxes)
+    elif any(not c.is_bounded for c in boxes):
         raise ConfigError("axioms.window is required for an unbounded carrier")
-    if window is not None and any(w.shape != c.lo.shape for c in boxes for w in window):
-        raise ConfigError("axioms.window must match the carrier dimension")
-    get = section.get
-    return {
-        "tnorm_samples": _number(get("tnorm_samples", 1000), int, "axioms.tnorm_samples", 1),
-        "fm_triples": _number(get("fm_triples", 1000), int, "axioms.fm_triples", 1),
-        "seed": _number(get("seed", 0), int, "axioms.seed"),
-        "window": window,
-    }
+    return {"tnorm_samples": 1000, "fm_triples": 1000, "seed": 0, "window": None} | fields
 
 
 def build_suite_specs(doc: dict, grid: TGrid, seed_override: int | None = None):
-    section = _require(doc, "suite", "config")
-    _check_keys(
-        section,
-        (
-            "count",
-            "scheme",
-            "dim",
-            "family",
-            "factor",
-            "metric_form",
-            "seed",
-            "halfwidth",
-            "expansive",
-            "starts",
-        ),
-        "suite",
-    )
-    count = _number(section.get("count", 100), int, "suite.count", 1)
-    factor = section.get("factor", [0.3, 0.9])
-    if not (isinstance(factor, (list, tuple)) and len(factor) == 2):
-        raise ConfigError("suite.factor must be [lo, hi]")
-    factor_lo = _number(factor[0], float, "suite.factor[0]")
-    factor_hi = _number(factor[1], float, "suite.factor[1]")
-    seed = _number(section.get("seed", 0), int, "suite.seed")
+    fields = _fields(_require(doc, "suite"), "suite", _SUITE)
+    count = fields.pop("count", 100)
+    starts = fields.pop("starts", 4)
+    if "factor" in fields:
+        factor = fields.pop("factor")
+        if len(factor) != 2:
+            raise ConfigError("suite.factor must be [lo, hi]")
+        fields["factor_lo"], fields["factor_hi"] = (
+            _checked(v, float, f"suite.factor[{i}]") for i, v in enumerate(factor)
+        )
+    seed = fields.pop("seed", InstanceSpec.seed)
     if seed_override is not None:
-        seed = int(seed_override)
-    # the uniqueness probe compares the fixed points of at least two starts
-    starts = _number(section.get("starts", 4), int, "suite.starts", 2)
-    dim = _number(section.get("dim", 2), int, "suite.dim")
-    halfwidth = _number(section.get("halfwidth", 10.0), float, "suite.halfwidth")
-    try:
-        specs = [
-            InstanceSpec(
-                scheme=section.get("scheme", "pair"),
-                dim=dim,
-                family=section.get("family", "affine"),
-                factor_lo=factor_lo,
-                factor_hi=factor_hi,
-                metric_form=section.get("metric_form", "standard"),
-                grid=grid,
-                seed=seed + i,
-                halfwidth=halfwidth,
-                expansive=bool(section.get("expansive", False)),
-            )
-            for i in range(count)
-        ]
-    except ValueError as exc:
-        raise ConfigError(f"suite: {exc}") from exc
+        seed = seed_override
+    with _building("suite"):
+        specs = [InstanceSpec(grid=grid, seed=seed + i, **fields) for i in range(count)]
     return specs, starts

@@ -15,7 +15,7 @@ reproduce bit-identical instances and verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -64,8 +64,8 @@ class InstanceSpec:
             raise ConfigError(f"unknown metric form {self.metric_form!r}")
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
-        if self.halfwidth <= 0:
-            raise ConfigError("halfwidth must be positive")
+        if not 0 < 2 * self.halfwidth < np.inf:  # x0 is drawn from a box 2 * halfwidth wide
+            raise ConfigError("halfwidth must be positive and 2 * halfwidth finite")
         if not (0 < self.factor_lo <= self.factor_hi):
             raise ConfigError("factor range must satisfy 0 < lo <= hi")
         if self.expansive:
@@ -273,22 +273,7 @@ class SuiteVerdict:
             "max_iter": self.max_iter,
             "starts": self.starts,
             "aggregates": dict(sorted(self.aggregates.items())),
-            "rows": [
-                {
-                    "index": r.index,
-                    "seed": r.seed,
-                    "scheme": r.scheme,
-                    "status": r.status,
-                    "iterations": r.iterations,
-                    "k_hat": r.k_hat,
-                    "axiom_violations": r.axiom_violations,
-                    "conclusions_passed": r.conclusions_passed,
-                    "min_residual": r.min_residual,
-                    "uniqueness_passed": r.uniqueness_passed,
-                    "uniqueness_max_distance": r.uniqueness_max_distance,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
         }
 
 

@@ -15,6 +15,8 @@ from .errors import DomainError
 from .spaces import FiniteSpace
 
 _TINY = float(np.finfo(float).tiny)
+# Largest grid scale: the triangle axiom evaluates nearness at t + s.
+_T_LIMIT = float(np.finfo(float).max) / 2
 
 DEFAULT_T_MIN = 1e-2
 DEFAULT_T_MAX = 1e2
@@ -30,8 +32,8 @@ class TGrid:
         arr = np.atleast_1d(np.asarray(values, dtype=float))
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("t-grid must be a non-empty vector")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise DomainError("t-grid values must be finite and positive")
+        if not ((arr > 0.0) & (arr <= _T_LIMIT)).all():  # NaN fails both
+            raise DomainError("t-grid values must be positive, with t + t finite")
         if arr.size > 1 and not np.all(np.diff(arr) > 0.0):
             raise DomainError("t-grid values must be strictly increasing")
         arr = arr.copy()
@@ -47,6 +49,8 @@ class TGrid:
     ) -> "TGrid":
         if count < 1:
             raise DomainError("t-grid needs at least one point")
+        if not (0 < t_min < math.inf and 0 < t_max < math.inf):
+            raise DomainError(f"t_min and t_max must be positive and finite, got {t_min}, {t_max}")
         if count == 1:
             return cls([t_min])
         return cls(np.logspace(math.log10(t_min), math.log10(t_max), count))

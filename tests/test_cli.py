@@ -128,6 +128,19 @@ class TestHypothesesCommand:
             2.0,
         ]
 
+    def test_sample_image_escaping_codomain_exits_one(self, tmp_path, capsys):
+        doc = pair_config()
+        doc["carrier"] = {"kind": "box", "lo": [-10.0], "hi": [10.0]}
+        doc["maps"]["T"] = {"form": "affine", "matrix": [[4.0]], "offset": [0.0]}
+        doc["hypotheses"] = {"points_x": [[0.0], [3.0]]}  # T(3) = 12 leaves the box
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = str(tmp_path / "out")
+        assert main(["hypotheses", "--config", cfg, "--out", out]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.load(open(os.path.join(out, "hypotheses_report.json")))
+        assert "escaped its codomain" in report["note"]
+        assert report["reports"] == []
+
     def test_include_diagonal_changes_skip_counts(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", pair_config())
         out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
@@ -198,6 +211,34 @@ class TestAxiomsCommand:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+def finite_config():
+    """A pair of table maps on a three-point carrier; solve converges to z = w = 1."""
+    return {
+        "carrier": {"kind": "finite", "distances": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+        "metric": {"form": "standard"},
+        "maps": {
+            "scheme": "pair",
+            "T": {"form": "table", "targets": [1, 1, 1]},
+            "S": {"form": "table", "targets": [0, 1, 2]},
+        },
+        "solve": {"x0": 0},
+    }
+
+
+def set_path(doc, path, value):
+    """Set the value at a key path of any depth; None drops the key."""
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    if value is None:
+        doc.pop(last, None)
+    else:
+        doc[last] = value
+
+
+NAN = float("nan")
+
+# (command, key path, value) mutations of pair_config()
 MALFORMED = [
     ("axioms", ("axioms", "fm_triples"), "abc"),
     ("axioms", ("axioms", "fm_triples"), 0),
@@ -205,19 +246,49 @@ MALFORMED = [
     ("suite", ("suite", "starts"), 1),
     ("axioms", ("axioms", "window"), None),  # unbounded carrier needs a window
     ("axioms", ("axioms", "window"), [[-1.0, -1.0], [1.0, 1.0]]),  # wrong dimension
+    ("axioms", ("carrier",), 3),
+    ("axioms", ("metric",), 3),
+    ("axioms", ("carrier", "lo"), ["a"]),
+    ("hypotheses", ("hypotheses", "points_x"), 5),
+    ("axioms", ("axioms", "window"), [[NAN], [1.0]]),
+    ("suite", ("suite", "halfwidth"), NAN),
+    ("suite", ("suite", "halfwidth"), 1e308),  # 2 * halfwidth overflows the x0 draw
+    ("solve", ("maps", "T", "matrix"), [[0.5, 0.5]]),  # two columns on a 1-D carrier
+    ("solve", ("grid", "t_min"), -1),
+    ("axioms", ("grid", "t_max"), 1e308),  # the triangle axiom evaluates t + s
+    # used to be accepted: dim 2.7 ran as dim 2, "no" turned the dump on
+    ("suite", ("suite", "dim"), 2.7),
+    ("solve", ("solve", "max_iter"), 2.5),
+    ("suite", ("suite", "count"), "2"),
+    ("suite", ("suite", "factor"), ["0.3", "0.9"]),
+    ("hypotheses", ("hypotheses", "dump_ratios"), "no"),
+]
+# (command, key path, value) mutations of finite_config()
+MALFORMED_FINITE = [
+    ("solve", ("maps", "T", "targets"), [1, 1]),  # fewer targets than domain points
+    ("solve", ("solve", "x0"), True),  # used to be accepted as point 1
+]
+MALFORMED_CASES = [(pair_config, *row) for row in MALFORMED] + [
+    (finite_config, *row) for row in MALFORMED_FINITE
 ]
 
 
+def test_finite_config_solves(tmp_path):
+    cfg = write_config(tmp_path / "c.json", finite_config())
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize(
-    "command,key,value", MALFORMED, ids=[f"{k[0]}.{k[1]}={v!r}" for _, k, v in MALFORMED]
+    "base,command,path,value",
+    MALFORMED_CASES,
+    ids=[
+        ("finite:" if b is finite_config else "") + f"{'.'.join(k)}={v!r}"
+        for b, _, k, v in MALFORMED_CASES
+    ],
 )
-def test_malformed_config_exits_two_without_traceback(command, key, value, tmp_path, capsys):
-    doc = pair_config()
-    section = doc.setdefault(key[0], {})
-    if value is None:  # drop the key
-        section.pop(key[1], None)
-    else:
-        section[key[1]] = value
+def test_malformed_config_exits_two_without_traceback(base, command, path, value, tmp_path, capsys):
+    doc = base()
+    set_path(doc, path, value)
     cfg = write_config(tmp_path / "c.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

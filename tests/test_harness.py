@@ -100,6 +100,10 @@ class TestGenInstance:
             InstanceSpec(factor_lo=0.9, factor_hi=0.5)
         with pytest.raises(ConfigError):
             InstanceSpec(factor_lo=0.5, factor_hi=0.9, expansive=True)
+        # NaN fails no plain comparison; 1e308 overflows the 2 * halfwidth x0 draw
+        for halfwidth in (0.0, -1.0, float("nan"), 1e308, float("inf")):
+            with pytest.raises(ConfigError):
+                InstanceSpec(halfwidth=halfwidth)
 
     def test_mixed_family_is_deterministic(self):
         spec = InstanceSpec(scheme="quadruple", family="mixed", dim=2, seed=21)

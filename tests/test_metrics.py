@@ -35,6 +35,15 @@ class TestTGrid:
         with pytest.raises(DomainError):
             TGrid([2.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "t_min,t_max", [(-1.0, 100.0), (0.0, 100.0), (0.01, -5.0), (math.nan, 1.0)]
+    )
+    def test_logspace_names_bad_bounds(self, t_min, t_max):
+        with pytest.raises(DomainError, match="t_min and t_max must be positive"):
+            TGrid.logspace(t_min, t_max, 17)
+        with pytest.raises(DomainError, match="t_min and t_max"):
+            TGrid.logspace(t_min, t_max, 1)
+
     def test_with_t_max(self):
         grid = TGrid.default().with_t_max(1e4)
         assert len(grid) == 17
