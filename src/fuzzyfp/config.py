@@ -146,7 +146,41 @@ def load_config(path) -> dict:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return _fields(doc, "", _TOP)
+    doc = _fields(doc, "", _TOP)
+    _check_sections(doc)
+    return doc
+
+
+def _check_sections(doc: dict) -> None:
+    """The keys and value kinds of every section present, also of those the
+    subcommand does not build, so an unknown key is rejected anywhere."""
+    build_tnorm(doc)
+    plain = {"grid": _GRID, "solve": _SOLVE, "hypotheses": _HYPOTHESES, "axioms": _AXIOMS, "suite": _SUITE}
+    for key, kinds in plain.items():
+        if key in doc:
+            _fields(doc[key], key, kinds)
+    for key in ("carrier", "carrier_y"):
+        if key in doc:
+            _check_carrier(doc[key], key)
+    for key in ("metric", "metric_y"):
+        if key in doc:
+            _tagged(doc[key], key, "form", _METRICS)
+    if "maps" in doc:
+        _, maps = _tagged(doc["maps"], "maps", "scheme", _SCHEMES)
+        for name, section in maps.items():
+            _check_map(section, f"maps.{name}")
+
+
+def _check_carrier(section, where: str):
+    return _tagged(section, where, "kind", _CARRIERS, optional=("crisp_metric",))
+
+
+def _check_map(section, where: str):
+    form, fields = _tagged(section, where, "form", _MAPS)
+    if form == "composed":
+        _check_carrier(fields["via"], f"{where}.via")
+        for part in ("inner", "outer"):
+            _check_map(fields[part], f"{where}.{part}")
 
 
 def build_grid(doc: dict, t_max_override: float | None = None) -> TGrid:
@@ -167,7 +201,7 @@ def build_grid(doc: dict, t_max_override: float | None = None) -> TGrid:
 
 
 def build_carrier(section, where: str = "carrier"):
-    kind, fields = _tagged(section, where, "kind", _CARRIERS, optional=("crisp_metric",))
+    kind, fields = _check_carrier(section, where)
     if kind == "box":
         # null stands for an unbounded coordinate (JSON has no infinity literal)
         lo = _array([-math.inf if v is None else v for v in fields.pop("lo")], f"{where}.lo")

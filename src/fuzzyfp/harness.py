@@ -30,7 +30,7 @@ from .hypotheses import (
 from .mappings import AffineMap, ConstantMap, MapPair, MapQuadruple
 from .metrics import FuzzyMetric, TGrid, induced_exponential, induced_standard
 from .rng import GENERATOR_NAME, SplitMix64
-from .solver import STATUS_CONVERGED, SolveConfig, solve, uniqueness_probe
+from .solver import STATUS_CONVERGED, SolveConfig, uniqueness_probe
 from .spaces import BoxSpace
 from .tnorms import PRODUCT
 
@@ -285,17 +285,14 @@ def _trajectory_sample(trace, count: int) -> list:
     return [pts[i] for i in idx]
 
 
-def _estimate_instance_k(inst: Instance, result, rng, grid, n_traj, n_rand):
-    """Hypothesis sample: trajectory points plus random carrier points."""
-    window = inst.window
-    xs = _trajectory_sample(result.trace_x, n_traj)
-    xs += inst.mu.carrier.sample(rng, n_rand, window)
+def _estimate_instance_k(inst: Instance, result, random_x, random_y, grid, n_traj):
+    """Hypothesis sample: trajectory points plus the random carrier points drawn for it."""
+    xs = _trajectory_sample(result.trace_x, n_traj) + random_x
     if inst.spec.scheme == "pair":
         samples = SampleSet(points_x=tuple(xs), grid=grid)
         return estimate_k_pair(inst.problem, inst.mu, inst.nu, samples).k_hat
     if inst.spec.scheme == "quadruple":
-        ys = _trajectory_sample(result.trace_y, n_traj)
-        ys += inst.nu.carrier.sample(rng, n_rand, window)
+        ys = _trajectory_sample(result.trace_y, n_traj) + random_y
         samples = SampleSet(points_x=tuple(xs), grid=grid, points_y=tuple(ys))
         primal, dual = estimate_k_quad(inst.problem, inst.mu, inst.nu, samples)
         ks = [r.k_hat for r in (primal, dual) if r.k_hat is not None]
@@ -344,25 +341,26 @@ def run_suite(
             )
             violations += nu_report.violation_count
 
-        result = solve(inst.problem, inst.mu, inst.nu, inst.x0, cfg)
-
+        # every draw comes before the one batch solve, in a fixed order: the
+        # k_hat sample's random points, then the probe's extra starts
         quad_like = inst.spec.scheme != "pair"
+        n_rand_here = quad_n_rand if quad_like else n_rand
+        random_x = inst.mu.carrier.sample(rng, n_rand_here, window)
+        random_y = None
+        if inst.spec.scheme == "quadruple":
+            random_y = inst.nu.carrier.sample(rng, n_rand_here, window)
+        probe_starts = [inst.x0] + inst.mu.carrier.sample(rng, starts - 1, window)
+        probe = uniqueness_probe(
+            inst.problem, inst.mu, inst.nu, probe_starts, cfg, tol=uniqueness_tol, verified=(0,)
+        )
+        result = probe.results[0]
         try:
             k_hat = _estimate_instance_k(
-                inst,
-                result,
-                rng,
-                cfg.grid,
-                quad_n_traj if quad_like else n_traj,
-                quad_n_rand if quad_like else n_rand,
+                inst, result, random_x, random_y, cfg.grid, quad_n_traj if quad_like else n_traj
             )
         except EmptySampleError:
             k_hat = None
 
-        probe_starts = [inst.x0] + inst.mu.carrier.sample(rng, starts - 1, window)
-        probe = uniqueness_probe(
-            inst.problem, inst.mu, inst.nu, probe_starts, cfg, tol=uniqueness_tol, first=result
-        )
         max_dist = None
         if probe.conclusive:
             max_dist = max(probe.max_z_distance, probe.max_w_distance)

@@ -2,7 +2,9 @@
 
 Every mapping declares its codomain and checks containment on each
 evaluation; a point that escapes (including non-finite output) raises
-CodomainError.
+CodomainError.  rows() maps a stack of points at once and reports which
+outputs escaped instead of raising, so one escaping point does not stop
+the others.
 """
 
 from __future__ import annotations
@@ -23,6 +25,15 @@ class Mapping:
 
     def _raw(self, x):
         raise NotImplementedError
+
+    def _raw_rows(self, xs: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def rows(self, xs: np.ndarray):
+        """(outputs, escaped): the map at each row of xs, and None if every
+        output lies in the codomain, else the mask of the rows that escaped."""
+        out = self._raw_rows(xs)
+        return out, self.codomain.escaped_rows(out)
 
     def __call__(self, x):
         out = self._raw(x)
@@ -59,6 +70,10 @@ class AffineMap(Mapping):
         out.setflags(write=False)
         return out
 
+    def _raw_rows(self, xs):
+        # the stacked matmul rounds each row like matrix @ x; xs @ matrix.T does not
+        return np.matmul(self.matrix, xs[..., None])[..., 0] + self.offset
+
 
 class ConstantMap(Mapping):
     """x -> value, for any carrier kinds."""
@@ -71,6 +86,9 @@ class ConstantMap(Mapping):
 
     def _raw(self, x):
         return self.value
+
+    def _raw_rows(self, xs):
+        return np.broadcast_to(self.value, (len(xs),) + np.shape(self.value))
 
 
 class TableMap(Mapping):
@@ -86,12 +104,18 @@ class TableMap(Mapping):
         for t in tg:
             codomain.validate_point(t)
         self.targets = tg
+        self._target_array = np.array(tg, dtype=np.intp)
 
     def _raw(self, x):
         i = int(x)
         if not (0 <= i < len(self.targets)):
             raise DomainError(f"index {i} outside table map domain")
         return self.targets[i]
+
+    def _raw_rows(self, xs):
+        if xs.size and not (0 <= xs.min() and xs.max() < len(self.targets)):
+            raise DomainError(f"an index of {xs.tolist()} lies outside the table map domain")
+        return self._target_array[xs]
 
 
 class ComposedMap(Mapping):
@@ -106,6 +130,19 @@ class ComposedMap(Mapping):
 
     def _raw(self, x):
         return self.outer(self.inner(x))
+
+    def rows(self, xs):
+        mid, escaped = self.inner.rows(xs)
+        if escaped is None:
+            return self.outer.rows(mid)
+        # rows that escaped the inner codomain are not mapped on
+        ok = ~escaped
+        kept, kept_escaped = self.outer.rows(mid[ok])
+        out = np.zeros((len(xs),) + kept.shape[1:], dtype=kept.dtype)
+        out[ok] = kept
+        if kept_escaped is not None:
+            escaped[ok] = kept_escaped
+        return out, escaped
 
 
 @dataclass(eq=False)

@@ -111,6 +111,10 @@ class FuzzyMetric:
         """mu_grid over points broadcast on leading axes; the scale axes of ts come last."""
         raise NotImplementedError
 
+    def mu_from_distances(self, d, a, b, ts) -> np.ndarray:
+        """mu_batch(a, b, ts) for a caller that already holds d = carrier.distances(a, b)."""
+        return self.mu_batch(a, b, ts)
+
     def pairwise(self, pts_a, pts_b, ts) -> np.ndarray:
         """Array of shape (len(pts_a), len(pts_b), len(ts))."""
         a, b = np.asarray(pts_a), np.asarray(pts_b)
@@ -136,6 +140,10 @@ class _InducedFuzzyMetric(FuzzyMetric):
     def mu_batch(self, a, b, ts) -> np.ndarray:
         ts = _check_ts(ts)
         d = self.carrier.distances(a, b)
+        return self._from_d(d.reshape(d.shape + (1,) * ts.ndim), ts)
+
+    def mu_from_distances(self, d, a, b, ts) -> np.ndarray:
+        ts = _check_ts(ts)
         return self._from_d(d.reshape(d.shape + (1,) * ts.ndim), ts)
 
 

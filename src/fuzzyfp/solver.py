@@ -4,6 +4,11 @@ Pair scheme: x_n = ST(x_{n-1}), y_n = T(x_{n-1}).  Quadruple scheme runs
 full interleaved cycles y_{2n-1} = A(x_{2n-2}), x_{2n-1} = S(y_{2n-1}),
 y_{2n} = B(x_{2n-1}), x_{2n} = T(y_{2n}).
 
+One driver runs either scheme from any number of starts in lock step: each
+step maps the stacked iterates of the starts still running at once, and
+each start stops on its own, with the result that a run from that start
+alone gives.
+
 Stopping declares convergence on both sequences simultaneously: every
 step-nearness value of the most recent steps must reach 1 - eps on the
 whole grid.  The limit is the final iterate, no extrapolation.  A run is
@@ -15,7 +20,6 @@ when an iterate escapes its carrier; the schemes must terminate on any input.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +34,14 @@ _COLLAPSE = 1e-300
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max-iter"
 STATUS_DIVERGING = "diverging"
+
+# Why a run stopped; stall, collapse and codomain-escape all have status diverging.
+STOP_EPS = "eps-reached"
+STOP_MAX_ITER = "max-iter"
+STOP_STALL = "stall"
+STOP_COLLAPSE = "collapse"
+STOP_ESCAPE = "codomain-escape"
+_STATUS_OF = {STOP_EPS: STATUS_CONVERGED, STOP_MAX_ITER: STATUS_MAX_ITER}
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,11 +77,15 @@ class ConclusionCheck:
 class FixedPointResult:
     z: object
     w: object
-    status: str
+    stop_reason: str
     iterations: int
     trace_x: SequenceTrace
     trace_y: SequenceTrace
     conclusion_checks: tuple[ConclusionCheck, ...]
+
+    @property
+    def status(self) -> str:
+        return _STATUS_OF.get(self.stop_reason, STATUS_DIVERGING)
 
     @property
     def converged(self) -> bool:
@@ -89,7 +105,7 @@ class FixedPointResult:
 
 
 class _DivergenceMonitor:
-    """Tracks step nearness at the smallest and the largest grid scale.
+    """Tracks, per start, step nearness at the smallest and the largest grid scale.
 
     window steps at the collapse floor flag divergence only if nearness at
     the largest scale did not rise over them (a long but shrinking step
@@ -98,39 +114,53 @@ class _DivergenceMonitor:
     scheme's alternating S∘A and T∘B steps always meet one of their kind.
     When the compared steps sit at the floor at the largest scale as well,
     a rise cannot be seen there, and their crisp lengths decide instead.
+    Those lengths are kept with the tops, so the decision computes none.
     """
 
-    def __init__(self, window: int, carrier):
+    def __init__(self, window: int, count: int):
         self.window = window
-        self.carrier = carrier
-        self.prev = -np.inf
-        self.tops: deque[float] = deque(maxlen=window + 1)
-        self.decline_run = 0
-        self.collapse_run = 0
+        self.prev = np.full(count, -np.inf)
+        self.decline_run = np.zeros(count, dtype=np.intp)
+        self.collapse_run = np.zeros(count, dtype=np.intp)
+        # the tops and crisp lengths of each start's last window + 1 steps, in a ring
+        self.tops = np.empty((count, window + 1))
+        self.lengths = np.empty((count, window + 1))
+        self.pushes = 0
 
-    def push(self, row: np.ndarray, xs: list) -> bool:
-        """Take the nearness row of the step xs[-2] -> xs[-1]."""
-        value, top = float(row[0]), float(row[-1])
-        self.decline_run = self.decline_run + 1 if value < self.prev else 0
-        self.collapse_run = self.collapse_run + 1 if value <= _COLLAPSE else 0
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the starts in the mask rows."""
+        self.prev, self.decline_run, self.collapse_run, self.tops, self.lengths = (
+            a[rows] for a in (self.prev, self.decline_run, self.collapse_run, self.tops, self.lengths)
+        )
+
+    def push(self, rows: np.ndarray, lengths: np.ndarray) -> dict:
+        """Take each start's nearness row and crisp length of its step xs[-2] -> xs[-1];
+        return {row: stop reason} of the starts flagged diverging."""
+        value = rows[:, 0]
+        self.decline_run += 1
+        self.decline_run *= value < self.prev
+        self.collapse_run += 1
+        self.collapse_run *= value <= _COLLAPSE
         self.prev = value
-        self.tops.append(top)
-        if self.decline_run >= self.window:
-            return True
-        if self.collapse_run < self.window:
-            return False
-        backs = [k for k in (self.window, self.window - 1) if k < len(self.tops)]
-        back_tops = [self.tops[-k - 1] for k in backs]
-        if top > min(back_tops):
-            return False
-        if max(back_tops) > _COLLAPSE:
-            return True
-        dist = self.carrier.distance
-        return dist(xs[-2], xs[-1]) >= max(dist(xs[-k - 2], xs[-k - 1]) for k in backs)
-
-
-def _row_near(row: np.ndarray, eps: float) -> bool:
-    return bool((row >= 1.0 - eps).all())
+        size = self.window + 1
+        slot = self.pushes % size
+        self.tops[:, slot] = rows[:, -1]
+        self.lengths[:, slot] = lengths
+        self.pushes += 1
+        if self.decline_run.max() < self.window and self.collapse_run.max() < self.window:
+            return {}
+        backs = [(slot - k) % size for k in (self.window, self.window - 1) if k < min(self.pushes, size)]
+        flagged = {}
+        for i in np.flatnonzero(np.maximum(self.decline_run, self.collapse_run) >= self.window):
+            if self.decline_run[i] >= self.window:
+                flagged[i] = STOP_STALL
+                continue
+            back_tops = self.tops[i, backs]
+            if self.tops[i, slot] > back_tops.min():
+                continue
+            if back_tops.max() > _COLLAPSE or self.lengths[i, slot] >= self.lengths[i, backs].max():
+                flagged[i] = STOP_COLLAPSE
+        return flagged
 
 
 def _residual(name: str, fm: FuzzyMetric, f, p, q, grid: TGrid, tol: float) -> ConclusionCheck:
@@ -172,68 +202,189 @@ def verify_conclusions_quadruple(
     )
 
 
+class _Segment:
+    """The steps a batch took while the same starts were running: each entry
+    of xs, ys, x_rows and y_rows holds one row per start in ids."""
+
+    def __init__(self, ids: np.ndarray, xs=None):
+        self.ids = ids
+        self.xs = xs or []
+        self.ys = []
+        self.x_rows = []
+        self.y_rows = []
+
+
+class _Runs:
+    """Which starts of a batch still run, why the others stopped, the
+    divergence monitor, and the history of every step in segments."""
+
+    def __init__(self, x0: np.ndarray, window: int):
+        n = len(x0)
+        self.ids = np.arange(n)
+        self.reasons = [STOP_MAX_ITER] * n
+        self.monitor = _DivergenceMonitor(window, n)
+        self.segments = [_Segment(self.ids, [x0])]
+
+    @property
+    def segment(self) -> _Segment:
+        return self.segments[-1]
+
+    def stop(self, reasons: dict, *arrays) -> list:
+        """Stop the rows in reasons ({row: stop reason}); the per-row arrays
+        without those rows (None stays None)."""
+        keep = np.ones(len(self.ids), dtype=bool)
+        for row, reason in reasons.items():
+            self.reasons[self.ids[row]] = reason
+            keep[row] = False
+        self.ids = self.ids[keep]
+        self.monitor.keep(keep)
+        self.segments.append(_Segment(self.ids))
+        return [None if a is None else a[keep] for a in arrays]
+
+    def histories(self, grid: TGrid):
+        """(trace_x, trace_y) of every start, from the segments it ran in."""
+        parts = [([], [], [], []) for _ in self.reasons]
+        for seg in self.segments:
+            for k, steps in enumerate((seg.xs, seg.ys, seg.x_rows, seg.y_rows)):
+                if steps:
+                    stacked = np.stack(steps)
+                    for pos, i in enumerate(seg.ids.tolist()):
+                        parts[i][k].append(stacked[:, pos])
+        return [
+            (_trace(xs, x_rows, grid), _trace(ys, y_rows, grid))
+            for xs, ys, x_rows, y_rows in parts
+        ]
+
+
 def _trace(points: list, rows: list, grid: TGrid) -> SequenceTrace:
-    nearness = np.array(rows) if rows else np.empty((0, len(grid)))
-    return SequenceTrace(points=tuple(points), nearness=nearness, grid=grid)
+    """A trace from one start's slices of the stacked steps."""
+    pts = np.concatenate(points) if points else np.empty(0)
+    if pts.ndim == 1:  # finite-carrier indices
+        pts = tuple(pts.tolist())
+    else:
+        pts.setflags(write=False)
+        pts = tuple(pts)
+    nearness = np.concatenate(rows) if rows else np.empty((0, len(grid)))
+    return SequenceTrace(points=pts, nearness=nearness, grid=grid)
 
 
-def _iterate(problem, cycle, w_of, verify, mu, nu, x0, cfg) -> FixedPointResult:
-    """The one iteration loop, shared by both schemes.
+def _iterate(problem, cycle, w_of, verify, mu, nu, starts, cfg, verified) -> list[FixedPointResult]:
+    """The one iteration loop, shared by both schemes, over all starts at once.
 
     cycle lists the (to_y, to_x) steps of one cycle; max_iter bounds the
-    number of cycles.  Each y is kept as soon as it is computed.  The run
+    number of cycles.  Each y is kept as soon as it is computed.  A start
     converges when every step row of a full cycle reaches 1 - eps, and the
-    first cycle, which has one y row fewer, never counts.  w_of(z, ys) gives
-    w, and verify checks the conclusions at (z, w).
+    first cycle, which has one y row fewer, never counts.  A start whose
+    image escapes a codomain stops at once; the others carry on.  w_of(z, ys)
+    gives w, and verify checks the conclusions at (z, w) for the start
+    indices in verified (all if None).
     """
     cfg = cfg or SolveConfig()
-    grid, eps = cfg.grid, cfg.eps
-    xs = [mu.carrier.validate_point(x0)]
-    ys = []
-    x_rows: list[np.ndarray] = []
-    y_rows: list[np.ndarray] = []
-    monitor = _DivergenceMonitor(cfg.stall_window, mu.carrier)
-    status = STATUS_MAX_ITER
-    x = xs[0]
+    grid, near_level = cfg.grid, 1.0 - cfg.eps
+    x = np.array([mu.carrier.validate_point(s) for s in starts])
+    runs = _Runs(x, cfg.stall_window)
+    seg, y_prev = runs.segment, None
     for cycle_no in range(cfg.max_iter):
-        near = cycle_no > 0
-        diverged = False
-        try:
-            for to_y, to_x in cycle:
-                y = to_y(x)
-                if ys:
-                    row = nu.mu_grid(ys[-1], y, grid)
-                    y_rows.append(row)
-                    near = near and _row_near(row, eps)
-                ys.append(y)
-                x_prev, x = x, to_x(y)
-                xs.append(x)
-                row = mu.mu_grid(x_prev, x, grid)
-                x_rows.append(row)
-                near = near and _row_near(row, eps)
-                diverged = monitor.push(row, xs) or diverged
-        except CodomainError:
-            status = STATUS_DIVERGING
-            break
-        if near:
-            status = STATUS_CONVERGED
-            break
-        if diverged:
-            status = STATUS_DIVERGING
+        near = np.full(len(x), cycle_no > 0)
+        any_near = cycle_no > 0  # rows are tested only while some start may still be near
+        flagged = {}  # start id: the first divergence flag of this cycle
+        for to_y, to_x in cycle:
+            y, escaped = to_y.rows(x)
+            if escaped is not None:
+                escapes = dict.fromkeys(np.flatnonzero(escaped), STOP_ESCAPE)
+                x, y, y_prev, near = runs.stop(escapes, x, y, y_prev, near)
+                seg = runs.segment
+                if not len(x):
+                    break
+            if y_prev is not None:
+                d = nu.carrier.distances(y_prev, y)
+                row = nu.mu_from_distances(d, y_prev, y, grid)
+                seg.y_rows.append(row)
+                if any_near:
+                    near &= (row >= near_level).all(axis=1)
+                    any_near = near.any()
+            seg.ys.append(y)
+            y_prev = y
+            x_next, escaped = to_x.rows(y)
+            if escaped is not None:
+                escapes = dict.fromkeys(np.flatnonzero(escaped), STOP_ESCAPE)
+                x, x_next, y_prev, near = runs.stop(escapes, x, x_next, y_prev, near)
+                seg = runs.segment
+                if not len(x):
+                    break
+            d = mu.carrier.distances(x, x_next)
+            row = mu.mu_from_distances(d, x, x_next, grid)
+            seg.xs.append(x_next)
+            seg.x_rows.append(row)
+            if any_near:
+                near &= (row >= near_level).all(axis=1)
+                any_near = near.any()
+            for r, reason in runs.monitor.push(row, d).items():
+                flagged.setdefault(int(runs.ids[r]), reason)
+            x = x_next
+        if any_near or flagged:
+            ids = runs.ids.tolist()
+            stops = {
+                r: STOP_EPS if near[r] else flagged[i]
+                for r, i in enumerate(ids)
+                if near[r] or i in flagged
+            }
+            if stops:
+                x, y_prev = runs.stop(stops, x, y_prev)
+                seg = runs.segment
+        if not len(runs.ids):
             break
 
-    z = xs[-1]
-    w = w_of(z, ys)
-    checks = verify(problem, mu, nu, z, w, grid, cfg.verify_tol) if w is not None else ()
-    return FixedPointResult(
-        z=z,
-        w=w,
-        status=status,
-        iterations=len(xs) - 1,
-        trace_x=_trace(xs, x_rows, grid),
-        trace_y=_trace(ys, y_rows, grid),
-        conclusion_checks=checks,
-    )
+    results = []
+    for i, (trace_x, trace_y) in enumerate(runs.histories(grid)):
+        z = trace_x.last
+        w = w_of(z, trace_y.points)
+        checked = w is not None and (verified is None or i in verified)
+        results.append(
+            FixedPointResult(
+                z=z,
+                w=w,
+                stop_reason=runs.reasons[i],
+                iterations=len(trace_x) - 1,
+                trace_x=trace_x,
+                trace_y=trace_y,
+                conclusion_checks=verify(problem, mu, nu, z, w, grid, cfg.verify_tol) if checked else (),
+            )
+        )
+    return results
+
+
+def _scheme(problem):
+    """(cycle, w_of, verify) of the problem's scheme; see _iterate."""
+    if isinstance(problem, MapPair):
+
+        def w_of(z, ys):  # w = T(z), the y limit under a continuous T
+            try:
+                return problem.T(z)
+            except CodomainError:
+                return ys[-1] if ys else None
+
+        return ((problem.T, problem.S),), w_of, verify_conclusions_pair
+    if isinstance(problem, MapQuadruple):
+        cycle = ((problem.A, problem.S), (problem.B, problem.T))
+        return cycle, lambda z, ys: ys[-1] if ys else None, verify_conclusions_quadruple
+    raise UsageError(f"cannot solve problem of type {type(problem).__name__}")
+
+
+def solve_batch(problem, mu, nu, starts, cfg: SolveConfig | None = None, verified=None) -> list:
+    """Run the problem's scheme from every start in lock step: one
+    FixedPointResult per start, each the one a run from that start alone
+    gives.  Conclusions are checked only for the start indices in verified
+    (all if None); the other results carry no checks."""
+    starts = list(starts)
+    if not starts:
+        return []
+    return _iterate(problem, *_scheme(problem), mu, nu, starts, cfg, verified)
+
+
+def solve(problem, mu, nu, x0, cfg: SolveConfig | None = None) -> FixedPointResult:
+    """Run the problem's scheme from x0: a batch of one."""
+    return solve_batch(problem, mu, nu, [x0], cfg)[0]
 
 
 def iterate_pair(
@@ -241,48 +392,20 @@ def iterate_pair(
 ) -> FixedPointResult:
     """Run the pair scheme from x0 until both step sequences stabilize.
 
-    Returns z = final x iterate and w = T(z) (the y limit under a
-    continuous T).  A codomain escape mid-run is recorded as diverging.
+    Returns z = final x iterate and w = T(z) (the last y if T escapes at z).
+    A codomain escape mid-run is recorded as diverging.
     """
-
-    def w_of(z, ys):
-        try:
-            return pair.T(z)
-        except CodomainError:
-            return ys[-1] if ys else None
-
-    return _iterate(pair, ((pair.T, pair.S),), w_of, verify_conclusions_pair, mu, nu, x0, cfg)
+    return solve(pair, mu, nu, x0, cfg)
 
 
 def iterate_quadruple(
-    quad: MapQuadruple,
-    mu: FuzzyMetric,
-    nu: FuzzyMetric,
-    x0,
-    cfg: SolveConfig | None = None,
+    quad: MapQuadruple, mu: FuzzyMetric, nu: FuzzyMetric, x0, cfg: SolveConfig | None = None
 ) -> FixedPointResult:
     """Run the interleaved quadruple scheme from x0 for up to max_iter
     cycles (each cycle advances x and y twice).  Convergence requires all
-    four step-nearness rows of the completed cycle to reach 1 - eps."""
-    return _iterate(
-        quad,
-        ((quad.A, quad.S), (quad.B, quad.T)),
-        lambda z, ys: ys[-1] if ys else None,
-        verify_conclusions_quadruple,
-        mu,
-        nu,
-        x0,
-        cfg,
-    )
-
-
-def solve(problem, mu, nu, x0, cfg: SolveConfig | None = None) -> FixedPointResult:
-    """Dispatch on the problem shape."""
-    if isinstance(problem, MapPair):
-        return iterate_pair(problem, mu, nu, x0, cfg)
-    if isinstance(problem, MapQuadruple):
-        return iterate_quadruple(problem, mu, nu, x0, cfg)
-    raise UsageError(f"cannot solve problem of type {type(problem).__name__}")
+    four step-nearness rows of the completed cycle to reach 1 - eps; w is
+    the last y."""
+    return solve(quad, mu, nu, x0, cfg)
 
 
 @dataclass(eq=False)
@@ -295,6 +418,7 @@ class UniquenessReport:
     tol: float
     zs: tuple
     ws: tuple
+    results: tuple
 
 
 def _diameter(carrier, pts) -> float:
@@ -309,21 +433,19 @@ def uniqueness_probe(
     starts,
     cfg: SolveConfig | None = None,
     tol: float = 1e-6,
-    first: FixedPointResult | None = None,
+    verified=(),
 ) -> UniquenessReport:
-    """Solve from several starts and compare the returned fixed points.
+    """Solve from several starts in one batch and compare the fixed points.
 
     Passes iff the largest pairwise crisp distance among the z's and among
     the w's is at most tol.  Any non-converged run makes the probe
-    inconclusive (passed = None).  A caller that already solved from
-    starts[0] with the same cfg passes that result as first; it is used
-    instead of solving again.
+    inconclusive (passed = None).  The report keeps every start's result;
+    conclusions are checked only for the start indices in verified.
     """
     starts = list(starts)
     if len(starts) < 2:
         raise UsageError("uniqueness probe needs at least two starting points")
-    results = [first] if first is not None else [solve(problem, mu, nu, starts[0], cfg)]
-    results += [solve(problem, mu, nu, s, cfg) for s in starts[1:]]
+    results = tuple(solve_batch(problem, mu, nu, starts, cfg, verified))
     statuses = tuple(r.status for r in results)
     zs = tuple(r.z for r in results)
     ws = tuple(r.w for r in results)
@@ -341,4 +463,5 @@ def uniqueness_probe(
         tol=tol,
         zs=zs,
         ws=ws,
+        results=results,
     )

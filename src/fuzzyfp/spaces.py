@@ -63,6 +63,14 @@ class BoxSpace:
             return False
         return bool((x >= self._lo_tol).all() and (x <= self._hi_tol).all())
 
+    def escaped_rows(self, xs: np.ndarray):
+        """None if contains() holds for every row of a (k, dim) float array,
+        else the mask of the rows it fails for."""
+        inside = (xs >= self._lo_tol) & (xs <= self._hi_tol)
+        if not self.is_bounded:
+            inside &= np.isfinite(xs)
+        return None if inside.all() else ~inside.all(axis=1)
+
     def validate_point(self, x) -> np.ndarray:
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         if arr.shape != self.lo.shape:
@@ -136,6 +144,11 @@ class FiniteSpace:
 
     def contains(self, i) -> bool:
         return isinstance(i, (int, np.integer)) and 0 <= int(i) < self.size
+
+    def escaped_rows(self, idx: np.ndarray):
+        """None if every entry of an integer index array is a point, else the mask of those that are not."""
+        inside = (idx >= 0) & (idx < self.size)
+        return None if inside.all() else ~inside
 
     def validate_point(self, i) -> int:
         if not self.contains(i):

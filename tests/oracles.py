@@ -1,18 +1,29 @@
 """Scalar reference code for the batched layers and the k_hat estimators.
 
 Each function here is the straightforward loop that the array code in
-`fuzzyfp` replaces: one RNG draw, one point, one point pair or one triple at
-a time.  The equivalence tests compare the two bit for bit.  The inequality
-terms at the end evaluate the contraction hypotheses at one tuple, the
-reference that the estimators' ratio arrays are tested against.
+`fuzzyfp` replaces: one RNG draw, one point, one point pair, one triple or
+one iteration start at a time.  The equivalence tests compare the two bit
+for bit.  The inequality terms at the end evaluate the contraction
+hypotheses at one tuple, the reference that the estimators' ratio arrays
+are tested against.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
-from fuzzyfp import BoxSpace, FuzzyMetric, SplitMix64, TableFuzzyMetric, TNorm
+from fuzzyfp import BoxSpace, FuzzyMetric, MapPair, SplitMix64, TableFuzzyMetric, TNorm
 from fuzzyfp.axioms import _SLACK, AxiomReport
+from fuzzyfp.errors import CodomainError
+from fuzzyfp.sequences import SequenceTrace
+from fuzzyfp.solver import (
+    _COLLAPSE,
+    FixedPointResult,
+    SolveConfig,
+    verify_conclusions_pair,
+    verify_conclusions_quadruple,
+)
 from fuzzyfp.spaces import DELTA_PT
 
 
@@ -140,6 +151,112 @@ def check_fm_axioms(fm, op, triple_count, grid, seed, window=None):
                     "monotone_in_t", (_wp(x), _wp(y), float(ts[k])), float(drops[k])
                 )
     return report
+
+
+# ---------------------------------------------------------------------------
+# the iteration schemes from one start
+# ---------------------------------------------------------------------------
+
+
+class _DivergenceMonitor:
+    """The divergence rules of fuzzyfp.solver for one start, with deque tops
+    and crisp lengths recomputed from the points at the collapse decision."""
+
+    def __init__(self, window: int, carrier):
+        self.window = window
+        self.carrier = carrier
+        self.prev = -np.inf
+        self.tops = deque(maxlen=window + 1)
+        self.decline_run = 0
+        self.collapse_run = 0
+
+    def push(self, row, xs):
+        """Take the nearness row of the step xs[-2] -> xs[-1]; the stop reason or None."""
+        value, top = float(row[0]), float(row[-1])
+        self.decline_run = self.decline_run + 1 if value < self.prev else 0
+        self.collapse_run = self.collapse_run + 1 if value <= _COLLAPSE else 0
+        self.prev = value
+        self.tops.append(top)
+        if self.decline_run >= self.window:
+            return "stall"
+        if self.collapse_run < self.window:
+            return None
+        backs = [k for k in (self.window, self.window - 1) if k < len(self.tops)]
+        back_tops = [self.tops[-k - 1] for k in backs]
+        if top > min(back_tops):
+            return None
+        if max(back_tops) > _COLLAPSE:
+            return "collapse"
+        dist = self.carrier.distance
+        grew = dist(xs[-2], xs[-1]) >= max(dist(xs[-k - 2], xs[-k - 1]) for k in backs)
+        return "collapse" if grew else None
+
+
+def solve(problem, mu, nu, x0, cfg=None):
+    """The scheme run from one start, one map call and one mu_grid row per step."""
+    cfg = cfg or SolveConfig()
+    grid, eps = cfg.grid, cfg.eps
+    if isinstance(problem, MapPair):
+        cycle = ((problem.T, problem.S),)
+    else:
+        cycle = ((problem.A, problem.S), (problem.B, problem.T))
+    xs = [mu.carrier.validate_point(x0)]
+    ys, x_rows, y_rows = [], [], []
+    monitor = _DivergenceMonitor(cfg.stall_window, mu.carrier)
+    reason = "max-iter"
+    x = xs[0]
+    for cycle_no in range(cfg.max_iter):
+        near = cycle_no > 0
+        diverged = None
+        try:
+            for to_y, to_x in cycle:
+                y = to_y(x)
+                if ys:
+                    row = nu.mu_grid(ys[-1], y, grid)
+                    y_rows.append(row)
+                    near = near and bool((row >= 1.0 - eps).all())
+                ys.append(y)
+                x_prev, x = x, to_x(y)
+                xs.append(x)
+                row = mu.mu_grid(x_prev, x, grid)
+                x_rows.append(row)
+                near = near and bool((row >= 1.0 - eps).all())
+                diverged = diverged or monitor.push(row, xs)
+        except CodomainError:
+            reason = "codomain-escape"
+            break
+        if near:
+            reason = "eps-reached"
+            break
+        if diverged:
+            reason = diverged
+            break
+
+    z = xs[-1]
+    if isinstance(problem, MapPair):
+        try:
+            w = problem.T(z)
+        except CodomainError:
+            w = ys[-1] if ys else None
+        verify = verify_conclusions_pair
+    else:
+        w = ys[-1] if ys else None
+        verify = verify_conclusions_quadruple
+    checks = verify(problem, mu, nu, z, w, grid, cfg.verify_tol) if w is not None else ()
+    return FixedPointResult(
+        z=z,
+        w=w,
+        stop_reason=reason,
+        iterations=len(xs) - 1,
+        trace_x=_trace(xs, x_rows, grid),
+        trace_y=_trace(ys, y_rows, grid),
+        conclusion_checks=checks,
+    )
+
+
+def _trace(points, rows, grid):
+    nearness = np.array(rows) if rows else np.empty((0, len(grid)))
+    return SequenceTrace(points=tuple(points), nearness=nearness, grid=grid)
 
 
 # ---------------------------------------------------------------------------

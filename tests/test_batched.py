@@ -1,5 +1,5 @@
-"""The array code of the sampling and distance layers agrees bit for bit with
-the scalar loops it replaces (tests/oracles.py)."""
+"""The array code of the sampling, distance and solver layers agrees bit for
+bit with the scalar loops it replaces (tests/oracles.py)."""
 
 import re
 
@@ -13,19 +13,26 @@ from fuzzyfp import (
     LUKASIEWICZ,
     MINIMUM,
     PRODUCT,
+    AffineMap,
     BoxSpace,
+    ComposedMap,
+    ConstantMap,
     DomainError,
     FiniteSpace,
+    MapPair,
+    MapQuadruple,
+    SolveConfig,
     SplitMix64,
     StandardFuzzyMetric,
     TableFuzzyMetric,
+    TableMap,
     TGrid,
     check_fm_axioms,
     induced_exponential,
     induced_standard,
 )
 from fuzzyfp.axioms import MAX_WITNESSES
-from fuzzyfp.solver import _diameter
+from fuzzyfp.solver import _diameter, solve_batch
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 SEEDS = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
@@ -283,3 +290,207 @@ def test_axiom_blocks_split_the_sample_like_one_pass(monkeypatch):
     monkeypatch.setattr(axioms, "_BLOCK_CELLS", 7 * len(grid) ** 2)  # blocks of 7 triples
     assert same_report(check_fm_axioms(fm, prob_sum, 50, grid, 8), whole)
     assert whole.violation_count > MAX_WITNESSES
+
+
+# -- the lock-step solver against one start at a time ----------------------------
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_affine_rows_match_one_point_at_a_time(dim):
+    box = BoxSpace([-np.inf] * dim, [np.inf] * dim)
+    rng = SplitMix64(100 + dim)
+    m = AffineMap(np.array(box.sample(rng, dim, ([-2.0] * dim, [2.0] * dim))), [0.5] * dim, box)
+    xs = np.array(box.sample(rng, 20000, ([-1e3] * dim, [1e3] * dim)))
+    out, escaped = m.rows(xs)
+    ref = np.array([m(x) for x in xs])
+    assert escaped is None
+    assert out.tobytes() == ref.tobytes()
+
+
+def _same_point(a, b):
+    if isinstance(b, int):
+        return type(a) is int and a == b
+    return not a.flags.writeable and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _same_trace(a, b):
+    assert len(a.points) == len(b.points)
+    assert all(_same_point(p, q) for p, q in zip(a.points, b.points))
+    assert a.nearness.shape == b.nearness.shape
+    assert a.nearness.tobytes() == np.ascontiguousarray(b.nearness).tobytes()
+
+
+def assert_same_results(problem, mu, nu, starts, cfg):
+    """Every start's batched result is the one-start reference, bit for bit."""
+    results = solve_batch(problem, mu, nu, starts, cfg)
+    assert len(results) == len(starts)
+    for got, start in zip(results, starts):
+        ref = oracles.solve(problem, mu, nu, start, cfg)
+        assert (got.stop_reason, got.status, got.iterations) == (
+            ref.stop_reason,
+            ref.status,
+            ref.iterations,
+        )
+        assert _same_point(got.z, ref.z)
+        assert (got.w is None and ref.w is None) or _same_point(got.w, ref.w)
+        _same_trace(got.trace_x, ref.trace_x)
+        _same_trace(got.trace_y, ref.trace_y)
+        assert got.conclusion_checks == ref.conclusion_checks
+    return results
+
+
+SCALES = [0.0, 0.3, 0.97, 1.0, 2.0, 3.0]
+
+
+@st.composite
+def box_maps(draw, domain, codomain, composed=True):
+    """Affine (random or a signed identity plus a shift), constant or composed maps."""
+    form = draw(st.sampled_from(["affine", "affine", "shift", "constant"] + ["composed"] * composed))
+    d_in, d_out = domain.dimension, codomain.dimension
+    if form == "shift" and d_in == d_out:
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        offset = draw(st.lists(st.floats(-20, 20), min_size=d_out, max_size=d_out))
+        return AffineMap(sign * np.eye(d_out), offset, codomain)
+    if form in ("affine", "shift"):
+        entries = st.lists(st.integers(-4, 4), min_size=d_in * d_out, max_size=d_in * d_out)
+        m = np.array(draw(entries), dtype=float).reshape(d_out, d_in)
+        norm = np.abs(m).sum(axis=1).max()
+        m = m * (draw(st.sampled_from(SCALES)) / norm if norm > 0 else 0.0)
+        offset = draw(st.lists(st.floats(-5, 5), min_size=d_out, max_size=d_out))
+        return AffineMap(m, offset, codomain)
+    if form == "constant":
+        return ConstantMap(draw(st.lists(st.floats(-9, 9), min_size=d_out, max_size=d_out)), codomain)
+    via = draw(carriers_for_maps())
+    inner = draw(box_maps(domain, via, composed=False))
+    return ComposedMap(draw(box_maps(via, codomain, composed=False)), inner)
+
+
+@st.composite
+def carriers_for_maps(draw):
+    """A box of dimension 1-3, [-10, 10] in every coordinate or unbounded."""
+    dim = draw(st.integers(1, 3))
+    half = draw(st.sampled_from([10.0, np.inf]))
+    return BoxSpace([-half] * dim, [half] * dim, crisp_metric=draw(st.sampled_from(["euclidean", "max"])))
+
+
+@st.composite
+def finite_maps(draw, domain, codomain, composed=True):
+    form = draw(st.sampled_from(["table", "table", "constant"] + ["composed"] * composed))
+    if form == "table":
+        targets = draw(st.lists(st.integers(0, codomain.size - 1), min_size=domain.size, max_size=domain.size))
+        return TableMap(targets, codomain)
+    if form == "constant":
+        return ConstantMap(draw(st.integers(0, codomain.size - 1)), codomain)
+    via = draw(finite_spaces(max_size=4))
+    inner = draw(finite_maps(domain, via, composed=False))
+    return ComposedMap(draw(finite_maps(via, codomain, composed=False)), inner)
+
+
+@st.composite
+def solver_cases(draw):
+    """(problem, mu, nu, starts, cfg): a pair or quadruple on boxes or finite carriers."""
+    names = draw(st.sampled_from(["TS", "ABST"]))
+    finite = draw(st.integers(0, 3)) == 0
+    x_space = draw(finite_spaces(max_size=5) if finite else carriers_for_maps())
+    y_space = x_space if draw(st.booleans()) else draw(finite_spaces(max_size=5) if finite else carriers_for_maps())
+    maps = {}
+    for name in names:
+        into_y = name == "T" if names == "TS" else name in "AB"
+        domain, codomain = (x_space, y_space) if into_y else (y_space, x_space)
+        maps[name] = draw((finite_maps if finite else box_maps)(domain, codomain))
+    problem = MapPair(**maps) if names == "TS" else MapQuadruple(**maps)
+    make = draw(st.sampled_from([induced_standard, induced_exponential]))
+    mu = make(x_space)
+    nu = mu if y_space is x_space else make(y_space)
+    count = draw(st.integers(1, 5))
+    if finite:
+        starts = draw(st.lists(st.integers(0, x_space.size - 1), min_size=count, max_size=count))
+    else:
+        reach = draw(st.sampled_from([1.0, 10.0] if x_space.is_bounded else [1.0, 1e4]))
+        coord = st.floats(-reach, reach)
+        starts = [
+            np.array(draw(st.lists(coord, min_size=x_space.dimension, max_size=x_space.dimension)))
+            for _ in range(count)
+        ]
+    cfg = SolveConfig(
+        eps=draw(st.sampled_from([1e-9, 1e-3])),
+        max_iter=draw(st.one_of(st.integers(1, 10), st.integers(50, 120))),
+        stall_window=draw(st.sampled_from([7, 50])),
+    )
+    return problem, mu, nu, starts, cfg
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=solver_cases())
+def test_lock_step_solve_matches_one_start_at_a_time(case):
+    assert_same_results(*case)
+
+
+@st.composite
+def divergent_cases(draw):
+    """Signed multiples of the identity on unbounded boxes, from starts of
+    very different sizes: short growing steps stall, long ones collapse at
+    the floor, and orbits that overflow escape."""
+    dim = draw(st.integers(1, 3))
+    box = BoxSpace([-np.inf] * dim, [np.inf] * dim, crisp_metric=draw(st.sampled_from(["euclidean", "max"])))
+    names = draw(st.sampled_from(["TS", "ABST"]))
+    maps = {}
+    for name in names:
+        factor = draw(st.sampled_from([-1.0, 1.0])) * draw(st.sampled_from([0.9, 1.0, 1.1, 2.0, 1e10]))
+        maps[name] = AffineMap(factor * np.eye(dim), np.zeros(dim), box)
+    problem = MapPair(**maps) if names == "TS" else MapQuadruple(**maps)
+    mu = draw(st.sampled_from([induced_standard, induced_exponential]))(box)
+    sizes = st.sampled_from([0.0, 1e-6, 1.0, 100.0, 1e8, 1e300])
+    starts = [np.full(dim, draw(sizes)) for _ in range(draw(st.integers(1, 5)))]
+    cfg = SolveConfig(max_iter=draw(st.integers(1, 120)), stall_window=draw(st.sampled_from([7, 50])))
+    return problem, mu, mu, starts, cfg
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=divergent_cases())
+def test_lock_step_divergence_matches_one_start_at_a_time(case):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same_results(*case)
+
+
+def _line_problem(scheme, position):
+    """Identity maps on [-10, 10], except 3x at one position; a composed
+    position triples in its inner map or in its outer one."""
+    box = BoxSpace([-10.0], [10.0])
+    one, triple = AffineMap([[1.0]], [0.0], box), AffineMap([[3.0]], [0.0], box)
+    names = "TS" if scheme == "pair" else "ABST"
+    maps = dict.fromkeys(names, one)
+    name, _, part = position.partition(".")
+    maps[name] = {"": triple, "inner": ComposedMap(one, triple), "outer": ComposedMap(triple, one)}[part]
+    problem = MapPair(**maps) if scheme == "pair" else MapQuadruple(**maps)
+    return problem, induced_standard(box)
+
+
+ESCAPES = [("pair", p) for p in ("T", "S", "T.inner", "S.outer")] + [
+    ("quadruple", p) for p in ("A", "B", "S", "T", "A.inner", "T.outer")
+]
+
+
+@pytest.mark.parametrize("scheme,position", ESCAPES, ids=[f"{s}-{p}" for s, p in ESCAPES])
+def test_escape_at_each_map_position_while_other_starts_run(scheme, position):
+    problem, mu = _line_problem(scheme, position)
+    starts = [np.array([v]) for v in (0.0, 9.0, 1e-3, 3.0, -6.0)]
+    cfg = SolveConfig(max_iter=40, stall_window=7)
+    results = assert_same_results(problem, mu, mu, starts, cfg)
+    # 0 is the fixed point; the others escape, each in its own cycle, or
+    # (the pair from 1e-3) stall first
+    reasons = [r.stop_reason for r in results]
+    assert reasons[0] == "eps-reached" and reasons.count("codomain-escape") >= 3
+    assert len({r.iterations for r in results[1:]}) > 1
+
+
+@pytest.mark.parametrize("window", [7, 50])
+def test_stall_and_collapse_in_one_batch(window):
+    box = BoxSpace([-np.inf], [np.inf])
+    grow = AffineMap([[1.1]], [0.0], box)
+    mu = induced_exponential(box)
+    starts = [np.array([v]) for v in (0.0, 1e-6, 100.0, 1e8)]
+    results = assert_same_results(
+        MapPair(T=grow, S=grow), mu, mu, starts, SolveConfig(stall_window=window)
+    )
+    assert [r.stop_reason for r in results] == ["eps-reached", "stall", "collapse", "collapse"]

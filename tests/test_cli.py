@@ -262,6 +262,15 @@ MALFORMED = [
     ("suite", ("suite", "count"), "2"),
     ("suite", ("suite", "factor"), ["0.3", "0.9"]),
     ("hypotheses", ("hypotheses", "dump_ratios"), "no"),
+    # sections that the subcommand does not build used to go unchecked
+    ("solve", ("hypotheses", "bogus"), 1),
+    ("solve", ("suite", "dim"), "x"),
+    ("solve", ("tnorm",), "nope"),
+    ("hypotheses", ("axioms", "seed"), 1.5),
+    ("axioms", ("maps", "T", "form"), "nope"),
+    ("axioms", ("maps", "S", "offset"), "1"),
+    ("suite", ("carrier", "crisp_metric"), 3),
+    ("suite", ("metric", "values"), [1.0]),
 ]
 # (command, key path, value) mutations of finite_config()
 MALFORMED_FINITE = [

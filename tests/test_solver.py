@@ -267,21 +267,22 @@ class TestUniquenessProbe:
         with pytest.raises(UsageError):
             uniqueness_probe(linear_pair, MU, NU, [np.array([0.0])])
 
-    def test_first_result_is_reused(self, linear_pair, monkeypatch):
+    def test_all_starts_run_in_one_batch(self, linear_pair, monkeypatch):
         starts = [np.array([v]) for v in (-10.0, 0.0, 3.0)]
-        plain = uniqueness_probe(linear_pair, MU, NU, starts)
-        first = iterate_pair(linear_pair, MU, NU, starts[0])
-        solved = []
-        real_solve = solver.solve
+        batches = []
+        real_batch = solver.solve_batch
         monkeypatch.setattr(
-            solver, "solve", lambda *a, **k: solved.append(a[3]) or real_solve(*a, **k)
+            solver, "solve_batch", lambda *a, **k: batches.append(a[3]) or real_batch(*a, **k)
         )
-        reused = uniqueness_probe(linear_pair, MU, NU, starts, first=first)
-        assert [s[0] for s in solved] == [0.0, 3.0]
-        assert reused.zs[0] is first.z
-        assert reused.statuses == plain.statuses
-        assert reused.max_z_distance == plain.max_z_distance
-        assert reused.max_w_distance == plain.max_w_distance
+        rep = uniqueness_probe(linear_pair, MU, NU, starts, verified=(0,))
+        assert [[s[0] for s in batch] for batch in batches] == [[-10.0, 0.0, 3.0]]
+        alone = [iterate_pair(linear_pair, MU, NU, s) for s in starts]
+        assert rep.statuses == tuple(r.status for r in alone)
+        assert [r.iterations for r in rep.results] == [r.iterations for r in alone]
+        assert rep.zs[0] is rep.results[0].z
+        # conclusions are checked only for the start a caller reads
+        assert rep.results[0].conclusion_checks == alone[0].conclusion_checks
+        assert [r.conclusion_checks for r in rep.results[1:]] == [(), ()]
 
 
 class TestCollapseRule:
@@ -405,3 +406,51 @@ class TestFiniteCarrierEndToEnd:
         assert res.converged
         assert res.z == 2 and res.w == 1
         assert all(c.residual == 1.0 for c in res.conclusion_checks)
+
+
+class TestStopReason:
+    """stop_reason says why a run stopped; status stays converged, max-iter or diverging."""
+
+    def test_eps_reached(self, linear_pair):
+        res = iterate_pair(linear_pair, MU, NU, np.array([0.0]))
+        assert (res.stop_reason, res.status) == ("eps-reached", "converged")
+
+    def test_max_iter(self, mixed_quad):
+        res = iterate_quadruple(mixed_quad, MU, NU, np.array([0.0]), SolveConfig(max_iter=300))
+        assert (res.stop_reason, res.status) == ("max-iter", "max-iter")
+
+    def test_stall(self, expansive_pair):
+        res = iterate_pair(expansive_pair, MU, NU, np.array([1.0]))
+        assert (res.stop_reason, res.status) == ("stall", "diverging")
+
+    def test_collapse(self, line):
+        grow = AffineMap([[1.01]], [0.0], line)
+        mu = induced_exponential(line)
+        res = iterate_pair(MapPair(T=grow, S=grow), mu, mu, np.array([1e8]))
+        assert (res.stop_reason, res.status) == ("collapse", "diverging")
+
+    def test_codomain_escape(self):
+        box = BoxSpace([-10.0], [10.0])
+        double = AffineMap([[2.0]], [0.0], box)
+        mu = induced_standard(box)
+        res = iterate_pair(MapPair(T=double, S=double), mu, mu, np.array([1.0]))
+        assert (res.stop_reason, res.status) == ("codomain-escape", "diverging")
+        assert res.iterations == 1  # T(4) = 8 stays in, S(8) = 16 escapes
+
+    def test_starts_of_one_batch_stop_for_different_reasons(self):
+        # x_n = 2 x_{n-1} on [-1e6, 1e6] under exp(-d/t): from 0 nothing moves,
+        # from 1e-6 the steps stay short and nearness at t_min falls every step,
+        # from 10 every step sits at the floor at t_min and grows, and from 2e5
+        # the orbit leaves the box in the third cycle
+        box = BoxSpace([-1e6], [1e6])
+        pair = MapPair(T=AffineMap([[2.0]], [0.0], box), S=AffineMap([[1.0]], [0.0], box))
+        mu = induced_exponential(box)
+        cfg = SolveConfig(stall_window=7)
+        starts = [np.array([v]) for v in (0.0, 1e-6, 10.0, 2e5)]
+        results = solver.solve_batch(pair, mu, mu, starts, cfg)
+        reasons = [r.stop_reason for r in results]
+        assert reasons == ["eps-reached", "stall", "collapse", "codomain-escape"]
+        for start, res in zip(starts, results):
+            alone = solver.solve(pair, mu, mu, start, cfg)
+            assert (alone.stop_reason, alone.iterations) == (res.stop_reason, res.iterations)
+            assert np.array_equal(alone.trace_x.nearness, res.trace_x.nearness)
