@@ -303,6 +303,14 @@ def _estimate_instance_k(inst: Instance, result, random_x, random_y, grid, n_tra
     return max(ks) if ks else None
 
 
+def _probe(inst: Instance, starts, cfg, tol):
+    """(x0 result, uniqueness passed, largest distance) of one batch solve
+    from all starts; only the x0 result outlives the call."""
+    probe = uniqueness_probe(inst.problem, inst.mu, inst.nu, starts, cfg, tol=tol, verified=(0,))
+    max_dist = max(probe.max_z_distance, probe.max_w_distance) if probe.conclusive else None
+    return probe.results[0], probe.passed, max_dist
+
+
 def run_suite(
     specs,
     cfg: SolveConfig | None = None,
@@ -350,20 +358,13 @@ def run_suite(
         if inst.spec.scheme == "quadruple":
             random_y = inst.nu.carrier.sample(rng, n_rand_here, window)
         probe_starts = [inst.x0] + inst.mu.carrier.sample(rng, starts - 1, window)
-        probe = uniqueness_probe(
-            inst.problem, inst.mu, inst.nu, probe_starts, cfg, tol=uniqueness_tol, verified=(0,)
-        )
-        result = probe.results[0]
+        result, unique, max_dist = _probe(inst, probe_starts, cfg, uniqueness_tol)
         try:
             k_hat = _estimate_instance_k(
                 inst, result, random_x, random_y, cfg.grid, quad_n_traj if quad_like else n_traj
             )
         except EmptySampleError:
             k_hat = None
-
-        max_dist = None
-        if probe.conclusive:
-            max_dist = max(probe.max_z_distance, probe.max_w_distance)
 
         rows.append(
             InstanceVerdict(
@@ -376,7 +377,7 @@ def run_suite(
                 axiom_violations=violations,
                 conclusions_passed=result.conclusions_passed,
                 min_residual=result.min_residual,
-                uniqueness_passed=probe.passed,
+                uniqueness_passed=unique,
                 uniqueness_max_distance=max_dist,
             )
         )

@@ -202,70 +202,81 @@ def verify_conclusions_quadruple(
     )
 
 
-class _Segment:
-    """The steps a batch took while the same starts were running: each entry
-    of xs, ys, x_rows and y_rows holds one row per start in ids."""
+class _Steps:
+    """One per-step array of every start of a batch, step-major: entry n
+    holds the rows of the starts running at step n, at their start index,
+    so a start's entries are the first ones of its column."""
 
-    def __init__(self, ids: np.ndarray, xs=None):
-        self.ids = ids
-        self.xs = xs or []
-        self.ys = []
-        self.x_rows = []
-        self.y_rows = []
+    def __init__(self, count: int):
+        self.count = count
+        self.buf = None
+        self.n = 0
+
+    def append(self, ids: np.ndarray, rows: np.ndarray) -> None:
+        if self.buf is None:
+            self.buf = np.empty((16, self.count) + rows.shape[1:], dtype=rows.dtype)
+        elif self.n == len(self.buf):
+            self.buf = np.concatenate([self.buf, np.empty_like(self.buf)])
+        if len(ids) == self.count:
+            self.buf[self.n] = rows
+        else:
+            self.buf[self.n, ids] = rows
+        self.n += 1
+
+    def column(self, i: int, n: int):
+        """A copy of the first n entries of start i, or None if there are
+        none; a copy, so that a result kept alone does not keep the batch."""
+        return self.buf[:n, i].copy() if n else None
 
 
 class _Runs:
-    """Which starts of a batch still run, why the others stopped, the
-    divergence monitor, and the history of every step in segments."""
+    """Which starts of a batch still run, why and when the others stopped,
+    the divergence monitor, and the iterates and nearness rows of every step."""
 
     def __init__(self, x0: np.ndarray, window: int):
         n = len(x0)
         self.ids = np.arange(n)
         self.reasons = [STOP_MAX_ITER] * n
         self.monitor = _DivergenceMonitor(window, n)
-        self.segments = [_Segment(self.ids, [x0])]
+        self.xs, self.ys, self.x_rows, self.y_rows = (_Steps(n) for _ in range(4))
+        self.xs.append(self.ids, x0)
+        self.ends = [None] * n  # each stopped start's entry counts of xs, ys, x_rows, y_rows
 
-    @property
-    def segment(self) -> _Segment:
-        return self.segments[-1]
+    def _counts(self):
+        return self.xs.n, self.ys.n, self.x_rows.n, self.y_rows.n
 
     def stop(self, reasons: dict, *arrays) -> list:
         """Stop the rows in reasons ({row: stop reason}); the per-row arrays
         without those rows (None stays None)."""
         keep = np.ones(len(self.ids), dtype=bool)
         for row, reason in reasons.items():
-            self.reasons[self.ids[row]] = reason
+            i = int(self.ids[row])
+            self.reasons[i], self.ends[i] = reason, self._counts()
             keep[row] = False
         self.ids = self.ids[keep]
         self.monitor.keep(keep)
-        self.segments.append(_Segment(self.ids))
         return [None if a is None else a[keep] for a in arrays]
 
-    def histories(self, grid: TGrid):
-        """(trace_x, trace_y) of every start, from the segments it ran in."""
-        parts = [([], [], [], []) for _ in self.reasons]
-        for seg in self.segments:
-            for k, steps in enumerate((seg.xs, seg.ys, seg.x_rows, seg.y_rows)):
-                if steps:
-                    stacked = np.stack(steps)
-                    for pos, i in enumerate(seg.ids.tolist()):
-                        parts[i][k].append(stacked[:, pos])
-        return [
-            (_trace(xs, x_rows, grid), _trace(ys, y_rows, grid))
-            for xs, ys, x_rows, y_rows in parts
-        ]
+    def traces(self, i: int, grid: TGrid):
+        """(trace_x, trace_y) of start i."""
+        nx, ny, nxr, nyr = self.ends[i] or self._counts()
+        return (
+            _trace(self.xs.column(i, nx), self.x_rows.column(i, nxr), grid),
+            _trace(self.ys.column(i, ny), self.y_rows.column(i, nyr), grid),
+        )
 
 
-def _trace(points: list, rows: list, grid: TGrid) -> SequenceTrace:
-    """A trace from one start's slices of the stacked steps."""
-    pts = np.concatenate(points) if points else np.empty(0)
-    if pts.ndim == 1:  # finite-carrier indices
-        pts = tuple(pts.tolist())
+def _trace(points, rows, grid: TGrid) -> SequenceTrace:
+    """A trace from one start's columns of the step arrays."""
+    if points is None:
+        points = ()
+    elif points.ndim == 1:  # finite-carrier indices
+        points = tuple(points.tolist())
     else:
-        pts.setflags(write=False)
-        pts = tuple(pts)
-    nearness = np.concatenate(rows) if rows else np.empty((0, len(grid)))
-    return SequenceTrace(points=pts, nearness=nearness, grid=grid)
+        points.setflags(write=False)
+        points = tuple(points)
+    nearness = np.empty((0, len(grid))) if rows is None else rows
+    return SequenceTrace(points=points, nearness=nearness, grid=grid)
 
 
 def _iterate(problem, cycle, w_of, verify, mu, nu, starts, cfg, verified) -> list[FixedPointResult]:
@@ -281,9 +292,9 @@ def _iterate(problem, cycle, w_of, verify, mu, nu, starts, cfg, verified) -> lis
     """
     cfg = cfg or SolveConfig()
     grid, near_level = cfg.grid, 1.0 - cfg.eps
-    x = np.array([mu.carrier.validate_point(s) for s in starts])
+    x = x0s = np.array([mu.carrier.validate_point(s) for s in starts])
     runs = _Runs(x, cfg.stall_window)
-    seg, y_prev = runs.segment, None
+    y_prev = None
     for cycle_no in range(cfg.max_iter):
         near = np.full(len(x), cycle_no > 0)
         any_near = cycle_no > 0  # rows are tested only while some start may still be near
@@ -293,29 +304,27 @@ def _iterate(problem, cycle, w_of, verify, mu, nu, starts, cfg, verified) -> lis
             if escaped is not None:
                 escapes = dict.fromkeys(np.flatnonzero(escaped), STOP_ESCAPE)
                 x, y, y_prev, near = runs.stop(escapes, x, y, y_prev, near)
-                seg = runs.segment
                 if not len(x):
                     break
             if y_prev is not None:
                 d = nu.carrier.distances(y_prev, y)
                 row = nu.mu_from_distances(d, y_prev, y, grid)
-                seg.y_rows.append(row)
+                runs.y_rows.append(runs.ids, row)
                 if any_near:
                     near &= (row >= near_level).all(axis=1)
                     any_near = near.any()
-            seg.ys.append(y)
+            runs.ys.append(runs.ids, y)
             y_prev = y
             x_next, escaped = to_x.rows(y)
             if escaped is not None:
                 escapes = dict.fromkeys(np.flatnonzero(escaped), STOP_ESCAPE)
                 x, x_next, y_prev, near = runs.stop(escapes, x, x_next, y_prev, near)
-                seg = runs.segment
                 if not len(x):
                     break
             d = mu.carrier.distances(x, x_next)
             row = mu.mu_from_distances(d, x, x_next, grid)
-            seg.xs.append(x_next)
-            seg.x_rows.append(row)
+            runs.xs.append(runs.ids, x_next)
+            runs.x_rows.append(runs.ids, row)
             if any_near:
                 near &= (row >= near_level).all(axis=1)
                 any_near = near.any()
@@ -331,12 +340,12 @@ def _iterate(problem, cycle, w_of, verify, mu, nu, starts, cfg, verified) -> lis
             }
             if stops:
                 x, y_prev = runs.stop(stops, x, y_prev)
-                seg = runs.segment
         if not len(runs.ids):
             break
 
     results = []
-    for i, (trace_x, trace_y) in enumerate(runs.histories(grid)):
+    for i in range(len(x0s)):
+        trace_x, trace_y = runs.traces(i, grid)
         z = trace_x.last
         w = w_of(z, trace_y.points)
         checked = w is not None and (verified is None or i in verified)
