@@ -155,8 +155,11 @@ def _check_sections(doc: dict) -> None:
     """The keys and value kinds of every section present, also of those the
     subcommand does not build, so an unknown key is rejected anywhere."""
     build_tnorm(doc)
-    plain = {"grid": _GRID, "solve": _SOLVE, "hypotheses": _HYPOTHESES, "axioms": _AXIOMS, "suite": _SUITE}
-    for key, kinds in plain.items():
+    plain = (
+        ("grid", _GRID), ("solve", _SOLVE), ("hypotheses", _HYPOTHESES),
+        ("axioms", _AXIOMS), ("suite", _SUITE),
+    )
+    for key, kinds in plain:
         if key in doc:
             _fields(doc[key], key, kinds)
     for key in ("carrier", "carrier_y"):

@@ -129,9 +129,10 @@ class _DivergenceMonitor:
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the starts in the mask rows."""
-        self.prev, self.decline_run, self.collapse_run, self.tops, self.lengths = (
-            a[rows] for a in (self.prev, self.decline_run, self.collapse_run, self.tops, self.lengths)
+        self.prev, self.decline_run, self.collapse_run = (
+            self.prev[rows], self.decline_run[rows], self.collapse_run[rows]
         )
+        self.tops, self.lengths = self.tops[rows], self.lengths[rows]
 
     def push(self, rows: np.ndarray, lengths: np.ndarray) -> dict:
         """Take each start's nearness row and crisp length of its step xs[-2] -> xs[-1];
@@ -149,7 +150,8 @@ class _DivergenceMonitor:
         self.pushes += 1
         if self.decline_run.max() < self.window and self.collapse_run.max() < self.window:
             return {}
-        backs = [(slot - k) % size for k in (self.window, self.window - 1) if k < min(self.pushes, size)]
+        filled = min(self.pushes, size)
+        backs = [(slot - k) % size for k in (self.window, self.window - 1) if k < filled]
         flagged = {}
         for i in np.flatnonzero(np.maximum(self.decline_run, self.collapse_run) >= self.window):
             if self.decline_run[i] >= self.window:
@@ -292,7 +294,7 @@ def _iterate(problem, cycle, w_of, verify, mu, nu, starts, cfg, verified) -> lis
     """
     cfg = cfg or SolveConfig()
     grid, near_level = cfg.grid, 1.0 - cfg.eps
-    x = x0s = np.array([mu.carrier.validate_point(s) for s in starts])
+    x = np.array([mu.carrier.validate_point(s) for s in starts])
     runs = _Runs(x, cfg.stall_window)
     y_prev = None
     for cycle_no in range(cfg.max_iter):
@@ -344,11 +346,13 @@ def _iterate(problem, cycle, w_of, verify, mu, nu, starts, cfg, verified) -> lis
             break
 
     results = []
-    for i in range(len(x0s)):
+    for i in range(len(starts)):
         trace_x, trace_y = runs.traces(i, grid)
         z = trace_x.last
         w = w_of(z, trace_y.points)
-        checked = w is not None and (verified is None or i in verified)
+        checks = ()
+        if w is not None and (verified is None or i in verified):
+            checks = verify(problem, mu, nu, z, w, grid, cfg.verify_tol)
         results.append(
             FixedPointResult(
                 z=z,
@@ -357,7 +361,7 @@ def _iterate(problem, cycle, w_of, verify, mu, nu, starts, cfg, verified) -> lis
                 iterations=len(trace_x) - 1,
                 trace_x=trace_x,
                 trace_y=trace_y,
-                conclusion_checks=verify(problem, mu, nu, z, w, grid, cfg.verify_tol) if checked else (),
+                conclusion_checks=checks,
             )
         )
     return results

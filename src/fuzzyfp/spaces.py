@@ -146,7 +146,8 @@ class FiniteSpace:
         return isinstance(i, (int, np.integer)) and 0 <= int(i) < self.size
 
     def escaped_rows(self, idx: np.ndarray):
-        """None if every entry of an integer index array is a point, else the mask of those that are not."""
+        """None if every entry of an integer index array is a point, else
+        the mask of the entries that are not."""
         inside = (idx >= 0) & (idx < self.size)
         return None if inside.all() else ~inside
 

@@ -345,7 +345,8 @@ SCALES = [0.0, 0.3, 0.97, 1.0, 2.0, 3.0]
 @st.composite
 def box_maps(draw, domain, codomain, composed=True):
     """Affine (random or a signed identity plus a shift), constant or composed maps."""
-    form = draw(st.sampled_from(["affine", "affine", "shift", "constant"] + ["composed"] * composed))
+    forms = ["affine", "affine", "shift", "constant"] + ["composed"] * composed
+    form = draw(st.sampled_from(forms))
     d_in, d_out = domain.dimension, codomain.dimension
     if form == "shift" and d_in == d_out:
         sign = draw(st.sampled_from([-1.0, 1.0]))
@@ -359,7 +360,8 @@ def box_maps(draw, domain, codomain, composed=True):
         offset = draw(st.lists(st.floats(-5, 5), min_size=d_out, max_size=d_out))
         return AffineMap(m, offset, codomain)
     if form == "constant":
-        return ConstantMap(draw(st.lists(st.floats(-9, 9), min_size=d_out, max_size=d_out)), codomain)
+        value = draw(st.lists(st.floats(-9, 9), min_size=d_out, max_size=d_out))
+        return ConstantMap(value, codomain)
     via = draw(carriers_for_maps())
     inner = draw(box_maps(domain, via, composed=False))
     return ComposedMap(draw(box_maps(via, codomain, composed=False)), inner)
@@ -370,14 +372,16 @@ def carriers_for_maps(draw):
     """A box of dimension 1-3, [-10, 10] in every coordinate or unbounded."""
     dim = draw(st.integers(1, 3))
     half = draw(st.sampled_from([10.0, np.inf]))
-    return BoxSpace([-half] * dim, [half] * dim, crisp_metric=draw(st.sampled_from(["euclidean", "max"])))
+    metric = draw(st.sampled_from(["euclidean", "max"]))
+    return BoxSpace([-half] * dim, [half] * dim, crisp_metric=metric)
 
 
 @st.composite
 def finite_maps(draw, domain, codomain, composed=True):
     form = draw(st.sampled_from(["table", "table", "constant"] + ["composed"] * composed))
     if form == "table":
-        targets = draw(st.lists(st.integers(0, codomain.size - 1), min_size=domain.size, max_size=domain.size))
+        index = st.integers(0, codomain.size - 1)
+        targets = draw(st.lists(index, min_size=domain.size, max_size=domain.size))
         return TableMap(targets, codomain)
     if form == "constant":
         return ConstantMap(draw(st.integers(0, codomain.size - 1)), codomain)
@@ -387,21 +391,38 @@ def finite_maps(draw, domain, codomain, composed=True):
 
 
 @st.composite
+def table_metric(draw, space):
+    """A symmetric nearness table with a unit diagonal, on its own grid."""
+    grid = TGrid.logspace(0.1, 10.0, 3)
+    n = space.size
+    cells = st.lists(st.floats(0.01, 1.0), min_size=n * n * 3, max_size=n * n * 3)
+    values = np.array(draw(cells)).reshape(n, n, 3)
+    values = np.sort(np.minimum(values, values.transpose(1, 0, 2)), axis=-1)
+    values[np.arange(n), np.arange(n)] = 1.0
+    return TableFuzzyMetric(space, grid, values)
+
+
+@st.composite
 def solver_cases(draw):
     """(problem, mu, nu, starts, cfg): a pair or quadruple on boxes or finite carriers."""
     names = draw(st.sampled_from(["TS", "ABST"]))
     finite = draw(st.integers(0, 3)) == 0
-    x_space = draw(finite_spaces(max_size=5) if finite else carriers_for_maps())
-    y_space = x_space if draw(st.booleans()) else draw(finite_spaces(max_size=5) if finite else carriers_for_maps())
+    spaces = finite_spaces(max_size=5) if finite else carriers_for_maps()
+    x_space = draw(spaces)
+    y_space = x_space if draw(st.booleans()) else draw(spaces)
     maps = {}
     for name in names:
         into_y = name == "T" if names == "TS" else name in "AB"
         domain, codomain = (x_space, y_space) if into_y else (y_space, x_space)
         maps[name] = draw((finite_maps if finite else box_maps)(domain, codomain))
     problem = MapPair(**maps) if names == "TS" else MapQuadruple(**maps)
-    make = draw(st.sampled_from([induced_standard, induced_exponential]))
-    mu = make(x_space)
-    nu = mu if y_space is x_space else make(y_space)
+    forms = [induced_standard, induced_exponential] + [table_metric] * finite
+    make = draw(st.sampled_from(forms))
+    mu = draw(make(x_space)) if make is table_metric else make(x_space)
+    if y_space is x_space:
+        nu = mu
+    else:
+        nu = draw(make(y_space)) if make is table_metric else make(y_space)
     count = draw(st.integers(1, 5))
     if finite:
         starts = draw(st.lists(st.integers(0, x_space.size - 1), min_size=count, max_size=count))
@@ -432,17 +453,21 @@ def divergent_cases(draw):
     very different sizes: short growing steps stall, long ones collapse at
     the floor, and orbits that overflow escape."""
     dim = draw(st.integers(1, 3))
-    box = BoxSpace([-np.inf] * dim, [np.inf] * dim, crisp_metric=draw(st.sampled_from(["euclidean", "max"])))
+    metric = draw(st.sampled_from(["euclidean", "max"]))
+    box = BoxSpace([-np.inf] * dim, [np.inf] * dim, crisp_metric=metric)
     names = draw(st.sampled_from(["TS", "ABST"]))
     maps = {}
     for name in names:
-        factor = draw(st.sampled_from([-1.0, 1.0])) * draw(st.sampled_from([0.9, 1.0, 1.1, 2.0, 1e10]))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        factor = sign * draw(st.sampled_from([0.9, 1.0, 1.1, 2.0, 1e10]))
         maps[name] = AffineMap(factor * np.eye(dim), np.zeros(dim), box)
     problem = MapPair(**maps) if names == "TS" else MapQuadruple(**maps)
     mu = draw(st.sampled_from([induced_standard, induced_exponential]))(box)
     sizes = st.sampled_from([0.0, 1e-6, 1.0, 100.0, 1e8, 1e300])
     starts = [np.full(dim, draw(sizes)) for _ in range(draw(st.integers(1, 5)))]
-    cfg = SolveConfig(max_iter=draw(st.integers(1, 120)), stall_window=draw(st.sampled_from([7, 50])))
+    cfg = SolveConfig(
+        max_iter=draw(st.integers(1, 120)), stall_window=draw(st.sampled_from([7, 50]))
+    )
     return problem, mu, mu, starts, cfg
 
 
@@ -461,7 +486,8 @@ def _line_problem(scheme, position):
     names = "TS" if scheme == "pair" else "ABST"
     maps = dict.fromkeys(names, one)
     name, _, part = position.partition(".")
-    maps[name] = {"": triple, "inner": ComposedMap(one, triple), "outer": ComposedMap(triple, one)}[part]
+    composed = {"inner": ComposedMap(one, triple), "outer": ComposedMap(triple, one)}
+    maps[name] = composed[part] if part else triple
     problem = MapPair(**maps) if scheme == "pair" else MapQuadruple(**maps)
     return problem, induced_standard(box)
 
