@@ -54,7 +54,6 @@ from .solver import (
     iterate_pair,
     iterate_quadruple,
     solve,
-    solve_batch,
     uniqueness_probe,
     verify_conclusions_pair,
     verify_conclusions_quadruple,

@@ -306,7 +306,7 @@ def _estimate_instance_k(inst: Instance, result, random_x, random_y, grid, n_tra
 def _probe(inst: Instance, starts, cfg, tol):
     """(x0 result, uniqueness passed, largest distance) of one batch solve
     from all starts; only the x0 result outlives the call."""
-    probe = uniqueness_probe(inst.problem, inst.mu, inst.nu, starts, cfg, tol=tol, verified=(0,))
+    probe = uniqueness_probe(inst.problem, inst.mu, inst.nu, starts, cfg, tol=tol)
     max_dist = max(probe.max_z_distance, probe.max_w_distance) if probe.conclusive else None
     return probe.results[0], probe.passed, max_dist
 

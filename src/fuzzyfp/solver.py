@@ -206,46 +206,56 @@ def verify_conclusions_quadruple(
 
 class _Steps:
     """One per-step array of every start of a batch, step-major: entry n
-    holds the rows of the starts running at step n, at their start index,
-    so a start's entries are the first ones of its column."""
+    holds the rows of the starts running at step n, each in its start's
+    column, so a start's entries are the first ones of its column.  Once at
+    most half the columns belong to running starts, the others are dropped,
+    so that a start which runs long does not keep those that stopped early."""
 
     def __init__(self, count: int):
-        self.count = count
+        self.cols = np.arange(count)  # the column of each start still kept
         self.buf = None
         self.n = 0
 
     def append(self, ids: np.ndarray, rows: np.ndarray) -> None:
         if self.buf is None:
-            self.buf = np.empty((16, self.count) + rows.shape[1:], dtype=rows.dtype)
+            self.buf = np.empty((16, len(ids)) + rows.shape[1:], dtype=rows.dtype)
+            self.cols[ids] = np.arange(len(ids))
         elif self.n == len(self.buf):
             self.buf = np.concatenate([self.buf, np.empty_like(self.buf)])
-        if len(ids) == self.count:
+        if len(ids) == self.buf.shape[1]:
             self.buf[self.n] = rows
         else:
-            self.buf[self.n, ids] = rows
+            self.buf[self.n, self.cols[ids]] = rows
         self.n += 1
 
     def column(self, i: int, n: int):
         """A copy of the first n entries of start i, or None if there are
         none; a copy, so that a result kept alone does not keep the batch."""
-        return self.buf[:n, i].copy() if n else None
+        return self.buf[:n, self.cols[i]].copy() if n else None
+
+    def keep(self, ids: np.ndarray) -> None:
+        """Drop the columns of the starts not in ids (ascending) once those
+        in ids hold at most half of the columns."""
+        if self.buf is not None and 2 * len(ids) <= self.buf.shape[1]:
+            self.buf = self.buf[:, self.cols[ids]]
+            self.cols[ids] = np.arange(len(ids))
 
 
 class _Runs:
-    """Which starts of a batch still run, why and when the others stopped,
-    the divergence monitor, and the iterates and nearness rows of every step."""
+    """Which starts of a batch still run, why the others stopped and their
+    traces, the divergence monitor, and the iterates and nearness rows of
+    every step of the running starts."""
 
-    def __init__(self, x0: np.ndarray, window: int):
+    def __init__(self, x0: np.ndarray, window: int, grid: TGrid):
         n = len(x0)
         self.ids = np.arange(n)
         self.reasons = [STOP_MAX_ITER] * n
         self.monitor = _DivergenceMonitor(window, n)
-        self.xs, self.ys, self.x_rows, self.y_rows = (_Steps(n) for _ in range(4))
+        self.grid = grid
+        self.steps = [_Steps(n) for _ in range(4)]
+        self.xs, self.ys, self.x_rows, self.y_rows = self.steps
         self.xs.append(self.ids, x0)
-        self.ends = [None] * n  # each stopped start's entry counts of xs, ys, x_rows, y_rows
-
-    def _counts(self):
-        return self.xs.n, self.ys.n, self.x_rows.n, self.y_rows.n
+        self.done = [None] * n  # each stopped start's (trace_x, trace_y)
 
     def stop(self, reasons: dict, *arrays) -> list:
         """Stop the rows in reasons ({row: stop reason}); the per-row arrays
@@ -253,19 +263,21 @@ class _Runs:
         keep = np.ones(len(self.ids), dtype=bool)
         for row, reason in reasons.items():
             i = int(self.ids[row])
-            self.reasons[i], self.ends[i] = reason, self._counts()
+            self.reasons[i], self.done[i] = reason, self._traces(i)
             keep[row] = False
         self.ids = self.ids[keep]
         self.monitor.keep(keep)
+        for steps in self.steps:
+            steps.keep(self.ids)
         return [None if a is None else a[keep] for a in arrays]
 
-    def traces(self, i: int, grid: TGrid):
+    def _traces(self, i: int):
+        xs, ys, x_rows, y_rows = (s.column(i, s.n) for s in self.steps)
+        return _trace(xs, x_rows, self.grid), _trace(ys, y_rows, self.grid)
+
+    def traces(self, i: int):
         """(trace_x, trace_y) of start i."""
-        nx, ny, nxr, nyr = self.ends[i] or self._counts()
-        return (
-            _trace(self.xs.column(i, nx), self.x_rows.column(i, nxr), grid),
-            _trace(self.ys.column(i, ny), self.y_rows.column(i, nyr), grid),
-        )
+        return self.done[i] or self._traces(i)
 
 
 def _trace(points, rows, grid: TGrid) -> SequenceTrace:
@@ -281,7 +293,7 @@ def _trace(points, rows, grid: TGrid) -> SequenceTrace:
     return SequenceTrace(points=points, nearness=nearness, grid=grid)
 
 
-def _iterate(problem, cycle, w_of, verify, mu, nu, starts, cfg, verified) -> list[FixedPointResult]:
+def _iterate(problem, cycle, w_of, verify, mu, nu, starts, cfg) -> list[FixedPointResult]:
     """The one iteration loop, shared by both schemes, over all starts at once.
 
     cycle lists the (to_y, to_x) steps of one cycle; max_iter bounds the
@@ -289,13 +301,13 @@ def _iterate(problem, cycle, w_of, verify, mu, nu, starts, cfg, verified) -> lis
     converges when every step row of a full cycle reaches 1 - eps, and the
     first cycle, which has one y row fewer, never counts.  A start whose
     image escapes a codomain stops at once; the others carry on.  w_of(z, ys)
-    gives w, and verify checks the conclusions at (z, w) for the start
-    indices in verified (all if None).
+    gives w, and verify checks the conclusions at (z, w) of the first start
+    only: the x0 of solve and of the suite's probe.
     """
     cfg = cfg or SolveConfig()
     grid, near_level = cfg.grid, 1.0 - cfg.eps
     x = np.array([mu.carrier.validate_point(s) for s in starts])
-    runs = _Runs(x, cfg.stall_window)
+    runs = _Runs(x, cfg.stall_window, grid)
     y_prev = None
     for cycle_no in range(cfg.max_iter):
         near = np.full(len(x), cycle_no > 0)
@@ -347,11 +359,11 @@ def _iterate(problem, cycle, w_of, verify, mu, nu, starts, cfg, verified) -> lis
 
     results = []
     for i in range(len(starts)):
-        trace_x, trace_y = runs.traces(i, grid)
+        trace_x, trace_y = runs.traces(i)
         z = trace_x.last
         w = w_of(z, trace_y.points)
         checks = ()
-        if w is not None and (verified is None or i in verified):
+        if w is not None and i == 0:
             checks = verify(problem, mu, nu, z, w, grid, cfg.verify_tol)
         results.append(
             FixedPointResult(
@@ -384,15 +396,15 @@ def _scheme(problem):
     raise UsageError(f"cannot solve problem of type {type(problem).__name__}")
 
 
-def solve_batch(problem, mu, nu, starts, cfg: SolveConfig | None = None, verified=None) -> list:
+def solve_batch(problem, mu, nu, starts, cfg: SolveConfig | None = None) -> list:
     """Run the problem's scheme from every start in lock step: one
     FixedPointResult per start, each the one a run from that start alone
-    gives.  Conclusions are checked only for the start indices in verified
-    (all if None); the other results carry no checks."""
+    gives, except that only the first start's conclusions are checked; the
+    other results carry no checks."""
     starts = list(starts)
     if not starts:
         return []
-    return _iterate(problem, *_scheme(problem), mu, nu, starts, cfg, verified)
+    return _iterate(problem, *_scheme(problem), mu, nu, starts, cfg)
 
 
 def solve(problem, mu, nu, x0, cfg: SolveConfig | None = None) -> FixedPointResult:
@@ -408,6 +420,8 @@ def iterate_pair(
     Returns z = final x iterate and w = T(z) (the last y if T escapes at z).
     A codomain escape mid-run is recorded as diverging.
     """
+    if not isinstance(pair, MapPair):
+        raise UsageError(f"iterate_pair needs a MapPair, not {type(pair).__name__}")
     return solve(pair, mu, nu, x0, cfg)
 
 
@@ -418,6 +432,8 @@ def iterate_quadruple(
     cycles (each cycle advances x and y twice).  Convergence requires all
     four step-nearness rows of the completed cycle to reach 1 - eps; w is
     the last y."""
+    if not isinstance(quad, MapQuadruple):
+        raise UsageError(f"iterate_quadruple needs a MapQuadruple, not {type(quad).__name__}")
     return solve(quad, mu, nu, x0, cfg)
 
 
@@ -446,19 +462,18 @@ def uniqueness_probe(
     starts,
     cfg: SolveConfig | None = None,
     tol: float = 1e-6,
-    verified=(),
 ) -> UniquenessReport:
     """Solve from several starts in one batch and compare the fixed points.
 
     Passes iff the largest pairwise crisp distance among the z's and among
     the w's is at most tol.  Any non-converged run makes the probe
     inconclusive (passed = None).  The report keeps every start's result;
-    conclusions are checked only for the start indices in verified.
+    conclusions are checked only for the first start, by convention x0.
     """
     starts = list(starts)
     if len(starts) < 2:
         raise UsageError("uniqueness probe needs at least two starting points")
-    results = tuple(solve_batch(problem, mu, nu, starts, cfg, verified))
+    results = tuple(solve_batch(problem, mu, nu, starts, cfg))
     statuses = tuple(r.status for r in results)
     zs = tuple(r.z for r in results)
     ws = tuple(r.w for r in results)

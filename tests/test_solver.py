@@ -131,6 +131,13 @@ class TestVerifyConclusionsPair:
         assert all(c.passed for c in checks)
 
 
+def test_scheme_wrappers_reject_the_other_scheme(linear_pair, mixed_quad):
+    with pytest.raises(UsageError, match="needs a MapPair"):
+        iterate_pair(mixed_quad, MU, NU, np.array([0.0]))
+    with pytest.raises(UsageError, match="needs a MapQuadruple"):
+        iterate_quadruple(linear_pair, MU, NU, np.array([0.0]))
+
+
 class TestIterateQuadruple:
     def test_constant_quadruple(self, line):
         z0, w0 = np.array([2.0]), np.array([5.0])
@@ -274,7 +281,7 @@ class TestUniquenessProbe:
         monkeypatch.setattr(
             solver, "solve_batch", lambda *a, **k: batches.append(a[3]) or real_batch(*a, **k)
         )
-        rep = uniqueness_probe(linear_pair, MU, NU, starts, verified=(0,))
+        rep = uniqueness_probe(linear_pair, MU, NU, starts)
         assert [[s[0] for s in batch] for batch in batches] == [[-10.0, 0.0, 3.0]]
         alone = [iterate_pair(linear_pair, MU, NU, s) for s in starts]
         assert rep.statuses == tuple(r.status for r in alone)
