@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .axioms import check_fm_axioms
-from .errors import ConfigError, EmptySampleError, UsageError
+from .errors import CodomainError, ConfigError, EmptySampleError, UsageError
 from .hypotheses import (
     SampleSet,
     estimate_k_pair,
@@ -363,7 +363,7 @@ def run_suite(
             k_hat = _estimate_instance_k(
                 inst, result, random_x, random_y, cfg.grid, quad_n_traj if quad_like else n_traj
             )
-        except EmptySampleError:
+        except (EmptySampleError, CodomainError):  # the sample's images left the codomain
             k_hat = None
 
         rows.append(

@@ -21,16 +21,25 @@ grows; reports therefore record their grid and sample provenance.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, EmptySampleError, UsageError
+from .mappings import ComposedMap, MapPair
 from .metrics import FuzzyMetric, TGrid
 from .sequences import SequenceTrace
-from .spaces import DELTA_PT
+from .spaces import DELTA_PT, validate_points
 
 _VIOL_TOL = 1e-12
+
+# Bytes of one float array over a block of leading sample indices: the
+# estimators hold about ten such arrays at a time.  Picked by timing
+# hypotheses-wide; smaller blocks pay more per-block overhead, larger ones
+# fall out of cache.
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(eq=False)
@@ -69,58 +78,82 @@ class HypothesisReport:
         return self.k_hat is not None and self.k_hat < 1.0
 
 
-def _report(label, ratio, valid, axes, samples, sample_shape, keep_ratios) -> HypothesisReport:
-    """The report of one inequality over an array of ratios.
+@np.errstate(over="ignore")  # an image that overflows escapes, and the error says so
+def _images(mapping, pts):
+    """The mapping at each row of pts; if a row escapes the codomain, the
+    call on the first such point raises its CodomainError."""
+    out, escaped = mapping.rows(pts)
+    if escaped is not None:
+        mapping(pts[int(np.argmax(escaped))])
+    return out
 
-    ratio's last axis is the grid and the others index the point lists in
-    axes; valid broadcasts to ratio's shape.  k_hat is the largest valid
-    ratio and its witness the first such cell in C order; the kept ratios
-    list every valid cell in C order.  k_hat is None when no cell is valid.
+
+def _reports(labels, evaluate, axes, samples, sample_shape, keep_ratios):
+    """One report per label, over tuples of the point arrays in axes and the grid.
+
+    evaluate(s) gives one (ratio, valid) pair per label on the slice s of
+    the leading index; valid broadcasts to ratio's shape.  The slices are
+    blocks of about _BLOCK_BYTES per float array.  k_hat is the largest
+    valid ratio and its witness the first such cell in C order (the first
+    NaN if there is one, as np.argmax picks); the kept ratios list every
+    valid cell in C order.  k_hat is None when no cell is valid.  A
+    floating-point warning that several blocks raise is shown once.
     """
     ts = samples.grid.values
-    valid = np.broadcast_to(valid, ratio.shape)
-    evaluated = int(np.count_nonzero(valid))
-    k_hat = witness = dump = None
-    if evaluated:
-        masked = np.where(valid, ratio, -np.inf)
-        idx = np.unravel_index(int(np.argmax(masked)), masked.shape)
-        k_hat = float(masked[idx])
-        witness = tuple(pts[i] for pts, i in zip(axes, idx)) + (float(ts[idx[-1]]),)
-        if keep_ratios:
-            t_list = ts.tolist()
-            dump = [
-                (*cell[:-1], t_list[cell[-1]], r)
-                for cell, r in zip(np.argwhere(valid).tolist(), ratio[valid].tolist())
-            ]
-    return HypothesisReport(
-        label=label,
-        k_hat=k_hat,
-        witness=witness,
-        evaluated_count=evaluated,
-        skipped_count=ratio.size - evaluated,
-        grid=samples.grid,
-        sample_shape=sample_shape,
-        exclude_diagonal=samples.exclude_diagonal,
-        ratios=dump,
-    )
-
-
-def _quotient_reports(prefix, f, g, h, lhs, axes, samples, keep_ratios, empty_message):
-    """Primal and dual reports of k * lhs >= f / h and k * lhs' >= g / h over
-    (x-sample, y-sample) tuples, each admitted only where num < h < 1
-    (ties num = h are skipped)."""
-    reports = tuple(
-        _report(
-            f"{prefix}-{side}",
-            (num / h) / side_lhs,
-            (num < h) & (h < 1.0),
-            axes,
-            samples,
-            (len(axes[0]), len(axes[-1])),
-            keep_ratios,
+    t_list = ts.tolist()
+    shape = tuple(len(a) for a in axes) + ts.shape
+    step = max(1, _BLOCK_BYTES // (8 * math.prod(shape[1:])))
+    best = [None] * len(labels)  # (ratio, cell) of each label
+    evaluated = [0] * len(labels)
+    dumps = [[] for _ in labels]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for start in range(0, shape[0], step):
+            for side, (ratio, valid) in enumerate(evaluate(slice(start, start + step))):
+                valid = np.broadcast_to(valid, ratio.shape)
+                evaluated[side] += int(np.count_nonzero(valid))
+                masked = np.where(valid, ratio, -np.inf)
+                cell = np.unravel_index(int(np.argmax(masked)), masked.shape)
+                r = masked[cell]
+                if best[side] is None or not np.isnan(best[side][0]) and (np.isnan(r) or r > best[side][0]):
+                    best[side] = (r, (start + cell[0],) + cell[1:])
+                if keep_ratios:
+                    cells = np.argwhere(valid)
+                    cells[:, 0] += start
+                    dumps[side] += [
+                        (*c[:-1], t_list[c[-1]], v) for c, v in zip(cells.tolist(), ratio[valid].tolist())
+                    ]
+    registry = globals().setdefault("__warningregistry__", {})  # as warnings.warn uses it here
+    for w in {(str(w.message), w.category, w.filename, w.lineno): w for w in caught}.values():
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, registry=registry)
+    return tuple(
+        HypothesisReport(
+            label=label,
+            k_hat=float(r) if count else None,
+            witness=tuple(pts[i] for pts, i in zip(axes, cell)) + (float(ts[cell[-1]]),) if count else None,
+            evaluated_count=count,
+            skipped_count=math.prod(shape) - count,
+            grid=samples.grid,
+            sample_shape=sample_shape,
+            exclude_diagonal=samples.exclude_diagonal,
+            ratios=dump if count and keep_ratios else None,
         )
-        for side, num, side_lhs in zip(("primal", "dual"), (f, g), lhs)
+        for label, (r, cell), count, dump in zip(labels, best, evaluated, dumps)
     )
+
+
+def _quotient_reports(prefix, terms, axes, samples, keep_ratios, empty_message):
+    """Primal and dual reports of k * lhs >= f / h and k * lhs' >= g / h,
+    where terms(s) gives (f, g, h, (lhs, lhs')) on the slice s of the
+    leading index; each side is admitted only where num < h < 1 (ties
+    num = h are skipped)."""
+
+    def evaluate(s):
+        f, g, h, lhs = terms(s)
+        return [((num / h) / side_lhs, (num < h) & (h < 1.0)) for num, side_lhs in zip((f, g), lhs)]
+
+    labels = (f"{prefix}-primal", f"{prefix}-dual")
+    reports = _reports(labels, evaluate, axes, samples, (len(axes[0]), len(axes[-1])), keep_ratios)
     if all(r.k_hat is None for r in reports):
         raise EmptySampleError(empty_message)
     return reports
@@ -140,28 +173,26 @@ def estimate_k_pair(
     Iteration order for tie-breaking is (x index, x' index, grid index),
     row-major; ties keep the first tuple encountered.
     """
-    xs = [mu.carrier.validate_point(p) for p in samples.points_x]
+    xs = validate_points(mu.carrier, samples.points_x)
     n = len(xs)
     if n == 0:
         raise EmptySampleError("sample contains no points")
     ts = samples.grid.values
-    st = [pair.st(x) for x in xs]
-    tx = [pair.T(x) for x in xs]
+    st = _images(ComposedMap(pair.S, pair.T), xs)
+    tx = _images(pair.T, xs)
+    m_self = mu.mu_batch(xs, st, ts)
 
-    lhs = mu.pairwise(st, st, ts)
-    m_xx = mu.pairwise(xs, xs, ts)
-    m_self = mu.mu_batch(np.asarray(xs), np.asarray(st), ts)
-    n_tt = nu.pairwise(tx, tx, ts)
-    rhs = np.minimum(
-        np.minimum(m_xx, m_self[:, None, :]),
-        np.minimum(m_self[None, :, :], n_tt),
-    )
+    def evaluate(s):
+        rhs = np.minimum(
+            np.minimum(mu.pairwise(xs[s], xs, ts), m_self[s, None, :]),
+            np.minimum(m_self[None, :, :], nu.pairwise(tx[s], tx, ts)),
+        )
+        valid = True
+        if samples.exclude_diagonal:
+            valid = (mu.carrier.distances(xs[s, None], xs[None]) > DELTA_PT)[:, :, None]
+        return [(rhs / mu.pairwise(st[s], st, ts), valid)]
 
-    valid = True
-    if samples.exclude_diagonal:
-        pts = np.asarray(xs)
-        valid = (mu.carrier.distances(pts[:, None], pts[None]) > DELTA_PT)[:, :, None]
-    report = _report("pair", rhs / lhs, valid, (xs, xs), samples, (n,), keep_ratios)
+    (report,) = _reports(("pair",), evaluate, (xs, xs), samples, (n,), keep_ratios)
     if report.k_hat is None:
         raise EmptySampleError("every tuple of the sample was skipped")
     return report
@@ -172,8 +203,6 @@ def estimate_k_pair_dual(
 ) -> HypothesisReport:
     """Dual-side estimate over points_y, via the exact role swap
     (T, S, mu, nu) -> (S, T, nu, mu)."""
-    from .mappings import MapPair
-
     swapped = MapPair(T=pair.S, S=pair.T)
     ysamples = SampleSet(
         points_x=tuple(samples.points_y),
@@ -192,14 +221,14 @@ def estimate_k_pair_dual(
 
 def _quad_matrices(quad, mu, nu, xs, ys, ts):
     """Pairwise nearness matrices shared by the quadruple estimator."""
-    ax = [quad.A(x) for x in xs]
-    bx = [quad.B(x) for x in xs]
-    sax = [quad.S(a) for a in ax]
-    tbx = [quad.T(b) for b in bx]
-    sy = [quad.S(y) for y in ys]
-    ty = [quad.T(y) for y in ys]
-    bsy = [quad.B(s) for s in sy]
-    aty = [quad.A(t_) for t_ in ty]
+    ax = _images(quad.A, xs)
+    bx = _images(quad.B, xs)
+    sax = _images(quad.S, ax)
+    tbx = _images(quad.T, bx)
+    sy = _images(quad.S, ys)
+    ty = _images(quad.T, ys)
+    bsy = _images(quad.B, sy)
+    aty = _images(quad.A, ty)
     return {
         "mu_xx": mu.pairwise(xs, xs, ts),  # (i, j)
         "mu_sy_ty": mu.pairwise(sy, ty, ts),  # (k, l)
@@ -229,21 +258,15 @@ def estimate_k_quad(
     admissible tuple gets k_hat = None.  Raises EmptySampleError when both
     sides are empty.
     """
-    xs = [mu.carrier.validate_point(p) for p in samples.points_x]
-    ys = [nu.carrier.validate_point(p) for p in samples.points_y]
-    if not xs or not ys:
+    xs = validate_points(mu.carrier, samples.points_x)
+    ys = validate_points(nu.carrier, samples.points_y)
+    if not len(xs) or not len(ys):
         raise EmptySampleError("quadruple sample needs points in both spaces")
     ts = samples.grid.values
     m = _quad_matrices(quad, mu, nu, xs, ys, ts)
 
-    def ij(a):  # (i, j, 1, 1, t)
-        return a[:, :, None, None, :]
-
     def kl(a):  # (1, 1, k, l, t)
         return a[None, None, :, :, :]
-
-    def il(a):  # (i, 1, 1, l, t)
-        return a[:, None, None, :, :]
 
     def jk(a):  # (1, j, k, 1, t)  from an (x-index, y-index) matrix
         return a[None, :, :, None, :]
@@ -251,32 +274,32 @@ def estimate_k_quad(
     def kj(a):  # (1, j, k, 1, t)  from a (y-index, x-index) matrix
         return a.transpose(1, 0, 2)[None, :, :, None, :]
 
-    def li(a):  # (i, 1, 1, l, t)  from a (y-index, x-index) matrix
-        return a.transpose(1, 0, 2)[:, None, None, :, :]
+    def terms(s):  # on the slice s of the x index i
+        def ij(a):  # (i, j, 1, 1, t)
+            return a[s, :, None, None, :]
 
-    f = np.minimum(
-        np.minimum(ij(m["mu_xx"] * m["nu_ax_bx"]), ij(m["mu_xx"]) * kl(m["mu_sy_ty"])),
-        np.minimum(il(m["mu_x_ty"] * m["nu_ax_aty"]), jk(m["mu_x_sy"] * m["nu_bx_bsy"])),
-    )
-    g = np.minimum(
-        np.minimum(kl(m["nu_yy"] * m["mu_sy_ty"]), kl(m["nu_yy"]) * ij(m["nu_ax_bx"])),
-        np.minimum(kj(m["nu_y_bx"] * m["mu_sy_tbx"]), li(m["nu_y_ax"] * m["mu_ty_sax"])),
-    )
-    h = np.minimum(
-        np.minimum(ij(m["nu_ax_bx"]), ij(m["mu_sax_tbx"])),
-        np.minimum(kl(m["mu_sy_ty"]), kl(m["nu_bsy_aty"])),
-    )
-    return _quotient_reports(
-        "quad",
-        f,
-        g,
-        h,
-        (ij(m["mu_sax_tbx"]), kl(m["nu_bsy_aty"])),
-        (xs, xs, ys, ys),
-        samples,
-        keep_ratios,
-        "every quadruple tuple was skipped (no f,g < h < 1)",
-    )
+        def il(a):  # (i, 1, 1, l, t)
+            return a[s, None, None, :, :]
+
+        def li(a):  # (i, 1, 1, l, t)  from a (y-index, x-index) matrix
+            return a[:, s].transpose(1, 0, 2)[:, None, None, :, :]
+
+        f = np.minimum(
+            np.minimum(ij(m["mu_xx"] * m["nu_ax_bx"]), ij(m["mu_xx"]) * kl(m["mu_sy_ty"])),
+            np.minimum(il(m["mu_x_ty"] * m["nu_ax_aty"]), jk(m["mu_x_sy"] * m["nu_bx_bsy"])),
+        )
+        g = np.minimum(
+            np.minimum(kl(m["nu_yy"] * m["mu_sy_ty"]), kl(m["nu_yy"]) * ij(m["nu_ax_bx"])),
+            np.minimum(kj(m["nu_y_bx"] * m["mu_sy_tbx"]), li(m["nu_y_ax"] * m["mu_ty_sax"])),
+        )
+        h = np.minimum(
+            np.minimum(ij(m["nu_ax_bx"]), ij(m["mu_sax_tbx"])),
+            np.minimum(kl(m["mu_sy_ty"]), kl(m["nu_bsy_aty"])),
+        )
+        return f, g, h, (ij(m["mu_sax_tbx"]), kl(m["nu_bsy_aty"]))
+
+    empty = "every quadruple tuple was skipped (no f,g < h < 1)"
+    return _quotient_reports("quad", terms, (xs, xs, ys, ys), samples, keep_ratios, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -291,72 +314,61 @@ def estimate_k_self_quad(
 
     y-points default to the x-point list when points_y is empty.
     """
-    xs = [fm.carrier.validate_point(p) for p in samples.points_x]
-    ys = [fm.carrier.validate_point(p) for p in samples.points_y] or xs
-    if not xs:
+    xs = validate_points(fm.carrier, samples.points_x)
+    ys = validate_points(fm.carrier, samples.points_y) if len(samples.points_y) else xs
+    if not len(xs):
         raise EmptySampleError("sample contains no points")
     ts = samples.grid.values
 
-    ax = [quad.A(p) for p in xs]
-    sx = [quad.S(p) for p in xs]
-    sax = [quad.sa(p) for p in xs]
-    bsx = [quad.bs(p) for p in xs]
-    ty = [quad.T(p) for p in ys]
-    by = [quad.B(p) for p in ys]
-    tby = [quad.tb(p) for p in ys]
-    aty = [quad.at(p) for p in ys]
+    ax = _images(quad.A, xs)
+    sx = _images(quad.S, xs)
+    sax = _images(quad.S, ax)
+    bsx = _images(quad.B, sx)
+    ty = _images(quad.T, ys)
+    by = _images(quad.B, ys)
+    tby = _images(quad.T, by)
+    aty = _images(quad.A, ty)
 
     def vec(pa, pb):  # per-x or per-y aligned vector, shape (n, K)
-        return fm.mu_batch(np.asarray(pa), np.asarray(pb), ts)
+        return fm.mu_batch(pa, pb, ts)
 
-    mu_sx_ty = fm.pairwise(sx, ty, ts)  # (i, j)
     mu_ax_bsx = vec(ax, bsx)  # (i,)
-    mu_sx_tby = fm.pairwise(sx, tby, ts)  # (i, j)
     mu_x_sx = vec(xs, sx)  # (i,)
-    mu_xy = fm.pairwise(xs, ys, ts)  # (i, j)
-    mu_sax_ty = fm.pairwise(sax, ty, ts)  # (i, j)
-    mu_x_ty = fm.pairwise(xs, ty, ts)  # (i, j)
-    mu_x_aty = fm.pairwise(xs, aty, ts)  # (i, j)
     mu_y_tby = vec(ys, tby)  # (j,)
-    mu_y_ax = fm.pairwise(ys, ax, ts)  # (j, i)
-    mu_ax_by = fm.pairwise(ax, by, ts)  # (i, j)
-    mu_ax_aty = fm.pairwise(ax, aty, ts)  # (i, j)
     mu_sax_sx = vec(sax, sx)  # (i,)
     mu_x_sax = vec(xs, sax)  # (i,)
     mu_by_aty = vec(by, aty)  # (j,)
-    mu_sax_tby = fm.pairwise(sax, tby, ts)  # (i, j)
-    mu_bsx_aty = fm.pairwise(bsx, aty, ts)  # (i, j)
 
-    def vi(a):  # (i, 1, t)
-        return a[:, None, :]
+    def terms(s):  # on the slice s of the x index i
+        def ij(a, b):  # (i, j) pairwise matrix
+            return fm.pairwise(a[s], b, ts)
 
-    def vj(a):  # (1, j, t)
-        return a[None, :, :]
+        def vi(a):  # (i, 1, t)
+            return a[s, None, :]
 
-    f = np.minimum(
-        np.minimum(mu_sx_ty * vi(mu_ax_bsx), mu_sx_tby * vi(mu_x_sx)),
-        np.minimum(mu_xy * mu_sax_ty, mu_x_ty * mu_x_aty),
-    )
-    g = np.minimum(
-        np.minimum(vi(mu_x_sx) * mu_xy, vj(mu_y_tby) * mu_y_ax.transpose(1, 0, 2)),
-        np.minimum(mu_sax_ty * mu_ax_by, mu_ax_aty * vi(mu_sax_sx)),
-    )
-    h = np.minimum(
-        np.minimum(vi(mu_ax_bsx), vi(mu_x_sax)),
-        np.minimum(mu_sx_tby, vj(mu_by_aty)),
-    )
+        def vj(a):  # (1, j, t)
+            return a[None, :, :]
 
-    return _quotient_reports(
-        "self-quad",
-        f,
-        g,
-        h,
-        (mu_sax_tby, mu_bsx_aty),
-        (xs, ys),
-        samples,
-        keep_ratios,
-        "every self-quadruple tuple was skipped",
-    )
+        mu_sx_tby = ij(sx, tby)
+        mu_xy = ij(xs, ys)
+        mu_sax_ty = ij(sax, ty)
+        mu_ax_aty = ij(ax, aty)
+        f = np.minimum(
+            np.minimum(ij(sx, ty) * vi(mu_ax_bsx), mu_sx_tby * vi(mu_x_sx)),
+            np.minimum(mu_xy * mu_sax_ty, ij(xs, ty) * ij(xs, aty)),
+        )
+        g = np.minimum(
+            np.minimum(vi(mu_x_sx) * mu_xy, vj(mu_y_tby) * fm.pairwise(ys, ax[s], ts).transpose(1, 0, 2)),
+            np.minimum(mu_sax_ty * ij(ax, by), mu_ax_aty * vi(mu_sax_sx)),
+        )
+        h = np.minimum(
+            np.minimum(vi(mu_ax_bsx), vi(mu_x_sax)),
+            np.minimum(mu_sx_tby, vj(mu_by_aty)),
+        )
+        return f, g, h, (ij(sax, tby), ij(bsx, aty))
+
+    empty = "every self-quadruple tuple was skipped"
+    return _quotient_reports("self-quad", terms, (xs, ys), samples, keep_ratios, empty)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .errors import CodomainError, DomainError, UsageError
 from .mappings import MapPair, MapQuadruple
 from .metrics import FuzzyMetric, TGrid
 from .sequences import SequenceTrace
+from .spaces import validate_points
 
 _COLLAPSE = 1e-300
 
@@ -293,6 +294,7 @@ def _trace(points, rows, grid: TGrid) -> SequenceTrace:
     return SequenceTrace(points=points, nearness=nearness, grid=grid)
 
 
+@np.errstate(over="ignore")  # an orbit that overflows escapes or diverges, and its status says so
 def _iterate(problem, cycle, w_of, verify, mu, nu, starts, cfg) -> list[FixedPointResult]:
     """The one iteration loop, shared by both schemes, over all starts at once.
 
@@ -306,7 +308,7 @@ def _iterate(problem, cycle, w_of, verify, mu, nu, starts, cfg) -> list[FixedPoi
     """
     cfg = cfg or SolveConfig()
     grid, near_level = cfg.grid, 1.0 - cfg.eps
-    x = np.array([mu.carrier.validate_point(s) for s in starts])
+    x = validate_points(mu.carrier, starts)
     runs = _Runs(x, cfg.stall_window, grid)
     y_prev = None
     for cycle_no in range(cfg.max_iter):

@@ -167,6 +167,21 @@ class FiniteSpace:
         return (rng.block(count) % np.uint64(self.size)).tolist()
 
 
+def validate_points(carrier, pts) -> np.ndarray:
+    """validate_point over a sequence, checked as one read-only array; a bad
+    point raises the error validate_point gives for the first of them."""
+    box = carrier.kind == "box"
+    try:
+        arr = np.array(pts, dtype=float if box else None)
+    except (TypeError, ValueError):  # ragged points
+        arr = np.empty(0)
+    shape = (len(pts), carrier.dimension) if box else (len(pts),)
+    if arr.shape != shape or not (box or arr.dtype.kind in "iu") or carrier.escaped_rows(arr) is not None:
+        arr = np.array([carrier.validate_point(p) for p in pts])
+    arr.setflags(write=False)
+    return arr
+
+
 def points_equal(carrier, a, b, tol: float = DELTA_PT) -> bool:
     """Tolerance-based point equality in the carrier's crisp metric."""
     return carrier.distance(a, b) <= tol

@@ -3,10 +3,12 @@ bit with the scalar loops it replaces (tests/oracles.py)."""
 
 import re
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -32,7 +34,16 @@ from fuzzyfp import (
     induced_exponential,
     induced_standard,
 )
+from fuzzyfp import hypotheses
 from fuzzyfp.axioms import MAX_WITNESSES
+from fuzzyfp.errors import CodomainError, EmptySampleError
+from fuzzyfp.hypotheses import (
+    SampleSet,
+    estimate_k_pair,
+    estimate_k_pair_dual,
+    estimate_k_quad,
+    estimate_k_self_quad,
+)
 from fuzzyfp.solver import _diameter, solve_batch
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
@@ -549,3 +560,111 @@ def test_starts_that_stop_early_do_not_keep_memory_for_a_long_one():
     alone = _traced_peak(lambda: solve_batch(pair, mu, mu, starts[:1], cfg))
     batch = _traced_peak(lambda: solve_batch(pair, mu, mu, starts, cfg))
     assert batch <= 1.25 * alone
+
+
+# -- k_hat estimators in blocks of the leading sample index ----------------------
+
+ONE_BLOCK = 1 << 62  # the whole sample in one block
+ONE_INDEX = 1  # one leading index per block
+
+
+def estimate(budget, estimator, *args):
+    """What one estimator call gives under a block budget, as a comparable
+    value: every field of each report, dump included, or the error raised,
+    and every warning it showed.  repr keeps NaN, inf and -0.0 apart."""
+    with mock.patch.object(hypotheses, "_BLOCK_BYTES", budget):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                out = estimator(*args, keep_ratios=True)
+            except (EmptySampleError, CodomainError) as exc:
+                return repr(exc), sorted((str(w.message), w.filename, w.lineno) for w in caught)
+    reports = out if isinstance(out, tuple) else (out,)
+    fields = [
+        (
+            r.label,
+            r.k_hat,
+            r.witness and [np.asarray(p).tolist() for p in r.witness],
+            r.evaluated_count,
+            r.skipped_count,
+            r.grid.values.tolist(),
+            r.sample_shape,
+            r.exclude_diagonal,
+            r.ratios,
+        )
+        for r in reports
+    ]
+    return repr(fields), sorted((str(w.message), w.filename, w.lineno) for w in caught)
+
+
+@st.composite
+def estimator_calls(draw):
+    """An estimator, the problem and nearness of a solver case, and a sample:
+    on an unbounded box its far-apart points make distances overflow, so
+    nearness is 0 and ratios of 0/0 and x/0 occur."""
+    problem, mu, nu, _, _ = draw(solver_cases())
+
+    def points(space, count):
+        if isinstance(space, FiniteSpace):
+            return draw(st.lists(st.integers(0, space.size - 1), min_size=count, max_size=count))
+        coord = st.floats(-10.0, 10.0)
+        if not space.is_bounded:
+            scale = draw(st.sampled_from([1.0, 1e154, 1e200]))
+            coord = st.one_of(coord, st.sampled_from([-1.5, -1.0, 0.0, 1.0, 1.5])).map(lambda c: c * scale)
+        dim = space.dimension
+        return [np.array(draw(st.lists(coord, min_size=dim, max_size=dim))) for _ in range(count)]
+
+    samples = SampleSet(
+        points_x=tuple(points(mu.carrier, draw(st.integers(1, 5)))),
+        grid=TGrid(sorted(draw(st.sets(st.sampled_from([0.01, 0.5, 1.0, 4.0, 1e18]), min_size=1, max_size=3)))),
+        points_y=tuple(points(nu.carrier, draw(st.integers(0, 4)))),
+        exclude_diagonal=draw(st.booleans()),
+    )
+    if isinstance(problem, MapPair):
+        return draw(st.sampled_from([estimate_k_pair, estimate_k_pair_dual])), problem, mu, nu, samples
+    if nu is mu and draw(st.booleans()):
+        return estimate_k_self_quad, problem, mu, samples
+    return estimate_k_quad, problem, mu, nu, samples
+
+
+# ST = 1e154 x on the line: mu(STx, STx', t) is 0 where the squared distance
+# overflows.  Where rhs > 0 the ratio is x/0 = inf; where rhs is 0 too it is
+# 0/0 = NaN.  The dual swaps T and S, so it sees the same ratios over points_y.
+FAR_LINE = BoxSpace([-np.inf], [np.inf])
+FAR_MU = induced_standard(FAR_LINE)
+STRETCH = AffineMap([[1e154]], [0.0], FAR_LINE)
+KEEP = AffineMap([[1.0]], [0.0], FAR_LINE)
+FAR = tuple(np.array([v]) for v in (1.0, -1.0, 1.5))
+FAR_SAMPLES = SampleSet(points_x=FAR, grid=TGrid([0.5, 2.0]), points_y=FAR)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(call=estimator_calls())
+@example(call=(estimate_k_pair, MapPair(T=KEEP, S=STRETCH), FAR_MU, FAR_MU, FAR_SAMPLES))
+@example(call=(estimate_k_pair_dual, MapPair(T=STRETCH, S=KEEP), FAR_MU, FAR_MU, FAR_SAMPLES))
+def test_one_index_blocks_match_one_block(call):
+    """Blocks of one leading index give every report field, the dump and the
+    warnings of a single block: the running argmax keeps the first maximum
+    in C order, or the first NaN, across blocks, and a warning that several
+    blocks raise is shown once."""
+    assert estimate(ONE_INDEX, *call) == estimate(ONE_BLOCK, *call)
+
+
+def test_far_points_give_nan_and_inf_ratios():
+    """The explicit examples above hold inf and NaN cells, and the witness
+    is the first NaN cell, which lies in the second block."""
+    with mock.patch.object(hypotheses, "_BLOCK_BYTES", ONE_INDEX), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = estimate_k_pair(MapPair(T=KEEP, S=STRETCH), FAR_MU, FAR_MU, FAR_SAMPLES, keep_ratios=True)
+    ratios = [r for *_, r in report.ratios]
+    assert np.isinf(ratios).any() and np.isnan(ratios).any()
+    assert np.isnan(report.k_hat)
+    assert [float(p[0]) for p in report.witness[:2]] == [-1.0, 1.5]
+
+
+@pytest.mark.parametrize("scheme", ["pair", "quadruple", "self-quadruple"])
+def test_ratio_dump_matches_scalar_oracle_in_one_index_blocks(scheme):
+    import test_hypotheses
+
+    with mock.patch.object(hypotheses, "_BLOCK_BYTES", ONE_INDEX):
+        test_hypotheses.test_ratio_dump_matches_scalar_oracle(scheme)

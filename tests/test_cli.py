@@ -33,6 +33,39 @@ def pair_config(**extra):
     return doc
 
 
+def affine(a, offset=0.0):
+    return {"form": "affine", "matrix": [[a]], "offset": [offset]}
+
+
+def composed(inner, outer, via_lo=None, via_hi=None):
+    via = {"kind": "box", "lo": [via_lo], "hi": [via_hi]}
+    return {"form": "composed", "via": via, "inner": inner, "outer": outer}
+
+
+def escape(scheme, maps, xs, ys, value, id):
+    note = f"AffineMap output array([{value}]) escaped its codomain"
+    return pytest.param(scheme, maps, xs, ys, note, id=id)
+
+
+# hypotheses samples whose images leave the box [-10, 10]: the maps that
+# replace the halving ones, points_x, points_y, and the escaping output that
+# the point-by-point construction of the image lists named in the note
+ESCAPES = [
+    # T(3) = 12 and T(4) = 16 escape; the first escaping point is not the first point
+    escape("pair", {"T": affine(4.0)}, [0.0, 0.5, 3.0, 4.0], [], "12.", "pair-T"),
+    # S(T(3)) = 18 escapes before T(6) = 12 does
+    escape("pair", {"T": affine(2.0), "S": affine(3.0)}, [0.0, 3.0, 6.0], [], "18.", "pair-S"),
+    # A's images are built before B's
+    escape("quadruple", {"A": affine(4.0), "B": affine(5.0)}, [0.0, 2.6], [0.0], "10.4", "quadruple-A"),
+    escape("quadruple", {"B": affine(5.0)}, [0.0, 1.0, 2.6], [0.0], "13.", "quadruple-B"),
+    escape("quadruple", {"S": affine(4.0)}, [0.0, 3.0], [0.0, 2.6], "10.4", "quadruple-S"),
+    escape("quadruple", {"T": affine(4.0)}, [0.0, 3.0], [0.0, 1.0, 2.7], "10.8", "quadruple-T"),
+    escape("self-quadruple", {"T": affine(4.0)}, [0.0, 1.0, 3.0], [], "12.", "self-quadruple-T"),
+    escape("pair", {"T": composed(affine(4.0), affine(0.5), -10.0, 10.0)}, [0.0, 3.0], [], "12.", "pair-T.inner"),
+    escape("pair", {"T": composed(affine(0.5, 0.25), affine(8.0))}, [0.0, 3.0], [], "14.", "pair-T.outer"),
+]
+
+
 class TestSolveCommand:
     def test_linear_pair_summary_and_trace(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", pair_config())
@@ -128,17 +161,23 @@ class TestHypothesesCommand:
             2.0,
         ]
 
-    def test_sample_image_escaping_codomain_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("scheme,maps,xs,ys,note", ESCAPES)
+    def test_sample_image_escaping_codomain_exits_one(
+        self, scheme, maps, xs, ys, note, tmp_path, capsys
+    ):
+        """The first escape, in the order the image lists were built point by
+        point, names the note, although the images are mapped in batches."""
         doc = pair_config()
         doc["carrier"] = {"kind": "box", "lo": [-10.0], "hi": [10.0]}
-        doc["maps"]["T"] = {"form": "affine", "matrix": [[4.0]], "offset": [0.0]}
-        doc["hypotheses"] = {"points_x": [[0.0], [3.0]]}  # T(3) = 12 leaves the box
+        names = ("T", "S") if scheme == "pair" else ("A", "B", "S", "T")
+        doc["maps"] = {"scheme": scheme} | {name: affine(0.5) for name in names} | maps
+        doc["hypotheses"] = {"points_x": [[x] for x in xs], "points_y": [[y] for y in ys]}
         cfg = write_config(tmp_path / "c.json", doc)
         out = str(tmp_path / "out")
         assert main(["hypotheses", "--config", cfg, "--out", out]) == 1
         assert "Traceback" not in capsys.readouterr().err
         report = json.load(open(os.path.join(out, "hypotheses_report.json")))
-        assert "escaped its codomain" in report["note"]
+        assert report["note"] == note
         assert report["reports"] == []
 
     def test_include_diagonal_changes_skip_counts(self, tmp_path):
@@ -337,6 +376,23 @@ class TestSuiteCommand:
         b = json.load(open(os.path.join(out2, "suite_verdict.json")))
         assert a["rows"][0]["seed"] == 7
         assert b["rows"][0]["seed"] == 999
+
+    def test_escaping_k_hat_sample_leaves_k_hat_empty(self, tmp_path, capsys):
+        """The x0 solves of these expansive pairs overflow and escape; the k_hat
+        sample holds their last iterates, whose images escape again.  Each row
+        records no k_hat, as for an empty sample, and the run ends normally."""
+        doc = {
+            "solve": {"max_iter": 60},
+            "suite": {
+                "count": 4, "scheme": "pair", "dim": 3, "factor": [1.5, 1e8], "seed": 7, "expansive": True
+            },
+        }
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = str(tmp_path / "out")
+        assert main(["suite", "--config", cfg, "--out", out]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        rows = json.load(open(os.path.join(out, "suite_verdict.json")))["rows"]
+        assert [(r["status"], r["k_hat"]) for r in rows] == [("diverging", None)] * 4
 
     def test_unwritable_out_dir_exits_two(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", pair_config())

@@ -4,7 +4,9 @@ exponential form and `hypotheses --format both` on a pair with a dual
 sample, a two-space exponential quadruple and a self-quadruple, must stay
 byte-identical.  Two more `hypotheses` cases, a 160-point pair and a 5 + 12
 point quadruple, are large enough that the estimators evaluate them in
-several blocks of the leading sample index.
+several blocks of the leading sample index.  One expansive pair suite
+overflows in its x0 solves, so its k_hat samples escape and its rows carry
+no k_hat.
 
 The expected exit codes and SHA-256 digests live in tests/golden/digests.json.
 Regenerate them only when output is meant to change, and say why:

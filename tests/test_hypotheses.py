@@ -4,6 +4,7 @@ The oracles run in exact rational arithmetic (fractions.Fraction) over the
 same tuple sets, independently of the float/numpy implementation path.
 """
 
+import tracemalloc
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -699,3 +700,40 @@ class TestRecurrenceQuad:
             check_recurrence_quad(
                 res.trace_x, res.trace_y, foreign, MU, NU, 0.5, res.trace_x.grid
             )
+
+
+# ---------------------------------------------------------------------------
+# memory of the quadruple estimator
+# ---------------------------------------------------------------------------
+
+
+def _quad_peak_mb(n):
+    """tracemalloc peak of estimate_k_quad on n + n points of a 2-D box and
+    the default 17-point grid, as in the hypotheses-wide benchmark."""
+    box = BoxSpace([-10.0, -10.0], [10.0, 10.0])
+    fm = induced_standard(box)
+    rng = SplitMix64(n)
+    maps = [
+        AffineMap(box.sample(rng, 2, ([-0.25] * 2, [0.25] * 2)), box.sample(rng, 1, ([-2.0] * 2, [2.0] * 2))[0], box)
+        for _ in "ABST"
+    ]
+    xs, ys = box.sample(rng, n), box.sample(rng, n)
+    samples = SampleSet(points_x=tuple(xs), grid=TGrid.default(), points_y=tuple(ys))
+    tracemalloc.start()
+    try:
+        primal, dual = estimate_k_quad(MapQuadruple(*maps), fm, fm, samples)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_quadruple_memory_is_bounded_by_the_block_budget():
+    """Each (x, x', y, y', t) array is evaluated a block of x indices at a
+    time, so 18 + 18 points (1.8 M cells a side) stay within 16 MB; the
+    whole arrays took 70 MB."""
+    assert _quad_peak_mb(18) <= 16.0
+
+
+def test_quadruple_runs_at_32_points():
+    """32 + 32 points: one whole (x, x', y, y', t) array would be 142 MB."""
+    assert _quad_peak_mb(32) <= 256.0
