@@ -41,7 +41,6 @@ from .metrics import (
     StandardFuzzyMetric,
     TableFuzzyMetric,
     TGrid,
-    eval_mu,
     induced_exponential,
     induced_standard,
 )
@@ -51,14 +50,12 @@ from .solver import (
     FixedPointResult,
     SolveConfig,
     UniquenessReport,
-    iterate_pair,
-    iterate_quadruple,
     solve,
     uniqueness_probe,
     verify_conclusions_pair,
     verify_conclusions_quadruple,
 )
-from .spaces import DELTA_PT, BoxSpace, FiniteSpace, points_equal
+from .spaces import DELTA_PT, BoxSpace, FiniteSpace
 from .tnorms import (
     LUKASIEWICZ,
     MINIMUM,

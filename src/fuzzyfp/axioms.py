@@ -128,7 +128,7 @@ def check_fm_axioms(
     report.checks = triple_count * (5 if monotone else 4)
     block = max(1, _BLOCK_CELLS // len(grid) ** 2)
     for start in range(0, triple_count, block):
-        pts = np.asarray(carrier.sample(rng, 3 * min(block, triple_count - start), window))
+        pts = carrier.sample(rng, 3 * min(block, triple_count - start), window)
         _check_triples(report, fm, op, grid, pts, monotone)
     return report
 

@@ -287,12 +287,12 @@ def _trajectory_sample(trace, count: int) -> list:
 
 def _estimate_instance_k(inst: Instance, result, random_x, random_y, grid, n_traj):
     """Hypothesis sample: trajectory points plus the random carrier points drawn for it."""
-    xs = _trajectory_sample(result.trace_x, n_traj) + random_x
+    xs = _trajectory_sample(result.trace_x, n_traj) + list(random_x)
     if inst.spec.scheme == "pair":
         samples = SampleSet(points_x=tuple(xs), grid=grid)
         return estimate_k_pair(inst.problem, inst.mu, inst.nu, samples).k_hat
     if inst.spec.scheme == "quadruple":
-        ys = _trajectory_sample(result.trace_y, n_traj) + random_y
+        ys = _trajectory_sample(result.trace_y, n_traj) + list(random_y)
         samples = SampleSet(points_x=tuple(xs), grid=grid, points_y=tuple(ys))
         primal, dual = estimate_k_quad(inst.problem, inst.mu, inst.nu, samples)
         ks = [r.k_hat for r in (primal, dual) if r.k_hat is not None]
@@ -357,7 +357,7 @@ def run_suite(
         random_y = None
         if inst.spec.scheme == "quadruple":
             random_y = inst.nu.carrier.sample(rng, n_rand_here, window)
-        probe_starts = [inst.x0] + inst.mu.carrier.sample(rng, starts - 1, window)
+        probe_starts = [inst.x0, *inst.mu.carrier.sample(rng, starts - 1, window)]
         result, unique, max_dist = _probe(inst, probe_starts, cfg, uniqueness_tol)
         try:
             k_hat = _estimate_instance_k(

@@ -392,23 +392,51 @@ class RecurrenceReport:
     worst_witness: tuple | None = None
     by_equation: dict = field(default_factory=dict)
 
-    def _tally(self, equation: str, n: int, ts, lhs_row, rhs_row):
-        margins = self.k * lhs_row - rhs_row
-        self.total_checks += margins.size
-        bad = margins < -_VIOL_TOL
-        count = int(np.count_nonzero(bad))
-        if count:
-            self.violation_count += count
-            self.by_equation[equation] = self.by_equation.get(equation, 0) + count
-        worst = int(np.argmin(margins))
-        if margins[worst] < self.worst_margin:
-            self.worst_margin = float(margins[worst])
-            self.worst_witness = (equation, n, float(ts[worst]))
 
-
-def _check_k(k: float):
+def _check_args(k: float, trace_x: SequenceTrace):
     if not (0.0 < k < 1.0):
         raise DomainError("recurrence constant k must lie in (0, 1)")
+    if len(trace_x) < 2:
+        raise UsageError("trace too short for recurrence checks")
+
+
+def _steps(fm: FuzzyMetric, pts, ts, backward=False) -> np.ndarray:
+    """Row i: fm(p_i, p_{i+1}) over ts, or fm(p_{i+1}, p_i) if backward."""
+    if len(pts) < 2:
+        return np.empty((0, len(ts)))
+    a, b = np.asarray(pts[:-1]), np.asarray(pts[1:])
+    return fm.mu_batch(b, a, ts) if backward else fm.mu_batch(a, b, ts)
+
+
+def _tally(k: float, ts, equations, n_major: bool) -> RecurrenceReport:
+    """The report of k * lhs >= rhs over the rows of equations, a list of
+    (name, ns, lhs, rhs) with one row per n.  Rows are visited equation by
+    equation, or n by n with the equations in list order when n_major; the
+    worst witness is the first cell of least margin in that order.  A row
+    whose first least margin is NaN gives no witness."""
+    report = RecurrenceReport(k=k)
+    names = [name for name, *_ in equations]
+    eq = np.repeat(np.arange(len(equations)), [len(ns) for _, ns, _, _ in equations])
+    ns = np.concatenate([ns for _, ns, _, _ in equations])
+    order = np.lexsort((eq, ns) if n_major else (ns, eq))
+    lhs, rhs = (np.concatenate([e[i] for e in equations])[order] for i in (2, 3))
+    eq, ns, margins = eq[order], ns[order], k * lhs - rhs
+    if not len(margins):
+        return report
+    bad = np.count_nonzero(margins < -_VIOL_TOL, axis=1)
+    report.total_checks = margins.size
+    report.violation_count = int(bad.sum())
+    counts = np.bincount(eq, weights=bad, minlength=len(names))
+    hit = dict.fromkeys(eq[bad > 0].tolist())  # equations with a violation, in visiting order
+    report.by_equation = {names[e]: int(counts[e]) for e in hit}
+    cols = np.argmin(margins, axis=1)
+    row_worst = margins[np.arange(len(margins)), cols]
+    row_worst[np.isnan(row_worst)] = np.inf
+    r = int(np.argmin(row_worst))
+    if row_worst[r] < report.worst_margin:
+        report.worst_margin = float(row_worst[r])
+        report.worst_witness = (names[eq[r]], int(ns[r]), float(ts[cols[r]]))
+    return report
 
 
 def check_recurrence_pair(
@@ -428,32 +456,20 @@ def check_recurrence_pair(
               nu(y_n, y_{n+1}, t)}
       y_step: k * nu(y_n, y_{n+1}, t) >= min{nu(y_{n-1}, y_n, t),
               mu(x_{n-1}, x_n, t)}
+
+    Rows are visited x_step for every n, then y_step for every n.
     """
-    _check_k(k)
-    if len(trace_x) < 2:
-        raise UsageError("trace too short for recurrence checks")
-    xs = trace_x.points
-    ys = trace_y.points  # ys[i] is y_{i+1}
+    _check_args(k, trace_x)
     ts = grid.values
-    report = RecurrenceReport(k=k)
-
-    def y_at(n):  # y_n for n >= 1
-        return ys[n - 1]
-
-    max_n = min(len(xs) - 2, len(ys) - 1)
-    for n in range(1, max_n + 1):
-        lhs = mu.mu_grid(xs[n], xs[n + 1], ts)
-        rhs = np.minimum(
-            mu.mu_grid(xs[n - 1], xs[n], ts), nu.mu_grid(y_at(n), y_at(n + 1), ts)
-        )
-        report._tally("x_step", n, ts, lhs, rhs)
-    for n in range(2, len(ys)):
-        lhs = nu.mu_grid(y_at(n), y_at(n + 1), ts)
-        rhs = np.minimum(
-            nu.mu_grid(y_at(n - 1), y_at(n), ts), mu.mu_grid(xs[n - 1], xs[n], ts)
-        )
-        report._tally("y_step", n, ts, lhs, rhs)
-    return report
+    mx = _steps(mu, trace_x.points, ts)  # row n: mu(x_n, x_{n+1})
+    ny = _steps(nu, trace_y.points, ts)  # row n - 1: nu(y_n, y_{n+1})
+    n_x = np.arange(1, min(len(mx) - 1, len(ny)) + 1)
+    n_y = np.arange(2, len(ny) + 1)
+    equations = [
+        ("x_step", n_x, mx[n_x], np.minimum(mx[n_x - 1], ny[n_x - 1])),
+        ("y_step", n_y, ny[n_y - 1], np.minimum(ny[n_y - 2], mx[n_y - 1])),
+    ]
+    return _tally(k, ts, equations, n_major=False)
 
 
 def check_recurrence_quad(
@@ -469,72 +485,32 @@ def check_recurrence_quad(
 
     Index conventions follow the solver: trace_x holds x_0..x_M and
     trace_y holds y_1..y_M.  The quadruple is used to confirm the trace
-    actually follows the interleaved scheme before checking.
+    actually follows the interleaved scheme before checking.  For each n,
+    as far as the trace reaches:
+
+      x_even: k mu(x_2n, x_2n+1) >= min{mu(x_2n-1, x_2n), nu(y_2n, y_2n+1)}
+      x_odd:  k mu(x_2n-1, x_2n) >= min{mu(x_2n-2, x_2n-1), nu(y_2n-1, y_2n)}
+      y_even: k nu(y_2n, y_2n+1) >= min{mu(x_2n+1, x_2n), nu(y_2n-1, y_2n)}
+      y_odd:  k nu(y_2n, y_2n-1) >= min{mu(x_2n, x_2n-1), nu(y_2n-2, y_2n-1)}, n >= 2
+
+    Rows are visited n by n, each n in the order above.  The reversed terms
+    are evaluated as written, so an asymmetric nearness table is honoured.
     """
-    _check_k(k)
-    if len(trace_x) < 2:
-        raise UsageError("trace too short for recurrence checks")
+    _check_args(k, trace_x)
     xs = trace_x.points
     ys = trace_y.points
-    if len(ys) >= 1:
-        probe = quad.A(xs[0])
-        if nu.carrier.distance(probe, ys[0]) > DELTA_PT:
-            raise UsageError("trace does not follow the interleaved scheme")
+    if len(ys) and nu.carrier.distance(quad.A(xs[0]), ys[0]) > DELTA_PT:
+        raise UsageError("trace does not follow the interleaved scheme")
     ts = grid.values
-    report = RecurrenceReport(k=k)
-
-    def x(n):
-        return xs[n]
-
-    def y(n):
-        return ys[n - 1]
-
-    def have_x(n):
-        return 0 <= n < len(xs)
-
-    def have_y(n):
-        return 1 <= n <= len(ys)
-
-    n = 1
-    while True:
-        did_any = False
-        # x_even: k mu(x_2n, x_2n+1) >= min{mu(x_2n-1, x_2n), nu(y_2n, y_2n+1)}
-        if have_x(2 * n + 1) and have_y(2 * n + 1):
-            lhs = mu.mu_grid(x(2 * n), x(2 * n + 1), ts)
-            rhs = np.minimum(
-                mu.mu_grid(x(2 * n - 1), x(2 * n), ts),
-                nu.mu_grid(y(2 * n), y(2 * n + 1), ts),
-            )
-            report._tally("x_even", n, ts, lhs, rhs)
-            did_any = True
-        # x_odd: k mu(x_2n-1, x_2n) >= min{mu(x_2n-2, x_2n-1), nu(y_2n-1, y_2n)}
-        if have_x(2 * n) and have_y(2 * n):
-            lhs = mu.mu_grid(x(2 * n - 1), x(2 * n), ts)
-            rhs = np.minimum(
-                mu.mu_grid(x(2 * n - 2), x(2 * n - 1), ts),
-                nu.mu_grid(y(2 * n - 1), y(2 * n), ts),
-            )
-            report._tally("x_odd", n, ts, lhs, rhs)
-            did_any = True
-        # y_even: k nu(y_2n, y_2n+1) >= min{mu(x_2n+1, x_2n), nu(y_2n-1, y_2n)}
-        if have_x(2 * n + 1) and have_y(2 * n + 1):
-            lhs = nu.mu_grid(y(2 * n), y(2 * n + 1), ts)
-            rhs = np.minimum(
-                mu.mu_grid(x(2 * n + 1), x(2 * n), ts),
-                nu.mu_grid(y(2 * n - 1), y(2 * n), ts),
-            )
-            report._tally("y_even", n, ts, lhs, rhs)
-            did_any = True
-        # y_odd: k nu(y_2n, y_2n-1) >= min{mu(x_2n, x_2n-1), nu(y_2n-2, y_2n-1)}
-        if n >= 2 and have_x(2 * n) and have_y(2 * n):
-            lhs = nu.mu_grid(y(2 * n), y(2 * n - 1), ts)
-            rhs = np.minimum(
-                mu.mu_grid(x(2 * n), x(2 * n - 1), ts),
-                nu.mu_grid(y(2 * n - 2), y(2 * n - 1), ts),
-            )
-            report._tally("y_odd", n, ts, lhs, rhs)
-            did_any = True
-        if not did_any:
-            break
-        n += 1
-    return report
+    fx, bx = _steps(mu, xs, ts), _steps(mu, xs, ts, backward=True)  # row i: x_i, x_{i+1}
+    fy, by = _steps(nu, ys, ts), _steps(nu, ys, ts, backward=True)  # row i: y_{i+1}, y_{i+2}
+    n_even = np.arange(1, min(len(xs) - 2, len(ys) - 1) // 2 + 1)  # x_2n+1 and y_2n+1 exist
+    n_odd = np.arange(1, min(len(xs) - 1, len(ys)) // 2 + 1)  # x_2n and y_2n exist
+    e, o, o2 = 2 * n_even, 2 * n_odd, 2 * n_odd[1:]
+    equations = [
+        ("x_even", n_even, fx[e], np.minimum(fx[e - 1], fy[e - 1])),
+        ("x_odd", n_odd, fx[o - 1], np.minimum(fx[o - 2], fy[o - 2])),
+        ("y_even", n_even, fy[e - 1], np.minimum(bx[e], fy[e - 2])),
+        ("y_odd", n_odd[1:], by[o2 - 2], np.minimum(bx[o2 - 1], fy[o2 - 3])),
+    ]
+    return _tally(k, ts, equations, n_major=True)

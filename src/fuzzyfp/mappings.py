@@ -1,10 +1,9 @@
 """Mappings between carriers, and the pair / quadruple problem bundles.
 
-Every mapping declares its codomain and checks containment on each
-evaluation; a point that escapes (including non-finite output) raises
-CodomainError.  rows() maps a stack of points at once and reports which
-outputs escaped instead of raising, so one escaping point does not stop
-the others.
+Every mapping declares its codomain.  rows() maps a stack of points at once
+and reports which outputs escaped it (including non-finite output), so one
+escaping point does not stop the others.  Calling a mapping maps one point
+through rows() and raises CodomainError if its output escapes.
 """
 
 from __future__ import annotations
@@ -23,9 +22,6 @@ class Mapping:
     def __init__(self, codomain):
         self.codomain = codomain
 
-    def _raw(self, x):
-        raise NotImplementedError
-
     def _raw_rows(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -36,12 +32,13 @@ class Mapping:
         return out, self.codomain.escaped_rows(out)
 
     def __call__(self, x):
-        out = self._raw(x)
-        if not self.codomain.contains(out):
-            raise CodomainError(
-                f"{type(self).__name__} output {out!r} escaped its codomain"
-            )
-        return out
+        out, escaped = self.rows(np.asarray(x)[None])
+        if escaped is not None:
+            raise CodomainError(f"{type(self).__name__} output {out[0]!r} escaped its codomain")
+        if out.ndim == 1:  # finite-carrier indices: a Python int, as validate_point gives
+            return int(out[0])
+        out.setflags(write=False)
+        return out[0]
 
 
 class AffineMap(Mapping):
@@ -64,15 +61,9 @@ class AffineMap(Mapping):
         self.matrix = _freeze(m)
         self.offset = _freeze(b)
 
-    def _raw(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self.matrix @ x + self.offset  # a fresh array: freeze it in place
-        out.setflags(write=False)
-        return out
-
     def _raw_rows(self, xs):
-        # the stacked matmul rounds each row like matrix @ x; xs @ matrix.T does not
-        return np.matmul(self.matrix, xs[..., None])[..., 0] + self.offset
+        # rounds each row like matrix @ x (xs @ matrix.T does not); a 1-D point may be a scalar
+        return np.matmul(self.matrix, xs.reshape(len(xs), self.matrix.shape[1], 1))[..., 0] + self.offset
 
 
 class ConstantMap(Mapping):
@@ -83,9 +74,6 @@ class ConstantMap(Mapping):
     def __init__(self, value, codomain):
         super().__init__(codomain)
         self.value = codomain.validate_point(value)
-
-    def _raw(self, x):
-        return self.value
 
     def _raw_rows(self, xs):
         return np.broadcast_to(self.value, (len(xs),) + np.shape(self.value))
@@ -106,12 +94,6 @@ class TableMap(Mapping):
         self.targets = tg
         self._target_array = np.array(tg, dtype=np.intp)
 
-    def _raw(self, x):
-        i = int(x)
-        if not (0 <= i < len(self.targets)):
-            raise DomainError(f"index {i} outside table map domain")
-        return self.targets[i]
-
     def _raw_rows(self, xs):
         if xs.size and not (0 <= xs.min() and xs.max() < len(self.targets)):
             raise DomainError(f"an index of {xs.tolist()} lies outside the table map domain")
@@ -119,7 +101,8 @@ class TableMap(Mapping):
 
 
 class ComposedMap(Mapping):
-    """x -> outer(inner(x)); inner's own codomain check still runs."""
+    """x -> outer(inner(x)); inner's own codomain check still runs, so a
+    call names the map whose output escaped."""
 
     form = "composed"
 
@@ -128,7 +111,7 @@ class ComposedMap(Mapping):
         self.outer = outer
         self.inner = inner
 
-    def _raw(self, x):
+    def __call__(self, x):
         return self.outer(self.inner(x))
 
     def rows(self, xs):

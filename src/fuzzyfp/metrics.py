@@ -101,11 +101,11 @@ class FuzzyMetric:
         self.carrier = carrier
 
     def mu(self, x, y, t: float) -> float:
-        raise NotImplementedError
+        return float(self.mu_grid(x, y, float(t)))
 
     def mu_grid(self, x, y, ts) -> np.ndarray:
-        """Vectorized evaluation over an array of scales or a TGrid."""
-        raise NotImplementedError
+        """mu_batch of one point pair over an array of scales or a TGrid."""
+        return self.mu_batch(x, y, ts)
 
     def mu_batch(self, a, b, ts) -> np.ndarray:
         """mu_grid over points broadcast on leading axes; the scale axes of ts come last."""
@@ -129,18 +129,8 @@ class _InducedFuzzyMetric(FuzzyMetric):
     def _from_d(self, d, ts):
         raise NotImplementedError
 
-    def mu(self, x, y, t: float) -> float:
-        ts = _check_ts(float(t))
-        return float(self._from_d(self.carrier.distance(x, y), ts))
-
-    def mu_grid(self, x, y, ts) -> np.ndarray:
-        ts = _check_ts(ts)
-        return self._from_d(self.carrier.distance(x, y), ts)
-
     def mu_batch(self, a, b, ts) -> np.ndarray:
-        ts = _check_ts(ts)
-        d = self.carrier.distances(a, b)
-        return self._from_d(d.reshape(d.shape + (1,) * ts.ndim), ts)
+        return self.mu_from_distances(self.carrier.distances(a, b), a, b, ts)
 
     def mu_from_distances(self, d, a, b, ts) -> np.ndarray:
         ts = _check_ts(ts)
@@ -193,11 +183,9 @@ class TableFuzzyMetric(FuzzyMetric):
         self.values = vals
         self._log_grid = np.log(grid.values)
 
-    def mu(self, x, y, t: float) -> float:
-        return float(self.mu_grid(x, y, float(t)))
-
     def mu_grid(self, x, y, ts) -> np.ndarray:
-        return self.mu_batch(self.carrier.validate_point(x), self.carrier.validate_point(y), ts)
+        # a bad index would wrap around or truncate in the table lookup
+        return super().mu_grid(self.carrier.validate_point(x), self.carrier.validate_point(y), ts)
 
     def mu_batch(self, a, b, ts) -> np.ndarray:
         log_ts = np.log(_check_ts(ts))
@@ -216,13 +204,6 @@ def induced_exponential(carrier) -> ExponentialFuzzyMetric:
     return ExponentialFuzzyMetric(carrier)
 
 
-def eval_mu(fm: FuzzyMetric, x, y, t: float) -> float:
-    """Guarded evaluation entry point: validates the points and t > 0."""
-    x = fm.carrier.validate_point(x)
-    y = fm.carrier.validate_point(y)
-    return fm.mu(x, y, t)
-
-
 __all__ = [
     "TGrid",
     "FuzzyMetric",
@@ -231,7 +212,6 @@ __all__ = [
     "TableFuzzyMetric",
     "induced_standard",
     "induced_exponential",
-    "eval_mu",
     "DEFAULT_T_MIN",
     "DEFAULT_T_MAX",
     "DEFAULT_T_COUNT",

@@ -61,12 +61,8 @@ def is_cauchy(trace: SequenceTrace, fm: FuzzyMetric, grid: TGrid, eps: float, p_
         raise DomainError("eps must lie in (0, 1)")
     if len(trace) < p_max + 1:
         raise UsageError(f"trace of length {len(trace)} too short for p_max={p_max}")
-    last = len(trace) - 1
-    for p in range(1, p_max + 1):
-        row = fm.mu_grid(trace.points[last - p], trace.points[last], grid.values)
-        if not np.all(row >= 1.0 - eps):
-            return False
-    return True
+    strides = np.asarray(trace.points[-p_max - 1 : -1])  # x_{n-p} for p = p_max, ..., 1
+    return bool(np.all(fm.mu_batch(strides, trace.points[-1], grid.values) >= 1.0 - eps))
 
 
 def chain_lower_bound(fm: FuzzyMetric, op, points, t: float) -> float:

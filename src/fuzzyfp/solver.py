@@ -414,31 +414,6 @@ def solve(problem, mu, nu, x0, cfg: SolveConfig | None = None) -> FixedPointResu
     return solve_batch(problem, mu, nu, [x0], cfg)[0]
 
 
-def iterate_pair(
-    pair: MapPair, mu: FuzzyMetric, nu: FuzzyMetric, x0, cfg: SolveConfig | None = None
-) -> FixedPointResult:
-    """Run the pair scheme from x0 until both step sequences stabilize.
-
-    Returns z = final x iterate and w = T(z) (the last y if T escapes at z).
-    A codomain escape mid-run is recorded as diverging.
-    """
-    if not isinstance(pair, MapPair):
-        raise UsageError(f"iterate_pair needs a MapPair, not {type(pair).__name__}")
-    return solve(pair, mu, nu, x0, cfg)
-
-
-def iterate_quadruple(
-    quad: MapQuadruple, mu: FuzzyMetric, nu: FuzzyMetric, x0, cfg: SolveConfig | None = None
-) -> FixedPointResult:
-    """Run the interleaved quadruple scheme from x0 for up to max_iter
-    cycles (each cycle advances x and y twice).  Convergence requires all
-    four step-nearness rows of the completed cycle to reach 1 - eps; w is
-    the last y."""
-    if not isinstance(quad, MapQuadruple):
-        raise UsageError(f"iterate_quadruple needs a MapQuadruple, not {type(quad).__name__}")
-    return solve(quad, mu, nu, x0, cfg)
-
-
 @dataclass(eq=False)
 class UniquenessReport:
     conclusive: bool

@@ -6,8 +6,6 @@ Completeness of the carriers is assumed, not verified: closed boxes
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainError, UsageError
@@ -58,14 +56,12 @@ class BoxSpace:
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        # finite bounds already reject NaN and +-inf in the comparisons below
-        if x.shape != self.lo.shape or not (self.is_bounded or np.isfinite(x).all()):
-            return False
-        return bool((x >= self._lo_tol).all() and (x <= self._hi_tol).all())
+        return x.shape == self.lo.shape and self.escaped_rows(x[None]) is None
 
     def escaped_rows(self, xs: np.ndarray):
-        """None if contains() holds for every row of a (k, dim) float array,
-        else the mask of the rows it fails for."""
+        """None if every row of a (k, dim) float array lies in the box, within
+        the slack and (on an unbounded box) finite, else the mask of the rows
+        that do not; finite bounds already reject NaN and +-inf."""
         inside = (xs >= self._lo_tol) & (xs <= self._hi_tol)
         if not self.is_bounded:
             inside &= np.isfinite(xs)
@@ -84,21 +80,19 @@ class BoxSpace:
         return _freeze(arr)
 
     def distance(self, x, y) -> float:
-        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        if self.crisp_metric == "euclidean":
-            return math.sqrt(float(np.dot(d, d)))
-        return float(np.max(np.abs(d)))
+        return float(self.distances(x, y))
 
     def distances(self, a, b) -> np.ndarray:
-        """distance() over points on leading axes, broadcast.  np.vecdot (numpy >= 2.0)
+        """Crisp distances of points on leading axes, broadcast.  np.vecdot (numpy >= 2.0)
         rounds like np.dot; (d * d).sum(-1) does not, since BLAS ddot fuses multiply-adds."""
         d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
         if self.crisp_metric == "euclidean":
             return np.sqrt(np.vecdot(d, d))
         return np.abs(d).max(axis=-1)
 
-    def sample(self, rng, count: int, window=None) -> list[np.ndarray]:
-        """Uniform read-only points from the box, or from an explicit (lo, hi) window."""
+    def sample(self, rng, count: int, window=None) -> np.ndarray:
+        """(count, dim) read-only array of uniform points from the box, or
+        from an explicit (lo, hi) window."""
         if window is not None:
             lo = np.asarray(window[0], dtype=float)
             hi = np.asarray(window[1], dtype=float)
@@ -109,7 +103,7 @@ class BoxSpace:
         u = unit(rng.block(count * self.dimension)).reshape(count, self.dimension)
         pts = lo + (hi - lo) * u
         pts.setflags(write=False)
-        return list(pts)
+        return pts
 
 
 class FiniteSpace:
@@ -157,14 +151,17 @@ class FiniteSpace:
         return int(i)
 
     def distance(self, i, j) -> float:
-        return float(self.table[int(i), int(j)])
+        return float(self.distances(i, j))
 
     def distances(self, a, b) -> np.ndarray:
-        """distance() over index arrays, broadcast."""
+        """Crisp distances of index arrays, broadcast."""
         return self.table[np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)]
 
-    def sample(self, rng, count: int, window=None) -> list[int]:
-        return (rng.block(count) % np.uint64(self.size)).tolist()
+    def sample(self, rng, count: int, window=None) -> np.ndarray:
+        """Read-only array of count uniform point indices."""
+        pts = (rng.block(count) % np.uint64(self.size)).astype(np.intp)
+        pts.setflags(write=False)
+        return pts
 
 
 def validate_points(carrier, pts) -> np.ndarray:
@@ -180,8 +177,3 @@ def validate_points(carrier, pts) -> np.ndarray:
         arr = np.array([carrier.validate_point(p) for p in pts])
     arr.setflags(write=False)
     return arr
-
-
-def points_equal(carrier, a, b, tol: float = DELTA_PT) -> bool:
-    """Tolerance-based point equality in the carrier's crisp metric."""
-    return carrier.distance(a, b) <= tol

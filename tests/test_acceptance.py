@@ -26,8 +26,8 @@ from fuzzyfp import (
     estimate_k_pair,
     induced_exponential,
     induced_standard,
-    iterate_pair,
     run_suite,
+    solve,
 )
 from fuzzyfp.cli import main
 from fuzzyfp.tnorms import LUKASIEWICZ, MINIMUM, PRODUCT
@@ -51,7 +51,7 @@ def _verdict(num, label, ok):
 
 def test_criterion_1_closed_form_regression():
     start = time.perf_counter()
-    res = iterate_pair(linear_pair(), MU, NU, np.array([0.0]))
+    res = solve(linear_pair(), MU, NU, np.array([0.0]))
     elapsed = time.perf_counter() - start
 
     ok = (
@@ -188,7 +188,7 @@ def test_criterion_5_vacuity_demonstration():
 
 def test_criterion_6_recurrence_validation():
     pair = linear_pair()
-    res = iterate_pair(pair, MU, NU, np.array([0.0]))
+    res = solve(pair, MU, NU, np.array([0.0]))
     grid = res.trace_x.grid
     samples = SampleSet(
         points_x=res.trace_x.points, grid=grid, exclude_diagonal=False

@@ -3,8 +3,9 @@
 Each example mutates one leaf or section of a small valid config: it
 replaces the value with one from a fixed adversarial set, drops the key, or
 adds an unknown key.  Every subcommand must then exit 0, 1 or 2 without an
-uncaught exception.  Huge JSON integers are left out of the set on purpose:
-a huge count or dimension is a long run, not a broken contract.
+uncaught exception, and exit 2 wherever the mutation makes the config
+invalid by construction.  Huge JSON integers are left out of the set on
+purpose: a huge count or dimension is a long run, not a broken contract.
 """
 
 import contextlib
@@ -23,6 +24,15 @@ from test_cli import finite_config, pair_config
 
 COMMANDS = ("axioms", "hypotheses", "solve", "suite")
 ADVERSARIAL = ("x", True, None, [], {}, 0, -1, 2.5, math.nan, math.inf, 1e308)
+# The scalar fields that README's schema table types as an integer or a
+# finite number, and the JSON kinds that none of them accepts.
+NUMERIC = {
+    "grid": {"t_min", "t_max", "points"},
+    "solve": {"eps", "verify_tol", "max_iter", "stall_window", "p_max"},
+    "axioms": {"tnorm_samples", "fm_triples", "seed"},
+    "suite": {"count", "dim", "seed", "halfwidth", "starts"},
+}
+NOT_NUMBERS = (str, bool, type(None), list, dict)
 
 
 def quadruple_config():
@@ -95,6 +105,15 @@ def mutations():
 CASES = list(mutations())
 
 
+def invalid(base, path, action, value):
+    """True if the mutation makes any config invalid: an unknown key, or a
+    value of another JSON kind in a numeric scalar field."""
+    if action == "add":
+        return True
+    numeric = len(path) == 2 and path[1] in NUMERIC.get(path[0], ())
+    return action == "set" and numeric and type(value) in NOT_NUMBERS
+
+
 def mutated(base, path, action, value):
     doc = copy.deepcopy(BASES[base])
     if action == "add":
@@ -125,3 +144,17 @@ def test_mutated_config_never_raises(case):
                 code = main([command, "--config", path, "--out", os.path.join(tmp, "out")])
             assert code in (0, 1, 2), (command, case)
             assert "Traceback" not in err.getvalue()
+
+
+def test_every_invalid_mutation_exits_two(tmp_path):
+    """Every mutation that makes the config invalid by construction, not a
+    sample of them, exits 2 on every subcommand without a traceback."""
+    path = str(tmp_path / "c.json")
+    for case in filter(lambda c: invalid(*c), CASES):
+        with open(path, "w") as fh:
+            json.dump(mutated(*case), fh)
+        for command in COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--config", path, "--out", str(tmp_path / "out")])
+            assert code == 2 and "Traceback" not in err.getvalue(), (command, case)

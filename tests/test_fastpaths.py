@@ -9,17 +9,10 @@ from hypothesis import strategies as st
 
 from fuzzyfp import BoxSpace, DomainError, TGrid
 from fuzzyfp.metrics import _check_ts
+from oracles import contains as reference_contains
 
 ATOL = 1e-9  # the containment slack of BoxSpace
 SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
-
-
-def reference_contains(box, x):
-    """BoxSpace.contains spelled out with every check on every call."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != box.lo.shape or not np.all(np.isfinite(x)):
-        return False
-    return bool(np.all(x >= box.lo - ATOL) and np.all(x <= box.hi + ATOL))
 
 
 def _coordinate(lo, hi):

@@ -29,8 +29,7 @@ from fuzzyfp import (
     estimate_k_quad,
     estimate_k_self_quad,
     induced_standard,
-    iterate_pair,
-    iterate_quadruple,
+    solve,
 )
 from fuzzyfp.solver import SolveConfig
 from oracles import (
@@ -547,7 +546,7 @@ def test_ratio_dump_matches_scalar_oracle(scheme):
 class TestRecurrencePair:
     def test_constant_maps_zero_violations_for_large_k(self, line):
         pair = MapPair(T=ConstantMap([5.0], line), S=ConstantMap([2.0], line))
-        res = iterate_pair(pair, MU, NU, np.array([17.0]))
+        res = solve(pair, MU, NU, np.array([17.0]))
         grid = res.trace_x.grid
         # the only checked step needs k >= max_t mu(17, 2, t) = 100/115
         rhs_max = float(np.max(MU.mu_grid(np.array([17.0]), np.array([2.0]), grid.values)))
@@ -557,14 +556,14 @@ class TestRecurrencePair:
         assert rep_low.violation_count >= 1
 
     def test_k_near_one_sanity(self, linear_pair):
-        res = iterate_pair(linear_pair, MU, NU, np.array([0.0]))
+        res = solve(linear_pair, MU, NU, np.array([0.0]))
         rep = check_recurrence_pair(
             res.trace_x, res.trace_y, MU, NU, 1.0 - 1e-12, res.trace_x.grid
         )
         assert rep.violation_count == 0
 
     def test_k_hat_from_trace_sample_gives_zero_violations(self, linear_pair):
-        res = iterate_pair(linear_pair, MU, NU, np.array([0.0]))
+        res = solve(linear_pair, MU, NU, np.array([0.0]))
         grid = res.trace_x.grid
         # diagonal inclusion keeps the near-coincident tail pairs in the
         # sample; their ratios are exactly what the recurrence cells need
@@ -584,7 +583,7 @@ class TestRecurrencePair:
         assert rep_again.worst_margin == rep_half.worst_margin
 
     def test_k_domain_checked(self, linear_pair):
-        res = iterate_pair(linear_pair, MU, NU, np.array([0.0]))
+        res = solve(linear_pair, MU, NU, np.array([0.0]))
         with pytest.raises(DomainError):
             check_recurrence_pair(res.trace_x, res.trace_y, MU, NU, 1.5, res.trace_x.grid)
 
@@ -604,7 +603,7 @@ class TestRecurrenceQuad:
             S=ConstantMap(z0, line),
             T=ConstantMap(z0, line),
         )
-        res = iterate_quadruple(quad, MU, NU, np.array([17.0]))
+        res = solve(quad, MU, NU, np.array([17.0]))
         grid = res.trace_x.grid
         # the stationary tail has cells with lhs = rhs = 1, where any k < 1
         # fails by 1 - k; only k within the violation tolerance of 1 passes
@@ -624,7 +623,7 @@ class TestRecurrenceQuad:
             T=AffineMap([[1.0 / 3.0]], [1.0], LINE),
         )
         cfg = SolveConfig(max_iter=40)
-        res = iterate_quadruple(quad, MU, NU, np.array([0.0]), cfg)
+        res = solve(quad, MU, NU, np.array([0.0]), cfg)
         grid = cfg.grid
 
         # recurrence-specific best constant, computed independently in a loop;
@@ -682,14 +681,14 @@ class TestRecurrenceQuad:
         # for the two-cycle quadruple the hypotheses fail globally and the
         # validator reports violations even at k near 1 (diagnostic role)
         cfg = SolveConfig(max_iter=40)
-        res = iterate_quadruple(mixed_quad, MU, NU, np.array([0.0]), cfg)
+        res = solve(mixed_quad, MU, NU, np.array([0.0]), cfg)
         rep = check_recurrence_quad(
             res.trace_x, res.trace_y, mixed_quad, MU, NU, 1.0 - 1e-12, cfg.grid
         )
         assert rep.violation_count >= 1
 
     def test_foreign_trace_rejected(self, linear_pair):
-        res = iterate_pair(linear_pair, MU, NU, np.array([0.0]))
+        res = solve(linear_pair, MU, NU, np.array([0.0]))
         foreign = MapQuadruple(
             A=AffineMap([[0.1]], [7.0], LINE),
             B=AffineMap([[0.1]], [7.0], LINE),

@@ -24,6 +24,7 @@ class TestAffineMap:
         box = BoxSpace([-1.0], [1.0])
         m = AffineMap([[2.0]], [0.0], box)
         assert np.array_equal(m(np.array([0.4])), np.array([0.8]))
+        assert np.array_equal(m(0.4), np.array([0.8]))  # a 1-D point given as a scalar
         with pytest.raises(CodomainError):
             m(np.array([0.9]))
 

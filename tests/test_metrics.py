@@ -11,7 +11,6 @@ from fuzzyfp import (
     FiniteSpace,
     TableFuzzyMetric,
     TGrid,
-    eval_mu,
     induced_exponential,
     induced_standard,
 )
@@ -78,11 +77,6 @@ class TestInducedStandard:
             self.fm.mu(a, b, 0.0)
         with pytest.raises(DomainError):
             self.fm.mu(a, b, -1.0)
-
-    def test_eval_mu_validates_points(self):
-        with pytest.raises(DomainError):
-            eval_mu(self.fm, [1000.0], [0.0], 1.0)
-        assert eval_mu(self.fm, [0.0], [1.0], 1.0) == pytest.approx(0.5)
 
     def test_mu_grid_matches_scalar(self):
         a, b = np.array([0.3]), np.array([-4.0])

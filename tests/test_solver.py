@@ -14,8 +14,7 @@ from fuzzyfp import (
     induced_exponential,
     induced_standard,
     is_cauchy,
-    iterate_pair,
-    iterate_quadruple,
+    solve,
     uniqueness_probe,
     verify_conclusions_pair,
     verify_conclusions_quadruple,
@@ -50,14 +49,14 @@ class TestSolveConfig:
 class TestIteratePair:
     def test_constant_maps(self, line):
         pair = MapPair(T=ConstantMap([5.0], line), S=ConstantMap([2.0], line))
-        res = iterate_pair(pair, MU, NU, np.array([17.0]))
+        res = solve(pair, MU, NU, np.array([17.0]))
         assert res.converged
         assert res.iterations <= 2
         assert res.z[0] == 2.0 and res.w[0] == 5.0
         assert all(c.residual == 1.0 for c in res.conclusion_checks)
 
     def test_linear_pair_closed_form(self, linear_pair):
-        res = iterate_pair(linear_pair, MU, NU, np.array([0.0]))
+        res = solve(linear_pair, MU, NU, np.array([0.0]))
         assert res.converged
         assert res.iterations <= 60
         # closed form: ST x = x/6 + 4/3 has fixed point (4/3)/(5/6) = 1.6
@@ -70,11 +69,11 @@ class TestIteratePair:
         x = 0.0
         for _ in range(60):
             x = (x / 2.0 + 1.0) / 3.0 + 1.0
-        res = iterate_pair(linear_pair, MU, NU, np.array([0.0]))
+        res = solve(linear_pair, MU, NU, np.array([0.0]))
         assert res.z[0] == pytest.approx(x, abs=1e-9)
 
     def test_expansive_pair_diverges(self, expansive_pair):
-        res = iterate_pair(expansive_pair, MU, NU, np.array([1.0]))
+        res = solve(expansive_pair, MU, NU, np.array([1.0]))
         assert res.status == "diverging"
         assert res.iterations <= 60
         # nearness at the smallest scale declines monotonically
@@ -82,7 +81,7 @@ class TestIteratePair:
         assert np.all(np.diff(col) < 0)
 
     def test_trace_step_identity(self, linear_pair):
-        res = iterate_pair(linear_pair, MU, NU, np.array([0.0]))
+        res = solve(linear_pair, MU, NU, np.array([0.0]))
         xs = res.trace_x.points
         ys = res.trace_y.points
         for n in range(len(xs) - 1):
@@ -90,13 +89,13 @@ class TestIteratePair:
             assert np.array_equal(ys[n], linear_pair.T(xs[n]))
 
     def test_y_trace_offset_convention(self, linear_pair):
-        res = iterate_pair(linear_pair, MU, NU, np.array([0.0]))
+        res = solve(linear_pair, MU, NU, np.array([0.0]))
         # trace_y[0] is y_1 = T(x_0)
         assert np.array_equal(res.trace_y.points[0], linear_pair.T(np.array([0.0])))
 
     def test_determinism(self, linear_pair):
-        r1 = iterate_pair(linear_pair, MU, NU, np.array([0.0]))
-        r2 = iterate_pair(linear_pair, MU, NU, np.array([0.0]))
+        r1 = solve(linear_pair, MU, NU, np.array([0.0]))
+        r2 = solve(linear_pair, MU, NU, np.array([0.0]))
         assert r1.iterations == r2.iterations
         assert all(
             np.array_equal(a, b) for a, b in zip(r1.trace_x.points, r2.trace_x.points)
@@ -104,7 +103,7 @@ class TestIteratePair:
         assert np.array_equal(r1.trace_x.nearness, r2.trace_x.nearness)
 
     def test_stopping_implies_sampled_cauchy(self, linear_pair):
-        res = iterate_pair(linear_pair, MU, NU, np.array([0.0]))
+        res = solve(linear_pair, MU, NU, np.array([0.0]))
         # 6x contraction: an 8-step tail is within ~6^8 of the last step,
         # so the sampled Cauchy predicate holds at a 1e-3 nearness slack
         assert is_cauchy(res.trace_x, MU, res.trace_x.grid, eps=1e-3, p_max=8)
@@ -131,11 +130,9 @@ class TestVerifyConclusionsPair:
         assert all(c.passed for c in checks)
 
 
-def test_scheme_wrappers_reject_the_other_scheme(linear_pair, mixed_quad):
-    with pytest.raises(UsageError, match="needs a MapPair"):
-        iterate_pair(mixed_quad, MU, NU, np.array([0.0]))
-    with pytest.raises(UsageError, match="needs a MapQuadruple"):
-        iterate_quadruple(linear_pair, MU, NU, np.array([0.0]))
+def test_solve_rejects_a_problem_it_cannot_solve(linear_pair):
+    with pytest.raises(UsageError, match="cannot solve problem of type AffineMap"):
+        solve(linear_pair.T, MU, NU, np.array([0.0]))
 
 
 class TestIterateQuadruple:
@@ -147,7 +144,7 @@ class TestIterateQuadruple:
             S=ConstantMap(z0, line),
             T=ConstantMap(z0, line),
         )
-        res = iterate_quadruple(quad, MU, NU, np.array([17.0]))
+        res = solve(quad, MU, NU, np.array([17.0]))
         assert res.converged
         assert res.iterations <= 4  # at most two cycles
         assert res.z[0] == 2.0 and res.w[0] == 5.0
@@ -156,7 +153,7 @@ class TestIterateQuadruple:
     def test_symmetric_linear_contraction_to_origin(self, line):
         half = AffineMap([[0.5]], [0.0], line)
         quad = MapQuadruple(A=half, B=half, S=half, T=half)
-        res = iterate_quadruple(quad, MU, NU, np.array([1.0]))
+        res = solve(quad, MU, NU, np.array([1.0]))
         assert res.converged
         assert abs(res.z[0]) <= 1e-6 and abs(res.w[0]) <= 1e-6
         assert res.conclusions_passed
@@ -165,7 +162,7 @@ class TestIterateQuadruple:
         """SA and TB have different fixed points; the interleaved scheme
         oscillates between the even/odd subsequence limits."""
         cfg = SolveConfig(max_iter=300)
-        res = iterate_quadruple(mixed_quad, MU, NU, np.array([0.0]), cfg)
+        res = solve(mixed_quad, MU, NU, np.array([0.0]), cfg)
         assert res.status == "max-iter"
 
         # exact oracle: even limit solves x = T(B(S(A(x)))), a 1-d affine
@@ -195,7 +192,7 @@ class TestIterateQuadruple:
 
     def test_interleave_identities(self, mixed_quad):
         cfg = SolveConfig(max_iter=20)
-        res = iterate_quadruple(mixed_quad, MU, NU, np.array([0.0]), cfg)
+        res = solve(mixed_quad, MU, NU, np.array([0.0]), cfg)
         xs = res.trace_x.points
         ys = res.trace_y.points  # ys[i] is y_{i+1}
         for n in range(1, len(ys) + 1):
@@ -283,7 +280,7 @@ class TestUniquenessProbe:
         )
         rep = uniqueness_probe(linear_pair, MU, NU, starts)
         assert [[s[0] for s in batch] for batch in batches] == [[-10.0, 0.0, 3.0]]
-        alone = [iterate_pair(linear_pair, MU, NU, s) for s in starts]
+        alone = [solve(linear_pair, MU, NU, s) for s in starts]
         assert rep.statuses == tuple(r.status for r in alone)
         assert [r.iterations for r in rep.results] == [r.iterations for r in alone]
         assert rep.zs[0] is rep.results[0].z
@@ -316,7 +313,7 @@ class TestCollapseRule:
     def test_expansive_exponential_pair_still_diverges(self, line):
         double = AffineMap([[2.0]], [0.0], line)
         mu = induced_exponential(line)
-        res = iterate_pair(MapPair(T=double, S=double), mu, mu, np.array([1.0]))
+        res = solve(MapPair(T=double, S=double), mu, mu, np.array([1.0]))
         assert res.status == "diverging"
         assert res.trace_x.nearness[-1, -1] <= 1e-300
         assert res.iterations < 100  # stopped by the monitor, long before overflow
@@ -326,7 +323,7 @@ class TestCollapseRule:
         # floor too; the crisp step lengths show that the steps shrink
         shrink = AffineMap([[0.99]], [0.0], line)
         mu = induced_exponential(line)
-        res = iterate_pair(MapPair(T=shrink, S=shrink), mu, mu, np.array([1e8]))
+        res = solve(MapPair(T=shrink, S=shrink), mu, mu, np.array([1e8]))
         assert (res.trace_x.nearness[:60] <= 1e-300).all()
         assert res.status == "converged"
         assert res.conclusions_passed
@@ -335,7 +332,7 @@ class TestCollapseRule:
         grow = AffineMap([[1.01]], [0.0], line)
         mu = induced_exponential(line)
         cfg = SolveConfig()
-        res = iterate_pair(MapPair(T=grow, S=grow), mu, mu, np.array([1e8]), cfg)
+        res = solve(MapPair(T=grow, S=grow), mu, mu, np.array([1e8]), cfg)
         assert (res.trace_x.nearness <= 1e-300).all()
         assert res.status == "diverging"
         assert res.iterations <= cfg.stall_window + 1
@@ -364,7 +361,7 @@ class TestCollapseRule:
         quad = MapQuadruple(A=ident, B=ident, S=flip, T=shrink)
         mu = induced_exponential(line)
         cfg = SolveConfig(stall_window=window)
-        res = iterate_quadruple(quad, mu, mu, np.array([30000.0]), cfg)
+        res = solve(quad, mu, mu, np.array([30000.0]), cfg)
         assert (res.trace_x.nearness[:100, 0] <= 1e-300).all()
         assert res.status == "converged"
         assert res.conclusions_passed
@@ -383,7 +380,7 @@ class TestCollapseRule:
         )
         mu = induced_exponential(plane)
         cfg = SolveConfig(stall_window=window)
-        res = iterate_quadruple(quad, mu, mu, np.array([5.0, 3.0]), cfg)
+        res = solve(quad, mu, mu, np.array([5.0, 3.0]), cfg)
         steps = np.linalg.norm(np.diff(np.array(res.trace_x.points[:5]), axis=0), axis=1)
         assert len(set(np.round(steps, 6))) == 2
         assert res.status == "diverging"
@@ -392,7 +389,7 @@ class TestCollapseRule:
 
 def test_conclusion_residuals_meet_declared_tolerance(linear_pair):
     cfg = SolveConfig(verify_tol=1e-6)
-    res = iterate_pair(linear_pair, MU, NU, np.array([0.0]), cfg)
+    res = solve(linear_pair, MU, NU, np.array([0.0]), cfg)
     assert res.converged
     assert all(c.residual >= 1.0 - 1e-6 for c in res.conclusion_checks)
 
@@ -409,7 +406,7 @@ class TestFiniteCarrierEndToEnd:
             T=TableMap([0, 1, 1], space_y),
             S=TableMap([2, 2], space_x),
         )
-        res = iterate_pair(pair, mu, nu, 0)
+        res = solve(pair, mu, nu, 0)
         assert res.converged
         assert res.z == 2 and res.w == 1
         assert all(c.residual == 1.0 for c in res.conclusion_checks)
@@ -419,28 +416,28 @@ class TestStopReason:
     """stop_reason says why a run stopped; status stays converged, max-iter or diverging."""
 
     def test_eps_reached(self, linear_pair):
-        res = iterate_pair(linear_pair, MU, NU, np.array([0.0]))
+        res = solve(linear_pair, MU, NU, np.array([0.0]))
         assert (res.stop_reason, res.status) == ("eps-reached", "converged")
 
     def test_max_iter(self, mixed_quad):
-        res = iterate_quadruple(mixed_quad, MU, NU, np.array([0.0]), SolveConfig(max_iter=300))
+        res = solve(mixed_quad, MU, NU, np.array([0.0]), SolveConfig(max_iter=300))
         assert (res.stop_reason, res.status) == ("max-iter", "max-iter")
 
     def test_stall(self, expansive_pair):
-        res = iterate_pair(expansive_pair, MU, NU, np.array([1.0]))
+        res = solve(expansive_pair, MU, NU, np.array([1.0]))
         assert (res.stop_reason, res.status) == ("stall", "diverging")
 
     def test_collapse(self, line):
         grow = AffineMap([[1.01]], [0.0], line)
         mu = induced_exponential(line)
-        res = iterate_pair(MapPair(T=grow, S=grow), mu, mu, np.array([1e8]))
+        res = solve(MapPair(T=grow, S=grow), mu, mu, np.array([1e8]))
         assert (res.stop_reason, res.status) == ("collapse", "diverging")
 
     def test_codomain_escape(self):
         box = BoxSpace([-10.0], [10.0])
         double = AffineMap([[2.0]], [0.0], box)
         mu = induced_standard(box)
-        res = iterate_pair(MapPair(T=double, S=double), mu, mu, np.array([1.0]))
+        res = solve(MapPair(T=double, S=double), mu, mu, np.array([1.0]))
         assert (res.stop_reason, res.status) == ("codomain-escape", "diverging")
         assert res.iterations == 1  # T(4) = 8 stays in, S(8) = 16 escapes
 

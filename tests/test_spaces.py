@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fuzzyfp import BoxSpace, DomainError, FiniteSpace, SplitMix64, UsageError, points_equal
+from fuzzyfp import BoxSpace, DomainError, FiniteSpace, SplitMix64, UsageError
 
 
 class TestBoxSpace:
@@ -81,10 +81,3 @@ class TestFiniteSpace:
         fs = FiniteSpace([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
         pts = fs.sample(SplitMix64(1), 20)
         assert set(pts) <= {0, 1, 2}
-
-
-def test_points_equal_tolerance():
-    box = BoxSpace([-10.0], [10.0])
-    a = np.array([1.0])
-    assert points_equal(box, a, a + 1e-10)
-    assert not points_equal(box, a, a + 1e-6)
