@@ -190,7 +190,8 @@ def estimate_k_pair(
         valid = True
         if samples.exclude_diagonal:
             valid = (mu.carrier.distances(xs[s, None], xs[None]) > DELTA_PT)[:, :, None]
-        return [(rhs / mu.pairwise(st[s], st, ts), valid)]
+        with np.errstate(divide="ignore", invalid="ignore"):  # x/0 = inf and 0/0 = NaN cells are kept
+            return [(rhs / mu.pairwise(st[s], st, ts), valid)]
 
     (report,) = _reports(("pair",), evaluate, (xs, xs), samples, (n,), keep_ratios)
     if report.k_hat is None:

@@ -119,13 +119,21 @@ class ComposedMap(Mapping):
         if escaped is None:
             return self.outer.rows(mid)
         # rows that escaped the inner codomain are not mapped on
-        ok = ~escaped
-        kept, kept_escaped = self.outer.rows(mid[ok])
-        out = np.zeros((len(xs),) + kept.shape[1:], dtype=kept.dtype)
-        out[ok] = kept
-        if kept_escaped is not None:
-            escaped[ok] = kept_escaped
-        return out, escaped
+        out, outer_escaped = live_rows(self.outer, mid, ~escaped)
+        return out, escaped if outer_escaped is None else escaped | outer_escaped
+
+
+def live_rows(m: Mapping, xs: np.ndarray, live: np.ndarray):
+    """m.rows of the rows of xs in the mask live; the others are not
+    mapped, read 0 and do not escape."""
+    kept, kept_escaped = m.rows(xs[live])
+    out = np.zeros((len(xs),) + kept.shape[1:], dtype=kept.dtype)
+    out[live] = kept
+    escaped = None
+    if kept_escaped is not None:
+        escaped = np.zeros(len(xs), dtype=bool)
+        escaped[live] = kept_escaped
+    return out, escaped
 
 
 @dataclass(eq=False)

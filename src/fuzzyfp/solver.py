@@ -5,16 +5,16 @@ full interleaved cycles y_{2n-1} = A(x_{2n-2}), x_{2n-1} = S(y_{2n-1}),
 y_{2n} = B(x_{2n-1}), x_{2n} = T(y_{2n}).
 
 One driver runs either scheme from any number of starts in lock step: each
-step maps the stacked iterates of the starts still running at once, and
-each start stops on its own, with the result that a run from that start
-alone gives.
+step maps the stacked iterates of the starts still running at once, a chunk
+of cycles is judged at once after it is mapped, and each start stops on its
+own, with the result that a run from that start alone gives.
 
 Stopping declares convergence on both sequences simultaneously: every
 step-nearness value of the most recent steps must reach 1 - eps on the
 whole grid.  The limit is the final iterate, no extrapolation.  A run is
 flagged diverging when step nearness at the smallest grid scale strictly
 decreases for stall_window consecutive steps, or stays at the 1e-300 floor
-for stall_window steps that did not shrink (see _DivergenceMonitor), and
+for stall_window steps that did not shrink (see _Runs._flags), and
 when an iterate escapes its carrier; the schemes must terminate on any input.
 """
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CodomainError, DomainError, UsageError
-from .mappings import MapPair, MapQuadruple
+from .mappings import MapPair, MapQuadruple, live_rows
 from .metrics import FuzzyMetric, TGrid
 from .sequences import SequenceTrace
 from .spaces import validate_points
@@ -105,67 +105,6 @@ class FixedPointResult:
         return min(c.residual for c in self.conclusion_checks)
 
 
-class _DivergenceMonitor:
-    """Tracks, per start, step nearness at the smallest and the largest grid scale.
-
-    window steps at the collapse floor flag divergence only if nearness at
-    the largest scale did not rise over them (a long but shrinking step
-    underflows at t_min too under the exponential form).  The last step is
-    compared with the steps window - 1 and window back, so the quadruple
-    scheme's alternating S∘A and T∘B steps always meet one of their kind.
-    When the compared steps sit at the floor at the largest scale as well,
-    a rise cannot be seen there, and their crisp lengths decide instead.
-    Those lengths are kept with the tops, so the decision computes none.
-    """
-
-    def __init__(self, window: int, count: int):
-        self.window = window
-        self.prev = np.full(count, -np.inf)
-        self.decline_run = np.zeros(count, dtype=np.intp)
-        self.collapse_run = np.zeros(count, dtype=np.intp)
-        # the tops and crisp lengths of each start's last window + 1 steps, in a ring
-        self.tops = np.empty((count, window + 1))
-        self.lengths = np.empty((count, window + 1))
-        self.pushes = 0
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Keep only the starts in the mask rows."""
-        self.prev, self.decline_run, self.collapse_run = (
-            self.prev[rows], self.decline_run[rows], self.collapse_run[rows]
-        )
-        self.tops, self.lengths = self.tops[rows], self.lengths[rows]
-
-    def push(self, rows: np.ndarray, lengths: np.ndarray) -> dict:
-        """Take each start's nearness row and crisp length of its step xs[-2] -> xs[-1];
-        return {row: stop reason} of the starts flagged diverging."""
-        value = rows[:, 0]
-        self.decline_run += 1
-        self.decline_run *= value < self.prev
-        self.collapse_run += 1
-        self.collapse_run *= value <= _COLLAPSE
-        self.prev = value
-        size = self.window + 1
-        slot = self.pushes % size
-        self.tops[:, slot] = rows[:, -1]
-        self.lengths[:, slot] = lengths
-        self.pushes += 1
-        if self.decline_run.max() < self.window and self.collapse_run.max() < self.window:
-            return {}
-        filled = min(self.pushes, size)
-        backs = [(slot - k) % size for k in (self.window, self.window - 1) if k < filled]
-        flagged = {}
-        for i in np.flatnonzero(np.maximum(self.decline_run, self.collapse_run) >= self.window):
-            if self.decline_run[i] >= self.window:
-                flagged[i] = STOP_STALL
-                continue
-            back_tops = self.tops[i, backs]
-            if self.tops[i, slot] > back_tops.min():
-                continue
-            if back_tops.max() > _COLLAPSE or self.lengths[i, slot] >= self.lengths[i, backs].max():
-                flagged[i] = STOP_COLLAPSE
-        return flagged
-
-
 def _residual(name: str, fm: FuzzyMetric, f, p, q, grid: TGrid, tol: float) -> ConclusionCheck:
     """min_t mu(f(p), q, t) for the identity f(p) = q; 0.0, failed, if f(p) escapes."""
     try:
@@ -205,6 +144,12 @@ def verify_conclusions_quadruple(
     )
 
 
+# Cycles mapped at most before their steps are judged.  Chunks grow from one
+# cycle to this cap, so that a short run maps few cycles past its stop.  On
+# suite-quad-slow, caps of 32 and 64 tie and 16, 128 and 256 are slower.
+_CHUNK_CYCLES = 64
+
+
 class _Steps:
     """One per-step array of every start of a batch, step-major: entry n
     holds the rows of the starts running at step n, each in its start's
@@ -217,17 +162,23 @@ class _Steps:
         self.buf = None
         self.n = 0
 
-    def append(self, ids: np.ndarray, rows: np.ndarray) -> None:
+    def extend(self, ids: np.ndarray, rows: np.ndarray) -> None:
+        """Append the entries rows[0], rows[1], ... of the starts ids as one slice."""
         if self.buf is None:
-            self.buf = np.empty((16, len(ids)) + rows.shape[1:], dtype=rows.dtype)
+            self.buf = np.empty((16, len(ids)) + rows.shape[2:], dtype=rows.dtype)
             self.cols[ids] = np.arange(len(ids))
-        elif self.n == len(self.buf):
+        end = self.n + len(rows)
+        while end > len(self.buf):
             self.buf = np.concatenate([self.buf, np.empty_like(self.buf)])
         if len(ids) == self.buf.shape[1]:
-            self.buf[self.n] = rows
+            self.buf[self.n : end] = rows
         else:
-            self.buf[self.n, self.cols[ids]] = rows
-        self.n += 1
+            self.buf[self.n : end, self.cols[ids]] = rows
+        self.n = end
+
+    def since(self, ids: np.ndarray, n: int) -> np.ndarray:
+        """Entries n onward of the starts ids."""
+        return self.buf[n : self.n, self.cols[ids]]
 
     def column(self, i: int, n: int):
         """A copy of the first n entries of start i, or None if there are
@@ -242,43 +193,150 @@ class _Steps:
             self.cols[ids] = np.arange(len(ids))
 
 
+def _map_chunk(cycle, x: np.ndarray, y, cycles: int):
+    """Map cycles cycles from the iterates x of the running starts and their
+    last y (None before the first): the stacked xs (x, then one per step),
+    the stacked ys, and per start the number of maps it applied before its
+    first escape, or -1.  A start that escapes is frozen at its last
+    in-codomain iterates for the rest of the chunk, and no map sees it again."""
+    k = cycles * len(cycle)
+    xs, ys = np.empty((k + 1,) + x.shape, dtype=x.dtype), None
+    escapes = np.full(len(x), -1)
+    dead = None
+
+    def step(m, v, hold, maps):
+        nonlocal dead
+        out, escaped = m.rows(v) if dead is None else live_rows(m, v, ~dead)
+        if escaped is not None:
+            escapes[escaped] = maps
+            dead = escaped if dead is None else dead | escaped
+        if dead is None:
+            return out
+        return np.where(dead.reshape((-1,) + (1,) * (out.ndim - 1)), hold, out)
+
+    xs[0] = x
+    for n in range(k):
+        to_y, to_x = cycle[n % len(cycle)]
+        y = step(to_y, x, 0 if y is None else y, 2 * n)  # 0: a placeholder no map sees
+        if ys is None:
+            ys = np.empty((k,) + y.shape, dtype=y.dtype)
+        ys[n] = y
+        x = xs[n + 1] = step(to_x, y, x, 2 * n + 1)
+    return xs, ys, escapes
+
+
 class _Runs:
     """Which starts of a batch still run, why the others stopped and their
-    traces, the divergence monitor, and the iterates and nearness rows of
-    every step of the running starts."""
+    traces, and the iterates, nearness rows and crisp lengths of every step
+    of the running starts."""
 
-    def __init__(self, x0: np.ndarray, window: int, grid: TGrid):
+    def __init__(self, x0: np.ndarray, mu, nu, cfg: SolveConfig):
         n = len(x0)
         self.ids = np.arange(n)
         self.reasons = [STOP_MAX_ITER] * n
-        self.monitor = _DivergenceMonitor(window, n)
-        self.grid = grid
-        self.steps = [_Steps(n) for _ in range(4)]
-        self.xs, self.ys, self.x_rows, self.y_rows = self.steps
-        self.xs.append(self.ids, x0)
+        self.mu, self.nu, self.cfg = mu, nu, cfg
+        self.steps = [_Steps(n) for _ in range(5)]
+        self.xs, self.ys, self.x_rows, self.y_rows, self.lengths = self.steps
+        self.xs.extend(self.ids, x0[None])
         self.done = [None] * n  # each stopped start's (trace_x, trace_y)
 
-    def stop(self, reasons: dict, *arrays) -> list:
-        """Stop the rows in reasons ({row: stop reason}); the per-row arrays
-        without those rows (None stays None)."""
-        keep = np.ones(len(self.ids), dtype=bool)
-        for row, reason in reasons.items():
+    def judge(self, xs, ys, y_prev, escapes, cycles: int) -> np.ndarray:
+        """Store a chunk of cycles from _map_chunk (y_prev: the y before it)
+        and stop each start at its first stop in it: an escape at once, else
+        at the end of a cycle, eps-reached before the first divergence flag
+        of that cycle.  The mask of the starts that run on."""
+        grid, level = self.cfg.grid, 1.0 - self.cfg.eps
+        k, count = len(ys), len(self.ids)
+        per = k // cycles  # steps per cycle
+        first = self.x_rows.n  # the chunk's first step
+        lengths = self.mu.carrier.distances(xs[:-1], xs[1:])
+        x_rows = self.mu.mu_from_distances(lengths, xs[:-1], xs[1:], grid)
+        y_all = ys if y_prev is None else np.concatenate([y_prev[None], ys])
+        y_rows = self.nu.mu_batch(y_all[:-1], y_all[1:], grid)
+        for steps, rows in zip(self.steps, (xs[1:], ys, x_rows, y_rows, lengths)):
+            steps.extend(self.ids, rows)
+        near = (x_rows >= level).all(axis=-1)
+        near[k - len(y_rows) :] &= (y_rows >= level).all(axis=-1)
+        near = near.reshape(cycles, per, count).all(axis=1)
+        near[0] &= first > 0  # the first cycle never counts
+        flags = self._flags(first, k).reshape(cycles, per, count)
+        flag = flags[:, 0]
+        for j in range(1, per):  # the first flag of a cycle wins
+            flag = np.where(flag > 0, flag, flags[:, j])
+        ends = near | (flag > 0)
+        ended = ends.any(axis=0)
+        run_on = ~ended & (escapes < 0)
+        if run_on.all():
+            return run_on
+        end = np.where(ended, ends.argmax(axis=0), cycles)
+        escape = np.where(escapes < 0, cycles, escapes // (2 * per))
+        for row in np.flatnonzero(~run_on):
+            c = end[row]
+            if c < escape[row]:
+                reason = STOP_EPS if near[c, row] else (STOP_STALL, STOP_COLLAPSE)[flag[c, row] - 1]
+                maps = 2 * (first + (c + 1) * per)
+            else:
+                reason, maps = STOP_ESCAPE, 2 * first + escapes[row]
             i = int(self.ids[row])
-            self.reasons[i], self.done[i] = reason, self._traces(i)
-            keep[row] = False
-        self.ids = self.ids[keep]
-        self.monitor.keep(keep)
+            self.reasons[i], self.done[i] = reason, self._traces(i, maps)
+        self.ids = self.ids[run_on]
         for steps in self.steps:
             steps.keep(self.ids)
-        return [None if a is None else a[keep] for a in arrays]
+        return run_on
 
-    def _traces(self, i: int):
-        xs, ys, x_rows, y_rows = (s.column(i, s.n) for s in self.steps)
-        return _trace(xs, x_rows, self.grid), _trace(ys, y_rows, self.grid)
+    def _flags(self, first: int, k: int) -> np.ndarray:
+        """Per step of the chunk of k steps from first on and per running
+        start: 1 if the step flags a stall, 2 if it flags a collapse, else 0.
+
+        Step nearness at the smallest grid scale falling over stall_window
+        steps in a row is a stall.  stall_window steps in a row at the
+        collapse floor are a collapse only if nearness at the largest scale
+        did not rise over them (a long but shrinking step underflows at
+        t_min too under the exponential form).  The step is compared with
+        the steps window - 1 and window back, so the quadruple scheme's
+        alternating S∘A and T∘B steps always meet one of their kind.  When
+        those sit at the floor at the largest scale as well, a rise cannot
+        be seen there, and the crisp lengths decide instead.  All of it is
+        read back from the stored rows and lengths.
+        """
+        window = self.cfg.stall_window
+        if first + k < window:  # no run of window steps ends in the chunk
+            return np.zeros((k, len(self.ids)), dtype=np.intp)
+        lo = max(first - window, 0)
+        rows = self.x_rows.since(self.ids, lo)
+        low, top = rows[..., 0], rows[..., -1]
+        length = self.lengths.since(self.ids, lo)
+        at = np.arange(first - lo, len(low))  # the chunk's steps
+        back = np.maximum(at - window + 1, 0)
+        back2 = np.where(at >= window, at - window, back)
+
+        def held(cond):  # cond at each of the window steps up to each step of the chunk
+            counts = np.concatenate([np.zeros((1, cond.shape[1]), np.intp), np.cumsum(cond, axis=0)])
+            return counts[at + 1] - counts[np.maximum(at + 1 - window, 0)] == window
+
+        falls = np.zeros(low.shape, dtype=bool)
+        falls[1:] = low[1:] < low[:-1]  # no run read here reaches back to falls[0] unless lo is 0
+        stall = held(falls)
+        collapse = (
+            held(low <= _COLLAPSE)
+            & ~(top[at] > np.minimum(top[back], top[back2]))
+            & (
+                (np.maximum(top[back], top[back2]) > _COLLAPSE)
+                | (length[at] >= np.maximum(length[back], length[back2]))
+            )
+        )
+        return np.where(stall, 1, 2 * collapse)
+
+    def _traces(self, i: int, maps: int):
+        """(trace_x, trace_y) of start i after it applied maps maps."""
+        nx, ny = maps // 2 + 1, (maps + 1) // 2
+        counts = (nx, ny, nx - 1, max(ny - 1, 0))
+        xs, ys, x_rows, y_rows = (s.column(i, n) for s, n in zip(self.steps, counts))
+        return _trace(xs, x_rows, self.cfg.grid), _trace(ys, y_rows, self.cfg.grid)
 
     def traces(self, i: int):
         """(trace_x, trace_y) of start i."""
-        return self.done[i] or self._traces(i)
+        return self.done[i] or self._traces(i, 2 * self.x_rows.n)
 
 
 def _trace(points, rows, grid: TGrid) -> SequenceTrace:
@@ -294,7 +352,7 @@ def _trace(points, rows, grid: TGrid) -> SequenceTrace:
     return SequenceTrace(points=points, nearness=nearness, grid=grid)
 
 
-@np.errstate(over="ignore")  # an orbit that overflows escapes or diverges, and its status says so
+@np.errstate(over="ignore", invalid="ignore")  # an orbit that overflows escapes or diverges, and its status says so
 def _iterate(problem, cycle, w_of, verify, mu, nu, starts, cfg) -> list[FixedPointResult]:
     """The one iteration loop, shared by both schemes, over all starts at once.
 
@@ -302,62 +360,23 @@ def _iterate(problem, cycle, w_of, verify, mu, nu, starts, cfg) -> list[FixedPoi
     number of cycles.  Each y is kept as soon as it is computed.  A start
     converges when every step row of a full cycle reaches 1 - eps, and the
     first cycle, which has one y row fewer, never counts.  A start whose
-    image escapes a codomain stops at once; the others carry on.  w_of(z, ys)
-    gives w, and verify checks the conclusions at (z, w) of the first start
-    only: the x0 of solve and of the suite's probe.
+    image escapes a codomain stops at once; the others carry on.  Only the
+    maps run step by step: a chunk of cycles is mapped, then judged at once
+    (_Runs.judge), and each start stops where a run of its own would have.
+    w_of(z, ys) gives w, and verify checks the conclusions at (z, w) of the
+    first start only: the x0 of solve and of the suite's probe.
     """
     cfg = cfg or SolveConfig()
-    grid, near_level = cfg.grid, 1.0 - cfg.eps
     x = validate_points(mu.carrier, starts)
-    runs = _Runs(x, cfg.stall_window, grid)
-    y_prev = None
-    for cycle_no in range(cfg.max_iter):
-        near = np.full(len(x), cycle_no > 0)
-        any_near = cycle_no > 0  # rows are tested only while some start may still be near
-        flagged = {}  # start id: the first divergence flag of this cycle
-        for to_y, to_x in cycle:
-            y, escaped = to_y.rows(x)
-            if escaped is not None:
-                escapes = dict.fromkeys(np.flatnonzero(escaped), STOP_ESCAPE)
-                x, y, y_prev, near = runs.stop(escapes, x, y, y_prev, near)
-                if not len(x):
-                    break
-            if y_prev is not None:
-                d = nu.carrier.distances(y_prev, y)
-                row = nu.mu_from_distances(d, y_prev, y, grid)
-                runs.y_rows.append(runs.ids, row)
-                if any_near:
-                    near &= (row >= near_level).all(axis=1)
-                    any_near = near.any()
-            runs.ys.append(runs.ids, y)
-            y_prev = y
-            x_next, escaped = to_x.rows(y)
-            if escaped is not None:
-                escapes = dict.fromkeys(np.flatnonzero(escaped), STOP_ESCAPE)
-                x, x_next, y_prev, near = runs.stop(escapes, x, x_next, y_prev, near)
-                if not len(x):
-                    break
-            d = mu.carrier.distances(x, x_next)
-            row = mu.mu_from_distances(d, x, x_next, grid)
-            runs.xs.append(runs.ids, x_next)
-            runs.x_rows.append(runs.ids, row)
-            if any_near:
-                near &= (row >= near_level).all(axis=1)
-                any_near = near.any()
-            for r, reason in runs.monitor.push(row, d).items():
-                flagged.setdefault(int(runs.ids[r]), reason)
-            x = x_next
-        if any_near or flagged:
-            ids = runs.ids.tolist()
-            stops = {
-                r: STOP_EPS if near[r] else flagged[i]
-                for r, i in enumerate(ids)
-                if near[r] or i in flagged
-            }
-            if stops:
-                x, y_prev = runs.stop(stops, x, y_prev)
-        if not len(runs.ids):
-            break
+    runs = _Runs(x, mu, nu, cfg)
+    y, done, size = None, 0, 1
+    while len(runs.ids) and done < cfg.max_iter:
+        size = min(size, cfg.max_iter - done)
+        xs, ys, escapes = _map_chunk(cycle, x, y, size)
+        run_on = runs.judge(xs, ys, y, escapes, size)
+        x, y = xs[-1][run_on], ys[-1][run_on]
+        done += size
+        size = min(2 * size, _CHUNK_CYCLES)
 
     results = []
     for i in range(len(starts)):
@@ -366,7 +385,7 @@ def _iterate(problem, cycle, w_of, verify, mu, nu, starts, cfg) -> list[FixedPoi
         w = w_of(z, trace_y.points)
         checks = ()
         if w is not None and i == 0:
-            checks = verify(problem, mu, nu, z, w, grid, cfg.verify_tol)
+            checks = verify(problem, mu, nu, z, w, cfg.grid, cfg.verify_tol)
         results.append(
             FixedPointResult(
                 z=z,

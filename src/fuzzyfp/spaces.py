@@ -82,13 +82,23 @@ class BoxSpace:
     def distance(self, x, y) -> float:
         return float(self.distances(x, y))
 
+    @np.errstate(over="ignore")  # a distance beyond the float range is inf
     def distances(self, a, b) -> np.ndarray:
         """Crisp distances of points on leading axes, broadcast.  np.vecdot (numpy >= 2.0)
-        rounds like np.dot; (d * d).sum(-1) does not, since BLAS ddot fuses multiply-adds."""
+        rounds like np.dot; (d * d).sum(-1) does not, since BLAS ddot fuses multiply-adds.
+        Rows whose squares overflow are recomputed scaled by their largest |d|."""
         d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-        if self.crisp_metric == "euclidean":
-            return np.sqrt(np.vecdot(d, d))
-        return np.abs(d).max(axis=-1)
+        if self.crisp_metric != "euclidean":
+            return np.abs(d).max(axis=-1)
+        out = np.sqrt(np.vecdot(d, d))
+        if np.isinf(out).any():
+            out = np.array(out)
+            over = np.isinf(out) & np.isfinite(d).all(axis=-1)
+            big = d[over]
+            scale = np.abs(big).max(axis=-1, keepdims=True)
+            out[over] = scale[:, 0] * np.sqrt(np.vecdot(big / scale, big / scale))
+            out = out[()]
+        return out
 
     def sample(self, rng, count: int, window=None) -> np.ndarray:
         """(count, dim) read-only array of uniform points from the box, or

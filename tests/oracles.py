@@ -48,13 +48,19 @@ def sample(carrier, rng, count, window=None):
 
 
 def distance(carrier, x, y):
-    """The crisp distance of one point pair, as np.dot computes it."""
+    """The crisp distance of one point pair, as np.dot computes it; if the
+    square overflows, scaled by the largest |d| first."""
     if not isinstance(carrier, BoxSpace):
         return float(carrier.table[int(x), int(y)])
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    if carrier.crisp_metric == "euclidean":
-        return math.sqrt(float(np.dot(d, d)))
-    return float(np.max(np.abs(d)))
+    with np.errstate(over="ignore"):
+        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+        if carrier.crisp_metric != "euclidean":
+            return float(np.max(np.abs(d)))
+        square = float(np.dot(d, d))
+        if math.isinf(square) and np.isfinite(d).all():
+            scale = float(np.max(np.abs(d)))
+            return scale * math.sqrt(float(np.dot(d / scale, d / scale)))
+        return math.sqrt(square)
 
 
 def distance_matrix(carrier, pts_a, pts_b):

@@ -4,6 +4,7 @@ bit with the scalar loops it replaces (tests/oracles.py)."""
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -34,9 +35,10 @@ from fuzzyfp import (
     induced_exponential,
     induced_standard,
 )
-from fuzzyfp import hypotheses
+from fuzzyfp import hypotheses, solver
 from fuzzyfp.axioms import MAX_WITNESSES
 from fuzzyfp.errors import CodomainError, EmptySampleError, UsageError
+from fuzzyfp.mappings import Mapping
 from fuzzyfp.hypotheses import (
     SampleSet,
     check_recurrence_pair,
@@ -336,23 +338,24 @@ def _same_trace(a, b):
     assert a.nearness.tobytes() == np.ascontiguousarray(b.nearness).tobytes()
 
 
-def assert_same_results(problem, mu, nu, starts, cfg):
-    """Every start's batched result is the one-start reference, bit for bit;
-    only the first start's conclusions are checked."""
-    results = solve_batch(problem, mu, nu, starts, cfg)
-    assert len(results) == len(starts)
-    for i, (got, start) in enumerate(zip(results, starts)):
-        ref = oracles.solve(problem, mu, nu, start, cfg)
-        assert (got.stop_reason, got.status, got.iterations) == (
-            ref.stop_reason,
-            ref.status,
-            ref.iterations,
-        )
+def _same_results(a, b):
+    """Every FixedPointResult field, traces and conclusions included, bit for bit."""
+    assert len(a) == len(b)
+    for got, ref in zip(a, b):
+        assert (got.stop_reason, got.iterations) == (ref.stop_reason, ref.iterations)
         assert _same_point(got.z, ref.z)
         assert (got.w is None and ref.w is None) or _same_point(got.w, ref.w)
         _same_trace(got.trace_x, ref.trace_x)
         _same_trace(got.trace_y, ref.trace_y)
-        assert got.conclusion_checks == (ref.conclusion_checks if i == 0 else ())
+        assert got.conclusion_checks == ref.conclusion_checks
+
+
+def assert_same_results(problem, mu, nu, starts, cfg):
+    """Every start's batched result is the one-start reference, bit for bit;
+    only the first start's conclusions are checked."""
+    results = solve_batch(problem, mu, nu, starts, cfg)
+    refs = [oracles.solve(problem, mu, nu, start, cfg) for start in starts]
+    _same_results(results, refs[:1] + [replace(r, conclusion_checks=()) for r in refs[1:]])
     return results
 
 
@@ -570,6 +573,153 @@ def test_starts_that_stop_early_do_not_keep_memory_for_a_long_one():
     assert batch <= 1.25 * alone
 
 
+# -- chunks of cycles judged at once -----------------------------------------
+
+
+def assert_chunk_invariant(problem, mu, nu, starts, cfg):
+    """Chunks of one cycle give every result of the default chunks."""
+    results = solve_batch(problem, mu, nu, starts, cfg)
+    with mock.patch.object(solver, "_CHUNK_CYCLES", 1):
+        _same_results(solve_batch(problem, mu, nu, starts, cfg), results)
+    return results
+
+
+def _reasons(results):
+    return [(r.stop_reason, r.iterations) for r in results]
+
+
+LINE = BoxSpace([-np.inf], [np.inf])
+GROW = AffineMap([[1.1]], [0.0], LINE)
+SAME = AffineMap([[1.0]], [0.0], LINE)
+
+
+def _escapes_and_a_stall():
+    """On [-10, 10], T = 1.05 x: the starts escape in cycles 47 and 32 and
+    stall in cycle 51, inside the chunk of cycles 31-62, while 0 converges."""
+    box = BoxSpace([-10.0], [10.0])
+    pair = MapPair(T=AffineMap([[1.05]], [0.0], box), S=AffineMap([[1.0]], [0.0], box))
+    mu = induced_standard(box)
+    starts = [np.array([v]) for v in (0.0, 1.0, 0.5, -2.0)]
+    return (pair, mu, mu, starts, SolveConfig(max_iter=200)), [
+        ("eps-reached", 2), ("codomain-escape", 47), ("stall", 51), ("codomain-escape", 32)
+    ]
+
+
+def _stall_and_collapse():
+    mu = induced_exponential(LINE)
+    starts = [np.array([v]) for v in (0.0, 1e-6, 100.0, 1e8)]
+    return (MapPair(T=GROW, S=GROW), mu, mu, starts, SolveConfig()), [
+        ("eps-reached", 2), ("stall", 51), ("collapse", 50), ("collapse", 50)
+    ]
+
+
+def _eps_and_stall_in_one_cycle(eps):
+    """A quadruple whose x steps grow by 1.1 from 1e-13: with stall_window 2
+    the stall is flagged in cycle 1, the first that counts, where every row
+    of the start from 1e-12 is also 1e-9-near, so eps-reached wins."""
+    mu = induced_standard(LINE)
+    quad = MapQuadruple(A=GROW, B=GROW, S=SAME, T=SAME)
+    starts = [np.array([1e-12]), np.array([1.0])]
+    return quad, mu, mu, starts, SolveConfig(eps=eps, stall_window=2)
+
+
+def _stall_then_collapse_in_one_cycle():
+    """A quadruple whose x steps from 1 are 2, 6, 18 and 54 long: with
+    stall_window 2 under the exponential form, step 2 flags a stall and
+    step 3, the next in cycle 1, a collapse; the first flag wins."""
+    mu = induced_exponential(LINE)
+    triple = AffineMap([[3.0]], [0.0], LINE)
+    quad = MapQuadruple(A=triple, B=triple, S=SAME, T=SAME)
+    return (quad, mu, mu, [np.array([1.0]), np.array([0.0])], SolveConfig(stall_window=2)), [
+        ("stall", 4), ("eps-reached", 4)
+    ]
+
+
+PINNED = [_escapes_and_a_stall(), _stall_and_collapse(), _stall_then_collapse_in_one_cycle()] + [
+    (_eps_and_stall_in_one_cycle(eps), [(reason, 4), ("stall", 4)])
+    for eps, reason in ((1e-9, "eps-reached"), (1e-12, "stall"))
+]
+
+
+@pytest.mark.parametrize("case,reasons", PINNED)
+def test_stops_inside_a_chunk_match_chunks_of_one_cycle(case, reasons):
+    assert _reasons(assert_same_results(*case)) == reasons
+    assert_chunk_invariant(*case)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 63, 64, 100, 200])
+def test_max_iter_counts_cycles_in_any_chunk(max_iter):
+    """A rotation never stops early; max_iter cuts it wherever it falls in a
+    chunk (100 is 63 cycles of growing chunks and 37 of a cut one)."""
+    box = BoxSpace([-np.inf] * 2, [np.inf] * 2)
+    c, s = np.cos(0.1), np.sin(0.1)
+    turn = AffineMap([[c, -s], [s, c]], [0.0] * 2, box)
+    quad = MapQuadruple(A=turn, B=turn, S=AffineMap(np.eye(2), [0.0] * 2, box), T=turn)
+    mu = induced_standard(box)
+    starts = [np.array([1.0, 0.0]), np.zeros(2)]
+    results = assert_chunk_invariant(quad, mu, mu, starts, SolveConfig(max_iter=max_iter))
+    assert results[0].stop_reason == "max-iter" and results[0].iterations == 2 * max_iter
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=st.one_of(solver_cases(), divergent_cases()))
+def test_chunks_of_one_cycle_match_the_default_chunks(case):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_chunk_invariant(*case)
+
+
+class _Watched(Mapping):
+    """m, failing if handed a point outside the domain it was given."""
+
+    def __init__(self, m, domain):
+        super().__init__(m.codomain)
+        self.m, self.domain = m, domain
+
+    def _raw_rows(self, xs):
+        assert self.domain.escaped_rows(xs) is None, f"{xs.tolist()} left the domain"
+        return self.m._raw_rows(xs)
+
+
+class _LeakyTable(Mapping):
+    """index -> targets[index], where a target may lie outside the codomain."""
+
+    def __init__(self, targets, codomain):
+        super().__init__(codomain)
+        self.targets = tuple(targets)
+
+    def _raw_rows(self, xs):
+        return np.array(self.targets)[xs]
+
+
+def test_escaped_starts_are_frozen_for_the_rest_of_a_chunk_on_a_composed_pair():
+    """T = (2x, then x) through [-10, 10] escapes its inner codomain from 1
+    in cycle 3, the first of the chunk of cycles 3-6, and from 1e-3 in
+    cycle 13, inside the chunk of cycles 7-14; neither the outer map nor S
+    is handed the escaped points afterwards."""
+    box = BoxSpace([-10.0], [10.0])
+    double, one = AffineMap([[2.0]], [0.0], box), AffineMap([[1.0]], [0.0], box)
+    mu = induced_standard(box)
+    rest = (mu, mu, [np.array([v]) for v in (0.0, 1.0, 1e-3)], SolveConfig())
+    plain = MapPair(T=ComposedMap(one, double), S=one)
+    results = assert_same_results(plain, *rest)
+    assert _reasons(results) == [("eps-reached", 2), ("codomain-escape", 3), ("codomain-escape", 13)]
+    watched = MapPair(T=ComposedMap(_Watched(one, box), _Watched(double, box)), S=_Watched(one, box))
+    _same_results(assert_chunk_invariant(watched, *rest), results)
+
+
+def test_escaped_starts_are_frozen_for_the_rest_of_a_chunk_on_a_table_pair():
+    """T walks i -> i + 1 along 10 points and sends 9 out of the carrier;
+    S, a table map, rejects any index outside it, and never sees one."""
+    space = FiniteSpace(1.0 - np.eye(10))
+    pair = MapPair(T=_LeakyTable([0, 2, 3, 4, 5, 6, 7, 8, 9, 10], space), S=TableMap(range(10), space))
+    mu = induced_standard(space)
+    case = (pair, mu, mu, [0, 1, 5], SolveConfig())
+    assert _reasons(assert_same_results(*case)) == [
+        ("eps-reached", 2), ("codomain-escape", 8), ("codomain-escape", 4)
+    ]
+    assert_chunk_invariant(*case)
+
+
 # -- k_hat estimators in blocks of the leading sample index ----------------------
 
 ONE_BLOCK = 1 << 62  # the whole sample in one block
@@ -635,21 +785,23 @@ def estimator_calls(draw):
     return estimate_k_quad, problem, mu, nu, samples
 
 
-# ST = 1e154 x on the line: mu(STx, STx', t) is 0 where the squared distance
-# overflows.  Where rhs > 0 the ratio is x/0 = inf; where rhs is 0 too it is
-# 0/0 = NaN.  The dual swaps T and S, so it sees the same ratios over points_y.
+# T = 0.8e308 x and S = 1.25 y on the line: nearness is 0 where two images
+# lie further apart than the float range, as STx, STx' do for x = -1 and
+# x' = 1 or 1.5, and Tx, Tx' for x = -1 and x' = 1.5 only.  Where rhs > 0
+# the ratio is x/0 = inf; where rhs is 0 too it is 0/0 = NaN.  The dual
+# swaps T and S, so it sees the same ratios over points_y.
 FAR_LINE = BoxSpace([-np.inf], [np.inf])
 FAR_MU = induced_standard(FAR_LINE)
-STRETCH = AffineMap([[1e154]], [0.0], FAR_LINE)
-KEEP = AffineMap([[1.0]], [0.0], FAR_LINE)
+FAR_T = AffineMap([[0.8e308]], [0.0], FAR_LINE)
+FAR_S = AffineMap([[1.25]], [0.0], FAR_LINE)
 FAR = tuple(np.array([v]) for v in (1.0, -1.0, 1.5))
 FAR_SAMPLES = SampleSet(points_x=FAR, grid=TGrid([0.5, 2.0]), points_y=FAR)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(call=estimator_calls())
-@example(call=(estimate_k_pair, MapPair(T=KEEP, S=STRETCH), FAR_MU, FAR_MU, FAR_SAMPLES))
-@example(call=(estimate_k_pair_dual, MapPair(T=STRETCH, S=KEEP), FAR_MU, FAR_MU, FAR_SAMPLES))
+@example(call=(estimate_k_pair, MapPair(T=FAR_T, S=FAR_S), FAR_MU, FAR_MU, FAR_SAMPLES))
+@example(call=(estimate_k_pair_dual, MapPair(T=FAR_S, S=FAR_T), FAR_MU, FAR_MU, FAR_SAMPLES))
 def test_one_index_blocks_match_one_block(call):
     """Blocks of one leading index give every report field, the dump and the
     warnings of a single block: the running argmax keeps the first maximum
@@ -659,11 +811,12 @@ def test_one_index_blocks_match_one_block(call):
 
 
 def test_far_points_give_nan_and_inf_ratios():
-    """The explicit examples above hold inf and NaN cells, and the witness
-    is the first NaN cell, which lies in the second block."""
+    """The explicit examples above hold inf and NaN cells, without a
+    RuntimeWarning, and the witness is the first NaN cell, which lies in the
+    second block."""
     with mock.patch.object(hypotheses, "_BLOCK_BYTES", ONE_INDEX), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        report = estimate_k_pair(MapPair(T=KEEP, S=STRETCH), FAR_MU, FAR_MU, FAR_SAMPLES, keep_ratios=True)
+        warnings.simplefilter("error", RuntimeWarning)
+        report = estimate_k_pair(MapPair(T=FAR_T, S=FAR_S), FAR_MU, FAR_MU, FAR_SAMPLES, keep_ratios=True)
     ratios = [r for *_, r in report.ratios]
     assert np.isinf(ratios).any() and np.isnan(ratios).any()
     assert np.isnan(report.k_hat)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import warnings
 
 import pytest
 
@@ -160,6 +161,23 @@ class TestHypothesesCommand:
             0.5,
             2.0,
         ]
+
+    def test_images_far_from_their_points_give_a_tiny_positive_k_hat(self, tmp_path):
+        """T x = x / 2 + 1e308 and S y = y / 3 + 1 put every ST image at
+        D = 1e308 / 3 + 1 from its point, whose square overflows.  The
+        distance is still D, so no RuntimeWarning is shown and k_hat is the
+        nearness t / (t + D) at t = 100, where it read 0 while D was inf."""
+        doc = pair_config()
+        doc["maps"]["T"]["offset"] = [1e308]
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = str(tmp_path / "out")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["hypotheses", "--config", cfg, "--out", out]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        primal = json.load(open(os.path.join(out, "hypotheses_report.json")))["reports"][0]
+        assert primal["k_hat"] == 100.0 / (100.0 + ((1.0 / 3.0) * 1e308 + 1.0)) > 0.0
+        assert primal["witness"][2] == 100.0
 
     @pytest.mark.parametrize("scheme,maps,xs,ys,note", ESCAPES)
     def test_sample_image_escaping_codomain_exits_one(

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,3 +159,17 @@ def test_every_invalid_mutation_exits_two(tmp_path):
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 code = main([command, "--config", path, "--out", str(tmp_path / "out")])
             assert code == 2 and "Traceback" not in err.getvalue(), (command, case)
+
+
+def test_far_sample_point_shows_no_runtime_warning(tmp_path):
+    """A pair sample point at 1e308 squared its distances to inf, so nearness
+    read 0 and the pair ratio printed numpy's 0/0 warning; the distances are
+    finite now, and far-apart cells, which are inf or NaN by design, show no
+    RuntimeWarning either."""
+    path = str(tmp_path / "c.json")
+    with open(path, "w") as fh:
+        json.dump(mutated(0, ("hypotheses", "points_x", 0), "set", 1e308), fh)
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        assert main(["hypotheses", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,21 @@ class TestBoxSpace:
     def test_euclidean_distance(self):
         box = BoxSpace([-10, -10], [10, 10])
         assert box.distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
+
+    def test_euclidean_distance_of_far_points_is_finite(self):
+        """Squares of 1e200 overflow; only those rows are recomputed, scaled,
+        and every other row keeps the unscaled value bit for bit."""
+        box = BoxSpace([-np.inf] * 3, [np.inf] * 3)
+        far = np.array([[3e200, -4e200, 1.2e201], [1.5, -2.0, 6.0], [1e200, 0.0, 0.0]])
+        near = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1e200, 0.0, np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = box.distances(far, near)
+            one = box.distance(far[0], near[0])
+        assert got[0] == pytest.approx(math.hypot(3e200, 4e200, 1.2e201), rel=1e-15)
+        assert one == got[0] and np.isfinite(one)
+        assert got[1] == np.sqrt(np.vecdot(far[1], far[1]))
+        assert got[2] == np.inf  # an infinite coordinate stays inf
 
     def test_max_distance(self):
         box = BoxSpace([-10, -10], [10, 10], crisp_metric="max")
