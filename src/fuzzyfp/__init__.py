@@ -18,10 +18,7 @@ from .errors import (
 from .harness import Instance, InstanceSpec, SuiteVerdict, gen_instance, run_suite
 from .hypotheses import (
     HypothesisReport,
-    RecurrenceReport,
     SampleSet,
-    check_recurrence_pair,
-    check_recurrence_quad,
     estimate_k_pair,
     estimate_k_pair_dual,
     estimate_k_quad,
@@ -45,9 +42,9 @@ from .metrics import (
     induced_standard,
 )
 from .rng import GENERATOR_NAME, SplitMix64
-from .sequences import SequenceTrace, chain_lower_bound, is_cauchy, is_convergent
 from .solver import (
     FixedPointResult,
+    SequenceTrace,
     SolveConfig,
     UniquenessReport,
     solve,

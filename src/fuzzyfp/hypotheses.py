@@ -23,17 +23,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptySampleError, UsageError
+from .errors import EmptySampleError
 from .mappings import ComposedMap, MapPair
 from .metrics import FuzzyMetric, TGrid
-from .sequences import SequenceTrace
 from .spaces import DELTA_PT, validate_points
-
-_VIOL_TOL = 1e-12
 
 # Bytes of one float array over a block of leading sample indices: the
 # estimators hold about ten such arrays at a time.  Picked by timing
@@ -370,148 +367,3 @@ def estimate_k_self_quad(
 
     empty = "every self-quadruple tuple was skipped"
     return _quotient_reports("self-quad", terms, (xs, ys), samples, keep_ratios, empty)
-
-
-# ---------------------------------------------------------------------------
-# trace recurrence validation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class RecurrenceReport:
-    """Diagnostic tally of step-recurrence checks along a trace.
-
-    A cell (n, t) violates when k * lhs < rhs - 1e-12.  Violations are
-    expected when the contraction hypothesis fails globally; this is a
-    diagnostic, not an assertion.
-    """
-
-    k: float
-    total_checks: int = 0
-    violation_count: int = 0
-    worst_margin: float = float("inf")
-    worst_witness: tuple | None = None
-    by_equation: dict = field(default_factory=dict)
-
-
-def _check_args(k: float, trace_x: SequenceTrace):
-    if not (0.0 < k < 1.0):
-        raise DomainError("recurrence constant k must lie in (0, 1)")
-    if len(trace_x) < 2:
-        raise UsageError("trace too short for recurrence checks")
-
-
-def _steps(fm: FuzzyMetric, pts, ts, backward=False) -> np.ndarray:
-    """Row i: fm(p_i, p_{i+1}) over ts, or fm(p_{i+1}, p_i) if backward."""
-    if len(pts) < 2:
-        return np.empty((0, len(ts)))
-    a, b = np.asarray(pts[:-1]), np.asarray(pts[1:])
-    return fm.mu_batch(b, a, ts) if backward else fm.mu_batch(a, b, ts)
-
-
-def _tally(k: float, ts, equations, n_major: bool) -> RecurrenceReport:
-    """The report of k * lhs >= rhs over the rows of equations, a list of
-    (name, ns, lhs, rhs) with one row per n.  Rows are visited equation by
-    equation, or n by n with the equations in list order when n_major; the
-    worst witness is the first cell of least margin in that order.  A row
-    whose first least margin is NaN gives no witness."""
-    report = RecurrenceReport(k=k)
-    names = [name for name, *_ in equations]
-    eq = np.repeat(np.arange(len(equations)), [len(ns) for _, ns, _, _ in equations])
-    ns = np.concatenate([ns for _, ns, _, _ in equations])
-    order = np.lexsort((eq, ns) if n_major else (ns, eq))
-    lhs, rhs = (np.concatenate([e[i] for e in equations])[order] for i in (2, 3))
-    eq, ns, margins = eq[order], ns[order], k * lhs - rhs
-    if not len(margins):
-        return report
-    bad = np.count_nonzero(margins < -_VIOL_TOL, axis=1)
-    report.total_checks = margins.size
-    report.violation_count = int(bad.sum())
-    counts = np.bincount(eq, weights=bad, minlength=len(names))
-    hit = dict.fromkeys(eq[bad > 0].tolist())  # equations with a violation, in visiting order
-    report.by_equation = {names[e]: int(counts[e]) for e in hit}
-    cols = np.argmin(margins, axis=1)
-    row_worst = margins[np.arange(len(margins)), cols]
-    row_worst[np.isnan(row_worst)] = np.inf
-    r = int(np.argmin(row_worst))
-    if row_worst[r] < report.worst_margin:
-        report.worst_margin = float(row_worst[r])
-        report.worst_witness = (names[eq[r]], int(ns[r]), float(ts[cols[r]]))
-    return report
-
-
-def check_recurrence_pair(
-    trace_x: SequenceTrace,
-    trace_y: SequenceTrace,
-    mu: FuzzyMetric,
-    nu: FuzzyMetric,
-    k: float,
-    grid: TGrid,
-) -> RecurrenceReport:
-    """Validate the pair-scheme step recurrences along a trace.
-
-    trace_x holds x_0..x_N; trace_y holds y_1..y_N (index base 1, as the
-    solver produces).  For each interior n:
-
-      x_step: k * mu(x_n, x_{n+1}, t) >= min{mu(x_{n-1}, x_n, t),
-              nu(y_n, y_{n+1}, t)}
-      y_step: k * nu(y_n, y_{n+1}, t) >= min{nu(y_{n-1}, y_n, t),
-              mu(x_{n-1}, x_n, t)}
-
-    Rows are visited x_step for every n, then y_step for every n.
-    """
-    _check_args(k, trace_x)
-    ts = grid.values
-    mx = _steps(mu, trace_x.points, ts)  # row n: mu(x_n, x_{n+1})
-    ny = _steps(nu, trace_y.points, ts)  # row n - 1: nu(y_n, y_{n+1})
-    n_x = np.arange(1, min(len(mx) - 1, len(ny)) + 1)
-    n_y = np.arange(2, len(ny) + 1)
-    equations = [
-        ("x_step", n_x, mx[n_x], np.minimum(mx[n_x - 1], ny[n_x - 1])),
-        ("y_step", n_y, ny[n_y - 1], np.minimum(ny[n_y - 2], mx[n_y - 1])),
-    ]
-    return _tally(k, ts, equations, n_major=False)
-
-
-def check_recurrence_quad(
-    trace_x: SequenceTrace,
-    trace_y: SequenceTrace,
-    quad,
-    mu: FuzzyMetric,
-    nu: FuzzyMetric,
-    k: float,
-    grid: TGrid,
-) -> RecurrenceReport:
-    """Validate the four interleaved-scheme recurrences along a trace.
-
-    Index conventions follow the solver: trace_x holds x_0..x_M and
-    trace_y holds y_1..y_M.  The quadruple is used to confirm the trace
-    actually follows the interleaved scheme before checking.  For each n,
-    as far as the trace reaches:
-
-      x_even: k mu(x_2n, x_2n+1) >= min{mu(x_2n-1, x_2n), nu(y_2n, y_2n+1)}
-      x_odd:  k mu(x_2n-1, x_2n) >= min{mu(x_2n-2, x_2n-1), nu(y_2n-1, y_2n)}
-      y_even: k nu(y_2n, y_2n+1) >= min{mu(x_2n+1, x_2n), nu(y_2n-1, y_2n)}
-      y_odd:  k nu(y_2n, y_2n-1) >= min{mu(x_2n, x_2n-1), nu(y_2n-2, y_2n-1)}, n >= 2
-
-    Rows are visited n by n, each n in the order above.  The reversed terms
-    are evaluated as written, so an asymmetric nearness table is honoured.
-    """
-    _check_args(k, trace_x)
-    xs = trace_x.points
-    ys = trace_y.points
-    if len(ys) and nu.carrier.distance(quad.A(xs[0]), ys[0]) > DELTA_PT:
-        raise UsageError("trace does not follow the interleaved scheme")
-    ts = grid.values
-    fx, bx = _steps(mu, xs, ts), _steps(mu, xs, ts, backward=True)  # row i: x_i, x_{i+1}
-    fy, by = _steps(nu, ys, ts), _steps(nu, ys, ts, backward=True)  # row i: y_{i+1}, y_{i+2}
-    n_even = np.arange(1, min(len(xs) - 2, len(ys) - 1) // 2 + 1)  # x_2n+1 and y_2n+1 exist
-    n_odd = np.arange(1, min(len(xs) - 1, len(ys)) // 2 + 1)  # x_2n and y_2n exist
-    e, o, o2 = 2 * n_even, 2 * n_odd, 2 * n_odd[1:]
-    equations = [
-        ("x_even", n_even, fx[e], np.minimum(fx[e - 1], fy[e - 1])),
-        ("x_odd", n_odd, fx[o - 1], np.minimum(fx[o - 2], fy[o - 2])),
-        ("y_even", n_even, fy[e - 1], np.minimum(bx[e], fy[e - 2])),
-        ("y_odd", n_odd[1:], by[o2 - 2], np.minimum(bx[o2 - 1], fy[o2 - 3])),
-    ]
-    return _tally(k, ts, equations, n_major=True)

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import CodomainError, DomainError, UsageError
 from .mappings import MapPair, MapQuadruple, live_rows
 from .metrics import FuzzyMetric, TGrid
-from .sequences import SequenceTrace
 from .spaces import validate_points
 
 _COLLAPSE = 1e-300
@@ -72,6 +71,30 @@ class ConclusionCheck:
     name: str
     residual: float
     passed: bool
+
+
+@dataclass(eq=False)
+class SequenceTrace:
+    """Points of a sequence plus consecutive-step nearness over a grid.
+
+    A trace may be empty: a scheme can fail before producing any iterate.
+    """
+
+    points: tuple
+    nearness: np.ndarray  # shape (max(len(points) - 1, 0), len(grid))
+    grid: TGrid
+
+    def __post_init__(self):
+        n = len(self.points)
+        if self.nearness.shape != (max(n - 1, 0), len(self.grid)):
+            raise UsageError("nearness rows must pair consecutive points")
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    @property
+    def last(self):
+        return self.points[-1]
 
 
 @dataclass(eq=False)

@@ -2,16 +2,18 @@
 
 Each function here is the straightforward loop that the array code in
 `fuzzyfp` replaces: one RNG draw, one point, one point pair, one map
-evaluation, one triple, one iteration start or one recurrence step at a
-time.  None of it calls the scalar forms of `fuzzyfp` (a map call, mu,
-mu_grid, distance), which are wrappers over the array code.  The
-equivalence tests compare the two bit for bit.  The inequality terms at the
-end evaluate the contraction hypotheses at one tuple, the reference that
-the estimators' ratio arrays are tested against.
+evaluation, one triple or one iteration start at a time.  None of it calls
+the scalar forms of `fuzzyfp` (a map call, mu, mu_grid, distance), which
+are wrappers over the array code.  The equivalence tests compare the two
+bit for bit.  The step-recurrence checkers test the paper's recurrences
+along solver traces, one step at a time.  The inequality terms at the end
+evaluate the contraction hypotheses at one tuple, the reference that the
+estimators' ratio arrays are tested against.
 """
 
 import math
 from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,14 +24,13 @@ from fuzzyfp import (
     ConstantMap,
     FuzzyMetric,
     MapPair,
-    RecurrenceReport,
+    SequenceTrace,
     SplitMix64,
     TableFuzzyMetric,
     TNorm,
 )
 from fuzzyfp.axioms import _SLACK, AxiomReport
 from fuzzyfp.errors import CodomainError, DomainError, UsageError
-from fuzzyfp.sequences import SequenceTrace
 from fuzzyfp.solver import _COLLAPSE, ConclusionCheck, FixedPointResult, SolveConfig
 from fuzzyfp.spaces import DELTA_PT
 
@@ -340,6 +341,22 @@ def conclusions(problem, mu, nu, z, w, grid, tol):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(eq=False)
+class RecurrenceReport:
+    """Tally of step-recurrence checks along a trace.
+
+    A cell (n, t) violates when k * lhs < rhs - 1e-12.  Violations are
+    expected when the contraction hypothesis fails globally.
+    """
+
+    k: float
+    total_checks: int = 0
+    violation_count: int = 0
+    worst_margin: float = float("inf")
+    worst_witness: tuple | None = None
+    by_equation: dict = field(default_factory=dict)
+
+
 def _tally(report, equation, n, ts, lhs_row, rhs_row):
     margins = report.k * lhs_row - rhs_row
     report.total_checks += margins.size
@@ -363,7 +380,12 @@ def _recurrence_start(trace_x, k):
 
 
 def check_recurrence_pair(trace_x, trace_y, mu, nu, k, grid):
-    """check_recurrence_pair as one mu_grid row per term, n by n."""
+    """The pair-scheme step recurrences along a solver trace, one mu_grid
+    row per term, n by n.  trace_x holds x_0..x_N and trace_y y_1..y_N:
+
+      x_step: k mu(x_n, x_n+1) >= min{mu(x_n-1, x_n), nu(y_n, y_n+1)}
+      y_step: k nu(y_n, y_n+1) >= min{nu(y_n-1, y_n), mu(x_n-1, x_n)}
+    """
     report = _recurrence_start(trace_x, k)
     xs = trace_x.points
     ys = trace_y.points  # ys[i] is y_{i+1}
@@ -388,8 +410,15 @@ def check_recurrence_pair(trace_x, trace_y, mu, nu, k, grid):
 
 
 def check_recurrence_quad(trace_x, trace_y, quad, mu, nu, k, grid):
-    """check_recurrence_quad as one mu_grid row per term: n by n, each n
-    in the order x_even, x_odd, y_even, y_odd, until none applies."""
+    """The interleaved-scheme recurrences along a solver trace, one
+    mu_grid row per term: n by n, each n in the order below, until none
+    applies.  trace_x holds x_0..x_M and trace_y y_1..y_M:
+
+      x_even: k mu(x_2n, x_2n+1) >= min{mu(x_2n-1, x_2n), nu(y_2n, y_2n+1)}
+      x_odd:  k mu(x_2n-1, x_2n) >= min{mu(x_2n-2, x_2n-1), nu(y_2n-1, y_2n)}
+      y_even: k nu(y_2n, y_2n+1) >= min{mu(x_2n+1, x_2n), nu(y_2n-1, y_2n)}
+      y_odd:  k nu(y_2n, y_2n-1) >= min{mu(x_2n, x_2n-1), nu(y_2n-2, y_2n-1)}, n >= 2
+    """
     report = _recurrence_start(trace_x, k)
     xs = trace_x.points
     ys = trace_y.points

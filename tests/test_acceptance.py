@@ -12,6 +12,7 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
+import oracles
 from fuzzyfp import (
     AffineMap,
     BoxSpace,
@@ -22,7 +23,6 @@ from fuzzyfp import (
     TableFuzzyMetric,
     TGrid,
     check_fm_axioms,
-    check_recurrence_pair,
     estimate_k_pair,
     induced_exponential,
     induced_standard,
@@ -195,9 +195,9 @@ def test_criterion_6_recurrence_validation():
     )
     k_hat = estimate_k_pair(pair, MU, NU, samples).k_hat
 
-    clean = check_recurrence_pair(res.trace_x, res.trace_y, MU, NU, k_hat, grid)
-    halved = check_recurrence_pair(res.trace_x, res.trace_y, MU, NU, k_hat / 2, grid)
-    halved_again = check_recurrence_pair(res.trace_x, res.trace_y, MU, NU, k_hat / 2, grid)
+    clean = oracles.check_recurrence_pair(res.trace_x, res.trace_y, MU, NU, k_hat, grid)
+    halved = oracles.check_recurrence_pair(res.trace_x, res.trace_y, MU, NU, k_hat / 2, grid)
+    halved_again = oracles.check_recurrence_pair(res.trace_x, res.trace_y, MU, NU, k_hat / 2, grid)
 
     ok = (
         k_hat < 1.0

@@ -37,12 +37,10 @@ from fuzzyfp import (
 )
 from fuzzyfp import hypotheses, solver
 from fuzzyfp.axioms import MAX_WITNESSES
-from fuzzyfp.errors import CodomainError, EmptySampleError, UsageError
+from fuzzyfp.errors import CodomainError, EmptySampleError
 from fuzzyfp.mappings import Mapping
 from fuzzyfp.hypotheses import (
     SampleSet,
-    check_recurrence_pair,
-    check_recurrence_quad,
     estimate_k_pair,
     estimate_k_pair_dual,
     estimate_k_quad,
@@ -411,22 +409,20 @@ def finite_maps(draw, domain, codomain, composed=True):
 
 
 @st.composite
-def table_metric(draw, space, symmetric=True):
-    """A nearness table with a unit diagonal, increasing in t, on its own
-    grid; symmetric unless asked otherwise."""
+def table_metric(draw, space):
+    """A symmetric nearness table with a unit diagonal, increasing in t, on
+    its own grid."""
     grid = TGrid.logspace(0.1, 10.0, 3)
     n = space.size
     cells = st.lists(st.floats(0.01, 1.0), min_size=n * n * 3, max_size=n * n * 3)
     values = np.array(draw(cells)).reshape(n, n, 3)
-    if symmetric:
-        values = np.minimum(values, values.transpose(1, 0, 2))
-    values = np.sort(values, axis=-1)
+    values = np.sort(np.minimum(values, values.transpose(1, 0, 2)), axis=-1)
     values[np.arange(n), np.arange(n)] = 1.0
     return TableFuzzyMetric(space, grid, values)
 
 
 @st.composite
-def solver_cases(draw, symmetric_tables=True):
+def solver_cases(draw):
     """(problem, mu, nu, starts, cfg): a pair or quadruple on boxes or finite carriers."""
     names = draw(st.sampled_from(["TS", "ABST"]))
     finite = draw(st.integers(0, 3)) == 0
@@ -443,7 +439,7 @@ def solver_cases(draw, symmetric_tables=True):
     make = draw(st.sampled_from(forms))
 
     def metric(space):
-        return draw(table_metric(space, symmetric_tables)) if make is table_metric else make(space)
+        return draw(table_metric(space)) if make is table_metric else make(space)
 
     mu = metric(x_space)
     nu = mu if y_space is x_space else metric(y_space)
@@ -830,69 +826,3 @@ def test_ratio_dump_matches_scalar_oracle_in_one_index_blocks(scheme):
     with mock.patch.object(hypotheses, "_BLOCK_BYTES", ONE_INDEX):
         test_hypotheses.test_ratio_dump_matches_scalar_oracle(scheme)
 
-
-# -- step recurrences along solver traces ---------------------------------------
-
-# Nearness of i to j differs from that of j to i on this table, so a
-# recurrence term read with its points swapped gives another value.
-ASYM = TableFuzzyMetric(
-    FiniteSpace(1.0 - np.eye(3)),
-    TGrid.logspace(0.1, 10.0, 3),
-    [
-        [[1.0, 1.0, 1.0], [0.2, 0.3, 0.4], [0.5, 0.6, 0.7]],
-        [[0.6, 0.7, 0.8], [1.0, 1.0, 1.0], [0.1, 0.2, 0.3]],
-        [[0.3, 0.4, 0.9], [0.25, 0.5, 0.75], [1.0, 1.0, 1.0]],
-    ],
-)
-ASYM_CFG = SolveConfig(max_iter=20)
-ASYM_PAIR = (MapPair(T=TableMap([1, 2, 0], ASYM.carrier), S=TableMap([1, 2, 0], ASYM.carrier)), ASYM, ASYM, [0], ASYM_CFG)
-ASYM_QUAD = (
-    MapQuadruple(*(TableMap(t, ASYM.carrier) for t in ([1, 2, 0], [2, 0, 1], [0, 1, 2], [1, 2, 0]))),
-    ASYM, ASYM, [0], ASYM_CFG,
-)
-
-# S escapes after T has mapped: the trace ends with as many y's as x's.
-NARROW, WIDE = BoxSpace([-10.0], [10.0]), BoxSpace([-100.0], [100.0])
-ESCAPING_PAIR = (
-    MapPair(T=AffineMap([[2.0]], [0.0], WIDE), S=AffineMap([[1.5]], [0.0], NARROW)),
-    induced_standard(NARROW), induced_standard(WIDE), [np.array([0.1])], ASYM_CFG,
-)
-
-
-def recurrence(check, *args):
-    """Every field of a recurrence report, worst_margin bit for bit and
-    by_equation in order, or the error raised."""
-    try:
-        r = check(*args)
-    except (UsageError, DomainError) as exc:
-        return repr(exc)
-    return r.k, r.total_checks, r.violation_count, r.worst_margin.hex(), r.worst_witness, list(r.by_equation.items())
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(case=solver_cases(symmetric_tables=False), k=st.sampled_from([0.05, 0.5, 0.9, 1.0 - 1e-12]))
-@example(case=ASYM_PAIR, k=0.5)
-@example(case=ASYM_QUAD, k=0.5)
-@example(case=ESCAPING_PAIR, k=0.5)
-def test_recurrence_checks_match_the_scalar_loops(case, k):
-    """The array checkers give the scalar loops' report on solver traces,
-    also where a table's nearness is not symmetric."""
-    problem, mu, nu, starts, cfg = case
-    res = solve(problem, mu, nu, starts[0], cfg)
-    if isinstance(problem, MapPair):
-        args = (res.trace_x, res.trace_y, mu, nu, k, cfg.grid)
-        assert recurrence(check_recurrence_pair, *args) == recurrence(oracles.check_recurrence_pair, *args)
-    else:
-        args = (res.trace_x, res.trace_y, problem, mu, nu, k, cfg.grid)
-        assert recurrence(check_recurrence_quad, *args) == recurrence(oracles.check_recurrence_quad, *args)
-
-
-def test_asymmetric_recurrence_examples_reach_every_equation():
-    """The pinned examples above check each equation and find violations."""
-    for problem, mu, nu, starts, cfg in (ASYM_PAIR, ASYM_QUAD):
-        res = solve(problem, mu, nu, starts[0], cfg)
-        check = check_recurrence_pair if isinstance(problem, MapPair) else check_recurrence_quad
-        args = (problem,) if isinstance(problem, MapQuadruple) else ()
-        report = check(res.trace_x, res.trace_y, *args, mu, nu, 0.5, cfg.grid)
-        names = ["x_step", "y_step"] if isinstance(problem, MapPair) else ["x_even", "x_odd", "y_even", "y_odd"]
-        assert sorted(report.by_equation) == sorted(names)

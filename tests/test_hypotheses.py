@@ -14,16 +14,12 @@ from fuzzyfp import (
     AffineMap,
     BoxSpace,
     ConstantMap,
-    DomainError,
     EmptySampleError,
     MapPair,
     MapQuadruple,
     SampleSet,
-    SequenceTrace,
     SplitMix64,
     TGrid,
-    check_recurrence_pair,
-    check_recurrence_quad,
     estimate_k_pair,
     estimate_k_pair_dual,
     estimate_k_quad,
@@ -33,6 +29,8 @@ from fuzzyfp import (
 )
 from fuzzyfp.solver import SolveConfig
 from oracles import (
+    check_recurrence_pair,
+    check_recurrence_quad,
     pair_inequality_terms,
     pair_inequality_terms_dual,
     quad_denominator,
@@ -582,17 +580,6 @@ class TestRecurrencePair:
         assert rep_again.worst_witness == rep_half.worst_witness
         assert rep_again.worst_margin == rep_half.worst_margin
 
-    def test_k_domain_checked(self, linear_pair):
-        res = solve(linear_pair, MU, NU, np.array([0.0]))
-        with pytest.raises(DomainError):
-            check_recurrence_pair(res.trace_x, res.trace_y, MU, NU, 1.5, res.trace_x.grid)
-
-    def test_short_trace_rejected(self, line):
-        grid = TGrid([1.0])
-        tx = SequenceTrace.from_points([np.array([0.0])], MU, grid)
-        with pytest.raises(Exception):
-            check_recurrence_pair(tx, tx, MU, NU, 0.5, grid)
-
 
 class TestRecurrenceQuad:
     def test_constant_quadruple(self, line):
@@ -686,19 +673,6 @@ class TestRecurrenceQuad:
             res.trace_x, res.trace_y, mixed_quad, MU, NU, 1.0 - 1e-12, cfg.grid
         )
         assert rep.violation_count >= 1
-
-    def test_foreign_trace_rejected(self, linear_pair):
-        res = solve(linear_pair, MU, NU, np.array([0.0]))
-        foreign = MapQuadruple(
-            A=AffineMap([[0.1]], [7.0], LINE),
-            B=AffineMap([[0.1]], [7.0], LINE),
-            S=AffineMap([[0.1]], [0.0], LINE),
-            T=AffineMap([[0.1]], [0.0], LINE),
-        )
-        with pytest.raises(Exception):
-            check_recurrence_quad(
-                res.trace_x, res.trace_y, foreign, MU, NU, 0.5, res.trace_x.grid
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,8 @@
+"""Sequence traces: the shape of a trace's nearness rows, and the iterated
+triangle bound along a chain of points."""
+
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -6,78 +11,32 @@ from fuzzyfp import (
     MINIMUM,
     PRODUCT,
     BoxSpace,
-    DomainError,
     SequenceTrace,
     SplitMix64,
     TGrid,
     UsageError,
-    chain_lower_bound,
     induced_exponential,
     induced_standard,
-    is_cauchy,
-    is_convergent,
+    solve,
 )
 
 GRID = TGrid.default()
 BOX = BoxSpace([-100.0], [100.0])
-FM = induced_standard(BOX)
-
-
-def _trace(values):
-    return SequenceTrace.from_points([np.array([v]) for v in values], FM, GRID)
 
 
 class TestTraceConstruction:
-    def test_shape_invariant(self):
-        tr = _trace([0.0, 1.0, 2.0])
-        assert tr.nearness.shape == (2, len(GRID))
-        assert np.all(tr.nearness > 0.0) and np.all(tr.nearness <= 1.0)
+    def test_shape_invariant(self, linear_pair, line_mu):
+        res = solve(linear_pair, line_mu, line_mu, np.array([0.0]))
+        for tr in (res.trace_x, res.trace_y):
+            assert tr.nearness.shape == (len(tr.points) - 1, len(tr.grid))
+            assert np.all(tr.nearness > 0.0) and np.all(tr.nearness <= 1.0)
 
-    def test_empty_trace_rejected_by_predicates(self):
-        empty = SequenceTrace.from_points([], FM, GRID)
-        assert len(empty) == 0
-        with pytest.raises(UsageError):
-            is_convergent(empty, np.array([0.0]), FM, GRID, eps=1e-6)
-
-
-class TestIsConvergent:
-    def test_constant_sequence(self):
-        tr = _trace([3.0] * 5)
-        assert is_convergent(tr, np.array([3.0]), FM, GRID, eps=1e-9)
-
-    def test_geometric_sequence_converges_to_zero(self):
-        # x_n = 4^-n, n = 0..30: mu(4^-30, 0, t) >= 1 - 1e-6 on t >= 0.01
-        tr = _trace([4.0**-n for n in range(31)])
-        assert is_convergent(tr, np.array([0.0]), FM, GRID, eps=1e-6)
-
-    def test_divergent_sequence(self):
-        tr = _trace(list(range(31)))
-        assert not is_convergent(tr, np.array([0.0]), FM, GRID, eps=1e-6)
-
-    def test_eps_domain(self):
-        tr = _trace([0.0, 0.0])
-        with pytest.raises(DomainError):
-            is_convergent(tr, np.array([0.0]), FM, GRID, eps=1.5)
-
-
-class TestIsCauchy:
-    def test_constant_sequence(self):
-        tr = _trace([1.0] * 10)
-        assert is_cauchy(tr, FM, GRID, eps=1e-9, p_max=8)
-
-    def test_geometric_sequence(self):
-        tr = _trace([4.0**-n for n in range(31)])
-        assert is_cauchy(tr, FM, GRID, eps=1e-6, p_max=8)
-
-    def test_arithmetic_sequence_fails(self):
-        # mu(n, n+p, t) = t/(t+p) stays far from 1
-        tr = _trace(list(range(31)))
-        assert not is_cauchy(tr, FM, GRID, eps=1e-6, p_max=8)
-
-    def test_short_trace_rejected(self):
-        tr = _trace([0.0, 1.0, 2.0])
-        with pytest.raises(UsageError):
-            is_cauchy(tr, FM, GRID, eps=1e-6, p_max=8)
+    def test_rows_that_do_not_pair_consecutive_points_rejected(self):
+        points = (np.array([0.0]), np.array([1.0]), np.array([2.0]))
+        assert len(SequenceTrace(points=points, nearness=np.ones((2, len(GRID))), grid=GRID)) == 3
+        for shape in ((3, len(GRID)), (2, len(GRID) - 1), (0, len(GRID))):
+            with pytest.raises(UsageError, match="nearness rows must pair consecutive points"):
+                SequenceTrace(points=points, nearness=np.ones(shape), grid=GRID)
 
 
 @pytest.mark.parametrize("op", [MINIMUM, PRODUCT, LUKASIEWICZ])
@@ -90,10 +49,6 @@ def test_chained_triangle_bound(make, op):
         pts = BOX.sample(rng, rng.randint(5) + 2)
         t = rng.uniform(0.01, 100.0)
         direct = fm.mu(pts[0], pts[-1], t)
-        bound = chain_lower_bound(fm, op, pts, t)
+        t1 = t / (len(pts) - 1)
+        bound = reduce(op, (fm.mu(a, b, t1) for a, b in zip(pts, pts[1:])))
         assert direct >= bound - 1e-12
-
-
-def test_chain_lower_bound_needs_two_points():
-    with pytest.raises(UsageError):
-        chain_lower_bound(FM, MINIMUM, [np.array([0.0])], 1.0)

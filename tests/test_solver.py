@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
+import oracles
 from fuzzyfp import (
     AffineMap,
     BoxSpace,
@@ -13,7 +14,6 @@ from fuzzyfp import (
     TGrid,
     induced_exponential,
     induced_standard,
-    is_cauchy,
     solve,
     uniqueness_probe,
     verify_conclusions_pair,
@@ -105,8 +105,11 @@ class TestIteratePair:
     def test_stopping_implies_sampled_cauchy(self, linear_pair):
         res = solve(linear_pair, MU, NU, np.array([0.0]))
         # 6x contraction: an 8-step tail is within ~6^8 of the last step,
-        # so the sampled Cauchy predicate holds at a 1e-3 nearness slack
-        assert is_cauchy(res.trace_x, MU, res.trace_x.grid, eps=1e-3, p_max=8)
+        # so every stride p <= 8 back from x_n is 1e-3-near x_n on the grid
+        xs, ts = res.trace_x.points, res.trace_x.grid.values
+        assert len(xs) > 8
+        for p in range(1, 9):
+            assert np.all(oracles.mu_grid(MU, xs[-1 - p], xs[-1], ts) >= 1.0 - 1e-3)
 
 
 class TestVerifyConclusionsPair:
