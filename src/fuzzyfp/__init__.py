@@ -58,9 +58,6 @@ from .tnorms import (
     MINIMUM,
     PRODUCT,
     TNorm,
-    lukasiewicz,
-    minimum,
-    product,
     tnorm_apply,
 )
 

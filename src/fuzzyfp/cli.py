@@ -113,10 +113,10 @@ def cmd_hypotheses(doc: dict, args) -> int:
     grid = cfgmod.build_grid(doc, args.t_max)
     carrier_x, carrier_y, mu, nu = cfgmod.build_spaces(doc, grid)
     scheme, problem = cfgmod.build_problem(doc, carrier_x, carrier_y)
-    samples, dump = cfgmod.build_samples(
+    samples = cfgmod.build_samples(
         doc, grid, carrier_x, carrier_y, include_diagonal=args.include_diagonal
     )
-    keep = dump or args.format in ("csv", "both")
+    keep = args.format in ("csv", "both")
 
     reports = []
     note = None
@@ -143,7 +143,7 @@ def cmd_hypotheses(doc: dict, args) -> int:
     }
     _write_json(os.path.join(args.out, "hypotheses_report.json"), payload)
 
-    if keep and args.format in ("csv", "both"):
+    if keep:
         path = os.path.join(args.out, "hypotheses_ratios.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

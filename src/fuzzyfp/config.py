@@ -54,7 +54,7 @@ _SOLVE = {
     "eps": float, "max_iter": int, "stall_window": int, "p_max": int, "verify_tol": float,
     "x0": _POINT,
 }
-_HYPOTHESES = {"points_x": list, "points_y": list, "exclude_diagonal": bool, "dump_ratios": bool}
+_HYPOTHESES = {"points_x": list, "points_y": list, "exclude_diagonal": bool}
 _AXIOMS = {"tnorm_samples": (int, 1), "fm_triples": (int, 1), "seed": int, "window": list}
 _SUITE = {
     # the uniqueness probe compares the fixed points of at least two starts
@@ -324,7 +324,6 @@ def build_solve(doc: dict, grid: TGrid, carrier_x=None, want_x0: bool = True):
 def build_samples(doc: dict, grid: TGrid, carrier_x, carrier_y, include_diagonal=False):
     where = "hypotheses"
     fields = _fields(_require(doc, where), where, _HYPOTHESES, required=("points_x",))
-    dump = fields.pop("dump_ratios", False)
     for key, carrier in (("points_x", carrier_x), ("points_y", carrier_y)):
         if key in fields:
             fields[key] = tuple(
@@ -332,7 +331,7 @@ def build_samples(doc: dict, grid: TGrid, carrier_x, carrier_y, include_diagonal
             )
     if include_diagonal:
         fields["exclude_diagonal"] = False
-    return SampleSet(grid=grid, **fields), dump
+    return SampleSet(grid=grid, **fields)
 
 
 def _window(window, carriers):

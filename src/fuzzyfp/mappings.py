@@ -143,12 +143,6 @@ class MapPair:
     T: Mapping
     S: Mapping
 
-    def st(self, x):
-        return self.S(self.T(x))
-
-    def ts(self, y):
-        return self.T(self.S(y))
-
 
 @dataclass(eq=False)
 class MapQuadruple:
@@ -158,15 +152,3 @@ class MapQuadruple:
     B: Mapping
     S: Mapping
     T: Mapping
-
-    def sa(self, x):
-        return self.S(self.A(x))
-
-    def tb(self, x):
-        return self.T(self.B(x))
-
-    def bs(self, y):
-        return self.B(self.S(y))
-
-    def at(self, y):
-        return self.A(self.T(y))

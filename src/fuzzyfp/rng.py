@@ -19,6 +19,14 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
+def _mix(z):
+    """The output mix of a state (an int or a uint64 array).  Masking after
+    each product makes int arithmetic wrap as uint64 arithmetic does."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
 class SplitMix64:
     """SplitMix64 stream with explicit integer seeding."""
 
@@ -27,18 +35,13 @@ class SplitMix64:
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return (z ^ (z >> 31)) & _MASK
+        return _mix(self._state)
 
     def block(self, n: int) -> np.ndarray:
         """The next n outputs as a uint64 array; uint64 arithmetic wraps."""
         z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
         self._state = (self._state + n * _GAMMA) & _MASK
-        z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> 31)
+        return _mix(z)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         """Uniform double in [lo, hi) with 53 random bits."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CodomainError, DomainError, UsageError
-from .mappings import MapPair, MapQuadruple, live_rows
+from .mappings import ComposedMap, MapPair, MapQuadruple, live_rows
 from .metrics import FuzzyMetric, TGrid
 from .spaces import validate_points
 
@@ -143,8 +143,8 @@ def verify_conclusions_pair(
     """Nearness residuals of the four pair-scheme conclusion identities:
     ST z = z, TS w = w, T z = w, S w = z."""
     return (
-        _residual("st_z_fixed", mu, pair.st, z, z, grid, tol),
-        _residual("ts_w_fixed", nu, pair.ts, w, w, grid, tol),
+        _residual("st_z_fixed", mu, ComposedMap(pair.S, pair.T), z, z, grid, tol),
+        _residual("ts_w_fixed", nu, ComposedMap(pair.T, pair.S), w, w, grid, tol),
         _residual("t_z_is_w", nu, pair.T, z, w, grid, tol),
         _residual("s_w_is_z", mu, pair.S, w, z, grid, tol),
     )
@@ -156,10 +156,10 @@ def verify_conclusions_quadruple(
     """Residuals of the eight quadruple conclusions: SA z = z, TB z = z,
     BS w = w, AT w = w, A z = w, B z = w, S w = z, T w = z."""
     return (
-        _residual("sa_z_fixed", mu, quad.sa, z, z, grid, tol),
-        _residual("tb_z_fixed", mu, quad.tb, z, z, grid, tol),
-        _residual("bs_w_fixed", nu, quad.bs, w, w, grid, tol),
-        _residual("at_w_fixed", nu, quad.at, w, w, grid, tol),
+        _residual("sa_z_fixed", mu, ComposedMap(quad.S, quad.A), z, z, grid, tol),
+        _residual("tb_z_fixed", mu, ComposedMap(quad.T, quad.B), z, z, grid, tol),
+        _residual("bs_w_fixed", nu, ComposedMap(quad.B, quad.S), w, w, grid, tol),
+        _residual("at_w_fixed", nu, ComposedMap(quad.A, quad.T), w, w, grid, tol),
         _residual("a_z_is_w", nu, quad.A, z, w, grid, tol),
         _residual("b_z_is_w", nu, quad.B, z, w, grid, tol),
         _residual("s_w_is_z", mu, quad.S, w, z, grid, tol),
@@ -462,10 +462,6 @@ class UniquenessReport:
     passed: bool | None
     max_z_distance: float | None
     max_w_distance: float | None
-    statuses: tuple[str, ...]
-    tol: float
-    zs: tuple
-    ws: tuple
     results: tuple
 
 
@@ -493,22 +489,16 @@ def uniqueness_probe(
     if len(starts) < 2:
         raise UsageError("uniqueness probe needs at least two starting points")
     results = tuple(solve_batch(problem, mu, nu, starts, cfg))
-    statuses = tuple(r.status for r in results)
-    zs = tuple(r.z for r in results)
-    ws = tuple(r.w for r in results)
-    conclusive = all(s == STATUS_CONVERGED for s in statuses)
+    conclusive = all(r.status == STATUS_CONVERGED for r in results)
     max_z = max_w = passed = None
     if conclusive:
-        max_z, max_w = _diameter(mu.carrier, zs), _diameter(nu.carrier, ws)
+        max_z = _diameter(mu.carrier, [r.z for r in results])
+        max_w = _diameter(nu.carrier, [r.w for r in results])
         passed = max_z <= tol and max_w <= tol
     return UniquenessReport(
         conclusive=conclusive,
         passed=passed,
         max_z_distance=max_z,
         max_w_distance=max_w,
-        statuses=statuses,
-        tol=tol,
-        zs=zs,
-        ws=ws,
         results=results,
     )

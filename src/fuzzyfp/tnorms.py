@@ -8,26 +8,7 @@ import numpy as np
 
 from .errors import DomainError
 
-
-def minimum(a: float, b: float) -> float:
-    return a if a <= b else b
-
-
-def product(a: float, b: float) -> float:
-    return a * b
-
-
-def lukasiewicz(a: float, b: float) -> float:
-    # Ordering the operands keeps the unit law a * 1 = a exact in floats:
-    # with hi == 1.0 the value is lo + 0.0, never (a + 1) - 1.
-    lo, hi = (a, b) if a <= b else (b, a)
-    v = lo + (hi - 1.0)
-    return v if v > 0.0 else 0.0
-
-
-_SCALAR = {"minimum": minimum, "product": product, "lukasiewicz": lukasiewicz}
-
-TNORM_KINDS = tuple(_SCALAR)
+TNORM_KINDS = ("minimum", "product", "lukasiewicz")
 
 
 @dataclass(frozen=True)
@@ -37,11 +18,11 @@ class TNorm:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in _SCALAR:
+        if self.kind not in TNORM_KINDS:
             raise DomainError(f"unknown t-norm kind {self.kind!r}")
 
     def __call__(self, a: float, b: float) -> float:
-        return _SCALAR[self.kind](a, b)
+        return float(self.apply_array(a, b))
 
     def apply_array(self, a, b):
         """Elementwise application on numpy arrays."""
@@ -51,6 +32,8 @@ class TNorm:
             return np.minimum(a, b)
         if self.kind == "product":
             return a * b
+        # Ordering the operands keeps the unit law a * 1 = a exact in floats:
+        # with hi == 1.0 the value is lo + 0.0, never (a + 1) - 1.
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
         return np.maximum(lo + (hi - 1.0), 0.0)

@@ -2,13 +2,14 @@
 
 Each function here is the straightforward loop that the array code in
 `fuzzyfp` replaces: one RNG draw, one point, one point pair, one map
-evaluation, one triple or one iteration start at a time.  None of it calls
-the scalar forms of `fuzzyfp` (a map call, mu, mu_grid, distance), which
-are wrappers over the array code.  The equivalence tests compare the two
-bit for bit.  The step-recurrence checkers test the paper's recurrences
-along solver traces, one step at a time.  The inequality terms at the end
-evaluate the contraction hypotheses at one tuple, the reference that the
-estimators' ratio arrays are tested against.
+evaluation, one t-norm sample, one triple or one iteration start at a time.
+None of it calls the scalar forms of `fuzzyfp` (a map or t-norm call, mu,
+mu_grid, distance), which are wrappers over the array code.  The
+equivalence tests compare the two bit for bit.  The step-recurrence
+checkers test the paper's recurrences along solver traces, one step at a
+time.  The inequality terms at the end evaluate the contraction hypotheses
+at one tuple, the reference that the estimators' ratio arrays are tested
+against.
 """
 
 import math
@@ -196,6 +197,68 @@ def check_fm_axioms(fm, op, triple_count, grid, seed, window=None):
                 report._record(
                     "monotone_in_t", (_wp(x), _wp(y), float(ts[k])), float(drops[k])
                 )
+    return report
+
+
+# ---------------------------------------------------------------------------
+# t-norms, one pair of operands at a time
+# ---------------------------------------------------------------------------
+
+
+def minimum(a: float, b: float) -> float:
+    return a if a <= b else b
+
+
+def product(a: float, b: float) -> float:
+    return a * b
+
+
+def lukasiewicz(a: float, b: float) -> float:
+    # Ordering the operands keeps the unit law a * 1 = a exact in floats:
+    # with hi == 1.0 the value is lo + 0.0, never (a + 1) - 1.
+    lo, hi = (a, b) if a <= b else (b, a)
+    v = lo + (hi - 1.0)
+    return v if v > 0.0 else 0.0
+
+
+TNORMS = {"minimum": minimum, "product": product, "lukasiewicz": lukasiewicz}
+
+
+def check_tnorm_axioms(op, sample_count, seed):
+    """check_tnorm_axioms evaluated one sample at a time; a TNorm is applied
+    by its scalar formula above."""
+    rng = SplitMix64(seed)
+    name = op.kind if isinstance(op, TNorm) else getattr(op, "__name__", "callable")
+    if isinstance(op, TNorm):
+        op = TNORMS[op.kind]
+    report = AxiomReport(subject=f"tnorm:{name}", samples=sample_count, seed=seed)
+    for _ in range(sample_count):
+        a = rng.uniform()
+        b = rng.uniform()
+        c = rng.uniform()
+        d = rng.uniform()
+
+        report.checks += 1
+        comm = abs(op(a, b) - op(b, a))
+        if comm > _SLACK:
+            report._record("commutativity", (a, b), comm)
+
+        report.checks += 1
+        assoc = abs(op(a, op(b, c)) - op(op(a, b), c))
+        if assoc > _SLACK:
+            report._record("associativity", (a, b, c), assoc)
+
+        report.checks += 1
+        unit = op(a, 1.0)
+        if unit != a:
+            report._record("unit", (a, 1.0), abs(unit - a))
+
+        report.checks += 1
+        lo_a, hi_a = min(a, c), max(a, c)
+        lo_b, hi_b = min(b, d), max(b, d)
+        gap = op(lo_a, lo_b) - op(hi_a, hi_b)
+        if gap > _SLACK:
+            report._record("monotonicity", (lo_a, lo_b, hi_a, hi_b), gap)
     return report
 
 

@@ -32,6 +32,7 @@ from fuzzyfp import (
     TableMap,
     TGrid,
     check_fm_axioms,
+    check_tnorm_axioms,
     induced_exponential,
     induced_standard,
 )
@@ -305,6 +306,40 @@ def test_axiom_blocks_split_the_sample_like_one_pass(monkeypatch):
     monkeypatch.setattr(axioms, "_BLOCK_CELLS", 7 * len(grid) ** 2)  # blocks of 7 triples
     assert same_report(check_fm_axioms(fm, prob_sum, 50, grid, 8), whole)
     assert whole.violation_count > MAX_WITNESSES
+
+
+# -- check_tnorm_axioms ---------------------------------------------------------
+
+
+def breaks_unit_law(a, b):
+    """Commutative and monotone, but a * 1 exceeds a by 0.1 below 0.9."""
+    return min(a * b + 0.1, 1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1])
+@pytest.mark.parametrize("op", [*OPS, breaks_unit_law], ids=[*OP_IDS, "breaks_unit_law"])
+def test_tnorm_report_matches_sample_by_sample(op, seed):
+    got = check_tnorm_axioms(op, 300, seed)
+    assert same_report(got, oracles.check_tnorm_axioms(op, 300, seed))
+    assert got.checks == 4 * 300
+
+
+def test_tnorm_blocks_split_the_sample_like_one_pass(monkeypatch):
+    """Blocks of samples continue one RNG stream and one witness order."""
+    import fuzzyfp.axioms as axioms
+
+    whole = check_tnorm_axioms(breaks_unit_law, 50, 8)
+    monkeypatch.setattr(axioms, "_BLOCK_CELLS", 7 * 16)  # blocks of 7 samples
+    assert same_report(check_tnorm_axioms(breaks_unit_law, 50, 8), whole)
+    assert same_report(whole, oracles.check_tnorm_axioms(breaks_unit_law, 50, 8))
+    assert whole.violation_count > MAX_WITNESSES
+
+
+def test_tnorm_check_memory_is_bounded_by_its_block():
+    """2**18 samples are checked in blocks of 2**16: the traced peak stays
+    near one block's arrays, not the whole sample's."""
+    peak = _traced_peak(lambda: check_tnorm_axioms(LUKASIEWICZ, 1 << 18, 5))
+    assert peak < 16 * 2**20
 
 
 # -- the lock-step solver against one start at a time ----------------------------

@@ -313,12 +313,12 @@ MALFORMED = [
     ("solve", ("maps", "T", "matrix"), [[0.5, 0.5]]),  # two columns on a 1-D carrier
     ("solve", ("grid", "t_min"), -1),
     ("axioms", ("grid", "t_max"), 1e308),  # the triangle axiom evaluates t + s
-    # used to be accepted: dim 2.7 ran as dim 2, "no" turned the dump on
+    # used to be accepted: dim 2.7 ran as dim 2
     ("suite", ("suite", "dim"), 2.7),
     ("solve", ("solve", "max_iter"), 2.5),
     ("suite", ("suite", "count"), "2"),
     ("suite", ("suite", "factor"), ["0.3", "0.9"]),
-    ("hypotheses", ("hypotheses", "dump_ratios"), "no"),
+    ("hypotheses", ("hypotheses", "dump_ratios"), "no"),  # a removed key is an unknown one
     # sections that the subcommand does not build used to go unchecked
     ("solve", ("hypotheses", "bogus"), 1),
     ("solve", ("suite", "dim"), "x"),

@@ -58,7 +58,7 @@ def quadruple_config():
 
 def finite_all():
     doc = finite_config()
-    doc["hypotheses"] = {"points_x": [0, 1, 2], "points_y": [1], "dump_ratios": True}
+    doc["hypotheses"] = {"points_x": [0, 1, 2], "points_y": [1]}
     doc["axioms"] = {}
     doc["suite"] = {"scheme": "self-quadruple"}
     return doc
@@ -145,6 +145,19 @@ def test_mutated_config_never_raises(case):
                 code = main([command, "--config", path, "--out", os.path.join(tmp, "out")])
             assert code in (0, 1, 2), (command, case)
             assert "Traceback" not in err.getvalue()
+
+
+def test_base_configs_are_valid(tmp_path):
+    """Every base exits 0 or 1, never 2, on every subcommand, so a mutation
+    that exits 2 is rejected for what it changed."""
+    path = str(tmp_path / "c.json")
+    for b, base in enumerate(BASES):
+        with open(path, "w") as fh:
+            json.dump(base, fh)
+        for command in COMMANDS:
+            with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--config", path, "--out", str(tmp_path / "out")])
+            assert code in (0, 1), (command, b)
 
 
 def test_every_invalid_mutation_exits_two(tmp_path):

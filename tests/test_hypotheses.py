@@ -13,6 +13,7 @@ import pytest
 from fuzzyfp import (
     AffineMap,
     BoxSpace,
+    ComposedMap,
     ConstantMap,
     EmptySampleError,
     MapPair,
@@ -74,7 +75,7 @@ class TestPairTerms:
         x = np.array([0.7])
         lhs, rhs = pair_inequality_terms(linear_pair, MU, NU, x, x, 1.0)
         assert lhs == 1.0
-        assert rhs == MU.mu(x, linear_pair.st(x), 1.0)
+        assert rhs == MU.mu(x, ComposedMap(linear_pair.S, linear_pair.T)(x), 1.0)
 
     def test_at_fixed_point_all_terms_one(self, linear_pair):
         z = np.array([1.6])
@@ -361,7 +362,7 @@ class TestEstimateKQuad:
         x, x2, y, y2, t = primal.witness
         f = quad_numerator_primal(quad, MU, NU, x, x2, y, y2, t)
         h = quad_denominator(quad, MU, NU, x, x2, y, y2, t)
-        lhs = MU.mu(quad.sa(x), quad.tb(x2), t)
+        lhs = MU.mu(ComposedMap(quad.S, quad.A)(x), ComposedMap(quad.T, quad.B)(x2), t)
         assert abs((f / h) / lhs - primal.k_hat) <= 1e-12
 
 
@@ -505,10 +506,10 @@ def test_ratio_dump_matches_scalar_oracle(scheme):
             h = quad_denominator(quad, MU, NU, x, x2, y, y2, t)
             if label == "quad-primal":
                 num = quad_numerator_primal(quad, MU, NU, x, x2, y, y2, t)
-                lhs = MU.mu(quad.sa(x), quad.tb(x2), t)
+                lhs = MU.mu(ComposedMap(quad.S, quad.A)(x), ComposedMap(quad.T, quad.B)(x2), t)
             else:
                 num = quad_numerator_dual(quad, MU, NU, x, x2, y, y2, t)
-                lhs = NU.mu(quad.bs(y), quad.at(y2), t)
+                lhs = NU.mu(ComposedMap(quad.B, quad.S)(y), ComposedMap(quad.A, quad.T)(y2), t)
             return num < h < 1.0, (num / h) / lhs
 
     else:
@@ -520,10 +521,10 @@ def test_ratio_dump_matches_scalar_oracle(scheme):
             h = self_quad_denominator(quad, MU, x, y, t)
             if label == "self-quad-primal":
                 num = self_quad_numerator_primal(quad, MU, x, y, t)
-                lhs = MU.mu(quad.sa(x), quad.tb(y), t)
+                lhs = MU.mu(ComposedMap(quad.S, quad.A)(x), ComposedMap(quad.T, quad.B)(y), t)
             else:
                 num = self_quad_numerator_dual(quad, MU, x, y, t)
-                lhs = MU.mu(quad.bs(x), quad.at(y), t)
+                lhs = MU.mu(ComposedMap(quad.B, quad.S)(x), ComposedMap(quad.A, quad.T)(y), t)
             return num < h < 1.0, (num / h) / lhs
 
     for report in reports:

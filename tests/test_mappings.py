@@ -71,14 +71,15 @@ def test_composed_map_checks_both_codomains():
 def test_pair_composites(linear_pair):
     x = np.array([0.0])
     # ST(0) = S(T(0)) = S(1) = 4/3
-    assert linear_pair.st(x)[0] == pytest.approx(4.0 / 3.0, abs=1e-15)
+    assert ComposedMap(linear_pair.S, linear_pair.T)(x)[0] == pytest.approx(4.0 / 3.0, abs=1e-15)
     # TS(0) = T(S(0)) = T(1) = 3/2
-    assert linear_pair.ts(x)[0] == pytest.approx(1.5, abs=1e-15)
+    assert ComposedMap(linear_pair.T, linear_pair.S)(x)[0] == pytest.approx(1.5, abs=1e-15)
 
 
 def test_quadruple_composites(mixed_quad):
     x = np.array([1.0])
-    assert mixed_quad.sa(x)[0] == pytest.approx(1.5 / 4.0 + 1.0)  # S(A(1)) = S(1.5)
-    assert mixed_quad.tb(x)[0] == pytest.approx((4.0 / 3.0) / 5.0 + 1.0)
-    assert mixed_quad.bs(x)[0] == pytest.approx(1.25 / 3.0 + 1.0)
-    assert mixed_quad.at(x)[0] == pytest.approx(1.2 / 2.0 + 1.0)
+    A, B, S, T = mixed_quad.A, mixed_quad.B, mixed_quad.S, mixed_quad.T
+    assert ComposedMap(S, A)(x)[0] == pytest.approx(1.5 / 4.0 + 1.0)  # S(A(1)) = S(1.5)
+    assert ComposedMap(T, B)(x)[0] == pytest.approx((4.0 / 3.0) / 5.0 + 1.0)
+    assert ComposedMap(B, S)(x)[0] == pytest.approx(1.25 / 3.0 + 1.0)
+    assert ComposedMap(A, T)(x)[0] == pytest.approx(1.2 / 2.0 + 1.0)
