@@ -104,7 +104,11 @@ def _record_in_order(report, checks):
     """Record the violations of checks, (axiom, mask of the samples that
     violate it, witness and magnitude of sample i): sample by sample, and
     within a sample in the order of checks."""
-    for i in np.flatnonzero(np.logical_or.reduce([bad for _, bad, _ in checks])):
+    masks = [bad for _, bad, _ in checks]
+    for i in np.flatnonzero(np.logical_or.reduce(masks)):
+        if len(report.violations) >= MAX_WITNESSES:  # the rest are only counted
+            report.violation_count += sum(int(np.count_nonzero(bad[i:])) for bad in masks)
+            return
         for axiom, bad, witness in checks:
             if bad[i]:
                 report._record(axiom, *witness(i))

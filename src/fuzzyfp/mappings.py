@@ -95,14 +95,18 @@ class TableMap(Mapping):
         self._target_array = np.array(tg, dtype=np.intp)
 
     def _raw_rows(self, xs):
-        if xs.size and not (0 <= xs.min() and xs.max() < len(self.targets)):
-            raise DomainError(f"an index of {xs.tolist()} lies outside the table map domain")
-        return self._target_array[xs]
+        # an index outside the domain (a solver row past its escape) maps harmlessly
+        return self._target_array.take(xs, mode="clip")
+
+    def __call__(self, i):
+        if not 0 <= i < len(self.targets):
+            raise DomainError(f"index {i!r} lies outside the table map domain of size {len(self.targets)}")
+        return super().__call__(i)
 
 
 class ComposedMap(Mapping):
-    """x -> outer(inner(x)); inner's own codomain check still runs, so a
-    call names the map whose output escaped."""
+    """x -> outer(inner(x)); inner's codomain is checked too, so a call
+    names the map whose output escaped."""
 
     form = "composed"
 
@@ -114,26 +118,16 @@ class ComposedMap(Mapping):
     def __call__(self, x):
         return self.outer(self.inner(x))
 
+    def _raw_rows(self, xs):
+        return self.outer._raw_rows(self.inner._raw_rows(xs))
+
+    @np.errstate(over="ignore", invalid="ignore")  # rows that escaped inner are mapped on, and escape
     def rows(self, xs):
         mid, escaped = self.inner.rows(xs)
-        if escaped is None:
-            return self.outer.rows(mid)
-        # rows that escaped the inner codomain are not mapped on
-        out, outer_escaped = live_rows(self.outer, mid, ~escaped)
-        return out, escaped if outer_escaped is None else escaped | outer_escaped
-
-
-def live_rows(m: Mapping, xs: np.ndarray, live: np.ndarray):
-    """m.rows of the rows of xs in the mask live; the others are not
-    mapped, read 0 and do not escape."""
-    kept, kept_escaped = m.rows(xs[live])
-    out = np.zeros((len(xs),) + kept.shape[1:], dtype=kept.dtype)
-    out[live] = kept
-    escaped = None
-    if kept_escaped is not None:
-        escaped = np.zeros(len(xs), dtype=bool)
-        escaped[live] = kept_escaped
-    return out, escaped
+        out, outer_escaped = self.outer.rows(mid)
+        if outer_escaped is not None:
+            escaped = outer_escaped if escaped is None else escaped | outer_escaped
+        return out, escaped
 
 
 @dataclass(eq=False)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CodomainError, DomainError, UsageError
-from .mappings import ComposedMap, MapPair, MapQuadruple, live_rows
+from .mappings import ComposedMap, MapPair, MapQuadruple
 from .metrics import FuzzyMetric, TGrid
 from .spaces import validate_points
 
@@ -216,35 +216,36 @@ class _Steps:
             self.cols[ids] = np.arange(len(ids))
 
 
-def _map_chunk(cycle, x: np.ndarray, y, cycles: int):
-    """Map cycles cycles from the iterates x of the running starts and their
-    last y (None before the first): the stacked xs (x, then one per step),
-    the stacked ys, and per start the number of maps it applied before its
-    first escape, or -1.  A start that escapes is frozen at its last
-    in-codomain iterates for the rest of the chunk, and no map sees it again."""
-    k = cycles * len(cycle)
-    xs, ys = np.empty((k + 1,) + x.shape, dtype=x.dtype), None
-    escapes = np.full(len(x), -1)
-    dead = None
-
-    def step(m, v, hold, maps):
-        nonlocal dead
-        out, escaped = m.rows(v) if dead is None else live_rows(m, v, ~dead)
-        if escaped is not None:
-            escapes[escaped] = maps
-            dead = escaped if dead is None else dead | escaped
-        if dead is None:
-            return out
-        return np.where(dead.reshape((-1,) + (1,) * (out.ndim - 1)), hold, out)
-
-    xs[0] = x
-    for n in range(k):
-        to_y, to_x = cycle[n % len(cycle)]
-        y = step(to_y, x, 0 if y is None else y, 2 * n)  # 0: a placeholder no map sees
-        if ys is None:
-            ys = np.empty((k,) + y.shape, dtype=y.dtype)
-        ys[n] = y
-        x = xs[n + 1] = step(to_x, y, x, 2 * n + 1)
+def _map_chunk(cycle, x: np.ndarray, cycles: int):
+    """Map cycles cycles from the iterates x of the running starts: the
+    stacked xs (x, then one per step), the stacked ys, and per start the
+    number of maps it applied before its first escape, 2 * len(ys) if none.
+    Escaped rows are mapped on but never judged or traced; the first escape
+    is found once per chunk, with one codomain check per map position of the
+    cycle."""
+    per = len(cycle)
+    xs, ys = [x], []
+    for n in range(cycles * per):
+        to_y, to_x = cycle[n % per]
+        ys.append(to_y._raw_rows(xs[-1]))
+        xs.append(to_x._raw_rows(ys[-1]))
+    xs, ys = np.array(xs), np.array(ys)
+    escapes = np.full(len(x), 2 * len(ys))
+    for i, maps in enumerate(cycle):
+        # x in, y, and x out at step i of each cycle, as rows of (cycle, start)
+        chain = [a.reshape((-1,) + a.shape[2:]) for a in (xs[i:-1:per], ys[i::per], xs[i + 1 :: per])]
+        for j, m in enumerate(maps):
+            if isinstance(m, ComposedMap):  # its inner codomain is checked too
+                escaped = m.rows(chain[j])[1]
+            else:
+                escaped = m.codomain.escaped_rows(chain[j + 1])
+            if escaped is not None:
+                escaped = escaped.reshape(cycles, len(x))
+                at = 2 * (i + per * escaped.argmax(axis=0)) + j
+                escapes = np.where(escaped.any(axis=0), np.minimum(escapes, at), escapes)
+    for row in np.flatnonzero(escapes < 2 * len(ys)):  # judged, never kept; 0 is an index of any finite carrier
+        ys[(escapes[row] + 1) // 2 :, row] = 0
+        xs[escapes[row] // 2 + 1 :, row] = 0
     return xs, ys, escapes
 
 
@@ -288,14 +289,13 @@ class _Runs:
             flag = np.where(flag > 0, flag, flags[:, j])
         ends = near | (flag > 0)
         ended = ends.any(axis=0)
-        run_on = ~ended & (escapes < 0)
+        run_on = ~ended & (escapes == 2 * k)
         if run_on.all():
             return run_on
         end = np.where(ended, ends.argmax(axis=0), cycles)
-        escape = np.where(escapes < 0, cycles, escapes // (2 * per))
         for row in np.flatnonzero(~run_on):
             c = end[row]
-            if c < escape[row]:
+            if c < escapes[row] // (2 * per):
                 reason = STOP_EPS if near[c, row] else (STOP_STALL, STOP_COLLAPSE)[flag[c, row] - 1]
                 maps = 2 * (first + (c + 1) * per)
             else:
@@ -395,7 +395,7 @@ def _iterate(problem, cycle, w_of, verify, mu, nu, starts, cfg) -> list[FixedPoi
     y, done, size = None, 0, 1
     while len(runs.ids) and done < cfg.max_iter:
         size = min(size, cfg.max_iter - done)
-        xs, ys, escapes = _map_chunk(cycle, x, y, size)
+        xs, ys, escapes = _map_chunk(cycle, x, size)
         run_on = runs.judge(xs, ys, y, escapes, size)
         x, y = xs[-1][run_on], ys[-1][run_on]
         done += size

@@ -335,6 +335,29 @@ def test_tnorm_blocks_split_the_sample_like_one_pass(monkeypatch):
     assert whole.violation_count > MAX_WITNESSES
 
 
+def right_projection(a, b):
+    """a * b = b: neither commutative nor unital, so most samples break two laws."""
+    return b
+
+
+@pytest.mark.parametrize("block", [7, 1 << 16])
+@pytest.mark.parametrize("op", [right_projection, breaks_unit_law, prob_sum])
+def test_tnorm_witnesses_fill_partway_through_a_block_and_a_sample(monkeypatch, op, block):
+    """Once MAX_WITNESSES are kept the rest are only counted.  The list fills
+    inside a block, and for the right projection, which breaks two laws on
+    every sample, between the two checks of sample 12 (from 0), in the block
+    of samples 7-13 when blocks hold 7."""
+    import fuzzyfp.axioms as axioms
+
+    monkeypatch.setattr(axioms, "_BLOCK_CELLS", block * 16)
+    got = check_tnorm_axioms(op, 60, 4)
+    assert same_report(got, oracles.check_tnorm_axioms(op, 60, 4))
+    assert len(got.violations) == MAX_WITNESSES < got.violation_count
+    if op is right_projection:
+        assert got.violation_count == 2 * 60
+        assert [v.axiom for v in got.violations[-3:]] == ["commutativity", "unit", "commutativity"]
+
+
 def test_tnorm_check_memory_is_bounded_by_its_block():
     """2**18 samples are checked in blocks of 2**16: the traced peak stays
     near one block's arrays, not the whole sample's."""
@@ -699,18 +722,6 @@ def test_chunks_of_one_cycle_match_the_default_chunks(case):
         assert_chunk_invariant(*case)
 
 
-class _Watched(Mapping):
-    """m, failing if handed a point outside the domain it was given."""
-
-    def __init__(self, m, domain):
-        super().__init__(m.codomain)
-        self.m, self.domain = m, domain
-
-    def _raw_rows(self, xs):
-        assert self.domain.escaped_rows(xs) is None, f"{xs.tolist()} left the domain"
-        return self.m._raw_rows(xs)
-
-
 class _LeakyTable(Mapping):
     """index -> targets[index], where a target may lie outside the codomain."""
 
@@ -722,25 +733,37 @@ class _LeakyTable(Mapping):
         return np.array(self.targets)[xs]
 
 
-def test_escaped_starts_are_frozen_for_the_rest_of_a_chunk_on_a_composed_pair():
+class _Recorded(Mapping):
+    """m, keeping every stack of raw outputs it gives."""
+
+    def __init__(self, m):
+        super().__init__(m.codomain)
+        self.m, self.outputs = m, []
+
+    def _raw_rows(self, xs):
+        out = self.m._raw_rows(xs)
+        self.outputs.append(out)
+        return out
+
+
+def test_escaped_starts_stop_at_their_escape_on_a_composed_pair():
     """T = (2x, then x) through [-10, 10] escapes its inner codomain from 1
     in cycle 3, the first of the chunk of cycles 3-6, and from 1e-3 in
-    cycle 13, inside the chunk of cycles 7-14; neither the outer map nor S
-    is handed the escaped points afterwards."""
+    cycle 13, inside the chunk of cycles 7-14.  The rows mapped on past an
+    escape are never judged or traced."""
     box = BoxSpace([-10.0], [10.0])
     double, one = AffineMap([[2.0]], [0.0], box), AffineMap([[1.0]], [0.0], box)
     mu = induced_standard(box)
-    rest = (mu, mu, [np.array([v]) for v in (0.0, 1.0, 1e-3)], SolveConfig())
-    plain = MapPair(T=ComposedMap(one, double), S=one)
-    results = assert_same_results(plain, *rest)
-    assert _reasons(results) == [("eps-reached", 2), ("codomain-escape", 3), ("codomain-escape", 13)]
-    watched = MapPair(T=ComposedMap(_Watched(one, box), _Watched(double, box)), S=_Watched(one, box))
-    _same_results(assert_chunk_invariant(watched, *rest), results)
+    case = (MapPair(T=ComposedMap(one, double), S=one), mu, mu, [np.array([v]) for v in (0.0, 1.0, 1e-3)], SolveConfig())
+    assert _reasons(assert_same_results(*case)) == [
+        ("eps-reached", 2), ("codomain-escape", 3), ("codomain-escape", 13)
+    ]
+    assert_chunk_invariant(*case)
 
 
-def test_escaped_starts_are_frozen_for_the_rest_of_a_chunk_on_a_table_pair():
+def test_escaped_starts_stop_at_their_escape_on_a_table_pair():
     """T walks i -> i + 1 along 10 points and sends 9 out of the carrier;
-    S, a table map, rejects any index outside it, and never sees one."""
+    S, a table map, maps the index past that escape harmlessly."""
     space = FiniteSpace(1.0 - np.eye(10))
     pair = MapPair(T=_LeakyTable([0, 2, 3, 4, 5, 6, 7, 8, 9, 10], space), S=TableMap(range(10), space))
     mu = induced_standard(space)
@@ -749,6 +772,87 @@ def test_escaped_starts_are_frozen_for_the_rest_of_a_chunk_on_a_table_pair():
         ("eps-reached", 2), ("codomain-escape", 8), ("codomain-escape", 4)
     ]
     assert_chunk_invariant(*case)
+
+
+QUAD_ORDER = "ASBT"  # the maps of a quadruple cycle, in the order they run
+
+
+@pytest.mark.parametrize(
+    "position,bound",
+    [(p, 10.5) for p in QUAD_ORDER] + [("A", 63.5), ("T", 126.5)],
+)
+def test_escape_at_each_quadruple_position_and_chunk_end(position, bound):
+    """Identities on [-bound, bound], except x + 1 at one position.  From 0
+    the shift escapes in cycle floor(bound): cycle 10 lies inside the chunk
+    of cycles 7-14, and cycles 63 and 126 are the first and last of the
+    first 64-cycle chunk, so A escapes at its first step and T at its last.
+    From bound - 0.25 the shift escapes in cycle 0; from -bound it runs to
+    max_iter."""
+    box = BoxSpace([-bound], [bound])
+    one = AffineMap([[1.0]], [0.0], box)
+    maps = dict.fromkeys(QUAD_ORDER, one)
+    maps[position] = AffineMap([[1.0]], [1.0], box)
+    mu = induced_standard(box)
+    cfg = SolveConfig(max_iter=int(bound) + 3)
+    case = (MapQuadruple(**maps), mu, mu, [np.array([v]) for v in (0.0, bound - 0.25, -bound)], cfg)
+    results = assert_chunk_invariant(*case)
+    _same_results(assert_same_results(*case), results)
+    at = QUAD_ORDER.index(position)  # maps applied before the escape, in cycle 0
+    expect = [(4 * int(bound) + at) // 2, at // 2, 2 * cfg.max_iter]
+    assert _reasons(results) == [("codomain-escape", expect[0]), ("codomain-escape", expect[1]), ("max-iter", expect[2])]
+    assert [len(r.trace_y) for r in results[:2]] == [(4 * int(bound) + at + 1) // 2, (at + 1) // 2]
+
+
+def test_escape_inside_a_composed_map_in_the_cycle():
+    """S = (x + 1 into [-3.5, 3.5], then x into [-10, 10]) escapes only its
+    inner codomain: from 0 in cycle 3, from 3 in cycle 0 and from -3 in
+    cycle 6, inside the chunk of cycles 3-6."""
+    box, via = BoxSpace([-10.0], [10.0]), BoxSpace([-3.5], [3.5])
+    one = AffineMap([[1.0]], [0.0], box)
+    S = ComposedMap(AffineMap([[1.0]], [0.0], box), AffineMap([[1.0]], [1.0], via))
+    mu = induced_standard(box)
+    case = (MapQuadruple(A=one, B=one, S=S, T=one), mu, mu, [np.array([v]) for v in (0.0, 3.0, -3.0)], SolveConfig())
+    assert _reasons(assert_same_results(*case)) == [
+        ("codomain-escape", 6), ("codomain-escape", 0), ("codomain-escape", 12)
+    ]
+    assert_chunk_invariant(*case)
+    with pytest.raises(CodomainError, match=re.escape("AffineMap output array([4.]) escaped")):
+        S(np.array([3.0]))
+
+
+def test_a_start_that_escapes_then_overflows_warns_nothing():
+    """T = 2x on the plane escapes by overflow from (1e305, 1) in cycle 10,
+    inside the chunk of cycles 7-14; the rows mapped on past it hold inf and
+    NaN (0 * inf in the matrix product), and no RuntimeWarning is shown.
+    The one-start reference overflows too, so it runs under np.errstate;
+    the batch does not."""
+    plane = BoxSpace([-np.inf] * 2, [np.inf] * 2)
+    T = AffineMap(2.0 * np.eye(2), [0.0] * 2, plane)
+    S = AffineMap(np.eye(2), [0.0] * 2, plane)
+    mu = induced_standard(plane)
+    starts, cfg = [np.zeros(2), np.array([1e305, 1.0])], SolveConfig()
+    with np.errstate(over="ignore"):
+        refs = [oracles.solve(MapPair(T=T, S=S), mu, mu, x0, cfg) for x0 in starts]
+    recorded = _Recorded(T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        results = solve_batch(MapPair(T=recorded, S=S), mu, mu, starts, cfg)
+    _same_results(results, refs[:1] + [replace(refs[1], conclusion_checks=())])
+    assert _reasons(results) == [("eps-reached", 2), ("codomain-escape", 10)]
+    outputs = np.concatenate(recorded.outputs)
+    assert np.isinf(outputs).any() and np.isnan(outputs).any()
+
+
+def test_images_of_a_composed_map_name_an_inner_escape_to_inf():
+    """hypotheses._images raises the inner map's CodomainError when the inner
+    map overflows to inf, with no RuntimeWarning from the outer map, which
+    is handed inf (0 * inf is NaN)."""
+    line = BoxSpace([-np.inf], [np.inf])
+    composed = ComposedMap(AffineMap([[0.0]], [1.0], line), AffineMap([[1e300]], [0.0], line))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(CodomainError, match=re.escape("AffineMap output array([inf]) escaped")):
+            hypotheses._images(composed, np.array([[1.0], [1e10]]))
 
 
 # -- k_hat estimators in blocks of the leading sample index ----------------------

@@ -56,6 +56,18 @@ class TestTableMap:
         with pytest.raises(DomainError):
             TableMap([1, 2], fs)
 
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_lookup_outside_the_domain(self, index):
+        m = TableMap([1, 0], FiniteSpace([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(DomainError, match=f"^index {index} lies outside the table map domain of size 2$"):
+            m(index)
+
+    def test_rows_map_indices_outside_the_domain_harmlessly(self):
+        """A solver row past its escape may hold any index; rows clip it."""
+        m = TableMap([1, 0], FiniteSpace([[0.0, 1.0], [1.0, 0.0]]))
+        out, escaped = m.rows(np.array([0, 7, -3]))
+        assert out.tolist() == [1, 0, 1] and escaped is None
+
 
 def test_composed_map_checks_both_codomains():
     small = BoxSpace([-1.0], [1.0])
