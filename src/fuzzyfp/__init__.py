@@ -19,6 +19,7 @@ from .harness import Instance, InstanceSpec, SuiteVerdict, gen_instance, run_sui
 from .hypotheses import (
     HypothesisReport,
     SampleSet,
+    estimate_k,
     estimate_k_pair,
     estimate_k_pair_dual,
     estimate_k_quad,

@@ -23,12 +23,7 @@ from . import config as cfgmod
 from .axioms import check_fm_axioms, check_tnorm_axioms
 from .errors import CodomainError, ConfigError, EmptySampleError
 from .harness import InstanceVerdict, run_suite
-from .hypotheses import (
-    estimate_k_pair,
-    estimate_k_pair_dual,
-    estimate_k_quad,
-    estimate_k_self_quad,
-)
+from .hypotheses import estimate_k
 from .rng import GENERATOR_NAME
 from .solver import solve
 
@@ -121,16 +116,8 @@ def cmd_hypotheses(doc: dict, args) -> int:
     reports = []
     note = None
     try:
-        if scheme == "pair":
-            reports.append(estimate_k_pair(problem, mu, nu, samples, keep_ratios=keep))
-            if samples.points_y:
-                reports.append(
-                    estimate_k_pair_dual(problem, mu, nu, samples, keep_ratios=keep)
-                )
-        elif scheme == "quadruple":
-            reports.extend(estimate_k_quad(problem, mu, nu, samples, keep_ratios=keep))
-        else:
-            reports.extend(estimate_k_self_quad(problem, mu, samples, keep_ratios=keep))
+        for report in estimate_k(scheme, problem, mu, nu, samples, keep_ratios=keep):
+            reports.append(report)
     except (EmptySampleError, CodomainError) as exc:
         note = str(exc)
 

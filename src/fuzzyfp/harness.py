@@ -21,12 +21,7 @@ import numpy as np
 
 from .axioms import check_fm_axioms
 from .errors import CodomainError, ConfigError, EmptySampleError, UsageError
-from .hypotheses import (
-    SampleSet,
-    estimate_k_pair,
-    estimate_k_quad,
-    estimate_k_self_quad,
-)
+from .hypotheses import SampleSet, estimate_k
 from .mappings import AffineMap, ConstantMap, MapPair, MapQuadruple
 from .metrics import FuzzyMetric, TGrid, induced_exponential, induced_standard
 from .rng import GENERATOR_NAME, SplitMix64
@@ -40,6 +35,9 @@ METRIC_FORMS = ("standard", "exponential")
 
 # Salt separating the suite's sampling stream from instance generation.
 _SUITE_SALT = 0x517CC1B727220A95
+
+# Nearness-axiom triples sampled per space of each instance.
+_AXIOM_TRIPLES = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,18 +286,10 @@ def _trajectory_sample(trace, count: int) -> list:
 def _estimate_instance_k(inst: Instance, result, random_x, random_y, grid, n_traj):
     """Hypothesis sample: trajectory points plus the random carrier points drawn for it."""
     xs = _trajectory_sample(result.trace_x, n_traj) + list(random_x)
-    if inst.spec.scheme == "pair":
-        samples = SampleSet(points_x=tuple(xs), grid=grid)
-        return estimate_k_pair(inst.problem, inst.mu, inst.nu, samples).k_hat
-    if inst.spec.scheme == "quadruple":
-        ys = _trajectory_sample(result.trace_y, n_traj) + list(random_y)
-        samples = SampleSet(points_x=tuple(xs), grid=grid, points_y=tuple(ys))
-        primal, dual = estimate_k_quad(inst.problem, inst.mu, inst.nu, samples)
-        ks = [r.k_hat for r in (primal, dual) if r.k_hat is not None]
-        return max(ks) if ks else None
-    samples = SampleSet(points_x=tuple(xs), grid=grid)
-    primal, dual = estimate_k_self_quad(inst.problem, inst.mu, samples)
-    ks = [r.k_hat for r in (primal, dual) if r.k_hat is not None]
+    ys = () if random_y is None else _trajectory_sample(result.trace_y, n_traj) + list(random_y)
+    samples = SampleSet(points_x=tuple(xs), grid=grid, points_y=tuple(ys))
+    reports = estimate_k(inst.spec.scheme, inst.problem, inst.mu, inst.nu, samples)
+    ks = [r.k_hat for r in reports if r.k_hat is not None]
     return max(ks) if ks else None
 
 
@@ -307,8 +297,6 @@ def run_suite(
     specs,
     cfg: SolveConfig | None = None,
     starts: int = 4,
-    uniqueness_tol: float = 1e-6,
-    axiom_triples: int = 32,
     n_traj: int = 8,
     n_rand: int = 8,
     quad_n_traj: int = 4,
@@ -332,12 +320,12 @@ def run_suite(
         window = inst.window
 
         ax_report = check_fm_axioms(
-            inst.mu, PRODUCT, axiom_triples, cfg.grid, seed=rng.next_u64(), window=window
+            inst.mu, PRODUCT, _AXIOM_TRIPLES, cfg.grid, seed=rng.next_u64(), window=window
         )
         violations = ax_report.violation_count
         if inst.nu is not inst.mu:
             nu_report = check_fm_axioms(
-                inst.nu, PRODUCT, axiom_triples, cfg.grid, seed=rng.next_u64(), window=window
+                inst.nu, PRODUCT, _AXIOM_TRIPLES, cfg.grid, seed=rng.next_u64(), window=window
             )
             violations += nu_report.violation_count
 
@@ -350,7 +338,7 @@ def run_suite(
         if inst.spec.scheme == "quadruple":
             random_y = inst.nu.carrier.sample(rng, n_rand_here, window)
         probe_starts = [inst.x0, *inst.mu.carrier.sample(rng, starts - 1, window)]
-        probe = uniqueness_probe(inst.problem, inst.mu, inst.nu, probe_starts, cfg, tol=uniqueness_tol)
+        probe = uniqueness_probe(inst.problem, inst.mu, inst.nu, probe_starts, cfg)
         result, unique = probe.results[0], probe.passed
         max_dist = max(probe.max_z_distance, probe.max_w_distance) if probe.conclusive else None
         del probe  # only the x0 result outlives the probe

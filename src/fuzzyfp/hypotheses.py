@@ -156,6 +156,23 @@ def _quotient_reports(prefix, terms, axes, samples, keep_ratios, empty_message):
     return reports
 
 
+def estimate_k(
+    scheme: str, problem, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, keep_ratios: bool = False
+):
+    """The reports of the scheme's inequalities on the sample, one at a time,
+    so that a report made before a later one raises is kept: a pair gives its
+    report, then the dual's if the sample has points_y; a quadruple gives
+    both sides; a self-quadruple gives both sides on mu alone."""
+    if scheme == "pair":
+        yield estimate_k_pair(problem, mu, nu, samples, keep_ratios)
+        if samples.points_y:
+            yield estimate_k_pair_dual(problem, mu, nu, samples, keep_ratios)
+    elif scheme == "quadruple":
+        yield from estimate_k_quad(problem, mu, nu, samples, keep_ratios)
+    else:
+        yield from estimate_k_self_quad(problem, mu, samples, keep_ratios)
+
+
 # ---------------------------------------------------------------------------
 # pair scheme
 # ---------------------------------------------------------------------------

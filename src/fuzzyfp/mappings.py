@@ -44,8 +44,6 @@ class Mapping:
 class AffineMap(Mapping):
     """x -> matrix @ x + offset into a box codomain."""
 
-    form = "affine"
-
     def __init__(self, matrix, offset, codomain: BoxSpace):
         if not isinstance(codomain, BoxSpace):
             raise DomainError("affine maps require a box codomain")
@@ -69,8 +67,6 @@ class AffineMap(Mapping):
 class ConstantMap(Mapping):
     """x -> value, for any carrier kinds."""
 
-    form = "constant"
-
     def __init__(self, value, codomain):
         super().__init__(codomain)
         self.value = codomain.validate_point(value)
@@ -81,8 +77,6 @@ class ConstantMap(Mapping):
 
 class TableMap(Mapping):
     """index -> targets[index] between finite carriers."""
-
-    form = "table"
 
     def __init__(self, targets, codomain: FiniteSpace):
         if not isinstance(codomain, FiniteSpace):
@@ -107,8 +101,6 @@ class TableMap(Mapping):
 class ComposedMap(Mapping):
     """x -> outer(inner(x)); inner's codomain is checked too, so a call
     names the map whose output escaped."""
-
-    form = "composed"
 
     def __init__(self, outer: Mapping, inner: Mapping):
         super().__init__(outer.codomain)

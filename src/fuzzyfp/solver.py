@@ -174,46 +174,33 @@ _CHUNK_CYCLES = 64
 
 
 class _Steps:
-    """One per-step array of every start of a batch, step-major: entry n
-    holds the rows of the starts running at step n, each in its start's
-    column, so a start's entries are the first ones of its column.  Once at
-    most half the columns belong to running starts, the others are dropped,
-    so that a start which runs long does not keep those that stopped early."""
+    """One per-step array of the running starts of a batch, step-major:
+    entry n holds the rows of every running start at step n, one column per
+    start in the order of _Runs.ids.  A stopped start's column is dropped at
+    once, so that a start which runs long does not keep those that stopped."""
 
-    def __init__(self, count: int):
-        self.cols = np.arange(count)  # the column of each start still kept
+    def __init__(self):
         self.buf = None
         self.n = 0
 
-    def extend(self, ids: np.ndarray, rows: np.ndarray) -> None:
-        """Append the entries rows[0], rows[1], ... of the starts ids as one slice."""
+    def extend(self, rows: np.ndarray) -> None:
+        """Append the entries rows[0], rows[1], ... as one slice."""
         if self.buf is None:
-            self.buf = np.empty((16, len(ids)) + rows.shape[2:], dtype=rows.dtype)
-            self.cols[ids] = np.arange(len(ids))
+            self.buf = np.empty((16,) + rows.shape[1:], dtype=rows.dtype)
         end = self.n + len(rows)
         while end > len(self.buf):
             self.buf = np.concatenate([self.buf, np.empty_like(self.buf)])
-        if len(ids) == self.buf.shape[1]:
-            self.buf[self.n : end] = rows
-        else:
-            self.buf[self.n : end, self.cols[ids]] = rows
+        self.buf[self.n : end] = rows
         self.n = end
 
-    def since(self, ids: np.ndarray, n: int) -> np.ndarray:
-        """Entries n onward of the starts ids."""
-        return self.buf[n : self.n, self.cols[ids]]
+    @property
+    def last(self) -> np.ndarray:
+        return self.buf[self.n - 1]
 
-    def column(self, i: int, n: int):
-        """A copy of the first n entries of start i, or None if there are
+    def column(self, col: int, n: int):
+        """A copy of the first n entries of column col, or None if there are
         none; a copy, so that a result kept alone does not keep the batch."""
-        return self.buf[:n, self.cols[i]].copy() if n else None
-
-    def keep(self, ids: np.ndarray) -> None:
-        """Drop the columns of the starts not in ids (ascending) once those
-        in ids hold at most half of the columns."""
-        if self.buf is not None and 2 * len(ids) <= self.buf.shape[1]:
-            self.buf = self.buf[:, self.cols[ids]]
-            self.cols[ids] = np.arange(len(ids))
+        return self.buf[:n, col].copy() if n else None
 
 
 def _map_chunk(cycle, x: np.ndarray, cycles: int):
@@ -259,26 +246,26 @@ class _Runs:
         self.ids = np.arange(n)
         self.reasons = [STOP_MAX_ITER] * n
         self.mu, self.nu, self.cfg = mu, nu, cfg
-        self.steps = [_Steps(n) for _ in range(5)]
+        self.steps = [_Steps() for _ in range(5)]
         self.xs, self.ys, self.x_rows, self.y_rows, self.lengths = self.steps
-        self.xs.extend(self.ids, x0[None])
+        self.xs.extend(x0[None])
         self.done = [None] * n  # each stopped start's (trace_x, trace_y)
 
-    def judge(self, xs, ys, y_prev, escapes, cycles: int) -> np.ndarray:
-        """Store a chunk of cycles from _map_chunk (y_prev: the y before it)
-        and stop each start at its first stop in it: an escape at once, else
-        at the end of a cycle, eps-reached before the first divergence flag
-        of that cycle.  The mask of the starts that run on."""
+    def judge(self, xs, ys, escapes, cycles: int) -> None:
+        """Store a chunk of cycles that _map_chunk mapped from the last stored
+        iterates, and stop each start at its first stop in it: an escape at
+        once, else at the end of a cycle, eps-reached before the first
+        divergence flag of that cycle."""
         grid, level = self.cfg.grid, 1.0 - self.cfg.eps
         k, count = len(ys), len(self.ids)
         per = k // cycles  # steps per cycle
         first = self.x_rows.n  # the chunk's first step
         lengths = self.mu.carrier.distances(xs[:-1], xs[1:])
         x_rows = self.mu.mu_from_distances(lengths, xs[:-1], xs[1:], grid)
-        y_all = ys if y_prev is None else np.concatenate([y_prev[None], ys])
+        y_all = np.concatenate([self.ys.last[None], ys]) if self.ys.n else ys
         y_rows = self.nu.mu_batch(y_all[:-1], y_all[1:], grid)
         for steps, rows in zip(self.steps, (xs[1:], ys, x_rows, y_rows, lengths)):
-            steps.extend(self.ids, rows)
+            steps.extend(rows)
         near = (x_rows >= level).all(axis=-1)
         near[k - len(y_rows) :] &= (y_rows >= level).all(axis=-1)
         near = near.reshape(cycles, per, count).all(axis=1)
@@ -291,7 +278,7 @@ class _Runs:
         ended = ends.any(axis=0)
         run_on = ~ended & (escapes == 2 * k)
         if run_on.all():
-            return run_on
+            return
         end = np.where(ended, ends.argmax(axis=0), cycles)
         for row in np.flatnonzero(~run_on):
             c = end[row]
@@ -301,11 +288,10 @@ class _Runs:
             else:
                 reason, maps = STOP_ESCAPE, 2 * first + escapes[row]
             i = int(self.ids[row])
-            self.reasons[i], self.done[i] = reason, self._traces(i, maps)
+            self.reasons[i], self.done[i] = reason, self._traces(row, maps)
         self.ids = self.ids[run_on]
         for steps in self.steps:
-            steps.keep(self.ids)
-        return run_on
+            steps.buf = steps.buf[:, run_on]
 
     def _flags(self, first: int, k: int) -> np.ndarray:
         """Per step of the chunk of k steps from first on and per running
@@ -326,9 +312,9 @@ class _Runs:
         if first + k < window:  # no run of window steps ends in the chunk
             return np.zeros((k, len(self.ids)), dtype=np.intp)
         lo = max(first - window, 0)
-        rows = self.x_rows.since(self.ids, lo)
+        rows = self.x_rows.buf[lo : self.x_rows.n]
         low, top = rows[..., 0], rows[..., -1]
-        length = self.lengths.since(self.ids, lo)
+        length = self.lengths.buf[lo : self.lengths.n]
         at = np.arange(first - lo, len(low))  # the chunk's steps
         back = np.maximum(at - window + 1, 0)
         back2 = np.where(at >= window, at - window, back)
@@ -350,16 +336,18 @@ class _Runs:
         )
         return np.where(stall, 1, 2 * collapse)
 
-    def _traces(self, i: int, maps: int):
-        """(trace_x, trace_y) of start i after it applied maps maps."""
+    def _traces(self, col: int, maps: int):
+        """(trace_x, trace_y) of the start in column col after it applied maps maps."""
         nx, ny = maps // 2 + 1, (maps + 1) // 2
         counts = (nx, ny, nx - 1, max(ny - 1, 0))
-        xs, ys, x_rows, y_rows = (s.column(i, n) for s, n in zip(self.steps, counts))
+        xs, ys, x_rows, y_rows = (s.column(col, n) for s, n in zip(self.steps, counts))
         return _trace(xs, x_rows, self.cfg.grid), _trace(ys, y_rows, self.cfg.grid)
 
-    def traces(self, i: int):
-        """(trace_x, trace_y) of start i."""
-        return self.done[i] or self._traces(i, 2 * self.x_rows.n)
+    def traces(self) -> list:
+        """(trace_x, trace_y) of every start, those still running after every step."""
+        for col, i in enumerate(self.ids.tolist()):
+            self.done[i] = self._traces(col, 2 * self.x_rows.n)
+        return self.done
 
 
 def _trace(points, rows, grid: TGrid) -> SequenceTrace:
@@ -390,20 +378,16 @@ def _iterate(problem, cycle, w_of, verify, mu, nu, starts, cfg) -> list[FixedPoi
     first start only: the x0 of solve and of the suite's probe.
     """
     cfg = cfg or SolveConfig()
-    x = validate_points(mu.carrier, starts)
-    runs = _Runs(x, mu, nu, cfg)
-    y, done, size = None, 0, 1
+    runs = _Runs(validate_points(mu.carrier, starts), mu, nu, cfg)
+    done, size = 0, 1
     while len(runs.ids) and done < cfg.max_iter:
         size = min(size, cfg.max_iter - done)
-        xs, ys, escapes = _map_chunk(cycle, x, size)
-        run_on = runs.judge(xs, ys, y, escapes, size)
-        x, y = xs[-1][run_on], ys[-1][run_on]
+        runs.judge(*_map_chunk(cycle, runs.xs.last, size), size)
         done += size
         size = min(2 * size, _CHUNK_CYCLES)
 
     results = []
-    for i in range(len(starts)):
-        trace_x, trace_y = runs.traces(i)
+    for i, (trace_x, trace_y) in enumerate(runs.traces()):
         z = trace_x.last
         w = w_of(z, trace_y.points)
         checks = ()
@@ -465,6 +449,10 @@ class UniquenessReport:
     results: tuple
 
 
+# Largest crisp distance between two starts' fixed points that still passes the probe.
+_UNIQUENESS_TOL = 1e-6
+
+
 def _diameter(carrier, pts) -> float:
     p = np.asarray(pts)
     return float(carrier.distances(p[:, None], p[None]).max())
@@ -476,12 +464,11 @@ def uniqueness_probe(
     nu: FuzzyMetric,
     starts,
     cfg: SolveConfig | None = None,
-    tol: float = 1e-6,
 ) -> UniquenessReport:
     """Solve from several starts in one batch and compare the fixed points.
 
     Passes iff the largest pairwise crisp distance among the z's and among
-    the w's is at most tol.  Any non-converged run makes the probe
+    the w's is at most _UNIQUENESS_TOL.  Any non-converged run makes the probe
     inconclusive (passed = None).  The report keeps every start's result;
     conclusions are checked only for the first start, by convention x0.
     """
@@ -494,7 +481,7 @@ def uniqueness_probe(
     if conclusive:
         max_z = _diameter(mu.carrier, [r.z for r in results])
         max_w = _diameter(nu.carrier, [r.w for r in results])
-        passed = max_z <= tol and max_w <= tol
+        passed = max_z <= _UNIQUENESS_TOL and max_w <= _UNIQUENESS_TOL
     return UniquenessReport(
         conclusive=conclusive,
         passed=passed,

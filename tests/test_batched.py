@@ -611,8 +611,9 @@ def _traced_peak(run):
 
 def test_starts_that_stop_early_do_not_keep_memory_for_a_long_one():
     """One start rotating to max_iter beside four that stop at once: the
-    batch's traced peak stays near that of the long start alone (it was
-    about 3.4 times as high while every stopped start kept its column)."""
+    step history drops a stopped start's column in the chunk where it stops,
+    so the batch's traced peak stays near that of the long start alone (it
+    was about 3.4 times as high while every stopped start kept its column)."""
     box = BoxSpace([-np.inf] * 3, [np.inf] * 3)
     c, s = np.cos(0.1), np.sin(0.1)
     turn = AffineMap([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], [0.0] * 3, box)
@@ -659,6 +660,18 @@ def _escapes_and_a_stall():
     ]
 
 
+def _columns_that_stop_out_of_order():
+    """The line of _escapes_and_a_stall cut at 40 cycles: 9.9 escapes in the
+    first chunk, of one cycle; the last start converges in the second chunk;
+    -2 escapes in the last chunk while the columns in front of it run on;
+    1 and 0.5 reach max-iter as the first and second of the columns kept."""
+    (pair, mu, _, _, _), _ = _escapes_and_a_stall()
+    starts = [np.array([v]) for v in (1.0, 9.9, 0.5, -2.0, 0.0)]
+    return (pair, mu, mu, starts, SolveConfig(max_iter=40)), [
+        ("max-iter", 40), ("codomain-escape", 0), ("max-iter", 40), ("codomain-escape", 32), ("eps-reached", 2)
+    ]
+
+
 def _stall_and_collapse():
     mu = induced_exponential(LINE)
     starts = [np.array([v]) for v in (0.0, 1e-6, 100.0, 1e8)]
@@ -692,7 +705,7 @@ def _stall_then_collapse_in_one_cycle():
 PINNED = [_escapes_and_a_stall(), _stall_and_collapse(), _stall_then_collapse_in_one_cycle()] + [
     (_eps_and_stall_in_one_cycle(eps), [(reason, 4), ("stall", 4)])
     for eps, reason in ((1e-9, "eps-reached"), (1e-12, "stall"))
-]
+] + [_columns_that_stop_out_of_order()]
 
 
 @pytest.mark.parametrize("case,reasons", PINNED)

@@ -198,6 +198,20 @@ class TestHypothesesCommand:
         assert report["note"] == note
         assert report["reports"] == []
 
+    def test_a_dual_that_raises_keeps_the_pair_report(self, tmp_path, capsys):
+        """A single points_y point makes every dual tuple diagonal, so the
+        dual raises; the pair report computed before it stays beside the note."""
+        doc = pair_config()
+        doc["hypotheses"]["points_y"] = [[1.0]]
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = str(tmp_path / "out")
+        assert main(["hypotheses", "--config", cfg, "--out", out]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.load(open(os.path.join(out, "hypotheses_report.json")))
+        assert report["note"] == "every tuple of the sample was skipped"
+        assert [r["label"] for r in report["reports"]] == ["pair"]
+        assert report["reports"][0]["k_hat"] < 1.0
+
     def test_include_diagonal_changes_skip_counts(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", pair_config())
         out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")

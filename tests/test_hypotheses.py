@@ -21,6 +21,7 @@ from fuzzyfp import (
     SampleSet,
     SplitMix64,
     TGrid,
+    estimate_k,
     estimate_k_pair,
     estimate_k_pair_dual,
     estimate_k_quad,
@@ -470,6 +471,36 @@ class TestSelfQuad:
         # for identity maps f = mu^2, h = mu, so every admissible ratio is 1
         assert primal.k_hat == pytest.approx(1.0, abs=1e-12)
         assert not primal.holds
+
+
+# ---------------------------------------------------------------------------
+# one entry point for all three schemes
+# ---------------------------------------------------------------------------
+
+
+def test_estimate_k_gives_each_scheme_the_reports_of_its_estimators(linear_pair):
+    """A pair's dual only with points_y; a self-quadruple on mu alone."""
+    grid = TGrid([0.5, 1.0, 2.0])
+    xs, ys = pts(0.0, 1.0, 2.0), pts(0.5, 1.5, 3.0)
+    with_y, without_y = SampleSet(points_x=xs, grid=grid, points_y=ys), SampleSet(points_x=xs, grid=grid)
+    quad, self_quad = TestEstimateKQuad()._quad(), TestSelfQuad()._quad()
+    cases = [
+        ("pair", linear_pair, NU, without_y, [estimate_k_pair(linear_pair, MU, NU, without_y)]),
+        (
+            "pair",
+            linear_pair,
+            NU,
+            with_y,
+            [estimate_k_pair(linear_pair, MU, NU, with_y), estimate_k_pair_dual(linear_pair, MU, NU, with_y)],
+        ),
+        ("quadruple", quad, NU, with_y, estimate_k_quad(quad, MU, NU, with_y)),
+        ("self-quadruple", self_quad, None, without_y, estimate_k_self_quad(self_quad, MU, without_y)),
+    ]
+    for scheme, problem, nu, samples, refs in cases:
+        got = list(estimate_k(scheme, problem, MU, nu, samples))
+        assert [(r.label, r.k_hat, r.evaluated_count, r.skipped_count) for r in got] == [
+            (r.label, r.k_hat, r.evaluated_count, r.skipped_count) for r in refs
+        ]
 
 
 # ---------------------------------------------------------------------------
