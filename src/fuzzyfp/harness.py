@@ -25,7 +25,7 @@ from .hypotheses import SampleSet, estimate_k
 from .mappings import AffineMap, ConstantMap, MapPair, MapQuadruple
 from .metrics import FuzzyMetric, TGrid, induced_exponential, induced_standard
 from .rng import GENERATOR_NAME, SplitMix64
-from .solver import STATUS_CONVERGED, SolveConfig, uniqueness_probe
+from .solver import STATUS_CONVERGED, SolveConfig, compare_fixed_points, solve_problems
 from .spaces import BoxSpace
 from .tnorms import PRODUCT
 
@@ -313,57 +313,59 @@ def run_suite(
     if not specs:
         raise UsageError("run_suite needs at least one instance spec")
     cfg = cfg or SolveConfig()
-    rows = []
-    for index, spec in enumerate(specs):
+    drawn = []  # per spec: the instance, its axiom violations, k_hat points and probe starts
+    for spec in specs:  # every draw of an instance from its own stream, in a fixed order
         inst = gen_instance(spec)
         rng = SplitMix64(spec.seed ^ _SUITE_SALT)
         window = inst.window
-
-        ax_report = check_fm_axioms(
-            inst.mu, PRODUCT, _AXIOM_TRIPLES, cfg.grid, seed=rng.next_u64(), window=window
+        violations = sum(
+            check_fm_axioms(fm, PRODUCT, _AXIOM_TRIPLES, cfg.grid, seed=rng.next_u64(), window=window).violation_count
+            for fm in dict.fromkeys((inst.mu, inst.nu))
         )
-        violations = ax_report.violation_count
-        if inst.nu is not inst.mu:
-            nu_report = check_fm_axioms(
-                inst.nu, PRODUCT, _AXIOM_TRIPLES, cfg.grid, seed=rng.next_u64(), window=window
-            )
-            violations += nu_report.violation_count
-
-        # every draw comes before the one batch solve, in a fixed order: the
-        # k_hat sample's random points, then the probe's extra starts
-        quad_like = inst.spec.scheme != "pair"
-        n_rand_here = quad_n_rand if quad_like else n_rand
+        n_rand_here = n_rand if spec.scheme == "pair" else quad_n_rand
         random_x = inst.mu.carrier.sample(rng, n_rand_here, window)
-        random_y = None
-        if inst.spec.scheme == "quadruple":
-            random_y = inst.nu.carrier.sample(rng, n_rand_here, window)
+        random_y = inst.nu.carrier.sample(rng, n_rand_here, window) if spec.scheme == "quadruple" else None
         probe_starts = [inst.x0, *inst.mu.carrier.sample(rng, starts - 1, window)]
-        probe = uniqueness_probe(inst.problem, inst.mu, inst.nu, probe_starts, cfg)
-        result, unique = probe.results[0], probe.passed
-        max_dist = max(probe.max_z_distance, probe.max_w_distance) if probe.conclusive else None
-        del probe  # only the x0 result outlives the probe
-        try:
-            k_hat = _estimate_instance_k(
-                inst, result, random_x, random_y, cfg.grid, quad_n_traj if quad_like else n_traj
-            )
-        except (EmptySampleError, CodomainError):  # the sample's images left the codomain
-            k_hat = None
+        drawn.append((inst, violations, random_x, random_y, probe_starts))
 
-        rows.append(
-            InstanceVerdict(
+    # one batch per kind of instance: their maps stack, and their boxes and metrics are alike
+    kinds = {}
+    for index, spec in enumerate(specs):
+        kinds.setdefault((spec.scheme, spec.dim, spec.metric_form, spec.halfwidth, spec.expansive), []).append(index)
+    rows = [None] * len(specs)
+    for members in kinds.values():
+        insts = [drawn[i][0] for i in members]
+        results = solve_problems(
+            [inst.problem for inst in insts],
+            insts[0].mu,
+            insts[0].nu,
+            [x for i in members for x in drawn[i][4]],
+            np.repeat(np.arange(len(members)), starts),
+            cfg,
+        )
+        for index in members:  # one instance's traces at a time
+            inst, violations, random_x, random_y, _ = drawn[index]
+            probe = compare_fixed_points(inst.mu, inst.nu, [next(results) for _ in range(starts)])
+            result = probe.results[0]
+            try:
+                k_hat = _estimate_instance_k(
+                    inst, result, random_x, random_y, cfg.grid, n_traj if inst.spec.scheme == "pair" else quad_n_traj
+                )
+            except (EmptySampleError, CodomainError):  # the sample's images left the codomain
+                k_hat = None
+            rows[index] = InstanceVerdict(
                 index=index,
-                seed=spec.seed,
-                scheme=spec.scheme,
+                seed=inst.spec.seed,
+                scheme=inst.spec.scheme,
                 status=result.status,
                 iterations=result.iterations,
                 k_hat=k_hat,
                 axiom_violations=violations,
                 conclusions_passed=result.conclusions_passed,
                 min_residual=result.min_residual,
-                uniqueness_passed=unique,
-                uniqueness_max_distance=max_dist,
+                uniqueness_passed=probe.passed,
+                uniqueness_max_distance=max(probe.max_z_distance, probe.max_w_distance) if probe.conclusive else None,
             )
-        )
 
     aggregates = {
         "instances": len(rows),

@@ -20,12 +20,13 @@ when an iterate escapes its carrier; the schemes must terminate on any input.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CodomainError, DomainError, UsageError
-from .mappings import ComposedMap, MapPair, MapQuadruple
+from .mappings import AffineMap, ComposedMap, MapPair, MapQuadruple, Mapping
 from .metrics import FuzzyMetric, TGrid
 from .spaces import validate_points
 
@@ -103,8 +104,8 @@ class FixedPointResult:
     w: object
     stop_reason: str
     iterations: int
-    trace_x: SequenceTrace
-    trace_y: SequenceTrace
+    trace_x: SequenceTrace | None  # None for a start of solve_problems that is not a problem's first
+    trace_y: SequenceTrace | None
     conclusion_checks: tuple[ConclusionCheck, ...]
 
     @property
@@ -197,11 +198,6 @@ class _Steps:
     def last(self) -> np.ndarray:
         return self.buf[self.n - 1]
 
-    def column(self, col: int, n: int):
-        """A copy of the first n entries of column col, or None if there are
-        none; a copy, so that a result kept alone does not keep the batch."""
-        return self.buf[:n, col].copy() if n else None
-
 
 def _map_chunk(cycle, x: np.ndarray, cycles: int):
     """Map cycles cycles from the iterates x of the running starts: the
@@ -237,19 +233,20 @@ def _map_chunk(cycle, x: np.ndarray, cycles: int):
 
 
 class _Runs:
-    """Which starts of a batch still run, why the others stopped and their
-    traces, and the iterates, nearness rows and crisp lengths of every step
-    of the running starts."""
+    """Which starts of a batch still run, why the others stopped and what
+    their results need, and of every step of the running starts the
+    iterates and what _flags reads back: nearness at the smallest and the
+    largest grid scale and the crisp length of each x step."""
 
-    def __init__(self, x0: np.ndarray, mu, nu, cfg: SolveConfig):
+    def __init__(self, x0: np.ndarray, mu, nu, cfg: SolveConfig, traced: np.ndarray):
         n = len(x0)
         self.ids = np.arange(n)
         self.reasons = [STOP_MAX_ITER] * n
-        self.mu, self.nu, self.cfg = mu, nu, cfg
+        self.mu, self.nu, self.cfg, self.traced = mu, nu, cfg, traced
         self.steps = [_Steps() for _ in range(5)]
-        self.xs, self.ys, self.x_rows, self.y_rows, self.lengths = self.steps
+        self.xs, self.ys, self.low, self.top, self.lengths = self.steps
         self.xs.extend(x0[None])
-        self.done = [None] * n  # each stopped start's (trace_x, trace_y)
+        self.done = [None] * n  # each stopped start's (x points, y points, iterations)
 
     def judge(self, xs, ys, escapes, cycles: int) -> None:
         """Store a chunk of cycles that _map_chunk mapped from the last stored
@@ -259,12 +256,12 @@ class _Runs:
         grid, level = self.cfg.grid, 1.0 - self.cfg.eps
         k, count = len(ys), len(self.ids)
         per = k // cycles  # steps per cycle
-        first = self.x_rows.n  # the chunk's first step
+        first = self.lengths.n  # the chunk's first step
         lengths = self.mu.carrier.distances(xs[:-1], xs[1:])
         x_rows = self.mu.mu_from_distances(lengths, xs[:-1], xs[1:], grid)
         y_all = np.concatenate([self.ys.last[None], ys]) if self.ys.n else ys
         y_rows = self.nu.mu_batch(y_all[:-1], y_all[1:], grid)
-        for steps, rows in zip(self.steps, (xs[1:], ys, x_rows, y_rows, lengths)):
+        for steps, rows in zip(self.steps, (xs[1:], ys, x_rows[..., 0], x_rows[..., -1], lengths)):
             steps.extend(rows)
         near = (x_rows >= level).all(axis=-1)
         near[k - len(y_rows) :] &= (y_rows >= level).all(axis=-1)
@@ -287,8 +284,7 @@ class _Runs:
                 maps = 2 * (first + (c + 1) * per)
             else:
                 reason, maps = STOP_ESCAPE, 2 * first + escapes[row]
-            i = int(self.ids[row])
-            self.reasons[i], self.done[i] = reason, self._traces(row, maps)
+            self._stop(row, maps, reason)
         self.ids = self.ids[run_on]
         for steps in self.steps:
             steps.buf = steps.buf[:, run_on]
@@ -306,15 +302,13 @@ class _Runs:
         alternating S∘A and T∘B steps always meet one of their kind.  When
         those sit at the floor at the largest scale as well, a rise cannot
         be seen there, and the crisp lengths decide instead.  All of it is
-        read back from the stored rows and lengths.
+        read back from the stored nearness ends and lengths.
         """
         window = self.cfg.stall_window
         if first + k < window:  # no run of window steps ends in the chunk
             return np.zeros((k, len(self.ids)), dtype=np.intp)
         lo = max(first - window, 0)
-        rows = self.x_rows.buf[lo : self.x_rows.n]
-        low, top = rows[..., 0], rows[..., -1]
-        length = self.lengths.buf[lo : self.lengths.n]
+        low, top, length = (s.buf[lo : s.n] for s in (self.low, self.top, self.lengths))
         at = np.arange(first - lo, len(low))  # the chunk's steps
         back = np.maximum(at - window + 1, 0)
         back2 = np.where(at >= window, at - window, back)
@@ -336,75 +330,105 @@ class _Runs:
         )
         return np.where(stall, 1, 2 * collapse)
 
-    def _traces(self, col: int, maps: int):
-        """(trace_x, trace_y) of the start in column col after it applied maps maps."""
+    def _stop(self, col: int, maps: int, reason: str) -> None:
+        """Stop the start in column col after it applied maps maps: keep its
+        x and y points if it is traced, else only the last of each."""
+        i, maps = int(self.ids[col]), int(maps)
         nx, ny = maps // 2 + 1, (maps + 1) // 2
-        counts = (nx, ny, nx - 1, max(ny - 1, 0))
-        xs, ys, x_rows, y_rows = (s.column(col, n) for s, n in zip(self.steps, counts))
-        return _trace(xs, x_rows, self.cfg.grid), _trace(ys, y_rows, self.cfg.grid)
+        lo_x, lo_y = (0, 0) if self.traced[i] else (nx - 1, max(ny - 1, 0))
+        self.reasons[i] = reason  # copies, so that a result kept alone does not keep the batch
+        self.done[i] = (self.xs.buf[lo_x:nx, col].copy(), self.ys.buf[lo_y:ny, col].copy(), nx - 1)
 
-    def traces(self) -> list:
-        """(trace_x, trace_y) of every start, those still running after every step."""
-        for col, i in enumerate(self.ids.tolist()):
-            self.done[i] = self._traces(col, 2 * self.x_rows.n)
+    def finish(self) -> list:
+        """done for every start, those still running after every step."""
+        for col in range(len(self.ids)):
+            self._stop(col, 2 * self.lengths.n, STOP_MAX_ITER)
         return self.done
 
 
-def _trace(points, rows, grid: TGrid) -> SequenceTrace:
-    """A trace from one start's columns of the step arrays."""
-    if points is None:
-        points = ()
-    elif points.ndim == 1:  # finite-carrier indices
-        points = tuple(points.tolist())
-    else:
-        points.setflags(write=False)
-        points = tuple(points)
-    nearness = np.empty((0, len(grid))) if rows is None else rows
-    return SequenceTrace(points=points, nearness=nearness, grid=grid)
+def _points(arr: np.ndarray) -> tuple:
+    """One start's column of points as read-only rows, or on a finite carrier as ints."""
+    if arr.ndim == 1:
+        return tuple(arr.tolist())
+    arr.setflags(write=False)
+    return tuple(arr)
+
+
+def _trace(arr: np.ndarray, fm: FuzzyMetric, grid: TGrid) -> SequenceTrace:
+    """A trace from one start's column of points; its nearness rows are
+    computed again, as _Runs.judge computed them."""
+    return SequenceTrace(points=_points(arr), nearness=fm.mu_batch(arr[:-1], arr[1:], grid), grid=grid)
+
+
+class _Stacked(Mapping):
+    """The affine and constant maps of several problems at one position of
+    their cycles, as one matrix and one offset per problem (a constant
+    map's matrix is 0, and 0 @ x + value is value on a finite x);
+    take(rows) maps row r of a batch by the map of problem rows[r]."""
+
+    def __init__(self, maps):
+        super().__init__(maps[0].codomain)  # the problems' boxes are alike
+        zero = np.zeros((self.codomain.dimension,) * 2)
+        self.matrix = np.array([m.matrix if isinstance(m, AffineMap) else zero for m in maps])
+        self.offset = np.array([m.offset if isinstance(m, AffineMap) else m.value for m in maps])
+
+    def take(self, rows: np.ndarray) -> "_Stacked":
+        out = copy.copy(self)
+        out.matrix, out.offset = self.matrix[rows], self.offset[rows]
+        return out
+
+    def _raw_rows(self, xs):  # rounds each row as AffineMap._raw_rows does
+        return np.matmul(self.matrix, xs[..., None])[..., 0] + self.offset
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an orbit that overflows escapes or diverges, and its status says so
-def _iterate(problem, cycle, w_of, verify, mu, nu, starts, cfg) -> list[FixedPointResult]:
-    """The one iteration loop, shared by both schemes, over all starts at once.
+def _iterate(problems, owner, mu, nu, starts, cfg, trace_all: bool):
+    """The one iteration loop, shared by both schemes, over the starts of
+    one or more problems at once: start i belongs to problems[owner[i]],
+    and the starts of a problem are adjacent.
 
-    cycle lists the (to_y, to_x) steps of one cycle; max_iter bounds the
-    number of cycles.  Each y is kept as soon as it is computed.  A start
-    converges when every step row of a full cycle reaches 1 - eps, and the
-    first cycle, which has one y row fewer, never counts.  A start whose
-    image escapes a codomain stops at once; the others carry on.  Only the
-    maps run step by step: a chunk of cycles is mapped, then judged at once
-    (_Runs.judge), and each start stops where a run of its own would have.
-    w_of(z, ys) gives w, and verify checks the conclusions at (z, w) of the
-    first start only: the x0 of solve and of the suite's probe.
+    Each cycle lists the (to_y, to_x) steps of one cycle; max_iter bounds
+    the number of cycles.  Each y is kept as soon as it is computed.  A
+    start converges when every step row of a full cycle reaches 1 - eps,
+    and the first cycle, which has one y row fewer, never counts.  A start
+    whose image escapes a codomain stops at once; the others carry on.
+    Only the maps run step by step: a chunk of cycles is mapped, through
+    _Stacked maps if there are several problems, then judged at once by mu
+    and nu (_Runs.judge), and each start stops where a run of its own would
+    have.  w_of(z, ys) gives w, and verify checks the conclusions at (z, w)
+    of each problem's first start only, which alone keeps its traces unless
+    trace_all.  The results are made in start order as they are taken, so
+    a caller that takes one problem's at a time holds one's traces at a time.
     """
     cfg = cfg or SolveConfig()
-    runs = _Runs(validate_points(mu.carrier, starts), mu, nu, cfg)
+    schemes = [_scheme(p) for p in problems]
+    cycle = schemes[0][0]
+    if len(problems) > 1:  # at each step of the cycle, every problem's (to_y, to_x) stacked
+        cycle = [[_Stacked(maps) for maps in zip(*steps)] for steps in zip(*(s[0] for s in schemes))]
+    first = np.r_[True, owner[1:] != owner[:-1]]
+    runs = _Runs(validate_points(mu.carrier, starts), mu, nu, cfg, first | trace_all)
     done, size = 0, 1
     while len(runs.ids) and done < cfg.max_iter:
         size = min(size, cfg.max_iter - done)
-        runs.judge(*_map_chunk(cycle, runs.xs.last, size), size)
+        here = cycle if len(problems) == 1 else [[m.take(owner[runs.ids]) for m in step] for step in cycle]
+        runs.judge(*_map_chunk(here, runs.xs.last, size), size)
         done += size
         size = min(2 * size, _CHUNK_CYCLES)
+    kept = runs.finish()
 
-    results = []
-    for i, (trace_x, trace_y) in enumerate(runs.traces()):
-        z = trace_x.last
-        w = w_of(z, trace_y.points)
+    @np.errstate(over="ignore", invalid="ignore")
+    def result(i: int) -> FixedPointResult:
+        xs, ys, iterations = kept[i]
+        _, w_of, verify = schemes[owner[i]]
+        z = _points(xs[-1:])[0]
+        w = w_of(z, _points(ys[-1:]))
         checks = ()
-        if w is not None and i == 0:
-            checks = verify(problem, mu, nu, z, w, cfg.grid, cfg.verify_tol)
-        results.append(
-            FixedPointResult(
-                z=z,
-                w=w,
-                stop_reason=runs.reasons[i],
-                iterations=len(trace_x) - 1,
-                trace_x=trace_x,
-                trace_y=trace_y,
-                conclusion_checks=checks,
-            )
-        )
-    return results
+        if w is not None and first[i]:
+            checks = verify(problems[owner[i]], mu, nu, z, w, cfg.grid, cfg.verify_tol)
+        traces = (_trace(xs, mu, cfg.grid), _trace(ys, nu, cfg.grid)) if runs.traced[i] else (None, None)
+        return FixedPointResult(z, w, runs.reasons[i], iterations, *traces, checks)
+
+    return map(result, range(len(kept)))
 
 
 def _scheme(problem):
@@ -432,7 +456,15 @@ def solve_batch(problem, mu, nu, starts, cfg: SolveConfig | None = None) -> list
     starts = list(starts)
     if not starts:
         return []
-    return _iterate(problem, *_scheme(problem), mu, nu, starts, cfg)
+    return list(_iterate([problem], np.zeros(len(starts), np.intp), mu, nu, starts, cfg, True))
+
+
+def solve_problems(problems, mu, nu, starts, owner, cfg: SolveConfig | None = None):
+    """solve_batch for several problems of one scheme in one batch, start i
+    being one of problems[owner[i]]: their maps affine or constant, on boxes
+    alike, with metrics alike to mu and nu.  An iterator of the results, in
+    which only each problem's first start keeps its traces."""
+    return _iterate(list(problems), np.asarray(owner), mu, nu, list(starts), cfg, False)
 
 
 def solve(problem, mu, nu, x0, cfg: SolveConfig | None = None) -> FixedPointResult:
@@ -475,7 +507,12 @@ def uniqueness_probe(
     starts = list(starts)
     if len(starts) < 2:
         raise UsageError("uniqueness probe needs at least two starting points")
-    results = tuple(solve_batch(problem, mu, nu, starts, cfg))
+    return compare_fixed_points(mu, nu, solve_batch(problem, mu, nu, starts, cfg))
+
+
+def compare_fixed_points(mu: FuzzyMetric, nu: FuzzyMetric, results) -> UniquenessReport:
+    """The uniqueness verdict on the results of one problem's starts; see uniqueness_probe."""
+    results = tuple(results)
     conclusive = all(r.status == STATUS_CONVERGED for r in results)
     max_z = max_w = passed = None
     if conclusive:

@@ -23,6 +23,7 @@ from fuzzyfp import (
     ConstantMap,
     DomainError,
     FiniteSpace,
+    InstanceSpec,
     MapPair,
     MapQuadruple,
     SolveConfig,
@@ -33,6 +34,7 @@ from fuzzyfp import (
     TGrid,
     check_fm_axioms,
     check_tnorm_axioms,
+    gen_instance,
     induced_exponential,
     induced_standard,
 )
@@ -381,6 +383,44 @@ def test_affine_rows_match_one_point_at_a_time(dim):
     assert m(xs[-1]).tobytes() == ref[-1].tobytes()
 
 
+STACK_SPECS = [
+    dict(scheme="pair", family="mixed"),
+    dict(scheme="quadruple", family="mixed", factor_lo=0.97, factor_hi=0.995),
+    dict(scheme="pair", expansive=True, factor_lo=1.5, factor_hi=1e8),
+]
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+@pytest.mark.parametrize("kind", STACK_SPECS, ids=["pair-mixed", "quadruple-mixed", "pair-expansive"])
+def test_stacked_maps_match_each_problem_bit_for_bit(dim, kind):
+    """A stacked matmul with one matrix per row rounds each row as the
+    row's own AffineMap._raw_rows does on its problem's rows, and a zero
+    matrix row gives exactly the value of its ConstantMap, on the maps and
+    the points that gen_instance draws.  The suite's golden digests depend
+    on it."""
+    insts = [gen_instance(InstanceSpec(dim=dim, seed=40 * dim + s, **kind)) for s in range(30)]
+    rng = SplitMix64(dim)
+    owner = np.repeat(np.arange(len(insts)), 4)
+    xs = np.array(insts[0].mu.carrier.sample(rng, len(owner), insts[0].window))
+    constants = 0
+    for steps in zip(*(solver._scheme(inst.problem)[0] for inst in insts)):
+        for maps in zip(*steps):
+            constants += sum(isinstance(m, ConstantMap) for m in maps)
+            got = solver._Stacked(maps).take(owner)._raw_rows(xs)
+            ref = np.concatenate([np.array(m._raw_rows(xs[owner == j])) for j, m in enumerate(maps)])
+            assert got.tobytes() == ref.tobytes()
+    assert constants > 0 or kind.get("expansive")
+
+
+def test_zero_matrix_rows_give_the_constant_values_gen_instance_draws():
+    insts = [gen_instance(InstanceSpec(dim=d, family="constant", seed=s)) for d in (1, 2, 5) for s in range(40)]
+    for inst in insts:
+        t_map = inst.problem.T
+        xs = np.array(inst.mu.carrier.sample(SplitMix64(inst.spec.seed), 6, inst.window))
+        stacked = solver._Stacked([t_map, t_map]).take(np.array([0, 0, 0, 1, 1, 1]))
+        assert stacked._raw_rows(xs).tobytes() == np.ascontiguousarray(t_map._raw_rows(xs)).tobytes()
+
+
 def _same_point(a, b):
     if isinstance(b, int):
         return type(a) is int and a == b
@@ -626,6 +666,37 @@ def test_starts_that_stop_early_do_not_keep_memory_for_a_long_one():
     alone = _traced_peak(lambda: solve_batch(pair, mu, mu, starts[:1], cfg))
     batch = _traced_peak(lambda: solve_batch(pair, mu, mu, starts, cfg))
     assert batch <= 1.25 * alone
+
+
+def _judged_rows(metric, name):
+    """Record the nearness rows that metric.name gives on a (steps, starts,
+    dim) stack of points, which only _Runs.judge asks for."""
+    rows, real = [], getattr(metric, name)
+
+    def record(*args):
+        out = real(*args)
+        if np.ndim(args[-3]) == 3:
+            rows.append(out)
+        return out
+
+    setattr(metric, name, record)
+    return rows
+
+
+@pytest.mark.parametrize("form", [induced_standard, induced_exponential])
+@pytest.mark.parametrize("scheme", ["pair", "quadruple"])
+def test_trace_nearness_is_the_rows_the_judge_computed(scheme, form):
+    """The step history keeps no nearness rows: a trace computes them again
+    from its points, and gets the rows the judge computed, bit for bit,
+    over runs of several chunks."""
+    inst = gen_instance(InstanceSpec(scheme=scheme, dim=1, factor_lo=0.97, factor_hi=0.995, seed=3))
+    mu, nu = form(inst.mu.carrier), form(inst.nu.carrier)
+    x_rows, y_rows = _judged_rows(mu, "mu_from_distances"), _judged_rows(nu, "mu_batch")
+    result = solve(inst.problem, mu, nu, inst.x0)
+    assert result.converged and result.iterations > 2 * 127  # past the chunk of cycles 64-127
+    for trace, rows in ((result.trace_x, x_rows), (result.trace_y, y_rows)):
+        judged = np.concatenate(rows)[: len(trace) - 1, 0]
+        assert trace.nearness.tobytes() == np.ascontiguousarray(judged).tobytes()
 
 
 # -- chunks of cycles judged at once -----------------------------------------

@@ -1,12 +1,16 @@
 import json
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import oracles
 from fuzzyfp import (
     ConfigError,
     InstanceSpec,
     SampleSet,
+    SolveConfig,
     TGrid,
     UsageError,
     estimate_k_pair,
@@ -181,3 +185,73 @@ def test_k_hat_nondecreasing_in_t_max():
         ks.append(rep.k_hat)
         assert rep.grid.t_max == pytest.approx(t_max)
     assert ks[0] <= ks[1] <= ks[2]
+
+
+def _row(row):
+    """A suite row without its index, NaN residuals and None k_hat included."""
+    fields = asdict(row)
+    del fields["index"]
+    return json.dumps(fields, sort_keys=True)
+
+
+# Kinds of instance that a suite solves in one batch each, every kind with
+# several families or seeds, and the escaping expansive pair of the golden
+# suite_pair_escape config.
+_MIXED_SPECS = [
+    [dict(scheme="pair", dim=2, family=f) for f in ("affine", "mixed", "constant")],
+    [dict(scheme="quadruple", dim=1, family=f, metric_form="exponential") for f in ("mixed", "affine", "constant")],
+    [dict(scheme="self-quadruple", dim=2, family=f) for f in ("mixed", "affine")],
+    [dict(scheme="pair", dim=3, factor_lo=1.5, factor_hi=1e8, expansive=True, seed=s) for s in (7, 8, 9, 10)],
+    [dict(scheme="pair", dim=1, metric_form="exponential", factor_lo=1.1, factor_hi=2.0, expansive=True)] * 2,
+    [dict(scheme="quadruple", dim=2, factor_lo=1.1, factor_hi=1.5, expansive=True)] * 2,
+    [dict(scheme="pair", dim=1, metric_form="exponential", family=f) for f in ("mixed", "affine")],
+]
+
+
+def test_suite_equals_each_spec_alone():
+    """Interleaved kinds of instance, each solved in one batch, give every
+    row that a suite of that spec alone gives."""
+    specs = []
+    for i in range(4):  # round robin over the kinds, so that no kind is contiguous
+        for j, kind in enumerate(_MIXED_SPECS):
+            if i < len(kind):
+                specs.append(InstanceSpec(**{"seed": 100 * j + i, **kind[i]}))
+    cfg = SolveConfig(max_iter=60)
+    verdict = run_suite(specs, cfg)
+    alone = [run_suite([spec], cfg).rows[0] for spec in specs]
+    assert [_row(r) for r in verdict.rows] == [_row(r) for r in alone]
+    assert [r.index for r in verdict.rows] == list(range(len(specs)))
+    for spec, row in zip(specs, verdict.rows):  # each row reads the x0 start, whose conclusions are checked
+        inst = gen_instance(spec)
+        with np.errstate(over="ignore", invalid="ignore"):  # the expansive orbits overflow
+            x0 = oracles.solve(inst.problem, inst.mu, inst.nu, inst.x0, cfg)
+        assert (row.status, row.iterations, row.conclusions_passed) == (x0.status, x0.iterations, x0.conclusions_passed)
+        assert json.dumps(row.min_residual) == json.dumps(x0.min_residual)
+    statuses = {r.status for r in verdict.rows}
+    assert statuses == {"converged", "diverging", "max-iter"}
+    assert any(r.k_hat is None for r in verdict.rows) and any(r.uniqueness_passed for r in verdict.rows)
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_of_slow_quadruples_keeps_memory_of_one():
+    """Four slow quadruples (660 to 1 032 x steps) solved in one batch:
+    the step history keeps no nearness rows, the starts after each x0 keep
+    no traces, and the rows are made one instance at a time, so the traced
+    peak stays near that of the largest instance alone."""
+    specs = [
+        InstanceSpec(scheme="quadruple", dim=1, factor_lo=0.97, factor_hi=0.995, metric_form="exponential", seed=s)
+        for s in range(4)
+    ]
+    verdict = run_suite(specs)
+    assert all(r.status == "converged" for r in verdict.rows)
+    assert min(r.iterations for r in verdict.rows) >= 660
+    alone = max(_traced_peak(lambda: run_suite([spec])) for spec in specs)
+    assert _traced_peak(lambda: run_suite(specs)) <= 1.25 * alone
