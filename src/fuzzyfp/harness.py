@@ -320,7 +320,7 @@ def run_suite(
         window = inst.window
         violations = sum(
             check_fm_axioms(fm, PRODUCT, _AXIOM_TRIPLES, cfg.grid, seed=rng.next_u64(), window=window).violation_count
-            for fm in dict.fromkeys((inst.mu, inst.nu))
+            for fm in dict.fromkeys((inst.mu, inst.nu))  # one check when nu is mu
         )
         n_rand_here = n_rand if spec.scheme == "pair" else quad_n_rand
         random_x = inst.mu.carrier.sample(rng, n_rand_here, window)
