@@ -11,8 +11,10 @@ reproduce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -24,6 +26,7 @@ from .axioms import check_fm_axioms, check_tnorm_axioms
 from .errors import CodomainError, ConfigError, EmptySampleError
 from .harness import InstanceVerdict, run_suite
 from .hypotheses import estimate_k
+from .metrics import TGrid
 from .rng import GENERATOR_NAME
 from .solver import solve
 
@@ -31,8 +34,13 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_CONFIG = 2
 
+# Rows of the ratio dump formatted at once; their strings stay a few MB.
+_RATIO_ROWS = 1 << 14
+
 
 def _jsonable(obj):
+    if isinstance(obj, TGrid):
+        obj = obj.values
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, np.bool_):
@@ -42,7 +50,7 @@ def _jsonable(obj):
     if isinstance(obj, np.integer):
         return int(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -54,24 +62,6 @@ def _write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _report_dict(report) -> dict:
-    return {
-        "label": report.label,
-        "k_hat": report.k_hat,
-        "holds": report.holds,
-        "witness": report.witness,
-        "evaluated_count": report.evaluated_count,
-        "skipped_count": report.skipped_count,
-        "grid": report.grid.values,
-        "sample_shape": report.sample_shape,
-        "exclude_diagonal": report.exclude_diagonal,
-    }
-
-
-def _axiom_report_dict(report) -> dict:
-    return {**_jsonable(report), "passed": report.passed}
 
 
 def cmd_axioms(doc: dict, args) -> int:
@@ -95,13 +85,39 @@ def cmd_axioms(doc: dict, args) -> int:
         "grid": grid.values,
         "tnorm": op.kind,
         "seed": seed,
-        "reports": [_axiom_report_dict(r) for r in reports],
+        "reports": [{**_jsonable(r), "passed": r.passed} for r in reports],
     }
     _write_json(os.path.join(args.out, "axioms_report.json"), payload)
     ok = all(r.passed for r in reports)
     for r in reports:
         print(f"axioms {r.subject}: {r.violation_count} violation(s) in {r.checks} checks")
     return EXIT_OK if ok else EXIT_FAILED
+
+
+def _ratio_rows(fh, grid):
+    """A dump for estimate_k that writes hypotheses_ratios.csv to fh, byte
+    for byte as csv.writer would: one row per admitted cell with the label,
+    the sample indices joined by ';', t and the ratio, floats in repr.  A
+    block is formatted _RATIO_ROWS rows at a time, and its indices once per
+    run of rows that share them, since the grid index varies fastest."""
+    fh.write("label,indices,t,ratio\r\n")
+    t_text = np.array([f"{t!r}," for t in grid.values.tolist()], dtype=object)
+
+    def dump(label, cells, ratios):
+        for lo in range(0, len(ratios), _RATIO_ROWS):
+            hi = lo + _RATIO_ROWS
+            lead, t_index = cells[lo:hi, :-1], cells[lo:hi, -1]
+            starts = np.flatnonzero(np.r_[True, (lead[1:] != lead[:-1]).any(axis=1)])
+            heads = np.array([f"{label},{';'.join(map(str, c))}," for c in lead[starts].tolist()], dtype=object)
+            columns = (
+                np.repeat(heads, np.diff(starts, append=len(lead))).tolist(),
+                t_text[t_index].tolist(),
+                map(repr, ratios[lo:hi].tolist()),
+                itertools.repeat("\r\n"),
+            )
+            fh.write("".join(itertools.chain.from_iterable(zip(*columns))))
+
+    return dump
 
 
 def cmd_hypotheses(doc: dict, args) -> int:
@@ -111,33 +127,27 @@ def cmd_hypotheses(doc: dict, args) -> int:
     samples = cfgmod.build_samples(
         doc, grid, carrier_x, carrier_y, include_diagonal=args.include_diagonal
     )
-    keep = args.format in ("csv", "both")
+    dump_csv = args.format in ("csv", "both")
+    path = os.path.join(args.out, "hypotheses_ratios.csv")
 
     reports = []
     note = None
-    try:
-        for report in estimate_k(scheme, problem, mu, nu, samples, keep_ratios=keep):
-            reports.append(report)
-    except (EmptySampleError, CodomainError) as exc:
-        note = str(exc)
+    with open(path, "w", newline="", encoding="utf-8") if dump_csv else contextlib.nullcontext() as fh:
+        dump = None if fh is None else _ratio_rows(fh, grid)
+        try:
+            for report in estimate_k(scheme, problem, mu, nu, samples, dump):
+                reports.append(report)
+        except (EmptySampleError, CodomainError) as exc:
+            note = str(exc)
 
     payload = {
         "generator": GENERATOR_NAME,
         "scheme": scheme,
         "grid": grid.values,
         "note": note,
-        "reports": [_report_dict(r) for r in reports],
+        "reports": [{**_jsonable(r), "holds": r.holds} for r in reports],
     }
     _write_json(os.path.join(args.out, "hypotheses_report.json"), payload)
-
-    if keep:
-        path = os.path.join(args.out, "hypotheses_ratios.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["label", "indices", "t", "ratio"])
-            for r in reports:
-                for row in r.ratios or ():
-                    writer.writerow([r.label, ";".join(str(v) for v in row[:-2]), row[-2], row[-1]])
 
     if note is not None:
         print(f"hypotheses: {note}")
@@ -188,10 +198,7 @@ def cmd_solve(doc: dict, args) -> int:
         "iterations": result.iterations,
         "z": result.z,
         "w": result.w,
-        "conclusion_checks": [
-            {"name": c.name, "residual": c.residual, "passed": c.passed}
-            for c in result.conclusion_checks
-        ],
+        "conclusion_checks": result.conclusion_checks,
     }
     _write_json(os.path.join(args.out, "solve_summary.json"), payload)
 
@@ -231,7 +238,7 @@ def cmd_suite(doc: dict, args) -> int:
     verdict = run_suite(specs, cfg, starts=starts)
 
     if args.format in ("json", "both"):
-        _write_json(os.path.join(args.out, "suite_verdict.json"), verdict.to_jsonable())
+        _write_json(os.path.join(args.out, "suite_verdict.json"), verdict)
     if args.format in ("csv", "both"):
         path = os.path.join(args.out, "suite_rows.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -15,7 +15,7 @@ reproduce bit-identical instances and verdicts.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -262,17 +262,6 @@ class SuiteVerdict:
     starts: int
     rows: tuple[InstanceVerdict, ...]
     aggregates: dict
-
-    def to_jsonable(self) -> dict:
-        return {
-            "generator": self.generator,
-            "grid": self.grid.values.tolist(),
-            "eps": self.eps,
-            "max_iter": self.max_iter,
-            "starts": self.starts,
-            "aggregates": dict(sorted(self.aggregates.items())),
-            "rows": [asdict(r) for r in self.rows],
-        }
 
 
 def _trajectory_sample(trace, count: int) -> list:

@@ -68,7 +68,6 @@ class HypothesisReport:
     grid: TGrid
     sample_shape: tuple
     exclude_diagonal: bool
-    ratios: list | None = None
 
     @property
     def holds(self) -> bool:
@@ -85,41 +84,53 @@ def _images(mapping, pts):
     return out
 
 
-def _reports(labels, evaluate, axes, samples, sample_shape, keep_ratios):
+def _reports(labels, evaluate, axes, samples, sample_shape, dump):
     """One report per label, over tuples of the point arrays in axes and the grid.
 
     evaluate(s) gives one (ratio, valid) pair per label on the slice s of
     the leading index; valid broadcasts to ratio's shape.  The slices are
     blocks of about _BLOCK_BYTES per float array.  k_hat is the largest
     valid ratio and its witness the first such cell in C order (the first
-    NaN if there is one, as np.argmax picks); the kept ratios list every
-    valid cell in C order.  k_hat is None when no cell is valid.  A
+    NaN if there is one, as np.argmax picks).  k_hat is None when no cell
+    is valid.  dump, if not None, is called as dump(label, cells, ratios)
+    with each block's valid cells in C order (np.argwhere indices with the
+    block's offset added; the grid index is the last column) and their
+    ratios.  Every block of a label is dumped before any of the next, so
+    each label after the first takes one more pass over the blocks.  A
     floating-point warning that several blocks raise is shown once.
     """
     ts = samples.grid.values
-    t_list = ts.tolist()
     shape = tuple(len(a) for a in axes) + ts.shape
     step = max(1, _BLOCK_BYTES // (8 * math.prod(shape[1:])))
     best = [None] * len(labels)  # (ratio, cell) of each label
     evaluated = [0] * len(labels)
-    dumps = [[] for _ in labels]
+
+    def block(start):
+        sides = evaluate(slice(start, start + step))
+        return [(ratio, np.broadcast_to(valid, ratio.shape)) for ratio, valid in sides]
+
+    def dump_block(side, start, ratio, valid):
+        cells = np.argwhere(valid)
+        cells[:, 0] += start
+        dump(labels[side], cells, ratio[valid])
+
+    starts = range(0, shape[0], step)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for start in range(0, shape[0], step):
-            for side, (ratio, valid) in enumerate(evaluate(slice(start, start + step))):
-                valid = np.broadcast_to(valid, ratio.shape)
+        for start in starts:
+            for side, (ratio, valid) in enumerate(block(start)):
                 evaluated[side] += int(np.count_nonzero(valid))
                 masked = np.where(valid, ratio, -np.inf)
                 cell = np.unravel_index(int(np.argmax(masked)), masked.shape)
                 r = masked[cell]
                 if best[side] is None or not np.isnan(best[side][0]) and (np.isnan(r) or r > best[side][0]):
                     best[side] = (r, (start + cell[0],) + cell[1:])
-                if keep_ratios:
-                    cells = np.argwhere(valid)
-                    cells[:, 0] += start
-                    dumps[side] += [
-                        (*c[:-1], t_list[c[-1]], v) for c, v in zip(cells.tolist(), ratio[valid].tolist())
-                    ]
+                if side == 0 and dump is not None:
+                    dump_block(0, start, ratio, valid)
+        if dump is not None:
+            for side in range(1, len(labels)):
+                for start in starts:
+                    dump_block(side, start, *block(start)[side])
     registry = globals().setdefault("__warningregistry__", {})  # as warnings.warn uses it here
     for w in {(str(w.message), w.category, w.filename, w.lineno): w for w in caught}.values():
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, registry=registry)
@@ -133,13 +144,12 @@ def _reports(labels, evaluate, axes, samples, sample_shape, keep_ratios):
             grid=samples.grid,
             sample_shape=sample_shape,
             exclude_diagonal=samples.exclude_diagonal,
-            ratios=dump if count and keep_ratios else None,
         )
-        for label, (r, cell), count, dump in zip(labels, best, evaluated, dumps)
+        for label, (r, cell), count in zip(labels, best, evaluated)
     )
 
 
-def _quotient_reports(prefix, terms, axes, samples, keep_ratios, empty_message):
+def _quotient_reports(prefix, terms, axes, samples, dump, empty_message):
     """Primal and dual reports of k * lhs >= f / h and k * lhs' >= g / h,
     where terms(s) gives (f, g, h, (lhs, lhs')) on the slice s of the
     leading index; each side is admitted only where num < h < 1 (ties
@@ -150,27 +160,26 @@ def _quotient_reports(prefix, terms, axes, samples, keep_ratios, empty_message):
         return [((num / h) / side_lhs, (num < h) & (h < 1.0)) for num, side_lhs in zip((f, g), lhs)]
 
     labels = (f"{prefix}-primal", f"{prefix}-dual")
-    reports = _reports(labels, evaluate, axes, samples, (len(axes[0]), len(axes[-1])), keep_ratios)
+    reports = _reports(labels, evaluate, axes, samples, (len(axes[0]), len(axes[-1])), dump)
     if all(r.k_hat is None for r in reports):
         raise EmptySampleError(empty_message)
     return reports
 
 
-def estimate_k(
-    scheme: str, problem, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, keep_ratios: bool = False
-):
+def estimate_k(scheme: str, problem, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, dump=None):
     """The reports of the scheme's inequalities on the sample, one at a time,
     so that a report made before a later one raises is kept: a pair gives its
     report, then the dual's if the sample has points_y; a quadruple gives
-    both sides; a self-quadruple gives both sides on mu alone."""
+    both sides; a self-quadruple gives both sides on mu alone.  dump, if
+    given, receives each report's admitted cells as _reports describes."""
     if scheme == "pair":
-        yield estimate_k_pair(problem, mu, nu, samples, keep_ratios)
+        yield estimate_k_pair(problem, mu, nu, samples, dump)
         if samples.points_y:
-            yield estimate_k_pair_dual(problem, mu, nu, samples, keep_ratios)
+            yield estimate_k_pair_dual(problem, mu, nu, samples, dump)
     elif scheme == "quadruple":
-        yield from estimate_k_quad(problem, mu, nu, samples, keep_ratios)
+        yield from estimate_k_quad(problem, mu, nu, samples, dump)
     else:
-        yield from estimate_k_self_quad(problem, mu, samples, keep_ratios)
+        yield from estimate_k_self_quad(problem, mu, samples, dump)
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +187,28 @@ def estimate_k(
 # ---------------------------------------------------------------------------
 
 
-def estimate_k_pair(
-    pair, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, keep_ratios: bool = False
-) -> HypothesisReport:
+def estimate_k_pair(pair, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, dump=None) -> HypothesisReport:
     """k_hat = max over ordered point pairs and grid scales of rhs / lhs,
     where lhs = mu(STx, STx', t) and rhs is the four-term minimum.
 
     Iteration order for tie-breaking is (x index, x' index, grid index),
     row-major; ties keep the first tuple encountered.
     """
+    return _pair_report("pair", pair, mu, nu, samples, dump)
+
+
+def estimate_k_pair_dual(pair, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, dump=None) -> HypothesisReport:
+    """Dual-side estimate over points_y, via the exact role swap
+    (T, S, mu, nu) -> (S, T, nu, mu)."""
+    ysamples = SampleSet(
+        points_x=tuple(samples.points_y),
+        grid=samples.grid,
+        exclude_diagonal=samples.exclude_diagonal,
+    )
+    return _pair_report("pair-dual", MapPair(T=pair.S, S=pair.T), nu, mu, ysamples, dump)
+
+
+def _pair_report(label, pair, mu, nu, samples, dump):
     xs = validate_points(mu.carrier, samples.points_x)
     n = len(xs)
     if n == 0:
@@ -207,25 +229,9 @@ def estimate_k_pair(
         with np.errstate(divide="ignore", invalid="ignore"):  # x/0 = inf and 0/0 = NaN cells are kept
             return [(rhs / mu.pairwise(st[s], st, ts), valid)]
 
-    (report,) = _reports(("pair",), evaluate, (xs, xs), samples, (n,), keep_ratios)
+    (report,) = _reports((label,), evaluate, (xs, xs), samples, (n,), dump)
     if report.k_hat is None:
         raise EmptySampleError("every tuple of the sample was skipped")
-    return report
-
-
-def estimate_k_pair_dual(
-    pair, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, keep_ratios: bool = False
-) -> HypothesisReport:
-    """Dual-side estimate over points_y, via the exact role swap
-    (T, S, mu, nu) -> (S, T, nu, mu)."""
-    swapped = MapPair(T=pair.S, S=pair.T)
-    ysamples = SampleSet(
-        points_x=tuple(samples.points_y),
-        grid=samples.grid,
-        exclude_diagonal=samples.exclude_diagonal,
-    )
-    report = estimate_k_pair(swapped, nu, mu, ysamples, keep_ratios)
-    report.label = "pair-dual"
     return report
 
 
@@ -262,9 +268,7 @@ def _quad_matrices(quad, mu, nu, xs, ys, ts):
     }
 
 
-def estimate_k_quad(
-    quad, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, keep_ratios: bool = False
-):
+def estimate_k_quad(quad, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, dump=None):
     """Estimate k_hat for both quotient inequalities of the quadruple.
 
     Tuples (x, x', y, y') x grid are admitted for the primal inequality only
@@ -314,7 +318,7 @@ def estimate_k_quad(
         return f, g, h, (ij(m["mu_sax_tbx"]), kl(m["nu_bsy_aty"]))
 
     empty = "every quadruple tuple was skipped (no f,g < h < 1)"
-    return _quotient_reports("quad", terms, (xs, xs, ys, ys), samples, keep_ratios, empty)
+    return _quotient_reports("quad", terms, (xs, xs, ys, ys), samples, dump, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +326,7 @@ def estimate_k_quad(
 # ---------------------------------------------------------------------------
 
 
-def estimate_k_self_quad(
-    quad, fm: FuzzyMetric, samples: SampleSet, keep_ratios: bool = False
-):
+def estimate_k_self_quad(quad, fm: FuzzyMetric, samples: SampleSet, dump=None):
     """Single-space analogue of estimate_k_quad over ordered pairs (x, y).
 
     y-points default to the x-point list when points_y is empty.
@@ -383,4 +385,4 @@ def estimate_k_self_quad(
         return f, g, h, (ij(sax, tby), ij(bsx, aty))
 
     empty = "every self-quadruple tuple was skipped"
-    return _quotient_reports("self-quad", terms, (xs, ys), samples, keep_ratios, empty)
+    return _quotient_reports("self-quad", terms, (xs, ys), samples, dump, empty)

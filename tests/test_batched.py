@@ -50,6 +50,7 @@ from fuzzyfp.hypotheses import (
     estimate_k_self_quad,
 )
 from fuzzyfp.solver import _diameter, solve, solve_batch
+from test_hypotheses import Dumped
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 SEEDS = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
@@ -947,15 +948,16 @@ ONE_INDEX = 1  # one leading index per block
 
 def estimate(budget, estimator, *args):
     """What one estimator call gives under a block budget, as a comparable
-    value: every field of each report, dump included, or the error raised,
+    value: every field of each report or the error raised, the dumped rows,
     and every warning it showed.  repr keeps NaN, inf and -0.0 apart."""
+    rows = Dumped()
     with mock.patch.object(hypotheses, "_BLOCK_BYTES", budget):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                out = estimator(*args, keep_ratios=True)
+                out = estimator(*args, dump=rows)
             except (EmptySampleError, CodomainError) as exc:
-                return repr(exc), sorted((str(w.message), w.filename, w.lineno) for w in caught)
+                return repr(exc), repr(rows), sorted((str(w.message), w.filename, w.lineno) for w in caught)
     reports = out if isinstance(out, tuple) else (out,)
     fields = [
         (
@@ -967,11 +969,10 @@ def estimate(budget, estimator, *args):
             r.grid.values.tolist(),
             r.sample_shape,
             r.exclude_diagonal,
-            r.ratios,
         )
         for r in reports
     ]
-    return repr(fields), sorted((str(w.message), w.filename, w.lineno) for w in caught)
+    return repr(fields), repr(rows), sorted((str(w.message), w.filename, w.lineno) for w in caught)
 
 
 @st.composite
@@ -1022,10 +1023,11 @@ FAR_SAMPLES = SampleSet(points_x=FAR, grid=TGrid([0.5, 2.0]), points_y=FAR)
 @example(call=(estimate_k_pair, MapPair(T=FAR_T, S=FAR_S), FAR_MU, FAR_MU, FAR_SAMPLES))
 @example(call=(estimate_k_pair_dual, MapPair(T=FAR_S, S=FAR_T), FAR_MU, FAR_MU, FAR_SAMPLES))
 def test_one_index_blocks_match_one_block(call):
-    """Blocks of one leading index give every report field, the dump and the
-    warnings of a single block: the running argmax keeps the first maximum
-    in C order, or the first NaN, across blocks, and a warning that several
-    blocks raise is shown once."""
+    """Blocks of one leading index give every report field, the dumped rows
+    (a quotient's dual side from its second pass over the blocks included)
+    and the warnings of a single block: the running argmax keeps the first
+    maximum in C order, or the first NaN, across blocks, and a warning that
+    several blocks raise is shown once."""
     assert estimate(ONE_INDEX, *call) == estimate(ONE_BLOCK, *call)
 
 
@@ -1035,8 +1037,9 @@ def test_far_points_give_nan_and_inf_ratios():
     second block."""
     with mock.patch.object(hypotheses, "_BLOCK_BYTES", ONE_INDEX), warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        report = estimate_k_pair(MapPair(T=FAR_T, S=FAR_S), FAR_MU, FAR_MU, FAR_SAMPLES, keep_ratios=True)
-    ratios = [r for *_, r in report.ratios]
+        rows = Dumped()
+        report = estimate_k_pair(MapPair(T=FAR_T, S=FAR_S), FAR_MU, FAR_MU, FAR_SAMPLES, dump=rows)
+    ratios = [r for *_, r in rows]
     assert np.isinf(ratios).any() and np.isnan(ratios).any()
     assert np.isnan(report.k_hat)
     assert [float(p[0]) for p in report.witness[:2]] == [-1.0, 1.5]

@@ -1,12 +1,20 @@
 import csv
+import io
 import json
 import os
 import warnings
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from fuzzyfp.cli import main
+from fuzzyfp import cli
+from fuzzyfp.cli import _ratio_rows, main
 from fuzzyfp.metrics import TGrid
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def write_config(path, doc):
@@ -192,25 +200,66 @@ class TestHypothesesCommand:
         doc["hypotheses"] = {"points_x": [[x] for x in xs], "points_y": [[y] for y in ys]}
         cfg = write_config(tmp_path / "c.json", doc)
         out = str(tmp_path / "out")
-        assert main(["hypotheses", "--config", cfg, "--out", out]) == 1
+        assert main(["hypotheses", "--config", cfg, "--out", out, "--format", "both"]) == 1
         assert "Traceback" not in capsys.readouterr().err
         report = json.load(open(os.path.join(out, "hypotheses_report.json")))
         assert report["note"] == note
         assert report["reports"] == []
+        with open(os.path.join(out, "hypotheses_ratios.csv"), newline="") as fh:
+            assert fh.read() == "label,indices,t,ratio\r\n"
 
     def test_a_dual_that_raises_keeps_the_pair_report(self, tmp_path, capsys):
         """A single points_y point makes every dual tuple diagonal, so the
-        dual raises; the pair report computed before it stays beside the note."""
+        dual raises; the pair report computed before it stays beside the
+        note, and the ratio dump holds its rows and no others."""
         doc = pair_config()
         doc["hypotheses"]["points_y"] = [[1.0]]
         cfg = write_config(tmp_path / "c.json", doc)
         out = str(tmp_path / "out")
-        assert main(["hypotheses", "--config", cfg, "--out", out]) == 1
+        assert main(["hypotheses", "--config", cfg, "--out", out, "--format", "both"]) == 1
         assert "Traceback" not in capsys.readouterr().err
         report = json.load(open(os.path.join(out, "hypotheses_report.json")))
         assert report["note"] == "every tuple of the sample was skipped"
         assert [r["label"] for r in report["reports"]] == ["pair"]
         assert report["reports"][0]["k_hat"] < 1.0
+        with open(os.path.join(out, "hypotheses_ratios.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["label", "indices", "t", "ratio"]
+        assert [row[0] for row in rows[1:]] == ["pair"] * report["reports"][0]["evaluated_count"]
+
+    def test_ratio_rows_write_what_csv_writer_writes(self):
+        """The block formatter of the ratio dump writes the bytes csv.writer
+        writes for the same rows, special floats included, in row chunks of
+        any size and across blocks, and nothing for an empty block."""
+        grid = TGrid([0.01, 0.5, 100.0])
+        cells = np.array([[0, 1, 0], [0, 1, 2], [0, 2, 1], [3, 0, 0], [3, 0, 1], [12, 7, 2]])
+        ratios = np.array([np.nan, np.inf, -0.0, 5e-324, 1e300, 1.0 / 3.0])
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["label", "indices", "t", "ratio"])
+        for c, r in zip(cells.tolist(), ratios.tolist()):
+            writer.writerow(["quad-dual", ";".join(map(str, c[:-1])), grid.values.tolist()[c[-1]], r])
+        for rows in (1, 2, 4, 1 << 14):
+            got = io.StringIO(newline="")
+            with mock.patch.object(cli, "_RATIO_ROWS", rows):
+                dump = _ratio_rows(got, grid)
+                for lo, hi in ((0, 2), (2, 2), (2, 6)):
+                    dump("quad-dual", cells[lo:hi], ratios[lo:hi])
+            assert got.getvalue() == expected.getvalue()
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("hypotheses_*.json")))
+    def test_csv_format_writes_the_ratios_of_both(self, name, tmp_path):
+        """--format csv writes the ratio dump of --format both byte for byte
+        beside the same report; --format json writes the report alone."""
+        cfg = str(GOLDEN / f"{name}.json")
+        written = {}
+        for fmt in ("json", "csv", "both"):
+            out = tmp_path / fmt
+            main(["hypotheses", "--config", cfg, "--out", str(out), "--format", fmt])
+            written[fmt] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(written["json"]) == ["hypotheses_report.json"]
+        assert written["csv"] == written["both"]
+        assert written["csv"]["hypotheses_report.json"] == written["json"]["hypotheses_report.json"]
 
     def test_include_diagonal_changes_skip_counts(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", pair_config())

@@ -18,6 +18,7 @@ from fuzzyfp import (
     run_suite,
     solve,
 )
+from fuzzyfp.cli import _jsonable
 from fuzzyfp.mappings import ConstantMap
 
 
@@ -154,8 +155,8 @@ class TestRunSuite:
 
     def test_verdict_serialization_reproducible(self):
         specs = [InstanceSpec(scheme="pair", dim=2, seed=i) for i in range(3)]
-        a = json.dumps(run_suite(specs).to_jsonable(), sort_keys=True)
-        b = json.dumps(run_suite(specs).to_jsonable(), sort_keys=True)
+        a = json.dumps(_jsonable(run_suite(specs)), sort_keys=True)
+        b = json.dumps(_jsonable(run_suite(specs)), sort_keys=True)
         assert a == b
 
     def test_empty_specs_rejected(self):

@@ -4,6 +4,7 @@ The oracles run in exact rational arithmetic (fractions.Fraction) over the
 same tuple sets, independently of the float/numpy implementation path.
 """
 
+import os
 import tracemalloc
 from fractions import Fraction as Fr
 
@@ -29,6 +30,7 @@ from fuzzyfp import (
     induced_standard,
     solve,
 )
+from fuzzyfp.cli import _ratio_rows
 from fuzzyfp.solver import SolveConfig
 from oracles import (
     check_recurrence_pair,
@@ -46,6 +48,15 @@ from oracles import (
 LINE = BoxSpace([-np.inf], [np.inf])
 MU = induced_standard(LINE)
 NU = induced_standard(LINE)
+
+
+class Dumped(list):
+    """A dump for the estimators that keeps (label, cell, ratio) per admitted
+    cell, in the order given; cell holds the sample indices and the grid
+    index."""
+
+    def __call__(self, label, cells, ratios):
+        self.extend((label, tuple(c), r) for c, r in zip(cells.tolist(), ratios.tolist()))
 
 
 def pts(*vals):
@@ -504,21 +515,24 @@ def test_estimate_k_gives_each_scheme_the_reports_of_its_estimators(linear_pair)
 
 
 # ---------------------------------------------------------------------------
-# kept ratios of all three schemes
+# dumped ratios of all three schemes
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("scheme", ["pair", "quadruple", "self-quadruple"])
 def test_ratio_dump_matches_scalar_oracle(scheme):
-    """Every evaluated tuple is kept in C order, k_hat is the largest kept
-    ratio, and the scalar terms admit each kept row and reproduce its ratio."""
+    """Every evaluated tuple is dumped, one label after the other and each in
+    C order; k_hat is the largest dumped ratio of its label, and the scalar
+    terms admit each dumped row and reproduce its ratio."""
     xs, ys = pts(0.5, 1.0, 2.0), pts(1.0, 2.0)
-    samples = SampleSet(points_x=xs, grid=TGrid([0.5, 1.0]), points_y=ys)
+    grid = TGrid([0.5, 1.0])
+    samples = SampleSet(points_x=xs, grid=grid, points_y=ys)
+    rows = Dumped()
     if scheme == "pair":
         pair = MapPair(T=AffineMap([[0.5]], [1.0], LINE), S=AffineMap([[1.0 / 3.0]], [1.0], LINE))
         reports = [
-            estimate_k_pair(pair, MU, NU, samples, keep_ratios=True),
-            estimate_k_pair_dual(pair, MU, NU, samples, keep_ratios=True),
+            estimate_k_pair(pair, MU, NU, samples, dump=rows),
+            estimate_k_pair_dual(pair, MU, NU, samples, dump=rows),
         ]
 
         def oracle(label, i, j, t):
@@ -530,7 +544,7 @@ def test_ratio_dump_matches_scalar_oracle(scheme):
 
     elif scheme == "quadruple":
         quad = TestEstimateKQuad()._quad()
-        reports = estimate_k_quad(quad, MU, NU, samples, keep_ratios=True)
+        reports = estimate_k_quad(quad, MU, NU, samples, dump=rows)
 
         def oracle(label, i, j, k, l, t):
             x, x2, y, y2 = xs[i], xs[j], ys[k], ys[l]
@@ -545,7 +559,7 @@ def test_ratio_dump_matches_scalar_oracle(scheme):
 
     else:
         quad = TestSelfQuad()._quad()
-        reports = estimate_k_self_quad(quad, MU, samples, keep_ratios=True)
+        reports = estimate_k_self_quad(quad, MU, samples, dump=rows)
 
         def oracle(label, i, j, t):
             x, y = xs[i], ys[j]
@@ -558,12 +572,14 @@ def test_ratio_dump_matches_scalar_oracle(scheme):
                 lhs = MU.mu(ComposedMap(quad.B, quad.S)(x), ComposedMap(quad.A, quad.T)(y), t)
             return num < h < 1.0, (num / h) / lhs
 
+    assert [label for label, _, _ in rows] == [r.label for r in reports for _ in range(r.evaluated_count)]
     for report in reports:
-        assert len(report.ratios) == report.evaluated_count > 0
-        assert [row[:-1] for row in report.ratios] == sorted(row[:-1] for row in report.ratios)
-        assert report.k_hat == max(r for *_, r in report.ratios)
-        for *cell, t, r in report.ratios:
-            admitted, ratio = oracle(report.label, *cell, t)
+        kept = [(cell, r) for label, cell, r in rows if label == report.label]
+        assert report.evaluated_count > 0
+        assert [cell for cell, _ in kept] == sorted(cell for cell, _ in kept)
+        assert report.k_hat == max(r for _, r in kept)
+        for (*cell, t), r in kept:
+            admitted, ratio = oracle(report.label, *cell, grid.values[t])
             assert admitted
             assert r == pytest.approx(ratio, rel=1e-12)
 
@@ -742,3 +758,33 @@ def test_quadruple_memory_is_bounded_by_the_block_budget():
 def test_quadruple_runs_at_32_points():
     """32 + 32 points: one whole (x, x', y, y', t) array would be 142 MB."""
     assert _quad_peak_mb(32) <= 256.0
+
+
+def _pair_dump_peak_mb(n):
+    """tracemalloc peak of estimate_k on an n-point pair of a 2-D box and a
+    one-point grid, with the CLI's ratio dump writing every admitted cell to
+    os.devnull.  Under the default block budget a block holds about 32 K
+    cells at any sample size and grid length."""
+    box = BoxSpace([-10.0, -10.0], [10.0, 10.0])
+    fm = induced_standard(box)
+    rng = SplitMix64(n)
+    T, S = (
+        AffineMap(box.sample(rng, 2, ([-0.25] * 2, [0.25] * 2)), box.sample(rng, 1, ([-2.0] * 2, [2.0] * 2))[0], box)
+        for _ in "TS"
+    )
+    samples = SampleSet(points_x=tuple(box.sample(rng, n)), grid=TGrid([1.0]))
+    with open(os.devnull, "w", newline="", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            (report,) = estimate_k("pair", MapPair(T=T, S=S), fm, fm, samples, _ratio_rows(fh, samples.grid))
+            assert report.evaluated_count == n * (n - 1)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+
+def test_ratio_dump_memory_does_not_grow_with_the_sample():
+    """The dump is written a block at a time, so doubling the pair sample
+    (4x the rows) leaves its peak nearly flat, where keeping every row as a
+    tuple until the end grew with the row count."""
+    assert _pair_dump_peak_mb(384) <= 1.5 * _pair_dump_peak_mb(192)
