@@ -23,7 +23,7 @@ from .hypotheses import SampleSet
 from .mappings import AffineMap, ComposedMap, ConstantMap, MapPair, MapQuadruple, TableMap
 from .metrics import TableFuzzyMetric, TGrid, induced_exponential, induced_standard
 from .solver import SolveConfig
-from .spaces import BoxSpace, FiniteSpace
+from .spaces import BoxSpace, FiniteSpace, validate_points
 from .tnorms import TNORM_KINDS, TNorm
 
 # The JSON kind of a field is one of these types; (kind, minimum) also bounds
@@ -308,6 +308,19 @@ def _as_point(value, carrier, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _as_points(values: list, carrier, where: str) -> tuple:
+    """_as_point of each value, checked as one array; where the array check
+    fails, point by point, so the first bad point raises its own error."""
+    try:
+        if not isinstance(carrier, FiniteSpace):
+            return tuple(validate_points(carrier, _array(values, where)))
+        if all(type(v) is int for v in values):
+            return tuple(validate_points(carrier, values).tolist())
+    except ValueError:  # a ConfigError or DomainError that names no point
+        pass
+    return tuple(_as_point(v, carrier, f"{where}[{i}]") for i, v in enumerate(values))
+
+
 def build_solve(doc: dict, grid: TGrid, carrier_x=None, want_x0: bool = True):
     fields = _fields(doc.get("solve", {}), "solve", _SOLVE)
     given = "x0" in fields
@@ -326,9 +339,7 @@ def build_samples(doc: dict, grid: TGrid, carrier_x, carrier_y, include_diagonal
     fields = _fields(_require(doc, where), where, _HYPOTHESES, required=("points_x",))
     for key, carrier in (("points_x", carrier_x), ("points_y", carrier_y)):
         if key in fields:
-            fields[key] = tuple(
-                _as_point(p, carrier, f"{where}.{key}[{i}]") for i, p in enumerate(fields[key])
-            )
+            fields[key] = _as_points(fields[key], carrier, f"{where}.{key}")
     if include_diagonal:
         fields["exclude_diagonal"] = False
     return SampleSet(grid=grid, **fields)

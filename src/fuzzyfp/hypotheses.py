@@ -32,8 +32,8 @@ from .mappings import ComposedMap, MapPair
 from .metrics import FuzzyMetric, TGrid
 from .spaces import DELTA_PT, validate_points
 
-# Bytes of one float array over a block of leading sample indices: the
-# estimators hold about ten such arrays at a time.  Picked by timing
+# Bytes of one float array over a block of sample indices (see _reports):
+# the estimators hold up to five such arrays at a time.  Picked by timing
 # hypotheses-wide; smaller blocks pay more per-block overhead, larger ones
 # fall out of cache.
 _BLOCK_BYTES = 1 << 18
@@ -84,53 +84,74 @@ def _images(mapping, pts):
     return out
 
 
-def _reports(labels, evaluate, axes, samples, sample_shape, dump):
+def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0):
     """One report per label, over tuples of the point arrays in axes and the grid.
 
-    evaluate(s) gives one (ratio, valid) pair per label on the slice s of
-    the leading index; valid broadcasts to ratio's shape.  The slices are
-    blocks of about _BLOCK_BYTES per float array.  k_hat is the largest
-    valid ratio and its witness the first such cell in C order (the first
-    NaN if there is one, as np.argmax picks).  k_hat is None when no cell
-    is valid.  dump, if not None, is called as dump(label, cells, ratios)
-    with each block's valid cells in C order (np.argwhere indices with the
-    block's offset added; the grid index is the last column) and their
-    ratios.  Every block of a label is dumped before any of the next, so
-    each label after the first takes one more pass over the blocks.  A
-    floating-point warning that several blocks raise is shown once.
+    The tuples are visited in blocks of about _BLOCK_BYTES per float array,
+    in C order.  A block is a slice i of the first sample index and a slice
+    j of the second; j is the whole axis unless one index of the first is
+    over the budget.  evaluate(i, j, out) writes each label's ratios on the
+    block into out[side] and returns one admission mask per label that
+    broadcasts to the block.  out holds one float array of the block's shape
+    per label, then scratch more for evaluate's own use; they are allocated
+    once per call, since a fresh array of a block's size is page-faulted in
+    anew on every block.  k_hat is the largest admitted ratio and its
+    witness the first such cell in C order (the first NaN if there is one,
+    as np.argmax picks).  k_hat is None when no cell is admitted.  dump, if
+    not None, is called as dump(label, cells, ratios) with each block's
+    admitted cells in C order (np.argwhere indices with the block's offsets
+    added; the grid index is the last column) and their ratios.  Every block
+    of a label is dumped before any of the next, so each label after the
+    first takes one more pass over the blocks.  A floating-point warning
+    that several blocks raise is shown once.
     """
     ts = samples.grid.values
     shape = tuple(len(a) for a in axes) + ts.shape
-    step = max(1, _BLOCK_BYTES // (8 * math.prod(shape[1:])))
+    row = 8 * math.prod(shape[2:])  # bytes of one index of the second axis
+    step_i = max(1, _BLOCK_BYTES // (row * shape[1]))
+    step_j = shape[1] if row * shape[1] <= _BLOCK_BYTES else max(1, _BLOCK_BYTES // row)
+    blocks = [
+        (slice(i, min(i + step_i, shape[0])), slice(j, min(j + step_j, shape[1])))
+        for i in range(0, shape[0], step_i)
+        for j in range(0, shape[1], step_j)
+    ]
+
+    def block_shape(i, j):
+        return (i.stop - i.start, j.stop - j.start) + shape[2:]
+
+    buffers = [np.empty(math.prod(block_shape(*blocks[0]))) for _ in range(len(labels) + scratch)]
     best = [None] * len(labels)  # (ratio, cell) of each label
     evaluated = [0] * len(labels)
 
-    def block(start):
-        sides = evaluate(slice(start, start + step))
-        return [(ratio, np.broadcast_to(valid, ratio.shape)) for ratio, valid in sides]
+    def block(i, j):
+        size = block_shape(i, j)
+        out = [b[: math.prod(size)].reshape(size) for b in buffers]
+        return out, evaluate(i, j, out)
 
-    def dump_block(side, start, ratio, valid):
+    def dump_block(side, i, j, ratio, valid):
+        valid = np.broadcast_to(valid, ratio.shape)
         cells = np.argwhere(valid)
-        cells[:, 0] += start
+        cells[:, :2] += (i.start, j.start)
         dump(labels[side], cells, ratio[valid])
 
-    starts = range(0, shape[0], step)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for start in starts:
-            for side, (ratio, valid) in enumerate(block(start)):
-                evaluated[side] += int(np.count_nonzero(valid))
-                masked = np.where(valid, ratio, -np.inf)
-                cell = np.unravel_index(int(np.argmax(masked)), masked.shape)
-                r = masked[cell]
-                if best[side] is None or not np.isnan(best[side][0]) and (np.isnan(r) or r > best[side][0]):
-                    best[side] = (r, (start + cell[0],) + cell[1:])
+        for i, j in blocks:
+            out, masks = block(i, j)
+            for side, (ratio, valid) in enumerate(zip(out, masks)):
+                evaluated[side] += int(np.count_nonzero(valid)) * (ratio.size // valid.size)
                 if side == 0 and dump is not None:
-                    dump_block(0, start, ratio, valid)
+                    dump_block(0, i, j, ratio, valid)
+                np.copyto(ratio, -np.inf, where=~valid)
+                cell = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+                r = ratio[cell]
+                if best[side] is None or not np.isnan(best[side][0]) and (np.isnan(r) or r > best[side][0]):
+                    best[side] = (r, (i.start + cell[0], j.start + cell[1]) + cell[2:])
         if dump is not None:
             for side in range(1, len(labels)):
-                for start in starts:
-                    dump_block(side, start, *block(start)[side])
+                for i, j in blocks:
+                    out, masks = block(i, j)
+                    dump_block(side, i, j, out[side], masks[side])
     registry = globals().setdefault("__warningregistry__", {})  # as warnings.warn uses it here
     for w in {(str(w.message), w.category, w.filename, w.lineno): w for w in caught}.values():
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, registry=registry)
@@ -149,18 +170,24 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump):
     )
 
 
-def _quotient_reports(prefix, terms, axes, samples, dump, empty_message):
+def _quotient_reports(prefix, terms, axes, samples, dump, empty_message, scratch=0):
     """Primal and dual reports of k * lhs >= f / h and k * lhs' >= g / h,
-    where terms(s) gives (f, g, h, (lhs, lhs')) on the slice s of the
-    leading index; each side is admitted only where num < h < 1 (ties
-    num = h are skipped)."""
+    where terms(i, j, out) writes f, g and h on the block (i, j) into out[0],
+    out[1] and out[2], may use the scratch arrays after them, and returns
+    (lhs, lhs'); each side is admitted only where num < h < 1 (ties num = h
+    are skipped)."""
 
-    def evaluate(s):
-        f, g, h, lhs = terms(s)
-        return [((num / h) / side_lhs, (num < h) & (h < 1.0)) for num, side_lhs in zip((f, g), lhs)]
+    def evaluate(i, j, out):
+        lhs = terms(i, j, out)
+        nums, h = out[:2], out[2]
+        below_one = h < 1.0
+        masks = [(num < h) & below_one for num in nums]
+        for num, side_lhs in zip(nums, lhs):
+            np.divide(np.divide(num, h, out=num), side_lhs, out=num)  # (num / h) / lhs, as the ratio is defined
+        return masks
 
     labels = (f"{prefix}-primal", f"{prefix}-dual")
-    reports = _reports(labels, evaluate, axes, samples, (len(axes[0]), len(axes[-1])), dump)
+    reports = _reports(labels, evaluate, axes, samples, (len(axes[0]), len(axes[-1])), dump, 1 + scratch)
     if all(r.k_hat is None for r in reports):
         raise EmptySampleError(empty_message)
     return reports
@@ -218,18 +245,17 @@ def _pair_report(label, pair, mu, nu, samples, dump):
     tx = _images(pair.T, xs)
     m_self = mu.mu_batch(xs, st, ts)
 
-    def evaluate(s):
-        rhs = np.minimum(
-            np.minimum(mu.pairwise(xs[s], xs, ts), m_self[s, None, :]),
-            np.minimum(m_self[None, :, :], nu.pairwise(tx[s], tx, ts)),
-        )
-        valid = True
-        if samples.exclude_diagonal:
-            valid = (mu.carrier.distances(xs[s, None], xs[None]) > DELTA_PT)[:, :, None]
+    def evaluate(i, j, out):
+        rhs, scratch = out
+        d = mu.carrier.distances(xs[i, None], xs[None, j])
+        np.minimum(mu.mu_from_distances(d, xs[i, None], xs[None, j], ts, rhs), m_self[i, None], out=rhs)
+        np.minimum(rhs, m_self[None, j], out=rhs)
+        np.minimum(rhs, nu.pairwise(tx[i], tx[j], ts, scratch), out=rhs)
         with np.errstate(divide="ignore", invalid="ignore"):  # x/0 = inf and 0/0 = NaN cells are kept
-            return [(rhs / mu.pairwise(st[s], st, ts), valid)]
+            np.divide(rhs, mu.pairwise(st[i], st[j], ts, scratch), out=rhs)
+        return [(d > DELTA_PT)[:, :, None] if samples.exclude_diagonal else np.True_]
 
-    (report,) = _reports((label,), evaluate, (xs, xs), samples, (n,), dump)
+    (report,) = _reports((label,), evaluate, (xs, xs), samples, (n,), dump, scratch=1)
     if report.k_hat is None:
         raise EmptySampleError("every tuple of the sample was skipped")
     return report
@@ -283,39 +309,38 @@ def estimate_k_quad(quad, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, 
         raise EmptySampleError("quadruple sample needs points in both spaces")
     ts = samples.grid.values
     m = _quad_matrices(quad, mu, nu, xs, ys, ts)
+    # The factors of f, g and h that depend on one index pair only, once per
+    # call.  Minima are exact, so grouping (i, j) with (i, l) terms before
+    # the 5-D broadcast gives the values of the four-term minima.
+    mu_xx, nu_ax_bx, mu_sy_ty, nu_yy = m["mu_xx"], m["nu_ax_bx"], m["mu_sy_ty"], m["nu_yy"]
+    f_ij = mu_xx * nu_ax_bx
+    f_il = m["mu_x_ty"] * m["nu_ax_aty"]
+    f_jk = m["mu_x_sy"] * m["nu_bx_bsy"]
+    g_kl = nu_yy * mu_sy_ty
+    g_jk = (m["nu_y_bx"] * m["mu_sy_tbx"]).transpose(1, 0, 2)
+    g_il = (m["nu_y_ax"] * m["mu_ty_sax"]).transpose(1, 0, 2)
+    h_ij = np.minimum(nu_ax_bx, m["mu_sax_tbx"])
+    h_kl = np.minimum(mu_sy_ty, m["nu_bsy_aty"])  # (k, l, t) matrices broadcast to (i, j, k, l, t) as they are
 
-    def kl(a):  # (1, 1, k, l, t)
-        return a[None, None, :, :, :]
+    def terms(i, j, out):  # on the block (i, j) of the x index pair, shaped (i, j, k, l, t)
+        def ij(a):
+            return a[i, j, None, None, :]
 
-    def jk(a):  # (1, j, k, 1, t)  from an (x-index, y-index) matrix
-        return a[None, :, :, None, :]
+        def il(a):
+            return a[i, None, None, :, :]
 
-    def kj(a):  # (1, j, k, 1, t)  from a (y-index, x-index) matrix
-        return a.transpose(1, 0, 2)[None, :, :, None, :]
+        def jk(a):
+            return a[None, j, :, None, :]
 
-    def terms(s):  # on the slice s of the x index i
-        def ij(a):  # (i, j, 1, 1, t)
-            return a[s, :, None, None, :]
-
-        def il(a):  # (i, 1, 1, l, t)
-            return a[s, None, None, :, :]
-
-        def li(a):  # (i, 1, 1, l, t)  from a (y-index, x-index) matrix
-            return a[:, s].transpose(1, 0, 2)[:, None, None, :, :]
-
-        f = np.minimum(
-            np.minimum(ij(m["mu_xx"] * m["nu_ax_bx"]), ij(m["mu_xx"]) * kl(m["mu_sy_ty"])),
-            np.minimum(il(m["mu_x_ty"] * m["nu_ax_aty"]), jk(m["mu_x_sy"] * m["nu_bx_bsy"])),
-        )
-        g = np.minimum(
-            np.minimum(kl(m["nu_yy"] * m["mu_sy_ty"]), kl(m["nu_yy"]) * ij(m["nu_ax_bx"])),
-            np.minimum(kj(m["nu_y_bx"] * m["mu_sy_tbx"]), li(m["nu_y_ax"] * m["mu_ty_sax"])),
-        )
-        h = np.minimum(
-            np.minimum(ij(m["nu_ax_bx"]), ij(m["mu_sax_tbx"])),
-            np.minimum(kl(m["mu_sy_ty"]), kl(m["nu_bsy_aty"])),
-        )
-        return f, g, h, (ij(m["mu_sax_tbx"]), kl(m["nu_bsy_aty"]))
+        f, g, h = out
+        np.multiply(ij(mu_xx), mu_sy_ty, out=f)
+        np.minimum(f, np.minimum(ij(f_ij), il(f_il)), out=f)
+        np.minimum(f, jk(f_jk), out=f)
+        np.multiply(ij(nu_ax_bx), nu_yy, out=g)
+        np.minimum(g, np.minimum(g_kl, il(g_il)), out=g)
+        np.minimum(g, jk(g_jk), out=g)
+        np.minimum(ij(h_ij), h_kl, out=h)
+        return ij(m["mu_sax_tbx"]), m["nu_bsy_aty"]
 
     empty = "every quadruple tuple was skipped (no f,g < h < 1)"
     return _quotient_reports("quad", terms, (xs, xs, ys, ys), samples, dump, empty)
@@ -353,36 +378,31 @@ def estimate_k_self_quad(quad, fm: FuzzyMetric, samples: SampleSet, dump=None):
     mu_x_sx = vec(xs, sx)  # (i,)
     mu_y_tby = vec(ys, tby)  # (j,)
     mu_sax_sx = vec(sax, sx)  # (i,)
-    mu_x_sax = vec(xs, sax)  # (i,)
     mu_by_aty = vec(by, aty)  # (j,)
+    h_i = np.minimum(mu_ax_bsx, vec(xs, sax))
 
-    def terms(s):  # on the slice s of the x index i
-        def ij(a, b):  # (i, j) pairwise matrix
-            return fm.pairwise(a[s], b, ts)
+    def terms(i, j, out):  # on the block (i, j) of the (x, y) index pair
+        f, g, h, p, q = out  # p and q hold one pairwise matrix each, or a product of it
+
+        def ij(a, b, out):  # (i, j) pairwise matrix
+            return fm.pairwise(a[i], b[j], ts, out)
 
         def vi(a):  # (i, 1, t)
-            return a[s, None, :]
+            return a[i, None, :]
 
-        def vj(a):  # (1, j, t)
-            return a[None, :, :]
-
-        mu_sx_tby = ij(sx, tby)
-        mu_xy = ij(xs, ys)
-        mu_sax_ty = ij(sax, ty)
-        mu_ax_aty = ij(ax, aty)
-        f = np.minimum(
-            np.minimum(ij(sx, ty) * vi(mu_ax_bsx), mu_sx_tby * vi(mu_x_sx)),
-            np.minimum(mu_xy * mu_sax_ty, ij(xs, ty) * ij(xs, aty)),
-        )
-        g = np.minimum(
-            np.minimum(vi(mu_x_sx) * mu_xy, vj(mu_y_tby) * fm.pairwise(ys, ax[s], ts).transpose(1, 0, 2)),
-            np.minimum(mu_sax_ty * ij(ax, by), mu_ax_aty * vi(mu_sax_sx)),
-        )
-        h = np.minimum(
-            np.minimum(vi(mu_ax_bsx), vi(mu_x_sax)),
-            np.minimum(mu_sx_tby, vj(mu_by_aty)),
-        )
-        return f, g, h, (ij(sax, tby), ij(bsx, aty))
+        mu_xy, mu_sax_ty = ij(xs, ys, p), ij(sax, ty, q)
+        np.multiply(mu_xy, mu_sax_ty, out=f)
+        np.multiply(mu_xy, vi(mu_x_sx), out=g)
+        np.minimum(g, np.multiply(mu_sax_ty, ij(ax, by, p), out=p), out=g)
+        np.minimum(f, np.multiply(ij(sx, ty, p), vi(mu_ax_bsx), out=p), out=f)
+        np.minimum(f, np.multiply(ij(xs, ty, p), ij(xs, aty, q), out=p), out=f)
+        np.minimum(g, np.multiply(ij(ax, aty, p), vi(mu_sax_sx), out=p), out=g)
+        mu_y_ax = fm.pairwise(ys[j], ax[i], ts, p.reshape(p.shape[1], p.shape[0], -1))
+        np.minimum(g, np.multiply(mu_y_tby[j, None], mu_y_ax, out=mu_y_ax).transpose(1, 0, 2), out=g)
+        mu_sx_tby = ij(sx, tby, q)
+        np.minimum(f, np.multiply(mu_sx_tby, vi(mu_x_sx), out=p), out=f)
+        np.minimum(np.minimum(mu_sx_tby, mu_by_aty[j], out=h), vi(h_i), out=h)
+        return ij(sax, tby, p), ij(bsx, aty, q)
 
     empty = "every self-quadruple tuple was skipped"
-    return _quotient_reports("self-quad", terms, (xs, ys), samples, dump, empty)
+    return _quotient_reports("self-quad", terms, (xs, ys), samples, dump, empty, scratch=2)

@@ -107,18 +107,20 @@ class FuzzyMetric:
         """mu_batch of one point pair over an array of scales or a TGrid."""
         return self.mu_batch(x, y, ts)
 
-    def mu_batch(self, a, b, ts) -> np.ndarray:
-        """mu_grid over points broadcast on leading axes; the scale axes of ts come last."""
+    def mu_batch(self, a, b, ts, out=None) -> np.ndarray:
+        """mu_grid over points broadcast on leading axes; the scale axes of ts
+        come last.  Like a ufunc, it may write the values into out, an array
+        of the result's shape, and return it."""
         raise NotImplementedError
 
-    def mu_from_distances(self, d, a, b, ts) -> np.ndarray:
+    def mu_from_distances(self, d, a, b, ts, out=None) -> np.ndarray:
         """mu_batch(a, b, ts) for a caller that already holds d = carrier.distances(a, b)."""
-        return self.mu_batch(a, b, ts)
+        return self.mu_batch(a, b, ts, out)
 
-    def pairwise(self, pts_a, pts_b, ts) -> np.ndarray:
-        """Array of shape (len(pts_a), len(pts_b), len(ts))."""
+    def pairwise(self, pts_a, pts_b, ts, out=None) -> np.ndarray:
+        """Array of shape (len(pts_a), len(pts_b), len(ts)), written into out if given."""
         a, b = np.asarray(pts_a), np.asarray(pts_b)
-        return self.mu_batch(a[:, None], b[None], np.atleast_1d(ts))
+        return self.mu_batch(a[:, None], b[None], np.atleast_1d(ts), out)
 
 
 class _InducedFuzzyMetric(FuzzyMetric):
@@ -126,15 +128,15 @@ class _InducedFuzzyMetric(FuzzyMetric):
 
     monotone_in_t = True
 
-    def _from_d(self, d, ts):
+    def _from_d(self, d, ts, out=None):
         raise NotImplementedError
 
-    def mu_batch(self, a, b, ts) -> np.ndarray:
-        return self.mu_from_distances(self.carrier.distances(a, b), a, b, ts)
+    def mu_batch(self, a, b, ts, out=None) -> np.ndarray:
+        return self.mu_from_distances(self.carrier.distances(a, b), a, b, ts, out)
 
-    def mu_from_distances(self, d, a, b, ts) -> np.ndarray:
+    def mu_from_distances(self, d, a, b, ts, out=None) -> np.ndarray:
         ts = _check_ts(ts)
-        return self._from_d(d.reshape(d.shape + (1,) * ts.ndim), ts)
+        return self._from_d(d.reshape(d.shape + (1,) * ts.ndim), ts, out)
 
 
 class StandardFuzzyMetric(_InducedFuzzyMetric):
@@ -142,8 +144,8 @@ class StandardFuzzyMetric(_InducedFuzzyMetric):
 
     form = "standard"
 
-    def _from_d(self, d, ts):
-        return ts / (ts + d)
+    def _from_d(self, d, ts, out=None):
+        return np.divide(ts, np.add(ts, d, out=out), out=out)
 
 
 class ExponentialFuzzyMetric(_InducedFuzzyMetric):
@@ -152,8 +154,9 @@ class ExponentialFuzzyMetric(_InducedFuzzyMetric):
 
     form = "exponential"
 
-    def _from_d(self, d, ts):
-        return np.maximum(np.exp(-(d / ts)), _TINY)
+    def _from_d(self, d, ts, out=None):
+        e = np.exp(np.negative(np.divide(d, ts, out=out), out=out), out=out)
+        return np.maximum(e, _TINY, out=out)
 
 
 class TableFuzzyMetric(FuzzyMetric):
@@ -187,10 +190,11 @@ class TableFuzzyMetric(FuzzyMetric):
         # a bad index would wrap around or truncate in the table lookup
         return super().mu_grid(self.carrier.validate_point(x), self.carrier.validate_point(y), ts)
 
-    def mu_batch(self, a, b, ts) -> np.ndarray:
+    def mu_batch(self, a, b, ts, out=None) -> np.ndarray:
         log_ts = np.log(_check_ts(ts))
         rows = self.values[np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)]
-        out = np.empty(rows.shape[:-1] + log_ts.shape)
+        if out is None:
+            out = np.empty(rows.shape[:-1] + log_ts.shape)
         for idx in np.ndindex(rows.shape[:-1]):  # one row at a time; clamps to the end values
             out[idx] = np.interp(log_ts, self._log_grid, rows[idx])
         return out

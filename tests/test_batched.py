@@ -256,7 +256,7 @@ class Wobbly(StandardFuzzyMetric):
 
     form = "wobbly"
 
-    def _from_d(self, d, ts):
+    def _from_d(self, d, ts, out=None):
         return np.minimum(1.0, ts / (ts + d) * (1.0 + 0.5 * np.sin(ts)))
 
 
@@ -265,7 +265,7 @@ class Vanishing(StandardFuzzyMetric):
 
     form = "vanishing"
 
-    def _from_d(self, d, ts):
+    def _from_d(self, d, ts, out=None):
         return np.where(d > 40.0, 0.0, ts / (ts + d))
 
 
@@ -940,10 +940,17 @@ def test_images_of_a_composed_map_name_an_inner_escape_to_inf():
             hypotheses._images(composed, np.array([[1.0], [1e10]]))
 
 
-# -- k_hat estimators in blocks of the leading sample index ----------------------
+# -- k_hat estimators in blocks of the two leading sample indices --------------
 
 ONE_BLOCK = 1 << 62  # the whole sample in one block
-ONE_INDEX = 1  # one leading index per block
+ONE_INDEX = 1  # one (x, x') index pair per block
+
+
+def x2_budget(step, grid_len, y_pairs=1):
+    """A block budget of one x index and `step` x' indices, where one x'
+    index holds grid_len * y_pairs cells (y_pairs counts a quadruple's
+    (y, y') pairs).  If the whole x' axis fits, blocks take x indices."""
+    return 8 * step * grid_len * y_pairs
 
 
 def estimate(budget, estimator, *args):
@@ -1023,12 +1030,17 @@ FAR_SAMPLES = SampleSet(points_x=FAR, grid=TGrid([0.5, 2.0]), points_y=FAR)
 @example(call=(estimate_k_pair, MapPair(T=FAR_T, S=FAR_S), FAR_MU, FAR_MU, FAR_SAMPLES))
 @example(call=(estimate_k_pair_dual, MapPair(T=FAR_S, S=FAR_T), FAR_MU, FAR_MU, FAR_SAMPLES))
 def test_one_index_blocks_match_one_block(call):
-    """Blocks of one leading index give every report field, the dumped rows
-    (a quotient's dual side from its second pass over the blocks included)
-    and the warnings of a single block: the running argmax keeps the first
+    """Blocks of one (x, x') pair, and blocks of 3 x' indices (which split
+    4 or 5 x' points unevenly), give every report field, the dumped rows (a
+    quotient's dual side from its second pass over the blocks included) and
+    the warnings of a single block: the running argmax keeps the first
     maximum in C order, or the first NaN, across blocks, and a warning that
     several blocks raise is shown once."""
-    assert estimate(ONE_INDEX, *call) == estimate(ONE_BLOCK, *call)
+    estimator, *_, samples = call
+    y_pairs = len(samples.points_y) ** 2 if estimator is estimate_k_quad else 1
+    whole = estimate(ONE_BLOCK, *call)
+    assert estimate(ONE_INDEX, *call) == whole
+    assert estimate(x2_budget(3, len(samples.grid), y_pairs), *call) == whole
 
 
 def test_far_points_give_nan_and_inf_ratios():
@@ -1047,8 +1059,12 @@ def test_far_points_give_nan_and_inf_ratios():
 
 @pytest.mark.parametrize("scheme", ["pair", "quadruple", "self-quadruple"])
 def test_ratio_dump_matches_scalar_oracle_in_one_index_blocks(scheme):
+    """The oracle test's sample (3 x points, 2 y points, a 2-point grid) in
+    blocks of one (x, x') pair, and of two x' indices, which split the 3 x'
+    points of a pair and a quadruple unevenly."""
     import test_hypotheses
 
-    with mock.patch.object(hypotheses, "_BLOCK_BYTES", ONE_INDEX):
-        test_hypotheses.test_ratio_dump_matches_scalar_oracle(scheme)
+    for budget in (ONE_INDEX, x2_budget(2, 2, 4 if scheme == "quadruple" else 1)):
+        with mock.patch.object(hypotheses, "_BLOCK_BYTES", budget):
+            test_hypotheses.test_ratio_dump_matches_scalar_oracle(scheme)
 

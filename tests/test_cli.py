@@ -458,6 +458,16 @@ class TestSuiteCommand:
         assert a["rows"][0]["seed"] == 7
         assert b["rows"][0]["seed"] == 999
 
+    def test_a_second_call_does_not_keep_the_first_calls_options(self, tmp_path):
+        """The parser is built once per process; each call still gets its
+        own options, so a --seed given once is gone from the next call."""
+        cfg = write_config(tmp_path / "c.json", pair_config())
+        seen = []
+        with mock.patch.dict(cli._COMMANDS, suite=lambda doc, args: seen.append(args.seed) or 0):
+            main(["suite", "--config", cfg, "--out", str(tmp_path / "o1"), "--seed", "999"])
+            main(["suite", "--config", cfg, "--out", str(tmp_path / "o2")])
+        assert seen == [999, None]
+
     def test_escaping_k_hat_sample_leaves_k_hat_empty(self, tmp_path, capsys):
         """The x0 solves of these expansive pairs overflow and escape; the k_hat
         sample holds their last iterates, whose images escape again.  Each row

@@ -749,15 +749,24 @@ def _quad_peak_mb(n):
 
 
 def test_quadruple_memory_is_bounded_by_the_block_budget():
-    """Each (x, x', y, y', t) array is evaluated a block of x indices at a
-    time, so 18 + 18 points (1.8 M cells a side) stay within 16 MB; the
-    whole arrays took 70 MB."""
-    assert _quad_peak_mb(18) <= 16.0
+    """Each (x, x', y, y', t) array is evaluated a block of (x, x') indices
+    at a time, so 18 + 18 points (1.8 M cells a side) peak at 1.75 MB; the
+    whole arrays took 70 MB, and blocks of whole x indices 6.84 MB."""
+    assert _quad_peak_mb(18) <= 2.5
+
+
+def test_quadruple_memory_grows_like_its_pairwise_matrices():
+    """From 18 + 18 to 27 + 27 points the peak grows no faster than the
+    (n, n, t) nearness matrices, by (27 / 18)^2 = 2.25 (1.75 -> 2.91 MB): a
+    block holds as many cells at either size.  Blocks of one x index, which
+    hold n^3 * t cells, grew it 3.3x (6.84 -> 22.40 MB)."""
+    assert _quad_peak_mb(27) <= (27 / 18) ** 2 * _quad_peak_mb(18)
 
 
 def test_quadruple_runs_at_32_points():
-    """32 + 32 points: one whole (x, x', y, y', t) array would be 142 MB."""
-    assert _quad_peak_mb(32) <= 256.0
+    """32 + 32 points: one whole (x, x', y, y', t) array would be 142 MB;
+    the blocks keep the peak at 3.71 MB."""
+    assert _quad_peak_mb(32) <= 6.0
 
 
 def _pair_dump_peak_mb(n):
