@@ -7,7 +7,7 @@ samples, runs the constructive iteration schemes to their related fixed
 points, and verifies the claimed conclusion identities numerically.
 """
 
-from .axioms import AxiomReport, Violation, check_fm_axioms, check_tnorm_axioms
+from .axioms import AxiomReport, Violation, check_fm_axioms, check_fm_axioms_batch, check_tnorm_axioms
 from .errors import (
     CodomainError,
     ConfigError,

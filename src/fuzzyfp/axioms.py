@@ -19,7 +19,12 @@ from .tnorms import TNorm
 
 _SLACK = 1e-12
 MAX_WITNESSES = 25
-_BLOCK_CELLS = 1 << 20  # (triple, s, t) cells per array pass: 8 MB per array
+# (triple, s, t) cells per array pass: 128 KB per array, since a suite
+# checks thousands of triples in one call.  On the default grid a block
+# holds 56 triples, one suite seed's 32.  Blocks of three seeds (256 KB
+# arrays) ran a 50-pair suite call a few ms faster, but raised its peak RSS
+# by about 0.25 MB.
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -100,14 +105,14 @@ def _check_tnorm_laws(report, op, a, b, c, d):
     _record_in_order(report, checks)
 
 
-def _record_in_order(report, checks):
+def _record_in_order(report, checks, lo=0, hi=None):
     """Record the violations of checks, (axiom, mask of the samples that
-    violate it, witness and magnitude of sample i): sample by sample, and
-    within a sample in the order of checks."""
-    masks = [bad for _, bad, _ in checks]
-    for i in np.flatnonzero(np.logical_or.reduce(masks)):
+    violate it, witness and magnitude of sample i), among samples lo:hi:
+    sample by sample, and within a sample in the order of checks."""
+    masks = [bad[lo:hi] for _, bad, _ in checks]
+    for i in lo + np.flatnonzero(np.logical_or.reduce(masks)):
         if len(report.violations) >= MAX_WITNESSES:  # the rest are only counted
-            report.violation_count += sum(int(np.count_nonzero(bad[i:])) for bad in masks)
+            report.violation_count += sum(int(np.count_nonzero(bad[i - lo :])) for bad in masks)
             return
         for axiom, bad, witness in checks:
             if bad[i]:
@@ -131,25 +136,45 @@ def check_fm_axioms(
 
     Triples are drawn as consecutive points x, y, z and checked as arrays,
     in blocks of at most _BLOCK_CELLS triangle cells; violations are recorded
-    per triple, in sample order.
+    per triple, in sample order.  This is check_fm_axioms_batch of one seed.
     """
+    return check_fm_axioms_batch(fm, op, triple_count, grid, [seed], window)[0]
+
+
+def check_fm_axioms_batch(fm, op, triple_count: int, grid: TGrid, seeds, window=None) -> list[AxiomReport]:
+    """check_fm_axioms for each of seeds, in one pass: each seed draws its
+    triples from its own stream, and a block holds the triples of as many
+    whole seeds as fit, or of one seed if one does not fit; each report gets
+    the checks, counts and witnesses of its own seed's triples."""
     if triple_count < 1:
         raise UsageError("triple_count must be >= 1")
     carrier = fm.carrier
     if isinstance(carrier, BoxSpace) and not carrier.is_bounded and window is None:
         raise UsageError("sampling an unbounded box requires an explicit window")
-    rng = SplitMix64(seed)
-    report = AxiomReport(subject=f"fm:{fm.form}", samples=triple_count, seed=seed)
     monotone = fm.monotone_in_t and len(grid) > 1
-    report.checks = triple_count * (5 if monotone else 4)
+    reports = [
+        AxiomReport(subject=f"fm:{fm.form}", samples=triple_count, seed=seed, checks=triple_count * (5 if monotone else 4))
+        for seed in seeds
+    ]
+    rngs = [SplitMix64(seed) for seed in seeds]
     block = max(1, _BLOCK_CELLS // len(grid) ** 2)
-    for start in range(0, triple_count, block):
-        pts = carrier.sample(rng, 3 * min(block, triple_count - start), window)
-        _check_triples(report, fm, op, grid, pts, monotone)
-    return report
+    per = max(1, block // triple_count)  # whole seeds per block
+    for first in range(0, len(reports), per):
+        group = range(first, min(first + per, len(reports)))
+        for start in range(0, triple_count, block):
+            n = min(block, triple_count - start)
+            checks = _check_triples(
+                fm, op, grid, np.concatenate([carrier.sample(rngs[s], 3 * n, window) for s in group]), monotone
+            )
+            if any(bad.any() for _, bad, _ in checks):
+                for k, s in enumerate(group):
+                    _record_in_order(reports[s], checks, k * n, (k + 1) * n)
+    return reports
 
 
-def _check_triples(report, fm, op, grid, pts, monotone):
+def _check_triples(fm, op, grid, pts, monotone):
+    """The checks of the triples in pts, (axiom, triples that violate it,
+    witness and magnitude of triple i), in record order."""
     x, y, z = xyz = pts.reshape(-1, 3, *pts.shape[1:]).swapaxes(0, 1)  # pts: x, y, z, x, ...
     ts, wp = grid.values, _witness_point
     mxy, myx, myz, mxx = fm.mu_batch(xyz[[0, 1, 1, 0]], xyz[[1, 0, 2, 0]], grid)
@@ -184,7 +209,6 @@ def _check_triples(report, fm, op, grid, pts, monotone):
         k = drops[i].argmax()
         return (wp(x[i]), wp(y[i]), float(ts[k])), float(drops[i, k])
 
-    # (axiom, triples that violate it, witness and magnitude of triple i), in record order
     checks = [
         ("positivity", (pos_xy | pos_yz).any(axis=1), pos),
         ("identity", (mxx != 1.0).any(axis=1), ident),
@@ -194,4 +218,4 @@ def _check_triples(report, fm, op, grid, pts, monotone):
     ]
     if monotone:
         checks.append(("monotone_in_t", (drops > _SLACK).any(axis=1), mono))
-    _record_in_order(report, checks)
+    return checks

@@ -225,7 +225,7 @@ def cmd_solve(doc: dict, args) -> int:
                 writer.writerow(row)
 
     print(
-        f"solve: status={result.status} iterations={result.iterations} "
+        f"solve: status={result.status} stop_reason={result.stop_reason} iterations={result.iterations} "
         f"conclusions_passed={result.conclusions_passed}"
     )
     ok = result.converged and result.conclusions_passed

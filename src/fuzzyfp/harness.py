@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .axioms import check_fm_axioms
+from .axioms import check_fm_axioms_batch
 from .errors import CodomainError, ConfigError, EmptySampleError, UsageError
-from .hypotheses import SampleSet, estimate_k
+from .hypotheses import SampleSet, estimate_k, estimate_k_pair
 from .mappings import AffineMap, ConstantMap, MapPair, MapQuadruple
 from .metrics import FuzzyMetric, TGrid, induced_exponential, induced_standard
 from .rng import GENERATOR_NAME, SplitMix64
@@ -134,23 +134,28 @@ def _anchored_affine(rng, dim, factor, radius, src, dst, codomain) -> AffineMap:
     return AffineMap(m, dst - m @ src, codomain)
 
 
-def gen_instance(spec: InstanceSpec) -> Instance:
-    """Deterministically generate one problem instance from its spec."""
+def _kind_metrics(spec: InstanceSpec) -> tuple[FuzzyMetric, FuzzyMetric]:
+    """(mu, nu) of every instance of the spec's kind; see _kind."""
+    dim, w = spec.dim, spec.halfwidth
+    if spec.expansive:
+        carrier_x = carrier_y = BoxSpace([-np.inf] * dim, [np.inf] * dim)
+    else:
+        carrier_x = BoxSpace([-w] * dim, [w] * dim)
+        carrier_y = carrier_x if spec.scheme == "self-quadruple" else BoxSpace([-w] * dim, [w] * dim)
+    mu = _metric_for(spec.metric_form, carrier_x)
+    nu = mu if spec.scheme == "self-quadruple" else _metric_for(spec.metric_form, carrier_y)
+    return mu, nu
+
+
+def gen_instance(spec: InstanceSpec, metrics=None) -> Instance:
+    """Deterministically generate one problem instance from its spec.  A
+    caller that generates many may pass the (mu, nu) of the spec's kind,
+    built once for all of them; see _kind_metrics."""
     rng = SplitMix64(spec.seed)
     dim = spec.dim
     w = spec.halfwidth
-    if spec.expansive:
-        full = BoxSpace([-np.inf] * dim, [np.inf] * dim)
-        carrier_x = carrier_y = full
-    else:
-        carrier_x = BoxSpace([-w] * dim, [w] * dim)
-        carrier_y = (
-            carrier_x
-            if spec.scheme == "self-quadruple"
-            else BoxSpace([-w] * dim, [w] * dim)
-        )
-    mu = _metric_for(spec.metric_form, carrier_x)
-    nu = mu if spec.scheme == "self-quadruple" else _metric_for(spec.metric_form, carrier_y)
+    mu, nu = metrics or _kind_metrics(spec)
+    carrier_x, carrier_y = mu.carrier, nu.carrier
 
     def draw_factor() -> float:
         return rng.uniform(spec.factor_lo, spec.factor_hi)
@@ -265,21 +270,87 @@ class SuiteVerdict:
 
 
 def _trajectory_sample(trace, count: int) -> list:
-    pts = list(trace.points)
-    if len(pts) <= count:
-        return pts
-    idx = np.linspace(0, len(pts) - 1, count).astype(int)
-    return [pts[i] for i in idx]
+    """At most count points of the trace, evenly spread, as copies, so that
+    the trace need not be kept."""
+    pts = trace.points
+    idx = range(len(pts)) if len(pts) <= count else np.linspace(0, len(pts) - 1, count).astype(int)
+    return [np.array(pts[i]) for i in idx]
 
 
-def _estimate_instance_k(inst: Instance, result, random_x, random_y, grid, n_traj):
-    """Hypothesis sample: trajectory points plus the random carrier points drawn for it."""
-    xs = _trajectory_sample(result.trace_x, n_traj) + list(random_x)
-    ys = () if random_y is None else _trajectory_sample(result.trace_y, n_traj) + list(random_y)
-    samples = SampleSet(points_x=tuple(xs), grid=grid, points_y=tuple(ys))
-    reports = estimate_k(inst.spec.scheme, inst.problem, inst.mu, inst.nu, samples)
-    ks = [r.k_hat for r in reports if r.k_hat is not None]
+def _k_hat(inst: Instance, samples: SampleSet):
+    """The largest k_hat of the instance's reports on its hypothesis sample,
+    None if it has none or the sample's images leave the codomain."""
+    try:
+        ks = [r.k_hat for r in estimate_k(inst.spec.scheme, inst.problem, inst.mu, inst.nu, samples) if r.k_hat is not None]
+    except (EmptySampleError, CodomainError):
+        return None
     return max(ks) if ks else None
+
+
+def _kind(spec: InstanceSpec) -> tuple:
+    """Specs of one kind have alike boxes and metrics: their instances share
+    one (mu, nu), and every phase of a suite runs once per kind."""
+    return (spec.scheme, spec.dim, spec.metric_form, spec.halfwidth, spec.expansive)
+
+
+def _run_kind(specs, cfg: SolveConfig, starts: int, n_traj: int, n_rand: int) -> list:
+    """The rows of the instances of one kind, each phase over all of them at once."""
+    metrics = mu, nu = _kind_metrics(specs[0])
+    insts, seeds, randoms, probe_starts = [], [], [], []
+    for spec in specs:  # every draw of an instance from its own streams, in a fixed order
+        inst = gen_instance(spec, metrics)
+        rng = SplitMix64(spec.seed ^ _SUITE_SALT)
+        window = inst.window
+        seeds.append([rng.next_u64() for _ in dict.fromkeys((mu, nu))])  # one check when nu is mu
+        random_x = mu.carrier.sample(rng, n_rand, window)
+        random_y = nu.carrier.sample(rng, n_rand, window) if spec.scheme == "quadruple" else None
+        probe_starts += [inst.x0, *mu.carrier.sample(rng, starts - 1, window)]
+        insts.append(inst)
+        randoms.append((random_x, random_y))
+    # mu and nu, and every instance's window, are alike, so one pass checks the triples of every seed
+    axioms = iter(check_fm_axioms_batch(mu, PRODUCT, _AXIOM_TRIPLES, cfg.grid, [s for ss in seeds for s in ss], window))
+    violations = [sum(next(axioms).violation_count for _ in ss) for ss in seeds]
+
+    results = solve_problems(
+        [inst.problem for inst in insts], mu, nu, probe_starts, np.repeat(np.arange(len(insts)), starts), cfg
+    )
+    rows, samples = [], []
+    for inst, (random_x, random_y), count in zip(insts, randoms, violations):  # one instance's traces at a time
+        probe = compare_fixed_points(mu, nu, [next(results) for _ in range(starts)])
+        result = probe.results[0]
+        xs = _trajectory_sample(result.trace_x, n_traj) + list(random_x)
+        ys = () if random_y is None else _trajectory_sample(result.trace_y, n_traj) + list(random_y)
+        samples.append(SampleSet(points_x=tuple(xs), grid=cfg.grid, points_y=tuple(ys)))
+        rows.append(
+            dict(
+                seed=inst.spec.seed,
+                scheme=inst.spec.scheme,
+                status=result.status,
+                iterations=result.iterations,
+                k_hat=None,
+                axiom_violations=count,
+                conclusions_passed=result.conclusions_passed,
+                min_residual=result.min_residual,
+                uniqueness_passed=probe.passed,
+                uniqueness_max_distance=max(probe.max_z_distance, probe.max_w_distance) if probe.conclusive else None,
+            )
+        )
+
+    if specs[0].scheme == "pair":  # one stacked estimate per sample size
+        sizes = {}
+        for i, sample in enumerate(samples):
+            sizes.setdefault(len(sample.points_x), []).append(i)
+        for group in sizes.values():
+            try:
+                ks = [r.k_hat for r in estimate_k_pair([insts[i].problem for i in group], mu, nu, [samples[i] for i in group])]
+            except (EmptySampleError, CodomainError):  # some sample fails: each pair alone
+                ks = [_k_hat(insts[i], samples[i]) for i in group]
+            for i, k_hat in zip(group, ks):
+                rows[i]["k_hat"] = k_hat
+    else:
+        for row, inst, sample in zip(rows, insts, samples):
+            row["k_hat"] = _k_hat(inst, sample)
+    return rows
 
 
 def run_suite(
@@ -296,65 +367,22 @@ def run_suite(
     Quadruple hypothesis samples default to 4 + 4 points per space (instead
     of the pair default 8 + 8) because tuple enumeration is quartic in the
     sample size.  Rows are ordered by spec index; per-instance failures are
-    recorded, never raised.
+    recorded, never raised.  Each phase (generation, axioms, solve and
+    conclusions, k_hat) runs once per kind of instance (_kind) over all the
+    instances of that kind.
     """
     specs = list(specs)
     if not specs:
         raise UsageError("run_suite needs at least one instance spec")
     cfg = cfg or SolveConfig()
-    drawn = []  # per spec: the instance, its axiom violations, k_hat points and probe starts
-    for spec in specs:  # every draw of an instance from its own stream, in a fixed order
-        inst = gen_instance(spec)
-        rng = SplitMix64(spec.seed ^ _SUITE_SALT)
-        window = inst.window
-        violations = sum(
-            check_fm_axioms(fm, PRODUCT, _AXIOM_TRIPLES, cfg.grid, seed=rng.next_u64(), window=window).violation_count
-            for fm in dict.fromkeys((inst.mu, inst.nu))  # one check when nu is mu
-        )
-        n_rand_here = n_rand if spec.scheme == "pair" else quad_n_rand
-        random_x = inst.mu.carrier.sample(rng, n_rand_here, window)
-        random_y = inst.nu.carrier.sample(rng, n_rand_here, window) if spec.scheme == "quadruple" else None
-        probe_starts = [inst.x0, *inst.mu.carrier.sample(rng, starts - 1, window)]
-        drawn.append((inst, violations, random_x, random_y, probe_starts))
-
-    # one batch per kind of instance: their maps stack, and their boxes and metrics are alike
     kinds = {}
     for index, spec in enumerate(specs):
-        kinds.setdefault((spec.scheme, spec.dim, spec.metric_form, spec.halfwidth, spec.expansive), []).append(index)
+        kinds.setdefault(_kind(spec), []).append(index)
     rows = [None] * len(specs)
-    for members in kinds.values():
-        insts = [drawn[i][0] for i in members]
-        results = solve_problems(
-            [inst.problem for inst in insts],
-            insts[0].mu,
-            insts[0].nu,
-            [x for i in members for x in drawn[i][4]],
-            np.repeat(np.arange(len(members)), starts),
-            cfg,
-        )
-        for index in members:  # one instance's traces at a time
-            inst, violations, random_x, random_y, _ = drawn[index]
-            probe = compare_fixed_points(inst.mu, inst.nu, [next(results) for _ in range(starts)])
-            result = probe.results[0]
-            try:
-                k_hat = _estimate_instance_k(
-                    inst, result, random_x, random_y, cfg.grid, n_traj if inst.spec.scheme == "pair" else quad_n_traj
-                )
-            except (EmptySampleError, CodomainError):  # the sample's images left the codomain
-                k_hat = None
-            rows[index] = InstanceVerdict(
-                index=index,
-                seed=inst.spec.seed,
-                scheme=inst.spec.scheme,
-                status=result.status,
-                iterations=result.iterations,
-                k_hat=k_hat,
-                axiom_violations=violations,
-                conclusions_passed=result.conclusions_passed,
-                min_residual=result.min_residual,
-                uniqueness_passed=probe.passed,
-                uniqueness_max_distance=max(probe.max_z_distance, probe.max_w_distance) if probe.conclusive else None,
-            )
+    for (scheme, *_), members in kinds.items():
+        sizes = (n_traj, n_rand) if scheme == "pair" else (quad_n_traj, quad_n_rand)
+        for index, row in zip(members, _run_kind([specs[i] for i in members], cfg, starts, *sizes)):
+            rows[index] = InstanceVerdict(index=index, **row)
 
     aggregates = {
         "instances": len(rows),

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySampleError
-from .mappings import ComposedMap, MapPair
+from .errors import CodomainError, EmptySampleError, UsageError
+from .mappings import ComposedMap, MapPair, StackedMap
 from .metrics import FuzzyMetric, TGrid
 from .spaces import DELTA_PT, validate_points
 
@@ -85,48 +85,68 @@ def _images(mapping, pts):
 
 
 def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0):
-    """One report per label, over tuples of the point arrays in axes and the grid.
+    """One report per label for each instance of a stack, over tuples of
+    the point arrays in axes and the grid; each array in axes holds one
+    point array per instance, on its first axis, and samples gives the grid
+    and the diagonal rule of all.
 
     The tuples are visited in blocks of about _BLOCK_BYTES per float array,
-    in C order.  A block is a slice i of the first sample index and a slice
-    j of the second; j is the whole axis unless one index of the first is
-    over the budget.  evaluate(i, j, out) writes each label's ratios on the
-    block into out[side] and returns one admission mask per label that
-    broadcasts to the block.  out holds one float array of the block's shape
+    in C order.  A block is a slice s of the instances, a slice i of the
+    first sample index and a slice j of the second: s holds as many whole
+    instances as fit the budget with all their arrays together, or else one;
+    then i holds as many indices as fit, and j is the whole axis unless one
+    index of the first is over the budget.  (Stacks that filled each array
+    to the budget ran no faster, and their arrays, above malloc's 128 KiB
+    mmap threshold, raised a 50-pair suite's peak RSS by 0.15-0.27 MB.)  A
+    stack of one has no instance axis: s is 0 and the arrays are those of
+    the one instance.  evaluate(s, i, j, out) writes each label's ratios on
+    the block into out[side] and returns one admission mask per label that
+    broadcasts to the block of one instance, or, with the instance axis
+    first, to the block.  out holds one float array of the block's shape
     per label, then scratch more for evaluate's own use; they are allocated
     once per call, since a fresh array of a block's size is page-faulted in
-    anew on every block.  k_hat is the largest admitted ratio and its
-    witness the first such cell in C order (the first NaN if there is one,
-    as np.argmax picks).  k_hat is None when no cell is admitted.  dump, if
-    not None, is called as dump(label, cells, ratios) with each block's
-    admitted cells in C order (np.argwhere indices with the block's offsets
-    added; the grid index is the last column) and their ratios.  Every block
-    of a label is dumped before any of the next, so each label after the
-    first takes one more pass over the blocks.  A floating-point warning
-    that several blocks raise is shown once.
+    anew on every block.  Per instance, k_hat is the largest admitted ratio
+    and its witness the first such cell in C order (the first NaN if there
+    is one, as np.argmax picks).  k_hat is None when no cell is admitted.
+    dump, if not None, takes a stack of one and is called as
+    dump(label, cells, ratios) with each block's admitted cells in C order
+    (np.argwhere indices with the block's offsets added; the grid index is
+    the last column) and their ratios.  Every block of a label is dumped
+    before any of the next, so each label after the first takes one more
+    pass over the blocks.  A floating-point warning that several blocks
+    raise is shown once.  Returns, per instance, the tuple of its reports.
     """
     ts = samples.grid.values
-    shape = tuple(len(a) for a in axes) + ts.shape
+    count = len(axes[0])
+    stacked = count > 1
+    shape = tuple(a.shape[1] for a in axes) + ts.shape  # the cells of one instance
     row = 8 * math.prod(shape[2:])  # bytes of one index of the second axis
+    arrays = len(labels) + scratch
+    step_s = max(1, _BLOCK_BYTES // (arrays * row * shape[0] * shape[1]))
     step_i = max(1, _BLOCK_BYTES // (row * shape[1]))
     step_j = shape[1] if row * shape[1] <= _BLOCK_BYTES else max(1, _BLOCK_BYTES // row)
     blocks = [
-        (slice(i, min(i + step_i, shape[0])), slice(j, min(j + step_j, shape[1])))
+        (
+            slice(s, min(s + step_s, count)) if stacked else 0,
+            slice(i, min(i + step_i, shape[0])),
+            slice(j, min(j + step_j, shape[1])),
+        )
+        for s in range(0, count, step_s)
         for i in range(0, shape[0], step_i)
         for j in range(0, shape[1], step_j)
     ]
 
-    def block_shape(i, j):
-        return (i.stop - i.start, j.stop - j.start) + shape[2:]
+    def block_shape(s, i, j):
+        return ((s.stop - s.start,) if stacked else ()) + (i.stop - i.start, j.stop - j.start) + shape[2:]
 
-    buffers = [np.empty(math.prod(block_shape(*blocks[0]))) for _ in range(len(labels) + scratch)]
-    best = [None] * len(labels)  # (ratio, cell) of each label
-    evaluated = [0] * len(labels)
+    buffers = [np.empty(math.prod(block_shape(*blocks[0]))) for _ in range(arrays)]
+    best = [[None] * count for _ in labels]  # (ratio, cell) of each label and instance
+    evaluated = [[0] * count for _ in labels]
 
-    def block(i, j):
-        size = block_shape(i, j)
+    def block(s, i, j):
+        size = block_shape(s, i, j)
         out = [b[: math.prod(size)].reshape(size) for b in buffers]
-        return out, evaluate(i, j, out)
+        return out, evaluate(s, i, j, out)
 
     def dump_block(side, i, j, ratio, valid):
         valid = np.broadcast_to(valid, ratio.shape)
@@ -136,38 +156,46 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0):
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for i, j in blocks:
-            out, masks = block(i, j)
+        for s, i, j in blocks:
+            out, masks = block(s, i, j)
+            first = s.start if stacked else 0
             for side, (ratio, valid) in enumerate(zip(out, masks)):
-                evaluated[side] += int(np.count_nonzero(valid)) * (ratio.size // valid.size)
                 if side == 0 and dump is not None:
                     dump_block(0, i, j, ratio, valid)
                 np.copyto(ratio, -np.inf, where=~valid)
-                cell = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
-                r = ratio[cell]
-                if best[side] is None or not np.isnan(best[side][0]) and (np.isnan(r) or r > best[side][0]):
-                    best[side] = (r, (i.start + cell[0], j.start + cell[1]) + cell[2:])
+                own = stacked and np.ndim(valid) == ratio.ndim  # one mask per instance, else one for all
+                for k, r_k in enumerate(ratio if stacked else (ratio,)):
+                    at, v_k = first + k, valid[k] if own else valid
+                    # a mask counts once per cell it broadcasts to
+                    evaluated[side][at] += int(np.count_nonzero(v_k)) * (r_k.size // np.size(v_k))
+                    cell = np.unravel_index(int(np.argmax(r_k)), r_k.shape)
+                    r, old = r_k[cell], best[side][at]
+                    if old is None or not np.isnan(old[0]) and (np.isnan(r) or r > old[0]):
+                        best[side][at] = (r, (i.start + cell[0], j.start + cell[1]) + cell[2:])
         if dump is not None:
             for side in range(1, len(labels)):
-                for i, j in blocks:
-                    out, masks = block(i, j)
+                for s, i, j in blocks:
+                    out, masks = block(s, i, j)
                     dump_block(side, i, j, out[side], masks[side])
     registry = globals().setdefault("__warningregistry__", {})  # as warnings.warn uses it here
     for w in {(str(w.message), w.category, w.filename, w.lineno): w for w in caught}.values():
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, registry=registry)
-    return tuple(
-        HypothesisReport(
-            label=label,
-            k_hat=float(r) if count else None,
-            witness=tuple(pts[i] for pts, i in zip(axes, cell)) + (float(ts[cell[-1]]),) if count else None,
-            evaluated_count=count,
-            skipped_count=math.prod(shape) - count,
-            grid=samples.grid,
-            sample_shape=sample_shape,
-            exclude_diagonal=samples.exclude_diagonal,
+    return [
+        tuple(
+            HypothesisReport(
+                label=label,
+                k_hat=float(r) if n else None,
+                witness=tuple(pts[at][i] for pts, i in zip(axes, cell)) + (float(ts[cell[-1]]),) if n else None,
+                evaluated_count=n,
+                skipped_count=math.prod(shape) - n,
+                grid=samples.grid,
+                sample_shape=sample_shape,
+                exclude_diagonal=samples.exclude_diagonal,
+            )
+            for label, (r, cell), n in zip(labels, (b[at] for b in best), (e[at] for e in evaluated))
         )
-        for label, (r, cell), count in zip(labels, best, evaluated)
-    )
+        for at in range(count)
+    ]
 
 
 def _quotient_reports(prefix, terms, axes, samples, dump, empty_message, scratch=0):
@@ -177,7 +205,7 @@ def _quotient_reports(prefix, terms, axes, samples, dump, empty_message, scratch
     (lhs, lhs'); each side is admitted only where num < h < 1 (ties num = h
     are skipped)."""
 
-    def evaluate(i, j, out):
+    def evaluate(s, i, j, out):  # a stack of one
         lhs = terms(i, j, out)
         nums, h = out[:2], out[2]
         below_one = h < 1.0
@@ -187,7 +215,8 @@ def _quotient_reports(prefix, terms, axes, samples, dump, empty_message, scratch
         return masks
 
     labels = (f"{prefix}-primal", f"{prefix}-dual")
-    reports = _reports(labels, evaluate, axes, samples, (len(axes[0]), len(axes[-1])), dump, 1 + scratch)
+    stack = tuple(a[None] for a in axes)
+    (reports,) = _reports(labels, evaluate, stack, samples, (len(axes[0]), len(axes[-1])), dump, 1 + scratch)
     if all(r.k_hat is None for r in reports):
         raise EmptySampleError(empty_message)
     return reports
@@ -220,8 +249,16 @@ def estimate_k_pair(pair, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, 
 
     Iteration order for tie-breaking is (x index, x' index, grid index),
     row-major; ties keep the first tuple encountered.
+
+    pair and samples may also be equal-length sequences: of pairs of affine
+    or constant maps on alike boxes, and of samples of one size, grid and
+    diagonal rule.  Then the reports of all are made in one pass and come
+    back as a tuple, one per pair, each the report of that pair alone; if
+    any pair's sample is empty or its images escape, the call raises.
     """
-    return _pair_report("pair", pair, mu, nu, samples, dump)
+    if isinstance(pair, MapPair):
+        return _pair_reports("pair", [pair], mu, nu, [samples], dump)[0]
+    return tuple(_pair_reports("pair", list(pair), mu, nu, list(samples), dump))
 
 
 def estimate_k_pair_dual(pair, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, dump=None) -> HypothesisReport:
@@ -232,33 +269,58 @@ def estimate_k_pair_dual(pair, mu: FuzzyMetric, nu: FuzzyMetric, samples: Sample
         grid=samples.grid,
         exclude_diagonal=samples.exclude_diagonal,
     )
-    return _pair_report("pair-dual", MapPair(T=pair.S, S=pair.T), nu, mu, ysamples, dump)
+    return _pair_reports("pair-dual", [MapPair(T=pair.S, S=pair.T)], nu, mu, [ysamples], dump)[0]
 
 
-def _pair_report(label, pair, mu, nu, samples, dump):
-    xs = validate_points(mu.carrier, samples.points_x)
-    n = len(xs)
+def _pair_reports(label, pairs, mu, nu, samples, dump):
+    """The report of each pair on its sample; see estimate_k_pair."""
+    sizes = {len(s.points_x) for s in samples}
+    if len(sizes) != 1 or len(pairs) != len(samples):
+        raise UsageError("stacked pairs need one sample each, all of one size")
+    n = sizes.pop()
     if n == 0:
         raise EmptySampleError("sample contains no points")
-    ts = samples.grid.values
-    st = _images(ComposedMap(pair.S, pair.T), xs)
-    tx = _images(pair.T, xs)
+    xs = np.stack([validate_points(mu.carrier, s.points_x) for s in samples])  # (pairs, n) + the shape of one point
+    xs.setflags(write=False)
+    flat = xs.reshape((-1,) + xs.shape[2:])
+    if len(pairs) == 1:
+        t_map, s_map, images = pairs[0].T, pairs[0].S, _images
+    else:  # each pair maps its own sample's rows
+        owner = np.repeat(np.arange(len(pairs)), n)
+        t_map, s_map = (StackedMap([getattr(p, c) for p in pairs]).take(owner) for c in "TS")
+        images = _stacked_images
+    ts = samples[0].grid.values
+
+    def stack(a):
+        return a.reshape((len(pairs), n) + a.shape[1:])
+
+    st, tx = stack(images(ComposedMap(s_map, t_map), flat)), stack(images(t_map, flat))
     m_self = mu.mu_batch(xs, st, ts)
 
-    def evaluate(i, j, out):
+    def evaluate(s, i, j, out):
         rhs, scratch = out
-        d = mu.carrier.distances(xs[i, None], xs[None, j])
-        np.minimum(mu.mu_from_distances(d, xs[i, None], xs[None, j], ts, rhs), m_self[i, None], out=rhs)
-        np.minimum(rhs, m_self[None, j], out=rhs)
-        np.minimum(rhs, nu.pairwise(tx[i], tx[j], ts, scratch), out=rhs)
+        a, b = xs[s, i, None], xs[s, None, j]
+        d = mu.carrier.distances(a, b)
+        np.minimum(mu.mu_from_distances(d, a, b, ts, rhs), m_self[s, i, None], out=rhs)
+        np.minimum(rhs, m_self[s, None, j], out=rhs)
+        np.minimum(rhs, nu.mu_batch(tx[s, i, None], tx[s, None, j], ts, scratch), out=rhs)
         with np.errstate(divide="ignore", invalid="ignore"):  # x/0 = inf and 0/0 = NaN cells are kept
-            np.divide(rhs, mu.pairwise(st[i], st[j], ts, scratch), out=rhs)
-        return [(d > DELTA_PT)[:, :, None] if samples.exclude_diagonal else np.True_]
+            np.divide(rhs, mu.mu_batch(st[s, i, None], st[s, None, j], ts, scratch), out=rhs)
+        return [(d > DELTA_PT)[..., None] if samples[0].exclude_diagonal else np.True_]
 
-    (report,) = _reports((label,), evaluate, (xs, xs), samples, (n,), dump, scratch=1)
-    if report.k_hat is None:
+    reports = [r for (r,) in _reports((label,), evaluate, (xs, xs), samples[0], (n,), dump, scratch=1)]
+    if any(r.k_hat is None for r in reports):
         raise EmptySampleError("every tuple of the sample was skipped")
-    return report
+    return reports
+
+
+@np.errstate(over="ignore")  # an image that overflows escapes
+def _stacked_images(mapping, pts):
+    """_images of a map over stacked rows, which maps no single point."""
+    out, escaped = mapping.rows(pts)
+    if escaped is not None:
+        raise CodomainError(f"the image of stacked point {int(np.argmax(escaped))} escaped its codomain")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ through rows() and raises CodomainError if its output escapes.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,27 @@ class ComposedMap(Mapping):
         if outer_escaped is not None:
             escaped = outer_escaped if escaped is None else escaped | outer_escaped
         return out, escaped
+
+
+class StackedMap(Mapping):
+    """The affine and constant maps of several problems, alike in their
+    codomains, as one matrix and one offset per map (a constant map's matrix
+    is 0, and 0 @ x + value is value on a finite x); take(rows) maps row r
+    of a batch by maps[rows[r]]."""
+
+    def __init__(self, maps):
+        super().__init__(maps[0].codomain)
+        zero = np.zeros((self.codomain.dimension,) * 2)
+        self.matrix = np.array([m.matrix if isinstance(m, AffineMap) else zero for m in maps])
+        self.offset = np.array([m.offset if isinstance(m, AffineMap) else m.value for m in maps])
+
+    def take(self, rows: np.ndarray) -> "StackedMap":
+        out = copy.copy(self)
+        out.matrix, out.offset = self.matrix[rows], self.offset[rows]
+        return out
+
+    def _raw_rows(self, xs):  # rounds each row as AffineMap._raw_rows does
+        return np.matmul(self.matrix, xs[..., None])[..., 0] + self.offset
 
 
 @dataclass(eq=False)

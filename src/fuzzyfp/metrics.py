@@ -191,12 +191,22 @@ class TableFuzzyMetric(FuzzyMetric):
         return super().mu_grid(self.carrier.validate_point(x), self.carrier.validate_point(y), ts)
 
     def mu_batch(self, a, b, ts, out=None) -> np.ndarray:
-        log_ts = np.log(_check_ts(ts))
+        x = np.log(_check_ts(ts))
         rows = self.values[np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)]
+        xp = self._log_grid
+        if len(xp) == 1:  # one stored scale: its value at every scale
+            values = rows.reshape(rows.shape[:-1] + (1,) * x.ndim)
+        else:  # np.interp(x, xp, row) for every row at once, with its segment, slope and rounding
+            j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, len(xp) - 2)
+            lo, hi = rows[..., j], rows[..., j + 1]
+            # np.interp's NaN fallback cannot fire on finite values; a zero-width segment
+            # (two scales with one log) is computed only where the ends replace it
+            with np.errstate(divide="ignore", invalid="ignore"):
+                values = (hi - lo) / (xp[j + 1] - xp[j]) * (x - xp[j]) + lo
+            values = np.where(x >= xp[-1], hi, np.where((x < xp[0]) | (xp[j] == x), lo, values))
         if out is None:
-            out = np.empty(rows.shape[:-1] + log_ts.shape)
-        for idx in np.ndindex(rows.shape[:-1]):  # one row at a time; clamps to the end values
-            out[idx] = np.interp(log_ts, self._log_grid, rows[idx])
+            out = np.empty(rows.shape[:-1] + x.shape)
+        out[...] = values
         return out
 
 

@@ -20,13 +20,13 @@ when an iterate escapes its carrier; the schemes must terminate on any input.
 
 from __future__ import annotations
 
-import copy
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CodomainError, DomainError, UsageError
-from .mappings import AffineMap, ComposedMap, MapPair, MapQuadruple, Mapping
+from .errors import DomainError, UsageError
+from .mappings import ComposedMap, MapPair, MapQuadruple, StackedMap
 from .metrics import FuzzyMetric, TGrid
 from .spaces import validate_points
 
@@ -129,13 +129,51 @@ class FixedPointResult:
         return min(c.residual for c in self.conclusion_checks)
 
 
-def _residual(name: str, fm: FuzzyMetric, f, p, q, grid: TGrid, tol: float) -> ConclusionCheck:
-    """min_t mu(f(p), q, t) for the identity f(p) = q; 0.0, failed, if f(p) escapes."""
-    try:
-        res = float(np.min(fm.mu_grid(f(p), q, grid)))
-    except CodomainError:
-        res = 0.0
-    return ConclusionCheck(name=name, residual=res, passed=res >= 1.0 - tol)
+# The conclusion identities f(p) = q of each scheme: (name, the names of
+# the maps of f, outermost first, p, q).  An identity in X (q is z) is
+# measured by mu, one in Y (q is w) by nu.
+_PAIR_IDENTITIES = (
+    ("st_z_fixed", "ST", "z", "z"),
+    ("ts_w_fixed", "TS", "w", "w"),
+    ("t_z_is_w", "T", "z", "w"),
+    ("s_w_is_z", "S", "w", "z"),
+)
+_QUAD_IDENTITIES = (
+    ("sa_z_fixed", "SA", "z", "z"),
+    ("tb_z_fixed", "TB", "z", "z"),
+    ("bs_w_fixed", "BS", "w", "w"),
+    ("at_w_fixed", "AT", "w", "w"),
+    ("a_z_is_w", "A", "z", "w"),
+    ("b_z_is_w", "B", "z", "w"),
+    ("s_w_is_z", "S", "w", "z"),
+    ("t_w_is_z", "T", "w", "z"),
+)
+
+
+def _conclusions(identities, maps, mu, nu, z, w, grid, tol) -> list:
+    """The checks of the identities at each row of the arrays z and w, by
+    the maps named in maps (a problem's own, or StackedMaps with one row per
+    row of z): one tuple of ConclusionChecks per row.  The residual of
+    f(p) = q is min_t mu(f(p), q, t) over the grid; 0.0, failed, where f(p)
+    escapes."""
+    points = {"z": z, "w": w}
+    columns = []
+    for name, names, p, q in identities:
+        f = functools.reduce(ComposedMap, [maps[c] for c in names])
+        image, escaped = f.rows(points[p])
+        target = points[q]
+        if escaped is not None:  # measured at q itself, then failed
+            image = np.where(escaped.reshape(escaped.shape + (1,) * (image.ndim - 1)), target, image)
+        residuals = (mu if q == "z" else nu).mu_batch(image, target, grid).min(axis=-1)
+        if escaped is not None:
+            residuals[escaped] = 0.0
+        columns.append([ConclusionCheck(name=name, residual=r, passed=r >= 1.0 - tol) for r in residuals.tolist()])
+    return list(zip(*columns))
+
+
+def _problem_conclusions(problem, identities, mu, nu, z, w, grid, tol):
+    maps = {c: getattr(problem, c) for names in identities for c in names[1]}
+    return _conclusions(identities, maps, mu, nu, np.array([z]), np.array([w]), grid, tol)[0]
 
 
 def verify_conclusions_pair(
@@ -143,12 +181,7 @@ def verify_conclusions_pair(
 ) -> tuple[ConclusionCheck, ...]:
     """Nearness residuals of the four pair-scheme conclusion identities:
     ST z = z, TS w = w, T z = w, S w = z."""
-    return (
-        _residual("st_z_fixed", mu, ComposedMap(pair.S, pair.T), z, z, grid, tol),
-        _residual("ts_w_fixed", nu, ComposedMap(pair.T, pair.S), w, w, grid, tol),
-        _residual("t_z_is_w", nu, pair.T, z, w, grid, tol),
-        _residual("s_w_is_z", mu, pair.S, w, z, grid, tol),
-    )
+    return _problem_conclusions(pair, _PAIR_IDENTITIES, mu, nu, z, w, grid, tol)
 
 
 def verify_conclusions_quadruple(
@@ -156,16 +189,7 @@ def verify_conclusions_quadruple(
 ) -> tuple[ConclusionCheck, ...]:
     """Residuals of the eight quadruple conclusions: SA z = z, TB z = z,
     BS w = w, AT w = w, A z = w, B z = w, S w = z, T w = z."""
-    return (
-        _residual("sa_z_fixed", mu, ComposedMap(quad.S, quad.A), z, z, grid, tol),
-        _residual("tb_z_fixed", mu, ComposedMap(quad.T, quad.B), z, z, grid, tol),
-        _residual("bs_w_fixed", nu, ComposedMap(quad.B, quad.S), w, w, grid, tol),
-        _residual("at_w_fixed", nu, ComposedMap(quad.A, quad.T), w, w, grid, tol),
-        _residual("a_z_is_w", nu, quad.A, z, w, grid, tol),
-        _residual("b_z_is_w", nu, quad.B, z, w, grid, tol),
-        _residual("s_w_is_z", mu, quad.S, w, z, grid, tol),
-        _residual("t_w_is_z", mu, quad.T, w, z, grid, tol),
-    )
+    return _problem_conclusions(quad, _QUAD_IDENTITIES, mu, nu, z, w, grid, tol)
 
 
 # Cycles mapped at most before their steps are judged.  Chunks grow from one
@@ -360,27 +384,6 @@ def _trace(arr: np.ndarray, fm: FuzzyMetric, grid: TGrid) -> SequenceTrace:
     return SequenceTrace(points=_points(arr), nearness=fm.mu_batch(arr[:-1], arr[1:], grid), grid=grid)
 
 
-class _Stacked(Mapping):
-    """The affine and constant maps of several problems at one position of
-    their cycles, as one matrix and one offset per problem (a constant
-    map's matrix is 0, and 0 @ x + value is value on a finite x);
-    take(rows) maps row r of a batch by the map of problem rows[r]."""
-
-    def __init__(self, maps):
-        super().__init__(maps[0].codomain)  # the problems' boxes are alike
-        zero = np.zeros((self.codomain.dimension,) * 2)
-        self.matrix = np.array([m.matrix if isinstance(m, AffineMap) else zero for m in maps])
-        self.offset = np.array([m.offset if isinstance(m, AffineMap) else m.value for m in maps])
-
-    def take(self, rows: np.ndarray) -> "_Stacked":
-        out = copy.copy(self)
-        out.matrix, out.offset = self.matrix[rows], self.offset[rows]
-        return out
-
-    def _raw_rows(self, xs):  # rounds each row as AffineMap._raw_rows does
-        return np.matmul(self.matrix, xs[..., None])[..., 0] + self.offset
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an orbit that overflows escapes or diverges, and its status says so
 def _iterate(problems, owner, mu, nu, starts, cfg, trace_all: bool):
     """The one iteration loop, shared by both schemes, over the starts of
@@ -393,58 +396,71 @@ def _iterate(problems, owner, mu, nu, starts, cfg, trace_all: bool):
     and the first cycle, which has one y row fewer, never counts.  A start
     whose image escapes a codomain stops at once; the others carry on.
     Only the maps run step by step: a chunk of cycles is mapped, through
-    _Stacked maps if there are several problems, then judged at once by mu
+    StackedMaps if there are several problems, then judged at once by mu
     and nu (_Runs.judge), and each start stops where a run of its own would
-    have.  w_of(z, ys) gives w, and verify checks the conclusions at (z, w)
-    of each problem's first start only, which alone keeps its traces unless
+    have.  Then w is found for every start at once, and the conclusions at
+    (z, w) are checked, each identity for every problem at once, at each
+    problem's first start only, which alone keeps its traces unless
     trace_all.  The results are made in start order as they are taken, so
     a caller that takes one problem's at a time holds one's traces at a time.
     """
     cfg = cfg or SolveConfig()
-    schemes = [_scheme(p) for p in problems]
-    cycle = schemes[0][0]
-    if len(problems) > 1:  # at each step of the cycle, every problem's (to_y, to_x) stacked
-        cycle = [[_Stacked(maps) for maps in zip(*steps)] for steps in zip(*(s[0] for s in schemes))]
+    cycle, w_name, identities = _scheme(problems[0])
+    names = {c for step in cycle for c in step}
+    if len(problems) == 1:
+        maps = {c: getattr(problems[0], c) for c in names}
+
+        def at(rows):
+            return maps
+
+    else:  # every problem's map of each name stacked, taken by the owner of each row
+        stacked = {c: StackedMap([getattr(p, c) for p in problems]) for c in names}
+
+        def at(rows):
+            return {c: m.take(owner[rows]) for c, m in stacked.items()}
+
     first = np.r_[True, owner[1:] != owner[:-1]]
     runs = _Runs(validate_points(mu.carrier, starts), mu, nu, cfg, first | trace_all)
     done, size = 0, 1
     while len(runs.ids) and done < cfg.max_iter:
         size = min(size, cfg.max_iter - done)
-        here = cycle if len(problems) == 1 else [[m.take(owner[runs.ids]) for m in step] for step in cycle]
-        runs.judge(*_map_chunk(here, runs.xs.last, size), size)
+        here = at(runs.ids)
+        runs.judge(*_map_chunk([(here[a], here[b]) for a, b in cycle], runs.xs.last, size), size)
         done += size
         size = min(2 * size, _CHUNK_CYCLES)
     kept = runs.finish()
 
+    everyone = np.arange(len(kept))
+    z = np.array([xs[-1] for xs, _, _ in kept])
+    w = last_y = [_points(ys[-1:])[0] if len(ys) else None for _, ys, _ in kept]
+    if w_name is not None:  # w = T(z), the y limit under a continuous T, unless T(z) escapes
+        image, escaped = at(everyone)[w_name].rows(z)
+        w = list(_points(image))
+        for i in () if escaped is None else np.flatnonzero(escaped):
+            w[i] = last_y[i]
+    heads = np.array([i for i in np.flatnonzero(first) if w[i] is not None], dtype=np.intp)
+    checks = {}
+    if len(heads):
+        found = _conclusions(identities, at(heads), mu, nu, z[heads], np.array([w[i] for i in heads]), cfg.grid, cfg.verify_tol)
+        checks = dict(zip(heads.tolist(), found))
+
     @np.errstate(over="ignore", invalid="ignore")
     def result(i: int) -> FixedPointResult:
         xs, ys, iterations = kept[i]
-        _, w_of, verify = schemes[owner[i]]
-        z = _points(xs[-1:])[0]
-        w = w_of(z, _points(ys[-1:]))
-        checks = ()
-        if w is not None and first[i]:
-            checks = verify(problems[owner[i]], mu, nu, z, w, cfg.grid, cfg.verify_tol)
         traces = (_trace(xs, mu, cfg.grid), _trace(ys, nu, cfg.grid)) if runs.traced[i] else (None, None)
-        return FixedPointResult(z, w, runs.reasons[i], iterations, *traces, checks)
+        return FixedPointResult(_points(xs[-1:])[0], w[i], runs.reasons[i], iterations, *traces, checks.get(i, ()))
 
     return map(result, range(len(kept)))
 
 
 def _scheme(problem):
-    """(cycle, w_of, verify) of the problem's scheme; see _iterate."""
+    """(cycle, w_name, identities) of the problem's scheme: the names of the
+    (to_y, to_x) maps of each step of a cycle, the map whose image of z is w
+    (None if w is the last y) and the conclusion identities; see _iterate."""
     if isinstance(problem, MapPair):
-
-        def w_of(z, ys):  # w = T(z), the y limit under a continuous T
-            try:
-                return problem.T(z)
-            except CodomainError:
-                return ys[-1] if ys else None
-
-        return ((problem.T, problem.S),), w_of, verify_conclusions_pair
+        return (("T", "S"),), "T", _PAIR_IDENTITIES
     if isinstance(problem, MapQuadruple):
-        cycle = ((problem.A, problem.S), (problem.B, problem.T))
-        return cycle, lambda z, ys: ys[-1] if ys else None, verify_conclusions_quadruple
+        return (("A", "S"), ("B", "T")), None, _QUAD_IDENTITIES
     raise UsageError(f"cannot solve problem of type {type(problem).__name__}")
 
 

@@ -39,9 +39,9 @@ from fuzzyfp import (
     induced_standard,
 )
 from fuzzyfp import hypotheses, solver
-from fuzzyfp.axioms import MAX_WITNESSES
+from fuzzyfp.axioms import MAX_WITNESSES, check_fm_axioms_batch
 from fuzzyfp.errors import CodomainError, EmptySampleError
-from fuzzyfp.mappings import Mapping
+from fuzzyfp.mappings import Mapping, StackedMap
 from fuzzyfp.hypotheses import (
     SampleSet,
     estimate_k_pair,
@@ -311,6 +311,38 @@ def test_axiom_blocks_split_the_sample_like_one_pass(monkeypatch):
     assert whole.violation_count > MAX_WITNESSES
 
 
+@SETTINGS
+@given(
+    make=st.sampled_from([induced_standard, induced_exponential, Wobbly]),
+    seeds=st.lists(SEEDS, min_size=1, max_size=5),
+    triples=st.one_of(st.integers(1, 60), st.integers(105, 120)),
+)
+def test_axiom_batch_equals_one_check_per_seed(make, seeds, triples):
+    """On the default grid a block holds 56 triples: several seeds' triples
+    share a block below 29 triples per seed, and one seed's triples span
+    two or three blocks above 56.  Each report is the one its seed gives alone:
+    checks, counts, witnesses in order and the witness cap.  Wobbly breaks
+    identity and the triangle law on most triples."""
+    fm = make(BoxSpace([-60.0, -1.0], [60.0, 1.0]))
+    grid = TGrid.default()
+    got = check_fm_axioms_batch(fm, PRODUCT, triples, grid, seeds)
+    assert len(got) == len(seeds)
+    for report, seed in zip(got, seeds):
+        assert same_report(report, check_fm_axioms(fm, PRODUCT, triples, grid, seed))
+    if make is Wobbly and triples > MAX_WITNESSES:
+        assert all(len(r.violations) == MAX_WITNESSES < r.violation_count for r in got)
+
+
+def test_axiom_batch_keeps_each_seeds_identity_and_triangle_witnesses():
+    """Six seeds of 8 triples share one 48-triple block; seed 2 breaks the
+    triangle law once, between identity breaks."""
+    fm = Wobbly(BoxSpace([-60.0, -1.0], [60.0, 1.0]))
+    grid = TGrid.default()
+    got = check_fm_axioms_batch(fm, PRODUCT, 8, grid, range(6))
+    assert all(same_report(r, check_fm_axioms(fm, PRODUCT, 8, grid, seed)) for seed, r in enumerate(got))
+    assert [v.axiom for v in got[2].violations][:4] == ["identity", "identity", "triangle", "monotone_in_t"]
+
+
 # -- check_tnorm_axioms ---------------------------------------------------------
 
 
@@ -362,7 +394,7 @@ def test_tnorm_witnesses_fill_partway_through_a_block_and_a_sample(monkeypatch, 
 
 
 def test_tnorm_check_memory_is_bounded_by_its_block():
-    """2**18 samples are checked in blocks of 2**16: the traced peak stays
+    """2**18 samples are checked in blocks of 2**10: the traced peak stays
     near one block's arrays, not the whole sample's."""
     peak = _traced_peak(lambda: check_tnorm_axioms(LUKASIEWICZ, 1 << 18, 5))
     assert peak < 16 * 2**20
@@ -404,12 +436,12 @@ def test_stacked_maps_match_each_problem_bit_for_bit(dim, kind):
     owner = np.repeat(np.arange(len(insts)), 4)
     xs = np.array(insts[0].mu.carrier.sample(rng, len(owner), insts[0].window))
     constants = 0
-    for steps in zip(*(solver._scheme(inst.problem)[0] for inst in insts)):
-        for maps in zip(*steps):
-            constants += sum(isinstance(m, ConstantMap) for m in maps)
-            got = solver._Stacked(maps).take(owner)._raw_rows(xs)
-            ref = np.concatenate([np.array(m._raw_rows(xs[owner == j])) for j, m in enumerate(maps)])
-            assert got.tobytes() == ref.tobytes()
+    for name in sorted({c for step in solver._scheme(insts[0].problem)[0] for c in step}):
+        maps = [getattr(inst.problem, name) for inst in insts]
+        constants += sum(isinstance(m, ConstantMap) for m in maps)
+        got = StackedMap(maps).take(owner)._raw_rows(xs)
+        ref = np.concatenate([np.array(m._raw_rows(xs[owner == j])) for j, m in enumerate(maps)])
+        assert got.tobytes() == ref.tobytes()
     assert constants > 0 or kind.get("expansive")
 
 
@@ -418,7 +450,7 @@ def test_zero_matrix_rows_give_the_constant_values_gen_instance_draws():
     for inst in insts:
         t_map = inst.problem.T
         xs = np.array(inst.mu.carrier.sample(SplitMix64(inst.spec.seed), 6, inst.window))
-        stacked = solver._Stacked([t_map, t_map]).take(np.array([0, 0, 0, 1, 1, 1]))
+        stacked = StackedMap([t_map, t_map]).take(np.array([0, 0, 0, 1, 1, 1]))
         assert stacked._raw_rows(xs).tobytes() == np.ascontiguousarray(t_map._raw_rows(xs)).tobytes()
 
 

@@ -99,6 +99,21 @@ class TestSolveCommand:
         assert float(rows[1][4]) == pytest.approx(4.0 / 3.0)
         assert float(rows[1][5]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "name,code,line",
+        [
+            ("pair_linear", 0, "solve: status=converged stop_reason=eps-reached iterations=16 conclusions_passed=True"),
+            ("pair_expansive", 1, "solve: status=diverging stop_reason=stall iterations=51 conclusions_passed=False"),
+        ],
+    )
+    def test_summary_line_says_why_the_run_stopped(self, tmp_path, capsys, name, code, line):
+        config = str(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", config, "--out", out]) == code
+        assert capsys.readouterr().out.splitlines() == [line]
+        summary = json.load(open(os.path.join(out, "solve_summary.json")))
+        assert "stop_reason" not in summary  # the artifact is unchanged
+
     def test_expansive_solve_exits_one(self, tmp_path):
         doc = pair_config()
         doc["maps"]["T"] = {"form": "affine", "matrix": [[2.0]], "offset": [0.0]}

@@ -7,19 +7,28 @@ import pytest
 
 import oracles
 from fuzzyfp import (
+    PRODUCT,
     ConfigError,
     InstanceSpec,
     SampleSet,
     SolveConfig,
+    SplitMix64,
     TGrid,
     UsageError,
+    check_fm_axioms,
+    estimate_k,
     estimate_k_pair,
     gen_instance,
     run_suite,
     solve,
+    uniqueness_probe,
+    verify_conclusions_pair,
+    verify_conclusions_quadruple,
 )
 from fuzzyfp.cli import _jsonable
-from fuzzyfp.mappings import ConstantMap
+from fuzzyfp.errors import CodomainError, EmptySampleError
+from fuzzyfp.harness import _SUITE_SALT, _kind_metrics
+from fuzzyfp.mappings import ConstantMap, MapPair
 
 
 def _inf_norm(m):
@@ -231,6 +240,83 @@ def test_suite_equals_each_spec_alone():
     statuses = {r.status for r in verdict.rows}
     assert statuses == {"converged", "diverging", "max-iter"}
     assert any(r.k_hat is None for r in verdict.rows) and any(r.uniqueness_passed for r in verdict.rows)
+
+
+def _suite_row(spec, cfg, starts=4, n_traj=8, n_rand=8):
+    """The suite row of one spec from the public one-instance functions:
+    each axiom seed checked alone, each start solved alone, the
+    conclusions verified at x0's (z, w) and k_hat estimated alone."""
+    inst = gen_instance(spec)
+    rng = SplitMix64(spec.seed ^ _SUITE_SALT)
+    window = inst.window
+    seeds = [rng.next_u64() for _ in dict.fromkeys((inst.mu, inst.nu))]
+    violations = sum(check_fm_axioms(fm, PRODUCT, 32, cfg.grid, s, window).violation_count for fm, s in zip((inst.mu, inst.nu), seeds))
+    if spec.scheme != "pair":
+        n_traj, n_rand = 4, 4
+    random_x = inst.mu.carrier.sample(rng, n_rand, window)
+    random_y = inst.nu.carrier.sample(rng, n_rand, window) if spec.scheme == "quadruple" else None
+    probe = uniqueness_probe(inst.problem, inst.mu, inst.nu, [inst.x0, *inst.mu.carrier.sample(rng, starts - 1, window)], cfg)
+    x0 = solve(inst.problem, inst.mu, inst.nu, inst.x0, cfg)
+    verify = verify_conclusions_pair if isinstance(inst.problem, MapPair) else verify_conclusions_quadruple
+    checks = () if x0.w is None else verify(inst.problem, inst.mu, inst.nu, x0.z, x0.w, cfg.grid, cfg.verify_tol)
+
+    def trajectory(trace):
+        pts = trace.points
+        idx = range(len(pts)) if len(pts) <= n_traj else np.linspace(0, len(pts) - 1, n_traj).astype(int)
+        return [pts[i] for i in idx]
+
+    xs = trajectory(x0.trace_x) + list(random_x)
+    ys = () if random_y is None else trajectory(x0.trace_y) + list(random_y)
+    try:
+        reports = estimate_k(spec.scheme, inst.problem, inst.mu, inst.nu, SampleSet(tuple(xs), cfg.grid, tuple(ys)))
+        ks = [r.k_hat for r in reports if r.k_hat is not None]
+    except (EmptySampleError, CodomainError):
+        ks = []
+    return {
+        "seed": spec.seed,
+        "scheme": spec.scheme,
+        "status": x0.status,
+        "iterations": x0.iterations,
+        "k_hat": max(ks) if ks else None,
+        "axiom_violations": violations,
+        "conclusions_passed": bool(checks) and all(c.passed for c in checks),
+        "min_residual": min(c.residual for c in checks) if checks else float("nan"),
+        "uniqueness_passed": probe.passed,
+        "uniqueness_max_distance": max(probe.max_z_distance, probe.max_w_distance) if probe.conclusive else None,
+    }
+
+
+# A pair kind whose constant pairs' x0 runs keep fewer than 8 points, so
+# that their k_hat samples are smaller than the affine pairs' of the kind
+_SHORT_RUNS = [dict(scheme="pair", dim=2, family=f, seed=s) for f in ("constant", "affine") for s in (1, 2, 3)]
+
+
+def test_suite_rows_equal_the_one_instance_functions():
+    """Every phase of a suite runs once per kind; each row equals the row
+    made from the public one-instance functions."""
+    specs = [InstanceSpec(**{"seed": 100 * j + i, **kind[i]}) for j, kind in enumerate(_MIXED_SPECS) for i in range(len(kind))]
+    specs += [InstanceSpec(**kw) for kw in _SHORT_RUNS]
+    cfg = SolveConfig(max_iter=60)
+    verdict = run_suite(specs, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # the expansive orbits overflow
+        alone = [_suite_row(spec, cfg) for spec in specs]
+    assert [_row(r) for r in verdict.rows] == [json.dumps(r, sort_keys=True) for r in alone]
+    short = [r.iterations for r, kw in zip(verdict.rows[-6:], _SHORT_RUNS) if kw["family"] == "constant"]
+    assert max(short) + 1 < 8 and all(r.k_hat is not None for r in verdict.rows[-6:])
+    assert any(r.k_hat is None for r in verdict.rows)
+
+
+def test_kind_metrics_give_the_instance_of_the_spec_alone():
+    for kind in _MIXED_SPECS:
+        spec = InstanceSpec(**{"seed": 5, **kind[0]})
+        a, b = gen_instance(spec), gen_instance(spec, _kind_metrics(spec))
+        for name, m in vars(a.problem).items():
+            other = getattr(b.problem, name)
+            assert type(m) is type(other)
+            assert [v.tobytes() for v in vars(m).values() if isinstance(v, np.ndarray)] == [
+                v.tobytes() for v in vars(other).values() if isinstance(v, np.ndarray)
+            ]
+        assert a.x0.tobytes() == b.x0.tobytes() and (a.mu is a.nu) == (b.mu is b.nu)
 
 
 def _traced_peak(run):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzyfp import (
@@ -171,3 +171,36 @@ class TestTableFuzzyMetric:
         v[0, 0] = 0.9
         fm = TableFuzzyMetric(self.fs, self.grid, v)
         assert fm.mu(0, 0, 1.0) == 0.9
+
+
+@st.composite
+def tables_and_scales(draw):
+    """A table nearness on up to 4 points and up to 6 grid scales, and
+    scales on the grid points, between them and outside the grid."""
+    n = draw(st.integers(1, 4))
+    logs = sorted(draw(st.lists(st.integers(-20, 20), min_size=1, max_size=6, unique=True)))
+    grid = TGrid(np.exp(np.array(logs) / 4.0))
+    values = draw(st.lists(st.floats(1e-3, 1.0), min_size=n * n * len(grid), max_size=n * n * len(grid)))
+    fm = TableFuzzyMetric(FiniteSpace(1.0 - np.eye(n)), grid, np.reshape(values, (n, n, len(grid))))
+    g = grid.values
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=len(g) - 1, max_size=len(g) - 1))
+    between = g[:-1] + np.array(fractions) * (g[1:] - g[:-1])
+    outside = [g[0] / 3.0, g[-1] * 3.0, *draw(st.lists(st.floats(1e-4, 1e4), max_size=4))]
+    return fm, np.concatenate([g, between, outside])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=tables_and_scales())
+def test_table_rows_interpolate_like_np_interp(case):
+    """All rows in one interpolation give np.interp's value on each row, bit for bit."""
+    fm, ts = case
+    n = fm.carrier.size
+    a, b = np.divmod(np.arange(n * n), n)
+    ref = np.array([np.interp(np.log(ts), fm._log_grid, fm.values[i, j]) for i, j in zip(a, b)])
+    assert fm.mu_batch(a, b, ts).tobytes() == ref.tobytes()
+    out = np.empty((n, n, len(ts)))
+    assert fm.mu_batch(a.reshape(n, n), b.reshape(n, n), ts, out) is out
+    assert out.tobytes() == ref.tobytes()
+    square = np.add.outer(ts[:5], ts[:5])  # the shape of scales the triangle check uses
+    ref = np.array([np.interp(np.log(square), fm._log_grid, fm.values[i, j]) for i, j in zip(a, b)])
+    assert fm.mu_batch(a, b, square).tobytes() == ref.tobytes()
