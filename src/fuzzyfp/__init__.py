@@ -50,8 +50,7 @@ from .solver import (
     UniquenessReport,
     solve,
     uniqueness_probe,
-    verify_conclusions_pair,
-    verify_conclusions_quadruple,
+    verify_conclusions,
 )
 from .spaces import DELTA_PT, BoxSpace, FiniteSpace
 from .tnorms import (
@@ -59,7 +58,6 @@ from .tnorms import (
     MINIMUM,
     PRODUCT,
     TNorm,
-    tnorm_apply,
 )
 
 __version__ = "0.1.0"

@@ -52,9 +52,6 @@ class AxiomReport:
         if len(self.violations) < MAX_WITNESSES:
             self.violations.append(Violation(axiom, witness, magnitude))
 
-    def axiom_ids(self) -> set[str]:
-        return {v.axiom for v in self.violations}
-
 
 def _op_array(op, a, b):
     if isinstance(op, TNorm):

@@ -192,15 +192,14 @@ def build_grid(doc: dict, t_max_override: float | None = None) -> TGrid:
         if len(fields) > 1:
             raise ConfigError("grid: give either values or t_min/t_max/points")
         values = _array(fields["values"], "grid.values")
-        with _building("grid"):
-            grid = TGrid(values)
-            return grid if t_max_override is None else grid.with_t_max(t_max_override)
-    if "points" in fields:
+    elif "points" in fields:
         fields["count"] = fields.pop("points")
-    if t_max_override is not None:
-        fields["t_max"] = t_max_override
     with _building("grid"):
-        return TGrid.logspace(**fields)
+        grid = TGrid(values) if "values" in fields else TGrid.logspace(**fields)
+    if t_max_override is None:
+        return grid
+    with _building("--t-max"):
+        return grid.with_t_max(t_max_override)
 
 
 def build_carrier(section, where: str = "carrier"):

@@ -61,6 +61,8 @@ class TGrid:
 
     def with_t_max(self, t_max: float) -> "TGrid":
         """Same point count and t_min, rebuilt log-spaced up to t_max."""
+        if len(self) < 2:
+            raise DomainError("a grid of one point has no t_max to move")
         return TGrid.logspace(self.t_min, t_max, len(self))
 
     @property

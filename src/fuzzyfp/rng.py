@@ -47,10 +47,6 @@ class SplitMix64:
         """Uniform double in [lo, hi) with 53 random bits."""
         return lo + (hi - lo) * unit(self.next_u64())
 
-    def randint(self, n: int) -> int:
-        """Integer in [0, n).  Modulo bias is negligible for desk-scale n."""
-        return self.next_u64() % n
-
     def normal(self) -> float:
         """Standard normal via Box-Muller; u1 offset keeps log() finite."""
         u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53

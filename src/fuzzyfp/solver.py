@@ -93,10 +93,6 @@ class SequenceTrace:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
-    def last(self):
-        return self.points[-1]
-
 
 @dataclass(eq=False)
 class FixedPointResult:
@@ -171,25 +167,16 @@ def _conclusions(identities, maps, mu, nu, z, w, grid, tol) -> list:
     return list(zip(*columns))
 
 
-def _problem_conclusions(problem, identities, mu, nu, z, w, grid, tol):
+def verify_conclusions(
+    problem, mu: FuzzyMetric, nu: FuzzyMetric, z, w, grid: TGrid, tol: float
+) -> tuple[ConclusionCheck, ...]:
+    """Nearness residuals of the conclusion identities of the problem's
+    scheme at (z, w): ST z = z, TS w = w, T z = w, S w = z for a MapPair;
+    SA z = z, TB z = z, BS w = w, AT w = w, A z = w, B z = w, S w = z,
+    T w = z for a MapQuadruple."""
+    identities = _scheme(problem)[2]
     maps = {c: getattr(problem, c) for names in identities for c in names[1]}
     return _conclusions(identities, maps, mu, nu, np.array([z]), np.array([w]), grid, tol)[0]
-
-
-def verify_conclusions_pair(
-    pair: MapPair, mu: FuzzyMetric, nu: FuzzyMetric, z, w, grid: TGrid, tol: float
-) -> tuple[ConclusionCheck, ...]:
-    """Nearness residuals of the four pair-scheme conclusion identities:
-    ST z = z, TS w = w, T z = w, S w = z."""
-    return _problem_conclusions(pair, _PAIR_IDENTITIES, mu, nu, z, w, grid, tol)
-
-
-def verify_conclusions_quadruple(
-    quad: MapQuadruple, mu: FuzzyMetric, nu: FuzzyMetric, z, w, grid: TGrid, tol: float
-) -> tuple[ConclusionCheck, ...]:
-    """Residuals of the eight quadruple conclusions: SA z = z, TB z = z,
-    BS w = w, AT w = w, A z = w, B z = w, S w = z, T w = z."""
-    return _problem_conclusions(quad, _QUAD_IDENTITIES, mu, nu, z, w, grid, tol)
 
 
 # Cycles mapped at most before their steps are judged.  Chunks grow from one
@@ -464,20 +451,9 @@ def _scheme(problem):
     raise UsageError(f"cannot solve problem of type {type(problem).__name__}")
 
 
-def solve_batch(problem, mu, nu, starts, cfg: SolveConfig | None = None) -> list:
-    """Run the problem's scheme from every start in lock step: one
-    FixedPointResult per start, each the one a run from that start alone
-    gives, except that only the first start's conclusions are checked; the
-    other results carry no checks."""
-    starts = list(starts)
-    if not starts:
-        return []
-    return list(_iterate([problem], np.zeros(len(starts), np.intp), mu, nu, starts, cfg, True))
-
-
 def solve_problems(problems, mu, nu, starts, owner, cfg: SolveConfig | None = None):
-    """solve_batch for several problems of one scheme in one batch, start i
-    being one of problems[owner[i]]: their maps affine or constant, on boxes
+    """Several problems of one scheme in one lock-step batch, start i being
+    one of problems[owner[i]]: their maps affine or constant, on boxes
     alike, with metrics alike to mu and nu.  An iterator of the results, in
     which only each problem's first start keeps its traces."""
     return _iterate(list(problems), np.asarray(owner), mu, nu, list(starts), cfg, False)
@@ -485,7 +461,7 @@ def solve_problems(problems, mu, nu, starts, owner, cfg: SolveConfig | None = No
 
 def solve(problem, mu, nu, x0, cfg: SolveConfig | None = None) -> FixedPointResult:
     """Run the problem's scheme from x0: a batch of one."""
-    return solve_batch(problem, mu, nu, [x0], cfg)[0]
+    return next(_iterate([problem], np.zeros(1, np.intp), mu, nu, [x0], cfg, True))
 
 
 @dataclass(eq=False)
@@ -523,7 +499,8 @@ def uniqueness_probe(
     starts = list(starts)
     if len(starts) < 2:
         raise UsageError("uniqueness probe needs at least two starting points")
-    return compare_fixed_points(mu, nu, solve_batch(problem, mu, nu, starts, cfg))
+    owner = np.zeros(len(starts), np.intp)
+    return compare_fixed_points(mu, nu, _iterate([problem], owner, mu, nu, starts, cfg, True))
 
 
 def compare_fixed_points(mu: FuzzyMetric, nu: FuzzyMetric, results) -> UniquenessReport:

@@ -22,6 +22,10 @@ class TNorm:
             raise DomainError(f"unknown t-norm kind {self.kind!r}")
 
     def __call__(self, a: float, b: float) -> float:
+        """Apply the t-norm after checking both operands lie in [0, 1]."""
+        for v in (a, b):
+            if not (0.0 <= v <= 1.0):
+                raise DomainError(f"t-norm operand {v!r} outside [0, 1]")
         return float(self.apply_array(a, b))
 
     def apply_array(self, a, b):
@@ -43,10 +47,3 @@ MINIMUM = TNorm("minimum")
 PRODUCT = TNorm("product")
 LUKASIEWICZ = TNorm("lukasiewicz")
 
-
-def tnorm_apply(op, a: float, b: float) -> float:
-    """Apply a t-norm after checking both operands lie in [0, 1]."""
-    for v in (a, b):
-        if not (0.0 <= v <= 1.0):
-            raise DomainError(f"t-norm operand {v!r} outside [0, 1]")
-    return float(op(a, b))

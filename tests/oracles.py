@@ -39,7 +39,7 @@ from fuzzyfp.spaces import DELTA_PT
 def sample(carrier, rng, count, window=None):
     """Carrier.sample drawn one point (and one coordinate) at a time."""
     if not isinstance(carrier, BoxSpace):
-        return [rng.randint(carrier.size) for _ in range(count)]
+        return [rng.next_u64() % carrier.size for _ in range(count)]
     lo, hi = (carrier.lo, carrier.hi) if window is None else map(np.asarray, window)
     pts = []
     for _ in range(count):
@@ -366,7 +366,7 @@ def _trace(points, rows, grid):
 
 
 def conclusions(problem, mu, nu, z, w, grid, tol):
-    """The conclusion checks of verify_conclusions_pair / _quadruple: the
+    """The conclusion checks of verify_conclusions: the
     least nearness of each identity f(p) = q over the grid, 0.0 if f(p) escapes."""
 
     def check(name, fm, maps, p, q):

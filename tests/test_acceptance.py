@@ -132,7 +132,7 @@ def test_criterion_4_axiom_suites():
     broken_report = check_fm_axioms(broken, PRODUCT, 1000, grid, seed=42)
     planted_only = (
         broken_report.violation_count > 0
-        and broken_report.axiom_ids() == {"identity"}
+        and {v.axiom for v in broken_report.violations} == {"identity"}
         and all(v.witness[0] == 0 for v in broken_report.violations)
     )
 

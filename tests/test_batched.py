@@ -49,7 +49,7 @@ from fuzzyfp.hypotheses import (
     estimate_k_quad,
     estimate_k_self_quad,
 )
-from fuzzyfp.solver import _diameter, solve, solve_batch
+from fuzzyfp.solver import _diameter, solve
 from test_hypotheses import Dumped
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
@@ -477,6 +477,11 @@ def _same_results(a, b):
         _same_trace(got.trace_x, ref.trace_x)
         _same_trace(got.trace_y, ref.trace_y)
         assert got.conclusion_checks == ref.conclusion_checks
+
+
+def solve_batch(problem, mu, nu, starts, cfg):
+    """Every start of one problem in one lock-step batch, each keeping its traces."""
+    return list(solver._iterate([problem], np.zeros(len(starts), np.intp), mu, nu, starts, cfg, True))
 
 
 def assert_same_results(problem, mu, nu, starts, cfg):

@@ -294,6 +294,21 @@ class TestHypothesesCommand:
         report = json.load(open(os.path.join(out, "hypotheses_report.json")))
         assert report["reports"][0]["grid"][-1] == pytest.approx(1000.0)
 
+    @pytest.mark.parametrize(
+        "grid", [None, {"t_min": 0.5, "t_max": 2.0, "points": 1}], ids=["pair_expansive", "one_logspace_point"]
+    )
+    def test_t_max_override_of_a_one_point_grid_exits_two(self, tmp_path, capsys, grid):
+        # a one-point grid has no t_max to move, so the override used to be dropped
+        config = Path(__file__).resolve().parent.parent / "configs" / "pair_expansive.json"
+        doc = json.load(open(config))
+        if grid is not None:
+            doc["grid"] = grid
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["hypotheses", "--config", cfg, "--out", str(tmp_path / "out"), "--t-max", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --t-max: ")
+        assert "Traceback" not in err
+
 
 class TestAxiomsCommand:
     def test_stock_config_exits_zero(self, tmp_path):

@@ -22,13 +22,12 @@ from fuzzyfp import (
     run_suite,
     solve,
     uniqueness_probe,
-    verify_conclusions_pair,
-    verify_conclusions_quadruple,
+    verify_conclusions,
 )
 from fuzzyfp.cli import _jsonable
 from fuzzyfp.errors import CodomainError, EmptySampleError
 from fuzzyfp.harness import _SUITE_SALT, _kind_metrics
-from fuzzyfp.mappings import ConstantMap, MapPair
+from fuzzyfp.mappings import ConstantMap
 
 
 def _inf_norm(m):
@@ -257,8 +256,7 @@ def _suite_row(spec, cfg, starts=4, n_traj=8, n_rand=8):
     random_y = inst.nu.carrier.sample(rng, n_rand, window) if spec.scheme == "quadruple" else None
     probe = uniqueness_probe(inst.problem, inst.mu, inst.nu, [inst.x0, *inst.mu.carrier.sample(rng, starts - 1, window)], cfg)
     x0 = solve(inst.problem, inst.mu, inst.nu, inst.x0, cfg)
-    verify = verify_conclusions_pair if isinstance(inst.problem, MapPair) else verify_conclusions_quadruple
-    checks = () if x0.w is None else verify(inst.problem, inst.mu, inst.nu, x0.z, x0.w, cfg.grid, cfg.verify_tol)
+    checks = () if x0.w is None else verify_conclusions(inst.problem, inst.mu, inst.nu, x0.z, x0.w, cfg.grid, cfg.verify_tol)
 
     def trajectory(trace):
         pts = trace.points

@@ -49,6 +49,11 @@ class TestTGrid:
         assert grid.t_max == pytest.approx(1e4)
         assert grid.t_min == pytest.approx(1e-2)
 
+    @pytest.mark.parametrize("grid", [TGrid([2.0]), TGrid.logspace(0.5, 2.0, 1)])
+    def test_with_t_max_rejects_a_one_point_grid(self, grid):
+        with pytest.raises(DomainError, match="one point has no t_max"):
+            grid.with_t_max(1e3)
+
 
 class TestInducedStandard:
     def setup_method(self):

@@ -46,11 +46,5 @@ def test_uniform_range_and_determinism():
     assert all(-3.0 <= v < 5.0 for v in lo_hi)
 
 
-def test_randint_range():
-    rng = SplitMix64(9)
-    vals = [rng.randint(5) for _ in range(500)]
-    assert set(vals) == {0, 1, 2, 3, 4}
-
-
 def test_generator_is_named():
     assert GENERATOR_NAME == "splitmix64"

@@ -46,7 +46,7 @@ def test_chained_triangle_bound(make, op):
     fm = make(BOX)
     rng = SplitMix64(2024)
     for _ in range(50):
-        pts = BOX.sample(rng, rng.randint(5) + 2)
+        pts = BOX.sample(rng, rng.next_u64() % 5 + 2)
         t = rng.uniform(0.01, 100.0)
         direct = fm.mu(pts[0], pts[-1], t)
         t1 = t / (len(pts) - 1)

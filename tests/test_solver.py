@@ -17,8 +17,7 @@ from fuzzyfp import (
     induced_standard,
     solve,
     uniqueness_probe,
-    verify_conclusions_pair,
-    verify_conclusions_quadruple,
+    verify_conclusions,
 )
 from fuzzyfp import solver
 from fuzzyfp.errors import DomainError, UsageError
@@ -117,7 +116,7 @@ class TestIteratePair:
 class TestVerifyConclusionsPair:
     def test_wrong_point_fails(self, linear_pair):
         grid = TGrid.default()
-        checks = verify_conclusions_pair(
+        checks = verify_conclusions(
             linear_pair, MU, NU, np.array([0.0]), np.array([0.0]), grid, tol=1e-6
         )
         by_name = {c.name: c for c in checks}
@@ -129,7 +128,7 @@ class TestVerifyConclusionsPair:
 
     def test_exact_point_passes(self, linear_pair):
         grid = TGrid.default()
-        checks = verify_conclusions_pair(
+        checks = verify_conclusions(
             linear_pair, MU, NU, np.array([1.6]), np.array([1.8]), grid, tol=1e-6
         )
         assert all(c.passed for c in checks)
@@ -138,6 +137,11 @@ class TestVerifyConclusionsPair:
 def test_solve_rejects_a_problem_it_cannot_solve(linear_pair):
     with pytest.raises(UsageError, match="cannot solve problem of type AffineMap"):
         solve(linear_pair.T, MU, NU, np.array([0.0]))
+
+
+def test_verify_conclusions_rejects_a_problem_with_no_scheme(linear_pair):
+    with pytest.raises(UsageError, match="cannot solve problem of type AffineMap"):
+        verify_conclusions(linear_pair.T, MU, NU, np.array([0.0]), np.array([0.0]), TGrid.default(), 1e-6)
 
 
 class TestIterateQuadruple:
@@ -221,7 +225,7 @@ class TestVerifyConclusionsQuadruple:
             S=ConstantMap(z0, line),
             T=ConstantMap(z0, line),
         )
-        checks = verify_conclusions_quadruple(quad, MU, NU, z0, w0, TGrid.default(), 1e-6)
+        checks = verify_conclusions(quad, MU, NU, z0, w0, TGrid.default(), 1e-6)
         assert len(checks) == 8
         assert all(c.residual == 1.0 for c in checks)
 
@@ -229,7 +233,7 @@ class TestVerifyConclusionsQuadruple:
         z0, w0 = np.array([0.0]), np.array([0.0])
         half = AffineMap([[0.5]], [0.0], line)
         quad = MapQuadruple(A=half, B=half, S=half, T=half)
-        checks = verify_conclusions_quadruple(quad, MU, NU, z0, w0, TGrid.default(), 1e-6)
+        checks = verify_conclusions(quad, MU, NU, z0, w0, TGrid.default(), 1e-6)
         assert {c.name for c in checks} == {
             "sa_z_fixed",
             "tb_z_fixed",
@@ -279,9 +283,9 @@ class TestUniquenessProbe:
     def test_all_starts_run_in_one_batch(self, linear_pair, monkeypatch):
         starts = [np.array([v]) for v in (-10.0, 0.0, 3.0)]
         batches = []
-        real_batch = solver.solve_batch
+        real_iterate = solver._iterate
         monkeypatch.setattr(
-            solver, "solve_batch", lambda *a, **k: batches.append(a[3]) or real_batch(*a, **k)
+            solver, "_iterate", lambda *a, **k: batches.append(a[4]) or real_iterate(*a, **k)
         )
         rep = uniqueness_probe(linear_pair, MU, NU, starts)
         assert [[s[0] for s in batch] for batch in batches] == [[-10.0, 0.0, 3.0]]
@@ -455,7 +459,7 @@ class TestStopReason:
         mu = induced_exponential(box)
         cfg = SolveConfig(stall_window=7)
         starts = [np.array([v]) for v in (0.0, 1e-6, 10.0, 2e5)]
-        results = solver.solve_batch(pair, mu, mu, starts, cfg)
+        results = uniqueness_probe(pair, mu, mu, starts, cfg).results
         reasons = [r.stop_reason for r in results]
         assert reasons == ["eps-reached", "stall", "collapse", "codomain-escape"]
         for start, res in zip(starts, results):
