@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import UsageError
 from .metrics import TGrid
-from .rng import SplitMix64, unit
+from .rng import SplitMix64, draws, states, unit
 from .spaces import DELTA_PT, BoxSpace
 from .tnorms import TNorm
 
@@ -21,9 +21,9 @@ _SLACK = 1e-12
 MAX_WITNESSES = 25
 # (triple, s, t) cells per array pass: 128 KB per array, since a suite
 # checks thousands of triples in one call.  On the default grid a block
-# holds 56 triples, one suite seed's 32.  Blocks of three seeds (256 KB
-# arrays) ran a 50-pair suite call a few ms faster, but raised its peak RSS
-# by about 0.25 MB.
+# holds 56 triples, spanning two or three suite seeds of 32.  Blocks of
+# 256 KB arrays ran a 50-pair suite call a few ms faster, but raised its
+# peak RSS by about 0.25 MB.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -140,9 +140,11 @@ def check_fm_axioms(
 
 def check_fm_axioms_batch(fm, op, triple_count: int, grid: TGrid, seeds, window=None) -> list[AxiomReport]:
     """check_fm_axioms for each of seeds, in one pass: each seed draws its
-    triples from its own stream, and a block holds the triples of as many
-    whole seeds as fit, or of one seed if one does not fit; each report gets
-    the checks, counts and witnesses of its own seed's triples."""
+    triples from its own stream.  The triples of all seeds, seed by seed,
+    are cut into blocks of _BLOCK_CELLS // len(grid)**2, so a block may span
+    seeds; its points come from one counter-based draw over the streams of
+    its rows, and each report gets the checks, counts and witnesses of its
+    own seed's triples, in order."""
     if triple_count < 1:
         raise UsageError("triple_count must be >= 1")
     carrier = fm.carrier
@@ -153,19 +155,19 @@ def check_fm_axioms_batch(fm, op, triple_count: int, grid: TGrid, seeds, window=
         AxiomReport(subject=f"fm:{fm.form}", samples=triple_count, seed=seed, checks=triple_count * (5 if monotone else 4))
         for seed in seeds
     ]
-    rngs = [SplitMix64(seed) for seed in seeds]
+    seed_states = states(seeds)
+    width = 3 * (carrier.dimension if isinstance(carrier, BoxSpace) else 1)  # draws per triple
+    offsets = np.arange(1, width + 1, dtype=np.uint64)
     block = max(1, _BLOCK_CELLS // len(grid) ** 2)
-    per = max(1, block // triple_count)  # whole seeds per block
-    for first in range(0, len(reports), per):
-        group = range(first, min(first + per, len(reports)))
-        for start in range(0, triple_count, block):
-            n = min(block, triple_count - start)
-            checks = _check_triples(
-                fm, op, grid, np.concatenate([carrier.sample(rngs[s], 3 * n, window) for s in group]), monotone
-            )
-            if any(bad.any() for _, bad, _ in checks):
-                for k, s in enumerate(group):
-                    _record_in_order(reports[s], checks, k * n, (k + 1) * n)
+    total = len(reports) * triple_count
+    for start in range(0, total, block):
+        seed, triple = np.divmod(np.arange(start, min(start + block, total)), triple_count)
+        u = draws(seed_states[seed, None], (triple * width).astype(np.uint64)[:, None] + offsets)
+        checks = _check_triples(fm, op, grid, carrier.points(u.reshape(-1), window), monotone)  # x, y, z, x, ...
+        if any(bad.any() for _, bad, _ in checks):
+            for s in range(seed[0], seed[-1] + 1):
+                lo = max(s * triple_count - start, 0)
+                _record_in_order(reports[s], checks, lo, min((s + 1) * triple_count - start, len(seed)))
     return reports
 
 

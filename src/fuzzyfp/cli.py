@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import operator
 import os
 import sys
 
@@ -244,9 +245,11 @@ def cmd_suite(doc: dict, args) -> int:
         path = os.path.join(args.out, "suite_rows.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(field.name for field in dataclasses.fields(InstanceVerdict))
+            names = [field.name for field in dataclasses.fields(InstanceVerdict)]
+            writer.writerow(names)
+            fields = operator.attrgetter(*names)  # astuple would deep-copy every row
             for r in verdict.rows:
-                writer.writerow("" if v is None else v for v in dataclasses.astuple(r))
+                writer.writerow("" if v is None else v for v in fields(r))
 
     agg = verdict.aggregates
     print(

@@ -24,7 +24,7 @@ from .errors import CodomainError, ConfigError, EmptySampleError, UsageError
 from .hypotheses import SampleSet, estimate_k, estimate_k_pair
 from .mappings import AffineMap, ConstantMap, MapPair, MapQuadruple
 from .metrics import FuzzyMetric, TGrid, induced_exponential, induced_standard
-from .rng import GENERATOR_NAME, SplitMix64
+from .rng import GENERATOR_NAME, SplitMix64, draws, states
 from .solver import STATUS_CONVERGED, SolveConfig, compare_fixed_points, solve_problems
 from .spaces import BoxSpace
 from .tnorms import PRODUCT
@@ -293,33 +293,49 @@ def _kind(spec: InstanceSpec) -> tuple:
     return (spec.scheme, spec.dim, spec.metric_form, spec.halfwidth, spec.expansive)
 
 
+def _suite_draws(specs, mu, nu, starts: int, n_rand: int, window):
+    """The suite stream SplitMix64(seed ^ _SUITE_SALT) of each spec, drawn
+    for all of them at once as one (instances, draws) array and read in a
+    fixed order: the axiom seeds (one per distinct metric, so one when nu is
+    mu), the n_rand random points of X, those of Y (quadruples only, else
+    none), then the starts - 1 probe starts after x0.  Returns the axiom
+    seeds, as lists of ints, and read-only (instances, points, dim) arrays
+    of the random points of X and of Y and of the probe starts."""
+    n_seeds = len(dict.fromkeys((mu, nu)))
+    dim = mu.carrier.dimension
+    n_y = n_rand if specs[0].scheme == "quadruple" else 0
+    x_end, y_end, end = n_seeds + np.cumsum([n_rand * dim, n_y * dim, (starts - 1) * dim])
+    u = draws(states([spec.seed ^ _SUITE_SALT for spec in specs])[:, None], np.arange(1, end + 1, dtype=np.uint64))
+    parts = [
+        mu.carrier.points(u[:, n_seeds:x_end], window),
+        nu.carrier.points(u[:, x_end:y_end], window),
+        mu.carrier.points(u[:, y_end:], window),
+    ]
+    for pts in parts:
+        pts.setflags(write=False)
+    return u[:, :n_seeds].tolist(), *parts
+
+
 def _run_kind(specs, cfg: SolveConfig, starts: int, n_traj: int, n_rand: int) -> list:
     """The rows of the instances of one kind, each phase over all of them at once."""
     metrics = mu, nu = _kind_metrics(specs[0])
-    insts, seeds, randoms, probe_starts = [], [], [], []
-    for spec in specs:  # every draw of an instance from its own streams, in a fixed order
-        inst = gen_instance(spec, metrics)
-        rng = SplitMix64(spec.seed ^ _SUITE_SALT)
-        window = inst.window
-        seeds.append([rng.next_u64() for _ in dict.fromkeys((mu, nu))])  # one check when nu is mu
-        random_x = mu.carrier.sample(rng, n_rand, window)
-        random_y = nu.carrier.sample(rng, n_rand, window) if spec.scheme == "quadruple" else None
-        probe_starts += [inst.x0, *mu.carrier.sample(rng, starts - 1, window)]
-        insts.append(inst)
-        randoms.append((random_x, random_y))
-    # mu and nu, and every instance's window, are alike, so one pass checks the triples of every seed
+    insts = [gen_instance(spec, metrics) for spec in specs]
+    window = insts[0].window  # every instance's window is alike
+    seeds, randoms_x, randoms_y, probes = _suite_draws(specs, mu, nu, starts, n_rand, window)
+    # mu and nu are alike, so one pass checks the triples of every seed
     axioms = iter(check_fm_axioms_batch(mu, PRODUCT, _AXIOM_TRIPLES, cfg.grid, [s for ss in seeds for s in ss], window))
     violations = [sum(next(axioms).violation_count for _ in ss) for ss in seeds]
 
+    probe_starts = [p for inst, probe in zip(insts, probes) for p in (inst.x0, *probe)]
     results = solve_problems(
         [inst.problem for inst in insts], mu, nu, probe_starts, np.repeat(np.arange(len(insts)), starts), cfg
     )
     rows, samples = [], []
-    for inst, (random_x, random_y), count in zip(insts, randoms, violations):  # one instance's traces at a time
+    for inst, random_x, random_y, count in zip(insts, randoms_x, randoms_y, violations):  # one instance's traces at a time
         probe = compare_fixed_points(mu, nu, [next(results) for _ in range(starts)])
         result = probe.results[0]
         xs = _trajectory_sample(result.trace_x, n_traj) + list(random_x)
-        ys = () if random_y is None else _trajectory_sample(result.trace_y, n_traj) + list(random_y)
+        ys = _trajectory_sample(result.trace_y, n_traj) + list(random_y) if specs[0].scheme == "quadruple" else ()
         samples.append(SampleSet(points_x=tuple(xs), grid=cfg.grid, points_y=tuple(ys)))
         rows.append(
             dict(

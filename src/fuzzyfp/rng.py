@@ -4,7 +4,8 @@ SplitMix64: the state advances by the golden-gamma increment and the output
 is a bijective mix of the state.  Chosen over library defaults so that every
 report can name the generator and seed, making results reproducible across
 languages and library versions.  The generator is counter-based (draw i is
-mix(seed + i * gamma)), so block() yields the same stream as next_u64().
+mix(seed + i * gamma)), so draws() makes the draws of many streams in one
+array operation, with the bits next_u64() gives one at a time.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ class SplitMix64:
         return _mix(self._state)
 
     def block(self, n: int) -> np.ndarray:
-        """The next n outputs as a uint64 array; uint64 arithmetic wraps."""
-        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        """The next n outputs as a uint64 array."""
+        out = draws(self._state, np.arange(1, n + 1, dtype=np.uint64))
         self._state = (self._state + n * _GAMMA) & _MASK
-        return _mix(z)
+        return out
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         """Uniform double in [lo, hi) with 53 random bits."""
@@ -52,6 +53,19 @@ class SplitMix64:
         u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53
         u2 = (self.next_u64() >> 11) * 2.0**-53
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def states(seeds) -> np.ndarray:
+    """The uint64 states of the streams SplitMix64(seed) for each of seeds,
+    which may be negative or 2**64 or more, as the class's seeds may."""
+    return np.array([int(seed) & _MASK for seed in seeds], dtype=np.uint64)
+
+
+def draws(state, counter) -> np.ndarray:
+    """Draw number counter (from 1) of the stream in state, that is
+    mix(state + counter * gamma), over uint64 arrays (or a state below
+    2**64), broadcast; uint64 arithmetic wraps as the state's does."""
+    return _mix(np.asarray(state, dtype=np.uint64) + np.asarray(counter, dtype=np.uint64) * np.uint64(_GAMMA))
 
 
 def unit(u):

@@ -103,17 +103,22 @@ class BoxSpace:
     def sample(self, rng, count: int, window=None) -> np.ndarray:
         """(count, dim) read-only array of uniform points from the box, or
         from an explicit (lo, hi) window."""
+        pts = self.points(rng.block(count * self.dimension), window)
+        pts.setflags(write=False)
+        return pts
+
+    def points(self, u, window=None) -> np.ndarray:
+        """The uniform points of raw draws u (uint64, dim draws per point on
+        the last axis) in the box or an explicit (lo, hi) window: shape
+        (..., points, dim)."""
         if window is not None:
             lo = np.asarray(window[0], dtype=float)
             hi = np.asarray(window[1], dtype=float)
         else:
             lo, hi = self.lo, self.hi
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise UsageError("cannot sample an unbounded box; pass a finite window")
-        u = unit(rng.block(count * self.dimension)).reshape(count, self.dimension)
-        pts = lo + (hi - lo) * u
-        pts.setflags(write=False)
-        return pts
+        return lo + (hi - lo) * unit(u).reshape(*u.shape[:-1], -1, self.dimension)
 
 
 class FiniteSpace:
@@ -169,9 +174,13 @@ class FiniteSpace:
 
     def sample(self, rng, count: int, window=None) -> np.ndarray:
         """Read-only array of count uniform point indices."""
-        pts = (rng.block(count) % np.uint64(self.size)).astype(np.intp)
+        pts = self.points(rng.block(count))
         pts.setflags(write=False)
         return pts
+
+    def points(self, u, window=None) -> np.ndarray:
+        """The uniform point indices of raw draws u (uint64), one per draw."""
+        return (u % np.uint64(self.size)).astype(np.intp)
 
 
 def validate_points(carrier, pts) -> np.ndarray:

@@ -29,9 +29,12 @@ from fuzzyfp import (
     SplitMix64,
     TableFuzzyMetric,
     TNorm,
+    gen_instance,
 )
 from fuzzyfp.axioms import _SLACK, AxiomReport
 from fuzzyfp.errors import CodomainError, DomainError, UsageError
+from fuzzyfp.harness import _SUITE_SALT
+from fuzzyfp.rng import unit
 from fuzzyfp.solver import _COLLAPSE, ConclusionCheck, FixedPointResult, SolveConfig
 from fuzzyfp.spaces import DELTA_PT
 
@@ -47,6 +50,22 @@ def sample(carrier, rng, count, window=None):
         p.setflags(write=False)
         pts.append(p)
     return pts
+
+
+def suite_draws(spec, mu, nu, starts, n_rand):
+    """One instance's suite stream drawn one value at a time with next_u64
+    and unit: the axiom seeds, the random points of X, those of Y on a
+    quadruple, and the starts - 1 probe starts."""
+    rng = SplitMix64(spec.seed ^ _SUITE_SALT)
+    lo, hi = gen_instance(spec).window
+
+    def points(carrier, count):
+        return [[lo[i] + (hi[i] - lo[i]) * unit(rng.next_u64()) for i in range(carrier.dimension)] for _ in range(count)]
+
+    seeds = [rng.next_u64() for _ in dict.fromkeys((mu, nu))]
+    random_x = points(mu.carrier, n_rand)
+    random_y = points(nu.carrier, n_rand if spec.scheme == "quadruple" else 0)
+    return seeds, random_x, random_y, points(mu.carrier, starts - 1)
 
 
 def distance(carrier, x, y):

@@ -343,6 +343,53 @@ def test_axiom_batch_keeps_each_seeds_identity_and_triangle_witnesses():
     assert [v.axiom for v in got[2].violations][:4] == ["identity", "identity", "triangle", "monotone_in_t"]
 
 
+# Seeds outside 64 bits too: -1 is the state of 2**64 - 1, and 2**70 that of 0
+_STRADDLE_SEEDS = [-1, 2**70, 3, 2**64 - 1, 11, 12, 5]
+
+
+def _table_with_violations():
+    """Identity fails at points 0 and 1, and symmetry between 1 and 2."""
+    space = FiniteSpace(1.0 - np.eye(3))
+    grid = TGrid([0.5, 1.0, 2.0])
+    values = np.full((3, 3, 3), 0.3)
+    values[0, 0] = values[1, 1] = 0.8
+    values[1, 2] = 0.6
+    values[2, 2] = 1.0
+    return TableFuzzyMetric(space, grid, values)
+
+
+@pytest.mark.parametrize(
+    "fm, op",
+    [
+        (Wobbly(BoxSpace([-60.0, -1.0], [60.0, 1.0])), PRODUCT),
+        (induced_standard(BoxSpace([-3.0], [3.0])), prob_sum),
+        (_table_with_violations(), PRODUCT),
+    ],
+    ids=["wobbly-box", "prob-sum-box", "table"],
+)
+@pytest.mark.parametrize("triples", [5, 40])
+def test_axiom_blocks_that_span_seeds(monkeypatch, fm, op, triples):
+    """Blocks of 7 triples over seeds of 5 hold the tail of one seed, the
+    whole of a second and the head of a third; over seeds of 40 some hold
+    the tail of one and the head of the next.  Each report is the one its seed gives alone, from the default
+    blocks and from the scalar oracle, with witnesses past the cap only
+    counted."""
+    import fuzzyfp.axioms as axioms
+
+    grid = getattr(fm, "grid", None) or TGrid.default()
+    alone = [check_fm_axioms(fm, op, triples, grid, seed) for seed in _STRADDLE_SEEDS]
+    monkeypatch.setattr(axioms, "_BLOCK_CELLS", 7 * len(grid) ** 2)
+    got = check_fm_axioms_batch(fm, op, triples, grid, _STRADDLE_SEEDS)
+    assert [r.seed for r in got] == _STRADDLE_SEEDS
+    for report, ref, seed in zip(got, alone, _STRADDLE_SEEDS):
+        assert same_report(report, ref)
+        assert same_report(report, oracles.check_fm_axioms(fm, op, triples, grid, seed))
+    counts = [r.violation_count for r in got]
+    assert len(set(counts)) > 1  # the seeds' reports differ, so a row under the wrong seed shows
+    if triples == 40:
+        assert all(len(r.violations) == MAX_WITNESSES < r.violation_count for r in got)
+
+
 # -- check_tnorm_axioms ---------------------------------------------------------
 
 

@@ -488,6 +488,17 @@ class TestSuiteCommand:
         assert a["rows"][0]["seed"] == 7
         assert b["rows"][0]["seed"] == 999
 
+    @pytest.mark.parametrize("scheme", ["pair", "quadruple"])
+    @pytest.mark.parametrize("seed", [-5, 2**70])
+    def test_seeds_outside_64_bits_run(self, tmp_path, scheme, seed):
+        """Suite seeds are masked to 64 bits before any array draw, so a
+        negative seed or one of 2**64 or more runs like any other."""
+        cfg = write_config(tmp_path / "c.json", {"suite": {"count": 3, "scheme": scheme, "dim": 2}})
+        out = str(tmp_path / "out")
+        assert main(["suite", "--config", cfg, "--out", out, "--seed", str(seed)]) == 0
+        rows = json.load(open(os.path.join(out, "suite_verdict.json")))["rows"]
+        assert [r["seed"] for r in rows] == [seed, seed + 1, seed + 2]
+
     def test_a_second_call_does_not_keep_the_first_calls_options(self, tmp_path):
         """The parser is built once per process; each call still gets its
         own options, so a --seed given once is gone from the next call."""

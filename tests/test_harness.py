@@ -26,7 +26,7 @@ from fuzzyfp import (
 )
 from fuzzyfp.cli import _jsonable
 from fuzzyfp.errors import CodomainError, EmptySampleError
-from fuzzyfp.harness import _SUITE_SALT, _kind_metrics
+from fuzzyfp.harness import _SUITE_SALT, _kind_metrics, _suite_draws
 from fuzzyfp.mappings import ConstantMap
 
 
@@ -302,6 +302,23 @@ def test_suite_rows_equal_the_one_instance_functions():
     short = [r.iterations for r, kw in zip(verdict.rows[-6:], _SHORT_RUNS) if kw["family"] == "constant"]
     assert max(short) + 1 < 8 and all(r.k_hat is not None for r in verdict.rows[-6:])
     assert any(r.k_hat is None for r in verdict.rows)
+
+
+@pytest.mark.parametrize("n_rand", [0, 8])
+@pytest.mark.parametrize("starts", [2, 4])
+@pytest.mark.parametrize("scheme", ["pair", "quadruple", "self-quadruple"])
+def test_suite_draws_of_a_kind_equal_each_instance_stream(scheme, starts, n_rand):
+    """The kind's one draw array gives each instance's suite stream bit for
+    bit, read in its fixed order, also for seeds outside 64 bits."""
+    specs = [InstanceSpec(scheme=scheme, dim=2, seed=seed) for seed in (-5, 0, 3, 2**64 - 1, 2**70)]
+    mu, nu = _kind_metrics(specs[0])
+    got = _suite_draws(specs, mu, nu, starts, n_rand, gen_instance(specs[0]).window)
+    assert len(got[0]) == len(specs) and all(not part.flags.writeable for part in got[1:])
+    for i, spec in enumerate(specs):
+        seeds, random_x, random_y, probes = oracles.suite_draws(spec, mu, nu, starts, n_rand)
+        assert got[0][i] == seeds
+        for part, ref in zip(got[1:], (random_x, random_y, probes)):
+            assert np.array_equal(part[i], np.array(ref, dtype=float).reshape(-1, 2))
 
 
 def test_kind_metrics_give_the_instance_of_the_spec_alone():
