@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CodomainError, EmptySampleError, UsageError
 from .mappings import ComposedMap, MapPair, StackedMap
-from .metrics import FuzzyMetric, TGrid
+from .metrics import FuzzyMetric, GridTile, TGrid
 from .spaces import DELTA_PT, validate_points
 
 # Bytes of one float array over a block of sample indices (see _reports):
@@ -84,7 +84,60 @@ def _images(mapping, pts):
     return out
 
 
-def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0):
+class _Points:
+    """A point array of one estimator call (points on its leading axes) and
+    a C-contiguous copy with the coordinate axis first, so that the block
+    distances run over whole rows of a block, not a point's coordinates.
+    The copy is None where it would not give the bits of carrier.distances:
+    on a finite carrier, and on a euclidean box of more than 3 dimensions,
+    where a strided BLAS dot product of 4 or more terms may add them in
+    another order than the contiguous one."""
+
+    __slots__ = ("carrier", "rows", "cols")
+
+    def __init__(self, carrier, rows):
+        by_coordinate = carrier.kind == "box" and (carrier.crisp_metric != "euclidean" or carrier.dimension <= 3)
+        self.carrier, self.rows = carrier, rows
+        self.cols = np.ascontiguousarray(np.moveaxis(rows, -1, 0)) if by_coordinate else None
+
+
+@np.errstate(over="ignore")  # a distance beyond the float range is inf, as in BoxSpace.distances
+def _block_distances(p, ia, q, ib):
+    """carrier.distances(p.rows[ia], q.rows[ib]), bit for bit, for points of
+    one carrier, where the index tuples ia and ib select arrays that
+    broadcast, such as (i, None) and (None, j)."""
+    a, b = p.rows[ia], q.rows[ib]
+    if p.cols is None:
+        return p.carrier.distances(a, b)
+    diff = p.cols[(slice(None),) + ia] - q.cols[(slice(None),) + ib]
+    if p.carrier.crisp_metric != "euclidean":
+        return np.abs(diff, out=diff).max(axis=0)
+    d = np.sqrt(np.vecdot(diff, diff, axis=0))
+    over = np.isinf(d)
+    if over.any():  # squares that overflow: BoxSpace.distances rescales these cells
+        shape = d.shape + a.shape[-1:]
+        d[over] = p.carrier.distances(np.broadcast_to(a, shape)[over], np.broadcast_to(b, shape)[over])
+    return d
+
+
+def _block_nearness(fm, p, ia, q, ib, tile, out):
+    """(d, fm's nearness over the grid tile, into out if fm can) of the
+    points p.rows[ia] and q.rows[ib]."""
+    d = _block_distances(p, ia, q, ib)
+    return d, fm.mu_from_distances(d, p.rows[ia], q.rows[ib], tile, out)
+
+
+def _skip(ratio, skip):
+    """Set the cells of ratio where the mask skip (which broadcasts to it)
+    is true to -inf: none if skip is a false scalar, and whole grid rows by
+    index if it is constant along the grid."""
+    if skip.shape == ratio.shape[:-1] + (1,):
+        ratio[skip[..., 0]] = -np.inf
+    elif skip.any():
+        np.copyto(ratio, -np.inf, where=skip)
+
+
+def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, tiled=False):
     """One report per label for each instance of a stack, over tuples of
     the point arrays in axes and the grid; each array in axes holds one
     point array per instance, on its first axis, and samples gives the grid
@@ -99,15 +152,18 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0):
     to the budget ran no faster, and their arrays, above malloc's 128 KiB
     mmap threshold, raised a 50-pair suite's peak RSS by 0.15-0.27 MB.)  A
     stack of one has no instance axis: s is 0 and the arrays are those of
-    the one instance.  evaluate(s, i, j, out) writes each label's ratios on
-    the block into out[side] and returns one admission mask per label that
-    broadcasts to the block of one instance, or, with the instance axis
-    first, to the block.  out holds one float array of the block's shape
-    per label, then scratch more for evaluate's own use; they are allocated
-    once per call, since a fresh array of a block's size is page-faulted in
-    anew on every block.  Per instance, k_hat is the largest admitted ratio
-    and its witness the first such cell in C order (the first NaN if there
-    is one, as np.argmax picks).  k_hat is None when no cell is admitted.
+    the one instance.  evaluate(s, i, j, out, tile) writes each label's
+    ratios on the block into out[side] and returns one admission mask per
+    label that broadcasts to the block of one instance, or, with the
+    instance axis first, to the block.  out holds one float array of the
+    block's shape per label, then scratch more for evaluate's own use; they
+    are allocated once per call, since a fresh array of a block's size is
+    page-faulted in anew on every block.  If tiled, tile is a GridTile of
+    the grid over the first (largest) block, allocated once per call too,
+    else None.  A cell a mask does not admit is set to -inf before the
+    argmax (_skip).  Per instance, k_hat is the largest admitted ratio and
+    its witness the first such cell in C order (the first NaN if there is
+    one, as np.argmax picks).  k_hat is None when no cell is admitted.
     dump, if not None, takes a stack of one and is called as
     dump(label, cells, ratios) with each block's admitted cells in C order
     (np.argwhere indices with the block's offsets added; the grid index is
@@ -140,13 +196,14 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0):
         return ((s.stop - s.start,) if stacked else ()) + (i.stop - i.start, j.stop - j.start) + shape[2:]
 
     buffers = [np.empty(math.prod(block_shape(*blocks[0]))) for _ in range(arrays)]
+    tile = GridTile(samples.grid, math.prod(block_shape(*blocks[0])[:-1])) if tiled else None
     best = [[None] * count for _ in labels]  # (ratio, cell) of each label and instance
     evaluated = [[0] * count for _ in labels]
 
     def block(s, i, j):
         size = block_shape(s, i, j)
         out = [b[: math.prod(size)].reshape(size) for b in buffers]
-        return out, evaluate(s, i, j, out)
+        return out, evaluate(s, i, j, out, tile)
 
     def dump_block(side, i, j, ratio, valid):
         valid = np.broadcast_to(valid, ratio.shape)
@@ -162,7 +219,7 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0):
             for side, (ratio, valid) in enumerate(zip(out, masks)):
                 if side == 0 and dump is not None:
                     dump_block(0, i, j, ratio, valid)
-                np.copyto(ratio, -np.inf, where=~valid)
+                _skip(ratio, ~valid)
                 own = stacked and np.ndim(valid) == ratio.ndim  # one mask per instance, else one for all
                 for k, r_k in enumerate(ratio if stacked else (ratio,)):
                     at, v_k = first + k, valid[k] if own else valid
@@ -198,15 +255,15 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0):
     ]
 
 
-def _quotient_reports(prefix, terms, axes, samples, dump, empty_message, scratch=0):
+def _quotient_reports(prefix, terms, axes, samples, dump, empty_message, scratch=0, tiled=False):
     """Primal and dual reports of k * lhs >= f / h and k * lhs' >= g / h,
-    where terms(i, j, out) writes f, g and h on the block (i, j) into out[0],
-    out[1] and out[2], may use the scratch arrays after them, and returns
-    (lhs, lhs'); each side is admitted only where num < h < 1 (ties num = h
-    are skipped)."""
+    where terms(i, j, out, tile) writes f, g and h on the block (i, j) into
+    out[0], out[1] and out[2], may use the scratch arrays after them and the
+    grid tile if tiled, and returns (lhs, lhs'); each side is admitted only
+    where num < h < 1 (ties num = h are skipped)."""
 
-    def evaluate(s, i, j, out):  # a stack of one
-        lhs = terms(i, j, out)
+    def evaluate(s, i, j, out, tile):  # a stack of one
+        lhs = terms(i, j, out, tile)
         nums, h = out[:2], out[2]
         below_one = h < 1.0
         masks = [(num < h) & below_one for num in nums]
@@ -216,7 +273,7 @@ def _quotient_reports(prefix, terms, axes, samples, dump, empty_message, scratch
 
     labels = (f"{prefix}-primal", f"{prefix}-dual")
     stack = tuple(a[None] for a in axes)
-    (reports,) = _reports(labels, evaluate, stack, samples, (len(axes[0]), len(axes[-1])), dump, 1 + scratch)
+    (reports,) = _reports(labels, evaluate, stack, samples, (len(axes[0]), len(axes[-1])), dump, 1 + scratch, tiled)
     if all(r.k_hat is None for r in reports):
         raise EmptySampleError(empty_message)
     return reports
@@ -289,26 +346,26 @@ def _pair_reports(label, pairs, mu, nu, samples, dump):
         owner = np.repeat(np.arange(len(pairs)), n)
         t_map, s_map = (StackedMap([getattr(p, c) for p in pairs]).take(owner) for c in "TS")
         images = _stacked_images
-    ts = samples[0].grid.values
 
     def stack(a):
         return a.reshape((len(pairs), n) + a.shape[1:])
 
     st, tx = stack(images(ComposedMap(s_map, t_map), flat)), stack(images(t_map, flat))
-    m_self = mu.mu_batch(xs, st, ts)
+    m_self = mu.mu_batch(xs, st, samples[0].grid)
+    x_pts, tx_pts, st_pts = _Points(mu.carrier, xs), _Points(nu.carrier, tx), _Points(mu.carrier, st)
 
-    def evaluate(s, i, j, out):
+    def evaluate(s, i, j, out, tile):
         rhs, scratch = out
-        a, b = xs[s, i, None], xs[s, None, j]
-        d = mu.carrier.distances(a, b)
-        np.minimum(mu.mu_from_distances(d, a, b, ts, rhs), m_self[s, i, None], out=rhs)
+        at_i, at_j = (s, i, None), (s, None, j)
+        d, mu_xx = _block_nearness(mu, x_pts, at_i, x_pts, at_j, tile, rhs)
+        np.minimum(mu_xx, m_self[s, i, None], out=rhs)
         np.minimum(rhs, m_self[s, None, j], out=rhs)
-        np.minimum(rhs, nu.mu_batch(tx[s, i, None], tx[s, None, j], ts, scratch), out=rhs)
+        np.minimum(rhs, _block_nearness(nu, tx_pts, at_i, tx_pts, at_j, tile, scratch)[1], out=rhs)
         with np.errstate(divide="ignore", invalid="ignore"):  # x/0 = inf and 0/0 = NaN cells are kept
-            np.divide(rhs, mu.mu_batch(st[s, i, None], st[s, None, j], ts, scratch), out=rhs)
+            np.divide(rhs, _block_nearness(mu, st_pts, at_i, st_pts, at_j, tile, scratch)[1], out=rhs)
         return [(d > DELTA_PT)[..., None] if samples[0].exclude_diagonal else np.True_]
 
-    reports = [r for (r,) in _reports((label,), evaluate, (xs, xs), samples[0], (n,), dump, scratch=1)]
+    reports = [r for (r,) in _reports((label,), evaluate, (xs, xs), samples[0], (n,), dump, scratch=1, tiled=True)]
     if any(r.k_hat is None for r in reports):
         raise EmptySampleError("every tuple of the sample was skipped")
     return reports
@@ -369,8 +426,7 @@ def estimate_k_quad(quad, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, 
     ys = validate_points(nu.carrier, samples.points_y)
     if not len(xs) or not len(ys):
         raise EmptySampleError("quadruple sample needs points in both spaces")
-    ts = samples.grid.values
-    m = _quad_matrices(quad, mu, nu, xs, ys, ts)
+    m = _quad_matrices(quad, mu, nu, xs, ys, samples.grid)
     # The factors of f, g and h that depend on one index pair only, once per
     # call.  Minima are exact, so grouping (i, j) with (i, l) terms before
     # the 5-D broadcast gives the values of the four-term minima.
@@ -384,7 +440,7 @@ def estimate_k_quad(quad, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, 
     h_ij = np.minimum(nu_ax_bx, m["mu_sax_tbx"])
     h_kl = np.minimum(mu_sy_ty, m["nu_bsy_aty"])  # (k, l, t) matrices broadcast to (i, j, k, l, t) as they are
 
-    def terms(i, j, out):  # on the block (i, j) of the x index pair, shaped (i, j, k, l, t)
+    def terms(i, j, out, tile):  # on the block (i, j) of the x index pair, shaped (i, j, k, l, t)
         def ij(a):
             return a[i, j, None, None, :]
 
@@ -422,7 +478,7 @@ def estimate_k_self_quad(quad, fm: FuzzyMetric, samples: SampleSet, dump=None):
     ys = validate_points(fm.carrier, samples.points_y) if len(samples.points_y) else xs
     if not len(xs):
         raise EmptySampleError("sample contains no points")
-    ts = samples.grid.values
+    grid = samples.grid
 
     ax = _images(quad.A, xs)
     sx = _images(quad.S, xs)
@@ -434,7 +490,7 @@ def estimate_k_self_quad(quad, fm: FuzzyMetric, samples: SampleSet, dump=None):
     aty = _images(quad.A, ty)
 
     def vec(pa, pb):  # per-x or per-y aligned vector, shape (n, K)
-        return fm.mu_batch(pa, pb, ts)
+        return fm.mu_batch(pa, pb, grid)
 
     mu_ax_bsx = vec(ax, bsx)  # (i,)
     mu_x_sx = vec(xs, sx)  # (i,)
@@ -443,11 +499,15 @@ def estimate_k_self_quad(quad, fm: FuzzyMetric, samples: SampleSet, dump=None):
     mu_by_aty = vec(by, aty)  # (j,)
     h_i = np.minimum(mu_ax_bsx, vec(xs, sax))
 
-    def terms(i, j, out):  # on the block (i, j) of the (x, y) index pair
+    xs, ys, ax, sx, sax, bsx, ty, by, tby, aty = (
+        _Points(fm.carrier, a) for a in (xs, ys, ax, sx, sax, bsx, ty, by, tby, aty)
+    )
+
+    def terms(i, j, out, tile):  # on the block (i, j) of the (x, y) index pair
         f, g, h, p, q = out  # p and q hold one pairwise matrix each, or a product of it
 
         def ij(a, b, out):  # (i, j) pairwise matrix
-            return fm.pairwise(a[i], b[j], ts, out)
+            return _block_nearness(fm, a, (i, None), b, (None, j), tile, out)[1]
 
         def vi(a):  # (i, 1, t)
             return a[i, None, :]
@@ -459,7 +519,7 @@ def estimate_k_self_quad(quad, fm: FuzzyMetric, samples: SampleSet, dump=None):
         np.minimum(f, np.multiply(ij(sx, ty, p), vi(mu_ax_bsx), out=p), out=f)
         np.minimum(f, np.multiply(ij(xs, ty, p), ij(xs, aty, q), out=p), out=f)
         np.minimum(g, np.multiply(ij(ax, aty, p), vi(mu_sax_sx), out=p), out=g)
-        mu_y_ax = fm.pairwise(ys[j], ax[i], ts, p.reshape(p.shape[1], p.shape[0], -1))
+        mu_y_ax = _block_nearness(fm, ys, (j, None), ax, (None, i), tile, p.reshape(p.shape[1], p.shape[0], -1))[1]
         np.minimum(g, np.multiply(mu_y_tby[j, None], mu_y_ax, out=mu_y_ax).transpose(1, 0, 2), out=g)
         mu_sx_tby = ij(sx, tby, q)
         np.minimum(f, np.multiply(mu_sx_tby, vi(mu_x_sx), out=p), out=f)
@@ -467,4 +527,4 @@ def estimate_k_self_quad(quad, fm: FuzzyMetric, samples: SampleSet, dump=None):
         return ij(sax, tby, p), ij(bsx, aty, q)
 
     empty = "every self-quadruple tuple was skipped"
-    return _quotient_reports("self-quad", terms, (xs, ys), samples, dump, empty, scratch=2)
+    return _quotient_reports("self-quad", terms, (xs.rows, ys.rows), samples, dump, empty, scratch=2, tiled=True)

@@ -83,6 +83,27 @@ class TGrid:
         return f"TGrid({self.values.tolist()!r})"
 
 
+class GridTile:
+    """The values of a TGrid repeated over the point pairs of a block, as
+    one read-only, C-contiguous array allocated for the largest block of an
+    estimator call; a block of shape s takes the leading rows of it, as an
+    array of shape s + (len(grid),).  The induced forms compute against it
+    so that their passes over a block run on contiguous operands instead of
+    broadcasting the grid as their innermost loop; its values are the
+    grid's, so the bits are too."""
+
+    __slots__ = ("grid", "_rows")
+
+    def __init__(self, grid: TGrid, pairs: int):
+        rows = np.tile(grid.values, (pairs, 1))
+        rows.setflags(write=False)
+        self.grid, self._rows = grid, rows
+
+    def over(self, shape: tuple) -> np.ndarray:
+        """The tile of a block of point pairs of the given shape."""
+        return self._rows[: math.prod(shape)].reshape(shape + (len(self.grid),))
+
+
 def _check_ts(ts) -> np.ndarray:
     """Scales as a float array.  A TGrid was validated when it was built."""
     if isinstance(ts, TGrid):
@@ -116,13 +137,14 @@ class FuzzyMetric:
         raise NotImplementedError
 
     def mu_from_distances(self, d, a, b, ts, out=None) -> np.ndarray:
-        """mu_batch(a, b, ts) for a caller that already holds d = carrier.distances(a, b)."""
-        return self.mu_batch(a, b, ts, out)
+        """mu_batch(a, b, ts) for a caller that already holds d = carrier.distances(a, b).
+        ts may also be a GridTile, whose grid then gives the one scale axis."""
+        return self.mu_batch(a, b, ts.grid if isinstance(ts, GridTile) else ts, out)
 
     def pairwise(self, pts_a, pts_b, ts, out=None) -> np.ndarray:
         """Array of shape (len(pts_a), len(pts_b), len(ts)), written into out if given."""
         a, b = np.asarray(pts_a), np.asarray(pts_b)
-        return self.mu_batch(a[:, None], b[None], np.atleast_1d(ts), out)
+        return self.mu_batch(a[:, None], b[None], ts if isinstance(ts, TGrid) else np.atleast_1d(ts), out)
 
 
 class _InducedFuzzyMetric(FuzzyMetric):
@@ -137,6 +159,8 @@ class _InducedFuzzyMetric(FuzzyMetric):
         return self.mu_from_distances(self.carrier.distances(a, b), a, b, ts, out)
 
     def mu_from_distances(self, d, a, b, ts, out=None) -> np.ndarray:
+        if isinstance(ts, GridTile):
+            return self._from_d(d[..., None], ts.over(d.shape), out)
         ts = _check_ts(ts)
         return self._from_d(d.reshape(d.shape + (1,) * ts.ndim), ts, out)
 
@@ -222,6 +246,7 @@ def induced_exponential(carrier) -> ExponentialFuzzyMetric:
 
 __all__ = [
     "TGrid",
+    "GridTile",
     "FuzzyMetric",
     "StandardFuzzyMetric",
     "ExponentialFuzzyMetric",

@@ -21,10 +21,15 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 
 def _mix(z):
-    """The output mix of a state (an int or a uint64 array).  Masking after
-    each product makes int arithmetic wrap as uint64 arithmetic does."""
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    """The output mix of a state (an int or a uint64 array).  uint64
+    arithmetic wraps by itself; int arithmetic is masked after each product
+    to wrap as it does."""
+    if isinstance(z, int):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    else:
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB
     return z ^ (z >> 31)
 
 

@@ -74,21 +74,27 @@ class ConclusionCheck:
     passed: bool
 
 
-@dataclass(eq=False)
 class SequenceTrace:
     """Points of a sequence plus consecutive-step nearness over a grid.
 
     A trace may be empty: a scheme can fail before producing any iterate.
+    The nearness rows, of shape (max(len(points) - 1, 0), len(grid)), are
+    given, or for a trace of the solver computed from its points when first
+    read (see _trace).
     """
 
-    points: tuple
-    nearness: np.ndarray  # shape (max(len(points) - 1, 0), len(grid))
-    grid: TGrid
+    __slots__ = ("points", "grid", "_nearness", "_source")
 
-    def __post_init__(self):
-        n = len(self.points)
-        if self.nearness.shape != (max(n - 1, 0), len(self.grid)):
+    def __init__(self, points: tuple, nearness: np.ndarray, grid: TGrid):
+        if nearness.shape != (max(len(points) - 1, 0), len(grid)):
             raise UsageError("nearness rows must pair consecutive points")
+        self.points, self.grid, self._nearness, self._source = points, grid, nearness, None
+
+    @property
+    def nearness(self) -> np.ndarray:
+        if self._nearness is None:
+            self._nearness, self._source = _step_nearness(*self._source, self.grid), None
+        return self._nearness
 
     def __len__(self) -> int:
         return len(self.points)
@@ -366,9 +372,18 @@ def _points(arr: np.ndarray) -> tuple:
 
 
 def _trace(arr: np.ndarray, fm: FuzzyMetric, grid: TGrid) -> SequenceTrace:
-    """A trace from one start's column of points; its nearness rows are
-    computed again, as _Runs.judge computed them."""
-    return SequenceTrace(points=_points(arr), nearness=fm.mu_batch(arr[:-1], arr[1:], grid), grid=grid)
+    """A trace from one start's column of points, whose nearness rows are
+    computed when first read: the suites read only the points."""
+    trace = SequenceTrace.__new__(SequenceTrace)
+    trace.points, trace.grid, trace._nearness, trace._source = _points(arr), grid, None, (arr, fm)
+    return trace
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as in _iterate, where an orbit may overflow
+def _step_nearness(arr: np.ndarray, fm: FuzzyMetric, grid: TGrid) -> np.ndarray:
+    """The nearness rows of consecutive points of a column, computed again
+    as _Runs.judge computed them."""
+    return fm.mu_batch(arr[:-1], arr[1:], grid)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an orbit that overflows escapes or diverges, and its status says so
@@ -431,7 +446,6 @@ def _iterate(problems, owner, mu, nu, starts, cfg, trace_all: bool):
         found = _conclusions(identities, at(heads), mu, nu, z[heads], np.array([w[i] for i in heads]), cfg.grid, cfg.verify_tol)
         checks = dict(zip(heads.tolist(), found))
 
-    @np.errstate(over="ignore", invalid="ignore")
     def result(i: int) -> FixedPointResult:
         xs, ys, iterations = kept[i]
         traces = (_trace(xs, mu, cfg.grid), _trace(ys, nu, cfg.grid)) if runs.traced[i] else (None, None)

@@ -1,6 +1,7 @@
 """The array code of the sampling, distance and solver layers agrees bit for
 bit with the scalar loops it replaces (tests/oracles.py)."""
 
+import math
 import re
 import tracemalloc
 import warnings
@@ -42,6 +43,7 @@ from fuzzyfp import hypotheses, solver
 from fuzzyfp.axioms import MAX_WITNESSES, check_fm_axioms_batch
 from fuzzyfp.errors import CodomainError, EmptySampleError
 from fuzzyfp.mappings import Mapping, StackedMap
+from fuzzyfp.metrics import GridTile
 from fuzzyfp.hypotheses import (
     SampleSet,
     estimate_k_pair,
@@ -203,6 +205,52 @@ def test_pairwise_matches_pair_by_pair(fm, seed, na, nb):
     a, b = fm.carrier.sample(rng, na), fm.carrier.sample(rng, nb)
     ts = TGrid.default().values
     assert np.array_equal(fm.pairwise(a, b, ts), oracles.pairwise(fm, a, b, ts))
+
+
+@st.composite
+def spans(draw, size):
+    """A non-empty slice of range(size)."""
+    start = draw(st.integers(0, size - 1))
+    return slice(start, draw(st.integers(start + 1, size)))
+
+
+@SETTINGS
+@given(
+    dim=st.integers(1, 5),
+    metric=st.sampled_from(["euclidean", "max"]),
+    make=st.sampled_from([induced_standard, induced_exponential]),
+    data=st.data(),
+)
+def test_block_distances_and_nearness_match_the_carrier_bit_for_bit(dim, metric, make, data):
+    """The estimators' block distances, taken coordinate-major where the box
+    allows it, and their nearness over a leading slice of a grid tile give
+    carrier.distances and mu_batch bit for bit: at repeated points (d = 0),
+    at points near 1e200 whose squares overflow and are rescaled, at
+    generic points in up to 5 dimensions, on a stack of point sets and on
+    one."""
+    box = BoxSpace([-np.inf] * dim, [np.inf] * dim, crisp_metric=metric)
+    fm = make(box)
+    lead, n = ((data.draw(st.integers(1, 3)),) if data.draw(st.booleans()) else ()), data.draw(st.integers(1, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def points():
+        if data.draw(st.booleans()):  # generic coordinates, whose sums of squares round
+            pts = rng.uniform(-10.0, 10.0, lead + (n, dim)) * data.draw(st.sampled_from([1.0, 1e200]))
+        else:
+            sets = [data.draw(sample_points(box, n)) for _ in range(math.prod(lead))]
+            pts = np.array(sets).reshape(lead + (n, dim))
+        return hypotheses._Points(box, pts)
+
+    p, q = points(), points()
+    s = (data.draw(spans(lead[0])),) if lead else ()
+    ia, ib = s + (data.draw(spans(n)), None), s + (None, data.draw(spans(n)))
+    a, b = p.rows[ia], q.rows[ib]
+    grid = data.draw(GRIDS)
+    expect_d, expect_mu = box.distances(a, b), fm.mu_batch(a, b, grid.values)
+    out = np.empty(expect_mu.shape)
+    d, mu = hypotheses._block_nearness(fm, p, ia, q, ib, GridTile(grid, math.prod(lead) * n * n), out)
+    assert d.tobytes() == np.ascontiguousarray(expect_d).tobytes()
+    assert mu is out and mu.tobytes() == np.ascontiguousarray(expect_mu).tobytes()
 
 
 # -- triangle check of FiniteSpace --------------------------------------------
@@ -1039,14 +1087,15 @@ def x2_budget(step, grid_len, y_pairs=1):
 
 def estimate(budget, estimator, *args):
     """What one estimator call gives under a block budget, as a comparable
-    value: every field of each report or the error raised, the dumped rows,
-    and every warning it showed.  repr keeps NaN, inf and -0.0 apart."""
+    value: every field of each report or the error raised, the dumped rows
+    (none for stacked pairs, which take no dump), and every warning it
+    showed.  repr keeps NaN, inf and -0.0 apart."""
     rows = Dumped()
     with mock.patch.object(hypotheses, "_BLOCK_BYTES", budget):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                out = estimator(*args, dump=rows)
+                out = estimator(*args, dump=None if isinstance(args[-1], tuple) else rows)
             except (EmptySampleError, CodomainError) as exc:
                 return repr(exc), repr(rows), sorted((str(w.message), w.filename, w.lineno) for w in caught)
     reports = out if isinstance(out, tuple) else (out,)
@@ -1067,26 +1116,33 @@ def estimate(budget, estimator, *args):
 
 
 @st.composite
+def sample_points(draw, space, count):
+    """count points of the space: on an unbounded box, far apart ones (at a
+    scale of 1e154 or 1e200, where squares overflow) among them; repeated
+    ones, at distance 0, are common."""
+    if isinstance(space, FiniteSpace):
+        return draw(st.lists(st.integers(0, space.size - 1), min_size=count, max_size=count))
+    coord = st.floats(-10.0, 10.0)
+    if not space.is_bounded:
+        scale = draw(st.sampled_from([1.0, 1e154, 1e200]))
+        coord = st.one_of(coord, st.sampled_from([-1.5, -1.0, 0.0, 1.0, 1.5])).map(lambda c: c * scale)
+    dim = space.dimension
+    return [np.array(draw(st.lists(coord, min_size=dim, max_size=dim))) for _ in range(count)]
+
+
+GRIDS = st.sets(st.sampled_from([0.01, 0.5, 1.0, 4.0, 1e18]), min_size=1, max_size=3).map(lambda ts: TGrid(sorted(ts)))
+
+
+@st.composite
 def estimator_calls(draw):
     """An estimator, the problem and nearness of a solver case, and a sample:
     on an unbounded box its far-apart points make distances overflow, so
     nearness is 0 and ratios of 0/0 and x/0 occur."""
     problem, mu, nu, _, _ = draw(solver_cases())
-
-    def points(space, count):
-        if isinstance(space, FiniteSpace):
-            return draw(st.lists(st.integers(0, space.size - 1), min_size=count, max_size=count))
-        coord = st.floats(-10.0, 10.0)
-        if not space.is_bounded:
-            scale = draw(st.sampled_from([1.0, 1e154, 1e200]))
-            coord = st.one_of(coord, st.sampled_from([-1.5, -1.0, 0.0, 1.0, 1.5])).map(lambda c: c * scale)
-        dim = space.dimension
-        return [np.array(draw(st.lists(coord, min_size=dim, max_size=dim))) for _ in range(count)]
-
     samples = SampleSet(
-        points_x=tuple(points(mu.carrier, draw(st.integers(1, 5)))),
-        grid=TGrid(sorted(draw(st.sets(st.sampled_from([0.01, 0.5, 1.0, 4.0, 1e18]), min_size=1, max_size=3)))),
-        points_y=tuple(points(nu.carrier, draw(st.integers(0, 4)))),
+        points_x=tuple(draw(sample_points(mu.carrier, draw(st.integers(1, 5))))),
+        grid=draw(GRIDS),
+        points_y=tuple(draw(sample_points(nu.carrier, draw(st.integers(0, 4))))),
         exclude_diagonal=draw(st.booleans()),
     )
     if isinstance(problem, MapPair):
@@ -1094,6 +1150,25 @@ def estimator_calls(draw):
     if nu is mu and draw(st.booleans()):
         return estimate_k_self_quad, problem, mu, samples
     return estimate_k_quad, problem, mu, nu, samples
+
+
+@st.composite
+def stacked_pair_calls(draw):
+    """estimate_k_pair over 2 or 3 stacked pairs of affine or constant maps
+    on one pair of boxes of one dimension, each pair with its own sample of
+    one size."""
+    x_space = draw(carriers_for_maps())
+    y_space = draw(carriers_for_maps().filter(lambda box: box.dimension == x_space.dimension))
+    pairs = tuple(
+        MapPair(T=draw(box_maps(x_space, y_space, composed=False)), S=draw(box_maps(y_space, x_space, composed=False)))
+        for _ in range(draw(st.integers(2, 3)))
+    )
+    make = draw(st.sampled_from([induced_standard, induced_exponential]))
+    n, grid, exclude = draw(st.integers(1, 5)), draw(GRIDS), draw(st.booleans())
+    samples = tuple(
+        SampleSet(points_x=tuple(draw(sample_points(x_space, n))), grid=grid, exclude_diagonal=exclude) for _ in pairs
+    )
+    return estimate_k_pair, pairs, make(x_space), make(y_space), samples
 
 
 # T = 0.8e308 x and S = 1.25 y on the line: nearness is 0 where two images
@@ -1110,7 +1185,7 @@ FAR_SAMPLES = SampleSet(points_x=FAR, grid=TGrid([0.5, 2.0]), points_y=FAR)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(call=estimator_calls())
+@given(call=st.one_of(estimator_calls(), stacked_pair_calls()))
 @example(call=(estimate_k_pair, MapPair(T=FAR_T, S=FAR_S), FAR_MU, FAR_MU, FAR_SAMPLES))
 @example(call=(estimate_k_pair_dual, MapPair(T=FAR_S, S=FAR_T), FAR_MU, FAR_MU, FAR_SAMPLES))
 def test_one_index_blocks_match_one_block(call):
@@ -1119,12 +1194,19 @@ def test_one_index_blocks_match_one_block(call):
     quotient's dual side from its second pass over the blocks included) and
     the warnings of a single block: the running argmax keeps the first
     maximum in C order, or the first NaN, across blocks, and a warning that
-    several blocks raise is shown once."""
+    several blocks raise is shown once.  Stacked pairs also run in blocks of
+    2 whole pairs, which split 3 pairs unevenly; each block takes the
+    leading rows of the call's grid tile."""
     estimator, *_, samples = call
-    y_pairs = len(samples.points_y) ** 2 if estimator is estimate_k_quad else 1
+    stacked = isinstance(samples, tuple)
+    one = samples[0] if stacked else samples
+    y_pairs = len(one.points_y) ** 2 if estimator is estimate_k_quad else 1
     whole = estimate(ONE_BLOCK, *call)
     assert estimate(ONE_INDEX, *call) == whole
-    assert estimate(x2_budget(3, len(samples.grid), y_pairs), *call) == whole
+    assert estimate(x2_budget(3, len(one.grid), y_pairs), *call) == whole
+    if stacked:  # 2 pairs of n * n cells a block, in a ratio and a scratch array
+        n = len(one.points_x)
+        assert estimate(2 * 2 * 8 * n * n * len(one.grid), *call) == whole
 
 
 def test_far_points_give_nan_and_inf_ratios():

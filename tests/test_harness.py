@@ -24,6 +24,7 @@ from fuzzyfp import (
     uniqueness_probe,
     verify_conclusions,
 )
+from fuzzyfp import solver
 from fuzzyfp.cli import _jsonable
 from fuzzyfp.errors import CodomainError, EmptySampleError
 from fuzzyfp.harness import _SUITE_SALT, _kind_metrics, _suite_draws
@@ -160,6 +161,21 @@ class TestRunSuite:
         verdict = run_suite(specs)
         assert verdict.aggregates["diverging"] == 3
         assert all(r.status == "diverging" for r in verdict.rows)
+
+    def test_a_suite_computes_no_trace_nearness(self, monkeypatch):
+        """The suite reads only its traces' points; their nearness rows are
+        computed on first read, as solve's callers still get them."""
+        calls = []
+        step_nearness = solver._step_nearness
+        monkeypatch.setattr(solver, "_step_nearness", lambda *a: calls.append(a) or step_nearness(*a))
+        specs = [InstanceSpec(scheme=scheme, dim=2, seed=i) for scheme in ("pair", "quadruple") for i in range(2)]
+        run_suite(specs)
+        assert calls == []
+        inst = gen_instance(specs[0])
+        result = solve(inst.problem, inst.mu, inst.nu, np.zeros(2), SolveConfig())
+        rows = result.trace_x.nearness
+        assert len(calls) == 1 and rows is result.trace_x.nearness  # computed once, then kept
+        assert rows.shape == (len(result.trace_x) - 1, len(SolveConfig().grid))
 
     def test_verdict_serialization_reproducible(self):
         specs = [InstanceSpec(scheme="pair", dim=2, seed=i) for i in range(3)]
