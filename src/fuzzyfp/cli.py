@@ -61,9 +61,9 @@ def _jsonable(obj):
 
 
 def _write_json(path: str, obj) -> None:
+    """obj as indented JSON in one write: json.dump would make thousands of small ones."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
 
 
 def cmd_axioms(doc: dict, args) -> int:

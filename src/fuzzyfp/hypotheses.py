@@ -127,17 +127,20 @@ def _block_nearness(fm, p, ia, q, ib, tile, out):
     return d, fm.mu_from_distances(d, p.rows[ia], q.rows[ib], tile, out)
 
 
-def _skip(ratio, skip):
-    """Set the cells of ratio where the mask skip (which broadcasts to it)
-    is true to -inf: none if skip is a false scalar, and whole grid rows by
-    index if it is constant along the grid."""
-    if skip.shape == ratio.shape[:-1] + (1,):
-        ratio[skip[..., 0]] = -np.inf
-    elif skip.any():
-        np.copyto(ratio, -np.inf, where=skip)
+def _skip(ratio, valid, admitted):
+    """Set the cells of ratio that the mask valid (which broadcasts to it)
+    does not admit to -inf, where admitted counts the true cells of valid:
+    none if it admits all, whole grid rows by index if valid is constant
+    along the grid, else through valid, inverted in place."""
+    if admitted == np.size(valid):
+        return
+    if valid.shape == ratio.shape[:-1] + (1,):
+        ratio[~valid[..., 0]] = -np.inf
+    else:
+        np.copyto(ratio, -np.inf, where=np.logical_not(valid, out=valid))
 
 
-def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, tiled=False):
+def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, tiled=False, flags=0):
     """One report per label for each instance of a stack, over tuples of
     the point arrays in axes and the grid; each array in axes holds one
     point array per instance, on its first axis, and samples gives the grid
@@ -156,9 +159,10 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, til
     ratios on the block into out[side] and returns one admission mask per
     label that broadcasts to the block of one instance, or, with the
     instance axis first, to the block.  out holds one float array of the
-    block's shape per label, then scratch more for evaluate's own use; they
-    are allocated once per call, since a fresh array of a block's size is
-    page-faulted in anew on every block.  If tiled, tile is a GridTile of
+    block's shape per label, then scratch more for evaluate's own use, then
+    flags bool arrays of the block's shape; they are allocated once per
+    call, since a fresh array of a block's size is page-faulted in anew on
+    every block.  If tiled, tile is a GridTile of
     the grid over the first (largest) block, allocated once per call too,
     else None.  A cell a mask does not admit is set to -inf before the
     argmax (_skip).  Per instance, k_hat is the largest admitted ratio and
@@ -195,7 +199,8 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, til
     def block_shape(s, i, j):
         return ((s.stop - s.start,) if stacked else ()) + (i.stop - i.start, j.stop - j.start) + shape[2:]
 
-    buffers = [np.empty(math.prod(block_shape(*blocks[0]))) for _ in range(arrays)]
+    cells = math.prod(block_shape(*blocks[0]))
+    buffers = [np.empty(cells) for _ in range(arrays)] + [np.empty(cells, dtype=bool) for _ in range(flags)]
     tile = GridTile(samples.grid, math.prod(block_shape(*blocks[0])[:-1])) if tiled else None
     best = [[None] * count for _ in labels]  # (ratio, cell) of each label and instance
     evaluated = [[0] * count for _ in labels]
@@ -219,12 +224,14 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, til
             for side, (ratio, valid) in enumerate(zip(out, masks)):
                 if side == 0 and dump is not None:
                     dump_block(0, i, j, ratio, valid)
-                _skip(ratio, ~valid)
                 own = stacked and np.ndim(valid) == ratio.ndim  # one mask per instance, else one for all
+                counts = [int(np.count_nonzero(v)) for v in (valid if own else (valid,))]
+                size = np.size(valid) // len(counts)  # of one instance's mask
+                _skip(ratio, valid, sum(counts))
                 for k, r_k in enumerate(ratio if stacked else (ratio,)):
-                    at, v_k = first + k, valid[k] if own else valid
+                    at = first + k
                     # a mask counts once per cell it broadcasts to
-                    evaluated[side][at] += int(np.count_nonzero(v_k)) * (r_k.size // np.size(v_k))
+                    evaluated[side][at] += counts[k if own else 0] * (r_k.size // size)
                     cell = np.unravel_index(int(np.argmax(r_k)), r_k.shape)
                     r, old = r_k[cell], best[side][at]
                     if old is None or not np.isnan(old[0]) and (np.isnan(r) or r > old[0]):
@@ -260,20 +267,23 @@ def _quotient_reports(prefix, terms, axes, samples, dump, empty_message, scratch
     where terms(i, j, out, tile) writes f, g and h on the block (i, j) into
     out[0], out[1] and out[2], may use the scratch arrays after them and the
     grid tile if tiled, and returns (lhs, lhs'); each side is admitted only
-    where num < h < 1 (ties num = h are skipped)."""
+    where num < h < 1 (ties num = h are skipped), by a mask written into a
+    bool array of the call."""
 
     def evaluate(s, i, j, out, tile):  # a stack of one
-        lhs = terms(i, j, out, tile)
-        nums, h = out[:2], out[2]
-        below_one = h < 1.0
-        masks = [(num < h) & below_one for num in nums]
-        for num, side_lhs in zip(nums, lhs):
+        floats, masks, below_one = out[:-3], out[-3:-1], out[-1]
+        lhs = terms(i, j, floats, tile)
+        nums, h = floats[:2], floats[2]
+        np.less(h, 1.0, out=below_one)
+        for num, mask, side_lhs in zip(nums, masks, lhs):
+            np.logical_and(np.less(num, h, out=mask), below_one, out=mask)
             np.divide(np.divide(num, h, out=num), side_lhs, out=num)  # (num / h) / lhs, as the ratio is defined
         return masks
 
     labels = (f"{prefix}-primal", f"{prefix}-dual")
     stack = tuple(a[None] for a in axes)
-    (reports,) = _reports(labels, evaluate, stack, samples, (len(axes[0]), len(axes[-1])), dump, 1 + scratch, tiled)
+    shape = (len(axes[0]), len(axes[-1]))
+    (reports,) = _reports(labels, evaluate, stack, samples, shape, dump, 1 + scratch, tiled, flags=3)
     if all(r.k_hat is None for r in reports):
         raise EmptySampleError(empty_message)
     return reports

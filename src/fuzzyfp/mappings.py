@@ -23,7 +23,9 @@ class Mapping:
     def __init__(self, codomain):
         self.codomain = codomain
 
-    def _raw_rows(self, xs: np.ndarray) -> np.ndarray:
+    def _raw_rows(self, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The map at each row of xs, with no codomain test, written into
+        out (an array of the result's shape and dtype) if given."""
         raise NotImplementedError
 
     def rows(self, xs: np.ndarray):
@@ -42,7 +44,31 @@ class Mapping:
         return out[0]
 
 
-class AffineMap(Mapping):
+class _Affine(Mapping):
+    """x -> matrix @ x + offset at each row, by one matrix and offset
+    (AffineMap) or one per row (StackedMap), rounded per row as
+    np.matmul(matrix, x) + offset rounds it.
+
+    A 1 x 1 matrix maps by one product, m * x + (offset + 0.0).  np.matmul
+    computes the sum 0 + m * x, which turns a -0 product into +0, and
+    adding 0.0 does the same to a -0.0 offset, so the bits are the same.
+    Larger matrices keep np.matmul, whose BLAS and FMA rounding no
+    elementwise expression reproduces."""
+
+    def _set(self, matrix: np.ndarray, offset: np.ndarray) -> None:
+        self.matrix, self.offset = matrix, offset
+        self._product = (matrix[..., 0], offset + 0.0) if matrix.shape[-2:] == (1, 1) else None
+
+    def _raw_rows(self, xs, out=None):
+        if xs.ndim == 1:  # 1-D points given as scalars
+            xs = xs[:, None]
+        if self._product is not None:
+            scale, shift = self._product
+            return np.add(np.multiply(scale, xs, out), shift, out)
+        return np.add(np.matmul(self.matrix, xs[..., None])[..., 0], self.offset, out)
+
+
+class AffineMap(_Affine):
     """x -> matrix @ x + offset into a box codomain."""
 
     def __init__(self, matrix, offset, codomain: BoxSpace):
@@ -57,12 +83,7 @@ class AffineMap(Mapping):
             raise DomainError("matrix rows must match codomain dimension")
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(b))):
             raise DomainError("affine coefficients must be finite")
-        self.matrix = _freeze(m)
-        self.offset = _freeze(b)
-
-    def _raw_rows(self, xs):
-        # rounds each row like matrix @ x (xs @ matrix.T does not); a 1-D point may be a scalar
-        return np.matmul(self.matrix, xs.reshape(len(xs), self.matrix.shape[1], 1))[..., 0] + self.offset
+        self._set(_freeze(m), _freeze(b))
 
 
 class ConstantMap(Mapping):
@@ -72,8 +93,11 @@ class ConstantMap(Mapping):
         super().__init__(codomain)
         self.value = codomain.validate_point(value)
 
-    def _raw_rows(self, xs):
-        return np.broadcast_to(self.value, (len(xs),) + np.shape(self.value))
+    def _raw_rows(self, xs, out=None):
+        if out is None:
+            return np.broadcast_to(self.value, (len(xs),) + np.shape(self.value))
+        out[...] = self.value
+        return out
 
 
 class TableMap(Mapping):
@@ -89,9 +113,9 @@ class TableMap(Mapping):
         self.targets = tg
         self._target_array = np.array(tg, dtype=np.intp)
 
-    def _raw_rows(self, xs):
+    def _raw_rows(self, xs, out=None):
         # an index outside the domain (a solver row past its escape) maps harmlessly
-        return self._target_array.take(xs, mode="clip")
+        return self._target_array.take(xs, mode="clip", out=out)
 
     def __call__(self, i):
         if not 0 <= i < len(self.targets):
@@ -111,8 +135,8 @@ class ComposedMap(Mapping):
     def __call__(self, x):
         return self.outer(self.inner(x))
 
-    def _raw_rows(self, xs):
-        return self.outer._raw_rows(self.inner._raw_rows(xs))
+    def _raw_rows(self, xs, out=None):
+        return self.outer._raw_rows(self.inner._raw_rows(xs), out)
 
     @np.errstate(over="ignore", invalid="ignore")  # rows that escaped inner are mapped on, and escape
     def rows(self, xs):
@@ -123,25 +147,22 @@ class ComposedMap(Mapping):
         return out, escaped
 
 
-class StackedMap(Mapping):
+class StackedMap(_Affine):
     """The affine and constant maps of several problems, alike in their
     codomains, as one matrix and one offset per map (a constant map's matrix
     is 0, and 0 @ x + value is value on a finite x); take(rows) maps row r
-    of a batch by maps[rows[r]]."""
+    of a batch by maps[rows[r]], rounding it as that map's AffineMap would."""
 
     def __init__(self, maps):
         super().__init__(maps[0].codomain)
         zero = np.zeros((self.codomain.dimension,) * 2)
-        self.matrix = np.array([m.matrix if isinstance(m, AffineMap) else zero for m in maps])
-        self.offset = np.array([m.offset if isinstance(m, AffineMap) else m.value for m in maps])
+        matrix = np.array([m.matrix if isinstance(m, AffineMap) else zero for m in maps])
+        self._set(matrix, np.array([m.offset if isinstance(m, AffineMap) else m.value for m in maps]))
 
     def take(self, rows: np.ndarray) -> "StackedMap":
         out = copy.copy(self)
-        out.matrix, out.offset = self.matrix[rows], self.offset[rows]
+        out._set(self.matrix[rows], self.offset[rows])
         return out
-
-    def _raw_rows(self, xs):  # rounds each row as AffineMap._raw_rows does
-        return np.matmul(self.matrix, xs[..., None])[..., 0] + self.offset
 
 
 @dataclass(eq=False)

@@ -5,9 +5,13 @@ full interleaved cycles y_{2n-1} = A(x_{2n-2}), x_{2n-1} = S(y_{2n-1}),
 y_{2n} = B(x_{2n-1}), x_{2n} = T(y_{2n}).
 
 One driver runs either scheme from any number of starts in lock step: each
-step maps the stacked iterates of the starts still running at once, a chunk
-of cycles is judged at once after it is mapped, and each start stops on its
-own, with the result that a run from that start alone gives.
+step maps the stacked iterates of the starts still running at once, in
+place into arrays allocated once per chunk of cycles (a 1-D affine step is
+one product, see mappings._Affine), a chunk is judged at once after it is
+mapped, and each start stops on its own, with the result that a run from
+that start alone gives.  The judge computes step nearness at the grid's
+two end scales, which the divergence flags read, and at every scale only
+for steps whose ends reach 1 - eps (_Runs._nearness).
 
 Stopping declares convergence on both sequences simultaneously: every
 step-nearness value of the most recent steps must reach 1 - eps on the
@@ -21,6 +25,7 @@ when an iterate escapes its carrier; the schemes must terminate on any input.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,7 +192,8 @@ def verify_conclusions(
 
 # Cycles mapped at most before their steps are judged.  Chunks grow from one
 # cycle to this cap, so that a short run maps few cycles past its stop.  On
-# suite-quad-slow, caps of 32 and 64 tie and 16, 128 and 256 are slower.
+# suite-quad-slow, caps of 64 and 128 tie and 32 is slower (16 and 256 were
+# slower still).
 _CHUNK_CYCLES = 64
 
 
@@ -218,32 +224,37 @@ class _Steps:
 
 def _map_chunk(cycle, x: np.ndarray, cycles: int):
     """Map cycles cycles from the iterates x of the running starts: the
-    stacked xs (x, then one per step), the stacked ys, and per start the
-    number of maps it applied before its first escape, 2 * len(ys) if none.
-    Escaped rows are mapped on but never judged or traced; the first escape
-    is found once per chunk, with one codomain check per map position of the
+    stacked xs (x, then one per step), the stacked ys, each step written in
+    place into arrays allocated once per chunk, and per start the number of
+    maps it applied before its first escape, 2 * len(ys) if none.  Escaped
+    rows are mapped on but never judged or traced; the first escape is
+    found once per chunk, with one codomain check per map position of the
     cycle."""
-    per = len(cycle)
-    xs, ys = [x], []
-    for n in range(cycles * per):
-        to_y, to_x = cycle[n % per]
-        ys.append(to_y._raw_rows(xs[-1]))
-        xs.append(to_x._raw_rows(ys[-1]))
-    xs, ys = np.array(xs), np.array(ys)
-    escapes = np.full(len(x), 2 * len(ys))
+    per, k = len(cycle), cycles * len(cycle)
+    xs = np.empty((k + 1,) + x.shape, x.dtype)
+    xs[0] = x
+    y = cycle[0][0]._raw_rows(x)  # the shape and type of the y rows
+    ys = np.empty((k,) + y.shape, y.dtype)
+    x_at = list(xs)  # a view of each step's rows
+    for (to_y, to_x), x_in, y_out, x_out in zip(itertools.cycle(cycle), x_at, ys, x_at[1:]):
+        to_y._raw_rows(x_in, y_out)
+        to_x._raw_rows(y_out, x_out)
+    escapes = None
     for i, maps in enumerate(cycle):
-        # x in, y, and x out at step i of each cycle, as rows of (cycle, start)
-        chain = [a.reshape((-1,) + a.shape[2:]) for a in (xs[i:-1:per], ys[i::per], xs[i + 1 :: per])]
+        # x in, y, and x out at step i of each cycle, as (cycle, start) rows
+        chain = (xs[i:-1:per], ys[i::per], xs[i + 1 :: per])
         for j, m in enumerate(maps):
             if isinstance(m, ComposedMap):  # its inner codomain is checked too
-                escaped = m.rows(chain[j])[1]
+                escaped = m.rows(chain[j].reshape((-1,) + chain[j].shape[2:]))[1]
             else:
                 escaped = m.codomain.escaped_rows(chain[j + 1])
             if escaped is not None:
                 escaped = escaped.reshape(cycles, len(x))
-                at = 2 * (i + per * escaped.argmax(axis=0)) + j
-                escapes = np.where(escaped.any(axis=0), np.minimum(escapes, at), escapes)
-    for row in np.flatnonzero(escapes < 2 * len(ys)):  # judged, never kept; 0 is an index of any finite carrier
+                at = np.where(escaped.any(axis=0), 2 * (i + per * escaped.argmax(axis=0)) + j, 2 * k)
+                escapes = at if escapes is None else np.minimum(escapes, at)
+    if escapes is None:
+        return xs, ys, np.full(len(x), 2 * k)
+    for row in np.flatnonzero(escapes < 2 * k):  # judged, never kept; 0 is an index of any finite carrier
         ys[(escapes[row] + 1) // 2 :, row] = 0
         xs[escapes[row] // 2 + 1 :, row] = 0
     return xs, ys, escapes
@@ -253,13 +264,18 @@ class _Runs:
     """Which starts of a batch still run, why the others stopped and what
     their results need, and of every step of the running starts the
     iterates and what _flags reads back: nearness at the smallest and the
-    largest grid scale and the crisp length of each x step."""
+    largest grid scale and the crisp length of each x step.
+
+    Step nearness is computed at those two end scales only (ends, a grid
+    built once per run), and at every scale only for the steps whose two
+    ends reach 1 - eps, which alone can be near on the whole grid."""
 
     def __init__(self, x0: np.ndarray, mu, nu, cfg: SolveConfig, traced: np.ndarray):
         n = len(x0)
         self.ids = np.arange(n)
         self.reasons = [STOP_MAX_ITER] * n
         self.mu, self.nu, self.cfg, self.traced = mu, nu, cfg, traced
+        self.ends = cfg.grid if len(cfg.grid) <= 2 else TGrid(cfg.grid.values[[0, -1]])
         self.steps = [_Steps() for _ in range(5)]
         self.xs, self.ys, self.low, self.top, self.lengths = self.steps
         self.xs.extend(x0[None])
@@ -270,18 +286,17 @@ class _Runs:
         iterates, and stop each start at its first stop in it: an escape at
         once, else at the end of a cycle, eps-reached before the first
         divergence flag of that cycle."""
-        grid, level = self.cfg.grid, 1.0 - self.cfg.eps
         k, count = len(ys), len(self.ids)
         per = k // cycles  # steps per cycle
         first = self.lengths.n  # the chunk's first step
         lengths = self.mu.carrier.distances(xs[:-1], xs[1:])
-        x_rows = self.mu.mu_from_distances(lengths, xs[:-1], xs[1:], grid)
+        x_ends, near = self._nearness(self.mu, lengths, xs[:-1], xs[1:])
         y_all = np.concatenate([self.ys.last[None], ys]) if self.ys.n else ys
-        y_rows = self.nu.mu_batch(y_all[:-1], y_all[1:], grid)
-        for steps, rows in zip(self.steps, (xs[1:], ys, x_rows[..., 0], x_rows[..., -1], lengths)):
+        y_from, y_to = y_all[:-1], y_all[1:]
+        y_near = self._nearness(self.nu, self.nu.carrier.distances(y_from, y_to), y_from, y_to)[1]
+        for steps, rows in zip(self.steps, (xs[1:], ys, x_ends[..., 0], x_ends[..., -1], lengths)):
             steps.extend(rows)
-        near = (x_rows >= level).all(axis=-1)
-        near[k - len(y_rows) :] &= (y_rows >= level).all(axis=-1)
+        near[k - len(y_near) :] &= y_near
         near = near.reshape(cycles, per, count).all(axis=1)
         near[0] &= first > 0  # the first cycle never counts
         flags = self._flags(first, k).reshape(cycles, per, count)
@@ -305,6 +320,19 @@ class _Runs:
         self.ids = self.ids[run_on]
         for steps in self.steps:
             steps.buf = steps.buf[:, run_on]
+
+    def _nearness(self, fm, d, a, b):
+        """fm's nearness of the steps a -> b, of crisp lengths d, at the end
+        scales, and per step whether it reaches 1 - eps at every grid scale.
+        The steps whose ends reach it are computed again on the whole grid,
+        which is exact for any form, monotone in t or not (a table)."""
+        level = 1.0 - self.cfg.eps
+        ends = fm.mu_from_distances(d, a, b, self.ends)
+        near = (ends >= level).all(axis=-1)
+        if self.ends is not self.cfg.grid and near.any():
+            at = np.nonzero(near)
+            near[at] = (fm.mu_from_distances(d[at], a[at], b[at], self.cfg.grid) >= level).all(axis=-1)
+        return ends, near
 
     def _flags(self, first: int, k: int) -> np.ndarray:
         """Per step of the chunk of k steps from first on and per running
@@ -381,8 +409,8 @@ def _trace(arr: np.ndarray, fm: FuzzyMetric, grid: TGrid) -> SequenceTrace:
 
 @np.errstate(over="ignore", invalid="ignore")  # as in _iterate, where an orbit may overflow
 def _step_nearness(arr: np.ndarray, fm: FuzzyMetric, grid: TGrid) -> np.ndarray:
-    """The nearness rows of consecutive points of a column, computed again
-    as _Runs.judge computed them."""
+    """The nearness rows of consecutive points of a column, with the bits
+    of the scales that _Runs.judge computed of them."""
     return fm.mu_batch(arr[:-1], arr[1:], grid)
 
 

@@ -59,13 +59,13 @@ class BoxSpace:
         return x.shape == self.lo.shape and self.escaped_rows(x[None]) is None
 
     def escaped_rows(self, xs: np.ndarray):
-        """None if every row of a (k, dim) float array lies in the box, within
-        the slack and (on an unbounded box) finite, else the mask of the rows
-        that do not; finite bounds already reject NaN and +-inf."""
+        """None if every row of a (..., dim) float array lies in the box,
+        within the slack and (on an unbounded box) finite, else the mask of
+        the rows that do not; finite bounds already reject NaN and +-inf."""
         inside = (xs >= self._lo_tol) & (xs <= self._hi_tol)
         if not self.is_bounded:
             inside &= np.isfinite(xs)
-        return None if inside.all() else ~inside.all(axis=1)
+        return None if inside.all() else ~inside.all(axis=-1)
 
     def validate_point(self, x) -> np.ndarray:
         arr = np.atleast_1d(np.asarray(x, dtype=float))

@@ -379,6 +379,15 @@ def solve(problem, mu, nu, x0, cfg=None):
     )
 
 
+def full_grid_nearness(runs, fm, d, a, b):
+    """The step nearness of fuzzyfp.solver's lock-step judge (_Runs._nearness)
+    computed at every grid scale of every step: the columns of the smallest
+    and the largest scale, and whether each step reaches 1 - eps on the
+    whole grid."""
+    rows = fm.mu_from_distances(d, a, b, runs.cfg.grid)
+    return rows[..., [0, -1]], (rows >= 1.0 - runs.cfg.eps).all(axis=-1)
+
+
 def _trace(points, rows, grid):
     nearness = np.array(rows) if rows else np.empty((0, len(grid)))
     return SequenceTrace(points=tuple(points), nearness=nearness, grid=grid)

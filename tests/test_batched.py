@@ -549,6 +549,43 @@ def test_zero_matrix_rows_give_the_constant_values_gen_instance_draws():
         assert stacked._raw_rows(xs).tobytes() == np.ascontiguousarray(t_map._raw_rows(xs)).tobytes()
 
 
+def _signed(magnitudes):
+    return st.tuples(st.sampled_from([1.0, -1.0]), magnitudes).map(lambda p: p[0] * p[1])
+
+
+# Coefficients from 1e-300 to 1e300, subnormals and signed zeros; points
+# also inf and NaN, as rows mapped on past an escape hold.
+COEFFICIENTS = st.one_of(
+    _signed(st.floats(1e-300, 1e300)),
+    _signed(st.floats(5e-324, 2.2250738585072014e-308, exclude_max=True)),
+    st.sampled_from([0.0, -0.0]),
+)
+ORBIT_POINTS = COEFFICIENTS | st.sampled_from([np.inf, -np.inf, np.nan])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@example(maps=[(1e300, -0.0), (-0.0, -0.0), (5e-324, 0.0)], points=[1e300, -0.0, 0.0, -5e-324, np.nan, np.inf])
+@given(
+    maps=st.lists(st.tuples(COEFFICIENTS, COEFFICIENTS), min_size=1, max_size=4),
+    points=st.lists(ORBIT_POINTS, min_size=1, max_size=8),
+)
+def test_one_dimensional_affine_steps_match_the_stacked_matmul(maps, points):
+    """The 1-D affine step m * x + (b + 0.0) gives the bits of
+    np.matmul(M, x[..., None])[..., 0] + b, for AffineMap and for
+    StackedMap.take, written into out or not: products that underflow,
+    overflow to inf or are -0, -0.0 offsets, and inf and NaN points."""
+    affine = [AffineMap([[m]], [b], LINE) for m, b in maps]
+    xs = np.array(points).reshape(-1, 1)
+    owner = np.arange(len(xs)) % len(affine)
+    stacked = StackedMap(affine).take(owner)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in affine + [stacked]:
+            ref = np.matmul(m.matrix, xs[..., None])[..., 0] + m.offset
+            assert m._raw_rows(xs).tobytes() == ref.tobytes()
+            out = np.empty_like(ref)
+            assert m._raw_rows(xs, out) is out and out.tobytes() == ref.tobytes()
+
+
 def _same_point(a, b):
     if isinstance(b, int):
         return type(a) is int and a == b
@@ -801,35 +838,94 @@ def test_starts_that_stop_early_do_not_keep_memory_for_a_long_one():
     assert batch <= 1.25 * alone
 
 
-def _judged_rows(metric, name):
-    """Record the nearness rows that metric.name gives on a (steps, starts,
-    dim) stack of points, which only _Runs.judge asks for."""
-    rows, real = [], getattr(metric, name)
+def _stored_ends(monkeypatch):
+    """Record, for each start as it stops, the nearness columns of its x steps
+    at the smallest and the largest grid scale that _Runs stored for _flags."""
+    ends, real = [], solver._Runs._stop
 
-    def record(*args):
-        out = real(*args)
-        if np.ndim(args[-3]) == 3:
-            rows.append(out)
-        return out
+    def stop(runs, col, maps, reason):
+        ends.append(tuple(s.buf[: s.n, col].copy() for s in (runs.low, runs.top)))
+        return real(runs, col, maps, reason)
 
-    setattr(metric, name, record)
-    return rows
+    monkeypatch.setattr(solver._Runs, "_stop", stop)
+    return ends
 
 
 @pytest.mark.parametrize("form", [induced_standard, induced_exponential])
 @pytest.mark.parametrize("scheme", ["pair", "quadruple"])
-def test_trace_nearness_is_the_rows_the_judge_computed(scheme, form):
-    """The step history keeps no nearness rows: a trace computes them again
-    from its points, and gets the rows the judge computed, bit for bit,
-    over runs of several chunks."""
+def test_trace_nearness_is_mu_batch_of_its_points(monkeypatch, scheme, form):
+    """The step history keeps no nearness rows and the judge computes most
+    steps at the two end scales only: a trace's rows are mu_batch over its
+    consecutive points, bit for bit, and the stored end columns are the
+    first and last columns of those rows, over runs of several chunks."""
     inst = gen_instance(InstanceSpec(scheme=scheme, dim=1, factor_lo=0.97, factor_hi=0.995, seed=3))
     mu, nu = form(inst.mu.carrier), form(inst.nu.carrier)
-    x_rows, y_rows = _judged_rows(mu, "mu_from_distances"), _judged_rows(nu, "mu_batch")
+    ends = _stored_ends(monkeypatch)
     result = solve(inst.problem, mu, nu, inst.x0)
     assert result.converged and result.iterations > 2 * 127  # past the chunk of cycles 64-127
-    for trace, rows in ((result.trace_x, x_rows), (result.trace_y, y_rows)):
-        judged = np.concatenate(rows)[: len(trace) - 1, 0]
-        assert trace.nearness.tobytes() == np.ascontiguousarray(judged).tobytes()
+    for trace, fm in ((result.trace_x, mu), (result.trace_y, nu)):
+        points = np.array(trace.points)
+        rows = fm.mu_batch(points[:-1], points[1:], TGrid.default())
+        assert trace.nearness.tobytes() == rows.tobytes()
+    ((low, top),) = ends
+    rows = result.trace_x.nearness
+    assert low[: len(rows)].tobytes() == np.ascontiguousarray(rows[:, 0]).tobytes()
+    assert top[: len(rows)].tobytes() == np.ascontiguousarray(rows[:, -1]).tobytes()
+
+
+# -- steps judged at the grid's two end scales ---------------------------------
+
+
+def assert_judged_as_on_the_full_grid(run):
+    """run() gives the results it gives with the full-grid reference judge."""
+    results = list(run())
+    with mock.patch.object(solver._Runs, "_nearness", oracles.full_grid_nearness):
+        _same_results(results, list(run()))
+    return results
+
+
+def _swapping_table(scheme):
+    """Two points that each step swaps, under a table nearness of 1 at the
+    grid's two end scales and 0.5 at its middle scale: every step reaches
+    1 - eps at both ends but not in the middle, so no start converges."""
+    grid = TGrid([0.1, 1.0, 10.0])
+    space = FiniteSpace(1.0 - np.eye(2))
+    values = np.ones((2, 2, 3))
+    values[0, 1, 1] = values[1, 0, 1] = 0.5
+    mu = TableFuzzyMetric(space, grid, values)
+    swap, same = TableMap([1, 0], space), TableMap([0, 1], space)
+    problem = MapPair(T=swap, S=same) if scheme == "pair" else MapQuadruple(A=swap, B=swap, S=same, T=same)
+    return problem, mu, mu, [0, 1], SolveConfig(grid=grid, max_iter=40)
+
+
+@pytest.mark.parametrize("scheme", ["pair", "quadruple"])
+def test_a_step_near_at_both_end_scales_only_is_not_near(scheme):
+    case = _swapping_table(scheme)
+    results = assert_judged_as_on_the_full_grid(lambda: solve_batch(*case))
+    assert _reasons(results) == [("max-iter", 40 if scheme == "pair" else 80)] * 2
+    assert_same_results(*case)
+
+
+@pytest.mark.parametrize("grid", [TGrid([1.0]), TGrid([0.01, 100.0]), TGrid.default()], ids=["one", "two", "default"])
+@pytest.mark.parametrize("form", ["exponential", "standard"])
+def test_two_scale_judge_matches_the_full_grid_on_slow_quadruples(grid, form):
+    """A batch of suite-quad-slow-like quadruples, 3 starts each, as the
+    suite solves them."""
+    specs = [
+        InstanceSpec(scheme="quadruple", dim=1, factor_lo=0.97, factor_hi=0.995, metric_form=form, seed=s)
+        for s in range(3)
+    ]
+    insts = [gen_instance(spec) for spec in specs]
+    starts = [p for inst in insts for p in (inst.x0, -inst.x0, 2.0 * inst.x0)]
+    owner = np.repeat(np.arange(len(insts)), 3)
+    cfg = SolveConfig(grid=grid)
+    mu, nu = insts[0].mu, insts[0].nu
+
+    def run():  # every start traced
+        return solver._iterate([inst.problem for inst in insts], owner, mu, nu, starts, cfg, True)
+
+    results = assert_judged_as_on_the_full_grid(run)
+    assert all(r.converged for r in results) and min(r.iterations for r in results) > 2 * 127
 
 
 # -- chunks of cycles judged at once -----------------------------------------
@@ -946,8 +1042,8 @@ class _LeakyTable(Mapping):
         super().__init__(codomain)
         self.targets = tuple(targets)
 
-    def _raw_rows(self, xs):
-        return np.array(self.targets)[xs]
+    def _raw_rows(self, xs, out=None):
+        return np.take(np.array(self.targets), xs, out=out)
 
 
 class _Recorded(Mapping):
@@ -957,9 +1053,9 @@ class _Recorded(Mapping):
         super().__init__(m.codomain)
         self.m, self.outputs = m, []
 
-    def _raw_rows(self, xs):
-        out = self.m._raw_rows(xs)
-        self.outputs.append(out)
+    def _raw_rows(self, xs, out=None):
+        out = self.m._raw_rows(xs, out)
+        self.outputs.append(out.copy())  # the solver may write over out later
         return out
 
 

@@ -365,6 +365,20 @@ class TestEstimateKQuad:
         with pytest.raises(EmptySampleError):
             estimate_k_quad(quad, MU, NU, samples)
 
+    def test_constant_maps_admit_no_tuple_at_h_one(self, line):
+        """Constant maps give h = 1 at every tuple, so nothing is admitted,
+        although f < h wherever x and x' differ."""
+        z0, w0 = np.array([2.0]), np.array([5.0])
+        quad = MapQuadruple(
+            A=ConstantMap(w0, line),
+            B=ConstantMap(w0, line),
+            S=ConstantMap(z0, line),
+            T=ConstantMap(z0, line),
+        )
+        samples = SampleSet(points_x=pts(2.0, 3.0), grid=TGrid([0.5, 1.0]), points_y=pts(5.0, 6.0))
+        with pytest.raises(EmptySampleError):
+            estimate_k_quad(quad, MU, NU, samples)
+
     def test_witness_reproduces_k_hat(self):
         quad = self._quad()
         samples = SampleSet(
