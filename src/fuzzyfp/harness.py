@@ -10,7 +10,11 @@ matrices, whose steps grow strictly, on unbounded carriers so divergence is
 observable instead of aborting on a codomain escape.
 
 Everything is drawn from the named splitmix64 generator; identical specs
-reproduce bit-identical instances and verdicts.
+reproduce bit-identical instances and verdicts.  The generator is
+counter-based, so the instances of a suite's kind are made in one pass
+(_generate): one draw array for all their streams, each read on from its
+own counter, and the maps as stacked arrays, with the bits of the scalar
+draws.  gen_instance is that pass on one spec.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .errors import CodomainError, ConfigError, EmptySampleError, UsageError
 from .hypotheses import SampleSet, estimate_k, estimate_k_pair
 from .mappings import AffineMap, ConstantMap, MapPair, MapQuadruple
 from .metrics import FuzzyMetric, TGrid, induced_exponential, induced_standard
-from .rng import GENERATOR_NAME, SplitMix64, draws, states
+from .rng import GENERATOR_NAME, draws, normal, states, unit
 from .solver import STATUS_CONVERGED, SolveConfig, compare_fixed_points, solve_problems
 from .spaces import BoxSpace
 from .tnorms import PRODUCT
@@ -94,46 +98,6 @@ def _metric_for(form: str, carrier) -> FuzzyMetric:
     return induced_standard(carrier) if form == "standard" else induced_exponential(carrier)
 
 
-def _matrix_with_inf_norm(rng: SplitMix64, dim: int, norm: float) -> np.ndarray:
-    """Random matrix rescaled so its max-row-sum operator norm equals norm."""
-    while True:
-        m = np.array([[rng.uniform(-1.0, 1.0) for _ in range(dim)] for _ in range(dim)])
-        current = float(np.max(np.sum(np.abs(m), axis=1)))
-        if current > 1e-9:
-            return m * (norm / current)
-
-
-def _scaled_rotation(rng: SplitMix64, dim: int, factor: float) -> np.ndarray:
-    """factor times an orthogonal matrix: every step grows by exactly factor
-    in the euclidean norm, so expansion is guaranteed, not just likely."""
-    if dim == 1:
-        sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        return np.array([[sign * factor]])
-    g = np.array([[rng.normal() for _ in range(dim)] for _ in range(dim)])
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diagonal(r))  # canonical sign, deterministic
-    return factor * q
-
-
-def _interior_point(rng: SplitMix64, dim: int, radius: float) -> np.ndarray:
-    return np.array([rng.uniform(-radius, radius) for _ in range(dim)])
-
-
-def _affine_into_box(rng, dim, factor, halfwidth, codomain) -> AffineMap:
-    """Affine map with inf-norm <= factor and offset small enough that the
-    centered box of the given halfwidth maps into itself."""
-    m = _matrix_with_inf_norm(rng, dim, factor)
-    b = _interior_point(rng, dim, (1.0 - factor) * halfwidth)
-    return AffineMap(m, b, codomain)
-
-
-def _anchored_affine(rng, dim, factor, radius, src, dst, codomain) -> AffineMap:
-    """Affine map sending src to dst exactly, with inf-norm <= factor.
-    With |src|, |dst| <= radius = W(1-f)/(1+f) it maps the box into itself."""
-    m = _matrix_with_inf_norm(rng, dim, factor)
-    return AffineMap(m, dst - m @ src, codomain)
-
-
 def _kind_metrics(spec: InstanceSpec) -> tuple[FuzzyMetric, FuzzyMetric]:
     """(mu, nu) of every instance of the spec's kind; see _kind."""
     dim, w = spec.dim, spec.halfwidth
@@ -147,100 +111,139 @@ def _kind_metrics(spec: InstanceSpec) -> tuple[FuzzyMetric, FuzzyMetric]:
     return mu, nu
 
 
-def gen_instance(spec: InstanceSpec, metrics=None) -> Instance:
-    """Deterministically generate one problem instance from its spec.  A
-    caller that generates many may pass the (mu, nu) of the spec's kind,
-    built once for all of them; see _kind_metrics."""
-    rng = SplitMix64(spec.seed)
-    dim = spec.dim
-    w = spec.halfwidth
-    mu, nu = metrics or _kind_metrics(spec)
-    carrier_x, carrier_y = mu.carrier, nu.carrier
+class _Streams:
+    """The generation streams SplitMix64(seed) of many specs, drawn in one
+    counter-based pass; each stream is read on from its own counter, so the
+    streams whose draws are conditional read on where the scalar calls
+    would."""
 
-    def draw_factor() -> float:
-        return rng.uniform(spec.factor_lo, spec.factor_hi)
+    def __init__(self, seeds, count: int):
+        self.state = states(seeds)[:, None]
+        self.u = draws(self.state, np.arange(1, count + 1, dtype=np.uint64))
+        self.at = np.zeros(len(seeds), dtype=np.intp)
 
-    def is_constant() -> bool:
-        if spec.family == "constant":
-            return True
-        if spec.family == "mixed":
-            return rng.uniform() < 0.5
-        return False
+    def take(self, k: int, where=None) -> np.ndarray:
+        """The next k draws of every stream as an (instances, k) array; the
+        streams in the mask where (all if None) advance past them."""
+        end = int(self.at.max()) + k
+        if end > self.u.shape[1]:  # a redrawn matrix ran past the pass
+            more = draws(self.state, np.arange(self.u.shape[1] + 1, end + 1, dtype=np.uint64))
+            self.u = np.concatenate([self.u, more], axis=1)
+        out = np.take_along_axis(self.u, self.at[:, None] + np.arange(k), axis=1)
+        self.at += k if where is None else np.where(where, k, 0)
+        return out
 
-    expected_z = expected_w = None
-    if spec.scheme == "pair":
-        if spec.expansive:
-            f_t, f_s = draw_factor(), draw_factor()
-            t_map = AffineMap(_scaled_rotation(rng, dim, f_t), _interior_point(rng, dim, w), carrier_y)
-            s_map = AffineMap(_scaled_rotation(rng, dim, f_s), _interior_point(rng, dim, w), carrier_x)
-            problem = MapPair(T=t_map, S=s_map)
-        else:
-            t_const, s_const = is_constant(), is_constant()
-            f_t, f_s = draw_factor(), draw_factor()
-            if t_const:
-                t_map = ConstantMap(_interior_point(rng, dim, 0.9 * w), carrier_y)
-            else:
-                t_map = _affine_into_box(rng, dim, f_t, w, carrier_y)
-            if s_const:
-                s_map = ConstantMap(_interior_point(rng, dim, 0.9 * w), carrier_x)
-            else:
-                s_map = _affine_into_box(rng, dim, f_s, w, carrier_x)
-            problem = MapPair(T=t_map, S=s_map)
-            m_t = t_map.matrix if isinstance(t_map, AffineMap) else np.zeros((dim, dim))
-            b_t = t_map.offset if isinstance(t_map, AffineMap) else t_map.value
-            m_s = s_map.matrix if isinstance(s_map, AffineMap) else np.zeros((dim, dim))
-            b_s = s_map.offset if isinstance(s_map, AffineMap) else s_map.value
-            m_st = m_s @ m_t
-            b_st = m_s @ b_t + b_s
-            expected_z = np.linalg.solve(np.eye(dim) - m_st, b_st)
-            expected_w = m_t @ expected_z + b_t
+    def uniform(self, lo, hi, k: int = 1, where=None) -> np.ndarray:
+        """SplitMix64.uniform(lo, hi) of the next k draws, lo and hi per stream."""
+        return lo + (hi - lo) * unit(self.take(k, where))
+
+
+def _generate(specs, mu, nu) -> list:
+    """The instances of specs of one kind (_kind), each with the bits that
+    SplitMix64(spec.seed) gives drawn one scalar at a time in this order:
+
+    * pair: a coin per map (mixed family), the factors of T and S, then per
+      map a constant in the box shrunk to 0.9, or a matrix of inf-norm equal
+      to its factor (entries uniform in [-1, 1), redrawn while the norm is
+      below 1e-9) and an offset that keeps the box mapped into itself;
+    * quadruple and self-quadruple: four factors, a target pair (z0, w0)
+      in the box shrunk by the largest, a coin for all four maps constant,
+      else a coin per map (mixed family), and a matrix per affine map,
+      anchored so that A z0 = B z0 = w0 and S w0 = T w0 = z0;
+    * expansive: per map a factor, that factor times an orthogonal matrix
+      (QR of a Gaussian matrix, or a sign on the line) and an offset;
+    * then x0 in the box.
+
+    Family and factor range are read per spec.  The Gaussian entries and
+    the QR are per instance; all else is on stacked arrays."""
+    n, dim, w = len(specs), specs[0].dim, specs[0].halfwidth
+    pair, expansive = specs[0].scheme == "pair", specs[0].expansive
+    lo, hi = (np.array([[getattr(s, f)] for s in specs]) for f in ("factor_lo", "factor_hi"))
+    mixed = np.array([s.family == "mixed" for s in specs])
+    constant = np.array([s.family == "constant" for s in specs])
+    rotation = 1 if dim == 1 else 2 * dim * dim  # draws of one orthogonal matrix
+    if expansive:
+        count = (2 if pair else 4) * (1 + rotation + dim)
     else:
-        if spec.expansive:
-            maps = []
-            for codomain in (carrier_y, carrier_y, carrier_x, carrier_x):
-                maps.append(
-                    AffineMap(
-                        _scaled_rotation(rng, dim, draw_factor()),
-                        _interior_point(rng, dim, w),
-                        codomain,
-                    )
-                )
-            problem = MapQuadruple(A=maps[0], B=maps[1], S=maps[2], T=maps[3])
-        else:
-            factors = [draw_factor() for _ in range(4)]
-            f_max = max(factors)
-            radius = w * (1.0 - f_max) / (1.0 + f_max)
-            z0 = _interior_point(rng, dim, radius)
-            w0 = _interior_point(rng, dim, radius)
-            constant_all = is_constant()
-            if constant_all:
-                a_map = b_map = ConstantMap(w0, carrier_y)
-                s_map = t_map = ConstantMap(z0, carrier_x)
-            else:
-                zero = [spec.family == "mixed" and rng.uniform() < 0.5 for _ in range(4)]
+        count = 4 + 2 * (dim * dim + dim) if pair else 9 + 2 * dim + 4 * dim * dim
+    streams = _Streams([s.seed for s in specs], count + dim)
 
-                def anchored(i, factor, src, dst, codomain):
-                    if zero[i]:
-                        return ConstantMap(dst, codomain)
-                    return _anchored_affine(rng, dim, factor, radius, src, dst, codomain)
+    def coins(k, where):
+        return unit(streams.take(k, where)) < 0.5
 
-                a_map = anchored(0, factors[0], z0, w0, carrier_y)
-                b_map = anchored(1, factors[1], z0, w0, carrier_y)
-                s_map = anchored(2, factors[2], w0, z0, carrier_x)
-                t_map = anchored(3, factors[3], w0, z0, carrier_x)
-            problem = MapQuadruple(A=a_map, B=b_map, S=s_map, T=t_map)
-            expected_z, expected_w = z0, w0
+    def points(radius):  # radius is one float or one per stream, (instances, 1)
+        return streams.uniform(-radius, radius, dim)
 
-    x0 = _interior_point(rng, dim, w)
-    return Instance(
-        spec=spec,
-        problem=problem,
-        mu=mu,
-        nu=nu,
-        x0=x0,
-        expected_z=expected_z,
-        expected_w=expected_w,
-    )
+    def matrices(norm, where):  # zero where it is not drawn
+        m = streams.uniform(-1.0, 1.0, dim * dim, where).reshape(n, dim, dim)
+        current = np.abs(m).sum(axis=2).max(axis=1)
+        while (redraw := where & ~(current > 1e-9)).any():
+            m[redraw] = streams.uniform(-1.0, 1.0, dim * dim, redraw).reshape(n, dim, dim)[redraw]
+            current = np.abs(m).sum(axis=2).max(axis=1)
+        return m * np.divide(norm, current, out=np.zeros(n), where=where)[:, None, None]
+
+    def rotations(factor):
+        if dim == 1:
+            return (np.where(coins(1, None), 1.0, -1.0) * factor[:, None])[..., None]
+        out = np.empty((n, dim, dim))
+        for k, (u, f) in enumerate(zip(streams.take(rotation).tolist(), factor.tolist())):
+            q, r = np.linalg.qr(np.array([normal(a, b) for a, b in zip(u[::2], u[1::2])]).reshape(dim, dim))
+            out[k] = f * (q * np.sign(np.diagonal(r)))
+        return out
+
+    def apply(m, x):  # m @ x per instance
+        return np.matmul(m, x[..., None])[..., 0]
+
+    carriers = (nu.carrier, mu.carrier) if pair else (nu.carrier, nu.carrier, mu.carrier, mu.carrier)
+    columns = []  # per map: (matrices, offsets or constant values, constant mask)
+    expected = ([None] * n,) * 2
+    shared = np.zeros(n, dtype=bool)  # quadruples whose A is B and S is T, one constant map each way
+    if expansive:
+        factors = streams.uniform(lo, hi, 2) if pair else None  # a pair draws both factors first
+        for i in range(len(carriers)):
+            f = factors[:, i] if pair else streams.uniform(lo, hi)[:, 0]
+            columns.append((rotations(f), points(w), shared))
+    elif pair:
+        const = [constant | mixed & coins(1, mixed)[:, 0] for _ in range(2)]
+        factors = streams.uniform(lo, hi, 2)
+        for f, c in zip(factors.T, const):
+            m = matrices(f, ~c)
+            columns.append((m, points(np.where(c, 0.9 * w, (1.0 - f) * w)[:, None]), c))
+        (m_t, b_t, _), (m_s, b_s, _) = columns
+        z = np.linalg.solve(np.eye(dim) - np.matmul(m_s, m_t), (apply(m_s, b_t) + b_s)[..., None])[..., 0]
+        expected = (z, apply(m_t, z) + b_t)
+    else:
+        factors = streams.uniform(lo, hi, 4)
+        f_max = factors.max(axis=1)
+        radius = (w * (1.0 - f_max) / (1.0 + f_max))[:, None]
+        z0, w0 = points(radius), points(radius)
+        shared = constant | mixed & coins(1, mixed)[:, 0]
+        zero = mixed & ~shared
+        const = shared[:, None] | zero[:, None] & coins(4, zero)
+        for f, c, (src, dst) in zip(factors.T, const.T, ((z0, w0), (z0, w0), (w0, z0), (w0, z0))):
+            m = matrices(f, ~c)
+            columns.append((m, np.where(c[:, None], dst, dst - apply(m, src)), c))
+        expected = (z0, w0)
+    x0 = points(w)
+
+    insts = []
+    for k, spec in enumerate(specs):
+        maps = [
+            ConstantMap(b[k], carrier) if c[k] else AffineMap(m[k], b[k], carrier)
+            for (m, b, c), carrier in zip(columns, carriers)
+        ]
+        if shared[k]:
+            maps = [maps[0], maps[0], maps[2], maps[2]]
+        problem = MapPair(*maps) if pair else MapQuadruple(*maps)
+        insts.append(Instance(spec, problem, mu, nu, x0[k], expected[0][k], expected[1][k]))
+    return insts
+
+
+def gen_instance(spec: InstanceSpec, metrics=None) -> Instance:
+    """Deterministically generate one problem instance from its spec: the
+    kind generator _generate applied to the spec alone.  A caller may pass
+    the (mu, nu) of the spec's kind; see _kind_metrics."""
+    return _generate([spec], *(metrics or _kind_metrics(spec)))[0]
 
 
 @dataclass(eq=False)
@@ -318,8 +321,8 @@ def _suite_draws(specs, mu, nu, starts: int, n_rand: int, window):
 
 def _run_kind(specs, cfg: SolveConfig, starts: int, n_traj: int, n_rand: int) -> list:
     """The rows of the instances of one kind, each phase over all of them at once."""
-    metrics = mu, nu = _kind_metrics(specs[0])
-    insts = [gen_instance(spec, metrics) for spec in specs]
+    mu, nu = _kind_metrics(specs[0])
+    insts = _generate(specs, mu, nu)
     window = insts[0].window  # every instance's window is alike
     seeds, randoms_x, randoms_y, probes = _suite_draws(specs, mu, nu, starts, n_rand, window)
     # mu and nu are alike, so one pass checks the triples of every seed

@@ -14,9 +14,11 @@ Two problem shapes are covered:
 
 k_hat is the largest right/left ratio over a finite sample and a bounded
 t-grid; "the hypothesis holds on the sample with constant k" is exactly
-k >= k_hat.  For nearness functions induced from a crisp metric, values
-approach 1 as t grows, so k_hat itself climbs toward 1 as the grid's t_max
-grows; reports therefore record their grid and sample provenance.
+k >= k_hat.  With the standard form on both spaces, the pair's minimum is
+the nearness of the largest of its four crisp distances (_pair_reports).
+For nearness functions induced from a crisp metric, values approach 1 as
+t grows, so k_hat itself climbs toward 1 as the grid's t_max grows;
+reports therefore record their grid and sample provenance.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import CodomainError, EmptySampleError, UsageError
 from .mappings import ComposedMap, MapPair, StackedMap
-from .metrics import FuzzyMetric, GridTile, TGrid
+from .metrics import FuzzyMetric, GridTile, StandardFuzzyMetric, TGrid
 from .spaces import DELTA_PT, validate_points
 
 # Bytes of one float array over a block of sample indices (see _reports):
@@ -319,9 +321,10 @@ def estimate_k_pair(pair, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, 
 
     pair and samples may also be equal-length sequences: of pairs of affine
     or constant maps on alike boxes, and of samples of one size, grid and
-    diagonal rule.  Then the reports of all are made in one pass and come
-    back as a tuple, one per pair, each the report of that pair alone; if
-    any pair's sample is empty or its images escape, the call raises.
+    diagonal rule (else UsageError).  Then the reports of all are made in
+    one pass and come back as a tuple, one per pair, each the report of
+    that pair alone; if any pair's sample is empty or its images escape,
+    the call raises.
     """
     if isinstance(pair, MapPair):
         return _pair_reports("pair", [pair], mu, nu, [samples], dump)[0]
@@ -340,11 +343,21 @@ def estimate_k_pair_dual(pair, mu: FuzzyMetric, nu: FuzzyMetric, samples: Sample
 
 
 def _pair_reports(label, pairs, mu, nu, samples, dump):
-    """The report of each pair on its sample; see estimate_k_pair."""
-    sizes = {len(s.points_x) for s in samples}
-    if len(sizes) != 1 or len(pairs) != len(samples):
-        raise UsageError("stacked pairs need one sample each, all of one size")
-    n = sizes.pop()
+    """The report of each pair on its sample; see estimate_k_pair.
+
+    When mu and nu are both standard, rhs is the nearness of the largest of
+    the four crisp distances: IEEE addition and division round
+    monotonically, so t / (t + d) does not grow as d grows, and a minimum
+    of such values is the value at the largest d, with the same bits.  The
+    other forms take the minimum of the four nearness arrays."""
+    first = samples[0]
+    if len(pairs) != len(samples) or any(
+        (len(s.points_x), s.exclude_diagonal) != (len(first.points_x), first.exclude_diagonal)
+        or not np.array_equal(s.grid.values, first.grid.values)
+        for s in samples
+    ):
+        raise UsageError("stacked pairs need one sample each, all of one size, grid and diagonal rule")
+    n = len(first.points_x)
     if n == 0:
         raise EmptySampleError("sample contains no points")
     xs = np.stack([validate_points(mu.carrier, s.points_x) for s in samples])  # (pairs, n) + the shape of one point
@@ -361,21 +374,32 @@ def _pair_reports(label, pairs, mu, nu, samples, dump):
         return a.reshape((len(pairs), n) + a.shape[1:])
 
     st, tx = stack(images(ComposedMap(s_map, t_map), flat)), stack(images(t_map, flat))
-    m_self = mu.mu_batch(xs, st, samples[0].grid)
+    standard = isinstance(mu, StandardFuzzyMetric) and isinstance(nu, StandardFuzzyMetric)
+    if standard:
+        d_self = mu.carrier.distances(xs, st)
+    else:
+        m_self = mu.mu_batch(xs, st, first.grid)
     x_pts, tx_pts, st_pts = _Points(mu.carrier, xs), _Points(nu.carrier, tx), _Points(mu.carrier, st)
 
     def evaluate(s, i, j, out, tile):
         rhs, scratch = out
         at_i, at_j = (s, i, None), (s, None, j)
-        d, mu_xx = _block_nearness(mu, x_pts, at_i, x_pts, at_j, tile, rhs)
-        np.minimum(mu_xx, m_self[s, i, None], out=rhs)
-        np.minimum(rhs, m_self[s, None, j], out=rhs)
-        np.minimum(rhs, _block_nearness(nu, tx_pts, at_i, tx_pts, at_j, tile, scratch)[1], out=rhs)
+        if standard:
+            d = _block_distances(x_pts, at_i, x_pts, at_j)
+            far = np.maximum(d, d_self[s, i, None])
+            np.maximum(far, d_self[s, None, j], out=far)
+            np.maximum(far, _block_distances(tx_pts, at_i, tx_pts, at_j), out=far)
+            mu.mu_from_distances(far, None, None, tile, rhs)
+        else:
+            d, mu_xx = _block_nearness(mu, x_pts, at_i, x_pts, at_j, tile, rhs)
+            np.minimum(mu_xx, m_self[s, i, None], out=rhs)
+            np.minimum(rhs, m_self[s, None, j], out=rhs)
+            np.minimum(rhs, _block_nearness(nu, tx_pts, at_i, tx_pts, at_j, tile, scratch)[1], out=rhs)
         with np.errstate(divide="ignore", invalid="ignore"):  # x/0 = inf and 0/0 = NaN cells are kept
             np.divide(rhs, _block_nearness(mu, st_pts, at_i, st_pts, at_j, tile, scratch)[1], out=rhs)
-        return [(d > DELTA_PT)[..., None] if samples[0].exclude_diagonal else np.True_]
+        return [(d > DELTA_PT)[..., None] if first.exclude_diagonal else np.True_]
 
-    reports = [r for (r,) in _reports((label,), evaluate, (xs, xs), samples[0], (n,), dump, scratch=1, tiled=True)]
+    reports = [r for (r,) in _reports((label,), evaluate, (xs, xs), first, (n,), dump, scratch=1, tiled=True)]
     if any(r.k_hat is None for r in reports):
         raise EmptySampleError("every tuple of the sample was skipped")
     return reports

@@ -123,9 +123,6 @@ class FuzzyMetric:
     def __init__(self, carrier):
         self.carrier = carrier
 
-    def mu(self, x, y, t: float) -> float:
-        return float(self.mu_grid(x, y, float(t)))
-
     def mu_grid(self, x, y, ts) -> np.ndarray:
         """mu_batch of one point pair over an array of scales or a TGrid."""
         return self.mu_batch(x, y, ts)

@@ -54,10 +54,8 @@ class SplitMix64:
         return lo + (hi - lo) * unit(self.next_u64())
 
     def normal(self) -> float:
-        """Standard normal via Box-Muller; u1 offset keeps log() finite."""
-        u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53
-        u2 = (self.next_u64() >> 11) * 2.0**-53
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        """Standard normal of the next two draws; see normal()."""
+        return normal(self.next_u64(), self.next_u64())
 
 
 def states(seeds) -> np.ndarray:
@@ -71,6 +69,14 @@ def draws(state, counter) -> np.ndarray:
     mix(state + counter * gamma), over uint64 arrays (or a state below
     2**64), broadcast; uint64 arithmetic wraps as the state's does."""
     return _mix(np.asarray(state, dtype=np.uint64) + np.asarray(counter, dtype=np.uint64) * np.uint64(_GAMMA))
+
+
+def normal(a: int, b: int) -> float:
+    """Standard normal of two draws via Box-Muller; offsetting the first
+    keeps log() finite."""
+    u1 = ((a >> 11) + 1) * 2.0**-53
+    u2 = (b >> 11) * 2.0**-53
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 def unit(u):

@@ -2,9 +2,10 @@
 
 Each function here is the straightforward loop that the array code in
 `fuzzyfp` replaces: one RNG draw, one point, one point pair, one map
-evaluation, one t-norm sample, one triple or one iteration start at a time.
-None of it calls the scalar forms of `fuzzyfp` (a map or t-norm call, mu,
-mu_grid, distance), which are wrappers over the array code.  The
+evaluation, one t-norm sample, one triple, one generated instance or one
+iteration start at a time.  None of it calls the scalar forms of `fuzzyfp`
+(a map or t-norm call, mu_grid, distance), which are wrappers over the
+array code.  The
 equivalence tests compare the two bit for bit.  The step-recurrence
 checkers test the paper's recurrences along solver traces, one step at a
 time.  The inequality terms at the end evaluate the contraction hypotheses
@@ -25,15 +26,15 @@ from fuzzyfp import (
     ConstantMap,
     FuzzyMetric,
     MapPair,
+    MapQuadruple,
     SequenceTrace,
     SplitMix64,
     TableFuzzyMetric,
     TNorm,
-    gen_instance,
 )
 from fuzzyfp.axioms import _SLACK, AxiomReport
 from fuzzyfp.errors import CodomainError, DomainError, UsageError
-from fuzzyfp.harness import _SUITE_SALT
+from fuzzyfp.harness import _SUITE_SALT, Instance, _kind_metrics
 from fuzzyfp.rng import unit
 from fuzzyfp.solver import _COLLAPSE, ConclusionCheck, FixedPointResult, SolveConfig
 from fuzzyfp.spaces import DELTA_PT
@@ -66,6 +67,113 @@ def suite_draws(spec, mu, nu, starts, n_rand):
     random_x = points(mu.carrier, n_rand)
     random_y = points(nu.carrier, n_rand if spec.scheme == "quadruple" else 0)
     return seeds, random_x, random_y, points(mu.carrier, starts - 1)
+
+
+# ---------------------------------------------------------------------------
+# instance generation, one spec and one scalar draw at a time
+# ---------------------------------------------------------------------------
+
+
+def _matrix_with_inf_norm(rng, dim, norm):
+    """Random matrix rescaled so its max-row-sum operator norm equals norm."""
+    while True:
+        m = np.array([[rng.uniform(-1.0, 1.0) for _ in range(dim)] for _ in range(dim)])
+        current = float(np.max(np.sum(np.abs(m), axis=1)))
+        if current > 1e-9:
+            return m * (norm / current)
+
+
+def _scaled_rotation(rng, dim, factor):
+    """factor times an orthogonal matrix (a sign on the line)."""
+    if dim == 1:
+        sign = 1.0 if rng.uniform() < 0.5 else -1.0
+        return np.array([[sign * factor]])
+    g = np.array([[rng.normal() for _ in range(dim)] for _ in range(dim)])
+    q, r = np.linalg.qr(g)
+    q = q * np.sign(np.diagonal(r))
+    return factor * q
+
+
+def _interior_point(rng, dim, radius):
+    return np.array([rng.uniform(-radius, radius) for _ in range(dim)])
+
+
+def gen_instance(spec):
+    """The instance of one spec, drawn from SplitMix64(spec.seed) one scalar
+    at a time: pair maps that contract into the box (or constant ones), and
+    quadruples anchored at a drawn target pair (z0, w0); expansive instances
+    take scaled orthogonal matrices."""
+    rng = SplitMix64(spec.seed)
+    dim, w = spec.dim, spec.halfwidth
+    mu, nu = _kind_metrics(spec)
+    carrier_x, carrier_y = mu.carrier, nu.carrier
+
+    def draw_factor():
+        return rng.uniform(spec.factor_lo, spec.factor_hi)
+
+    def is_constant():
+        if spec.family == "constant":
+            return True
+        if spec.family == "mixed":
+            return rng.uniform() < 0.5
+        return False
+
+    expected_z = expected_w = None
+    if spec.scheme == "pair" and spec.expansive:
+        f_t, f_s = draw_factor(), draw_factor()
+        t_map = AffineMap(_scaled_rotation(rng, dim, f_t), _interior_point(rng, dim, w), carrier_y)
+        s_map = AffineMap(_scaled_rotation(rng, dim, f_s), _interior_point(rng, dim, w), carrier_x)
+        problem = MapPair(T=t_map, S=s_map)
+    elif spec.scheme == "pair":
+        t_const, s_const = is_constant(), is_constant()
+        f_t, f_s = draw_factor(), draw_factor()
+
+        def into_box(const, factor, codomain):
+            if const:
+                return ConstantMap(_interior_point(rng, dim, 0.9 * w), codomain)
+            m = _matrix_with_inf_norm(rng, dim, factor)
+            return AffineMap(m, _interior_point(rng, dim, (1.0 - factor) * w), codomain)
+
+        t_map = into_box(t_const, f_t, carrier_y)
+        s_map = into_box(s_const, f_s, carrier_x)
+        problem = MapPair(T=t_map, S=s_map)
+        m_t = t_map.matrix if isinstance(t_map, AffineMap) else np.zeros((dim, dim))
+        b_t = t_map.offset if isinstance(t_map, AffineMap) else t_map.value
+        m_s = s_map.matrix if isinstance(s_map, AffineMap) else np.zeros((dim, dim))
+        b_s = s_map.offset if isinstance(s_map, AffineMap) else s_map.value
+        expected_z = np.linalg.solve(np.eye(dim) - m_s @ m_t, m_s @ b_t + b_s)
+        expected_w = m_t @ expected_z + b_t
+    elif spec.expansive:
+        maps = []
+        for codomain in (carrier_y, carrier_y, carrier_x, carrier_x):
+            maps.append(AffineMap(_scaled_rotation(rng, dim, draw_factor()), _interior_point(rng, dim, w), codomain))
+        problem = MapQuadruple(*maps)
+    else:
+        factors = [draw_factor() for _ in range(4)]
+        f_max = max(factors)
+        radius = w * (1.0 - f_max) / (1.0 + f_max)
+        z0 = _interior_point(rng, dim, radius)
+        w0 = _interior_point(rng, dim, radius)
+        if is_constant():
+            a_map = b_map = ConstantMap(w0, carrier_y)
+            s_map = t_map = ConstantMap(z0, carrier_x)
+        else:
+            zero = [spec.family == "mixed" and rng.uniform() < 0.5 for _ in range(4)]
+
+            def anchored(i, src, dst, codomain):
+                if zero[i]:
+                    return ConstantMap(dst, codomain)
+                m = _matrix_with_inf_norm(rng, dim, factors[i])
+                return AffineMap(m, dst - m @ src, codomain)
+
+            a_map = anchored(0, z0, w0, carrier_y)
+            b_map = anchored(1, z0, w0, carrier_y)
+            s_map = anchored(2, w0, z0, carrier_x)
+            t_map = anchored(3, w0, z0, carrier_x)
+        problem = MapQuadruple(A=a_map, B=b_map, S=s_map, T=t_map)
+        expected_z, expected_w = z0, w0
+    x0 = _interior_point(rng, dim, w)
+    return Instance(spec=spec, problem=problem, mu=mu, nu=nu, x0=x0, expected_z=expected_z, expected_w=expected_w)
 
 
 def distance(carrier, x, y):

@@ -1,6 +1,7 @@
 """The array code of the sampling, distance and solver layers agrees bit for
 bit with the scalar loops it replaces (tests/oracles.py)."""
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -24,6 +25,7 @@ from fuzzyfp import (
     ConstantMap,
     DomainError,
     FiniteSpace,
+    FuzzyMetric,
     InstanceSpec,
     MapPair,
     MapQuadruple,
@@ -52,7 +54,7 @@ from fuzzyfp.hypotheses import (
     estimate_k_self_quad,
 )
 from fuzzyfp.solver import _diameter, solve
-from test_hypotheses import Dumped
+from test_hypotheses import Dumped, pts
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 SEEDS = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
@@ -1330,3 +1332,137 @@ def test_ratio_dump_matches_scalar_oracle_in_one_index_blocks(scheme):
         with mock.patch.object(hypotheses, "_BLOCK_BYTES", budget):
             test_hypotheses.test_ratio_dump_matches_scalar_oracle(scheme)
 
+
+
+# ---------------------------------------------------------------------------
+# the standard-form pair rule: rhs from the largest distance
+# ---------------------------------------------------------------------------
+
+
+class MinimumPath(FuzzyMetric):
+    """A metric's nearness under a type that the pair estimator does not
+    take for the standard form, so it takes the minimum of the four
+    nearness arrays."""
+
+    def __init__(self, fm):
+        super().__init__(fm.carrier)
+        self.fm = fm
+
+    def mu_batch(self, a, b, ts, out=None):
+        return self.fm.mu_batch(a, b, ts, out)
+
+    def mu_from_distances(self, d, a, b, ts, out=None):
+        return self.fm.mu_from_distances(d, a, b, ts, out)
+
+
+# Coordinates at distances of 0 (repeated points), subnormal, about 1 and
+# about 1e308, and (between 1e308 and -1e308) beyond the float range, inf.
+EXTREME = [0.0, 5e-324, -5e-324, 1e-310, 1.0, -2.5, 8e307, 1e308, -1e308]
+WIDE_GRIDS = st.sets(st.sampled_from([1e-300, 1e-10, 0.01, 1.0, 100.0, 1e10, 1e300]), min_size=1, max_size=4)
+
+
+@st.composite
+def extreme_maps(draw, space):
+    """Constant maps, and diagonal affine maps whose images of EXTREME
+    points, and of those images, stay finite."""
+    dim = space.dimension
+    offset = draw(st.lists(st.sampled_from([0.0, 1.0, -3.0, 5e-324]), min_size=dim, max_size=dim))
+    if draw(st.integers(0, 3)) == 0:
+        return ConstantMap(offset, space)
+    diagonal = draw(st.lists(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]), min_size=dim, max_size=dim))
+    return AffineMap(np.diag(diagonal), offset, space)
+
+
+@st.composite
+def standard_pair_calls(draw):
+    """estimate_k_pair or its dual on one pair, or estimate_k_pair on 2 or 3
+    stacked pairs, with standard nearness on unbounded boxes of dimension 1
+    or 2, samples drawn from EXTREME and a grid between 1e-300 and 1e300."""
+    dim = draw(st.integers(1, 2))
+    x_space, y_space = (BoxSpace([-np.inf] * dim, [np.inf] * dim, draw(st.sampled_from(["euclidean", "max"]))) for _ in "xy")
+    point = st.lists(st.sampled_from(EXTREME), min_size=dim, max_size=dim).map(np.array)
+    n, grid, exclude = draw(st.integers(1, 5)), TGrid(sorted(draw(WIDE_GRIDS))), draw(st.booleans())
+    pairs = tuple(
+        MapPair(T=draw(extreme_maps(y_space)), S=draw(extreme_maps(x_space))) for _ in range(draw(st.integers(1, 3)))
+    )
+    samples = tuple(
+        SampleSet(
+            points_x=tuple(draw(st.lists(point, min_size=n, max_size=n))),
+            grid=grid,
+            points_y=tuple(draw(st.lists(point.map(lambda p: p * 0.5), min_size=n, max_size=n))),
+            exclude_diagonal=exclude,
+        )
+        for _ in pairs
+    )
+    mu, nu = induced_standard(x_space), induced_standard(y_space)
+    if len(pairs) > 1:
+        return estimate_k_pair, pairs, mu, nu, samples
+    return draw(st.sampled_from([estimate_k_pair, estimate_k_pair_dual])), pairs[0], mu, nu, samples[0]
+
+
+@SETTINGS
+@given(call=standard_pair_calls())
+@example(call=(estimate_k_pair, MapPair(T=FAR_T, S=FAR_S), FAR_MU, FAR_MU, FAR_SAMPLES))
+@example(call=(estimate_k_pair_dual, MapPair(T=FAR_S, S=FAR_T), FAR_MU, FAR_MU, FAR_SAMPLES))
+def test_standard_pair_rhs_of_the_largest_distance_is_the_minimum(call):
+    """With standard mu and nu, the pair estimator takes rhs as the nearness
+    of the largest of the four distances; the reports (k_hat, witness,
+    counts), the dumped cells and ratios (by repr, which keeps NaN, inf and
+    -0.0 apart) and the warnings equal those of the minimum of the four
+    nearness arrays, in one block and in blocks of one (x, x') pair."""
+    estimator, problem, mu, nu, samples = call
+    for budget in (ONE_BLOCK, ONE_INDEX):
+        assert estimate(budget, *call) == estimate(budget, estimator, problem, MinimumPath(mu), MinimumPath(nu), samples)
+
+
+def _table_pair():
+    """A pair on a 3-point finite space whose table nearness is not a
+    function of the crisp distance: points 0 and 2, the furthest apart, are
+    the nearest."""
+    space = FiniteSpace([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    values = np.ones((3, 3, 2))
+    values[0, 1] = values[1, 0] = [0.2, 0.3]
+    values[1, 2] = values[2, 1] = [0.5, 0.6]
+    values[0, 2] = values[2, 0] = [0.8, 0.9]
+    mu = TableFuzzyMetric(space, TGrid([1.0, 10.0]), values)
+    return MapPair(T=TableMap([1, 2, 0], space), S=TableMap([2, 0, 1], space)), mu, mu, (0, 1, 2)
+
+
+def _line_pair(mu_form, nu_form):
+    pair = MapPair(T=AffineMap([[0.5]], [1.0], FAR_LINE), S=AffineMap([[-2.0]], [0.5], FAR_LINE))
+    return pair, mu_form(FAR_LINE), nu_form(FAR_LINE), pts(-3.0, 0.0, 0.25, 2.0, 7.0)
+
+
+PAIR_CONFIGS = {
+    "standard": lambda: _line_pair(induced_standard, induced_standard),
+    "exponential": lambda: _line_pair(induced_exponential, induced_exponential),
+    "standard-exponential": lambda: _line_pair(induced_standard, induced_exponential),
+    "exponential-standard": lambda: _line_pair(induced_exponential, induced_standard),
+    "table": _table_pair,
+}
+
+
+@pytest.mark.parametrize("config", list(PAIR_CONFIGS))
+def test_only_standard_pairs_skip_the_nearness_minimum(monkeypatch, config):
+    """Exponential, table and mixed standard/exponential configs still take
+    the minimum of four nearness arrays (nu's nearness of Tx and Tx' is
+    computed as an array); standard ones take distances only, besides lhs.
+    Either way k_hat, the witness and the count are the scalar oracle's."""
+    pair, mu, nu, xs = PAIR_CONFIGS[config]()
+    grid = mu.grid if isinstance(mu, TableFuzzyMetric) else TGrid([0.5, 2.0, 30.0])
+    calls = []
+    block_nearness = hypotheses._block_nearness
+    monkeypatch.setattr(hypotheses, "_block_nearness", lambda fm, *a: calls.append(fm) or block_nearness(fm, *a))
+    report = estimate_k_pair(pair, mu, nu, SampleSet(points_x=xs, grid=grid))
+    ratios = np.full((len(xs), len(xs), len(grid)), -np.inf)
+    for (i, x), (j, x2), (k, t) in itertools.product(enumerate(xs), enumerate(xs), enumerate(grid.values)):
+        if oracles.distance(mu.carrier, x, x2) > oracles.DELTA_PT:
+            lhs, rhs = oracles.pair_inequality_terms(pair, mu, nu, x, x2, t)
+            ratios[i, j, k] = rhs / lhs
+    cell = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+    assert (report.k_hat, report.evaluated_count) == (ratios[cell], int(np.isfinite(ratios).sum()))
+    witness = [np.asarray(xs[cell[0]]).tolist(), np.asarray(xs[cell[1]]).tolist(), grid.values[cell[2]]]
+    assert [np.asarray(p).tolist() for p in report.witness] == witness
+    standard = config == "standard"
+    assert set(calls) == ({mu} if standard else {mu, nu})
+    assert len(calls) == (1 if standard else 3)  # one block: lhs, and unless standard, x's and Tx's nearness

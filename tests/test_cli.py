@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -607,3 +609,19 @@ def test_self_quadruple_scheme_config(tmp_path):
         "self-quad-primal",
         "self-quad-dual",
     ]
+
+
+def test_readme_quick_start_runs_as_a_module(tmp_path):
+    """README's four quick-start commands, run as `python -m fuzzyfp` from a
+    checkout with src on the path, each exit 0."""
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("fuzzyfp ")]
+    assert [c[0] for c in commands] == ["axioms", "hypotheses", "solve", "suite"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    for argv in commands:
+        argv = [str(tmp_path / "out") if a == "./out" else a for a in argv]
+        done = subprocess.run([sys.executable, "-m", "fuzzyfp", *argv], cwd=root, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, (argv, done.stderr)
+        assert "Traceback" not in done.stderr

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from fuzzyfp import (
     PRODUCT,
+    AffineMap,
     ConfigError,
     InstanceSpec,
     SampleSet,
@@ -27,8 +28,9 @@ from fuzzyfp import (
 from fuzzyfp import solver
 from fuzzyfp.cli import _jsonable
 from fuzzyfp.errors import CodomainError, EmptySampleError
-from fuzzyfp.harness import _SUITE_SALT, _kind_metrics, _suite_draws
+from fuzzyfp.harness import _SUITE_SALT, _generate, _kind_metrics, _suite_draws
 from fuzzyfp.mappings import ConstantMap
+from fuzzyfp.rng import _GAMMA, _MASK, unit
 
 
 def _inf_norm(m):
@@ -348,6 +350,97 @@ def test_kind_metrics_give_the_instance_of_the_spec_alone():
                 v.tobytes() for v in vars(other).values() if isinstance(v, np.ndarray)
             ]
         assert a.x0.tobytes() == b.x0.tobytes() and (a.mu is a.nu) == (b.mu is b.nu)
+
+
+def _map_bits(m):
+    return type(m).__name__, [v.tobytes() for v in vars(m).values() if isinstance(v, np.ndarray)]
+
+
+def assert_same_instance(got, ref):
+    """got has ref's maps (types and array bits, and which maps are one
+    object), x0 and expected fixed points, bit for bit."""
+    maps, ref_maps = list(vars(got.problem).values()), list(vars(ref.problem).values())
+    assert [_map_bits(m) for m in maps] == [_map_bits(m) for m in ref_maps]
+    assert [[m is n for n in maps] for m in maps] == [[m is n for n in ref_maps] for m in ref_maps]
+    assert got.x0.tobytes() == ref.x0.tobytes()
+    for name in ("expected_z", "expected_w"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+# Seeds below 0 and at or above 2**64 give the stream of the seed mod 2**64.
+_GEN_SEEDS = [-7, -1, 0, 1, 2, 3, 5, 8, 13, 2**63, 2**64 - 1, 2**64, 2**64 + 3, 2**70 + 11]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("expansive", [False, True])
+@pytest.mark.parametrize("scheme", ["pair", "quadruple", "self-quadruple"])
+def test_kind_generator_matches_the_scalar_generator(scheme, expansive, dim):
+    """One kind whose specs mix families (all three, contractive kinds) and
+    factor ranges gives each spec's instance of the scalar generator bit for
+    bit, and so does gen_instance on each spec alone."""
+    families = ["affine"] if expansive else ["affine", "constant", "mixed"]
+    ranges = [(1.1, 1.9), (2.0, 2.0), (1.01, 40.0)] if expansive else [(0.3, 0.9), (0.05, 0.1), (0.97, 0.995)]
+    specs = [
+        InstanceSpec(
+            scheme=scheme,
+            dim=dim,
+            expansive=expansive,
+            seed=seed,
+            family=families[k % len(families)],
+            factor_lo=ranges[k % 3][0],
+            factor_hi=ranges[k % 3][1],
+        )
+        for k, seed in enumerate(_GEN_SEEDS + [seed + 100 for seed in _GEN_SEEDS])
+    ]
+    insts = _generate(specs, *_kind_metrics(specs[0]))
+    assert [inst.spec for inst in insts] == specs
+    for spec, inst in zip(specs, insts):
+        ref = oracles.gen_instance(spec)
+        assert_same_instance(inst, ref)
+        assert_same_instance(gen_instance(spec), ref)
+    kinds = {type(m).__name__ for inst in insts for m in vars(inst.problem).values()}
+    assert kinds == ({"AffineMap"} if expansive else {"AffineMap", "ConstantMap"})
+
+
+def _unmix(z: int) -> int:
+    """The inverse of SplitMix64's output mix."""
+
+    def unshift(y, s):
+        x, k = y, s
+        while k < 64:
+            x ^= y >> k
+            k += s
+        return x
+
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK
+    return unshift(z, 30)
+
+
+def _seeds_drawing_a_zero_entry(counter):
+    """Seeds whose draw number counter (from 1) maps to exactly 0 in
+    [-1, 1): its top 53 bits are 2**52, so unit() gives 0.5."""
+    for low in range(1 << 11):
+        yield (_unmix((1 << 63) + low) - counter * _GAMMA) & _MASK
+
+
+def test_a_matrix_of_norm_below_1e_9_is_redrawn_as_the_scalar_generator_does():
+    """A 1-D matrix whose one entry is drawn as exactly 0 is redrawn, and
+    only its own stream reads on: pair T (draw 3 of an affine pair, 5 of a
+    mixed pair whose coins gave two affine maps, which runs past the kind's
+    one pass) and quadruple A (draw 7 of an affine quadruple)."""
+    mixed = next(s for s in _seeds_drawing_a_zero_entry(5) if all(unit(u) >= 0.5 for u in SplitMix64(s).block(2).tolist()))
+    cases = [("pair", "affine", 3, next(_seeds_drawing_a_zero_entry(3))), ("pair", "mixed", 5, mixed)]
+    cases.append(("quadruple", "affine", 7, next(_seeds_drawing_a_zero_entry(7))))
+    for scheme, family, counter, seed in cases:
+        assert -1.0 + 2.0 * unit(SplitMix64(seed).block(counter).tolist()[-1]) == 0.0
+        specs = [InstanceSpec(scheme=scheme, dim=1, family=f, seed=s) for f, s in [(family, seed), ("mixed", 1), ("constant", 2)]]
+        insts = _generate(specs, *_kind_metrics(specs[0]))
+        for spec, inst in zip(specs, insts):
+            assert_same_instance(inst, oracles.gen_instance(spec))
+        redrawn = insts[0].problem.T if scheme == "pair" else insts[0].problem.A
+        assert isinstance(redrawn, AffineMap) and 0.3 <= abs(redrawn.matrix[0, 0]) <= 0.9
 
 
 def _traced_peak(run):

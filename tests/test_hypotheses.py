@@ -22,6 +22,7 @@ from fuzzyfp import (
     SampleSet,
     SplitMix64,
     TGrid,
+    UsageError,
     estimate_k,
     estimate_k_pair,
     estimate_k_pair_dual,
@@ -87,7 +88,7 @@ class TestPairTerms:
         x = np.array([0.7])
         lhs, rhs = pair_inequality_terms(linear_pair, MU, NU, x, x, 1.0)
         assert lhs == 1.0
-        assert rhs == MU.mu(x, ComposedMap(linear_pair.S, linear_pair.T)(x), 1.0)
+        assert rhs == MU.mu_grid(x, ComposedMap(linear_pair.S, linear_pair.T)(x), 1.0)
 
     def test_at_fixed_point_all_terms_one(self, linear_pair):
         z = np.array([1.6])
@@ -216,6 +217,31 @@ class TestEstimateKPair:
         with pytest.raises(EmptySampleError):
             estimate_k_pair(linear_pair, MU, NU, SampleSet(points_x=(), grid=self.GRID))
 
+    def test_stacked_samples_must_share_size_grid_and_diagonal_rule(self, linear_pair):
+        """A stacked call evaluates every pair on one grid with one diagonal
+        rule, so samples that differ in either are refused, as samples of
+        two sizes are; samples alike in all three give each pair's report
+        alone, also on equal grids built apart."""
+        points = self.POINTS + pts(3.0)
+        first = SampleSet(points_x=points, grid=TGrid.default())
+        other = SampleSet(points_x=points[::-1], grid=TGrid.logspace(1.0, 2.0, 3), exclude_diagonal=False)
+        refused = [
+            other,
+            SampleSet(points_x=points, grid=TGrid.logspace(1.0, 2.0, 3)),
+            SampleSet(points_x=points, grid=TGrid.default(), exclude_diagonal=False),
+            SampleSet(points_x=self.POINTS, grid=TGrid.default()),
+        ]
+        for second in refused:
+            with pytest.raises(UsageError):
+                estimate_k_pair([linear_pair, linear_pair], MU, NU, [first, second])
+        alone = estimate_k_pair(linear_pair, MU, NU, other)
+        assert (alone.evaluated_count, len(alone.grid)) == (108, 3)  # 6 x 6 cells on 3 scales
+        second = SampleSet(points_x=points[::-1], grid=TGrid.default())
+        stacked = estimate_k_pair([linear_pair, linear_pair], MU, NU, [first, second])
+        for report, sample in zip(stacked, (first, second)):
+            one = estimate_k_pair(linear_pair, MU, NU, sample)
+            assert (report.k_hat, report.evaluated_count, report.witness[2]) == (one.k_hat, one.evaluated_count, one.witness[2])
+
     def test_dual_estimate(self, linear_pair):
         samples = SampleSet(points_x=pts(0.0), grid=self.GRID, points_y=pts(0.0, 1.0, 2.0))
         report = estimate_k_pair_dual(linear_pair, MU, NU, samples)
@@ -305,7 +331,7 @@ class TestQuadTerms:
         x, x2 = np.array([2.0]), np.array([3.0])
         y, y2 = np.array([1.0]), np.array([4.0])
         f = quad_numerator_primal(quad, MU, NU, x, x2, y, y2, 1.0)
-        assert f <= MU.mu(x, x2, 1.0) + 1e-15
+        assert f <= MU.mu_grid(x, x2, 1.0) + 1e-15
 
 
 class TestEstimateKQuad:
@@ -388,7 +414,7 @@ class TestEstimateKQuad:
         x, x2, y, y2, t = primal.witness
         f = quad_numerator_primal(quad, MU, NU, x, x2, y, y2, t)
         h = quad_denominator(quad, MU, NU, x, x2, y, y2, t)
-        lhs = MU.mu(ComposedMap(quad.S, quad.A)(x), ComposedMap(quad.T, quad.B)(x2), t)
+        lhs = MU.mu_grid(ComposedMap(quad.S, quad.A)(x), ComposedMap(quad.T, quad.B)(x2), t)
         assert abs((f / h) / lhs - primal.k_hat) <= 1e-12
 
 
@@ -565,10 +591,10 @@ def test_ratio_dump_matches_scalar_oracle(scheme):
             h = quad_denominator(quad, MU, NU, x, x2, y, y2, t)
             if label == "quad-primal":
                 num = quad_numerator_primal(quad, MU, NU, x, x2, y, y2, t)
-                lhs = MU.mu(ComposedMap(quad.S, quad.A)(x), ComposedMap(quad.T, quad.B)(x2), t)
+                lhs = MU.mu_grid(ComposedMap(quad.S, quad.A)(x), ComposedMap(quad.T, quad.B)(x2), t)
             else:
                 num = quad_numerator_dual(quad, MU, NU, x, x2, y, y2, t)
-                lhs = NU.mu(ComposedMap(quad.B, quad.S)(y), ComposedMap(quad.A, quad.T)(y2), t)
+                lhs = NU.mu_grid(ComposedMap(quad.B, quad.S)(y), ComposedMap(quad.A, quad.T)(y2), t)
             return num < h < 1.0, (num / h) / lhs
 
     else:
@@ -580,10 +606,10 @@ def test_ratio_dump_matches_scalar_oracle(scheme):
             h = self_quad_denominator(quad, MU, x, y, t)
             if label == "self-quad-primal":
                 num = self_quad_numerator_primal(quad, MU, x, y, t)
-                lhs = MU.mu(ComposedMap(quad.S, quad.A)(x), ComposedMap(quad.T, quad.B)(y), t)
+                lhs = MU.mu_grid(ComposedMap(quad.S, quad.A)(x), ComposedMap(quad.T, quad.B)(y), t)
             else:
                 num = self_quad_numerator_dual(quad, MU, x, y, t)
-                lhs = MU.mu(ComposedMap(quad.B, quad.S)(x), ComposedMap(quad.A, quad.T)(y), t)
+                lhs = MU.mu_grid(ComposedMap(quad.B, quad.S)(x), ComposedMap(quad.A, quad.T)(y), t)
             return num < h < 1.0, (num / h) / lhs
 
     assert [label for label, _, _ in rows] == [r.label for r in reports for _ in range(r.evaluated_count)]
@@ -596,6 +622,89 @@ def test_ratio_dump_matches_scalar_oracle(scheme):
             admitted, ratio = oracle(report.label, *cell, grid.values[t])
             assert admitted
             assert r == pytest.approx(ratio, rel=1e-12)
+
+
+def _quotient_cells(scheme):
+    """A hand-built quotient problem and sample that mix admitted cells
+    (num < h < 1), ties num = h < 1 and cells with h = 1, with the sides'
+    labels and, per side, the oracle's (num, h, lhs) at every cell in C
+    order over the sample indices and the grid.
+
+    Quadruple: A = B = x/2 + 1, S = 1 and T = y/2 + 1/2 share z = 1 and
+    w = 3/2, so h = 1 where x = x' and y = y'.  Self-quadruple:
+    A = x/2 + 1, B = 1 and S = T = 0; h = 1 where x = 0 and y = 2."""
+    grid = TGrid([0.5, 2.0])
+    if scheme == "quadruple":
+        quad = MapQuadruple(
+            A=AffineMap([[0.5]], [1.0], LINE),
+            B=AffineMap([[0.5]], [1.0], LINE),
+            S=ConstantMap([1.0], LINE),
+            T=AffineMap([[0.5]], [0.5], LINE),
+        )
+        xs, ys = pts(0.0, 1.25, 3.0), pts(0.0, 1.0, 2.0)
+        axes = (xs, xs, ys, ys)
+
+        def terms(side, x, x2, y, y2, t):
+            num = (quad_numerator_primal if side == 0 else quad_numerator_dual)(quad, MU, NU, x, x2, y, y2, t)
+            if side == 0:
+                lhs = MU.mu_grid(ComposedMap(quad.S, quad.A)(x), ComposedMap(quad.T, quad.B)(x2), t)
+            else:
+                lhs = NU.mu_grid(ComposedMap(quad.B, quad.S)(y), ComposedMap(quad.A, quad.T)(y2), t)
+            return num, quad_denominator(quad, MU, NU, x, x2, y, y2, t), float(lhs)
+
+        labels, estimate = ("quad-primal", "quad-dual"), lambda dump: estimate_k_quad(quad, MU, NU, samples, dump)
+    else:
+        quad = MapQuadruple(
+            A=AffineMap([[0.5]], [1.0], LINE), B=ConstantMap([1.0], LINE), S=ConstantMap([0.0], LINE), T=ConstantMap([0.0], LINE)
+        )
+        xs = ys = pts(0.0, 1.25, 2.0, 3.0)
+        axes = (xs, ys)
+
+        def terms(side, x, y, t):
+            num = (self_quad_numerator_primal if side == 0 else self_quad_numerator_dual)(quad, MU, x, y, t)
+            if side == 0:
+                lhs = MU.mu_grid(ComposedMap(quad.S, quad.A)(x), ComposedMap(quad.T, quad.B)(y), t)
+            else:
+                lhs = MU.mu_grid(ComposedMap(quad.B, quad.S)(x), ComposedMap(quad.A, quad.T)(y), t)
+            return num, self_quad_denominator(quad, MU, x, y, t), float(lhs)
+
+        labels, estimate = ("self-quad-primal", "self-quad-dual"), lambda dump: estimate_k_self_quad(quad, MU, samples, dump)
+    samples = SampleSet(points_x=axes[0], grid=grid, points_y=axes[-1])
+    shape = tuple(len(a) for a in axes) + (len(grid),)
+    cells = list(np.ndindex(shape))
+    sides = [
+        np.array([terms(side, *(a[i] for a, i in zip(axes, cell)), grid.values[cell[-1]]) for cell in cells]).reshape(shape + (3,))
+        for side in (0, 1)
+    ]
+    return labels, estimate, axes, grid, sides
+
+
+@pytest.mark.parametrize("scheme", ["quadruple", "self-quadruple"])
+def test_quotient_k_hat_is_taken_over_the_admitted_cells_only(scheme):
+    """Each side's count, k_hat, witness and dumped cells are those of the
+    cells the oracle admits (num < h < 1), on a sample where ties num = h
+    and cells with h = 1 are skipped beside them: k_hat is the largest
+    admitted ratio (num / h) / lhs, and the witness its first cell in C
+    order."""
+    labels, estimate, axes, grid, sides = _quotient_cells(scheme)
+    rows = Dumped()
+    reports = estimate(rows)
+    ties = sum(int(((num == h) & (h < 1.0)).sum()) for num, h, _ in (np.moveaxis(side, -1, 0) for side in sides))
+    assert ties > 0
+    for label, report, side in zip(labels, reports, sides):
+        num, h, lhs = np.moveaxis(side, -1, 0)
+        admitted = (num < h) & (h < 1.0)
+        assert admitted.any() and (h == 1.0).any() and not admitted.all()
+        ratios = np.where(admitted, num / h / lhs, -np.inf)
+        cell = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+        assert report.label == label
+        assert (report.evaluated_count, report.skipped_count) == (int(admitted.sum()), int((~admitted).sum()))
+        assert report.k_hat == ratios[cell]
+        witness = [float(p[0]) for p in report.witness[:-1]] + [report.witness[-1]]
+        assert witness == [float(a[i][0]) for a, i in zip(axes, cell)] + [grid.values[cell[-1]]]
+        dumped = [(c, r) for lab, c, r in rows if lab == label]
+        assert [c for c, _ in dumped] == [tuple(c) for c in np.argwhere(admitted).tolist()]
+        assert [r for _, r in dumped] == ratios[admitted].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -63,32 +63,32 @@ class TestInducedStandard:
     def test_identity_is_exactly_one(self):
         x = np.array([3.7])
         for t in (0.01, 1.0, 50.0):
-            assert self.fm.mu(x, x, t) == 1.0
+            assert self.fm.mu_grid(x, x, t) == 1.0
 
     def test_hand_values(self):
         # d = 1, t = 1 -> 1/2;  d = 2, t = 1 -> 1/3 (direct formula)
         a, b, c = np.array([0.0]), np.array([1.0]), np.array([2.0])
-        assert self.fm.mu(a, b, 1.0) == pytest.approx(0.5, abs=1e-15)
-        assert self.fm.mu(a, c, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert self.fm.mu_grid(a, b, 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert self.fm.mu_grid(a, c, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_symmetry_bit_identical(self):
         a, b = np.array([1.234]), np.array([-9.87])
         for t in TGrid.default():
-            assert self.fm.mu(a, b, float(t)) == self.fm.mu(b, a, float(t))
+            assert self.fm.mu_grid(a, b, float(t)) == self.fm.mu_grid(b, a, float(t))
 
     def test_t_must_be_positive(self):
         a, b = np.array([0.0]), np.array([1.0])
         with pytest.raises(DomainError):
-            self.fm.mu(a, b, 0.0)
+            self.fm.mu_grid(a, b, 0.0)
         with pytest.raises(DomainError):
-            self.fm.mu(a, b, -1.0)
+            self.fm.mu_grid(a, b, -1.0)
 
     def test_mu_grid_matches_scalar(self):
         a, b = np.array([0.3]), np.array([-4.0])
         grid = TGrid.default()
         row = self.fm.mu_grid(a, b, grid.values)
         for k, t in enumerate(grid):
-            assert row[k] == self.fm.mu(a, b, float(t))
+            assert row[k] == self.fm.mu_grid(a, b, float(t))
 
     def test_pairwise_matches_scalar(self):
         pts = [np.array([v]) for v in (-1.0, 0.0, 2.5)]
@@ -97,7 +97,7 @@ class TestInducedStandard:
         for i in range(3):
             for j in range(3):
                 for k, t in enumerate(grid):
-                    assert cube[i, j, k] == self.fm.mu(pts[i], pts[j], float(t))
+                    assert cube[i, j, k] == self.fm.mu_grid(pts[i], pts[j], float(t))
 
 
 class TestInducedExponential:
@@ -106,19 +106,19 @@ class TestInducedExponential:
 
     def test_identity_is_one(self):
         x = np.array([5.0])
-        assert self.fm.mu(x, x, 0.7) == 1.0
+        assert self.fm.mu_grid(x, x, 0.7) == 1.0
 
     def test_hand_value(self):
         a, b = np.array([0.0]), np.array([1.0])
-        assert self.fm.mu(a, b, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
+        assert self.fm.mu_grid(a, b, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
 
     def test_monotone_in_t(self):
         a, b = np.array([0.0]), np.array([1.0])
-        assert self.fm.mu(a, b, 2.0) > self.fm.mu(a, b, 1.0)
+        assert self.fm.mu_grid(a, b, 2.0) > self.fm.mu_grid(a, b, 1.0)
 
     def test_underflow_stays_positive(self):
         a, b = np.array([-100.0]), np.array([100.0])
-        v = self.fm.mu(a, b, 1e-2)  # exp(-20000) underflows to 0
+        v = self.fm.mu_grid(a, b, 1e-2)  # exp(-20000) underflows to 0
         assert v > 0.0
 
 
@@ -149,18 +149,18 @@ class TestTableFuzzyMetric:
 
     def test_exact_at_grid_nodes(self):
         fm = TableFuzzyMetric(self.fs, self.grid, self._values([0.5, 0.9]))
-        assert fm.mu(0, 1, 1.0) == 0.5
-        assert fm.mu(0, 1, 10.0) == 0.9
+        assert fm.mu_grid(0, 1, 1.0) == 0.5
+        assert fm.mu_grid(0, 1, 10.0) == 0.9
 
     def test_log_linear_interpolation(self):
         fm = TableFuzzyMetric(self.fs, self.grid, self._values([0.5, 0.9]))
         mid = math.sqrt(10.0)  # log midpoint of [1, 10]
-        assert fm.mu(0, 1, mid) == pytest.approx(0.7, abs=1e-12)
+        assert fm.mu_grid(0, 1, mid) == pytest.approx(0.7, abs=1e-12)
 
     def test_clamped_extrapolation(self):
         fm = TableFuzzyMetric(self.fs, self.grid, self._values([0.5, 0.9]))
-        assert fm.mu(0, 1, 0.01) == 0.5
-        assert fm.mu(0, 1, 500.0) == 0.9
+        assert fm.mu_grid(0, 1, 0.01) == 0.5
+        assert fm.mu_grid(0, 1, 500.0) == 0.9
 
     def test_structural_validation(self):
         bad = np.ones((2, 2, 2))
@@ -175,7 +175,7 @@ class TestTableFuzzyMetric:
         v = self._values([0.5, 0.5])
         v[0, 0] = 0.9
         fm = TableFuzzyMetric(self.fs, self.grid, v)
-        assert fm.mu(0, 0, 1.0) == 0.9
+        assert fm.mu_grid(0, 0, 1.0) == 0.9
 
 
 @st.composite

@@ -48,7 +48,7 @@ def test_chained_triangle_bound(make, op):
     for _ in range(50):
         pts = BOX.sample(rng, rng.next_u64() % 5 + 2)
         t = rng.uniform(0.01, 100.0)
-        direct = fm.mu(pts[0], pts[-1], t)
+        direct = fm.mu_grid(pts[0], pts[-1], t)
         t1 = t / (len(pts) - 1)
-        bound = reduce(op, (fm.mu(a, b, t1) for a, b in zip(pts, pts[1:])))
+        bound = reduce(op, (fm.mu_grid(a, b, t1) for a, b in zip(pts, pts[1:])))
         assert direct >= bound - 1e-12
