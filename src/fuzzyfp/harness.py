@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .axioms import check_fm_axioms_batch
-from .errors import CodomainError, ConfigError, EmptySampleError, UsageError
-from .hypotheses import SampleSet, estimate_k, estimate_k_pair
+from .errors import ConfigError, UsageError
+from .hypotheses import SampleSet, estimate_k_pair, estimate_k_quad, estimate_k_self_quad
 from .mappings import AffineMap, ConstantMap, MapPair, MapQuadruple
 from .metrics import FuzzyMetric, TGrid, induced_exponential, induced_standard
 from .rng import GENERATOR_NAME, draws, normal, states, unit
@@ -226,10 +226,13 @@ def _generate(specs, mu, nu) -> list:
         expected = (z0, w0)
     x0 = points(w)
 
+    for m, b, _ in columns:  # finite, and shaped for their carriers: each map keeps its rows
+        m.setflags(write=False)
+        b.setflags(write=False)
     insts = []
     for k, spec in enumerate(specs):
         maps = [
-            ConstantMap(b[k], carrier) if c[k] else AffineMap(m[k], b[k], carrier)
+            ConstantMap(b[k], carrier) if c[k] else AffineMap._of_checked(m[k], b[k], carrier)
             for (m, b, c), carrier in zip(columns, carriers)
         ]
         if shared[k]:
@@ -275,19 +278,8 @@ class SuiteVerdict:
 def _trajectory_sample(trace, count: int) -> list:
     """At most count points of the trace, evenly spread, as copies, so that
     the trace need not be kept."""
-    pts = trace.points
-    idx = range(len(pts)) if len(pts) <= count else np.linspace(0, len(pts) - 1, count).astype(int)
-    return [np.array(pts[i]) for i in idx]
-
-
-def _k_hat(inst: Instance, samples: SampleSet):
-    """The largest k_hat of the instance's reports on its hypothesis sample,
-    None if it has none or the sample's images leave the codomain."""
-    try:
-        ks = [r.k_hat for r in estimate_k(inst.spec.scheme, inst.problem, inst.mu, inst.nu, samples) if r.k_hat is not None]
-    except (EmptySampleError, CodomainError):
-        return None
-    return max(ks) if ks else None
+    n = len(trace.column)
+    return list(trace.column[np.arange(n) if n <= count else np.linspace(0, n - 1, count).astype(int)])
 
 
 def _kind(spec: InstanceSpec) -> tuple:
@@ -321,7 +313,7 @@ def _suite_draws(specs, mu, nu, starts: int, n_rand: int, window):
 
 def _run_kind(specs, cfg: SolveConfig, starts: int, n_traj: int, n_rand: int) -> list:
     """The rows of the instances of one kind, each phase over all of them at once."""
-    mu, nu = _kind_metrics(specs[0])
+    scheme, (mu, nu) = specs[0].scheme, _kind_metrics(specs[0])
     insts = _generate(specs, mu, nu)
     window = insts[0].window  # every instance's window is alike
     seeds, randoms_x, randoms_y, probes = _suite_draws(specs, mu, nu, starts, n_rand, window)
@@ -338,7 +330,7 @@ def _run_kind(specs, cfg: SolveConfig, starts: int, n_traj: int, n_rand: int) ->
         probe = compare_fixed_points(mu, nu, [next(results) for _ in range(starts)])
         result = probe.results[0]
         xs = _trajectory_sample(result.trace_x, n_traj) + list(random_x)
-        ys = _trajectory_sample(result.trace_y, n_traj) + list(random_y) if specs[0].scheme == "quadruple" else ()
+        ys = _trajectory_sample(result.trace_y, n_traj) + list(random_y) if scheme == "quadruple" else ()
         samples.append(SampleSet(points_x=tuple(xs), grid=cfg.grid, points_y=tuple(ys)))
         rows.append(
             dict(
@@ -355,20 +347,17 @@ def _run_kind(specs, cfg: SolveConfig, starts: int, n_traj: int, n_rand: int) ->
             )
         )
 
-    if specs[0].scheme == "pair":  # one stacked estimate per sample size
-        sizes = {}
-        for i, sample in enumerate(samples):
-            sizes.setdefault(len(sample.points_x), []).append(i)
-        for group in sizes.values():
-            try:
-                ks = [r.k_hat for r in estimate_k_pair([insts[i].problem for i in group], mu, nu, [samples[i] for i in group])]
-            except (EmptySampleError, CodomainError):  # some sample fails: each pair alone
-                ks = [_k_hat(insts[i], samples[i]) for i in group]
-            for i, k_hat in zip(group, ks):
-                rows[i]["k_hat"] = k_hat
-    else:
-        for row, inst, sample in zip(rows, insts, samples):
-            row["k_hat"] = _k_hat(inst, sample)
+    estimate = estimate_k_pair if scheme == "pair" else estimate_k_quad if scheme == "quadruple" else estimate_k_self_quad
+    metrics = (mu,) if scheme == "self-quadruple" else (mu, nu)
+    groups = {}  # one stacked estimate per sample size
+    for i, sample in enumerate(samples):
+        groups.setdefault((len(sample.points_x), len(sample.points_y)), []).append(i)
+    for group in groups.values():
+        reports = estimate([insts[i].problem for i in group], *metrics, [samples[i] for i in group])
+        per = len(reports) // len(group)  # reports per instance
+        for at, i in enumerate(group):
+            ks = [r.k_hat for r in reports[at * per : (at + 1) * per] if r.k_hat is not None]
+            rows[i]["k_hat"] = max(ks) if ks else None
     return rows
 
 

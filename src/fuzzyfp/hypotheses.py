@@ -23,14 +23,15 @@ reports therefore record their grid and sample provenance.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CodomainError, EmptySampleError, UsageError
-from .mappings import ComposedMap, MapPair, StackedMap
+from .errors import EmptySampleError, UsageError
+from .mappings import ComposedMap, MapPair, MapQuadruple, StackedMap
 from .metrics import FuzzyMetric, GridTile, StandardFuzzyMetric, TGrid
 from .spaces import DELTA_PT, validate_points
 
@@ -76,14 +77,64 @@ class HypothesisReport:
         return self.k_hat is not None and self.k_hat < 1.0
 
 
-@np.errstate(over="ignore")  # an image that overflows escapes, and the error says so
-def _images(mapping, pts):
-    """The mapping at each row of pts; if a row escapes the codomain, the
-    call on the first such point raises its CodomainError."""
-    out, escaped = mapping.rows(pts)
-    if escaped is not None:
-        mapping(pts[int(np.argmax(escaped))])
-    return out
+class _Stack:
+    """The problems of one estimator call and their samples, all of one
+    size, grid and diagonal rule (else UsageError).  A call on one problem,
+    not a sequence, is single: an image that escapes its codomain raises
+    that point's CodomainError, and a sample whose every cell is skipped
+    raises EmptySampleError.  A stacked call drops the problem instead: its
+    reports have k_hat None and no counted cell."""
+
+    def __init__(self, kind, problem, samples):
+        self.single = isinstance(problem, kind)
+        self.problems, self.samples = ([problem], [samples]) if self.single else (list(problem), list(samples))
+        self.first = self.samples[0]
+        kinds = {(len(s.points_x), len(s.points_y), s.exclude_diagonal, s.grid.values.tobytes()) for s in self.samples}
+        if len(self.problems) != len(self.samples) or len(kinds) > 1:  # grid values are positive: bytes tell them apart
+            raise UsageError("stacked problems need one sample each, all of one size, grid and diagonal rule")
+        self.dropped = np.zeros(len(self.problems), dtype=bool)
+
+    def points(self, carrier, attr: str) -> np.ndarray:
+        """The samples' points_x or points_y as one read-only (problems, points, ...) array."""
+        pts = np.stack([validate_points(carrier, getattr(s, attr)) for s in self.samples])
+        pts.setflags(write=False)
+        return pts
+
+    @np.errstate(over="ignore", invalid="ignore")  # an image that overflows escapes, and rows past an escape map on
+    def images(self, names: str, pts: np.ndarray) -> np.ndarray:
+        """The composite of the maps named, outermost first, at each point of
+        pts, each problem's by its own maps (StackedMap)."""
+        count, n = pts.shape[:2]
+        if count == 1:
+            maps = [getattr(self.problems[0], c) for c in names]
+        else:  # every problem's map of each name, taken by the owner of each row
+            owner = np.repeat(np.arange(count), n)
+            maps = [StackedMap([getattr(p, c) for p in self.problems]).take(owner) for c in names]
+        f, flat = functools.reduce(ComposedMap, maps), pts.reshape((-1,) + pts.shape[2:])
+        out, escaped = f.rows(flat)
+        if escaped is not None and self.single:
+            f(flat[int(np.argmax(escaped))])
+        elif escaped is not None:
+            self.dropped |= escaped.reshape(count, n).any(axis=1)
+        return out.reshape((count, n) + out.shape[1:])
+
+    def reports(self, labels, sample_shape: tuple, empty: str, kernel, *arrays) -> tuple:
+        """Every problem's reports, one per label, as one flat tuple, from
+        kernel(*arrays) on the problems not dropped (problems on the first
+        axis of each array), which returns one tuple of reports per problem.
+        A problem whose every report has k_hat None is dropped too, or
+        raises EmptySampleError(empty) if single."""
+        keep = ~self.dropped
+        made = iter(kernel(*(a if keep.all() else a[keep] for a in arrays)) if keep.any() else ())
+        first, out = self.first, []
+        for dropped in self.dropped:
+            own = None if dropped else next(made)
+            if own is None or all(r.k_hat is None for r in own):
+                if self.single:
+                    raise EmptySampleError(empty)
+                own = (HypothesisReport(label, None, None, 0, 0, first.grid, sample_shape, first.exclude_diagonal) for label in labels)
+            out.extend(own)
+        return tuple(out)
 
 
 class _Points:
@@ -155,12 +206,11 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, til
     then i holds as many indices as fit, and j is the whole axis unless one
     index of the first is over the budget.  (Stacks that filled each array
     to the budget ran no faster, and their arrays, above malloc's 128 KiB
-    mmap threshold, raised a 50-pair suite's peak RSS by 0.15-0.27 MB.)  A
-    stack of one has no instance axis: s is 0 and the arrays are those of
-    the one instance.  evaluate(s, i, j, out, tile) writes each label's
-    ratios on the block into out[side] and returns one admission mask per
-    label that broadcasts to the block of one instance, or, with the
-    instance axis first, to the block.  out holds one float array of the
+    mmap threshold, raised a 50-pair suite's peak RSS by 0.15-0.27 MB.)
+    evaluate(s, i, j, out, tile) writes each label's ratios on the block,
+    whose first axis is the instances s, into out[side] and returns one
+    admission mask per label that broadcasts to the block of one instance,
+    or, with the instance axis, to the block.  out holds one float array of the
     block's shape per label, then scratch more for evaluate's own use, then
     flags bool arrays of the block's shape; they are allocated once per
     call, since a fresh array of a block's size is page-faulted in anew on
@@ -180,7 +230,6 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, til
     """
     ts = samples.grid.values
     count = len(axes[0])
-    stacked = count > 1
     shape = tuple(a.shape[1] for a in axes) + ts.shape  # the cells of one instance
     row = 8 * math.prod(shape[2:])  # bytes of one index of the second axis
     arrays = len(labels) + scratch
@@ -189,7 +238,7 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, til
     step_j = shape[1] if row * shape[1] <= _BLOCK_BYTES else max(1, _BLOCK_BYTES // row)
     blocks = [
         (
-            slice(s, min(s + step_s, count)) if stacked else 0,
+            slice(s, min(s + step_s, count)),
             slice(i, min(i + step_i, shape[0])),
             slice(j, min(j + step_j, shape[1])),
         )
@@ -199,7 +248,7 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, til
     ]
 
     def block_shape(s, i, j):
-        return ((s.stop - s.start,) if stacked else ()) + (i.stop - i.start, j.stop - j.start) + shape[2:]
+        return (s.stop - s.start, i.stop - i.start, j.stop - j.start) + shape[2:]
 
     cells = math.prod(block_shape(*blocks[0]))
     buffers = [np.empty(cells) for _ in range(arrays)] + [np.empty(cells, dtype=bool) for _ in range(flags)]
@@ -214,7 +263,7 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, til
 
     def dump_block(side, i, j, ratio, valid):
         valid = np.broadcast_to(valid, ratio.shape)
-        cells = np.argwhere(valid)
+        cells = np.argwhere(valid)[:, 1:]  # of the one instance
         cells[:, :2] += (i.start, j.start)
         dump(labels[side], cells, ratio[valid])
 
@@ -222,16 +271,15 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, til
         warnings.simplefilter("always")
         for s, i, j in blocks:
             out, masks = block(s, i, j)
-            first = s.start if stacked else 0
             for side, (ratio, valid) in enumerate(zip(out, masks)):
                 if side == 0 and dump is not None:
                     dump_block(0, i, j, ratio, valid)
-                own = stacked and np.ndim(valid) == ratio.ndim  # one mask per instance, else one for all
+                own = np.ndim(valid) == ratio.ndim  # one mask per instance, else one for all
                 counts = [int(np.count_nonzero(v)) for v in (valid if own else (valid,))]
                 size = np.size(valid) // len(counts)  # of one instance's mask
                 _skip(ratio, valid, sum(counts))
-                for k, r_k in enumerate(ratio if stacked else (ratio,)):
-                    at = first + k
+                for k, r_k in enumerate(ratio):
+                    at = s.start + k
                     # a mask counts once per cell it broadcasts to
                     evaluated[side][at] += counts[k if own else 0] * (r_k.size // size)
                     cell = np.unravel_index(int(np.argmax(r_k)), r_k.shape)
@@ -264,17 +312,18 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, til
     ]
 
 
-def _quotient_reports(prefix, terms, axes, samples, dump, empty_message, scratch=0, tiled=False):
+def _quotient_reports(prefix, terms, axes, samples, dump, scratch=0, tiled=False):
     """Primal and dual reports of k * lhs >= f / h and k * lhs' >= g / h,
-    where terms(i, j, out, tile) writes f, g and h on the block (i, j) into
-    out[0], out[1] and out[2], may use the scratch arrays after them and the
-    grid tile if tiled, and returns (lhs, lhs'); each side is admitted only
-    where num < h < 1 (ties num = h are skipped), by a mask written into a
-    bool array of the call."""
+    per instance of axes (see _reports), where terms(s, i, j, out, tile)
+    writes f, g and h on the block (s, i, j) into out[0], out[1] and
+    out[2], may use the scratch arrays after them and the grid tile if
+    tiled, and returns (lhs, lhs'); each side is admitted only where
+    num < h < 1 (ties num = h are skipped), by a mask written into a bool
+    array of the call."""
 
-    def evaluate(s, i, j, out, tile):  # a stack of one
+    def evaluate(s, i, j, out, tile):
         floats, masks, below_one = out[:-3], out[-3:-1], out[-1]
-        lhs = terms(i, j, floats, tile)
+        lhs = terms(s, i, j, floats, tile)
         nums, h = floats[:2], floats[2]
         np.less(h, 1.0, out=below_one)
         for num, mask, side_lhs in zip(nums, masks, lhs):
@@ -283,12 +332,8 @@ def _quotient_reports(prefix, terms, axes, samples, dump, empty_message, scratch
         return masks
 
     labels = (f"{prefix}-primal", f"{prefix}-dual")
-    stack = tuple(a[None] for a in axes)
-    shape = (len(axes[0]), len(axes[-1]))
-    (reports,) = _reports(labels, evaluate, stack, samples, shape, dump, 1 + scratch, tiled, flags=3)
-    if all(r.k_hat is None for r in reports):
-        raise EmptySampleError(empty_message)
-    return reports
+    shape = (axes[0].shape[1], axes[-1].shape[1])
+    return _reports(labels, evaluate, axes, samples, shape, dump, 1 + scratch, tiled, flags=3)
 
 
 def estimate_k(scheme: str, problem, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, dump=None):
@@ -323,12 +368,12 @@ def estimate_k_pair(pair, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, 
     or constant maps on alike boxes, and of samples of one size, grid and
     diagonal rule (else UsageError).  Then the reports of all are made in
     one pass and come back as a tuple, one per pair, each the report of
-    that pair alone; if any pair's sample is empty or its images escape,
-    the call raises.
+    that pair alone; a pair whose images escape, or whose every tuple is
+    skipped, gets a report with k_hat None and no counted cell (_Stack).
     """
-    if isinstance(pair, MapPair):
-        return _pair_reports("pair", [pair], mu, nu, [samples], dump)[0]
-    return tuple(_pair_reports("pair", list(pair), mu, nu, list(samples), dump))
+    stack = _Stack(MapPair, pair, samples)
+    reports = _pair_reports("pair", stack, mu, nu, dump)
+    return reports[0] if stack.single else reports
 
 
 def estimate_k_pair_dual(pair, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, dump=None) -> HypothesisReport:
@@ -339,112 +384,57 @@ def estimate_k_pair_dual(pair, mu: FuzzyMetric, nu: FuzzyMetric, samples: Sample
         grid=samples.grid,
         exclude_diagonal=samples.exclude_diagonal,
     )
-    return _pair_reports("pair-dual", [MapPair(T=pair.S, S=pair.T)], nu, mu, [ysamples], dump)[0]
+    return _pair_reports("pair-dual", _Stack(MapPair, MapPair(T=pair.S, S=pair.T), ysamples), nu, mu, dump)[0]
 
 
-def _pair_reports(label, pairs, mu, nu, samples, dump):
-    """The report of each pair on its sample; see estimate_k_pair.
+def _pair_reports(label, stack, mu, nu, dump):
+    """The report of each pair of the stack on its sample; see estimate_k_pair.
 
     When mu and nu are both standard, rhs is the nearness of the largest of
     the four crisp distances: IEEE addition and division round
     monotonically, so t / (t + d) does not grow as d grows, and a minimum
     of such values is the value at the largest d, with the same bits.  The
     other forms take the minimum of the four nearness arrays."""
-    first = samples[0]
-    if len(pairs) != len(samples) or any(
-        (len(s.points_x), s.exclude_diagonal) != (len(first.points_x), first.exclude_diagonal)
-        or not np.array_equal(s.grid.values, first.grid.values)
-        for s in samples
-    ):
-        raise UsageError("stacked pairs need one sample each, all of one size, grid and diagonal rule")
-    n = len(first.points_x)
-    if n == 0:
+    first = stack.first
+    xs = stack.points(mu.carrier, "points_x")  # (pairs, n) + the shape of one point
+    if not xs.shape[1]:
         raise EmptySampleError("sample contains no points")
-    xs = np.stack([validate_points(mu.carrier, s.points_x) for s in samples])  # (pairs, n) + the shape of one point
-    xs.setflags(write=False)
-    flat = xs.reshape((-1,) + xs.shape[2:])
-    if len(pairs) == 1:
-        t_map, s_map, images = pairs[0].T, pairs[0].S, _images
-    else:  # each pair maps its own sample's rows
-        owner = np.repeat(np.arange(len(pairs)), n)
-        t_map, s_map = (StackedMap([getattr(p, c) for p in pairs]).take(owner) for c in "TS")
-        images = _stacked_images
-
-    def stack(a):
-        return a.reshape((len(pairs), n) + a.shape[1:])
-
-    st, tx = stack(images(ComposedMap(s_map, t_map), flat)), stack(images(t_map, flat))
     standard = isinstance(mu, StandardFuzzyMetric) and isinstance(nu, StandardFuzzyMetric)
-    if standard:
-        d_self = mu.carrier.distances(xs, st)
-    else:
-        m_self = mu.mu_batch(xs, st, first.grid)
-    x_pts, tx_pts, st_pts = _Points(mu.carrier, xs), _Points(nu.carrier, tx), _Points(mu.carrier, st)
 
-    def evaluate(s, i, j, out, tile):
-        rhs, scratch = out
-        at_i, at_j = (s, i, None), (s, None, j)
+    def kernel(xs, st, tx):
         if standard:
-            d = _block_distances(x_pts, at_i, x_pts, at_j)
-            far = np.maximum(d, d_self[s, i, None])
-            np.maximum(far, d_self[s, None, j], out=far)
-            np.maximum(far, _block_distances(tx_pts, at_i, tx_pts, at_j), out=far)
-            mu.mu_from_distances(far, None, None, tile, rhs)
+            d_self = mu.carrier.distances(xs, st)
         else:
-            d, mu_xx = _block_nearness(mu, x_pts, at_i, x_pts, at_j, tile, rhs)
-            np.minimum(mu_xx, m_self[s, i, None], out=rhs)
-            np.minimum(rhs, m_self[s, None, j], out=rhs)
-            np.minimum(rhs, _block_nearness(nu, tx_pts, at_i, tx_pts, at_j, tile, scratch)[1], out=rhs)
-        with np.errstate(divide="ignore", invalid="ignore"):  # x/0 = inf and 0/0 = NaN cells are kept
-            np.divide(rhs, _block_nearness(mu, st_pts, at_i, st_pts, at_j, tile, scratch)[1], out=rhs)
-        return [(d > DELTA_PT)[..., None] if first.exclude_diagonal else np.True_]
+            m_self = mu.mu_batch(xs, st, first.grid)
+        x_pts, tx_pts, st_pts = _Points(mu.carrier, xs), _Points(nu.carrier, tx), _Points(mu.carrier, st)
 
-    reports = [r for (r,) in _reports((label,), evaluate, (xs, xs), first, (n,), dump, scratch=1, tiled=True)]
-    if any(r.k_hat is None for r in reports):
-        raise EmptySampleError("every tuple of the sample was skipped")
-    return reports
+        def evaluate(s, i, j, out, tile):
+            rhs, scratch = out
+            at_i, at_j = (s, i, None), (s, None, j)
+            if standard:
+                d = _block_distances(x_pts, at_i, x_pts, at_j)
+                far = np.maximum(d, d_self[s, i, None])
+                np.maximum(far, d_self[s, None, j], out=far)
+                np.maximum(far, _block_distances(tx_pts, at_i, tx_pts, at_j), out=far)
+                mu.mu_from_distances(far, None, None, tile, rhs)
+            else:
+                d, mu_xx = _block_nearness(mu, x_pts, at_i, x_pts, at_j, tile, rhs)
+                np.minimum(mu_xx, m_self[s, i, None], out=rhs)
+                np.minimum(rhs, m_self[s, None, j], out=rhs)
+                np.minimum(rhs, _block_nearness(nu, tx_pts, at_i, tx_pts, at_j, tile, scratch)[1], out=rhs)
+            with np.errstate(divide="ignore", invalid="ignore"):  # x/0 = inf and 0/0 = NaN cells are kept
+                np.divide(rhs, _block_nearness(mu, st_pts, at_i, st_pts, at_j, tile, scratch)[1], out=rhs)
+            return [(d > DELTA_PT)[..., None] if first.exclude_diagonal else np.True_]
 
+        return _reports((label,), evaluate, (xs, xs), first, (xs.shape[1],), dump, scratch=1, tiled=True)
 
-@np.errstate(over="ignore")  # an image that overflows escapes
-def _stacked_images(mapping, pts):
-    """_images of a map over stacked rows, which maps no single point."""
-    out, escaped = mapping.rows(pts)
-    if escaped is not None:
-        raise CodomainError(f"the image of stacked point {int(np.argmax(escaped))} escaped its codomain")
-    return out
+    st, tx = stack.images("ST", xs), stack.images("T", xs)
+    return stack.reports((label,), (xs.shape[1],), "every tuple of the sample was skipped", kernel, xs, st, tx)
 
 
 # ---------------------------------------------------------------------------
 # quadruple scheme (two spaces)
 # ---------------------------------------------------------------------------
-
-
-def _quad_matrices(quad, mu, nu, xs, ys, ts):
-    """Pairwise nearness matrices shared by the quadruple estimator."""
-    ax = _images(quad.A, xs)
-    bx = _images(quad.B, xs)
-    sax = _images(quad.S, ax)
-    tbx = _images(quad.T, bx)
-    sy = _images(quad.S, ys)
-    ty = _images(quad.T, ys)
-    bsy = _images(quad.B, sy)
-    aty = _images(quad.A, ty)
-    return {
-        "mu_xx": mu.pairwise(xs, xs, ts),  # (i, j)
-        "mu_sy_ty": mu.pairwise(sy, ty, ts),  # (k, l)
-        "mu_x_ty": mu.pairwise(xs, ty, ts),  # (i, l)
-        "mu_x_sy": mu.pairwise(xs, sy, ts),  # (j, k) indexed [x2, y]
-        "mu_sax_tbx": mu.pairwise(sax, tbx, ts),  # (i, j)
-        "mu_sy_tbx": mu.pairwise(sy, tbx, ts),  # (k, j)
-        "mu_ty_sax": mu.pairwise(ty, sax, ts),  # (l, i)
-        "nu_ax_bx": nu.pairwise(ax, bx, ts),  # (i, j)
-        "nu_ax_aty": nu.pairwise(ax, aty, ts),  # (i, l)
-        "nu_bx_bsy": nu.pairwise(bx, bsy, ts),  # (j, k)
-        "nu_yy": nu.pairwise(ys, ys, ts),  # (k, l)
-        "nu_y_bx": nu.pairwise(ys, bx, ts),  # (k, j)
-        "nu_y_ax": nu.pairwise(ys, ax, ts),  # (l, i)
-        "nu_bsy_aty": nu.pairwise(bsy, aty, ts),  # (k, l)
-    }
 
 
 def estimate_k_quad(quad, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, dump=None):
@@ -455,47 +445,68 @@ def estimate_k_quad(quad, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, 
     skipped.  Returns (primal report, dual report); a side with no
     admissible tuple gets k_hat = None.  Raises EmptySampleError when both
     sides are empty.
+
+    quad and samples may also be sequences, as for estimate_k_pair; then
+    the reports come back flat, primal then dual for each quadruple.
     """
-    xs = validate_points(mu.carrier, samples.points_x)
-    ys = validate_points(nu.carrier, samples.points_y)
-    if not len(xs) or not len(ys):
+    stack = _Stack(MapQuadruple, quad, samples)
+    grid = stack.first.grid
+    xs, ys = stack.points(mu.carrier, "points_x"), stack.points(nu.carrier, "points_y")
+    if not xs.shape[1] or not ys.shape[1]:
         raise EmptySampleError("quadruple sample needs points in both spaces")
-    m = _quad_matrices(quad, mu, nu, xs, ys, samples.grid)
-    # The factors of f, g and h that depend on one index pair only, once per
-    # call.  Minima are exact, so grouping (i, j) with (i, l) terms before
-    # the 5-D broadcast gives the values of the four-term minima.
-    mu_xx, nu_ax_bx, mu_sy_ty, nu_yy = m["mu_xx"], m["nu_ax_bx"], m["mu_sy_ty"], m["nu_yy"]
-    f_ij = mu_xx * nu_ax_bx
-    f_il = m["mu_x_ty"] * m["nu_ax_aty"]
-    f_jk = m["mu_x_sy"] * m["nu_bx_bsy"]
-    g_kl = nu_yy * mu_sy_ty
-    g_jk = (m["nu_y_bx"] * m["mu_sy_tbx"]).transpose(1, 0, 2)
-    g_il = (m["nu_y_ax"] * m["mu_ty_sax"]).transpose(1, 0, 2)
-    h_ij = np.minimum(nu_ax_bx, m["mu_sax_tbx"])
-    h_kl = np.minimum(mu_sy_ty, m["nu_bsy_aty"])  # (k, l, t) matrices broadcast to (i, j, k, l, t) as they are
 
-    def terms(i, j, out, tile):  # on the block (i, j) of the x index pair, shaped (i, j, k, l, t)
-        def ij(a):
-            return a[i, j, None, None, :]
+    def kernel(xs, ys, ax, bx, sax, tbx, sy, ty, bsy, aty):
+        # The crisp distances of the operand pairs, of every quadruple at
+        # once.  Their nearness, and the factors of f, g and h that depend on
+        # one index pair only, are made when the blocks reach a quadruple,
+        # so that the matrices of one are held at a time.
+        pairs = [(fm, a[:, :, None], b[:, None]) for fm, a, b in (
+            (mu, xs, xs), (mu, sy, ty), (mu, xs, ty), (mu, xs, sy), (mu, sax, tbx), (mu, sy, tbx), (mu, ty, sax),
+            (nu, ax, bx), (nu, ax, aty), (nu, bx, bsy), (nu, ys, ys), (nu, ys, bx), (nu, ys, ax), (nu, bsy, aty),
+        )]
+        distances = [fm.carrier.distances(a, b) for fm, a, b in pairs]
+        held = {}
 
-        def il(a):
-            return a[i, None, None, :, :]
+        def factors(s):
+            # Index pairs (i, j), (k, l), (i, l), (j, k) as [x2, y], (i, j), (k, j), (l, i); then (i, j), (i, l),
+            # (j, k), (k, l), (k, j), (l, i), (k, l).  Minima are exact, so grouping (i, j) with (i, l) terms
+            # before the 5-D broadcast gives the values of the four-term minima.
+            m = [fm.mu_from_distances(d[s], a[s], b[s], grid) for (fm, a, b), d in zip(pairs, distances)]
+            mu_xx, mu_sy_ty, mu_x_ty, mu_x_sy, mu_sax_tbx, mu_sy_tbx, mu_ty_sax = m[:7]
+            nu_ax_bx, nu_ax_aty, nu_bx_bsy, nu_yy, nu_y_bx, nu_y_ax, nu_bsy_aty = m[7:]
+            f_ij, f_il, f_jk = mu_xx * nu_ax_bx, mu_x_ty * nu_ax_aty, mu_x_sy * nu_bx_bsy
+            g_jk, g_il = (nu_y_bx * mu_sy_tbx).swapaxes(-3, -2), (nu_y_ax * mu_ty_sax).swapaxes(-3, -2)
+            kl = (mu_sy_ty, nu_yy, nu_yy * mu_sy_ty, np.minimum(mu_sy_ty, nu_bsy_aty), nu_bsy_aty)
+            ij = (mu_xx, nu_ax_bx, f_ij, np.minimum(nu_ax_bx, mu_sax_tbx), mu_sax_tbx)
+            return ij, f_il, f_jk, g_il, g_jk, [a[:, None, None] for a in kl]  # (k, l) as it broadcasts to a block
 
-        def jk(a):
-            return a[None, j, :, None, :]
+        def terms(s, i, j, out, tile):  # on the block of the x index pair, shaped (s, i, j, k, l, t)
+            if held.get("s") != s:  # each slice of the instances is reached once, in turn
+                held.update(s=s, factors=factors(s))
+            ij, f_il, f_jk, g_il, g_jk, kl = held["factors"]
+            mu_xx, nu_ax_bx, f_ij, h_ij, lhs = (a[:, i, j, None, None] for a in ij)
+            mu_sy_ty, nu_yy, g_kl, h_kl, lhs_dual = kl
+            f_il, g_il = f_il[:, i, None, None], g_il[:, i, None, None]
+            f_jk, g_jk = f_jk[:, None, j, :, None], g_jk[:, None, j, :, None]
+            f, g, h = out
+            np.multiply(mu_xx, mu_sy_ty, out=f)
+            np.minimum(f, np.minimum(f_ij, f_il), out=f)
+            np.minimum(f, f_jk, out=f)
+            np.multiply(nu_ax_bx, nu_yy, out=g)
+            np.minimum(g, np.minimum(g_kl, g_il), out=g)
+            np.minimum(g, g_jk, out=g)
+            np.minimum(h_ij, h_kl, out=h)
+            return lhs, lhs_dual
 
-        f, g, h = out
-        np.multiply(ij(mu_xx), mu_sy_ty, out=f)
-        np.minimum(f, np.minimum(ij(f_ij), il(f_il)), out=f)
-        np.minimum(f, jk(f_jk), out=f)
-        np.multiply(ij(nu_ax_bx), nu_yy, out=g)
-        np.minimum(g, np.minimum(g_kl, il(g_il)), out=g)
-        np.minimum(g, jk(g_jk), out=g)
-        np.minimum(ij(h_ij), h_kl, out=h)
-        return ij(m["mu_sax_tbx"]), m["nu_bsy_aty"]
+        return _quotient_reports("quad", terms, (xs, xs, ys, ys), stack.first, dump)
 
+    ax, bx = stack.images("A", xs), stack.images("B", xs)
+    sax, tbx = stack.images("S", ax), stack.images("T", bx)
+    sy, ty = stack.images("S", ys), stack.images("T", ys)
+    bsy, aty = stack.images("B", sy), stack.images("A", ty)
     empty = "every quadruple tuple was skipped (no f,g < h < 1)"
-    return _quotient_reports("quad", terms, (xs, xs, ys, ys), samples, dump, empty)
+    shape = (xs.shape[1], ys.shape[1])
+    return stack.reports(("quad-primal", "quad-dual"), shape, empty, kernel, xs, ys, ax, bx, sax, tbx, sy, ty, bsy, aty)
 
 
 # ---------------------------------------------------------------------------
@@ -506,59 +517,62 @@ def estimate_k_quad(quad, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, 
 def estimate_k_self_quad(quad, fm: FuzzyMetric, samples: SampleSet, dump=None):
     """Single-space analogue of estimate_k_quad over ordered pairs (x, y).
 
-    y-points default to the x-point list when points_y is empty.
+    y-points default to the x-point list when points_y is empty.  quad and
+    samples may be sequences, as for estimate_k_quad.
     """
-    xs = validate_points(fm.carrier, samples.points_x)
-    ys = validate_points(fm.carrier, samples.points_y) if len(samples.points_y) else xs
-    if not len(xs):
+    stack = _Stack(MapQuadruple, quad, samples)
+    grid = stack.first.grid
+    xs = stack.points(fm.carrier, "points_x")
+    ys = stack.points(fm.carrier, "points_y") if len(stack.first.points_y) else xs
+    if not xs.shape[1]:
         raise EmptySampleError("sample contains no points")
-    grid = samples.grid
 
-    ax = _images(quad.A, xs)
-    sx = _images(quad.S, xs)
-    sax = _images(quad.S, ax)
-    bsx = _images(quad.B, sx)
-    ty = _images(quad.T, ys)
-    by = _images(quad.B, ys)
-    tby = _images(quad.T, by)
-    aty = _images(quad.A, ty)
+    def kernel(xs, ys, ax, sx, sax, bsx, ty, by, tby, aty):
+        def vec(pa, pb):  # per-x or per-y aligned vector, shape (instances, n, K)
+            return fm.mu_batch(pa, pb, grid)
 
-    def vec(pa, pb):  # per-x or per-y aligned vector, shape (n, K)
-        return fm.mu_batch(pa, pb, grid)
+        mu_ax_bsx = vec(ax, bsx)  # (i,)
+        mu_x_sx = vec(xs, sx)  # (i,)
+        mu_y_tby = vec(ys, tby)  # (j,)
+        mu_sax_sx = vec(sax, sx)  # (i,)
+        mu_by_aty = vec(by, aty)  # (j,)
+        h_i = np.minimum(mu_ax_bsx, vec(xs, sax))
 
-    mu_ax_bsx = vec(ax, bsx)  # (i,)
-    mu_x_sx = vec(xs, sx)  # (i,)
-    mu_y_tby = vec(ys, tby)  # (j,)
-    mu_sax_sx = vec(sax, sx)  # (i,)
-    mu_by_aty = vec(by, aty)  # (j,)
-    h_i = np.minimum(mu_ax_bsx, vec(xs, sax))
+        xs, ys, ax, sx, sax, bsx, ty, by, tby, aty = (
+            _Points(fm.carrier, a) for a in (xs, ys, ax, sx, sax, bsx, ty, by, tby, aty)
+        )
 
-    xs, ys, ax, sx, sax, bsx, ty, by, tby, aty = (
-        _Points(fm.carrier, a) for a in (xs, ys, ax, sx, sax, bsx, ty, by, tby, aty)
-    )
+        def terms(s, i, j, out, tile):  # on the block (s, i, j) of the (x, y) index pair
+            f, g, h, p, q = out  # p and q hold one pairwise matrix each, or a product of it
 
-    def terms(i, j, out, tile):  # on the block (i, j) of the (x, y) index pair
-        f, g, h, p, q = out  # p and q hold one pairwise matrix each, or a product of it
+            def ij(a, b, out):  # (i, j) pairwise matrix
+                return _block_nearness(fm, a, (s, i, None), b, (s, None, j), tile, out)[1]
 
-        def ij(a, b, out):  # (i, j) pairwise matrix
-            return _block_nearness(fm, a, (i, None), b, (None, j), tile, out)[1]
+            def vi(a):  # (i, 1, t)
+                return a[s, i, None, :]
 
-        def vi(a):  # (i, 1, t)
-            return a[i, None, :]
+            mu_xy, mu_sax_ty = ij(xs, ys, p), ij(sax, ty, q)
+            np.multiply(mu_xy, mu_sax_ty, out=f)
+            np.multiply(mu_xy, vi(mu_x_sx), out=g)
+            np.minimum(g, np.multiply(mu_sax_ty, ij(ax, by, p), out=p), out=g)
+            np.minimum(f, np.multiply(ij(sx, ty, p), vi(mu_ax_bsx), out=p), out=f)
+            np.minimum(f, np.multiply(ij(xs, ty, p), ij(xs, aty, q), out=p), out=f)
+            np.minimum(g, np.multiply(ij(ax, aty, p), vi(mu_sax_sx), out=p), out=g)
+            p_ji = p.reshape(p.shape[:-3] + (p.shape[-2], p.shape[-3], p.shape[-1]))  # p as a (j, i) block
+            mu_y_ax = _block_nearness(fm, ys, (s, j, None), ax, (s, None, i), tile, p_ji)[1]
+            np.minimum(g, np.multiply(mu_y_tby[s, j, None], mu_y_ax, out=mu_y_ax).swapaxes(-3, -2), out=g)
+            mu_sx_tby = ij(sx, tby, q)
+            np.minimum(f, np.multiply(mu_sx_tby, vi(mu_x_sx), out=p), out=f)
+            np.minimum(np.minimum(mu_sx_tby, mu_by_aty[s, None, j], out=h), vi(h_i), out=h)
+            return ij(sax, tby, p), ij(bsx, aty, q)
 
-        mu_xy, mu_sax_ty = ij(xs, ys, p), ij(sax, ty, q)
-        np.multiply(mu_xy, mu_sax_ty, out=f)
-        np.multiply(mu_xy, vi(mu_x_sx), out=g)
-        np.minimum(g, np.multiply(mu_sax_ty, ij(ax, by, p), out=p), out=g)
-        np.minimum(f, np.multiply(ij(sx, ty, p), vi(mu_ax_bsx), out=p), out=f)
-        np.minimum(f, np.multiply(ij(xs, ty, p), ij(xs, aty, q), out=p), out=f)
-        np.minimum(g, np.multiply(ij(ax, aty, p), vi(mu_sax_sx), out=p), out=g)
-        mu_y_ax = _block_nearness(fm, ys, (j, None), ax, (None, i), tile, p.reshape(p.shape[1], p.shape[0], -1))[1]
-        np.minimum(g, np.multiply(mu_y_tby[j, None], mu_y_ax, out=mu_y_ax).transpose(1, 0, 2), out=g)
-        mu_sx_tby = ij(sx, tby, q)
-        np.minimum(f, np.multiply(mu_sx_tby, vi(mu_x_sx), out=p), out=f)
-        np.minimum(np.minimum(mu_sx_tby, mu_by_aty[j], out=h), vi(h_i), out=h)
-        return ij(sax, tby, p), ij(bsx, aty, q)
+        return _quotient_reports("self-quad", terms, (xs.rows, ys.rows), stack.first, dump, scratch=2, tiled=True)
 
+    ax, sx = stack.images("A", xs), stack.images("S", xs)
+    sax, bsx = stack.images("S", ax), stack.images("B", sx)
+    ty, by = stack.images("T", ys), stack.images("B", ys)
+    tby, aty = stack.images("T", by), stack.images("A", ty)
     empty = "every self-quadruple tuple was skipped"
-    return _quotient_reports("self-quad", terms, (xs.rows, ys.rows), samples, dump, empty, scratch=2, tiled=True)
+    shape = (xs.shape[1], ys.shape[1])
+    arrays = (xs, ys, ax, sx, sax, bsx, ty, by, tby, aty)
+    return stack.reports(("self-quad-primal", "self-quad-dual"), shape, empty, kernel, *arrays)

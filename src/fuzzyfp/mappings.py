@@ -85,6 +85,15 @@ class AffineMap(_Affine):
             raise DomainError("affine coefficients must be finite")
         self._set(_freeze(m), _freeze(b))
 
+    @classmethod
+    def _of_checked(cls, matrix: np.ndarray, offset: np.ndarray, codomain: BoxSpace) -> "AffineMap":
+        """The map of a read-only, finite float matrix and offset that fit the
+        box codomain, as they are: without __init__'s checks and copies."""
+        out = cls.__new__(cls)
+        Mapping.__init__(out, codomain)
+        out._set(matrix, offset)
+        return out
+
 
 class ConstantMap(Mapping):
     """x -> value, for any carrier kinds."""

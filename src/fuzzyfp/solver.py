@@ -83,26 +83,33 @@ class SequenceTrace:
     """Points of a sequence plus consecutive-step nearness over a grid.
 
     A trace may be empty: a scheme can fail before producing any iterate.
-    The nearness rows, of shape (max(len(points) - 1, 0), len(grid)), are
-    given, or for a trace of the solver computed from its points when first
-    read (see _trace).
+    column holds the points as one array.  The nearness rows, of shape
+    (max(len(points) - 1, 0), len(grid)), are given, or for a trace of the
+    solver computed from its column when first read, as are its points
+    (see _trace).
     """
 
-    __slots__ = ("points", "grid", "_nearness", "_source")
+    __slots__ = ("grid", "column", "_points", "_nearness", "_fm")
 
     def __init__(self, points: tuple, nearness: np.ndarray, grid: TGrid):
         if nearness.shape != (max(len(points) - 1, 0), len(grid)):
             raise UsageError("nearness rows must pair consecutive points")
-        self.points, self.grid, self._nearness, self._source = points, grid, nearness, None
+        self.grid, self.column, self._points, self._nearness, self._fm = grid, np.array(points), points, nearness, None
+
+    @property
+    def points(self) -> tuple:
+        if self._points is None:
+            self._points = _points(self.column)
+        return self._points
 
     @property
     def nearness(self) -> np.ndarray:
         if self._nearness is None:
-            self._nearness, self._source = _step_nearness(*self._source, self.grid), None
+            self._nearness = _step_nearness(self.column, self._fm, self.grid)
         return self._nearness
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.column)
 
 
 @dataclass(eq=False)
@@ -226,35 +233,39 @@ def _map_chunk(cycle, x: np.ndarray, cycles: int):
     """Map cycles cycles from the iterates x of the running starts: the
     stacked xs (x, then one per step), the stacked ys, each step written in
     place into arrays allocated once per chunk, and per start the number of
-    maps it applied before its first escape, 2 * len(ys) if none.  Escaped
-    rows are mapped on but never judged or traced; the first escape is
-    found once per chunk, with one codomain check per map position of the
-    cycle."""
+    maps it applied before its first escape, or None if no start escaped.
+    Escaped rows are mapped on but never judged or traced; the first escape
+    is found once per chunk, with one codomain check per map position of
+    the cycle.  When every map is 1-D affine, each step is the one product
+    of _Affine._raw_rows, made inline."""
     per, k = len(cycle), cycles * len(cycle)
     xs = np.empty((k + 1,) + x.shape, x.dtype)
     xs[0] = x
     y = cycle[0][0]._raw_rows(x)  # the shape and type of the y rows
     ys = np.empty((k,) + y.shape, y.dtype)
     x_at = list(xs)  # a view of each step's rows
-    for (to_y, to_x), x_in, y_out, x_out in zip(itertools.cycle(cycle), x_at, ys, x_at[1:]):
-        to_y._raw_rows(x_in, y_out)
-        to_x._raw_rows(y_out, x_out)
+    products = [(getattr(to_y, "_product", None), getattr(to_x, "_product", None)) for to_y, to_x in cycle]
+    if None in itertools.chain.from_iterable(products):
+        for (to_y, to_x), x_in, y_out, x_out in zip(itertools.cycle(cycle), x_at, ys, x_at[1:]):
+            to_y._raw_rows(x_in, y_out)
+            to_x._raw_rows(y_out, x_out)
+    else:
+        for ((a, b), (c, d)), x_in, y_out, x_out in zip(itertools.cycle(products), x_at, ys, x_at[1:]):
+            np.add(np.multiply(a, x_in, y_out), b, y_out)
+            np.add(np.multiply(c, y_out, x_out), d, x_out)
     escapes = None
     for i, maps in enumerate(cycle):
-        # x in, y, and x out at step i of each cycle, as (cycle, start) rows
-        chain = (xs[i:-1:per], ys[i::per], xs[i + 1 :: per])
-        for j, m in enumerate(maps):
-            if isinstance(m, ComposedMap):  # its inner codomain is checked too
-                escaped = m.rows(chain[j].reshape((-1,) + chain[j].shape[2:]))[1]
+        for j, m in enumerate(maps):  # the rows of step i of each cycle, as (cycle, start) rows
+            if isinstance(m, ComposedMap):  # its inputs, so that its inner codomain is checked too
+                rows = ys[i::per] if j else xs[i:-1:per]
+                escaped = m.rows(rows.reshape((-1,) + rows.shape[2:]))[1]
             else:
-                escaped = m.codomain.escaped_rows(chain[j + 1])
+                escaped = m.codomain.escaped_rows(xs[i + 1 :: per] if j else ys[i::per])
             if escaped is not None:
                 escaped = escaped.reshape(cycles, len(x))
                 at = np.where(escaped.any(axis=0), 2 * (i + per * escaped.argmax(axis=0)) + j, 2 * k)
                 escapes = at if escapes is None else np.minimum(escapes, at)
-    if escapes is None:
-        return xs, ys, np.full(len(x), 2 * k)
-    for row in np.flatnonzero(escapes < 2 * k):  # judged, never kept; 0 is an index of any finite carrier
+    for row in () if escapes is None else np.flatnonzero(escapes < 2 * k):  # judged, never kept; 0 indexes any finite carrier
         ys[(escapes[row] + 1) // 2 :, row] = 0
         xs[escapes[row] // 2 + 1 :, row] = 0
     return xs, ys, escapes
@@ -305,13 +316,13 @@ class _Runs:
             flag = np.where(flag > 0, flag, flags[:, j])
         ends = near | (flag > 0)
         ended = ends.any(axis=0)
-        run_on = ~ended & (escapes == 2 * k)
+        run_on = ~ended if escapes is None else ~ended & (escapes == 2 * k)
         if run_on.all():
             return
         end = np.where(ended, ends.argmax(axis=0), cycles)
         for row in np.flatnonzero(~run_on):
             c = end[row]
-            if c < escapes[row] // (2 * per):
+            if escapes is None or c < escapes[row] // (2 * per):
                 reason = STOP_EPS if near[c, row] else (STOP_STALL, STOP_COLLAPSE)[flag[c, row] - 1]
                 maps = 2 * (first + (c + 1) * per)
             else:
@@ -400,10 +411,11 @@ def _points(arr: np.ndarray) -> tuple:
 
 
 def _trace(arr: np.ndarray, fm: FuzzyMetric, grid: TGrid) -> SequenceTrace:
-    """A trace from one start's column of points, whose nearness rows are
-    computed when first read: the suites read only the points."""
+    """A trace of one start's column of points, read-only, whose points and
+    nearness rows are made when first read: the suites read a few points."""
+    arr.setflags(write=False)
     trace = SequenceTrace.__new__(SequenceTrace)
-    trace.points, trace.grid, trace._nearness, trace._source = _points(arr), grid, None, (arr, fm)
+    trace.grid, trace.column, trace._points, trace._nearness, trace._fm = grid, arr, None, None, fm
     return trace
 
 

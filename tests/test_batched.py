@@ -588,6 +588,58 @@ def test_one_dimensional_affine_steps_match_the_stacked_matmul(maps, points):
             assert m._raw_rows(xs, out) is out and out.tobytes() == ref.tobytes()
 
 
+class PerStep(Mapping):
+    """A map that _map_chunk calls through its _raw_rows at every step, as
+    it maps any cycle that is not all 1-D affine."""
+
+    def __init__(self, mapping):
+        super().__init__(mapping.codomain)
+        self.mapping = mapping
+
+    def _raw_rows(self, xs, out=None):
+        return self.mapping._raw_rows(xs, out)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@example(
+    per=2,
+    maps=[[(1e300, -0.0)], [(-0.0, -0.0), (0.5, 0.0)], [(5e-324, -0.0)], [(-1.0, 3.0)]],
+    constant=None,
+    bounded=True,
+    points=[9.0, -0.0, 0.0, -5e-324],
+    cycles=3,
+)
+@given(
+    per=st.integers(1, 2),
+    maps=st.lists(st.lists(st.tuples(COEFFICIENTS, COEFFICIENTS), min_size=1, max_size=2), min_size=4, max_size=4),
+    constant=st.sampled_from([None, 0, 1, 2, 3]),
+    bounded=st.booleans(),
+    points=st.lists(st.one_of(st.floats(-10, 10), COEFFICIENTS), min_size=1, max_size=6),
+    cycles=st.sampled_from([1, 2, 5]),
+)
+def test_inline_one_dimensional_steps_match_the_raw_rows_loop(per, maps, constant, bounded, points, cycles):
+    """A chunk of a cycle of 1-D affine maps (AffineMap, or StackedMap.take
+    with one map per start) gives the xs, ys and escapes of the same chunk
+    mapped through each map's _raw_rows, bit for bit: -0.0 offsets, rows
+    that escape the box or overflow, and a cycle with a constant map, which
+    is mapped through _raw_rows as well."""
+    box = BoxSpace([-10.0], [10.0]) if bounded else LINE
+    x = np.array(points).reshape(-1, 1)
+    owner = np.arange(len(x)) % 2
+    position = []
+    for k, coefficients in enumerate(maps[: 2 * per]):
+        affine = [AffineMap([[m]], [b], box) for m, b in coefficients]
+        position.append(
+            ConstantMap([1.5], box) if k == constant else affine[0] if len(affine) == 1 else StackedMap(affine).take(owner)
+        )
+    cycle = list(zip(position[::2], position[1::2]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = solver._map_chunk(cycle, x, cycles)
+        ref = solver._map_chunk([(PerStep(a), PerStep(b)) for a, b in cycle], x, cycles)
+    assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+    assert (got[2] is None and ref[2] is None) or np.array_equal(got[2], ref[2])
+
+
 def _same_point(a, b):
     if isinstance(b, int):
         return type(a) is int and a == b
@@ -1159,15 +1211,16 @@ def test_a_start_that_escapes_then_overflows_warns_nothing():
 
 
 def test_images_of_a_composed_map_name_an_inner_escape_to_inf():
-    """hypotheses._images raises the inner map's CodomainError when the inner
-    map overflows to inf, with no RuntimeWarning from the outer map, which
-    is handed inf (0 * inf is NaN)."""
+    """The images ST x of a pair estimate raise the inner map's
+    CodomainError when T overflows to inf, with no RuntimeWarning from S,
+    which is handed inf (0 * inf is NaN)."""
     line = BoxSpace([-np.inf], [np.inf])
-    composed = ComposedMap(AffineMap([[0.0]], [1.0], line), AffineMap([[1e300]], [0.0], line))
+    pair = MapPair(T=AffineMap([[1e300]], [0.0], line), S=AffineMap([[0.0]], [1.0], line))
+    samples = SampleSet(points_x=(np.array([1.0]), np.array([1e10])), grid=TGrid([1.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(CodomainError, match=re.escape("AffineMap output array([inf]) escaped")):
-            hypotheses._images(composed, np.array([[1.0], [1e10]]))
+            estimate_k_pair(pair, induced_standard(line), induced_standard(line), samples)
 
 
 # -- k_hat estimators in blocks of the two leading sample indices --------------
@@ -1282,8 +1335,121 @@ FAR = tuple(np.array([v]) for v in (1.0, -1.0, 1.5))
 FAR_SAMPLES = SampleSet(points_x=FAR, grid=TGrid([0.5, 2.0]), points_y=FAR)
 
 
+@st.composite
+def stacked_quotient_calls(draw):
+    """estimate_k_quad or estimate_k_self_quad on a tuple of 1 to 3
+    quadruples, each with its own sample of one size: affine or constant
+    maps on boxes of dimension 1-3 (one dimension for both spaces of a
+    stack, as StackedMap needs) with standard or exponential nearness; on a
+    stack of one, composed maps too, or table maps on finite carriers with
+    standard or table nearness."""
+    self_map, count = draw(st.booleans()), draw(st.integers(1, 3))
+    finite = count == 1 and draw(st.integers(0, 2)) == 0
+    spaces = finite_spaces(max_size=4) if finite else carriers_for_maps()
+    x_space = draw(spaces)
+    if count > 1:
+        spaces = spaces.filter(lambda box: box.dimension == x_space.dimension)
+    y_space = x_space if self_map or draw(st.booleans()) else draw(spaces)
+
+    def maps(domain, codomain):
+        return draw(finite_maps(domain, codomain) if finite else box_maps(domain, codomain, composed=count == 1))
+
+    quads = tuple(
+        MapQuadruple(A=maps(x_space, y_space), B=maps(x_space, y_space), S=maps(y_space, x_space), T=maps(y_space, x_space))
+        for _ in range(count)
+    )
+    make = draw(st.sampled_from([induced_standard, table_metric] if finite else [induced_standard, induced_exponential]))
+
+    def metric(space):
+        return draw(table_metric(space)) if make is table_metric else make(space)
+
+    mu = metric(x_space)
+    nu = mu if y_space is x_space else metric(y_space)
+    nx, ny, grid = draw(st.integers(1, 4)), draw(st.integers(0 if self_map else 1, 3)), draw(GRIDS)
+    samples = tuple(
+        SampleSet(points_x=tuple(draw(sample_points(x_space, nx))), grid=grid, points_y=tuple(draw(sample_points(y_space, ny))))
+        for _ in quads
+    )
+    if self_map:
+        return estimate_k_self_quad, quads, mu, samples
+    return estimate_k_quad, quads, mu, nu, samples
+
+
+# Stacks of four quadruples on [-10, 10] whose middle two are dropped: one
+# whose S maps out of the box (its images escape), and one whose maps are
+# constant at its sample points, where every nearness is 1, so h = 1 and
+# every cell is skipped.
+BOX = BoxSpace([-10.0], [10.0])
+BOX_MU = induced_standard(BOX)
+
+
+def _affine_quad(s_offset):
+    return MapQuadruple(
+        A=AffineMap([[0.5]], [1.0], BOX),
+        B=AffineMap([[0.25]], [1.5], BOX),
+        S=AffineMap([[0.5]], [s_offset], BOX),
+        T=AffineMap([[-0.5]], [2.0], BOX),
+    )
+
+
+def _constant_quad():
+    return MapQuadruple(*(ConstantMap([v], BOX) for v in (1.0, 1.0, 2.0, 2.0)))
+
+
+def _box_sample(xs, ys):
+    return SampleSet(points_x=pts(*xs), grid=TGrid([0.5, 2.0, 8.0]), points_y=pts(*ys))
+
+
+STACK_QUADS = (_affine_quad(0.5), _affine_quad(50.0), _constant_quad(), _affine_quad(-0.0))
+STACK_SAMPLES = (
+    _box_sample((0.5, 1.0, -3.0), (2.0, -1.0)),
+    _box_sample((0.0, 1.0, 2.0), (1.0, 4.0)),
+    _box_sample((2.0, 2.0, 2.0), (1.0, 1.0)),
+    _box_sample((-7.0, 3.0, 9.5), (0.0, 0.25)),
+)
+SELF_QUADS = (_affine_quad(0.5), _affine_quad(50.0), MapQuadruple(*(ConstantMap([2.0], BOX) for _ in "ABST")), _affine_quad(-0.0))
+SELF_SAMPLES = tuple(_box_sample(xs, ()) for xs in ((0.5, 1.0, -3.0), (0.0, 1.0, 2.0), (2.0, 2.0, 2.0), (-7.0, 3.0, 9.5)))
+
+
+def _report_fields(reports):
+    """Each report's label, k_hat (by repr, which keeps NaN, inf and -0.0
+    apart), witness and counts."""
+    return [
+        (r.label, repr(r.k_hat), r.witness and repr([np.asarray(p).tolist() for p in r.witness]), r.evaluated_count, r.skipped_count)
+        for r in reports
+    ]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(call=stacked_quotient_calls())
+@example(call=(estimate_k_quad, STACK_QUADS, BOX_MU, BOX_MU, STACK_SAMPLES))
+@example(call=(estimate_k_self_quad, SELF_QUADS, BOX_MU, SELF_SAMPLES))
+def test_stacked_quotient_reports_equal_each_quadruple_alone(call):
+    """A stacked quadruple or self-quadruple estimate gives, primal then
+    dual for each quadruple, the reports of that quadruple alone bit for
+    bit; a quadruple whose lone call raises, because its images escape or
+    every cell of both sides is skipped, gets two reports with k_hat None,
+    no witness and no counted cell."""
+    estimator, quads, *metrics, samples = call
+    labels = ("quad-primal", "quad-dual") if estimator is estimate_k_quad else ("self-quad-primal", "self-quad-dual")
+    alone = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # overflowing quotients, shown once per call
+        stacked = estimator(quads, *metrics, samples)
+        for quad, sample in zip(quads, samples):
+            try:
+                alone += _report_fields(estimator(quad, *metrics, sample))
+            except (EmptySampleError, CodomainError):
+                alone += [(label, "None", None, 0, 0) for label in labels]
+    assert _report_fields(stacked) == alone
+    assert all(r.sample_shape == (len(samples[0].points_x), len(samples[0].points_y) or len(samples[0].points_x)) for r in stacked)
+    if quads in (STACK_QUADS, SELF_QUADS):  # the escaping and the all-skipped quadruples are dropped
+        dropped = [r.k_hat is None and r.evaluated_count + r.skipped_count == 0 for r in stacked]
+        assert dropped == [False] * 2 + [True] * 4 + [False] * 2
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(call=st.one_of(estimator_calls(), stacked_pair_calls()))
+@given(call=st.one_of(estimator_calls(), stacked_pair_calls(), stacked_quotient_calls()))
 @example(call=(estimate_k_pair, MapPair(T=FAR_T, S=FAR_S), FAR_MU, FAR_MU, FAR_SAMPLES))
 @example(call=(estimate_k_pair_dual, MapPair(T=FAR_S, S=FAR_T), FAR_MU, FAR_MU, FAR_SAMPLES))
 def test_one_index_blocks_match_one_block(call):
@@ -1293,8 +1459,9 @@ def test_one_index_blocks_match_one_block(call):
     the warnings of a single block: the running argmax keeps the first
     maximum in C order, or the first NaN, across blocks, and a warning that
     several blocks raise is shown once.  Stacked pairs also run in blocks of
-    2 whole pairs, which split 3 pairs unevenly; each block takes the
-    leading rows of the call's grid tile."""
+    2 whole pairs, which split 3 pairs unevenly, and stacked quadruples in
+    blocks of parts of one or of several whole quadruples; each block takes
+    the leading rows of the call's grid tile."""
     estimator, *_, samples = call
     stacked = isinstance(samples, tuple)
     one = samples[0] if stacked else samples

@@ -259,7 +259,7 @@ def test_suite_equals_each_spec_alone():
     assert any(r.k_hat is None for r in verdict.rows) and any(r.uniqueness_passed for r in verdict.rows)
 
 
-def _suite_row(spec, cfg, starts=4, n_traj=8, n_rand=8):
+def _suite_row(spec, cfg, starts=4, n_traj=8, n_rand=8, quad_n_traj=4, quad_n_rand=4):
     """The suite row of one spec from the public one-instance functions:
     each axiom seed checked alone, each start solved alone, the
     conclusions verified at x0's (z, w) and k_hat estimated alone."""
@@ -269,7 +269,7 @@ def _suite_row(spec, cfg, starts=4, n_traj=8, n_rand=8):
     seeds = [rng.next_u64() for _ in dict.fromkeys((inst.mu, inst.nu))]
     violations = sum(check_fm_axioms(fm, PRODUCT, 32, cfg.grid, s, window).violation_count for fm, s in zip((inst.mu, inst.nu), seeds))
     if spec.scheme != "pair":
-        n_traj, n_rand = 4, 4
+        n_traj, n_rand = quad_n_traj, quad_n_rand
     random_x = inst.mu.carrier.sample(rng, n_rand, window)
     random_y = inst.nu.carrier.sample(rng, n_rand, window) if spec.scheme == "quadruple" else None
     probe = uniqueness_probe(inst.problem, inst.mu, inst.nu, [inst.x0, *inst.mu.carrier.sample(rng, starts - 1, window)], cfg)
@@ -320,6 +320,27 @@ def test_suite_rows_equal_the_one_instance_functions():
     short = [r.iterations for r, kw in zip(verdict.rows[-6:], _SHORT_RUNS) if kw["family"] == "constant"]
     assert max(short) + 1 < 8 and all(r.k_hat is not None for r in verdict.rows[-6:])
     assert any(r.k_hat is None for r in verdict.rows)
+
+
+# Quadruple and self-quadruple kinds whose constant x0 runs keep 5 x points,
+# fewer than quad_n_traj = 8, so that their k_hat samples are smaller than
+# those of the kind's affine instances
+_SHORT_QUAD_RUNS = [
+    dict(scheme=scheme, dim=2, family=f, seed=s) for scheme in ("quadruple", "self-quadruple") for f in ("constant", "affine") for s in (1, 2)
+]
+
+
+def test_quadruple_rows_of_samples_of_several_sizes_equal_the_one_instance_functions():
+    """A kind whose k_hat samples differ in size makes one stacked estimate
+    per size; each row equals the row made from the one-instance functions."""
+    specs = [InstanceSpec(**kw) for kw in _SHORT_QUAD_RUNS]
+    cfg = SolveConfig(max_iter=60)
+    verdict = run_suite(specs, cfg, quad_n_traj=8)
+    alone = [_suite_row(spec, cfg, quad_n_traj=8) for spec in specs]
+    assert [_row(r) for r in verdict.rows] == [json.dumps(r, sort_keys=True) for r in alone]
+    short = {(r.scheme, r.iterations + 1 < 8) for r in verdict.rows}
+    assert short == {(scheme, s) for scheme in ("quadruple", "self-quadruple") for s in (True, False)}
+    assert any(r.k_hat is None for r in verdict.rows) and any(r.k_hat is not None for r in verdict.rows)
 
 
 @pytest.mark.parametrize("n_rand", [0, 8])
