@@ -7,6 +7,7 @@ produce spurious witnesses.  The full check is deterministic in its seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,12 +20,16 @@ from .tnorms import TNorm
 
 _SLACK = 1e-12
 MAX_WITNESSES = 25
-# (triple, s, t) cells per array pass: 128 KB per array, since a suite
+# (triple, s, t) cells per array pass: 256 KiB per float array, since a suite
 # checks thousands of triples in one call.  On the default grid a block
-# holds 56 triples, spanning two or three suite seeds of 32.  Blocks of
-# 256 KB arrays ran a 50-pair suite call a few ms faster, but raised its
-# peak RSS by about 0.25 MB.
-_BLOCK_CELLS = 1 << 14
+# holds 113 triples, spanning four or five suite seeds of 32.  The arrays
+# are allocated once per call (check_fm_axioms_batch).  A 3 200-triple call
+# took 9.2 ms, against 11.6 ms with blocks of 128 KiB arrays (best of 200
+# calls, median of 6 processes, 2-core VM); a 50-pair suite's peak RSS
+# stayed at 36.3 MB.
+_BLOCK_CELLS = 1 << 15
+# Samples per array pass of check_tnorm_axioms.
+_TNORM_BLOCK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -53,9 +58,11 @@ class AxiomReport:
             self.violations.append(Violation(axiom, witness, magnitude))
 
 
-def _op_array(op, a, b):
+def _op_array(op, a, b, out=None):
+    """op over arrays; a TNorm writes into out if given, a plain callable
+    returns a fresh array."""
     if isinstance(op, TNorm):
-        return op.apply_array(a, b)
+        return op.apply_array(a, b, out)
     return np.vectorize(op, otypes=[float])(a, b)
 
 
@@ -64,7 +71,7 @@ def check_tnorm_axioms(op, sample_count: int, seed: int) -> AxiomReport:
 
     Commutativity and associativity are tested to 1e-12, monotonicity to the
     same slack, and the unit law a * 1 = a exactly.  Samples are checked as
-    arrays, in blocks of _BLOCK_CELLS // 16 samples; violations are recorded
+    arrays, in blocks of _TNORM_BLOCK samples; violations are recorded
     in sample order.
     """
     if sample_count < 1:
@@ -73,7 +80,7 @@ def check_tnorm_axioms(op, sample_count: int, seed: int) -> AxiomReport:
     name = op.kind if isinstance(op, TNorm) else getattr(op, "__name__", "callable")
     report = AxiomReport(subject=f"tnorm:{name}", samples=sample_count, seed=seed)
     report.checks = 4 * sample_count
-    block = _BLOCK_CELLS // 16
+    block = _TNORM_BLOCK
     for start in range(0, sample_count, block):
         draws = unit(rng.block(4 * min(block, sample_count - start)))
         _check_tnorm_laws(report, op, *draws.reshape(-1, 4).T)
@@ -144,7 +151,11 @@ def check_fm_axioms_batch(fm, op, triple_count: int, grid: TGrid, seeds, window=
     are cut into blocks of _BLOCK_CELLS // len(grid)**2, so a block may span
     seeds; its points come from one counter-based draw over the streams of
     its rows, and each report gets the checks, counts and witnesses of its
-    own seed's triples, in order."""
+    own seed's triples, in order.  The float arrays of a block are written
+    into buffers sized to the first (largest) block and allocated once per
+    call, since a fresh array of a block's size is page-faulted in anew on
+    every block; each block's violations are recorded before the next block
+    overwrites them."""
     if triple_count < 1:
         raise UsageError("triple_count must be >= 1")
     carrier = fm.carrier
@@ -160,10 +171,13 @@ def check_fm_axioms_batch(fm, op, triple_count: int, grid: TGrid, seeds, window=
     offsets = np.arange(1, width + 1, dtype=np.uint64)
     block = max(1, _BLOCK_CELLS // len(grid) ** 2)
     total = len(reports) * triple_count
+    cells = min(block, total) * len(grid)  # (triple, t) cells of the first, largest block
+    buffers = (np.empty(cells * len(grid)), np.empty(cells * len(grid)), np.empty(4 * cells))
     for start in range(0, total, block):
         seed, triple = np.divmod(np.arange(start, min(start + block, total)), triple_count)
         u = draws(seed_states[seed, None], (triple * width).astype(np.uint64)[:, None] + offsets)
-        checks = _check_triples(fm, op, grid, carrier.points(u.reshape(-1), window), monotone)  # x, y, z, x, ...
+        pts = carrier.points(u.reshape(-1), window)  # x, y, z, x, ...
+        checks = _check_triples(fm, op, grid, pts, monotone, buffers)
         if any(bad.any() for _, bad, _ in checks):
             for s in range(seed[0], seed[-1] + 1):
                 lo = max(s * triple_count - start, 0)
@@ -171,15 +185,23 @@ def check_fm_axioms_batch(fm, op, triple_count: int, grid: TGrid, seeds, window=
     return reports
 
 
-def _check_triples(fm, op, grid, pts, monotone):
+def _check_triples(fm, op, grid, pts, monotone, buffers):
     """The checks of the triples in pts, (axiom, triples that violate it,
-    witness and magnitude of triple i), in record order."""
+    witness and magnitude of triple i), in record order.  Their arrays are
+    written into the leading cells of buffers, three flat float arrays of
+    at least (triples, t, t), (triples, t, t) and (4, triples, t) cells, so
+    they must be read before the next block is checked."""
     x, y, z = xyz = pts.reshape(-1, 3, *pts.shape[1:]).swapaxes(0, 1)  # pts: x, y, z, x, ...
     ts, wp = grid.values, _witness_point
-    mxy, myx, myz, mxx = fm.mu_batch(xyz[[0, 1, 1, 0]], xyz[[1, 0, 2, 0]], grid)
-    dxy = fm.carrier.distances(x, y)
-    lhs = _op_array(op, mxy[:, :, None], myz[:, None, :])
-    excess = (lhs - fm.mu_batch(x, z, ts[:, None] + ts[None, :])).reshape(len(x), -1)
+    n, t = len(x), ts.size
+    lhs, near, rows = (buf[: math.prod(shape)].reshape(shape) for buf, shape in zip(buffers, [(n, t, t), (n, t, t), (4, n, t)]))
+    a, b = xyz[[0, 1, 1, 0, 0]], xyz[[1, 0, 2, 0, 2]]  # (x, y), (y, x), (y, z), (x, x), (x, z)
+    d = fm.carrier.distances(a, b)
+    mxy, myx, myz, mxx = fm.mu_from_distances(d[:4], a[:4], b[:4], grid, rows)
+    dxy = d[0]
+    lhs = _op_array(op, mxy[:, :, None], myz[:, None, :], lhs)
+    near = fm.mu_from_distances(d[4], x, z, ts[:, None] + ts[None, :], near)
+    excess = np.subtract(lhs, near, out=lhs).reshape(n, -1)
     drops = -np.diff(mxy, axis=1)
     pos_xy, pos_yz, sym = mxy <= 0.0, myz <= 0.0, mxy != myx
 

@@ -28,19 +28,20 @@ class TNorm:
                 raise DomainError(f"t-norm operand {v!r} outside [0, 1]")
         return float(self.apply_array(a, b))
 
-    def apply_array(self, a, b):
-        """Elementwise application on numpy arrays."""
+    def apply_array(self, a, b, out=None):
+        """Elementwise application on numpy arrays.  Like a ufunc, it may
+        write the values into out, an array of the broadcast shape, and
+        return it; the bits are those of the fresh result."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if self.kind == "minimum":
-            return np.minimum(a, b)
+            return np.minimum(a, b, out=out)
         if self.kind == "product":
-            return a * b
+            return np.multiply(a, b, out=out)
         # Ordering the operands keeps the unit law a * 1 = a exact in floats:
         # with hi == 1.0 the value is lo + 0.0, never (a + 1) - 1.
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        return np.maximum(lo + (hi - 1.0), 0.0)
+        hi = np.maximum(a, b) - 1.0
+        return np.maximum(np.add(np.minimum(a, b, out=out), hi, out=out), 0.0, out=out)
 
 
 MINIMUM = TNorm("minimum")

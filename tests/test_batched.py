@@ -365,12 +365,12 @@ def test_axiom_blocks_split_the_sample_like_one_pass(monkeypatch):
 @given(
     make=st.sampled_from([induced_standard, induced_exponential, Wobbly]),
     seeds=st.lists(SEEDS, min_size=1, max_size=5),
-    triples=st.one_of(st.integers(1, 60), st.integers(105, 120)),
+    triples=st.one_of(st.integers(1, 60), st.integers(105, 120), st.integers(220, 240)),
 )
 def test_axiom_batch_equals_one_check_per_seed(make, seeds, triples):
-    """On the default grid a block holds 56 triples: several seeds' triples
-    share a block below 29 triples per seed, and one seed's triples span
-    two or three blocks above 56.  Each report is the one its seed gives alone:
+    """On the default grid a block holds 113 triples: several seeds' triples
+    share a block below 57 triples per seed, and one seed's triples span
+    two or three blocks above 113.  Each report is the one its seed gives alone:
     checks, counts, witnesses in order and the witness cap.  Wobbly breaks
     identity and the triangle law on most triples."""
     fm = make(BoxSpace([-60.0, -1.0], [60.0, 1.0]))
@@ -440,6 +440,57 @@ def test_axiom_blocks_that_span_seeds(monkeypatch, fm, op, triples):
         assert all(len(r.violations) == MAX_WITNESSES < r.violation_count for r in got)
 
 
+def _table_breaking_three_laws():
+    """On six points at distance 1 of each other, nearness rising with t:
+    identity fails at point 0 (at the smallest scale) and between the
+    distinct points 4 and 5 (nearness 1 at the largest scale), symmetry
+    between 1 and 3 at two scales, and the triangle law on x, 1, z wherever
+    x and z are 0 and 2, or 2 and 0."""
+    grid = TGrid.default()
+    values = np.tile(np.linspace(0.7, 0.9, len(grid)), (6, 6, 1))
+    values[range(6), range(6)] = 1.0
+    values[0, 0, 0] = 0.9
+    values[4, 5, -1] = values[5, 4, -1] = 1.0
+    values[1, 3, :2] = 0.6
+    values[0, 2] = values[2, 0] = np.linspace(0.1, 0.3, len(grid))
+    return TableFuzzyMetric(FiniteSpace(1.0 - np.eye(6)), grid, values)
+
+
+@pytest.mark.parametrize("block", [1, 7, "call", "default"])
+@pytest.mark.parametrize("op", OPS, ids=OP_IDS)
+def test_axiom_buffers_match_the_unbuffered_pass_bit_for_bit(monkeypatch, op, block):
+    """Blocks of 1 and 7 triples, one block for the whole call and the
+    default blocks (113 triples here) reuse the call's buffers, and each
+    report keeps its seed's counts, witnesses, magnitudes and their order,
+    to the bit, as the triple-by-triple oracle gives them on fresh arrays:
+    violations fall in consecutive blocks, and blocks span seeds of 40."""
+    import fuzzyfp.axioms as axioms
+
+    fm, triples = _table_breaking_three_laws(), 40
+    cells = len(fm.grid) ** 2
+    if block != "default":
+        monkeypatch.setattr(axioms, "_BLOCK_CELLS", cells * (triples * len(_STRADDLE_SEEDS) if block == "call" else block))
+    got = check_fm_axioms_batch(fm, op, triples, fm.grid, _STRADDLE_SEEDS)
+    for report, seed in zip(got, _STRADDLE_SEEDS):
+        ref = oracles.check_fm_axioms(fm, op, triples, fm.grid, seed)
+        assert repr((report.checks, report.violation_count, report.violations)) == repr(
+            (ref.checks, ref.violation_count, ref.violations)
+        )
+    assert {v.axiom for r in got for v in r.violations} == {"identity", "symmetry", "triangle"}
+    assert len({r.violation_count for r in got}) > 1
+
+
+def test_axiom_batch_memory_does_not_grow_with_its_seeds():
+    """The buffers of a call are sized to its first block, not to its
+    triples: 400 seeds of 64 triples (227 default blocks) peak within a
+    small factor of one seed's 64 triples (a block of its own)."""
+    fm = induced_standard(BoxSpace([-10.0, -10.0], [10.0, 10.0]))
+    grid = TGrid.default()
+    one = _traced_peak(lambda: check_fm_axioms_batch(fm, PRODUCT, 64, grid, [1]))
+    many = _traced_peak(lambda: check_fm_axioms_batch(fm, PRODUCT, 64, grid, range(400)))
+    assert many < 3 * one
+
+
 # -- check_tnorm_axioms ---------------------------------------------------------
 
 
@@ -461,7 +512,7 @@ def test_tnorm_blocks_split_the_sample_like_one_pass(monkeypatch):
     import fuzzyfp.axioms as axioms
 
     whole = check_tnorm_axioms(breaks_unit_law, 50, 8)
-    monkeypatch.setattr(axioms, "_BLOCK_CELLS", 7 * 16)  # blocks of 7 samples
+    monkeypatch.setattr(axioms, "_TNORM_BLOCK", 7)
     assert same_report(check_tnorm_axioms(breaks_unit_law, 50, 8), whole)
     assert same_report(whole, oracles.check_tnorm_axioms(breaks_unit_law, 50, 8))
     assert whole.violation_count > MAX_WITNESSES
@@ -481,7 +532,7 @@ def test_tnorm_witnesses_fill_partway_through_a_block_and_a_sample(monkeypatch, 
     of samples 7-13 when blocks hold 7."""
     import fuzzyfp.axioms as axioms
 
-    monkeypatch.setattr(axioms, "_BLOCK_CELLS", block * 16)
+    monkeypatch.setattr(axioms, "_TNORM_BLOCK", block)
     got = check_tnorm_axioms(op, 60, 4)
     assert same_report(got, oracles.check_tnorm_axioms(op, 60, 4))
     assert len(got.violations) == MAX_WITNESSES < got.violation_count

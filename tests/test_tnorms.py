@@ -111,3 +111,18 @@ def test_apply_array_matches_scalar():
             for j, b in enumerate(vals):
                 assert arr[i, j] == scalar(float(a), float(b))
                 assert op(float(a), float(b)) == arr[i, j]
+
+
+@pytest.mark.parametrize("op", [MINIMUM, PRODUCT, LUKASIEWICZ], ids=lambda op: op.kind)
+def test_apply_array_into_out_gives_the_fresh_bits(op):
+    """Written into out, over broadcast operands, the values are the fresh
+    result's bits, and the unit law a * 1 = a stays exact."""
+    vals = np.concatenate([[0.0, 5e-324, 1e-300, 0.5, 1.0 - 2**-53, 1.0], np.random.default_rng(3).random(40)])
+    a, b = vals[:, None], vals[None, :]
+    out = np.full((vals.size, vals.size), np.nan)
+    got = op.apply_array(a, b, out)
+    assert got is out
+    assert out.tobytes() == op.apply_array(a, b).tobytes()
+    for ones in (np.ones_like(b), np.ones_like(a)):
+        assert (op.apply_array(a, ones, out) == a).all()
+        assert (op.apply_array(ones, a, out) == a).all()
