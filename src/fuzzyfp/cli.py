@@ -41,29 +41,18 @@ _RATIO_ROWS = 1 << 14
 
 
 def _jsonable(obj):
-    if isinstance(obj, TGrid):
-        obj = obj.values
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
+    """json's default hook: what json cannot write itself, as what it can."""
+    if isinstance(obj, (TGrid, np.ndarray, np.generic)):
+        return (obj.values if isinstance(obj, TGrid) else obj).tolist()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: str, obj) -> None:
     """obj as indented JSON in one write: json.dump would make thousands of small ones."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(obj, default=_jsonable, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_axioms(doc: dict, args) -> int:

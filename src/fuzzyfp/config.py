@@ -21,10 +21,10 @@ from .errors import ConfigError
 from .harness import InstanceSpec
 from .hypotheses import SampleSet
 from .mappings import AffineMap, ComposedMap, ConstantMap, MapPair, MapQuadruple, TableMap
-from .metrics import TableFuzzyMetric, TGrid, induced_exponential, induced_standard
+from .metrics import INDUCED_FORMS, TableFuzzyMetric, TGrid
 from .solver import SolveConfig
 from .spaces import BoxSpace, FiniteSpace, validate_points
-from .tnorms import TNORM_KINDS, TNorm
+from .tnorms import TNorm
 
 # The JSON kind of a field is one of these types; (kind, minimum) also bounds
 # it from below.  _POINT fields are checked against their carrier later.
@@ -38,7 +38,7 @@ _SECTIONS = "carrier carrier_y metric metric_y grid maps solve hypotheses axioms
 _TOP = {"tnorm": str} | dict.fromkeys(_SECTIONS, dict)
 _GRID = {"t_min": float, "t_max": float, "points": int, "values": list}
 _CARRIERS = {"box": {"lo": list, "hi": list, "crisp_metric": str}, "finite": {"distances": list}}
-_METRICS = {"standard": {}, "exponential": {}, "table": {"values": list}}
+_METRICS = dict.fromkeys(INDUCED_FORMS, {}) | {"table": {"values": list}}
 _MAPS = {
     "affine": {"matrix": list, "offset": list},
     "constant": {"value": _POINT},
@@ -217,20 +217,16 @@ def build_carrier(section, where: str = "carrier"):
 
 def build_metric(section, carrier, grid: TGrid, where: str = "metric"):
     form, fields = _tagged(section, where, "form", _METRICS)
-    if form == "standard":
-        return induced_standard(carrier)
-    if form == "exponential":
-        return induced_exponential(carrier)
+    if form in INDUCED_FORMS:
+        return INDUCED_FORMS[form](carrier)
     values = _array(fields["values"], f"{where}.values")
     with _building(where):
         return TableFuzzyMetric(carrier, grid, values)
 
 
 def build_tnorm(doc: dict) -> TNorm:
-    name = doc.get("tnorm", "product")
-    if name not in TNORM_KINDS:
-        raise ConfigError(f"tnorm must be one of {TNORM_KINDS}, got {name!r}")
-    return TNorm(name)
+    with _building("tnorm"):
+        return TNorm(doc.get("tnorm", "product"))
 
 
 def build_map(section, domain, codomain, where: str):

@@ -27,7 +27,7 @@ from .axioms import check_fm_axioms_batch
 from .errors import ConfigError, UsageError
 from .hypotheses import SampleSet, estimate_k_pair, estimate_k_quad, estimate_k_self_quad
 from .mappings import AffineMap, ConstantMap, MapPair, MapQuadruple
-from .metrics import FuzzyMetric, TGrid, induced_exponential, induced_standard
+from .metrics import INDUCED_FORMS, FuzzyMetric, TGrid
 from .rng import GENERATOR_NAME, draws, normal, states, unit
 from .solver import STATUS_CONVERGED, SolveConfig, compare_fixed_points, solve_problems
 from .spaces import BoxSpace
@@ -35,7 +35,7 @@ from .tnorms import PRODUCT
 
 SCHEMES = ("pair", "quadruple", "self-quadruple")
 FAMILIES = ("affine", "constant", "mixed")
-METRIC_FORMS = ("standard", "exponential")
+METRIC_FORMS = tuple(INDUCED_FORMS)
 
 # Salt separating the suite's sampling stream from instance generation.
 _SUITE_SALT = 0x517CC1B727220A95
@@ -94,10 +94,6 @@ class Instance:
         return (np.full(d, -w), np.full(d, w))
 
 
-def _metric_for(form: str, carrier) -> FuzzyMetric:
-    return induced_standard(carrier) if form == "standard" else induced_exponential(carrier)
-
-
 def _kind_metrics(spec: InstanceSpec) -> tuple[FuzzyMetric, FuzzyMetric]:
     """(mu, nu) of every instance of the spec's kind; see _kind."""
     dim, w = spec.dim, spec.halfwidth
@@ -106,8 +102,9 @@ def _kind_metrics(spec: InstanceSpec) -> tuple[FuzzyMetric, FuzzyMetric]:
     else:
         carrier_x = BoxSpace([-w] * dim, [w] * dim)
         carrier_y = carrier_x if spec.scheme == "self-quadruple" else BoxSpace([-w] * dim, [w] * dim)
-    mu = _metric_for(spec.metric_form, carrier_x)
-    nu = mu if spec.scheme == "self-quadruple" else _metric_for(spec.metric_form, carrier_y)
+    form = INDUCED_FORMS[spec.metric_form]
+    mu = form(carrier_x)
+    nu = mu if spec.scheme == "self-quadruple" else form(carrier_y)
     return mu, nu
 
 

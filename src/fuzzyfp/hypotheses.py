@@ -154,23 +154,13 @@ class _Points:
         self.cols = np.ascontiguousarray(np.moveaxis(rows, -1, 0)) if by_coordinate else None
 
 
-@np.errstate(over="ignore")  # a distance beyond the float range is inf, as in BoxSpace.distances
 def _block_distances(p, ia, q, ib):
     """carrier.distances(p.rows[ia], q.rows[ib]), bit for bit, for points of
     one carrier, where the index tuples ia and ib select arrays that
     broadcast, such as (i, None) and (None, j)."""
-    a, b = p.rows[ia], q.rows[ib]
     if p.cols is None:
-        return p.carrier.distances(a, b)
-    diff = p.cols[(slice(None),) + ia] - q.cols[(slice(None),) + ib]
-    if p.carrier.crisp_metric != "euclidean":
-        return np.abs(diff, out=diff).max(axis=0)
-    d = np.sqrt(np.vecdot(diff, diff, axis=0))
-    over = np.isinf(d)
-    if over.any():  # squares that overflow: BoxSpace.distances rescales these cells
-        shape = d.shape + a.shape[-1:]
-        d[over] = p.carrier.distances(np.broadcast_to(a, shape)[over], np.broadcast_to(b, shape)[over])
-    return d
+        return p.carrier.distances(p.rows[ia], q.rows[ib])
+    return p.carrier.distances(p.cols[(slice(None),) + ia], q.cols[(slice(None),) + ib], axis=0)
 
 
 def _block_nearness(fm, p, ia, q, ib, tile, out):

@@ -138,11 +138,6 @@ class FuzzyMetric:
         ts may also be a GridTile, whose grid then gives the one scale axis."""
         return self.mu_batch(a, b, ts.grid if isinstance(ts, GridTile) else ts, out)
 
-    def pairwise(self, pts_a, pts_b, ts, out=None) -> np.ndarray:
-        """Array of shape (len(pts_a), len(pts_b), len(ts)), written into out if given."""
-        a, b = np.asarray(pts_a), np.asarray(pts_b)
-        return self.mu_batch(a[:, None], b[None], ts if isinstance(ts, TGrid) else np.atleast_1d(ts), out)
-
 
 class _InducedFuzzyMetric(FuzzyMetric):
     """Nearness induced from the carrier's crisp metric."""
@@ -231,6 +226,10 @@ class TableFuzzyMetric(FuzzyMetric):
             out = np.empty(rows.shape[:-1] + x.shape)
         out[...] = values
         return out
+
+
+# The induced forms by name, as configs and instance specs give them.
+INDUCED_FORMS = {cls.form: cls for cls in (StandardFuzzyMetric, ExponentialFuzzyMetric)}
 
 
 def induced_standard(carrier) -> StandardFuzzyMetric:

@@ -83,16 +83,17 @@ class BoxSpace:
         return float(self.distances(x, y))
 
     @np.errstate(over="ignore")  # a distance beyond the float range is inf
-    def distances(self, a, b) -> np.ndarray:
-        """Crisp distances of points on leading axes, broadcast.  np.vecdot (numpy >= 2.0)
-        rounds like np.dot; (d * d).sum(-1) does not, since BLAS ddot fuses multiply-adds.
-        Rows whose squares overflow are recomputed scaled by their largest |d|."""
+    def distances(self, a, b, axis: int = -1) -> np.ndarray:
+        """Crisp distances of points broadcast on the axes other than the
+        coordinate axis.  np.vecdot (numpy >= 2.0) rounds like np.dot;
+        (d * d).sum(-1) does not, since BLAS ddot fuses multiply-adds.
+        Points whose squares overflow are recomputed scaled by their largest |d|."""
         d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
         if self.crisp_metric != "euclidean":
-            return np.abs(d).max(axis=-1)
-        out = np.sqrt(np.vecdot(d, d))
+            return np.abs(d, out=d).max(axis=axis)
+        out = np.sqrt(np.vecdot(d, d, axis=axis))
         if np.isinf(out).any():
-            out = np.array(out)
+            out, d = np.array(out), np.moveaxis(d, axis, -1)
             over = np.isinf(out) & np.isfinite(d).all(axis=-1)
             big = d[over]
             scale = np.abs(big).max(axis=-1, keepdims=True)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,16 @@ from fuzzyfp import (
     TGrid,
     induced_standard,
 )
+
+SOURCES = Path(__file__).resolve().parent.parent / "src" / "fuzzyfp"
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_terminal_summary(terminalreporter):
+    """The line count of the package sources, as wc -l counts it, after the
+    slowest durations: the size that each change is measured by."""
+    lines = sum(path.read_bytes().count(b"\n") for path in SOURCES.glob("*.py"))
+    terminalreporter.write_sep("=", f"src/fuzzyfp/*.py: {lines} lines")
 
 
 @pytest.fixture

@@ -8,11 +8,12 @@ iteration start at a time.  None of it calls the scalar forms of `fuzzyfp`
 array code.  The
 equivalence tests compare the two bit for bit.  The step-recurrence
 checkers test the paper's recurrences along solver traces, one step at a
-time.  The inequality terms at the end evaluate the contraction hypotheses
-at one tuple, the reference that the estimators' ratio arrays are tested
-against.
+time.  The inequality terms evaluate the contraction hypotheses at one
+tuple, the reference that the estimators' ratio arrays are tested against.
+jsonable, at the end, is the reference for the CLI's JSON artifacts.
 """
 
+import dataclasses
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -30,6 +31,7 @@ from fuzzyfp import (
     SequenceTrace,
     SplitMix64,
     TableFuzzyMetric,
+    TGrid,
     TNorm,
 )
 from fuzzyfp.axioms import _SLACK, AxiomReport
@@ -757,3 +759,27 @@ def self_quad_denominator(quad, fm, x, y, t: float) -> float:
         near(fm, apply(quad.S, x), apply(quad.T, apply(quad.B, y)), t),
         near(fm, apply(quad.B, y), apply(quad.A, apply(quad.T, y)), t),
     )
+
+
+def jsonable(obj):
+    """obj as the plain values json writes, in one recursive walk: a TGrid
+    as its values, an ndarray as nested lists, a numpy scalar as its Python
+    value, a dataclass as a dict of its fields, a tuple as a list; anything
+    else is left as it is, for json to write or reject."""
+    if isinstance(obj, TGrid):
+        obj = obj.values
+    if isinstance(obj, np.ndarray):
+        return [jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    return obj

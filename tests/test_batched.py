@@ -206,7 +206,7 @@ def test_pairwise_matches_pair_by_pair(fm, seed, na, nb):
     rng = SplitMix64(seed)
     a, b = fm.carrier.sample(rng, na), fm.carrier.sample(rng, nb)
     ts = TGrid.default().values
-    assert np.array_equal(fm.pairwise(a, b, ts), oracles.pairwise(fm, a, b, ts))
+    assert np.array_equal(fm.mu_batch(a[:, None], b[None], ts), oracles.pairwise(fm, a, b, ts))
 
 
 @st.composite

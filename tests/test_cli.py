@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import oracles
 from fuzzyfp import cli
 from fuzzyfp.cli import _ratio_rows, main
 from fuzzyfp.metrics import TGrid
@@ -454,6 +456,9 @@ def test_malformed_config_exits_two_without_traceback(base, command, path, value
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert path[0] in err  # the message names the section at fault
+    if path == ("tnorm",):  # the message of TNorm's own check, at its JSON path
+        assert err.startswith("error: tnorm: unknown t-norm kind 'nope'")
     assert "Traceback" not in err
 
 
@@ -534,6 +539,42 @@ class TestSuiteCommand:
         blocker.write_text("file, not a directory")
         out = str(blocker / "sub")
         assert main(["suite", "--config", cfg, "--out", out]) == 2
+
+
+@dataclasses.dataclass(frozen=True)
+class _Witness:
+    point: np.ndarray
+    t: np.float64
+
+
+@dataclasses.dataclass(frozen=True)
+class _Report:
+    holds: np.bool_
+    count: np.int64
+    witness: _Witness | None
+    grid: TGrid
+    extremes: tuple
+
+
+def test_write_json_writes_what_the_full_walk_writes(tmp_path):
+    """_write_json, which hands json only what it cannot write itself, writes
+    the text of json.dumps over oracles.jsonable's recursive walk: numpy
+    scalars, NaN and +-inf, None, tuples, nested dataclasses, a TGrid and a
+    read-only array.  What json cannot write raises TypeError, never str()."""
+    point = np.array([[1.5, -0.0], [np.inf, 5e-324]])
+    point.setflags(write=False)
+    reports = [
+        _Report(np.bool_(True), np.int64(7), _Witness(point, np.float64(np.nan)), TGrid([0.5, 2.0]), (np.float64(-np.inf), np.inf, None)),
+        _Report(np.bool_(False), np.int64(-1), None, TGrid([1.0]), ()),
+    ]
+    payload = {"reports": reports, "note": None, "k": np.float64(1 / 3), "pair": (np.int32(2), np.float32(0.1), np.uint64(2**64 - 1))}
+    path = tmp_path / "report.json"
+    cli._write_json(str(path), payload)
+    assert path.read_text() == json.dumps(oracles.jsonable(payload), indent=2, sort_keys=True) + "\n"
+    assert {**cli._jsonable(reports[1]), "holds": True}["count"] == -1
+    for bad in ({1, 2}, object(), np.complex128(1j), np.datetime64("2020-01-01")):
+        with pytest.raises(TypeError):
+            cli._write_json(str(path), {"bad": [bad]})
 
 
 def test_help_runs():

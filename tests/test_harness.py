@@ -181,8 +181,8 @@ class TestRunSuite:
 
     def test_verdict_serialization_reproducible(self):
         specs = [InstanceSpec(scheme="pair", dim=2, seed=i) for i in range(3)]
-        a = json.dumps(_jsonable(run_suite(specs)), sort_keys=True)
-        b = json.dumps(_jsonable(run_suite(specs)), sort_keys=True)
+        a = json.dumps(run_suite(specs), default=_jsonable, sort_keys=True)
+        b = json.dumps(run_suite(specs), default=_jsonable, sort_keys=True)
         assert a == b
 
     def test_empty_specs_rejected(self):

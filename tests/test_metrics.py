@@ -93,7 +93,8 @@ class TestInducedStandard:
     def test_pairwise_matches_scalar(self):
         pts = [np.array([v]) for v in (-1.0, 0.0, 2.5)]
         grid = TGrid([0.5, 2.0])
-        cube = self.fm.pairwise(pts, pts, grid.values)
+        a = np.array(pts)
+        cube = self.fm.mu_batch(a[:, None], a[None], grid.values)
         for i in range(3):
             for j in range(3):
                 for k, t in enumerate(grid):
