@@ -263,6 +263,23 @@ _COMMANDS = {
     "suite": cmd_suite,
 }
 
+# Every flag, and each subcommand's help and the optional flags it reads; the
+# rest are not registered on it, so argparse rejects them with a usage error.
+_FLAGS = {
+    "--config": dict(required=True, help="path to the JSON run config"),
+    "--out": dict(default="./out", help="output directory (default ./out)"),
+    "--seed": dict(type=int, help="override the config seed"),
+    "--format": dict(choices=("json", "csv", "both"), default="json", help="artifacts to write (default json)"),
+    "--include-diagonal": dict(action="store_true", help="diagnostic: keep x = x' tuples in hypothesis estimation"),
+    "--t-max": dict(type=float, help="override the grid t_max"),
+}
+_SUBCOMMANDS = {
+    "axioms": ("check t-norm and nearness axioms by sampling", ("--seed", "--t-max")),
+    "hypotheses": ("estimate the best contraction constant on a sample", ("--format", "--include-diagonal", "--t-max")),
+    "solve": ("run the coupled iteration scheme and verify conclusions", ("--t-max",)),
+    "suite": ("generate seeded instances and run the full property suite", ("--seed", "--format", "--t-max")),
+}
+
 
 @functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
@@ -272,28 +289,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "contraction estimates, coupled iteration, and a seeded suite.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("axioms", "check t-norm and nearness axioms by sampling"),
-        ("hypotheses", "estimate the best contraction constant on a sample"),
-        ("solve", "run the coupled iteration scheme and verify conclusions"),
-        ("suite", "generate seeded instances and run the full property suite"),
-    ):
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to the JSON run config")
-        p.add_argument("--out", default="./out", help="output directory (default ./out)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument(
-            "--format",
-            choices=("json", "csv", "both"),
-            default="json",
-            help="artifact format for reports that support both",
-        )
-        p.add_argument(
-            "--include-diagonal",
-            action="store_true",
-            help="diagnostic: keep x = x' tuples in hypothesis estimation",
-        )
-        p.add_argument("--t-max", type=float, default=None, help="override the grid t_max")
+        for flag in ("--config", "--out", *flags):
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 

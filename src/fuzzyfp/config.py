@@ -1,12 +1,12 @@
 """Declarative JSON run configuration: validation and object construction.
 
 One JSON document with sections {carrier, carrier_y, metric, metric_y,
-tnorm, grid, maps, solve, hypotheses, axioms, suite}.  Every section is
-checked against one {key: kind} table: unknown keys, missing required keys
-and values of the wrong JSON kind are rejected with their JSON path before
-any computation runs.  Only the keys present are passed on, so defaults and
-range checks live in the objects built (TGrid, SolveConfig, SampleSet,
-InstanceSpec).
+tnorm, grid, maps, solve, hypotheses, axioms, suite}.  load_config checks
+each section once against one {key: kind} table: unknown keys, missing
+required keys and values of the wrong JSON kind are rejected with their JSON
+path before any computation runs, and the build_* functions read the checked
+fields.  Only the keys present are passed on, so defaults and range checks
+live in the objects built (TGrid, SolveConfig, SampleSet, InstanceSpec).
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ _KIND_NAMES = {
     str: "a string", list: "a list", dict: "an object",
 }
 
-_SECTIONS = "carrier carrier_y metric metric_y grid maps solve hypotheses axioms suite".split()
-_TOP = {"tnorm": str} | dict.fromkeys(_SECTIONS, dict)
 _GRID = {"t_min": float, "t_max": float, "points": int, "values": list}
 _CARRIERS = {"box": {"lo": list, "hi": list, "crisp_metric": str}, "finite": {"distances": list}}
 _METRICS = dict.fromkeys(INDUCED_FORMS, {}) | {"table": {"values": list}}
@@ -61,6 +59,15 @@ _SUITE = {
     "count": (int, 1), "starts": (int, 2), "seed": int, "dim": int, "halfwidth": float,
     "scheme": str, "family": str, "metric_form": str, "factor": list, "expansive": bool,
 }
+# The sections in the order load_config checks them; the tag of a tagged one
+# names its key table, whose keys are all required except _OPTIONAL ones.
+_PLAIN = {"grid": _GRID, "solve": _SOLVE, "hypotheses": _HYPOTHESES, "axioms": _AXIOMS, "suite": _SUITE}
+_TAGGED = {
+    "carrier": ("kind", _CARRIERS), "carrier_y": ("kind", _CARRIERS),
+    "metric": ("form", _METRICS), "metric_y": ("form", _METRICS), "maps": ("scheme", _SCHEMES),
+}
+_OPTIONAL = {"crisp_metric"}
+_TOP = {"tnorm": str} | dict.fromkeys([*_PLAIN, *_TAGGED], dict)
 
 
 def _checked(value, kind, where: str, minimum=None):
@@ -88,7 +95,7 @@ def _fields(section, where: str, kinds: dict, required=()) -> dict:
             raise ConfigError(f"{where or 'config'} requires key {key!r}")
     unknown = sorted(set(section) - set(kinds))
     if unknown:
-        raise ConfigError(f"unknown keys in {where or 'config'}: {', '.join(unknown)}")
+        raise ConfigError(f"{where or 'config'}: unknown keys: {', '.join(unknown)}")
     out = {}
     for key, value in section.items():
         kind = kinds[key] if isinstance(kinds[key], tuple) else (kinds[key],)
@@ -96,18 +103,17 @@ def _fields(section, where: str, kinds: dict, required=()) -> dict:
     return out
 
 
-def _tagged(section, where: str, tag: str, tables: dict, optional=()):
-    """(name, fields) of a section whose tag key (kind, form or scheme) names
-    its key table; every key of that table is required except optional ones."""
+def _tagged(section, where: str, tag: str, tables: dict) -> dict:
+    """The checked fields, tag included, of a section whose tag key (kind,
+    form or scheme) names its key table."""
     kinds = {}  # until the tag is known, _fields reports a non-object or a missing tag
     if type(section) is dict and tag in section:
         name = _checked(section[tag], str, f"{where}.{tag}")
         if name not in tables:
             raise ConfigError(f"{where}: unknown {tag} {name!r}")
         kinds = tables[name]
-    required = [tag] + [k for k in kinds if k not in optional]
-    fields = _fields(section, where, {tag: str, **kinds}, required)
-    return fields.pop(tag), fields
+    required = [tag] + [k for k in kinds if k not in _OPTIONAL]
+    return _fields(section, where, {tag: str, **kinds}, required)
 
 
 def _require(doc: dict, key: str):
@@ -141,53 +147,39 @@ def _building(where: str):
 
 
 def load_config(path) -> dict:
+    """The document at path, each section present replaced by its checked
+    fields, also one that the subcommand does not build.  The sections are
+    checked in a fixed order, so of several faults the same one is reported."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     doc = _fields(doc, "", _TOP)
-    _check_sections(doc)
+    build_tnorm(doc)
+    for key, kinds in _PLAIN.items():
+        if key in doc:
+            doc[key] = _fields(doc[key], key, kinds)
+    for key, (tag, tables) in _TAGGED.items():
+        if key in doc:
+            doc[key] = _tagged(doc[key], key, tag, tables)
+    for name, section in doc.get("maps", {}).items():  # in document order
+        if name != "scheme":
+            doc["maps"][name] = _map(section, f"maps.{name}")
     return doc
 
 
-def _check_sections(doc: dict) -> None:
-    """The keys and value kinds of every section present, also of those the
-    subcommand does not build, so an unknown key is rejected anywhere."""
-    build_tnorm(doc)
-    plain = (
-        ("grid", _GRID), ("solve", _SOLVE), ("hypotheses", _HYPOTHESES),
-        ("axioms", _AXIOMS), ("suite", _SUITE),
-    )
-    for key, kinds in plain:
-        if key in doc:
-            _fields(doc[key], key, kinds)
-    for key in ("carrier", "carrier_y"):
-        if key in doc:
-            _check_carrier(doc[key], key)
-    for key in ("metric", "metric_y"):
-        if key in doc:
-            _tagged(doc[key], key, "form", _METRICS)
-    if "maps" in doc:
-        _, maps = _tagged(doc["maps"], "maps", "scheme", _SCHEMES)
-        for name, section in maps.items():
-            _check_map(section, f"maps.{name}")
-
-
-def _check_carrier(section, where: str):
-    return _tagged(section, where, "kind", _CARRIERS, optional=("crisp_metric",))
-
-
-def _check_map(section, where: str):
-    form, fields = _tagged(section, where, "form", _MAPS)
-    if form == "composed":
-        _check_carrier(fields["via"], f"{where}.via")
+def _map(section, where: str) -> dict:
+    fields = _tagged(section, where, "form", _MAPS)
+    if fields["form"] == "composed":
+        fields["via"] = _tagged(fields["via"], f"{where}.via", "kind", _CARRIERS)
         for part in ("inner", "outer"):
-            _check_map(fields[part], f"{where}.{part}")
+            fields[part] = _map(fields[part], f"{where}.{part}")
+    return fields
 
 
 def build_grid(doc: dict, t_max_override: float | None = None) -> TGrid:
-    fields = _fields(doc.get("grid", {}), "grid", _GRID)
+    fields = dict(doc.get("grid", {}))
     if "values" in fields:
         if len(fields) > 1:
             raise ConfigError("grid: give either values or t_min/t_max/points")
@@ -202,9 +194,9 @@ def build_grid(doc: dict, t_max_override: float | None = None) -> TGrid:
         return grid.with_t_max(t_max_override)
 
 
-def build_carrier(section, where: str = "carrier"):
-    kind, fields = _check_carrier(section, where)
-    if kind == "box":
+def build_carrier(section: dict, where: str = "carrier"):
+    fields = dict(section)
+    if fields.pop("kind") == "box":
         # null stands for an unbounded coordinate (JSON has no infinity literal)
         lo = _array([-math.inf if v is None else v for v in fields.pop("lo")], f"{where}.lo")
         hi = _array([math.inf if v is None else v for v in fields.pop("hi")], f"{where}.hi")
@@ -215,11 +207,10 @@ def build_carrier(section, where: str = "carrier"):
         return FiniteSpace(distances)
 
 
-def build_metric(section, carrier, grid: TGrid, where: str = "metric"):
-    form, fields = _tagged(section, where, "form", _METRICS)
-    if form in INDUCED_FORMS:
-        return INDUCED_FORMS[form](carrier)
-    values = _array(fields["values"], f"{where}.values")
+def build_metric(section: dict, carrier, grid: TGrid, where: str = "metric"):
+    if section["form"] in INDUCED_FORMS:
+        return INDUCED_FORMS[section["form"]](carrier)
+    values = _array(section["values"], f"{where}.values")
     with _building(where):
         return TableFuzzyMetric(carrier, grid, values)
 
@@ -229,28 +220,28 @@ def build_tnorm(doc: dict) -> TNorm:
         return TNorm(doc.get("tnorm", "product"))
 
 
-def build_map(section, domain, codomain, where: str):
+def build_map(section: dict, domain, codomain, where: str):
     """A map from domain into codomain; its shape is checked against both."""
-    form, fields = _tagged(section, where, "form", _MAPS)
+    form = section["form"]
     if form == "composed":
         # outer(inner(x)), routed through an explicit intermediate carrier
-        via = build_carrier(fields["via"], f"{where}.via")
-        inner = build_map(fields["inner"], domain, via, f"{where}.inner")
-        outer = build_map(fields["outer"], via, codomain, f"{where}.outer")
+        via = build_carrier(section["via"], f"{where}.via")
+        inner = build_map(section["inner"], domain, via, f"{where}.inner")
+        outer = build_map(section["outer"], via, codomain, f"{where}.outer")
         return ComposedMap(outer, inner)
     if form == "constant":
-        value = _as_point(fields["value"], codomain, f"{where}.value")
+        value = _as_point(section["value"], codomain, f"{where}.value")
         return ConstantMap(value, codomain)
     if form == "affine":
-        matrix = _array(fields["matrix"], f"{where}.matrix")
-        offset = _array(fields["offset"], f"{where}.offset")
+        matrix = _array(section["matrix"], f"{where}.matrix")
+        offset = _array(section["offset"], f"{where}.offset")
         with _building(where):
             if not isinstance(domain, BoxSpace):
                 raise ConfigError("affine maps require a box domain")
             if matrix.shape[-1:] != (domain.dimension,):
                 raise ConfigError(f"matrix needs {domain.dimension} column(s), one per coordinate")
             return AffineMap(matrix, offset, codomain)
-    targets = fields["targets"]
+    targets = section["targets"]
     if not isinstance(domain, FiniteSpace) or len(targets) != domain.size:
         raise ConfigError(f"{where}: table maps need one target per point of a finite domain")
     targets = [_as_point(t, codomain, f"{where}.targets[{i}]") for i, t in enumerate(targets)]
@@ -281,14 +272,14 @@ def build_spaces(doc: dict, grid: TGrid):
 
 
 def build_problem(doc: dict, carrier_x, carrier_y):
-    scheme, fields = _tagged(_require(doc, "maps"), "maps", "scheme", _SCHEMES)
+    scheme = _require(doc, "maps")["scheme"]
     x, y = carrier_x, carrier_x if scheme == "self-quadruple" else carrier_y
     # T of a pair and A, B of a quadruple map X into Y; the other maps map Y into X
     into_y = ("T",) if scheme == "pair" else ("A", "B")
     maps = {}
     for name in _SCHEMES[scheme]:
         domain, codomain = (x, y) if name in into_y else (y, x)
-        maps[name] = build_map(fields[name], domain, codomain, f"maps.{name}")
+        maps[name] = build_map(doc["maps"][name], domain, codomain, f"maps.{name}")
     return scheme, MapPair(**maps) if scheme == "pair" else MapQuadruple(**maps)
 
 
@@ -317,7 +308,7 @@ def _as_points(values: list, carrier, where: str) -> tuple:
 
 
 def build_solve(doc: dict, grid: TGrid, carrier_x=None, want_x0: bool = True):
-    fields = _fields(doc.get("solve", {}), "solve", _SOLVE)
+    fields = dict(doc.get("solve", {}))
     given = "x0" in fields
     x0 = fields.pop("x0", None)
     with _building("solve"):
@@ -330,11 +321,12 @@ def build_solve(doc: dict, grid: TGrid, carrier_x=None, want_x0: bool = True):
 
 
 def build_samples(doc: dict, grid: TGrid, carrier_x, carrier_y, include_diagonal=False):
-    where = "hypotheses"
-    fields = _fields(_require(doc, where), where, _HYPOTHESES, required=("points_x",))
+    fields = dict(_require(doc, "hypotheses"))
+    if "points_x" not in fields:
+        raise ConfigError("hypotheses requires key 'points_x'")
     for key, carrier in (("points_x", carrier_x), ("points_y", carrier_y)):
         if key in fields:
-            fields[key] = _as_points(fields[key], carrier, f"{where}.{key}")
+            fields[key] = _as_points(fields[key], carrier, f"hypotheses.{key}")
     if include_diagonal:
         fields["exclude_diagonal"] = False
     return SampleSet(grid=grid, **fields)
@@ -353,17 +345,17 @@ def _window(window, carriers):
 
 def build_axiom_params(doc: dict, carriers):
     """Axiom-check parameters; the window is checked against the carriers."""
-    fields = _fields(doc.get("axioms", {}), "axioms", _AXIOMS)
+    params = {"tnorm_samples": 1000, "fm_triples": 1000, "seed": 0, "window": None} | doc.get("axioms", {})
     boxes = [c for c in carriers if isinstance(c, BoxSpace)]
-    if "window" in fields:
-        fields["window"] = _window(fields["window"], boxes)
+    if params["window"] is not None:
+        params["window"] = _window(params["window"], boxes)
     elif any(not c.is_bounded for c in boxes):
         raise ConfigError("axioms.window is required for an unbounded carrier")
-    return {"tnorm_samples": 1000, "fm_triples": 1000, "seed": 0, "window": None} | fields
+    return params
 
 
 def build_suite_specs(doc: dict, grid: TGrid, seed_override: int | None = None):
-    fields = _fields(_require(doc, "suite"), "suite", _SUITE)
+    fields = dict(_require(doc, "suite"))
     count = fields.pop("count", 100)
     starts = fields.pop("starts", 4)
     if "factor" in fields:

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 import oracles
-from fuzzyfp import cli
+from fuzzyfp import cli, config
 from fuzzyfp.cli import _ratio_rows, main
 from fuzzyfp.metrics import TGrid
 
 
+ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -352,11 +353,12 @@ class TestAxiomsCommand:
         p.write_text("{not json")
         assert main(["axioms", "--config", str(p), "--out", str(tmp_path)]) == 2
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         doc = pair_config()
         doc["unexpected_section"] = {}
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["axioms", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: config: unknown keys: unexpected_section\n"
 
     def test_unknown_nested_key_rejected(self, tmp_path):
         doc = pair_config()
@@ -455,11 +457,117 @@ def test_malformed_config_exits_two_without_traceback(base, command, path, value
     cfg = write_config(tmp_path / "c.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert path[0] in err  # the message names the section at fault
+    assert err.startswith(f"error: {path[0]}")  # the message starts with the section at fault
     if path == ("tnorm",):  # the message of TNorm's own check, at its JSON path
         assert err.startswith("error: tnorm: unknown t-norm kind 'nope'")
     assert "Traceback" not in err
+
+
+def composed_finite_config():
+    """finite_config with T routed through a two-point finite carrier, and
+    the hypotheses, axioms and suite sections that the other builders read."""
+    doc = finite_config()
+    doc["maps"]["T"] = {
+        "form": "composed",
+        "via": {"kind": "finite", "distances": [[0, 1], [1, 0]]},
+        "inner": {"form": "table", "targets": [1, 1, 1]},
+        "outer": {"form": "table", "targets": [1, 1]},
+    }
+    doc["hypotheses"] = {"points_x": [0, 1, 2], "points_y": [1]}
+    doc["axioms"] = {"fm_triples": 10}
+    doc["suite"] = {"scheme": "self-quadruple", "count": 2}
+    return doc
+
+
+@pytest.mark.parametrize("name", ["pair_linear", "suite_default", "composed_finite"])
+def test_builders_read_the_checked_fields_without_checking_them_again(name, tmp_path):
+    """load_config checks every section; each builder that cli.py and
+    bench/fresh.py call then succeeds with the section checks made to fail,
+    and leaves the document as load_config returned it."""
+    if name == "composed_finite":
+        path = write_config(tmp_path / "c.json", composed_finite_config())
+    else:
+        path = ROOT / "configs" / f"{name}.json"
+    doc = config.load_config(path)
+
+    def fail(*args, **kwargs):
+        raise AssertionError(f"a builder checked {args[1]!r} again")
+
+    with mock.patch.object(config, "_fields", fail), mock.patch.object(config, "_tagged", fail):
+        grid = config.build_grid(doc)
+        config.build_grid(doc, 50.0)
+        config.build_tnorm(doc)
+        config.build_solve(doc, grid, want_x0=False)
+        if "carrier" in doc:
+            carrier_x, carrier_y, _, _ = config.build_spaces(doc, grid)
+            config.build_problem(doc, carrier_x, carrier_y)
+            assert config.build_solve(doc, grid, carrier_x)[1] is not None
+            config.build_samples(doc, grid, carrier_x, carrier_y, include_diagonal=True)
+            config.build_axiom_params(doc, (carrier_x, carrier_y))
+        if "suite" in doc:
+            assert len(config.build_suite_specs(doc, grid, 5)[0]) == doc["suite"]["count"]
+    assert doc == config.load_config(path)
+
+
+@pytest.mark.parametrize("command", ["axioms", "hypotheses", "solve", "suite"])
+def test_each_section_is_checked_once_per_run(command, tmp_path):
+    """Every JSON path, the document's own ("") and a composed map's parts
+    included, reaches the key and kind check exactly once."""
+    doc = pair_config()
+    doc["maps"]["T"] = composed(affine(1.0, 1.0), affine(0.5, 0.5))
+    cfg = write_config(tmp_path / "c.json", doc)
+    check, checked = config._fields, []
+
+    def fields(section, where, *args, **kwargs):
+        checked.append(where)
+        return check(section, where, *args, **kwargs)
+
+    with mock.patch.object(config, "_fields", fields):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    expected = ["", *doc, "maps.T", "maps.T.via", "maps.T.inner", "maps.T.outer", "maps.S"]
+    assert sorted(checked) == sorted(expected)
+
+
+def test_first_of_several_faults_does_not_depend_on_the_hash_seed(tmp_path):
+    """Sections are checked in a fixed order, not in the order of a set's
+    keys, so the hypotheses fault is reported before the suite fault in
+    every process, although suite comes first in the file."""
+    doc = pair_config()
+    doc["hypotheses"]["exclude_diagonal"] = "no"
+    doc["suite"]["dim"] = "x"
+    cfg = write_config(tmp_path / "c.json", {"suite": doc.pop("suite"), **doc})
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    for hash_seed in ("0", "4242"):
+        env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONHASHSEED": hash_seed}
+        argv = [sys.executable, "-m", "fuzzyfp", "solve", "--config", cfg, "--out", str(tmp_path / "out")]
+        done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+        assert done.returncode == 2
+        assert done.stderr == "error: hypotheses.exclude_diagonal must be true or false, got 'no'\n"
+
+
+# (subcommand, flag) pairs where the subcommand does not read the flag
+UNREAD_FLAGS = [
+    ("axioms", ("--format", "csv")),
+    ("axioms", ("--include-diagonal",)),
+    ("hypotheses", ("--seed", "3")),
+    ("solve", ("--seed", "3")),
+    ("solve", ("--format", "csv")),
+    ("solve", ("--include-diagonal",)),
+    ("suite", ("--include-diagonal",)),
+]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS, ids=[f"{c}{f[0]}" for c, f in UNREAD_FLAGS])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(command, flag, tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", pair_config())
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(tmp_path / "out"), *flag])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fuzzyfp")
+    assert f"error: unrecognized arguments: {' '.join(flag)}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestSuiteCommand:
