@@ -20,9 +20,9 @@ from .tnorms import TNorm
 
 _SLACK = 1e-12
 MAX_WITNESSES = 25
-# (triple, s, t) cells per array pass: 256 KiB per float array, since a suite
-# checks thousands of triples in one call.  On the default grid a block
-# holds 113 triples, spanning four or five suite seeds of 32.  The arrays
+# (triple, s, t) cells per array pass: 256 KiB per float array, since one
+# call may check thousands of triples (fm_triples).  On the default grid a
+# block holds 113 triples, so a suite kind's 32 or 64 fit in one.  The arrays
 # are allocated once per call (check_fm_axioms_batch).  A 3 200-triple call
 # took 9.2 ms, against 11.6 ms with blocks of 128 KiB arrays (best of 200
 # calls, median of 6 processes, 2-core VM); a 50-pair suite's peak RSS

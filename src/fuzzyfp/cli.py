@@ -243,7 +243,8 @@ def cmd_suite(doc: dict, args) -> int:
     agg = verdict.aggregates
     print(
         "suite: instances={instances} converged={converged} "
-        "conclusions_passed={conclusions_passed} uniqueness_passed={uniqueness_passed}".format(
+        "conclusions_passed={conclusions_passed} uniqueness_passed={uniqueness_passed} "
+        "axiom_violations_total={axiom_violations_total}".format(
             **agg
         )
     )

@@ -25,10 +25,10 @@ from fuzzyfp import (
     uniqueness_probe,
     verify_conclusions,
 )
-from fuzzyfp import solver
+from fuzzyfp import cli, harness, metrics, solver
 from fuzzyfp.cli import _jsonable
 from fuzzyfp.errors import CodomainError, EmptySampleError
-from fuzzyfp.harness import _SUITE_SALT, _generate, _kind_metrics, _suite_draws
+from fuzzyfp.harness import _SUITE_SALT, _generate, _kind, _kind_metrics, _suite_draws
 from fuzzyfp.mappings import ConstantMap
 from fuzzyfp.rng import _GAMMA, _MASK, unit
 
@@ -259,15 +259,31 @@ def test_suite_equals_each_spec_alone():
     assert any(r.k_hat is None for r in verdict.rows) and any(r.uniqueness_passed for r in verdict.rows)
 
 
-def _suite_row(spec, cfg, starts=4, n_traj=8, n_rand=8, quad_n_traj=4, quad_n_rand=4):
+def _axiom_seeds(spec) -> list:
+    """The axiom seeds at the head of spec's suite stream, one per distinct metric."""
+    inst = gen_instance(spec)
+    rng = SplitMix64(spec.seed ^ _SUITE_SALT)
+    return [rng.next_u64() for _ in dict.fromkeys((inst.mu, inst.nu))]
+
+
+def _axiom_violations(spec, grid) -> int:
+    """The violations that spec's axiom seeds find, each seed checked alone."""
+    inst = gen_instance(spec)
+    return sum(check_fm_axioms(fm, PRODUCT, 32, grid, s, inst.window).violation_count for fm, s in zip((inst.mu, inst.nu), _axiom_seeds(spec)))
+
+
+def _suite_row(spec, cfg, starts=4, n_traj=8, n_rand=8, quad_n_traj=4, quad_n_rand=4, first=None):
     """The suite row of one spec from the public one-instance functions:
-    each axiom seed checked alone, each start solved alone, the
-    conclusions verified at x0's (z, w) and k_hat estimated alone."""
+    the axiom count of first, the first spec of spec's kind in the suite
+    (spec itself by default), whose seeds are each checked alone, each start
+    solved alone, the conclusions verified at x0's (z, w) and k_hat
+    estimated alone."""
     inst = gen_instance(spec)
     rng = SplitMix64(spec.seed ^ _SUITE_SALT)
     window = inst.window
-    seeds = [rng.next_u64() for _ in dict.fromkeys((inst.mu, inst.nu))]
-    violations = sum(check_fm_axioms(fm, PRODUCT, 32, cfg.grid, s, window).violation_count for fm, s in zip((inst.mu, inst.nu), seeds))
+    for _ in dict.fromkeys((inst.mu, inst.nu)):  # the axiom seeds, drawn though only first's are checked
+        rng.next_u64()
+    violations = _axiom_violations(first or spec, cfg.grid)
     if spec.scheme != "pair":
         n_traj, n_rand = quad_n_traj, quad_n_rand
     random_x = inst.mu.carrier.sample(rng, n_rand, window)
@@ -314,8 +330,9 @@ def test_suite_rows_equal_the_one_instance_functions():
     specs += [InstanceSpec(**kw) for kw in _SHORT_RUNS]
     cfg = SolveConfig(max_iter=60)
     verdict = run_suite(specs, cfg)
+    firsts = {}  # the first spec of each kind, whose axiom count every row of the kind carries
     with np.errstate(over="ignore", invalid="ignore"):  # the expansive orbits overflow
-        alone = [_suite_row(spec, cfg) for spec in specs]
+        alone = [_suite_row(spec, cfg, first=firsts.setdefault(_kind(spec), spec)) for spec in specs]
     assert [_row(r) for r in verdict.rows] == [json.dumps(r, sort_keys=True) for r in alone]
     short = [r.iterations for r, kw in zip(verdict.rows[-6:], _SHORT_RUNS) if kw["family"] == "constant"]
     assert max(short) + 1 < 8 and all(r.k_hat is not None for r in verdict.rows[-6:])
@@ -336,11 +353,56 @@ def test_quadruple_rows_of_samples_of_several_sizes_equal_the_one_instance_funct
     specs = [InstanceSpec(**kw) for kw in _SHORT_QUAD_RUNS]
     cfg = SolveConfig(max_iter=60)
     verdict = run_suite(specs, cfg, quad_n_traj=8)
-    alone = [_suite_row(spec, cfg, quad_n_traj=8) for spec in specs]
+    firsts = {}
+    alone = [_suite_row(spec, cfg, quad_n_traj=8, first=firsts.setdefault(_kind(spec), spec)) for spec in specs]
     assert [_row(r) for r in verdict.rows] == [json.dumps(r, sort_keys=True) for r in alone]
     short = {(r.scheme, r.iterations + 1 < 8) for r in verdict.rows}
     assert short == {(scheme, s) for scheme in ("quadruple", "self-quadruple") for s in (True, False)}
     assert any(r.k_hat is None for r in verdict.rows) and any(r.k_hat is not None for r in verdict.rows)
+
+
+class _FarCubedExponential(metrics.ExponentialFuzzyMetric):
+    """exp(-g(d)/t) with g(d) = d up to d = 1 and d**3 beyond: the
+    exponential form near every fixed point, so the runs are unchanged, but
+    far points break the triangle law."""
+
+    def _from_d(self, d, ts, out=None):
+        return super()._from_d(np.where(d > 1.0, d**3, d), ts, out)
+
+
+def test_a_kind_that_breaks_the_triangle_law_counts_its_violations_once(monkeypatch, tmp_path, capsys):
+    """The axioms are checked once per kind, on its first instance's seeds:
+    every row of the broken kind carries that count, the sound kind's rows
+    0, and the total is the sum over kinds, not over rows."""
+    monkeypatch.setitem(metrics.INDUCED_FORMS, "exponential", _FarCubedExponential)
+    broken = [InstanceSpec(scheme="pair", dim=1, metric_form="exponential", seed=s) for s in (1, 2, 3)]
+    sound = [InstanceSpec(scheme="pair", dim=2, seed=s) for s in (4, 5)]
+    verdict = run_suite([broken[0], sound[0], broken[1], sound[1], broken[2]])
+    count = _axiom_violations(broken[0], verdict.grid)
+    assert count > 0 and len({_axiom_violations(spec, verdict.grid) for spec in broken}) > 1  # each instance's own count differs
+    assert [r.axiom_violations for r in verdict.rows] == [count, 0, count, 0, count]
+    assert verdict.aggregates["axiom_violations_total"] == count
+    assert all(r.status == "converged" and r.conclusions_passed and r.uniqueness_passed for r in verdict.rows)
+
+    suite = {"count": 3, "scheme": "pair", "dim": 1, "metric_form": "exponential", "seed": 1}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"suite": suite}))
+    assert cli.main(["suite", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    line = "suite: instances=3 converged=3 conclusions_passed=3 uniqueness_passed=3 axiom_violations_total={}"
+    assert capsys.readouterr().out.strip() == line.format(count)
+
+
+def test_a_suite_checks_the_axioms_once_per_kind(monkeypatch):
+    """One check_fm_axioms_batch call per kind, on the axiom seeds of the
+    kind's first instance: one per distinct metric."""
+    calls = []
+    batch = harness.check_fm_axioms_batch
+    monkeypatch.setattr(harness, "check_fm_axioms_batch", lambda *a, **kw: calls.append(list(a[4])) or batch(*a, **kw))
+    firsts = [InstanceSpec(**{"seed": 100 * j, **kind[0]}) for j, kind in enumerate(_MIXED_SPECS)]
+    specs = [InstanceSpec(**{"seed": 100 * j + i, **kind[i]}) for j, kind in enumerate(_MIXED_SPECS) for i in range(len(kind))]
+    run_suite(specs, SolveConfig(max_iter=60))
+    assert calls == [_axiom_seeds(first) for first in firsts]
+    assert [len(seeds) for seeds in calls] == [1 if first.scheme == "self-quadruple" else 2 for first in firsts]
 
 
 @pytest.mark.parametrize("n_rand", [0, 8])
