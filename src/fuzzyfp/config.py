@@ -26,16 +26,28 @@ from .solver import SolveConfig
 from .spaces import BoxSpace, FiniteSpace, validate_points
 from .tnorms import TNorm
 
-# The JSON kind of a field is one of these types; (kind, minimum) also bounds
-# it from below.  _POINT fields are checked against their carrier later.
+# A field's JSON kind is one of these types; (kind, minimum) bounds it below
+# and (list, rule) checks its elements.  Carriers check _POINT fields later.
 _POINT = object
 _KIND_NAMES = {
     int: "an integer", float: "a finite number", bool: "true or false",
     str: "a string", list: "a list", dict: "an object",
 }
 
+
+def _factor(value: list, where: str) -> list:
+    if len(value) != 2:
+        raise ConfigError(f"{where} must be [lo, hi]")
+    return [_checked(v, float, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
+def _bounds(value: list, where: str) -> list:
+    _array([0.0 if v is None else v for v in value], where)  # null is an unbounded coordinate
+    return value
+
+
 _GRID = {"t_min": float, "t_max": float, "points": int, "values": list}
-_CARRIERS = {"box": {"lo": list, "hi": list, "crisp_metric": str}, "finite": {"distances": list}}
+_CARRIERS = {"box": {"lo": (list, _bounds), "hi": (list, _bounds), "crisp_metric": str}, "finite": {"distances": list}}
 _METRICS = dict.fromkeys(INDUCED_FORMS, {}) | {"table": {"values": list}}
 _MAPS = {
     "affine": {"matrix": list, "offset": list},
@@ -57,7 +69,7 @@ _AXIOMS = {"tnorm_samples": (int, 1), "fm_triples": (int, 1), "seed": int, "wind
 _SUITE = {
     # the uniqueness probe compares the fixed points of at least two starts
     "count": (int, 1), "starts": (int, 2), "seed": int, "dim": int, "halfwidth": float,
-    "scheme": str, "family": str, "metric_form": str, "factor": list, "expansive": bool,
+    "scheme": str, "family": str, "metric_form": str, "factor": (list, _factor), "expansive": bool,
 }
 # The sections in the order load_config checks them; the tag of a tagged one
 # names its key table, whose keys are all required except _OPTIONAL ones.
@@ -70,8 +82,8 @@ _OPTIONAL = {"crisp_metric"}
 _TOP = {"tnorm": str} | dict.fromkeys([*_PLAIN, *_TAGGED], dict)
 
 
-def _checked(value, kind, where: str, minimum=None):
-    """value if it has the JSON kind (a number as a float), else ConfigError."""
+def _checked(value, kind, where: str, rule=None):
+    """value if it has the JSON kind (a number as a float) and its rule holds, else ConfigError."""
     ok = kind is _POINT or type(value) is kind or (kind is float and type(value) is int)
     if ok and kind is float:
         try:
@@ -80,8 +92,10 @@ def _checked(value, kind, where: str, minimum=None):
             ok = False
     if not ok:  # type(True) is bool, so true is no integer
         raise ConfigError(f"{where} must be {_KIND_NAMES[kind]}, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where} must be >= {minimum}, got {value!r}")
+    if callable(rule):
+        return rule(value, where)
+    if rule is not None and value < rule:
+        raise ConfigError(f"{where} must be >= {rule}, got {value!r}")
     return float(value) if kind is float else value
 
 
@@ -198,8 +212,8 @@ def build_carrier(section: dict, where: str = "carrier"):
     fields = dict(section)
     if fields.pop("kind") == "box":
         # null stands for an unbounded coordinate (JSON has no infinity literal)
-        lo = _array([-math.inf if v is None else v for v in fields.pop("lo")], f"{where}.lo")
-        hi = _array([math.inf if v is None else v for v in fields.pop("hi")], f"{where}.hi")
+        lo = np.array([-math.inf if v is None else v for v in fields.pop("lo")], dtype=float)
+        hi = np.array([math.inf if v is None else v for v in fields.pop("hi")], dtype=float)
         with _building(where):
             return BoxSpace(lo, hi, **fields)
     distances = _array(fields["distances"], f"{where}.distances")
@@ -359,12 +373,7 @@ def build_suite_specs(doc: dict, grid: TGrid, seed_override: int | None = None):
     count = fields.pop("count", 100)
     starts = fields.pop("starts", 4)
     if "factor" in fields:
-        factor = fields.pop("factor")
-        if len(factor) != 2:
-            raise ConfigError("suite.factor must be [lo, hi]")
-        fields["factor_lo"], fields["factor_hi"] = (
-            _checked(v, float, f"suite.factor[{i}]") for i, v in enumerate(factor)
-        )
+        fields["factor_lo"], fields["factor_hi"] = fields.pop("factor")
     seed = fields.pop("seed", InstanceSpec.seed)
     if seed_override is not None:
         seed = seed_override

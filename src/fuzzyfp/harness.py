@@ -272,11 +272,14 @@ class SuiteVerdict:
     aggregates: dict
 
 
-def _trajectory_sample(trace, count: int) -> list:
-    """At most count points of the trace, evenly spread, as copies, so that
-    the trace need not be kept."""
-    n = len(trace.column)
-    return list(trace.column[np.arange(n) if n <= count else np.linspace(0, n - 1, count).astype(int)])
+def _samples(traces, count: int, randoms) -> list:
+    """Per trace, at most count of its points, evenly spread (one linspace
+    for all), then its instance's random points, as a copy."""
+    lens = np.array([len(t.column) for t in traces])
+    long = lens > count
+    spread = iter(np.linspace(0, lens[long] - 1, count, axis=1).astype(int))
+    kept = (t.column[next(spread)] if cut else t.column for t, cut in zip(traces, long.tolist()))
+    return [np.concatenate([pts, r]) for pts, r in zip(kept, randoms)]
 
 
 def _kind(spec: InstanceSpec) -> tuple:
@@ -321,30 +324,28 @@ def _run_kind(specs, cfg: SolveConfig, starts: int, n_traj: int, n_rand: int) ->
     violations = sum(r.violation_count for r in check_fm_axioms_batch(mu, PRODUCT, _AXIOM_TRIPLES, cfg.grid, seeds[0], window))
 
     probe_starts = [p for inst, probe in zip(insts, probes) for p in (inst.x0, *probe)]
-    results = solve_problems(
-        [inst.problem for inst in insts], mu, nu, probe_starts, np.repeat(np.arange(len(insts)), starts), cfg
-    )
-    rows, samples = [], []
-    for inst, random_x, random_y in zip(insts, randoms_x, randoms_y):  # one instance's traces at a time
-        probe = compare_fixed_points(mu, nu, [next(results) for _ in range(starts)])
-        result = probe.results[0]
-        xs = _trajectory_sample(result.trace_x, n_traj) + list(random_x)
-        ys = _trajectory_sample(result.trace_y, n_traj) + list(random_y) if scheme == "quadruple" else ()
-        samples.append(SampleSet(points_x=tuple(xs), grid=cfg.grid, points_y=tuple(ys)))
-        rows.append(
-            dict(
-                seed=inst.spec.seed,
-                scheme=inst.spec.scheme,
-                status=result.status,
-                iterations=result.iterations,
-                k_hat=None,
-                axiom_violations=violations,
-                conclusions_passed=result.conclusions_passed,
-                min_residual=result.min_residual,
-                uniqueness_passed=probe.passed,
-                uniqueness_max_distance=max(probe.max_z_distance, probe.max_w_distance) if probe.conclusive else None,
-            )
+    owner = np.repeat(np.arange(len(insts)), starts)
+    results = solve_problems([inst.problem for inst in insts], mu, nu, probe_starts, owner, cfg)
+    verdicts = compare_fixed_points(mu, nu, results, starts)
+    heads = [verdict.results[0] for verdict in verdicts]
+    xs = _samples([r.trace_x for r in heads], n_traj, randoms_x)
+    ys = _samples([r.trace_y for r in heads], n_traj, randoms_y) if scheme == "quadruple" else [()] * len(heads)
+    samples = [SampleSet(points_x=x, grid=cfg.grid, points_y=y) for x, y in zip(xs, ys)]
+    rows = [
+        dict(
+            seed=inst.spec.seed,
+            scheme=inst.spec.scheme,
+            status=result.status,
+            iterations=result.iterations,
+            k_hat=None,
+            axiom_violations=violations,
+            conclusions_passed=result.conclusions_passed,
+            min_residual=result.min_residual,
+            uniqueness_passed=verdict.passed,
+            uniqueness_max_distance=max(verdict.max_z_distance, verdict.max_w_distance) if verdict.conclusive else None,
         )
+        for inst, result, verdict in zip(insts, heads, verdicts)
+    ]
 
     estimate = estimate_k_pair if scheme == "pair" else estimate_k_quad if scheme == "quadruple" else estimate_k_self_quad
     metrics = (mu,) if scheme == "self-quadruple" else (mu, nu)

@@ -46,11 +46,12 @@ _BLOCK_BYTES = 1 << 18
 class SampleSet:
     """Finite stand-in for universally quantified points.
 
-    points_y may be empty for single-space problems.  exclude_diagonal
-    applies to the pair estimator, where tuples with x = x' (within the
-    point-equality tolerance) are skipped by default: at such tuples the
-    inequality degenerates to k >= mu(x, STx, t), unsatisfiable with k < 1
-    at a fixed point.
+    The points of each space may be a sequence of points or one array of
+    them; points_y may be empty for single-space problems.
+    exclude_diagonal applies to the pair estimator, where tuples with
+    x = x' (within the point-equality tolerance) are skipped by default: at
+    such tuples the inequality degenerates to k >= mu(x, STx, t),
+    unsatisfiable with k < 1 at a fixed point.
     """
 
     points_x: tuple
@@ -96,9 +97,7 @@ class _Stack:
 
     def points(self, carrier, attr: str) -> np.ndarray:
         """The samples' points_x or points_y as one read-only (problems, points, ...) array."""
-        pts = np.stack([validate_points(carrier, getattr(s, attr)) for s in self.samples])
-        pts.setflags(write=False)
-        return pts
+        return validate_points(carrier, [getattr(s, attr) for s in self.samples], nested=True)
 
     @np.errstate(over="ignore", invalid="ignore")  # an image that overflows escapes, and rows past an escape map on
     def images(self, names: str, pts: np.ndarray) -> np.ndarray:
@@ -334,7 +333,7 @@ def estimate_k(scheme: str, problem, mu: FuzzyMetric, nu: FuzzyMetric, samples: 
     given, receives each report's admitted cells as _reports describes."""
     if scheme == "pair":
         yield estimate_k_pair(problem, mu, nu, samples, dump)
-        if samples.points_y:
+        if len(samples.points_y):
             yield estimate_k_pair_dual(problem, mu, nu, samples, dump)
     elif scheme == "quadruple":
         yield from estimate_k_quad(problem, mu, nu, samples, dump)

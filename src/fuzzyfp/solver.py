@@ -443,8 +443,8 @@ def _iterate(problems, owner, mu, nu, starts, cfg, trace_all: bool):
     have.  Then w is found for every start at once, and the conclusions at
     (z, w) are checked, each identity for every problem at once, at each
     problem's first start only, which alone keeps its traces unless
-    trace_all.  The results are made in start order as they are taken, so
-    a caller that takes one problem's at a time holds one's traces at a time.
+    trace_all.  The results are made in start order as they are taken; the
+    columns of every traced start are held until the iterator is dropped.
     """
     cfg = cfg or SolveConfig()
     cycle, w_name, identities = _scheme(problems[0])
@@ -531,11 +531,6 @@ class UniquenessReport:
 _UNIQUENESS_TOL = 1e-6
 
 
-def _diameter(carrier, pts) -> float:
-    p = np.asarray(pts)
-    return float(carrier.distances(p[:, None], p[None]).max())
-
-
 def uniqueness_probe(
     problem,
     mu: FuzzyMetric,
@@ -557,19 +552,23 @@ def uniqueness_probe(
     return compare_fixed_points(mu, nu, _iterate([problem], owner, mu, nu, starts, cfg, True))
 
 
-def compare_fixed_points(mu: FuzzyMetric, nu: FuzzyMetric, results) -> UniquenessReport:
-    """The uniqueness verdict on the results of one problem's starts; see uniqueness_probe."""
+def compare_fixed_points(mu: FuzzyMetric, nu: FuzzyMetric, results, starts: int | None = None):
+    """The uniqueness verdict on the results of one problem's starts; see
+    uniqueness_probe.  Given starts, results may hold several problems'
+    starts, each problem's adjacent, and a tuple of verdicts comes back from
+    one distance pass per space over the conclusive problems' fixed points,
+    stacked (problems, starts[, dim]), coordinates last as in one's alone."""
     results = tuple(results)
-    conclusive = all(r.status == STATUS_CONVERGED for r in results)
-    max_z = max_w = passed = None
-    if conclusive:
-        max_z = _diameter(mu.carrier, [r.z for r in results])
-        max_w = _diameter(nu.carrier, [r.w for r in results])
-        passed = max_z <= _UNIQUENESS_TOL and max_w <= _UNIQUENESS_TOL
-    return UniquenessReport(
-        conclusive=conclusive,
-        passed=passed,
-        max_z_distance=max_z,
-        max_w_distance=max_w,
-        results=results,
-    )
+    per = starts or len(results)
+    groups = [results[i : i + per] for i in range(0, len(results), per)]
+    conclusive = [all(r.status == STATUS_CONVERGED for r in group) for group in groups]
+    far = {}  # per space, the largest distance among each conclusive problem's fixed points
+    for fm, name in ((mu, "z"), (nu, "w")) if any(conclusive) else ():  # a converged start has a w
+        p = np.array([[getattr(r, name) for r in group] for group, c in zip(groups, conclusive) if c])
+        far[name] = iter(fm.carrier.distances(p[:, :, None], p[:, None]).max(axis=(1, 2)).tolist())
+    reports = []
+    for group, c in zip(groups, conclusive):
+        z, w = (next(far["z"]), next(far["w"])) if c else (None, None)
+        passed = z <= _UNIQUENESS_TOL and w <= _UNIQUENESS_TOL if c else None
+        reports.append(UniquenessReport(c, passed, z, w, group))
+    return tuple(reports) if starts else reports[0]

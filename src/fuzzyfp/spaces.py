@@ -184,16 +184,18 @@ class FiniteSpace:
         return (u % np.uint64(self.size)).astype(np.intp)
 
 
-def validate_points(carrier, pts) -> np.ndarray:
-    """validate_point over a sequence, checked as one read-only array; a bad
-    point raises the error validate_point gives for the first of them."""
+def validate_points(carrier, pts, nested: bool = False) -> np.ndarray:
+    """validate_point over a sequence (of equal-length sequences if nested),
+    checked as one read-only array; a bad point raises the error that
+    validate_point gives for the first of them."""
     box = carrier.kind == "box"
     try:
         arr = np.array(pts, dtype=float if box else None)
     except (TypeError, ValueError):  # ragged points
         arr = np.empty(0)
-    shape = (len(pts), carrier.dimension) if box else (len(pts),)
+    shape = (len(pts), len(pts[0])) if nested else (len(pts),)
+    shape += (carrier.dimension,) if box else ()
     if arr.shape != shape or not (box or arr.dtype.kind in "iu") or carrier.escaped_rows(arr) is not None:
-        arr = np.array([carrier.validate_point(p) for p in pts])
+        arr = np.array([validate_points(carrier, p) if nested else carrier.validate_point(p) for p in pts])
     arr.setflags(write=False)
     return arr

@@ -2,10 +2,10 @@
 
 Each function here is the straightforward loop that the array code in
 `fuzzyfp` replaces: one RNG draw, one point, one point pair, one map
-evaluation, one t-norm sample, one triple, one generated instance or one
-iteration start at a time.  None of it calls the scalar forms of `fuzzyfp`
-(a map or t-norm call, mu_grid, distance), which are wrappers over the
-array code.  The
+evaluation, one t-norm sample, one triple, one generated instance, one
+iteration start or one problem's uniqueness verdict at a time.  None of
+it calls the scalar forms of `fuzzyfp` (a map or t-norm call, mu_grid,
+distance), which are wrappers over the array code.  The
 equivalence tests compare the two bit for bit.  The step-recurrence
 checkers test the paper's recurrences along solver traces, one step at a
 time.  The inequality terms evaluate the contraction hypotheses at one
@@ -38,7 +38,7 @@ from fuzzyfp.axioms import _SLACK, AxiomReport
 from fuzzyfp.errors import CodomainError, DomainError, UsageError
 from fuzzyfp.harness import _SUITE_SALT, Instance, _kind_metrics
 from fuzzyfp.rng import unit
-from fuzzyfp.solver import _COLLAPSE, ConclusionCheck, FixedPointResult, SolveConfig
+from fuzzyfp.solver import _COLLAPSE, _UNIQUENESS_TOL, ConclusionCheck, FixedPointResult, SolveConfig, UniquenessReport
 from fuzzyfp.spaces import DELTA_PT
 
 
@@ -487,6 +487,28 @@ def solve(problem, mu, nu, x0, cfg=None):
         trace_y=_trace(ys, y_rows, grid),
         conclusion_checks=checks,
     )
+
+
+def _diameter(carrier, pts) -> float:
+    """The largest crisp distance among one problem's points, from one
+    carrier.distances call on those points alone."""
+    p = np.asarray(pts)
+    return float(carrier.distances(p[:, None], p[None]).max())
+
+
+def compare_fixed_points(mu, nu, results):
+    """The uniqueness verdict on the results of one problem's starts, made
+    for that problem alone: conclusive iff every start converged, and then
+    passed iff the largest distance among the z's and among the w's is at
+    most the tolerance."""
+    results = tuple(results)
+    conclusive = all(r.status == "converged" for r in results)
+    max_z = max_w = passed = None
+    if conclusive:
+        max_z = _diameter(mu.carrier, [r.z for r in results])
+        max_w = _diameter(nu.carrier, [r.w for r in results])
+        passed = max_z <= _UNIQUENESS_TOL and max_w <= _UNIQUENESS_TOL
+    return UniquenessReport(conclusive, passed, max_z, max_w, results)
 
 
 def full_grid_nearness(runs, fm, d, a, b):

@@ -53,7 +53,7 @@ from fuzzyfp.hypotheses import (
     estimate_k_quad,
     estimate_k_self_quad,
 )
-from fuzzyfp.solver import _diameter, solve
+from fuzzyfp.solver import FixedPointResult, compare_fixed_points, solve
 from test_hypotheses import Dumped, pts
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
@@ -174,12 +174,22 @@ def test_distances_bitwise_on_many_pairs(dim, metric):
 @SETTINGS
 @given(space=finite_spaces(), seed=SEEDS)
 def test_finite_distances_and_diameter(space, seed):
+    """Finite distances, and the largest distance among the fixed points of
+    one problem's starts, alone and stacked as two problems of three."""
     pts = space.sample(SplitMix64(seed), 6)
     got = space.distances(np.asarray(pts)[:, None], np.asarray(pts)[None])
     assert np.array_equal(got, oracles.distance_matrix(space, pts, pts))
-    assert _diameter(space, pts) == max(
-        oracles.distance(space, p, q) for i, p in enumerate(pts) for q in pts[i + 1 :]
-    )
+
+    def diameter(group):
+        return max(oracles.distance(space, p, q) for i, p in enumerate(group) for q in group[i + 1 :])
+
+    fm = induced_standard(space)
+    results = [FixedPointResult(int(p), int(q), "eps-reached", 1, None, None, ()) for p, q in zip(pts, pts[::-1])]
+    alone = compare_fixed_points(fm, fm, results)
+    assert alone.max_z_distance == alone.max_w_distance == diameter(pts)
+    stacked = compare_fixed_points(fm, fm, results, 3)
+    assert [r.max_z_distance for r in stacked] == [diameter(pts[:3]), diameter(pts[3:])]
+    assert [r.max_w_distance for r in stacked] == [diameter(pts[::-1][:3]), diameter(pts[::-1][3:])]
 
 
 @st.composite

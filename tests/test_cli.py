@@ -463,6 +463,14 @@ def test_malformed_config_exits_two_without_traceback(base, command, path, value
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["axioms", "hypotheses", "solve", "suite"])
+@pytest.mark.parametrize("path,value", [(("suite", "factor"), ["a", "b"]), (("carrier", "lo"), ["a"])], ids=["factor", "lo"])
+def test_malformed_list_elements_exit_two_on_every_subcommand(path, value, command, tmp_path, capsys):
+    """List elements that only another subcommand's builder checked used to
+    pass: solve ran with suite.factor = ["a", "b"], suite with carrier.lo = ["a"]."""
+    test_malformed_config_exits_two_without_traceback(pair_config, command, path, value, tmp_path, capsys)
+
+
 def composed_finite_config():
     """finite_config with T routed through a two-point finite carrier, and
     the hypotheses, axioms and suite sections that the other builders read."""

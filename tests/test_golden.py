@@ -6,7 +6,9 @@ byte-identical.  Two more `hypotheses` cases, a 160-point pair and a 5 + 12
 point quadruple, are large enough that the estimators evaluate them in
 several blocks of the leading sample index.  One expansive pair suite
 overflows in its x0 solves, so its k_hat samples escape and its rows carry
-no k_hat.
+no k_hat.  One mixed-family pair suite has constant maps, whose fixed
+points agree exactly (uniqueness distance 0.0) and whose runs are shorter
+than the trajectory sample, so its k_hat samples come in several sizes.
 
 The expected exit codes and SHA-256 digests live in tests/golden/digests.json.
 Regenerate them only when output is meant to change, and say why:

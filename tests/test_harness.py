@@ -9,11 +9,15 @@ import oracles
 from fuzzyfp import (
     PRODUCT,
     AffineMap,
+    BoxSpace,
     ConfigError,
+    FiniteSpace,
     InstanceSpec,
+    MapPair,
     SampleSet,
     SolveConfig,
     SplitMix64,
+    TableMap,
     TGrid,
     UsageError,
     check_fm_axioms,
@@ -549,3 +553,108 @@ def test_batch_of_slow_quadruples_keeps_memory_of_one():
     assert min(r.iterations for r in verdict.rows) >= 660
     alone = max(_traced_peak(lambda: run_suite([spec])) for spec in specs)
     assert _traced_peak(lambda: run_suite(specs)) <= 1.25 * alone
+
+
+def _verdict_key(report):
+    return (report.conclusive, report.passed, repr(report.max_z_distance), repr(report.max_w_distance))
+
+
+def _suite_uniqueness(specs, monkeypatch, cfg=None):
+    """Run a suite of one kind with its kind-wide compare_fixed_points call
+    watched; assert each instance's verdict, and its row, equals the
+    oracle's verdict on that instance's starts alone.  Returns the
+    verdicts."""
+    calls, real = [], solver.compare_fixed_points
+
+    def watched(mu, nu, results, starts):
+        results = list(results)
+        calls.append((mu, nu, results, starts))
+        return real(mu, nu, results, starts)
+
+    monkeypatch.setattr(harness, "compare_fixed_points", watched)
+    with np.errstate(over="ignore", invalid="ignore"):  # the expansive orbits overflow
+        verdict = run_suite(specs, cfg)
+    ((mu, nu, results, starts),) = calls
+    got = real(mu, nu, results, starts)
+    want = [oracles.compare_fixed_points(mu, nu, results[i : i + starts]) for i in range(0, len(results), starts)]
+    assert [_verdict_key(r) for r in got] == [_verdict_key(r) for r in want]
+    assert all(g.results == w.results for g, w in zip(got, want))
+    rows = [(r.uniqueness_passed, repr(r.uniqueness_max_distance)) for r in verdict.rows]
+    assert rows == [(w.passed, repr(max(w.max_z_distance, w.max_w_distance) if w.conclusive else None)) for w in want]
+    return got
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        dict(scheme="pair", dim=2),
+        dict(scheme="quadruple", dim=2),
+        dict(scheme="self-quadruple", dim=1, metric_form="exponential"),
+        dict(scheme="pair", dim=4),  # more than 3 coordinates: the sums keep the bits of one instance's call
+        dict(scheme="quadruple", dim=5),
+    ],
+    ids=lambda kind: "-".join(map(str, kind.values())),
+)
+def test_kind_uniqueness_verdicts_equal_each_instance_alone(kind, monkeypatch):
+    got = _suite_uniqueness([InstanceSpec(seed=s, **kind) for s in range(8)], monkeypatch)
+    assert all(r.passed for r in got)
+    assert any(r.max_z_distance > 0.0 for r in got)
+
+
+def test_kind_uniqueness_verdicts_of_constant_maps_are_exactly_zero(monkeypatch):
+    """A mixed-family kind: its constant maps' fixed points agree exactly."""
+    got = _suite_uniqueness([InstanceSpec(family="mixed", seed=s) for s in range(5, 13)], monkeypatch)
+    assert any(r.max_z_distance == r.max_w_distance == 0.0 for r in got)
+    assert any(r.max_z_distance > 0.0 for r in got)
+
+
+def test_kind_uniqueness_verdicts_of_an_expansive_kind_are_inconclusive(monkeypatch):
+    specs = [InstanceSpec(expansive=True, factor_lo=1.5, factor_hi=3.0, seed=s) for s in range(4)]
+    got = _suite_uniqueness(specs, monkeypatch, SolveConfig(max_iter=60))
+    assert all(not r.conclusive and r.passed is None and r.max_z_distance is None for r in got)
+
+
+def test_uniqueness_verdicts_with_a_start_that_escapes_before_its_first_y():
+    """A start whose first image leaves Y keeps no y, so its w is None; its
+    problem is inconclusive, and the problems around it are judged alone."""
+    box = BoxSpace([-1.0], [1.0])
+    mu = metrics.induced_standard(box)
+    pairs = [
+        MapPair(T=AffineMap([[2.0]], [0.0], box), S=AffineMap([[0.25]], [0.0], box)),
+        MapPair(T=AffineMap([[0.5]], [0.1], box), S=AffineMap([[0.5]], [0.0], box)),
+    ]
+    starts = [np.array([v]) for v in (0.1, -0.2, 0.1, 0.9, 0.3, -0.7)]
+    problems = [pairs[1], pairs[0], pairs[1]]
+    results = list(solver.solve_problems(problems, mu, mu, starts, np.repeat(np.arange(3), 2)))
+    assert results[3].w is None and results[3].status == "diverging"
+    got = solver.compare_fixed_points(mu, mu, results, 2)
+    want = [oracles.compare_fixed_points(mu, mu, results[i : i + 2]) for i in range(0, 6, 2)]
+    assert [_verdict_key(r) for r in got] == [_verdict_key(r) for r in want]
+    assert [r.conclusive for r in got] == [True, False, True]
+
+
+def test_uniqueness_probe_on_a_finite_carrier_equals_the_oracle():
+    space_x = FiniteSpace([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    space_y = FiniteSpace([[0.0, 1.5], [1.5, 0.0]])
+    mu, nu = metrics.induced_standard(space_x), metrics.induced_standard(space_y)
+    for targets, passed in (([2, 2], True), ([0, 2], False)):  # S(0) = 0 makes 0 a second fixed point
+        pair = MapPair(T=TableMap([0, 1, 1], space_y), S=TableMap(targets, space_x))
+        probe = uniqueness_probe(pair, mu, nu, [0, 1, 2])
+        want = oracles.compare_fixed_points(mu, nu, probe.results)
+        assert _verdict_key(probe) == _verdict_key(want) and probe.passed is passed
+
+
+@pytest.mark.parametrize("dim", [3, 4, 7])
+def test_uniqueness_verdicts_of_far_apart_fixed_points_keep_each_problem_alone(dim):
+    """Identity pairs: every start is its own fixed point, so the distances
+    carry full mantissas, whose sums of more than 3 squares round as the
+    contiguous call on one problem's points rounds them."""
+    box = BoxSpace([-10.0] * dim, [10.0] * dim)
+    mu = metrics.induced_standard(box)
+    ident = AffineMap(np.eye(dim), np.zeros(dim), box)
+    starts = box.sample(SplitMix64(dim), 40)
+    results = list(solver.solve_problems([MapPair(T=ident, S=ident)] * 10, mu, mu, starts, np.repeat(np.arange(10), 4)))
+    got = solver.compare_fixed_points(mu, mu, results, 4)
+    want = [oracles.compare_fixed_points(mu, mu, results[i : i + 4]) for i in range(0, 40, 4)]
+    assert [_verdict_key(r) for r in got] == [_verdict_key(r) for r in want]
+    assert all(r.conclusive and r.passed is False for r in got)

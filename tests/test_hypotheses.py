@@ -6,6 +6,7 @@ same tuple sets, independently of the float/numpy implementation path.
 
 import os
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -33,6 +34,7 @@ from fuzzyfp import (
 )
 from fuzzyfp.cli import _ratio_rows
 from fuzzyfp.solver import SolveConfig
+from fuzzyfp.spaces import validate_points
 from oracles import (
     check_recurrence_pair,
     check_recurrence_quad,
@@ -920,3 +922,77 @@ def test_ratio_dump_memory_does_not_grow_with_the_sample():
     (4x the rows) leaves its peak nearly flat, where keeping every row as a
     tuple until the end grew with the row count."""
     assert _pair_dump_peak_mb(384) <= 1.5 * _pair_dump_peak_mb(192)
+
+
+# ---------------------------------------------------------------------------
+# stacked samples: one check of all their points
+# ---------------------------------------------------------------------------
+
+BOX2 = BoxSpace([-10.0, -10.0], [10.0, 10.0])
+MU2 = induced_standard(BOX2)
+GRID5 = TGrid.logspace(0.1, 10.0, 5)
+PAIR2 = MapPair(T=AffineMap([[0.5, 0.0], [0.1, 0.5]], [1.0, 0.0], BOX2), S=AffineMap([[0.3, 0.1], [0.0, 0.4]], [0.0, -1.0], BOX2))
+QUAD2 = MapQuadruple(
+    A=AffineMap([[0.5, 0.0], [0.0, 0.5]], [1.0, 0.0], BOX2),
+    B=AffineMap([[0.2, 0.1], [0.0, 0.3]], [0.0, 1.0], BOX2),
+    S=AffineMap([[0.4, 0.0], [0.1, 0.4]], [-1.0, 0.0], BOX2),
+    T=AffineMap([[0.3, 0.0], [0.0, 0.6]], [0.0, 0.5], BOX2),
+)
+
+
+def _box_points(seed, n=5):
+    return tuple(BOX2.sample(SplitMix64(seed), n))
+
+
+def _spoiled(points, fault):
+    """A copy of a sample's points with one fault: a NaN coordinate, a point
+    outside the box, every point of the wrong dimension, or one short row."""
+    pts = [list(p) for p in points]
+    if fault == "nan":
+        pts[2][0] = float("nan")
+    elif fault == "outside":
+        pts[1][1] = 20.0
+    elif fault == "wrong-dimension":
+        pts = [p + [0.0] for p in pts]
+    else:
+        pts[3] = pts[3][:1]
+    return tuple(np.array(p) for p in pts)
+
+
+def _stacked_call(scheme, samples):
+    if scheme == "pair":
+        return estimate_k_pair([PAIR2] * len(samples), MU2, MU2, samples)
+    return estimate_k_quad([QUAD2] * len(samples), MU2, MU2, samples)
+
+
+@pytest.mark.parametrize("fault", ["nan", "outside", "wrong-dimension", "ragged"])
+@pytest.mark.parametrize("at", [1, 2])
+@pytest.mark.parametrize("scheme,attr", [("pair", "points_x"), ("quadruple", "points_x"), ("quadruple", "points_y")])
+def test_a_bad_point_of_a_stacked_sample_raises_as_the_per_sample_check(scheme, attr, at, fault):
+    """Three samples, one of which holds a bad point: the one check of the
+    stack falls back to the per-sample check, so the call raises the error
+    that checking the samples one at a time raises first."""
+    samples = [SampleSet(_box_points(s), GRID5, _box_points(10 + s) if scheme == "quadruple" else ()) for s in range(3)]
+    samples[at] = replace(samples[at], **{attr: _spoiled(getattr(samples[at], attr), fault)})
+    if at == 1:  # a later bad sample does not change the error of the first
+        samples[2] = replace(samples[2], **{attr: _spoiled(getattr(samples[2], attr), "outside")})
+    with pytest.raises(Exception) as per_sample:
+        for sample in samples:
+            validate_points(BOX2, getattr(sample, attr))
+    with pytest.raises(type(per_sample.value)) as stacked:
+        _stacked_call(scheme, samples)
+    assert type(stacked.value) is type(per_sample.value) and str(stacked.value) == str(per_sample.value)
+
+
+@pytest.mark.parametrize("scheme", ["pair", "quadruple", "self-quadruple"])
+def test_samples_given_as_arrays_give_the_reports_of_tuples_of_points(scheme):
+    tuples = [SampleSet(_box_points(s), GRID5, _box_points(10 + s) if scheme != "pair" else ()) for s in range(3)]
+    arrays = [replace(s, points_x=np.array(s.points_x), points_y=np.array(s.points_y)) for s in tuples]
+    if scheme == "self-quadruple":
+        reports = [estimate_k_self_quad([QUAD2] * 3, MU2, samples) for samples in (tuples, arrays)]
+        reports += [estimate_k_self_quad(QUAD2, MU2, samples[0]) for samples in (tuples, arrays)]
+    else:
+        reports = [_stacked_call(scheme, samples) for samples in (tuples, arrays)]
+        reports += [estimate_k(scheme, PAIR2 if scheme == "pair" else QUAD2, MU2, MU2, samples[0]) for samples in (tuples, arrays)]
+    assert repr(reports[0]) == repr(reports[1]) and repr(list(reports[2])) == repr(list(reports[3]))
+    assert any(r.k_hat is not None for r in reports[0])
