@@ -41,6 +41,12 @@ def _factor(value: list, where: str) -> list:
     return [_checked(v, float, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
+def _numbers(value: list, where: str) -> list:
+    for i, v in enumerate(value):  # each element a number or a nested list of numbers
+        _only_numbers(v, f"{where}[{i}]")
+    return value
+
+
 def _bounds(value: list, where: str) -> list:
     _array([0.0 if v is None else v for v in value], where)  # null is an unbounded coordinate
     return value
@@ -50,7 +56,7 @@ _GRID = {"t_min": float, "t_max": float, "points": int, "values": list}
 _CARRIERS = {"box": {"lo": (list, _bounds), "hi": (list, _bounds), "crisp_metric": str}, "finite": {"distances": list}}
 _METRICS = dict.fromkeys(INDUCED_FORMS, {}) | {"table": {"values": list}}
 _MAPS = {
-    "affine": {"matrix": list, "offset": list},
+    "affine": {"matrix": (list, _numbers), "offset": (list, _numbers)},
     "constant": {"value": _POINT},
     "table": {"targets": list},
     "composed": {"via": dict, "inner": dict, "outer": dict},
@@ -64,8 +70,8 @@ _SOLVE = {
     "eps": float, "max_iter": int, "stall_window": int, "p_max": int, "verify_tol": float,
     "x0": _POINT,
 }
-_HYPOTHESES = {"points_x": list, "points_y": list, "exclude_diagonal": bool}
-_AXIOMS = {"tnorm_samples": (int, 1), "fm_triples": (int, 1), "seed": int, "window": list}
+_HYPOTHESES = {"points_x": (list, _numbers), "points_y": (list, _numbers), "exclude_diagonal": bool}
+_AXIOMS = {"tnorm_samples": (int, 1), "fm_triples": (int, 1), "seed": int, "window": (list, _numbers)}
 _SUITE = {
     # the uniqueness probe compares the fixed points of at least two starts
     "count": (int, 1), "starts": (int, 2), "seed": int, "dim": int, "halfwidth": float,
@@ -136,8 +142,7 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _array(value, where: str) -> np.ndarray:
-    """A number or a nested list of numbers as a float array."""
+def _only_numbers(value, where: str) -> None:
     stack = [value]
     while stack:
         v = stack.pop()
@@ -145,6 +150,11 @@ def _array(value, where: str) -> np.ndarray:
             stack += v
         elif type(v) is not float and type(v) is not int:
             raise ConfigError(f"{where} must hold numbers only, got {v!r}")
+
+
+def _array(value, where: str) -> np.ndarray:
+    """A number or a nested list of numbers as a float array."""
+    _only_numbers(value, where)
     try:
         return np.asarray(value, dtype=float)
     except (ValueError, OverflowError) as exc:

@@ -325,9 +325,9 @@ def _run_kind(specs, cfg: SolveConfig, starts: int, n_traj: int, n_rand: int) ->
 
     probe_starts = [p for inst, probe in zip(insts, probes) for p in (inst.x0, *probe)]
     owner = np.repeat(np.arange(len(insts)), starts)
-    results = solve_problems([inst.problem for inst in insts], mu, nu, probe_starts, owner, cfg)
-    verdicts = compare_fixed_points(mu, nu, results, starts)
-    heads = [verdict.results[0] for verdict in verdicts]
+    batch = solve_problems([inst.problem for inst in insts], mu, nu, probe_starts, owner, cfg)
+    verdicts = compare_fixed_points(mu, nu, batch, starts)
+    heads = [batch.result(i) for i in range(0, len(owner), starts)]
     xs = _samples([r.trace_x for r in heads], n_traj, randoms_x)
     ys = _samples([r.trace_y for r in heads], n_traj, randoms_y) if scheme == "quadruple" else [()] * len(heads)
     samples = [SampleSet(points_x=x, grid=cfg.grid, points_y=y) for x, y in zip(xs, ys)]

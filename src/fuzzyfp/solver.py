@@ -83,18 +83,18 @@ class SequenceTrace:
     """Points of a sequence plus consecutive-step nearness over a grid.
 
     A trace may be empty: a scheme can fail before producing any iterate.
-    column holds the points as one array.  The nearness rows, of shape
-    (max(len(points) - 1, 0), len(grid)), are given, or for a trace of the
-    solver computed from its column when first read, as are its points
-    (see _trace).
+    column holds the points as one array, which the trace makes read-only.
+    The tuple of rows that points gives (ints on a finite carrier) and the
+    nearness rows, fm's mu_batch of consecutive points, of shape
+    (max(len(column) - 1, 0), len(grid)), are made when first read: the
+    suites read a few points of the column only.
     """
 
-    __slots__ = ("grid", "column", "_points", "_nearness", "_fm")
+    __slots__ = ("column", "fm", "grid", "_points", "_nearness")
 
-    def __init__(self, points: tuple, nearness: np.ndarray, grid: TGrid):
-        if nearness.shape != (max(len(points) - 1, 0), len(grid)):
-            raise UsageError("nearness rows must pair consecutive points")
-        self.grid, self.column, self._points, self._nearness, self._fm = grid, np.array(points), points, nearness, None
+    def __init__(self, column: np.ndarray, fm: FuzzyMetric, grid: TGrid):
+        column.setflags(write=False)
+        self.column, self.fm, self.grid, self._points, self._nearness = column, fm, grid, None, None
 
     @property
     def points(self) -> tuple:
@@ -103,9 +103,10 @@ class SequenceTrace:
         return self._points
 
     @property
+    @np.errstate(over="ignore", invalid="ignore")  # as in _iterate, where an orbit may overflow
     def nearness(self) -> np.ndarray:
         if self._nearness is None:
-            self._nearness = _step_nearness(self.column, self._fm, self.grid)
+            self._nearness = self.fm.mu_batch(self.column[:-1], self.column[1:], self.grid)
         return self._nearness
 
     def __len__(self) -> int:
@@ -204,31 +205,6 @@ def verify_conclusions(
 _CHUNK_CYCLES = 64
 
 
-class _Steps:
-    """One per-step array of the running starts of a batch, step-major:
-    entry n holds the rows of every running start at step n, one column per
-    start in the order of _Runs.ids.  A stopped start's column is dropped at
-    once, so that a start which runs long does not keep those that stopped."""
-
-    def __init__(self):
-        self.buf = None
-        self.n = 0
-
-    def extend(self, rows: np.ndarray) -> None:
-        """Append the entries rows[0], rows[1], ... as one slice."""
-        if self.buf is None:
-            self.buf = np.empty((16,) + rows.shape[1:], dtype=rows.dtype)
-        end = self.n + len(rows)
-        while end > len(self.buf):
-            self.buf = np.concatenate([self.buf, np.empty_like(self.buf)])
-        self.buf[self.n : end] = rows
-        self.n = end
-
-    @property
-    def last(self) -> np.ndarray:
-        return self.buf[self.n - 1]
-
-
 def _map_chunk(cycle, x: np.ndarray, cycles: int):
     """Map cycles cycles from the iterates x of the running starts: the
     stacked xs (x, then one per step), the stacked ys, each step written in
@@ -271,11 +247,19 @@ def _map_chunk(cycle, x: np.ndarray, cycles: int):
     return xs, ys, escapes
 
 
+# Why a start stopped, by code; _Runs._flags gives the codes 1 and 2.
+_REASONS = (STOP_EPS, STOP_STALL, STOP_COLLAPSE, STOP_ESCAPE, STOP_MAX_ITER)
+
+
 class _Runs:
-    """Which starts of a batch still run, why the others stopped and what
-    their results need, and of every step of the running starts the
-    iterates and what _flags reads back: nearness at the smallest and the
-    largest grid scale and the crisp length of each x step.
+    """Which starts of a batch still run, and all that is kept of them: the
+    last x and y of each running start, the x and y columns of the traced
+    ones (trail, one entry per chunk in which any of them ran), and of the
+    last stall_window x steps what _flags reads back (tail): nearness at
+    the smallest and the largest grid scale and the crisp length.  A start
+    that stops leaves, in arrays over every start, its reason code (an
+    index into _REASONS), the number of maps it applied, its z and its last
+    y.
 
     Step nearness is computed at those two end scales only (ends, a grid
     built once per run), and at every scale only for the steps whose two
@@ -283,54 +267,56 @@ class _Runs:
 
     def __init__(self, x0: np.ndarray, mu, nu, cfg: SolveConfig, traced: np.ndarray):
         n = len(x0)
-        self.ids = np.arange(n)
-        self.reasons = [STOP_MAX_ITER] * n
         self.mu, self.nu, self.cfg, self.traced = mu, nu, cfg, traced
         self.ends = cfg.grid if len(cfg.grid) <= 2 else TGrid(cfg.grid.values[[0, -1]])
-        self.steps = [_Steps() for _ in range(5)]
-        self.xs, self.ys, self.low, self.top, self.lengths = self.steps
-        self.xs.extend(x0[None])
-        self.done = [None] * n  # each stopped start's (x points, y points, iterations)
+        self.ids, self.steps = np.arange(n), 0  # the running starts, and the x steps of each
+        self.x, self.y, self.tail, self.trail = x0, None, np.empty((3, 0, n)), []
+        self.code, self.maps = np.full(n, _REASONS.index(STOP_MAX_ITER)), np.zeros(n, np.intp)
+        self.z, self.last_y = np.empty_like(x0), None
 
     def judge(self, xs, ys, escapes, cycles: int) -> None:
-        """Store a chunk of cycles that _map_chunk mapped from the last stored
+        """Take a chunk of cycles that _map_chunk mapped from the last
         iterates, and stop each start at its first stop in it: an escape at
         once, else at the end of a cycle, eps-reached before the first
         divergence flag of that cycle."""
-        k, count = len(ys), len(self.ids)
+        k, count, first = len(ys), len(self.ids), self.steps
         per = k // cycles  # steps per cycle
-        first = self.lengths.n  # the chunk's first step
         lengths = self.mu.carrier.distances(xs[:-1], xs[1:])
         x_ends, near = self._nearness(self.mu, lengths, xs[:-1], xs[1:])
-        y_all = np.concatenate([self.ys.last[None], ys]) if self.ys.n else ys
+        y_all = ys if self.y is None else np.concatenate([self.y[None], ys])
         y_from, y_to = y_all[:-1], y_all[1:]
         y_near = self._nearness(self.nu, self.nu.carrier.distances(y_from, y_to), y_from, y_to)[1]
-        for steps, rows in zip(self.steps, (xs[1:], ys, x_ends[..., 0], x_ends[..., -1], lengths)):
-            steps.extend(rows)
         near[k - len(y_near) :] &= y_near
         near = near.reshape(cycles, per, count).all(axis=1)
         near[0] &= first > 0  # the first cycle never counts
-        flags = self._flags(first, k).reshape(cycles, per, count)
+        steps = np.concatenate([self.tail, [x_ends[..., 0], x_ends[..., -1], lengths]], axis=1)
+        flags = self._flags(*steps, k).reshape(cycles, per, count)
         flag = flags[:, 0]
         for j in range(1, per):  # the first flag of a cycle wins
             flag = np.where(flag > 0, flag, flags[:, j])
         ends = near | (flag > 0)
         ended = ends.any(axis=0)
         run_on = ~ended if escapes is None else ~ended & (escapes == 2 * k)
-        if run_on.all():
-            return
-        end = np.where(ended, ends.argmax(axis=0), cycles)
-        for row in np.flatnonzero(~run_on):
-            c = end[row]
-            if escapes is None or c < escapes[row] // (2 * per):
-                reason = STOP_EPS if near[c, row] else (STOP_STALL, STOP_COLLAPSE)[flag[c, row] - 1]
-                maps = 2 * (first + (c + 1) * per)
-            else:
-                reason, maps = STOP_ESCAPE, 2 * first + escapes[row]
-            self._stop(row, maps, reason)
+        traced = self.traced[self.ids]
+        if traced.any():  # the first chunk's xs[0] is x0
+            self.trail.append((self.ids[traced], xs[first > 0 :, traced], ys[:, traced]))
+        if self.last_y is None:
+            self.last_y = np.zeros((len(self.code),) + ys.shape[2:], ys.dtype)
+        stop = np.flatnonzero(~run_on)
+        if len(stop):  # each stop's reason code, maps, z and last y
+            c = ends.argmax(axis=0)[stop]  # the cycle of each stop, 0 for an escape alone
+            code, maps = np.where(near[c, stop], 0, flag[c, stop]), 2 * (first + (c + 1) * per)
+            if escapes is not None:  # an escape before the end of the stop cycle wins
+                escaped = ~ended[stop] | (c >= escapes[stop] // (2 * per))
+                code[escaped] = _REASONS.index(STOP_ESCAPE)
+                maps = np.where(escaped, 2 * first + escapes[stop], maps)
+            ids, ny = self.ids[stop], (maps + 1) // 2
+            self.code[ids], self.maps[ids], self.z[ids] = code, maps, xs[maps // 2 - first, stop]
+            has = ny > 0  # a start that escaped at its first map has no y
+            self.last_y[ids[has]] = y_all[ny[has] - 1 - max(first - 1, 0), stop[has]]
+        self.steps += k
         self.ids = self.ids[run_on]
-        for steps in self.steps:
-            steps.buf = steps.buf[:, run_on]
+        self.x, self.y, self.tail = xs[-1, run_on], ys[-1, run_on], steps[:, -self.cfg.stall_window :, run_on]
 
     def _nearness(self, fm, d, a, b):
         """fm's nearness of the steps a -> b, of crisp lengths d, at the end
@@ -345,9 +331,10 @@ class _Runs:
             near[at] = (fm.mu_from_distances(d[at], a[at], b[at], self.cfg.grid) >= level).all(axis=-1)
         return ends, near
 
-    def _flags(self, first: int, k: int) -> np.ndarray:
-        """Per step of the chunk of k steps from first on and per running
-        start: 1 if the step flags a stall, 2 if it flags a collapse, else 0.
+    def _flags(self, low, top, length, k: int) -> np.ndarray:
+        """Per step of the chunk of its last k steps and per running start:
+        1 if the step flags a stall, 2 if it flags a collapse, else 0.  low,
+        top and length hold the tail's steps and the chunk's.
 
         Step nearness at the smallest grid scale falling over stall_window
         steps in a row is a stall.  stall_window steps in a row at the
@@ -357,15 +344,12 @@ class _Runs:
         the steps window - 1 and window back, so the quadruple scheme's
         alternating S∘A and T∘B steps always meet one of their kind.  When
         those sit at the floor at the largest scale as well, a rise cannot
-        be seen there, and the crisp lengths decide instead.  All of it is
-        read back from the stored nearness ends and lengths.
+        be seen there, and the crisp lengths decide instead.
         """
         window = self.cfg.stall_window
-        if first + k < window:  # no run of window steps ends in the chunk
-            return np.zeros((k, len(self.ids)), dtype=np.intp)
-        lo = max(first - window, 0)
-        low, top, length = (s.buf[lo : s.n] for s in (self.low, self.top, self.lengths))
-        at = np.arange(first - lo, len(low))  # the chunk's steps
+        if len(low) < window:  # no run of window steps ends in the chunk
+            return np.zeros(low[-k:].shape, dtype=np.intp)
+        at = np.arange(len(low) - k, len(low))  # the chunk's steps
         back = np.maximum(at - window + 1, 0)
         back2 = np.where(at >= window, at - window, back)
 
@@ -374,7 +358,7 @@ class _Runs:
             return counts[at + 1] - counts[np.maximum(at + 1 - window, 0)] == window
 
         falls = np.zeros(low.shape, dtype=bool)
-        falls[1:] = low[1:] < low[:-1]  # no run read here reaches back to falls[0] unless lo is 0
+        falls[1:] = low[1:] < low[:-1]  # no run read here reaches back to falls[0] unless it is step 0
         stall = held(falls)
         collapse = (
             held(low <= _COLLAPSE)
@@ -386,48 +370,53 @@ class _Runs:
         )
         return np.where(stall, 1, 2 * collapse)
 
-    def _stop(self, col: int, maps: int, reason: str) -> None:
-        """Stop the start in column col after it applied maps maps: keep its
-        x and y points if it is traced, else only the last of each."""
-        i, maps = int(self.ids[col]), int(maps)
-        nx, ny = maps // 2 + 1, (maps + 1) // 2
-        lo_x, lo_y = (0, 0) if self.traced[i] else (nx - 1, max(ny - 1, 0))
-        self.reasons[i] = reason  # copies, so that a result kept alone does not keep the batch
-        self.done[i] = (self.xs.buf[lo_x:nx, col].copy(), self.ys.buf[lo_y:ny, col].copy(), nx - 1)
+    def finish(self) -> None:
+        """Stop the starts still running after every step at max_iter."""
+        self.maps[self.ids] = 2 * self.steps
+        self.z[self.ids], self.last_y[self.ids] = self.x, self.y
 
-    def finish(self) -> list:
-        """done for every start, those still running after every step."""
-        for col in range(len(self.ids)):
-            self._stop(col, 2 * self.lengths.n, STOP_MAX_ITER)
-        return self.done
+    def columns(self):
+        """Each traced start's x and y columns up to its stop, as (start, x, y)."""
+        parts = {}
+        for ids, xs, ys in self.trail:
+            for i, x, y in zip(ids.tolist(), xs.swapaxes(0, 1), ys.swapaxes(0, 1)):
+                parts.setdefault(i, []).append((x, y))
+        for i, chunks in parts.items():
+            x, y = (np.concatenate(c) for c in zip(*chunks))
+            yield i, x[: self.maps[i] // 2 + 1], y[: (self.maps[i] + 1) // 2]
 
 
 def _points(arr: np.ndarray) -> tuple:
-    """One start's column of points as read-only rows, or on a finite carrier as ints."""
+    """Rows of a read-only array, or on a finite carrier its ints."""
     if arr.ndim == 1:
         return tuple(arr.tolist())
-    arr.setflags(write=False)
     return tuple(arr)
 
 
-def _trace(arr: np.ndarray, fm: FuzzyMetric, grid: TGrid) -> SequenceTrace:
-    """A trace of one start's column of points, read-only, whose points and
-    nearness rows are made when first read: the suites read a few points."""
-    arr.setflags(write=False)
-    trace = SequenceTrace.__new__(SequenceTrace)
-    trace.grid, trace.column, trace._points, trace._nearness, trace._fm = grid, arr, None, None, fm
-    return trace
+@dataclass(eq=False)
+class BatchResults:
+    """What a lock-step batch hands over, as arrays over its starts: the
+    reason code of each stop (an index into _REASONS), the iterations, z
+    and w, read-only (a row of w is read only where has_w holds), and by
+    start the traces of the traced starts and the conclusion checks of the
+    checked ones.  result(i) makes start i's FixedPointResult."""
 
+    reasons: np.ndarray
+    iterations: np.ndarray
+    z: np.ndarray
+    w: np.ndarray
+    has_w: np.ndarray
+    traces: dict
+    checks: dict
 
-@np.errstate(over="ignore", invalid="ignore")  # as in _iterate, where an orbit may overflow
-def _step_nearness(arr: np.ndarray, fm: FuzzyMetric, grid: TGrid) -> np.ndarray:
-    """The nearness rows of consecutive points of a column, with the bits
-    of the scales that _Runs.judge computed of them."""
-    return fm.mu_batch(arr[:-1], arr[1:], grid)
+    def result(self, i: int) -> FixedPointResult:
+        z, reason, iterations = _points(self.z[i : i + 1])[0], _REASONS[self.reasons[i]], int(self.iterations[i])
+        w = _points(self.w[i : i + 1])[0] if self.has_w[i] else None
+        return FixedPointResult(z, w, reason, iterations, *self.traces.get(i, (None, None)), self.checks.get(i, ()))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an orbit that overflows escapes or diverges, and its status says so
-def _iterate(problems, owner, mu, nu, starts, cfg, trace_all: bool):
+def _iterate(problems, owner, mu, nu, starts, cfg, trace_all: bool) -> BatchResults:
     """The one iteration loop, shared by both schemes, over the starts of
     one or more problems at once: start i belongs to problems[owner[i]],
     and the starts of a problem are adjacent.
@@ -443,8 +432,8 @@ def _iterate(problems, owner, mu, nu, starts, cfg, trace_all: bool):
     have.  Then w is found for every start at once, and the conclusions at
     (z, w) are checked, each identity for every problem at once, at each
     problem's first start only, which alone keeps its traces unless
-    trace_all.  The results are made in start order as they are taken; the
-    columns of every traced start are held until the iterator is dropped.
+    trace_all.  Only the traced starts' columns are kept whole; the batch
+    hands over the others' z and w alone, in arrays.
     """
     cfg = cfg or SolveConfig()
     cycle, w_name, identities = _scheme(problems[0])
@@ -467,31 +456,28 @@ def _iterate(problems, owner, mu, nu, starts, cfg, trace_all: bool):
     while len(runs.ids) and done < cfg.max_iter:
         size = min(size, cfg.max_iter - done)
         here = at(runs.ids)
-        runs.judge(*_map_chunk([(here[a], here[b]) for a, b in cycle], runs.xs.last, size), size)
+        runs.judge(*_map_chunk([(here[a], here[b]) for a, b in cycle], runs.x, size), size)
         done += size
         size = min(2 * size, _CHUNK_CYCLES)
-    kept = runs.finish()
+    runs.finish()
 
-    everyone = np.arange(len(kept))
-    z = np.array([xs[-1] for xs, _, _ in kept])
-    w = last_y = [_points(ys[-1:])[0] if len(ys) else None for _, ys, _ in kept]
+    z, w, has_w = runs.z, runs.last_y, runs.maps > 0  # a start that escaped at its first map has no y
     if w_name is not None:  # w = T(z), the y limit under a continuous T, unless T(z) escapes
-        image, escaped = at(everyone)[w_name].rows(z)
-        w = list(_points(image))
-        for i in () if escaped is None else np.flatnonzero(escaped):
-            w[i] = last_y[i]
-    heads = np.array([i for i in np.flatnonzero(first) if w[i] is not None], dtype=np.intp)
+        w, escaped = at(np.arange(len(z)))[w_name].rows(z)
+        if escaped is None:
+            has_w = np.ones(len(z), bool)
+        else:
+            w = np.where(escaped.reshape(escaped.shape + (1,) * (w.ndim - 1)), runs.last_y, w)
+            has_w |= ~escaped
+    for arr in (z, w):
+        arr.setflags(write=False)
+    heads = np.flatnonzero(first & has_w)
     checks = {}
     if len(heads):
-        found = _conclusions(identities, at(heads), mu, nu, z[heads], np.array([w[i] for i in heads]), cfg.grid, cfg.verify_tol)
+        found = _conclusions(identities, at(heads), mu, nu, z[heads], w[heads], cfg.grid, cfg.verify_tol)
         checks = dict(zip(heads.tolist(), found))
-
-    def result(i: int) -> FixedPointResult:
-        xs, ys, iterations = kept[i]
-        traces = (_trace(xs, mu, cfg.grid), _trace(ys, nu, cfg.grid)) if runs.traced[i] else (None, None)
-        return FixedPointResult(_points(xs[-1:])[0], w[i], runs.reasons[i], iterations, *traces, checks.get(i, ()))
-
-    return map(result, range(len(kept)))
+    traces = {i: (SequenceTrace(x, mu, cfg.grid), SequenceTrace(y, nu, cfg.grid)) for i, x, y in runs.columns()}
+    return BatchResults(runs.code, runs.maps // 2, z, w, has_w, traces, checks)
 
 
 def _scheme(problem):
@@ -505,17 +491,17 @@ def _scheme(problem):
     raise UsageError(f"cannot solve problem of type {type(problem).__name__}")
 
 
-def solve_problems(problems, mu, nu, starts, owner, cfg: SolveConfig | None = None):
+def solve_problems(problems, mu, nu, starts, owner, cfg: SolveConfig | None = None) -> BatchResults:
     """Several problems of one scheme in one lock-step batch, start i being
     one of problems[owner[i]]: their maps affine or constant, on boxes
-    alike, with metrics alike to mu and nu.  An iterator of the results, in
-    which only each problem's first start keeps its traces."""
+    alike, with metrics alike to mu and nu.  Of the batch's results, only
+    each problem's first start has traces and conclusion checks."""
     return _iterate(list(problems), np.asarray(owner), mu, nu, list(starts), cfg, False)
 
 
 def solve(problem, mu, nu, x0, cfg: SolveConfig | None = None) -> FixedPointResult:
     """Run the problem's scheme from x0: a batch of one."""
-    return next(_iterate([problem], np.zeros(1, np.intp), mu, nu, [x0], cfg, True))
+    return _iterate([problem], np.zeros(1, np.intp), mu, nu, [x0], cfg, False).result(0)
 
 
 @dataclass(eq=False)
@@ -524,7 +510,6 @@ class UniquenessReport:
     passed: bool | None
     max_z_distance: float | None
     max_w_distance: float | None
-    results: tuple
 
 
 # Largest crisp distance between two starts' fixed points that still passes the probe.
@@ -542,33 +527,28 @@ def uniqueness_probe(
 
     Passes iff the largest pairwise crisp distance among the z's and among
     the w's is at most _UNIQUENESS_TOL.  Any non-converged run makes the probe
-    inconclusive (passed = None).  The report keeps every start's result;
-    conclusions are checked only for the first start, by convention x0.
+    inconclusive (passed = None).
     """
     starts = list(starts)
     if len(starts) < 2:
         raise UsageError("uniqueness probe needs at least two starting points")
     owner = np.zeros(len(starts), np.intp)
-    return compare_fixed_points(mu, nu, _iterate([problem], owner, mu, nu, starts, cfg, True))
+    return compare_fixed_points(mu, nu, _iterate([problem], owner, mu, nu, starts, cfg, False), len(starts))[0]
 
 
-def compare_fixed_points(mu: FuzzyMetric, nu: FuzzyMetric, results, starts: int | None = None):
-    """The uniqueness verdict on the results of one problem's starts; see
-    uniqueness_probe.  Given starts, results may hold several problems'
-    starts, each problem's adjacent, and a tuple of verdicts comes back from
-    one distance pass per space over the conclusive problems' fixed points,
-    stacked (problems, starts[, dim]), coordinates last as in one's alone."""
-    results = tuple(results)
-    per = starts or len(results)
-    groups = [results[i : i + per] for i in range(0, len(results), per)]
-    conclusive = [all(r.status == STATUS_CONVERGED for r in group) for group in groups]
-    far = {}  # per space, the largest distance among each conclusive problem's fixed points
-    for fm, name in ((mu, "z"), (nu, "w")) if any(conclusive) else ():  # a converged start has a w
-        p = np.array([[getattr(r, name) for r in group] for group, c in zip(groups, conclusive) if c])
-        far[name] = iter(fm.carrier.distances(p[:, :, None], p[:, None]).max(axis=(1, 2)).tolist())
+def compare_fixed_points(mu: FuzzyMetric, nu: FuzzyMetric, batch: BatchResults, starts: int) -> tuple:
+    """The uniqueness verdicts of a batch's problems, each of starts
+    adjacent starts; see uniqueness_probe.  One distance pass per space
+    over the conclusive problems' z and w, stacked (problems, starts[,
+    dim]), coordinates last as in one problem's alone."""
+    conclusive = (batch.reasons == _REASONS.index(STOP_EPS)).reshape(-1, starts).all(axis=1)
+    far = []  # per space, the largest distance among each conclusive problem's fixed points
+    for fm, p in ((mu, batch.z), (nu, batch.w)) if conclusive.any() else ():  # a converged start has a w
+        p = p.reshape((-1, starts) + p.shape[1:])[conclusive]
+        far.append(fm.carrier.distances(p[:, :, None], p[:, None]).max(axis=(1, 2)).tolist())
+    distances = zip(*far)
     reports = []
-    for group, c in zip(groups, conclusive):
-        z, w = (next(far["z"]), next(far["w"])) if c else (None, None)
-        passed = z <= _UNIQUENESS_TOL and w <= _UNIQUENESS_TOL if c else None
-        reports.append(UniquenessReport(c, passed, z, w, group))
-    return tuple(reports) if starts else reports[0]
+    for c in conclusive.tolist():
+        z, w = next(distances) if c else (None, None)
+        reports.append(UniquenessReport(c, z <= _UNIQUENESS_TOL and w <= _UNIQUENESS_TOL if c else None, z, w))
+    return tuple(reports)

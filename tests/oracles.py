@@ -28,7 +28,6 @@ from fuzzyfp import (
     FuzzyMetric,
     MapPair,
     MapQuadruple,
-    SequenceTrace,
     SplitMix64,
     TableFuzzyMetric,
     TGrid,
@@ -508,7 +507,7 @@ def compare_fixed_points(mu, nu, results):
         max_z = _diameter(mu.carrier, [r.z for r in results])
         max_w = _diameter(nu.carrier, [r.w for r in results])
         passed = max_z <= _UNIQUENESS_TOL and max_w <= _UNIQUENESS_TOL
-    return UniquenessReport(conclusive, passed, max_z, max_w, results)
+    return UniquenessReport(conclusive, passed, max_z, max_w)
 
 
 def full_grid_nearness(runs, fm, d, a, b):
@@ -520,9 +519,21 @@ def full_grid_nearness(runs, fm, d, a, b):
     return rows[..., [0, -1]], (rows >= 1.0 - runs.cfg.eps).all(axis=-1)
 
 
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """A sequence's points and the nearness rows of its consecutive steps,
+    as the solver's SequenceTrace gives them."""
+
+    points: tuple
+    nearness: np.ndarray
+    grid: TGrid
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+
 def _trace(points, rows, grid):
-    nearness = np.array(rows) if rows else np.empty((0, len(grid)))
-    return SequenceTrace(points=tuple(points), nearness=nearness, grid=grid)
+    return Trace(tuple(points), np.array(rows) if rows else np.empty((0, len(grid))), grid)
 
 
 def conclusions(problem, mu, nu, z, w, grid, tol):

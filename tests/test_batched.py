@@ -53,7 +53,7 @@ from fuzzyfp.hypotheses import (
     estimate_k_quad,
     estimate_k_self_quad,
 )
-from fuzzyfp.solver import FixedPointResult, compare_fixed_points, solve
+from fuzzyfp.solver import compare_fixed_points, solve
 from test_hypotheses import Dumped, pts
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
@@ -184,10 +184,11 @@ def test_finite_distances_and_diameter(space, seed):
         return max(oracles.distance(space, p, q) for i, p in enumerate(group) for q in group[i + 1 :])
 
     fm = induced_standard(space)
-    results = [FixedPointResult(int(p), int(q), "eps-reached", 1, None, None, ()) for p, q in zip(pts, pts[::-1])]
-    alone = compare_fixed_points(fm, fm, results)
+    z = np.asarray(pts)
+    batch = solver.BatchResults(np.zeros(6, np.intp), np.ones(6, np.intp), z, z[::-1], np.ones(6, bool), {}, {})
+    (alone,) = compare_fixed_points(fm, fm, batch, 6)
     assert alone.max_z_distance == alone.max_w_distance == diameter(pts)
-    stacked = compare_fixed_points(fm, fm, results, 3)
+    stacked = compare_fixed_points(fm, fm, batch, 3)
     assert [r.max_z_distance for r in stacked] == [diameter(pts[:3]), diameter(pts[3:])]
     assert [r.max_w_distance for r in stacked] == [diameter(pts[::-1][:3]), diameter(pts[::-1][3:])]
 
@@ -726,9 +727,14 @@ def _same_results(a, b):
         assert got.conclusion_checks == ref.conclusion_checks
 
 
+def results_of(batch):
+    """The FixedPointResult of every start of a batch, in start order."""
+    return [batch.result(i) for i in range(len(batch.reasons))]
+
+
 def solve_batch(problem, mu, nu, starts, cfg):
     """Every start of one problem in one lock-step batch, each keeping its traces."""
-    return list(solver._iterate([problem], np.zeros(len(starts), np.intp), mu, nu, starts, cfg, True))
+    return results_of(solver._iterate([problem], np.zeros(len(starts), np.intp), mu, nu, starts, cfg, True))
 
 
 def assert_same_results(problem, mu, nu, starts, cfg):
@@ -953,39 +959,65 @@ def test_starts_that_stop_early_do_not_keep_memory_for_a_long_one():
     assert batch <= 1.25 * alone
 
 
-def _stored_ends(monkeypatch):
-    """Record, for each start as it stops, the nearness columns of its x steps
-    at the smallest and the largest grid scale that _Runs stored for _flags."""
-    ends, real = [], solver._Runs._stop
+def test_untraced_starts_keep_memory_that_does_not_grow_with_the_iterations():
+    """A problem's traced first start converges at once, and its four
+    untraced starts rotate to max_iter: the batch keeps only their last
+    iterates and the steps the divergence test reads back, so its traced
+    peak does not grow with max_iter."""
+    box = BoxSpace([-np.inf] * 3, [np.inf] * 3)
+    c, s = np.cos(0.1), np.sin(0.1)
+    turn = AffineMap([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], [0.0] * 3, box)
+    pair = MapPair(T=turn, S=AffineMap(np.eye(3), [0.0] * 3, box))
+    mu = induced_standard(box)
+    starts = [np.zeros(3)] + [np.array(p) for p in ([1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [-3.0, 1.0, 0.0], [0.5, 0.5, 5.0])]
+    owner = np.zeros(len(starts), np.intp)
 
-    def stop(runs, col, maps, reason):
-        ends.append(tuple(s.buf[: s.n, col].copy() for s in (runs.low, runs.top)))
-        return real(runs, col, maps, reason)
+    def run(max_iter):
+        batch = solver.solve_problems([pair], mu, mu, starts, owner, SolveConfig(max_iter=max_iter))
+        assert [r.iterations for r in map(batch.result, range(5))] == [2] + [max_iter] * 4
 
-    monkeypatch.setattr(solver._Runs, "_stop", stop)
-    return ends
+    short, long = _traced_peak(lambda: run(2000)), _traced_peak(lambda: run(8000))
+    assert long <= 1.1 * short
+
+
+def _flag_reads(monkeypatch):
+    """Record, for each _flags call, the nearness at the smallest and the
+    largest grid scale of the steps it reads, of the batch's first column."""
+    reads, real = [], solver._Runs._flags
+
+    def flags(runs, low, top, length, k):
+        reads.append((low[:, 0].copy(), top[:, 0].copy()))
+        return real(runs, low, top, length, k)
+
+    monkeypatch.setattr(solver._Runs, "_flags", flags)
+    return reads
 
 
 @pytest.mark.parametrize("form", [induced_standard, induced_exponential])
 @pytest.mark.parametrize("scheme", ["pair", "quadruple"])
 def test_trace_nearness_is_mu_batch_of_its_points(monkeypatch, scheme, form):
-    """The step history keeps no nearness rows and the judge computes most
-    steps at the two end scales only: a trace's rows are mu_batch over its
-    consecutive points, bit for bit, and the stored end columns are the
-    first and last columns of those rows, over runs of several chunks."""
+    """The batch keeps no nearness rows and the judge computes most steps
+    at the two end scales only: a trace's rows are mu_batch over its
+    consecutive points, bit for bit, over runs of several chunks.  _flags
+    reads the tail of the last stall_window steps and the chunk's: in
+    chunks of one cycle, which end at the stop, the last read holds the end
+    columns of the trace's last stall_window + 1 (pair) or + 2 rows."""
     inst = gen_instance(InstanceSpec(scheme=scheme, dim=1, factor_lo=0.97, factor_hi=0.995, seed=3))
     mu, nu = form(inst.mu.carrier), form(inst.nu.carrier)
-    ends = _stored_ends(monkeypatch)
     result = solve(inst.problem, mu, nu, inst.x0)
     assert result.converged and result.iterations > 2 * 127  # past the chunk of cycles 64-127
     for trace, fm in ((result.trace_x, mu), (result.trace_y, nu)):
         points = np.array(trace.points)
         rows = fm.mu_batch(points[:-1], points[1:], TGrid.default())
         assert trace.nearness.tobytes() == rows.tobytes()
-    ((low, top),) = ends
-    rows = result.trace_x.nearness
-    assert low[: len(rows)].tobytes() == np.ascontiguousarray(rows[:, 0]).tobytes()
-    assert top[: len(rows)].tobytes() == np.ascontiguousarray(rows[:, -1]).tobytes()
+    monkeypatch.setattr(solver, "_CHUNK_CYCLES", 1)
+    reads = _flag_reads(monkeypatch)
+    _same_results([solve(inst.problem, mu, nu, inst.x0)], [result])
+    low, top = reads[-1]
+    assert len(low) == SolveConfig().stall_window + (1 if scheme == "pair" else 2)
+    rows = result.trace_x.nearness[-len(low) :]
+    assert low.tobytes() == np.ascontiguousarray(rows[:, 0]).tobytes()
+    assert top.tobytes() == np.ascontiguousarray(rows[:, -1]).tobytes()
 
 
 # -- steps judged at the grid's two end scales ---------------------------------
@@ -1037,7 +1069,7 @@ def test_two_scale_judge_matches_the_full_grid_on_slow_quadruples(grid, form):
     mu, nu = insts[0].mu, insts[0].nu
 
     def run():  # every start traced
-        return solver._iterate([inst.problem for inst in insts], owner, mu, nu, starts, cfg, True)
+        return results_of(solver._iterate([inst.problem for inst in insts], owner, mu, nu, starts, cfg, True))
 
     results = assert_judged_as_on_the_full_grid(run)
     assert all(r.converged for r in results) and min(r.iterations for r in results) > 2 * 127

@@ -34,6 +34,9 @@ NUMERIC = {
     "suite": {"count", "dim", "seed", "halfwidth", "starts"},
 }
 NOT_NUMBERS = (str, bool, type(None), list, dict)
+# The list fields whose elements are numbers or nested lists of numbers: an
+# element set to any other JSON kind but a list is invalid at load.
+NUMBER_LISTS = {"points_x", "points_y", "window", "matrix", "offset"}
 
 
 def quadruple_config():
@@ -107,12 +110,14 @@ CASES = list(mutations())
 
 
 def invalid(base, path, action, value):
-    """True if the mutation makes any config invalid: an unknown key, or a
-    value of another JSON kind in a numeric scalar field."""
+    """True if the mutation makes any config invalid: an unknown key, a
+    value of another JSON kind in a numeric scalar field, or an element of
+    a number list that is neither a number nor a list."""
     if action == "add":
         return True
     numeric = len(path) == 2 and path[1] in NUMERIC.get(path[0], ())
-    return action == "set" and numeric and type(value) in NOT_NUMBERS
+    element = any(key in NUMBER_LISTS for key in path[:-1]) and type(value) is not list
+    return action == "set" and (numeric or element) and type(value) in NOT_NUMBERS
 
 
 def mutated(base, path, action, value):

@@ -9,6 +9,9 @@ overflows in its x0 solves, so its k_hat samples escape and its rows carry
 no k_hat.  One mixed-family pair suite has constant maps, whose fixed
 points agree exactly (uniqueness distance 0.0) and whose runs are shorter
 than the trajectory sample, so its k_hat samples come in several sizes.
+Two `solve` cases keep whole traces: a slow exponential-form quadruple that
+converges after 644 iterations, over several chunks of 64 cycles, and a 2-D
+pair that escapes its box after 47 iterations, inside a chunk.
 
 The expected exit codes and SHA-256 digests live in tests/golden/digests.json.
 Regenerate them only when output is meant to change, and say why:

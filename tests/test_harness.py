@@ -171,9 +171,14 @@ class TestRunSuite:
     def test_a_suite_computes_no_trace_nearness(self, monkeypatch):
         """The suite reads only its traces' points; their nearness rows are
         computed on first read, as solve's callers still get them."""
-        calls = []
-        step_nearness = solver._step_nearness
-        monkeypatch.setattr(solver, "_step_nearness", lambda *a: calls.append(a) or step_nearness(*a))
+        calls, nearness = [], solver.SequenceTrace.nearness.fget
+
+        def counted(trace):  # each computation, not each read
+            if trace._nearness is None:
+                calls.append(trace)
+            return nearness(trace)
+
+        monkeypatch.setattr(solver.SequenceTrace, "nearness", property(counted))
         specs = [InstanceSpec(scheme=scheme, dim=2, seed=i) for scheme in ("pair", "quadruple") for i in range(2)]
         run_suite(specs)
         assert calls == []
@@ -541,9 +546,10 @@ def _traced_peak(run):
 
 def test_batch_of_slow_quadruples_keeps_memory_of_one():
     """Four slow quadruples (660 to 1 032 x steps) solved in one batch:
-    the step history keeps no nearness rows, the starts after each x0 keep
-    no traces, and the rows are made one instance at a time, so the traced
-    peak stays near that of the largest instance alone."""
+    the batch keeps no nearness rows, only each x0 start keeps its columns
+    and the others their last iterates, and the flags read a tail of
+    stall_window steps, so the traced peak, which the estimators' arrays
+    set, stays near that of the largest instance alone."""
     specs = [
         InstanceSpec(scheme="quadruple", dim=1, factor_lo=0.97, factor_hi=0.995, metric_form="exponential", seed=s)
         for s in range(4)
@@ -555,8 +561,30 @@ def test_batch_of_slow_quadruples_keeps_memory_of_one():
     assert _traced_peak(lambda: run_suite(specs)) <= 1.25 * alone
 
 
+def test_a_suite_builds_one_solver_result_per_instance(monkeypatch):
+    """The verdicts read the batch's z and w arrays, so of a 10-pair suite
+    of 4 starts only the 10 x0 starts, whose rows are read, become results."""
+    built = []
+
+    class Counted(solver.FixedPointResult):
+        def __init__(self, *fields):
+            built.append(self)
+            super().__init__(*fields)
+
+    monkeypatch.setattr(solver, "FixedPointResult", Counted)
+    verdict = run_suite([InstanceSpec(scheme="pair", dim=2, seed=s) for s in range(10)], starts=4)
+    assert len(verdict.rows) == 10 and all(r.uniqueness_passed for r in verdict.rows)
+    assert len(built) == 10
+
+
 def _verdict_key(report):
     return (report.conclusive, report.passed, repr(report.max_z_distance), repr(report.max_w_distance))
+
+
+def _oracle_verdicts(mu, nu, batch, starts):
+    """The oracle's verdict on each problem's starts of a batch alone."""
+    results = [batch.result(i) for i in range(len(batch.reasons))]
+    return [oracles.compare_fixed_points(mu, nu, results[i : i + starts]) for i in range(0, len(results), starts)]
 
 
 def _suite_uniqueness(specs, monkeypatch, cfg=None):
@@ -566,19 +594,17 @@ def _suite_uniqueness(specs, monkeypatch, cfg=None):
     verdicts."""
     calls, real = [], solver.compare_fixed_points
 
-    def watched(mu, nu, results, starts):
-        results = list(results)
-        calls.append((mu, nu, results, starts))
-        return real(mu, nu, results, starts)
+    def watched(mu, nu, batch, starts):
+        calls.append((mu, nu, batch, starts))
+        return real(mu, nu, batch, starts)
 
     monkeypatch.setattr(harness, "compare_fixed_points", watched)
     with np.errstate(over="ignore", invalid="ignore"):  # the expansive orbits overflow
         verdict = run_suite(specs, cfg)
-    ((mu, nu, results, starts),) = calls
-    got = real(mu, nu, results, starts)
-    want = [oracles.compare_fixed_points(mu, nu, results[i : i + starts]) for i in range(0, len(results), starts)]
+    ((mu, nu, batch, starts),) = calls
+    got = real(mu, nu, batch, starts)
+    want = _oracle_verdicts(mu, nu, batch, starts)
     assert [_verdict_key(r) for r in got] == [_verdict_key(r) for r in want]
-    assert all(g.results == w.results for g, w in zip(got, want))
     rows = [(r.uniqueness_passed, repr(r.uniqueness_max_distance)) for r in verdict.rows]
     assert rows == [(w.passed, repr(max(w.max_z_distance, w.max_w_distance) if w.conclusive else None)) for w in want]
     return got
@@ -625,10 +651,10 @@ def test_uniqueness_verdicts_with_a_start_that_escapes_before_its_first_y():
     ]
     starts = [np.array([v]) for v in (0.1, -0.2, 0.1, 0.9, 0.3, -0.7)]
     problems = [pairs[1], pairs[0], pairs[1]]
-    results = list(solver.solve_problems(problems, mu, mu, starts, np.repeat(np.arange(3), 2)))
-    assert results[3].w is None and results[3].status == "diverging"
-    got = solver.compare_fixed_points(mu, mu, results, 2)
-    want = [oracles.compare_fixed_points(mu, mu, results[i : i + 2]) for i in range(0, 6, 2)]
+    batch = solver.solve_problems(problems, mu, mu, starts, np.repeat(np.arange(3), 2))
+    assert batch.result(3).w is None and batch.result(3).status == "diverging"
+    got = solver.compare_fixed_points(mu, mu, batch, 2)
+    want = _oracle_verdicts(mu, mu, batch, 2)
     assert [_verdict_key(r) for r in got] == [_verdict_key(r) for r in want]
     assert [r.conclusive for r in got] == [True, False, True]
 
@@ -640,7 +666,7 @@ def test_uniqueness_probe_on_a_finite_carrier_equals_the_oracle():
     for targets, passed in (([2, 2], True), ([0, 2], False)):  # S(0) = 0 makes 0 a second fixed point
         pair = MapPair(T=TableMap([0, 1, 1], space_y), S=TableMap(targets, space_x))
         probe = uniqueness_probe(pair, mu, nu, [0, 1, 2])
-        want = oracles.compare_fixed_points(mu, nu, probe.results)
+        (want,) = _oracle_verdicts(mu, nu, solver.solve_problems([pair], mu, nu, [0, 1, 2], np.zeros(3, np.intp)), 3)
         assert _verdict_key(probe) == _verdict_key(want) and probe.passed is passed
 
 
@@ -653,8 +679,8 @@ def test_uniqueness_verdicts_of_far_apart_fixed_points_keep_each_problem_alone(d
     mu = metrics.induced_standard(box)
     ident = AffineMap(np.eye(dim), np.zeros(dim), box)
     starts = box.sample(SplitMix64(dim), 40)
-    results = list(solver.solve_problems([MapPair(T=ident, S=ident)] * 10, mu, mu, starts, np.repeat(np.arange(10), 4)))
-    got = solver.compare_fixed_points(mu, mu, results, 4)
-    want = [oracles.compare_fixed_points(mu, mu, results[i : i + 4]) for i in range(0, 40, 4)]
+    batch = solver.solve_problems([MapPair(T=ident, S=ident)] * 10, mu, mu, starts, np.repeat(np.arange(10), 4))
+    got = solver.compare_fixed_points(mu, mu, batch, 4)
+    want = _oracle_verdicts(mu, mu, batch, 4)
     assert [_verdict_key(r) for r in got] == [_verdict_key(r) for r in want]
     assert all(r.conclusive and r.passed is False for r in got)

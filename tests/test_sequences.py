@@ -14,7 +14,6 @@ from fuzzyfp import (
     SequenceTrace,
     SplitMix64,
     TGrid,
-    UsageError,
     induced_exponential,
     induced_standard,
     solve,
@@ -31,12 +30,18 @@ class TestTraceConstruction:
             assert tr.nearness.shape == (len(tr.points) - 1, len(tr.grid))
             assert np.all(tr.nearness > 0.0) and np.all(tr.nearness <= 1.0)
 
-    def test_rows_that_do_not_pair_consecutive_points_rejected(self):
-        points = (np.array([0.0]), np.array([1.0]), np.array([2.0]))
-        assert len(SequenceTrace(points=points, nearness=np.ones((2, len(GRID))), grid=GRID)) == 3
-        for shape in ((3, len(GRID)), (2, len(GRID) - 1), (0, len(GRID))):
-            with pytest.raises(UsageError, match="nearness rows must pair consecutive points"):
-                SequenceTrace(points=points, nearness=np.ones(shape), grid=GRID)
+    def test_nearness_rows_pair_consecutive_points(self):
+        """One constructor: the rows are mu_batch of consecutive points,
+        made when first read, then kept; the column becomes read-only."""
+        fm = induced_standard(BOX)
+        for n in (0, 1, 3):
+            column = np.arange(n, dtype=float).reshape(n, 1)
+            trace = SequenceTrace(column, fm, GRID)
+            assert len(trace) == n and not column.flags.writeable
+            assert trace.nearness.shape == (max(n - 1, 0), len(GRID))
+            assert trace.nearness is trace.nearness
+            assert trace.nearness.tobytes() == fm.mu_batch(column[:-1], column[1:], GRID).tobytes()
+            assert [p.tolist() for p in trace.points] == column.tolist()
 
 
 @pytest.mark.parametrize("op", [MINIMUM, PRODUCT, LUKASIEWICZ])

@@ -253,7 +253,8 @@ class TestUniquenessProbe:
         rep = uniqueness_probe(linear_pair, MU, NU, starts)
         assert rep.conclusive and rep.passed
         assert rep.max_z_distance <= 1e-6
-        assert all(abs(r.z[0] - 1.6) <= 1e-6 for r in rep.results)
+        batch = solver.solve_problems([linear_pair], MU, NU, starts, np.zeros(len(starts), np.intp))
+        assert np.abs(batch.z[:, 0] - 1.6).max() <= 1e-6
 
     def test_constant_maps_identical(self, line):
         pair = MapPair(T=ConstantMap([5.0], line), S=ConstantMap([2.0], line))
@@ -285,16 +286,19 @@ class TestUniquenessProbe:
         batches = []
         real_iterate = solver._iterate
         monkeypatch.setattr(
-            solver, "_iterate", lambda *a, **k: batches.append(a[4]) or real_iterate(*a, **k)
+            solver, "_iterate", lambda *a, **k: batches.append((a[4], real_iterate(*a, **k))) or batches[-1][1]
         )
         rep = uniqueness_probe(linear_pair, MU, NU, starts)
-        assert [[s[0] for s in batch] for batch in batches] == [[-10.0, 0.0, 3.0]]
+        assert rep.conclusive and rep.passed
+        ((batch_starts, batch),) = batches
+        assert [s[0] for s in batch_starts] == [-10.0, 0.0, 3.0]
+        results = [batch.result(i) for i in range(len(starts))]
         alone = [solve(linear_pair, MU, NU, s) for s in starts]
-        assert [r.status for r in rep.results] == [r.status for r in alone]
-        assert [r.iterations for r in rep.results] == [r.iterations for r in alone]
-        # conclusions are checked only for the start a caller reads
-        assert rep.results[0].conclusion_checks == alone[0].conclusion_checks
-        assert [r.conclusion_checks for r in rep.results[1:]] == [(), ()]
+        assert [r.status for r in results] == [r.status for r in alone]
+        assert [r.iterations for r in results] == [r.iterations for r in alone]
+        # conclusions are checked only for the first start
+        assert results[0].conclusion_checks == alone[0].conclusion_checks
+        assert [r.conclusion_checks for r in results[1:]] == [(), ()]
 
 
 class TestCollapseRule:
@@ -459,7 +463,8 @@ class TestStopReason:
         mu = induced_exponential(box)
         cfg = SolveConfig(stall_window=7)
         starts = [np.array([v]) for v in (0.0, 1e-6, 10.0, 2e5)]
-        results = uniqueness_probe(pair, mu, mu, starts, cfg).results
+        batch = solver._iterate([pair], np.zeros(len(starts), np.intp), mu, mu, starts, cfg, True)  # every start traced
+        results = [batch.result(i) for i in range(len(starts))]
         reasons = [r.stop_reason for r in results]
         assert reasons == ["eps-reached", "stall", "collapse", "codomain-escape"]
         for start, res in zip(starts, results):
