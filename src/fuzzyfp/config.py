@@ -155,6 +155,11 @@ def _only_numbers(value, where: str) -> None:
 def _array(value, where: str) -> np.ndarray:
     """A number or a nested list of numbers as a float array."""
     _only_numbers(value, where)
+    return _floats(value, where)
+
+
+def _floats(value, where: str) -> np.ndarray:
+    """_array of a value whose numbers load_config checked (a _numbers field)."""
     try:
         return np.asarray(value, dtype=float)
     except (ValueError, OverflowError) as exc:
@@ -257,8 +262,8 @@ def build_map(section: dict, domain, codomain, where: str):
         value = _as_point(section["value"], codomain, f"{where}.value")
         return ConstantMap(value, codomain)
     if form == "affine":
-        matrix = _array(section["matrix"], f"{where}.matrix")
-        offset = _array(section["offset"], f"{where}.offset")
+        matrix = _floats(section["matrix"], f"{where}.matrix")
+        offset = _floats(section["offset"], f"{where}.offset")
         with _building(where):
             if not isinstance(domain, BoxSpace):
                 raise ConfigError("affine maps require a box domain")
@@ -323,7 +328,7 @@ def _as_points(values: list, carrier, where: str) -> tuple:
     fails, point by point, so the first bad point raises its own error."""
     try:
         if not isinstance(carrier, FiniteSpace):
-            return tuple(validate_points(carrier, _array(values, where)))
+            return tuple(validate_points(carrier, _floats(values, where)))
         if all(type(v) is int for v in values):
             return tuple(validate_points(carrier, values).tolist())
     except ValueError:  # a ConfigError or DomainError that names no point
@@ -359,7 +364,7 @@ def build_samples(doc: dict, grid: TGrid, carrier_x, carrier_y, include_diagonal
 def _window(window, carriers):
     if len(window) != 2:
         raise ConfigError("axioms.window must be [lo, hi] coordinate lists")
-    window = tuple(_array(w, f"axioms.window[{i}]") for i, w in enumerate(window))
+    window = tuple(_floats(w, f"axioms.window[{i}]") for i, w in enumerate(window))
     if not all(np.isfinite(w).all() for w in window):
         raise ConfigError("axioms.window must be finite")
     if any(w.shape != c.lo.shape for c in carriers for w in window):

@@ -83,7 +83,8 @@ class SequenceTrace:
     """Points of a sequence plus consecutive-step nearness over a grid.
 
     A trace may be empty: a scheme can fail before producing any iterate.
-    column holds the points as one array, which the trace makes read-only.
+    column holds the points given as one array, a read-only view, so the
+    caller's array keeps its flags.
     The tuple of rows that points gives (ints on a finite carrier) and the
     nearness rows, fm's mu_batch of consecutive points, of shape
     (max(len(column) - 1, 0), len(grid)), are made when first read: the
@@ -92,7 +93,8 @@ class SequenceTrace:
 
     __slots__ = ("column", "fm", "grid", "_points", "_nearness")
 
-    def __init__(self, column: np.ndarray, fm: FuzzyMetric, grid: TGrid):
+    def __init__(self, column, fm: FuzzyMetric, grid: TGrid):
+        column = np.asarray(column).view()
         column.setflags(write=False)
         self.column, self.fm, self.grid, self._points, self._nearness = column, fm, grid, None, None
 
@@ -398,8 +400,8 @@ class BatchResults:
     """What a lock-step batch hands over, as arrays over its starts: the
     reason code of each stop (an index into _REASONS), the iterations, z
     and w, read-only (a row of w is read only where has_w holds), and by
-    start the traces of the traced starts and the conclusion checks of the
-    checked ones.  result(i) makes start i's FixedPointResult."""
+    start the traces and conclusion checks of the starts that _iterate was
+    asked to read.  result(i) makes start i's FixedPointResult."""
 
     reasons: np.ndarray
     iterations: np.ndarray
@@ -416,10 +418,11 @@ class BatchResults:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an orbit that overflows escapes or diverges, and its status says so
-def _iterate(problems, owner, mu, nu, starts, cfg, trace_all: bool) -> BatchResults:
+def _iterate(problems, owner, mu, nu, starts, cfg, read: np.ndarray) -> BatchResults:
     """The one iteration loop, shared by both schemes, over the starts of
     one or more problems at once: start i belongs to problems[owner[i]],
-    and the starts of a problem are adjacent.
+    and the starts of a problem are adjacent.  read marks the starts whose
+    traces and conclusion checks a caller reads.
 
     Each cycle lists the (to_y, to_x) steps of one cycle; max_iter bounds
     the number of cycles.  Each y is kept as soon as it is computed.  A
@@ -430,10 +433,9 @@ def _iterate(problems, owner, mu, nu, starts, cfg, trace_all: bool) -> BatchResu
     StackedMaps if there are several problems, then judged at once by mu
     and nu (_Runs.judge), and each start stops where a run of its own would
     have.  Then w is found for every start at once, and the conclusions at
-    (z, w) are checked, each identity for every problem at once, at each
-    problem's first start only, which alone keeps its traces unless
-    trace_all.  Only the traced starts' columns are kept whole; the batch
-    hands over the others' z and w alone, in arrays.
+    (z, w) are checked, each identity for every problem at once, at the
+    read starts only.  Only the read starts' columns are kept whole; the
+    batch hands over the others' z and w alone, in arrays.
     """
     cfg = cfg or SolveConfig()
     cycle, w_name, identities = _scheme(problems[0])
@@ -450,8 +452,7 @@ def _iterate(problems, owner, mu, nu, starts, cfg, trace_all: bool) -> BatchResu
         def at(rows):
             return {c: m.take(owner[rows]) for c, m in stacked.items()}
 
-    first = np.r_[True, owner[1:] != owner[:-1]]
-    runs = _Runs(validate_points(mu.carrier, starts), mu, nu, cfg, first | trace_all)
+    runs = _Runs(validate_points(mu.carrier, starts), mu, nu, cfg, read)
     done, size = 0, 1
     while len(runs.ids) and done < cfg.max_iter:
         size = min(size, cfg.max_iter - done)
@@ -471,7 +472,7 @@ def _iterate(problems, owner, mu, nu, starts, cfg, trace_all: bool) -> BatchResu
             has_w |= ~escaped
     for arr in (z, w):
         arr.setflags(write=False)
-    heads = np.flatnonzero(first & has_w)
+    heads = np.flatnonzero(read & has_w)
     checks = {}
     if len(heads):
         found = _conclusions(identities, at(heads), mu, nu, z[heads], w[heads], cfg.grid, cfg.verify_tol)
@@ -496,12 +497,13 @@ def solve_problems(problems, mu, nu, starts, owner, cfg: SolveConfig | None = No
     one of problems[owner[i]]: their maps affine or constant, on boxes
     alike, with metrics alike to mu and nu.  Of the batch's results, only
     each problem's first start has traces and conclusion checks."""
-    return _iterate(list(problems), np.asarray(owner), mu, nu, list(starts), cfg, False)
+    owner = np.asarray(owner)
+    return _iterate(list(problems), owner, mu, nu, list(starts), cfg, np.r_[True, owner[1:] != owner[:-1]])
 
 
 def solve(problem, mu, nu, x0, cfg: SolveConfig | None = None) -> FixedPointResult:
     """Run the problem's scheme from x0: a batch of one."""
-    return _iterate([problem], np.zeros(1, np.intp), mu, nu, [x0], cfg, False).result(0)
+    return solve_problems([problem], mu, nu, [x0], [0], cfg).result(0)
 
 
 @dataclass(eq=False)
@@ -527,13 +529,15 @@ def uniqueness_probe(
 
     Passes iff the largest pairwise crisp distance among the z's and among
     the w's is at most _UNIQUENESS_TOL.  Any non-converged run makes the probe
-    inconclusive (passed = None).
+    inconclusive (passed = None).  The report reads z and w alone, so no
+    start is traced or has its conclusions checked.
     """
     starts = list(starts)
     if len(starts) < 2:
         raise UsageError("uniqueness probe needs at least two starting points")
-    owner = np.zeros(len(starts), np.intp)
-    return compare_fixed_points(mu, nu, _iterate([problem], owner, mu, nu, starts, cfg, False), len(starts))[0]
+    n = len(starts)
+    batch = _iterate([problem], np.zeros(n, np.intp), mu, nu, starts, cfg, np.zeros(n, bool))
+    return compare_fixed_points(mu, nu, batch, n)[0]
 
 
 def compare_fixed_points(mu: FuzzyMetric, nu: FuzzyMetric, batch: BatchResults, starts: int) -> tuple:

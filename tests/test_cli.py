@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -491,7 +492,8 @@ def composed_finite_config():
 def test_builders_read_the_checked_fields_without_checking_them_again(name, tmp_path):
     """load_config checks every section; each builder that cli.py and
     bench/fresh.py call then succeeds with the section checks made to fail,
-    and leaves the document as load_config returned it."""
+    walks none of the number lists that load_config walked, and leaves the
+    document as load_config returned it."""
     if name == "composed_finite":
         path = write_config(tmp_path / "c.json", composed_finite_config())
     else:
@@ -501,7 +503,17 @@ def test_builders_read_the_checked_fields_without_checking_them_again(name, tmp_
     def fail(*args, **kwargs):
         raise AssertionError(f"a builder checked {args[1]!r} again")
 
-    with mock.patch.object(config, "_fields", fail), mock.patch.object(config, "_tagged", fail):
+    walked, only_numbers = [], config._only_numbers
+
+    def walk(value, where):
+        walked.append(where)
+        only_numbers(value, where)
+
+    with (
+        mock.patch.object(config, "_fields", fail),
+        mock.patch.object(config, "_tagged", fail),
+        mock.patch.object(config, "_only_numbers", walk),
+    ):
         grid = config.build_grid(doc)
         config.build_grid(doc, 50.0)
         config.build_tnorm(doc)
@@ -514,6 +526,8 @@ def test_builders_read_the_checked_fields_without_checking_them_again(name, tmp_
             config.build_axiom_params(doc, (carrier_x, carrier_y))
         if "suite" in doc:
             assert len(config.build_suite_specs(doc, grid, 5)[0]) == doc["suite"]["count"]
+    checked = re.compile(r"hypotheses\.points_|axioms\.window|.*\.(matrix|offset)$")
+    assert not [where for where in walked if checked.match(where)]
     assert doc == config.load_config(path)
 
 

@@ -32,12 +32,15 @@ class TestTraceConstruction:
 
     def test_nearness_rows_pair_consecutive_points(self):
         """One constructor: the rows are mu_batch of consecutive points,
-        made when first read, then kept; the column becomes read-only."""
+        made when first read, then kept; the trace's column is read-only,
+        the caller's array keeps its flags, and a tuple of points is taken
+        as well."""
         fm = induced_standard(BOX)
         for n in (0, 1, 3):
             column = np.arange(n, dtype=float).reshape(n, 1)
             trace = SequenceTrace(column, fm, GRID)
-            assert len(trace) == n and not column.flags.writeable
+            assert len(trace) == n and not trace.column.flags.writeable and column.flags.writeable
+            assert SequenceTrace(tuple(column), fm, GRID).column.tobytes() == column.tobytes()
             assert trace.nearness.shape == (max(n - 1, 0), len(GRID))
             assert trace.nearness is trace.nearness
             assert trace.nearness.tobytes() == fm.mu_batch(column[:-1], column[1:], GRID).tobytes()

@@ -296,9 +296,8 @@ class TestUniquenessProbe:
         alone = [solve(linear_pair, MU, NU, s) for s in starts]
         assert [r.status for r in results] == [r.status for r in alone]
         assert [r.iterations for r in results] == [r.iterations for r in alone]
-        # conclusions are checked only for the first start
-        assert results[0].conclusion_checks == alone[0].conclusion_checks
-        assert [r.conclusion_checks for r in results[1:]] == [(), ()]
+        # the report reads z and w alone: no start is traced or checked
+        assert [(r.trace_x, r.trace_y, r.conclusion_checks) for r in results] == [(None, None, ())] * 3
 
 
 class TestCollapseRule:
@@ -463,7 +462,8 @@ class TestStopReason:
         mu = induced_exponential(box)
         cfg = SolveConfig(stall_window=7)
         starts = [np.array([v]) for v in (0.0, 1e-6, 10.0, 2e5)]
-        batch = solver._iterate([pair], np.zeros(len(starts), np.intp), mu, mu, starts, cfg, True)  # every start traced
+        every = np.ones(len(starts), bool)
+        batch = solver._iterate([pair], np.zeros(len(starts), np.intp), mu, mu, starts, cfg, every)
         results = [batch.result(i) for i in range(len(starts))]
         reasons = [r.stop_reason for r in results]
         assert reasons == ["eps-reached", "stall", "collapse", "codomain-escape"]
