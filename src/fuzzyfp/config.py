@@ -42,8 +42,13 @@ def _factor(value: list, where: str) -> list:
 
 
 def _numbers(value: list, where: str) -> list:
-    for i, v in enumerate(value):  # each element a number or a nested list of numbers
-        _only_numbers(v, f"{where}[{i}]")
+    """value, each element a number or a nested list of numbers (else the
+    ConfigError names the first element at fault)."""
+    try:
+        _only_numbers(value, where)
+    except ConfigError:
+        for i, v in enumerate(value):
+            _only_numbers(v, f"{where}[{i}]")
     return value
 
 

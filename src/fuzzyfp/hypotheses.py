@@ -15,10 +15,18 @@ Two problem shapes are covered:
 k_hat is the largest right/left ratio over a finite sample and a bounded
 t-grid; "the hypothesis holds on the sample with constant k" is exactly
 k >= k_hat.  With the standard form on both spaces, the pair's minimum is
-the nearness of the largest of its four crisp distances (_pair_reports).
-For nearness functions induced from a crisp metric, values approach 1 as
-t grows, so k_hat itself climbs toward 1 as the grid's t_max grows;
-reports therefore record their grid and sample provenance.
+the nearness of the largest of its four crisp distances F (_pair_reports),
+and a row (x, x') has the ratio (t + D) / (t + F), D = d(STx, STx'), which
+is monotone in t.  So a call with no ratio dump on a grid of more than two
+scales evaluates every row at t_min and t_max first, and the whole grid
+only on the rows that can still hold k_hat: those within the rounding
+margin gamma_5 of five IEEE operations of the best end ratio, and those
+whose nearness leaves the normal float range at an end
+(_end_scale_reports).  Dumps and the exponential, table and mixed forms
+evaluate every cell.  For nearness functions induced from a crisp metric,
+values approach 1 as t grows, so k_hat itself climbs toward 1 as the
+grid's t_max grows; reports therefore record their grid and sample
+provenance.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,6 +191,66 @@ def _skip(ratio, valid, admitted):
         np.copyto(ratio, -np.inf, where=np.logical_not(valid, out=valid))
 
 
+def _blocks(count, shape, arrays, budget):
+    """The blocks (s, i, j) of a stack of count instances whose cells have
+    the given shape (two sample indices, then the rest), for arrays float
+    arrays of a block's size, each of about budget bytes at most, in the
+    order _reports describes; and the cell count of the first, largest
+    block."""
+    row = 8 * math.prod(shape[2:])  # bytes of one index of the second axis
+    step_s = max(1, budget // (arrays * row * shape[0] * shape[1]))
+    step_i = max(1, budget // (row * shape[1]))
+    step_j = shape[1] if row * shape[1] <= budget else max(1, budget // row)
+    blocks = [
+        (
+            slice(s, min(s + step_s, count)),
+            slice(i, min(i + step_i, shape[0])),
+            slice(j, min(j + step_j, shape[1])),
+        )
+        for s in range(0, count, step_s)
+        for i in range(0, shape[0], step_i)
+        for j in range(0, shape[1], step_j)
+    ]
+    s, i, j = blocks[0]
+    return blocks, (s.stop - s.start) * (i.stop - i.start) * (j.stop - j.start) * math.prod(shape[2:])
+
+
+@contextmanager
+def _each_warning_once():
+    """Show a floating-point warning that the body raises, once however
+    often it raises it (in several blocks, say)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    registry = globals().setdefault("__warningregistry__", {})  # as warnings.warn uses it here
+    for w in {(str(w.message), w.category, w.filename, w.lineno): w for w in caught}.values():
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, registry=registry)
+
+
+def _made(labels, best, evaluated, axes, samples, sample_shape):
+    """Per instance, the tuple of its reports, one per label, from the
+    (ratio, cell) that best holds per label and instance and the counts of
+    admitted cells in evaluated (k_hat None where none is)."""
+    ts = samples.grid.values
+    cells = math.prod(a.shape[1] for a in axes) * ts.size
+    return [
+        tuple(
+            HypothesisReport(
+                label=label,
+                k_hat=float(r) if n else None,
+                witness=tuple(pts[at][i] for pts, i in zip(axes, cell)) + (float(ts[cell[-1]]),) if n else None,
+                evaluated_count=n,
+                skipped_count=cells - n,
+                grid=samples.grid,
+                sample_shape=sample_shape,
+                exclude_diagonal=samples.exclude_diagonal,
+            )
+            for label, (r, cell), n in zip(labels, (b[at] for b in best), (e[at] for e in evaluated))
+        )
+        for at in range(len(axes[0]))
+    ]
+
+
 def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, tiled=False, flags=0):
     """One report per label for each instance of a stack, over tuples of
     the point arrays in axes and the grid; each array in axes holds one
@@ -217,31 +286,16 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, til
     pass over the blocks.  A floating-point warning that several blocks
     raise is shown once.  Returns, per instance, the tuple of its reports.
     """
-    ts = samples.grid.values
     count = len(axes[0])
-    shape = tuple(a.shape[1] for a in axes) + ts.shape  # the cells of one instance
-    row = 8 * math.prod(shape[2:])  # bytes of one index of the second axis
+    shape = tuple(a.shape[1] for a in axes) + samples.grid.values.shape  # the cells of one instance
     arrays = len(labels) + scratch
-    step_s = max(1, _BLOCK_BYTES // (arrays * row * shape[0] * shape[1]))
-    step_i = max(1, _BLOCK_BYTES // (row * shape[1]))
-    step_j = shape[1] if row * shape[1] <= _BLOCK_BYTES else max(1, _BLOCK_BYTES // row)
-    blocks = [
-        (
-            slice(s, min(s + step_s, count)),
-            slice(i, min(i + step_i, shape[0])),
-            slice(j, min(j + step_j, shape[1])),
-        )
-        for s in range(0, count, step_s)
-        for i in range(0, shape[0], step_i)
-        for j in range(0, shape[1], step_j)
-    ]
+    blocks, cells = _blocks(count, shape, arrays, _BLOCK_BYTES)
 
     def block_shape(s, i, j):
         return (s.stop - s.start, i.stop - i.start, j.stop - j.start) + shape[2:]
 
-    cells = math.prod(block_shape(*blocks[0]))
     buffers = [np.empty(cells) for _ in range(arrays)] + [np.empty(cells, dtype=bool) for _ in range(flags)]
-    tile = GridTile(samples.grid, math.prod(block_shape(*blocks[0])[:-1])) if tiled else None
+    tile = GridTile(samples.grid, cells // len(samples.grid)) if tiled else None
     best = [[None] * count for _ in labels]  # (ratio, cell) of each label and instance
     evaluated = [[0] * count for _ in labels]
 
@@ -256,8 +310,7 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, til
         cells[:, :2] += (i.start, j.start)
         dump(labels[side], cells, ratio[valid])
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _each_warning_once():
         for s, i, j in blocks:
             out, masks = block(s, i, j)
             for side, (ratio, valid) in enumerate(zip(out, masks)):
@@ -280,25 +333,7 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, til
                 for s, i, j in blocks:
                     out, masks = block(s, i, j)
                     dump_block(side, i, j, out[side], masks[side])
-    registry = globals().setdefault("__warningregistry__", {})  # as warnings.warn uses it here
-    for w in {(str(w.message), w.category, w.filename, w.lineno): w for w in caught}.values():
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, registry=registry)
-    return [
-        tuple(
-            HypothesisReport(
-                label=label,
-                k_hat=float(r) if n else None,
-                witness=tuple(pts[at][i] for pts, i in zip(axes, cell)) + (float(ts[cell[-1]]),) if n else None,
-                evaluated_count=n,
-                skipped_count=math.prod(shape) - n,
-                grid=samples.grid,
-                sample_shape=sample_shape,
-                exclude_diagonal=samples.exclude_diagonal,
-            )
-            for label, (r, cell), n in zip(labels, (b[at] for b in best), (e[at] for e in evaluated))
-        )
-        for at in range(count)
-    ]
+    return _made(labels, best, evaluated, axes, samples, sample_shape)
 
 
 def _quotient_reports(prefix, terms, axes, samples, dump, scratch=0, tiled=False):
@@ -383,7 +418,9 @@ def _pair_reports(label, stack, mu, nu, dump):
     the four crisp distances: IEEE addition and division round
     monotonically, so t / (t + d) does not grow as d grows, and a minimum
     of such values is the value at the largest d, with the same bits.  The
-    other forms take the minimum of the four nearness arrays."""
+    other forms take the minimum of the four nearness arrays.  A standard
+    pair on a grid of more than two scales with no dump is reported from
+    its end scales first (_end_scale_reports)."""
     first = stack.first
     xs = stack.points(mu.carrier, "points_x")  # (pairs, n) + the shape of one point
     if not xs.shape[1]:
@@ -397,28 +434,146 @@ def _pair_reports(label, stack, mu, nu, dump):
             m_self = mu.mu_batch(xs, st, first.grid)
         x_pts, tx_pts, st_pts = _Points(mu.carrier, xs), _Points(nu.carrier, tx), _Points(mu.carrier, st)
 
+        def nearness(at_i, at_j, ts, rhs, lhs):
+            """The standard rhs and lhs of the rows (x at at_i, x' at at_j)
+            over the scales ts (an array, TGrid or GridTile) into rhs and
+            lhs; returns d(x, x')."""
+            d = _block_distances(x_pts, at_i, x_pts, at_j)
+            far = np.maximum(d, d_self[at_i])
+            np.maximum(far, d_self[at_j], out=far)
+            np.maximum(far, _block_distances(tx_pts, at_i, tx_pts, at_j), out=far)
+            mu.mu_from_distances(far, None, None, ts, rhs)
+            _block_nearness(mu, st_pts, at_i, st_pts, at_j, ts, lhs)
+            return d
+
         def evaluate(s, i, j, out, tile):
-            rhs, scratch = out
+            rhs, lhs = out
             at_i, at_j = (s, i, None), (s, None, j)
             if standard:
-                d = _block_distances(x_pts, at_i, x_pts, at_j)
-                far = np.maximum(d, d_self[s, i, None])
-                np.maximum(far, d_self[s, None, j], out=far)
-                np.maximum(far, _block_distances(tx_pts, at_i, tx_pts, at_j), out=far)
-                mu.mu_from_distances(far, None, None, tile, rhs)
+                d = nearness(at_i, at_j, tile, rhs, lhs)
             else:
                 d, mu_xx = _block_nearness(mu, x_pts, at_i, x_pts, at_j, tile, rhs)
                 np.minimum(mu_xx, m_self[s, i, None], out=rhs)
                 np.minimum(rhs, m_self[s, None, j], out=rhs)
-                np.minimum(rhs, _block_nearness(nu, tx_pts, at_i, tx_pts, at_j, tile, scratch)[1], out=rhs)
-            with np.errstate(divide="ignore", invalid="ignore"):  # x/0 = inf and 0/0 = NaN cells are kept
-                np.divide(rhs, _block_nearness(mu, st_pts, at_i, st_pts, at_j, tile, scratch)[1], out=rhs)
+                np.minimum(rhs, _block_nearness(nu, tx_pts, at_i, tx_pts, at_j, tile, lhs)[1], out=rhs)
+                _block_nearness(mu, st_pts, at_i, st_pts, at_j, tile, lhs)
+            _pair_ratio(rhs, lhs)
             return [(d > DELTA_PT)[..., None] if first.exclude_diagonal else np.True_]
 
+        if standard and dump is None and len(first.grid) > 2:
+            return _end_scale_reports(label, nearness, xs, first)
         return _reports((label,), evaluate, (xs, xs), first, (xs.shape[1],), dump, scratch=1, tiled=True)
 
     st, tx = stack.images("ST", xs), stack.images("T", xs)
     return stack.reports((label,), (xs.shape[1],), "every tuple of the sample was skipped", kernel, xs, st, tx)
+
+
+def _pair_ratio(rhs, lhs):
+    """rhs / lhs, into rhs."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # x/0 = inf and 0/0 = NaN cells are kept
+        return np.divide(rhs, lhs, out=rhs)
+
+
+# With the standard form on both spaces, a row (x, x') of the pair has the
+# ratio (t / (t + F)) / (t / (t + D)) = (t + D) / (t + F), D = d(STx, STx')
+# and F the largest of the four crisp distances, which is monotone in t: its
+# largest value over the grid is at t_min or t_max.  The computed ratio takes
+# five correctly rounded operations, so it is the exact one times 1 + theta
+# with |theta| <= gamma_5 = 5u / (1 - 5u), u = 2^-53, as long as no result
+# leaves the normal range (Higham, Accuracy and Stability of Numerical
+# Algorithms, Lemma 3.1).  So at any scale a row's ratio is at most
+# e * (1 + gamma_5) / (1 - gamma_5) = e / (1 - 10u), e the larger of its two
+# end ratios.  A row with e < M * (1 - 10u), M the best end ratio of the
+# instance, stays below M on the whole grid.  The cut is M * _END_MARGIN,
+# rounded: at most M * (1 - 16u) * (1 + u) < M * (1 - 10u) where that is
+# normal, and below every ratio of a normal row (at least 2 * tiny) where
+# not.
+_END_MARGIN = 1.0 - 2.0**-49
+# Nearness of a row at both end scales at least this, and its rhs, lhs and
+# ratio are normal at every scale between: the exact nearness grows with t,
+# and t_max + F, t_max + D did not overflow.
+_END_NORMAL = 2 * float(np.finfo(float).tiny)
+
+
+def _end_scale_reports(label, nearness, xs, samples):
+    """The reports of _reports over the pairs of a stack of standard pairs
+    (x, x' from xs), k_hat, witness and counts bit for bit, where
+    nearness(at_i, at_j, ts, rhs, lhs) writes the rows' rhs and lhs.
+
+    A first pass evaluates every row at t_min and t_max only, in blocks of
+    half the budget per array (its rows hold about as many bytes again in
+    distances and masks), and keeps each instance's best admitted end ratio
+    M so far.  Only a row that it cannot exclude is evaluated on the whole grid:
+    an admitted one whose larger end ratio is at least M * _END_MARGIN, and
+    any whose nearness leaves the normal range at an end (0, subnormal, an
+    overflowed t + F, NaN).  Since M only grows, the pending rows are cut
+    again against it when they outgrow a block, and evaluated then if they
+    still do, else after the last block; they come in C order, so the first
+    best cell of each instance is the first in C order."""
+    grid, count, n = samples.grid, len(xs), xs.shape[1]
+    blocks, cells = _blocks(count, (n, n, 2), 1, _BLOCK_BYTES // 2)
+    rhs_ends, lhs_ends = np.empty(cells), np.empty(cells)
+    ends = grid.values[[0, -1]]
+    top = np.zeros(count)  # M, or 0, below every admitted ratio
+    evaluated = np.zeros(count, dtype=np.int64)
+    best, where = np.full(count, -np.inf), np.zeros((count, 3), dtype=np.intp)
+    limit = max(1, _BLOCK_BYTES // (8 * len(grid)))  # rows of a block of the whole grid
+    pending = []  # (row indices in (count, n, n) C order, larger end ratio or inf if not normal)
+
+    def whole_grid(rows):  # evaluate rows and keep each instance's first best cell
+        for start in range(0, rows.size, limit):
+            k, i, j = np.unravel_index(rows[start : start + limit], (count, n, n))
+            rhs, lhs = np.empty((k.size, len(grid))), np.empty((k.size, len(grid)))
+            d = nearness((k, i), (k, j), grid, rhs, lhs)
+            ratio = _pair_ratio(rhs, lhs)
+            if samples.exclude_diagonal:  # a row kept for its range only
+                ratio[~(d > DELTA_PT)] = -np.inf
+            at = np.argmax(ratio, axis=1)
+            value = ratio[np.arange(k.size), at]
+            starts = np.flatnonzero(np.diff(k, prepend=-1))  # each instance's first row
+            peak = np.repeat(np.maximum.reduceat(value, starts), np.diff(starts, append=k.size))  # NaN wins, as in argmax
+            row = np.minimum.reduceat(np.where((value == peak) | np.isnan(value), np.arange(k.size), k.size), starts)
+            own, new = k[row], value[row]
+            old = best[own]
+            take = ~np.isnan(old) & ~(new <= old)  # later rows win only by a larger ratio or a NaN
+            best[own[take]] = new[take]
+            where[own[take]] = np.stack((i[row], j[row], at[row]), axis=1)[take]
+
+    def settle(last):  # cut the pending rows against M; evaluate them if last or still over a block
+        rows, key = (np.concatenate(a) for a in zip(*pending))
+        keep = key >= top[rows // (n * n)] * _END_MARGIN
+        pending[:] = [(rows[keep], key[keep])]
+        if last or pending[0][0].size > limit:
+            whole_grid(pending.pop()[0])
+
+    with _each_warning_once():
+        for s, i, j in blocks:
+            shape = (s.stop - s.start, i.stop - i.start, j.stop - j.start)
+            # scale-major, so that each pass over a block runs over whole rows of one end scale
+            rhs, lhs = (b[: math.prod(shape) * 2].reshape((2,) + shape).transpose(1, 2, 3, 0) for b in (rhs_ends, lhs_ends))
+            d = nearness((s, i, None), (s, None, j), ends, rhs, lhs)
+            low = np.minimum(rhs[..., 0], rhs[..., 1])
+            for end in (lhs[..., 0], lhs[..., 1]):
+                np.minimum(low, end, out=low)
+            normal = low >= _END_NORMAL
+            ratio = _pair_ratio(rhs, lhs)
+            high = np.maximum(ratio[..., 0], ratio[..., 1])
+            if samples.exclude_diagonal:
+                admitted = d > DELTA_PT
+                high[~admitted] = -np.inf
+                evaluated[s] += np.count_nonzero(admitted.reshape(shape[0], -1), axis=1) * len(grid)
+            else:
+                evaluated[s] += math.prod(shape[1:]) * len(grid)
+            top[s] = np.fmax(top[s], np.fmax.reduce(high.reshape(shape[0], -1), axis=1))
+            keep = ~normal | (high >= (top[s] * _END_MARGIN)[:, None, None])
+            k, a, b = np.nonzero(keep)
+            pending.append((((s.start + k) * n + i.start + a) * n + j.start + b, np.where(normal[keep], high[keep], np.inf)))
+            if sum(rows.size for rows, _ in pending) > limit:
+                settle(False)
+        if pending:
+            settle(True)
+    best_cells = [(r, tuple(c)) for r, c in zip(best.tolist(), where.tolist())]
+    return _made((label,), [best_cells], [evaluated.tolist()], (xs, xs), samples, (n,))
 
 
 # ---------------------------------------------------------------------------

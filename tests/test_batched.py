@@ -1,11 +1,13 @@
 """The array code of the sampling, distance and solver layers agrees bit for
 bit with the scalar loops it replaces (tests/oracles.py)."""
 
+import importlib
 import itertools
 import math
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -42,6 +44,7 @@ from fuzzyfp import (
 )
 from fuzzyfp import hypotheses, solver
 from fuzzyfp.axioms import MAX_WITNESSES, check_fm_axioms_batch
+from fuzzyfp.config import build_grid, build_problem, build_samples, build_spaces
 from fuzzyfp.errors import CodomainError, EmptySampleError
 from fuzzyfp.mappings import Mapping, StackedMap
 from fuzzyfp.metrics import GridTile
@@ -1333,8 +1336,8 @@ def x2_budget(step, grid_len, y_pairs=1):
 def estimate(budget, estimator, *args):
     """What one estimator call gives under a block budget, as a comparable
     value: every field of each report or the error raised, the dumped rows
-    (none for stacked pairs, which take no dump), and every warning it
-    showed.  repr keeps NaN, inf and -0.0 apart."""
+    (none for stacked pairs or an Undumped estimator, which take no dump),
+    and every warning it showed.  repr keeps NaN, inf and -0.0 apart."""
     rows = Dumped()
     with mock.patch.object(hypotheses, "_BLOCK_BYTES", budget):
         with warnings.catch_warnings(record=True) as caught:
@@ -1634,18 +1637,60 @@ def extreme_maps(draw, space):
     return AffineMap(np.diag(diagonal), offset, space)
 
 
+class Undumped:
+    """An estimator called with no dump, whatever dump it is given, so that
+    a call on one problem takes the path of a stacked call."""
+
+    def __init__(self, estimator):
+        self.estimator = estimator
+
+    def __call__(self, *args, dump=None):
+        return self.estimator(*args)
+
+    def __repr__(self):
+        return f"Undumped({self.estimator.__name__})"
+
+
+# Points whose images under flip_pairs stay finite; at t_min the row
+# (0.25, -0.25) has a larger ratio than (1, -2.5), at t_max a smaller one.
+FLIP_POINTS = [0.0, 5e-324, 1e-310, 0.25, -0.25, 1.0, -2.5]
+
+
+@st.composite
+def flip_pairs(draw, x_space, y_space):
+    """T = S = c D, D a diagonal of signs and c 1 or 3.  With c = 1, ST is
+    the identity and every admitted row ties at the ratio 1 (D = F bit for
+    bit); with c = 3, ST stretches distances 9-fold, past the other three
+    distances of rows far apart for their size, so that the row's ratio
+    falls with t and is largest at t_min."""
+    dim = x_space.dimension
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=dim, max_size=dim))
+    m = np.diag(signs) * draw(st.sampled_from([1.0, 3.0]))
+    return MapPair(T=AffineMap(m, [0.0] * dim, y_space), S=AffineMap(m, [0.0] * dim, x_space))
+
+
 @st.composite
 def standard_pair_calls(draw):
-    """estimate_k_pair or its dual on one pair, or estimate_k_pair on 2 or 3
-    stacked pairs, with standard nearness on unbounded boxes of dimension 1
-    or 2, samples drawn from EXTREME and a grid between 1e-300 and 1e300."""
+    """estimate_k_pair or its dual on one pair, with or without a dump, or
+    estimate_k_pair on 2 or 3 stacked pairs, with standard nearness on
+    unbounded boxes of dimension 1 or 2, samples of up to 8 points drawn
+    from EXTREME, and a grid of up to 4 scales between 1e-300 and 1e300 or
+    of 17 (which has interior scales).  A third of the calls take
+    flip_pairs, whose rows all tie or have their largest ratio at t_min,
+    on FLIP_POINTS."""
     dim = draw(st.integers(1, 2))
     x_space, y_space = (BoxSpace([-np.inf] * dim, [np.inf] * dim, draw(st.sampled_from(["euclidean", "max"]))) for _ in "xy")
-    point = st.lists(st.sampled_from(EXTREME), min_size=dim, max_size=dim).map(np.array)
-    n, grid, exclude = draw(st.integers(1, 5)), TGrid(sorted(draw(WIDE_GRIDS))), draw(st.booleans())
-    pairs = tuple(
-        MapPair(T=draw(extreme_maps(y_space)), S=draw(extreme_maps(x_space))) for _ in range(draw(st.integers(1, 3)))
-    )
+    flips = draw(st.integers(0, 2)) == 0
+    point = st.lists(st.sampled_from(FLIP_POINTS if flips else EXTREME), min_size=dim, max_size=dim).map(np.array)
+    grids = st.one_of(WIDE_GRIDS.map(lambda ts: TGrid(sorted(ts))), st.sampled_from([TGrid.default(), TGrid.logspace(1e-300, 1e300)]))
+    n, grid, exclude = draw(st.integers(1, 8)), draw(grids), draw(st.booleans())
+
+    def pair():
+        if flips:
+            return draw(flip_pairs(x_space, y_space))
+        return MapPair(T=draw(extreme_maps(y_space)), S=draw(extreme_maps(x_space)))
+
+    pairs = tuple(pair() for _ in range(draw(st.integers(1, 3))))
     samples = tuple(
         SampleSet(
             points_x=tuple(draw(st.lists(point, min_size=n, max_size=n))),
@@ -1658,7 +1703,8 @@ def standard_pair_calls(draw):
     mu, nu = induced_standard(x_space), induced_standard(y_space)
     if len(pairs) > 1:
         return estimate_k_pair, pairs, mu, nu, samples
-    return draw(st.sampled_from([estimate_k_pair, estimate_k_pair_dual])), pairs[0], mu, nu, samples[0]
+    estimator = draw(st.sampled_from([estimate_k_pair, estimate_k_pair_dual]))
+    return (Undumped(estimator) if draw(st.booleans()) else estimator), pairs[0], mu, nu, samples[0]
 
 
 @SETTINGS
@@ -1726,4 +1772,74 @@ def test_only_standard_pairs_skip_the_nearness_minimum(monkeypatch, config):
     assert [np.asarray(p).tolist() for p in report.witness] == witness
     standard = config == "standard"
     assert set(calls) == ({mu} if standard else {mu, nu})
-    assert len(calls) == (1 if standard else 3)  # one block: lhs, and unless standard, x's and Tx's nearness
+    # one block: lhs, and unless standard, x's and Tx's nearness; a standard pair takes lhs
+    # at the two end scales, then on the whole grid for the rows that may hold k_hat
+    assert len(calls) == (2 if standard else 3)
+
+
+def test_rows_that_round_above_their_end_ratios_keep_the_whole_grid_witness():
+    """ST x = c x with c = 1 - 2^-51 and T the identity: each row's exact
+    ratio (t + D) / (t + F) lies a few ulps below 1, and rounding lifts some
+    interior cells to 1.0 while both end cells of their row stay below it.
+    The end-scale pass keeps every row within its rounding margin of the
+    best end ratio, so k_hat and its first cell in C order, at an interior
+    scale, are those of the whole grid (the dump path); with no margin the
+    witness moved to a later row."""
+    line = BoxSpace([-np.inf], [np.inf])
+    mu = induced_standard(line)
+    c = float.fromhex("0x1.ffffffffffffcp-1")
+    pair = MapPair(T=AffineMap([[1.0]], [0.0], line), S=AffineMap([[c]], [0.0], line))
+    hexes = ("-0x1.9f292a8ec4626p+2", "0x1.d0de782272496p+2", "0x1.a89019e8e252cp-1", "-0x1.005e685f9916bp+2", "-0x1.8bd767ca60f7cp+0")
+    samples = SampleSet(points_x=pts(*map(float.fromhex, hexes)), grid=TGrid.default())
+    full = estimate_k_pair(pair, mu, mu, samples, dump=Dumped())
+    assert full.k_hat == 1.0 and full.witness[2] not in (samples.grid.t_min, samples.grid.t_max)
+    assert _report_fields([estimate_k_pair(pair, mu, mu, samples)]) == _report_fields([full])
+
+
+def test_a_ratio_that_falls_with_t_keeps_its_t_min_witness():
+    """T = S = 3x: ST stretches (x, x') = (0.25, -0.25) to 4.5 against a
+    largest distance F = 2, so the row's ratio (t + D) / (t + F) falls with
+    t, and at t_min it beats (1, -2.5), whose ratio is the larger at t_max.
+    k_hat and its witness at t_min are those of the whole grid."""
+    line = BoxSpace([-np.inf], [np.inf])
+    mu = induced_standard(line)
+    stretch = AffineMap([[3.0]], [0.0], line)
+    pair = MapPair(T=stretch, S=stretch)
+    samples = SampleSet(points_x=pts(1.0, -2.5, 0.25, -0.25), grid=TGrid.default())
+    full = estimate_k_pair(pair, mu, mu, samples, dump=Dumped())
+    assert [float(p[0]) for p in full.witness[:2]] + [full.witness[2]] == [0.25, -0.25, samples.grid.t_min]
+    assert _report_fields([estimate_k_pair(pair, mu, mu, samples)]) == _report_fields([full])
+
+
+def _hypotheses_wide_pair(monkeypatch, seed, block):
+    """The pair problem, nearness and sample of a hypotheses-wide benchmark
+    block (192 points of a 2-D box, the default 17-point grid)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    (doc,) = [inv.config for inv in workloads.block("hypotheses-wide", seed, block).invocations if inv.name == "pair"]
+    grid = build_grid(doc)
+    carrier_x, carrier_y, mu, nu = build_spaces(doc, grid)
+    _, pair = build_problem(doc, carrier_x, carrier_y)
+    return pair, mu, nu, build_samples(doc, grid, carrier_x, carrier_y, include_diagonal=False)
+
+
+def test_standard_pair_evaluates_few_rows_on_the_whole_grid(monkeypatch):
+    """On the seed-1 hypotheses-wide pair (626 688 cells, several blocks
+    of end scales) fewer than 1 % of the cells are evaluated on the whole
+    grid, and the report is the one the dump path, which evaluates every
+    cell, gives."""
+    pair, mu, nu, samples = _hypotheses_wide_pair(monkeypatch, 1, 0)
+    whole = []
+    block_nearness = hypotheses._block_nearness
+
+    def counted(fm, p, ia, q, ib, ts, out):  # lhs, once per evaluation
+        if out.shape[-1] == len(samples.grid):
+            whole.append(out.size)
+        return block_nearness(fm, p, ia, q, ib, ts, out)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(hypotheses, "_block_nearness", counted)
+        report = estimate_k_pair(pair, mu, nu, samples)
+    cells = report.evaluated_count + report.skipped_count
+    assert cells == 192 * 192 * 17 and 0 < sum(whole) < cells // 100
+    assert _report_fields([report]) == _report_fields([estimate_k_pair(pair, mu, nu, samples, dump=lambda *cells: None)])

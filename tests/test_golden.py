@@ -2,11 +2,12 @@
 configs, plus one small quadruple and one small self-quadruple suite on the
 exponential form and `hypotheses --format both` on a pair with a dual
 sample, a two-space exponential quadruple and a self-quadruple, must stay
-byte-identical.  Two more `hypotheses` cases, a 160-point pair and a 5 + 12
-point quadruple, are large enough that the estimators evaluate them in
-several blocks of the leading sample index.  One expansive pair suite
-overflows in its x0 solves, so its k_hat samples escape and its rows carry
-no k_hat.  One mixed-family pair suite has constant maps, whose fixed
+byte-identical; every `hypotheses` case must write its report with the
+same bytes under `--format json`, which takes no ratio dump.  Two more
+`hypotheses` cases, a 160-point pair and a 5 + 12 point quadruple, are
+large enough that the estimators evaluate them in several blocks of the
+leading sample index.  One expansive pair suite overflows in its x0
+solves, so its k_hat samples escape and its rows carry no k_hat.  One mixed-family pair suite has constant maps, whose fixed
 points agree exactly (uniqueness distance 0.0) and whose runs are shorter
 than the trajectory sample, so its k_hat samples come in several sizes.
 Two `solve` cases keep whole traces: a slow exponential-form quadruple that
@@ -45,11 +46,12 @@ CASES = [
 ]
 
 
-def run_case(path: Path, command: str, out: str) -> dict:
+def run_case(path: Path, command: str, out: str, fmt: str = "both") -> dict:
     """Exit code and the digest of every file the command wrote; the two
-    commands that read --format write every artifact they can."""
-    fmt = ["--format", "both"] if command in ("hypotheses", "suite") else []
-    code = main([command, "--config", str(path), "--out", out, *fmt])
+    commands that read --format write every artifact they can, unless fmt
+    says otherwise."""
+    flags = ["--format", fmt] if command in ("hypotheses", "suite") else []
+    code = main([command, "--config", str(path), "--out", out, *flags])
     artifacts = {}
     for name in sorted(os.listdir(out)):
         with open(os.path.join(out, name), "rb") as fh:
@@ -70,6 +72,19 @@ def test_cases_match_digest_file(expected):
 @pytest.mark.parametrize("name,path,command", CASES, ids=[c[0] for c in CASES])
 def test_artifacts_byte_identical(name, path, command, expected, tmp_path):
     assert run_case(path, command, str(tmp_path)) == expected[name]
+
+
+HYPOTHESES = [case for case in CASES if case[2] == "hypotheses"]
+
+
+@pytest.mark.parametrize("name,path,command", HYPOTHESES, ids=[c[0] for c in HYPOTHESES])
+def test_hypotheses_report_without_the_ratio_dump(name, path, command, expected, tmp_path):
+    """`--format json` takes no ratio dump, so a standard pair (and its
+    dual) takes the end-scale path of the estimator, as the suites and the
+    hypotheses-wide benchmark do; its report has the bytes recorded for
+    `--format both`, whose dump takes every cell on the whole grid."""
+    report = {k: v for k, v in expected[name]["artifacts"].items() if k == "hypotheses_report.json"}
+    assert run_case(path, command, str(tmp_path), "json") == {"exit": expected[name]["exit"], "artifacts": report}
 
 
 if __name__ == "__main__":

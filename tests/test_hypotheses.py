@@ -8,6 +8,7 @@ import os
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from fuzzyfp import (
     induced_standard,
     solve,
 )
+from fuzzyfp import config
 from fuzzyfp.cli import _ratio_rows
 from fuzzyfp.solver import SolveConfig
 from fuzzyfp.spaces import validate_points
@@ -48,6 +50,7 @@ from oracles import (
     self_quad_numerator_primal,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 LINE = BoxSpace([-np.inf], [np.inf])
 MU = induced_standard(LINE)
 NU = induced_standard(LINE)
@@ -252,6 +255,31 @@ class TestEstimateKPair:
         wy, wy2, wt = report.witness
         lhs, rhs = pair_inequality_terms_dual(linear_pair, MU, NU, wy, wy2, wt)
         assert abs(rhs / lhs - report.k_hat) <= 1e-12
+
+    def test_pair_linear_k_hat_is_the_ratio_at_t_max_and_climbs_toward_1(self):
+        """configs/pair_linear.json's maps, ST x = x/6 + 4/3 with fixed
+        point z = 1.6, on the sample {z - e, z + e}: the largest of the four
+        distances is F = d(x, x') = 2e and D = d(STx, STx') = e/3, so the
+        ratio (t + D) / (t + F) grows with t.  k_hat is the ratio at t_max,
+        from the points' own distances, at the first cell in C order; it
+        climbs toward 1 as the sample closes in on z, whether or not the
+        maps contract (ROADMAP direction P)."""
+        doc = config.load_config(ROOT / "configs" / "pair_linear.json")
+        grid = config.build_grid(doc)
+        carrier, _, mu, nu = config.build_spaces(doc, grid)
+        _, pair = config.build_problem(doc, carrier, carrier)
+        z, t = 1.6, grid.t_max
+        k_hats = []
+        for e in (0.5, 1e-4):
+            x, x2 = np.array([z - e]), np.array([z + e])
+            report = estimate_k_pair(pair, mu, nu, SampleSet(points_x=(x, x2), grid=grid))
+            far, near = float(carrier.distances(x, x2)), float(carrier.distances(pair.S(pair.T(x)), pair.S(pair.T(x2))))
+            assert (far, near) == (pytest.approx(2 * e), pytest.approx(e / 3))
+            assert report.k_hat == (t / (t + far)) / (t / (t + near))
+            assert [float(p[0]) for p in report.witness[:2]] + [report.witness[2]] == [z - e, z + e, t]
+            k_hats.append(report.k_hat)
+        assert k_hats[0] == 0.9917491749174917
+        assert k_hats[0] < k_hats[1] < 1.0 and 1.0 - k_hats[1] < 1e-5
 
 
 # ---------------------------------------------------------------------------
