@@ -239,11 +239,10 @@ def _generate(specs, mu, nu) -> list:
     return insts
 
 
-def gen_instance(spec: InstanceSpec, metrics=None) -> Instance:
+def gen_instance(spec: InstanceSpec) -> Instance:
     """Deterministically generate one problem instance from its spec: the
-    kind generator _generate applied to the spec alone.  A caller may pass
-    the (mu, nu) of the spec's kind; see _kind_metrics."""
-    return _generate([spec], *(metrics or _kind_metrics(spec)))[0]
+    kind generator _generate applied to the spec alone."""
+    return _generate([spec], *_kind_metrics(spec))[0]
 
 
 @dataclass(eq=False)

@@ -17,16 +17,16 @@ t-grid; "the hypothesis holds on the sample with constant k" is exactly
 k >= k_hat.  With the standard form on both spaces, the pair's minimum is
 the nearness of the largest of its four crisp distances F (_pair_reports),
 and a row (x, x') has the ratio (t + D) / (t + F), D = d(STx, STx'), which
-is monotone in t.  So a call with no ratio dump on a grid of more than two
-scales evaluates every row at t_min and t_max first, and the whole grid
-only on the rows that can still hold k_hat: those within the rounding
-margin gamma_5 of five IEEE operations of the best end ratio, and those
-whose nearness leaves the normal float range at an end
-(_end_scale_reports).  Dumps and the exponential, table and mixed forms
-evaluate every cell.  For nearness functions induced from a crisp metric,
-values approach 1 as t grows, so k_hat itself climbs toward 1 as the
-grid's t_max grows; reports therefore record their grid and sample
-provenance.
+is monotone in t.  So a call with no ratio dump evaluates every row at
+t_min and t_max first, and the whole grid only on the rows that can still
+hold k_hat: those within the rounding margin gamma_5 of five IEEE
+operations of the best end ratio, and those whose nearness leaves the
+normal float range at an end (_end_scale_reports).  Dumps and the
+exponential, table and mixed forms take the four-term minimum on every
+cell (_reports).  Every report is made in one place (_Stack.reports).
+For nearness functions induced from a crisp metric, values approach 1 as
+t grows, so k_hat itself climbs toward 1 as the grid's t_max grows;
+reports therefore record their grid and sample provenance.
 """
 
 from __future__ import annotations
@@ -126,22 +126,29 @@ class _Stack:
             self.dropped |= escaped.reshape(count, n).any(axis=1)
         return out.reshape((count, n) + out.shape[1:])
 
-    def reports(self, labels, sample_shape: tuple, empty: str, kernel, *arrays) -> tuple:
-        """Every problem's reports, one per label, as one flat tuple, from
-        kernel(*arrays) on the problems not dropped (problems on the first
-        axis of each array), which returns one tuple of reports per problem.
-        A problem whose every report has k_hat None is dropped too, or
-        raises EmptySampleError(empty) if single."""
+    def reports(self, labels, axes, sample_shape: tuple, empty: str, kernel, *arrays) -> tuple:
+        """Every problem's reports, one per label, as one flat tuple.
+        kernel(*arrays) runs on the problems not dropped (problems on the
+        first axis of each array) and returns, per label and problem, the
+        (ratio, cell) that best holds and the count of admitted cells (see
+        _reports); a witness is the points of axes (one point array per
+        problem each) at the cell's sample indices, then its scale.  A
+        problem with no admitted cell is dropped too, or raises
+        EmptySampleError(empty) if single."""
         keep = ~self.dropped
-        made = iter(kernel(*(a if keep.all() else a[keep] for a in arrays)) if keep.any() else ())
-        first, out = self.first, []
-        for dropped in self.dropped:
-            own = None if dropped else next(made)
-            if own is None or all(r.k_hat is None for r in own):
-                if self.single:
-                    raise EmptySampleError(empty)
-                own = (HypothesisReport(label, None, None, 0, 0, first.grid, sample_shape, first.exclude_diagonal) for label in labels)
-            out.extend(own)
+        best, evaluated = kernel(*(a if keep.all() else a[keep] for a in arrays)) if keep.any() else ((), ())
+        made = zip(zip(*best), zip(*evaluated))
+        grid, exclude = self.first.grid, self.first.exclude_diagonal
+        cells = math.prod(a.shape[1] for a in axes) * len(grid)
+        out = []
+        for p, dropped in enumerate(self.dropped):
+            own, counts = (((None, None),) * len(labels), (0,) * len(labels)) if dropped else next(made)
+            if not any(counts) and self.single:
+                raise EmptySampleError(empty)
+            total = cells if any(counts) else 0  # a dropped problem counts no cell
+            for label, (r, cell), n in zip(labels, own, counts):
+                witness = tuple(a[p][i] for a, i in zip(axes, cell)) + (float(grid.values[cell[-1]]),) if n else None
+                out.append(HypothesisReport(label, float(r) if n else None, witness, n, total - n, grid, sample_shape, exclude))
         return tuple(out)
 
 
@@ -227,35 +234,11 @@ def _each_warning_once():
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, registry=registry)
 
 
-def _made(labels, best, evaluated, axes, samples, sample_shape):
-    """Per instance, the tuple of its reports, one per label, from the
-    (ratio, cell) that best holds per label and instance and the counts of
-    admitted cells in evaluated (k_hat None where none is)."""
-    ts = samples.grid.values
-    cells = math.prod(a.shape[1] for a in axes) * ts.size
-    return [
-        tuple(
-            HypothesisReport(
-                label=label,
-                k_hat=float(r) if n else None,
-                witness=tuple(pts[at][i] for pts, i in zip(axes, cell)) + (float(ts[cell[-1]]),) if n else None,
-                evaluated_count=n,
-                skipped_count=cells - n,
-                grid=samples.grid,
-                sample_shape=sample_shape,
-                exclude_diagonal=samples.exclude_diagonal,
-            )
-            for label, (r, cell), n in zip(labels, (b[at] for b in best), (e[at] for e in evaluated))
-        )
-        for at in range(len(axes[0]))
-    ]
-
-
-def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, tiled=False, flags=0):
-    """One report per label for each instance of a stack, over tuples of
-    the point arrays in axes and the grid; each array in axes holds one
-    point array per instance, on its first axis, and samples gives the grid
-    and the diagonal rule of all.
+def _reports(labels, evaluate, axes, grid, dump, scratch=0, tiled=False, flags=0):
+    """The best admitted (ratio, cell) and the admitted-cell count of each
+    label and instance of a stack, over tuples of the point arrays in axes
+    and the grid; each array in axes holds one point array per instance, on
+    its first axis.
 
     The tuples are visited in blocks of about _BLOCK_BYTES per float array,
     in C order.  A block is a slice s of the instances, a slice i of the
@@ -267,27 +250,28 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, til
     mmap threshold, raised a 50-pair suite's peak RSS by 0.15-0.27 MB.)
     evaluate(s, i, j, out, tile) writes each label's ratios on the block,
     whose first axis is the instances s, into out[side] and returns one
-    admission mask per label that broadcasts to the block of one instance,
-    or, with the instance axis, to the block.  out holds one float array of the
-    block's shape per label, then scratch more for evaluate's own use, then
-    flags bool arrays of the block's shape; they are allocated once per
-    call, since a fresh array of a block's size is page-faulted in anew on
-    every block.  If tiled, tile is a GridTile of
-    the grid over the first (largest) block, allocated once per call too,
-    else None.  A cell a mask does not admit is set to -inf before the
-    argmax (_skip).  Per instance, k_hat is the largest admitted ratio and
-    its witness the first such cell in C order (the first NaN if there is
-    one, as np.argmax picks).  k_hat is None when no cell is admitted.
+    admission mask per label, with that instance axis too, that broadcasts
+    to the block.  out holds one float array of the block's shape per
+    label, then scratch more for evaluate's own use, then flags bool arrays
+    of the block's shape; they are allocated once per call, since a fresh
+    array of a block's size is page-faulted in anew on every block.  If
+    tiled, tile is a GridTile of the grid over the first (largest) block,
+    allocated once per call too, else None.  A cell a mask does not admit
+    is set to -inf before the argmax (_skip).  Per instance, the best ratio
+    is the largest admitted one and its cell the first such cell in C order
+    (the first NaN if there is one, as np.argmax picks); with a count of 0
+    neither means anything.
     dump, if not None, takes a stack of one and is called as
     dump(label, cells, ratios) with each block's admitted cells in C order
     (np.argwhere indices with the block's offsets added; the grid index is
     the last column) and their ratios.  Every block of a label is dumped
     before any of the next, so each label after the first takes one more
     pass over the blocks.  A floating-point warning that several blocks
-    raise is shown once.  Returns, per instance, the tuple of its reports.
+    raise is shown once.  Returns (best, evaluated): per label, the list of
+    each instance's (ratio, cell) and the list of its counts.
     """
     count = len(axes[0])
-    shape = tuple(a.shape[1] for a in axes) + samples.grid.values.shape  # the cells of one instance
+    shape = tuple(a.shape[1] for a in axes) + grid.values.shape  # the cells of one instance
     arrays = len(labels) + scratch
     blocks, cells = _blocks(count, shape, arrays, _BLOCK_BYTES)
 
@@ -295,7 +279,7 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, til
         return (s.stop - s.start, i.stop - i.start, j.stop - j.start) + shape[2:]
 
     buffers = [np.empty(cells) for _ in range(arrays)] + [np.empty(cells, dtype=bool) for _ in range(flags)]
-    tile = GridTile(samples.grid, cells // len(samples.grid)) if tiled else None
+    tile = GridTile(grid, cells // len(grid)) if tiled else None
     best = [[None] * count for _ in labels]  # (ratio, cell) of each label and instance
     evaluated = [[0] * count for _ in labels]
 
@@ -316,14 +300,12 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, til
             for side, (ratio, valid) in enumerate(zip(out, masks)):
                 if side == 0 and dump is not None:
                     dump_block(0, i, j, ratio, valid)
-                own = np.ndim(valid) == ratio.ndim  # one mask per instance, else one for all
-                counts = [int(np.count_nonzero(v)) for v in (valid if own else (valid,))]
-                size = np.size(valid) // len(counts)  # of one instance's mask
+                counts = [int(np.count_nonzero(v)) for v in valid]  # with axis=, count_nonzero sums: 8 times slower
                 _skip(ratio, valid, sum(counts))
+                per = ratio[0].size // valid[0].size  # a mask counts once per cell it broadcasts to
                 for k, r_k in enumerate(ratio):
                     at = s.start + k
-                    # a mask counts once per cell it broadcasts to
-                    evaluated[side][at] += counts[k if own else 0] * (r_k.size // size)
+                    evaluated[side][at] += counts[k] * per
                     cell = np.unravel_index(int(np.argmax(r_k)), r_k.shape)
                     r, old = r_k[cell], best[side][at]
                     if old is None or not np.isnan(old[0]) and (np.isnan(r) or r > old[0]):
@@ -333,13 +315,13 @@ def _reports(labels, evaluate, axes, samples, sample_shape, dump, scratch=0, til
                 for s, i, j in blocks:
                     out, masks = block(s, i, j)
                     dump_block(side, i, j, out[side], masks[side])
-    return _made(labels, best, evaluated, axes, samples, sample_shape)
+    return best, evaluated
 
 
-def _quotient_reports(prefix, terms, axes, samples, dump, scratch=0, tiled=False):
-    """Primal and dual reports of k * lhs >= f / h and k * lhs' >= g / h,
-    per instance of axes (see _reports), where terms(s, i, j, out, tile)
-    writes f, g and h on the block (s, i, j) into out[0], out[1] and
+def _quotient_reports(prefix, terms, axes, grid, dump, scratch=0, tiled=False):
+    """What _reports returns for the primal and dual sides, k * lhs >= f / h
+    and k * lhs' >= g / h, per instance of axes, where terms(s, i, j, out,
+    tile) writes f, g and h on the block (s, i, j) into out[0], out[1] and
     out[2], may use the scratch arrays after them and the grid tile if
     tiled, and returns (lhs, lhs'); each side is admitted only where
     num < h < 1 (ties num = h are skipped), by a mask written into a bool
@@ -356,8 +338,7 @@ def _quotient_reports(prefix, terms, axes, samples, dump, scratch=0, tiled=False
         return masks
 
     labels = (f"{prefix}-primal", f"{prefix}-dual")
-    shape = (axes[0].shape[1], axes[-1].shape[1])
-    return _reports(labels, evaluate, axes, samples, shape, dump, 1 + scratch, tiled, flags=3)
+    return _reports(labels, evaluate, axes, grid, dump, 1 + scratch, tiled, flags=3)
 
 
 def estimate_k(scheme: str, problem, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, dump=None):
@@ -414,58 +395,54 @@ def estimate_k_pair_dual(pair, mu: FuzzyMetric, nu: FuzzyMetric, samples: Sample
 def _pair_reports(label, stack, mu, nu, dump):
     """The report of each pair of the stack on its sample; see estimate_k_pair.
 
-    When mu and nu are both standard, rhs is the nearness of the largest of
-    the four crisp distances: IEEE addition and division round
-    monotonically, so t / (t + d) does not grow as d grows, and a minimum
-    of such values is the value at the largest d, with the same bits.  The
-    other forms take the minimum of the four nearness arrays.  A standard
-    pair on a grid of more than two scales with no dump is reported from
-    its end scales first (_end_scale_reports)."""
+    A call with standard mu and nu and no dump takes rhs as the nearness of
+    the largest of the four crisp distances, from the grid's end scales
+    first (_end_scale_reports).  Every other call, dumps included, takes
+    the minimum of the four nearness arrays on every cell.  For the
+    standard form the two agree bit for bit: IEEE addition and division
+    round monotonically, so t / (t + d) does not grow as d grows, and a
+    minimum of such values is the value at the largest d."""
     first = stack.first
     xs = stack.points(mu.carrier, "points_x")  # (pairs, n) + the shape of one point
     if not xs.shape[1]:
         raise EmptySampleError("sample contains no points")
-    standard = isinstance(mu, StandardFuzzyMetric) and isinstance(nu, StandardFuzzyMetric)
+    standard = dump is None and isinstance(mu, StandardFuzzyMetric) and isinstance(nu, StandardFuzzyMetric)
 
     def kernel(xs, st, tx):
+        x_pts, tx_pts, st_pts = _Points(mu.carrier, xs), _Points(nu.carrier, tx), _Points(mu.carrier, st)
         if standard:
             d_self = mu.carrier.distances(xs, st)
-        else:
-            m_self = mu.mu_batch(xs, st, first.grid)
-        x_pts, tx_pts, st_pts = _Points(mu.carrier, xs), _Points(nu.carrier, tx), _Points(mu.carrier, st)
 
-        def nearness(at_i, at_j, ts, rhs, lhs):
-            """The standard rhs and lhs of the rows (x at at_i, x' at at_j)
-            over the scales ts (an array, TGrid or GridTile) into rhs and
-            lhs; returns d(x, x')."""
-            d = _block_distances(x_pts, at_i, x_pts, at_j)
-            far = np.maximum(d, d_self[at_i])
-            np.maximum(far, d_self[at_j], out=far)
-            np.maximum(far, _block_distances(tx_pts, at_i, tx_pts, at_j), out=far)
-            mu.mu_from_distances(far, None, None, ts, rhs)
-            _block_nearness(mu, st_pts, at_i, st_pts, at_j, ts, lhs)
-            return d
+            def nearness(at_i, at_j, ts, rhs, lhs):
+                """The standard rhs and lhs of the rows (x at at_i, x' at at_j)
+                over the scales ts (an array or TGrid) into rhs and lhs;
+                returns d(x, x')."""
+                d = _block_distances(x_pts, at_i, x_pts, at_j)
+                far = np.maximum(d, d_self[at_i])
+                np.maximum(far, d_self[at_j], out=far)
+                np.maximum(far, _block_distances(tx_pts, at_i, tx_pts, at_j), out=far)
+                mu.mu_from_distances(far, None, None, ts, rhs)
+                _block_nearness(mu, st_pts, at_i, st_pts, at_j, ts, lhs)
+                return d
+
+            return _end_scale_reports(nearness, xs, first)
+        m_self = mu.mu_batch(xs, st, first.grid)
 
         def evaluate(s, i, j, out, tile):
             rhs, lhs = out
             at_i, at_j = (s, i, None), (s, None, j)
-            if standard:
-                d = nearness(at_i, at_j, tile, rhs, lhs)
-            else:
-                d, mu_xx = _block_nearness(mu, x_pts, at_i, x_pts, at_j, tile, rhs)
-                np.minimum(mu_xx, m_self[s, i, None], out=rhs)
-                np.minimum(rhs, m_self[s, None, j], out=rhs)
-                np.minimum(rhs, _block_nearness(nu, tx_pts, at_i, tx_pts, at_j, tile, lhs)[1], out=rhs)
-                _block_nearness(mu, st_pts, at_i, st_pts, at_j, tile, lhs)
+            d, mu_xx = _block_nearness(mu, x_pts, at_i, x_pts, at_j, tile, rhs)
+            np.minimum(mu_xx, m_self[s, i, None], out=rhs)
+            np.minimum(rhs, m_self[s, None, j], out=rhs)
+            np.minimum(rhs, _block_nearness(nu, tx_pts, at_i, tx_pts, at_j, tile, lhs)[1], out=rhs)
+            _block_nearness(mu, st_pts, at_i, st_pts, at_j, tile, lhs)
             _pair_ratio(rhs, lhs)
-            return [(d > DELTA_PT)[..., None] if first.exclude_diagonal else np.True_]
+            return [(d > DELTA_PT if first.exclude_diagonal else np.ones(d.shape, dtype=bool))[..., None]]
 
-        if standard and dump is None and len(first.grid) > 2:
-            return _end_scale_reports(label, nearness, xs, first)
-        return _reports((label,), evaluate, (xs, xs), first, (xs.shape[1],), dump, scratch=1, tiled=True)
+        return _reports((label,), evaluate, (xs, xs), first.grid, dump, scratch=1, tiled=True)
 
     st, tx = stack.images("ST", xs), stack.images("T", xs)
-    return stack.reports((label,), (xs.shape[1],), "every tuple of the sample was skipped", kernel, xs, st, tx)
+    return stack.reports((label,), (xs, xs), (xs.shape[1],), "every tuple of the sample was skipped", kernel, xs, st, tx)
 
 
 def _pair_ratio(rhs, lhs):
@@ -495,10 +472,10 @@ _END_MARGIN = 1.0 - 2.0**-49
 _END_NORMAL = 2 * float(np.finfo(float).tiny)
 
 
-def _end_scale_reports(label, nearness, xs, samples):
-    """The reports of _reports over the pairs of a stack of standard pairs
-    (x, x' from xs), k_hat, witness and counts bit for bit, where
-    nearness(at_i, at_j, ts, rhs, lhs) writes the rows' rhs and lhs.
+def _end_scale_reports(nearness, xs, samples):
+    """What _reports returns for one label over the pairs of a stack of
+    standard pairs (x, x' from xs), best ratio, cell and count bit for bit,
+    where nearness(at_i, at_j, ts, rhs, lhs) writes the rows' rhs and lhs.
 
     A first pass evaluates every row at t_min and t_max only, in blocks of
     half the budget per array (its rows hold about as many bytes again in
@@ -572,8 +549,7 @@ def _end_scale_reports(label, nearness, xs, samples):
                 settle(False)
         if pending:
             settle(True)
-    best_cells = [(r, tuple(c)) for r, c in zip(best.tolist(), where.tolist())]
-    return _made((label,), [best_cells], [evaluated.tolist()], (xs, xs), samples, (n,))
+    return [list(zip(best.tolist(), where.tolist()))], [evaluated.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +618,7 @@ def estimate_k_quad(quad, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, 
             np.minimum(h_ij, h_kl, out=h)
             return lhs, lhs_dual
 
-        return _quotient_reports("quad", terms, (xs, xs, ys, ys), stack.first, dump)
+        return _quotient_reports("quad", terms, (xs, xs, ys, ys), grid, dump)
 
     ax, bx = stack.images("A", xs), stack.images("B", xs)
     sax, tbx = stack.images("S", ax), stack.images("T", bx)
@@ -650,7 +626,8 @@ def estimate_k_quad(quad, mu: FuzzyMetric, nu: FuzzyMetric, samples: SampleSet, 
     bsy, aty = stack.images("B", sy), stack.images("A", ty)
     empty = "every quadruple tuple was skipped (no f,g < h < 1)"
     shape = (xs.shape[1], ys.shape[1])
-    return stack.reports(("quad-primal", "quad-dual"), shape, empty, kernel, xs, ys, ax, bx, sax, tbx, sy, ty, bsy, aty)
+    arrays = (xs, ys, ax, bx, sax, tbx, sy, ty, bsy, aty)
+    return stack.reports(("quad-primal", "quad-dual"), (xs, xs, ys, ys), shape, empty, kernel, *arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +687,7 @@ def estimate_k_self_quad(quad, fm: FuzzyMetric, samples: SampleSet, dump=None):
             np.minimum(np.minimum(mu_sx_tby, mu_by_aty[s, None, j], out=h), vi(h_i), out=h)
             return ij(sax, tby, p), ij(bsx, aty, q)
 
-        return _quotient_reports("self-quad", terms, (xs.rows, ys.rows), stack.first, dump, scratch=2, tiled=True)
+        return _quotient_reports("self-quad", terms, (xs.rows, ys.rows), grid, dump, scratch=2, tiled=True)
 
     ax, sx = stack.images("A", xs), stack.images("S", xs)
     sax, bsx = stack.images("S", ax), stack.images("B", sx)
@@ -719,4 +696,4 @@ def estimate_k_self_quad(quad, fm: FuzzyMetric, samples: SampleSet, dump=None):
     empty = "every self-quadruple tuple was skipped"
     shape = (xs.shape[1], ys.shape[1])
     arrays = (xs, ys, ax, sx, sax, bsx, ty, by, tby, aty)
-    return stack.reports(("self-quad-primal", "self-quad-dual"), shape, empty, kernel, *arrays)
+    return stack.reports(("self-quad-primal", "self-quad-dual"), (xs, ys), shape, empty, kernel, *arrays)

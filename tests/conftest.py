@@ -1,3 +1,6 @@
+import ast
+import io
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +16,33 @@ from fuzzyfp import (
 )
 
 SOURCES = Path(__file__).resolve().parent.parent / "src" / "fuzzyfp"
+LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code_tokens(path) -> int:
+    """The tokens of a module other than comments, docstrings, line breaks
+    and indentation: the part that the bytecode compiler works through."""
+    source = path.read_text()
+    docstrings = {
+        (node.body[0].lineno, node.body[0].col_offset)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, SCOPES) and ast.get_docstring(node, clean=False) is not None
+    }
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return sum(t.type not in LAYOUT and not (t.type == tokenize.STRING and t.start in docstrings) for t in tokens)
 
 
 @pytest.hookimpl(trylast=True)
 def pytest_terminal_summary(terminalreporter):
-    """The line count of the package sources, as wc -l counts it, after the
-    slowest durations: the size that each change is measured by."""
-    lines = sum(path.read_bytes().count(b"\n") for path in SOURCES.glob("*.py"))
-    terminalreporter.write_sep("=", f"src/fuzzyfp/*.py: {lines} lines")
+    """The size of the package sources after the slowest durations: lines,
+    as wc -l counts them, and code tokens (see code_tokens), which the
+    compile time and memory of a fresh process grow with."""
+    paths = sorted(SOURCES.glob("*.py"))
+    lines = sum(path.read_bytes().count(b"\n") for path in paths)
+    tokens = {path.name: code_tokens(path) for path in paths}
+    summary = f"src/fuzzyfp/*.py: {lines} lines, {sum(tokens.values())} code tokens (hypotheses.py {tokens['hypotheses.py']})"
+    terminalreporter.write_sep("=", summary)
 
 
 @pytest.fixture

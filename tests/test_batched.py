@@ -1712,11 +1712,14 @@ def standard_pair_calls(draw):
 @example(call=(estimate_k_pair, MapPair(T=FAR_T, S=FAR_S), FAR_MU, FAR_MU, FAR_SAMPLES))
 @example(call=(estimate_k_pair_dual, MapPair(T=FAR_S, S=FAR_T), FAR_MU, FAR_MU, FAR_SAMPLES))
 def test_standard_pair_rhs_of_the_largest_distance_is_the_minimum(call):
-    """With standard mu and nu, the pair estimator takes rhs as the nearness
-    of the largest of the four distances; the reports (k_hat, witness,
-    counts), the dumped cells and ratios (by repr, which keeps NaN, inf and
-    -0.0 apart) and the warnings equal those of the minimum of the four
-    nearness arrays, in one block and in blocks of one (x, x') pair."""
+    """With standard mu and nu and no dump (a stack, or an Undumped call),
+    the pair estimator takes rhs as the nearness of the largest of the four
+    distances from the grid's end scales; the reports (k_hat, witness,
+    counts, by repr, which keeps NaN, inf and -0.0 apart) and the warnings
+    equal those of the minimum of the four nearness arrays on every cell,
+    on grids of 1 to 4 scales and of 17, in one block and in blocks of one
+    (x, x') pair.  A dumped call takes that minimum itself, so there the
+    comparison holds by construction."""
     estimator, problem, mu, nu, samples = call
     for budget in (ONE_BLOCK, ONE_INDEX):
         assert estimate(budget, *call) == estimate(budget, estimator, problem, MinimumPath(mu), MinimumPath(nu), samples)
@@ -1753,8 +1756,9 @@ PAIR_CONFIGS = {
 def test_only_standard_pairs_skip_the_nearness_minimum(monkeypatch, config):
     """Exponential, table and mixed standard/exponential configs still take
     the minimum of four nearness arrays (nu's nearness of Tx and Tx' is
-    computed as an array); standard ones take distances only, besides lhs.
-    Either way k_hat, the witness and the count are the scalar oracle's."""
+    computed as an array); standard ones take distances only, besides lhs,
+    unless a dump is given, and then take the minimum as well.  Either way
+    k_hat, the witness and the count are the scalar oracle's."""
     pair, mu, nu, xs = PAIR_CONFIGS[config]()
     grid = mu.grid if isinstance(mu, TableFuzzyMetric) else TGrid([0.5, 2.0, 30.0])
     calls = []
@@ -1775,6 +1779,31 @@ def test_only_standard_pairs_skip_the_nearness_minimum(monkeypatch, config):
     # one block: lhs, and unless standard, x's and Tx's nearness; a standard pair takes lhs
     # at the two end scales, then on the whole grid for the rows that may hold k_hat
     assert len(calls) == (2 if standard else 3)
+    if standard:  # with a dump, the standard pair takes the four-term minimum too
+        calls.clear()
+        dumped = estimate_k_pair(pair, mu, nu, SampleSet(points_x=xs, grid=grid), dump=Dumped())
+        assert set(calls) == {mu, nu} and len(calls) == 3
+        assert _report_fields([dumped]) == _report_fields([report])
+
+
+@pytest.mark.parametrize("grid", [TGrid([0.5]), TGrid([0.5, 2.0]), TGrid.default()], ids=["1", "2", "17"])
+def test_every_undumped_standard_pair_call_takes_the_end_scales(monkeypatch, grid):
+    """A standard pair's call without a dump, on one pair, on its dual and
+    on a stack, goes through _end_scale_reports and never enters _reports,
+    whatever the grid's length."""
+    pair, mu, nu, xs = _line_pair(induced_standard, induced_standard)
+    samples = SampleSet(points_x=xs, grid=grid, points_y=xs)
+    ends, end_scale_reports = [], hypotheses._end_scale_reports
+
+    def whole_grid(*args, **kwargs):
+        raise AssertionError("_reports entered")
+
+    monkeypatch.setattr(hypotheses, "_reports", whole_grid)
+    monkeypatch.setattr(hypotheses, "_end_scale_reports", lambda *a: ends.append(a) or end_scale_reports(*a))
+    estimate_k_pair(pair, mu, nu, samples)
+    estimate_k_pair_dual(pair, mu, nu, samples)
+    estimate_k_pair((pair, pair), mu, nu, (samples, samples))
+    assert len(ends) == 3
 
 
 def test_rows_that_round_above_their_end_ratios_keep_the_whole_grid_witness():

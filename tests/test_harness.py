@@ -431,19 +431,6 @@ def test_suite_draws_of_a_kind_equal_each_instance_stream(scheme, starts, n_rand
             assert np.array_equal(part[i], np.array(ref, dtype=float).reshape(-1, 2))
 
 
-def test_kind_metrics_give_the_instance_of_the_spec_alone():
-    for kind in _MIXED_SPECS:
-        spec = InstanceSpec(**{"seed": 5, **kind[0]})
-        a, b = gen_instance(spec), gen_instance(spec, _kind_metrics(spec))
-        for name, m in vars(a.problem).items():
-            other = getattr(b.problem, name)
-            assert type(m) is type(other)
-            assert [v.tobytes() for v in vars(m).values() if isinstance(v, np.ndarray)] == [
-                v.tobytes() for v in vars(other).values() if isinstance(v, np.ndarray)
-            ]
-        assert a.x0.tobytes() == b.x0.tobytes() and (a.mu is a.nu) == (b.mu is b.nu)
-
-
 def _map_bits(m):
     return type(m).__name__, [v.tobytes() for v in vars(m).values() if isinstance(v, np.ndarray)]
 
