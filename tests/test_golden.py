@@ -12,7 +12,10 @@ points agree exactly (uniqueness distance 0.0) and whose runs are shorter
 than the trajectory sample, so its k_hat samples come in several sizes.
 Two `solve` cases keep whole traces: a slow exponential-form quadruple that
 converges after 644 iterations, over several chunks of 64 cycles, and a 2-D
-pair that escapes its box after 47 iterations, inside a chunk.
+pair that escapes its box after 47 iterations, inside a chunk.  Three
+cases run `solve`, `hypotheses` and `axioms` on finite carriers under table
+nearness (Sapena's (min + t) / (max + t), which is no function of d/t), so
+the integer coordinates of a finite carrier's trace have a byte check too.
 
 The expected exit codes and SHA-256 digests live in tests/golden/digests.json.
 Regenerate them only when output is meant to change, and say why:
