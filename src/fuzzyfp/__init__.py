@@ -45,7 +45,6 @@ from .metrics import (
 from .rng import GENERATOR_NAME, SplitMix64
 from .solver import (
     FixedPointResult,
-    SequenceTrace,
     SolveConfig,
     UniquenessReport,
     solve,

@@ -38,6 +38,8 @@ EXIT_CONFIG = 2
 
 # Rows of the ratio dump formatted at once; their strings stay a few MB.
 _RATIO_ROWS = 1 << 14
+# Iterations of solve_trace.csv formatted at once, len(grid) rows each.
+_TRACE_ROWS = 512
 
 
 def _jsonable(obj):
@@ -154,16 +156,37 @@ def cmd_hypotheses(doc: dict, args) -> int:
     return EXIT_OK if ok else EXIT_FAILED
 
 
-def _coord_labels(prefix: str, point) -> list[str]:
-    if np.ndim(point) == 0:
+def _labels(prefix: str, column) -> list[str]:
+    """The header cells of a column's points: one on a finite carrier, else one per coordinate."""
+    if column.ndim == 1:
         return [prefix]
-    return [f"{prefix}_{i}" for i in range(len(point))]
+    return [f"{prefix}_{i}" for i in range(column.shape[1])]
 
 
-def _coords(point) -> list:
-    if np.ndim(point) == 0:
-        return [int(point)]
-    return [float(v) for v in point]
+@np.errstate(over="ignore", invalid="ignore")  # as in the solver, where an orbit may overflow
+def _write_trace(fh, mu, nu, grid, xs, ys) -> None:
+    """solve_trace.csv, written to fh from the columns x_0..x_N and y_1..,
+    byte for byte as csv.writer would: for n = 1..N and each scale t, the
+    row n, t, the step nearness mu(x_n-1, x_n, t) and nu(y_n-1, y_n, t)
+    (blank for n = 1), x_n and y_n, floats in repr.  The nearness and the
+    strings of _TRACE_ROWS iterations are made at a time."""
+    fh.write(",".join(["n", "t", "mu_step_x", "nu_step_y", *_labels("x", xs), *_labels("y", ys)]) + "\r\n")
+    t_text = [f",{t!r}," for t in grid.values.tolist()]
+    for lo in range(1, len(xs), _TRACE_ROWS):
+        hi = min(lo + _TRACE_ROWS, len(xs))
+        x_near = mu.mu_batch(xs[lo - 1 : hi - 1], xs[lo:hi], grid).tolist()
+        # the y steps of n = max(lo, 2)..hi - 1, from y_n-1 = ys[n - 2] to y_n
+        y_near = nu.mu_batch(ys[max(lo - 2, 0) : hi - 2], ys[max(lo - 1, 1) : hi - 1], grid).tolist()
+        y_text = ([[""] * len(t_text)] if lo == 1 else []) + [list(map(repr, row)) for row in y_near]
+        points = zip(xs[lo:hi].reshape(hi - lo, -1).tolist(), ys[lo - 1 : hi - 1].reshape(hi - lo, -1).tolist())
+        tails = [f",{','.join(map(repr, x + y))}\r\n" for x, y in points]
+        fh.write(
+            "".join(
+                f"{n}{t}{x!r},{y}{tail}"
+                for n, x_row, y_row, tail in zip(range(lo, hi), x_near, y_text, tails)
+                for t, x, y in zip(t_text, x_row, y_row)
+            )
+        )
 
 
 def cmd_solve(doc: dict, args) -> int:
@@ -193,26 +216,8 @@ def cmd_solve(doc: dict, args) -> int:
     }
     _write_json(os.path.join(args.out, "solve_summary.json"), payload)
 
-    trace_path = os.path.join(args.out, "solve_trace.csv")
-    ts = grid.values
-    xs = result.trace_x.points
-    ys = result.trace_y.points
-    with open(trace_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["n", "t", "mu_step_x", "nu_step_y"]
-        header += _coord_labels("x", xs[0])
-        header += _coord_labels("y", xs[0] if not ys else ys[0])
-        writer.writerow(header)
-        for n in range(1, len(xs)):
-            x_row = result.trace_x.nearness[n - 1]
-            y_row = result.trace_y.nearness[n - 2] if n >= 2 and len(ys) >= n else None
-            y_pt = ys[n - 1] if len(ys) >= n else None
-            for k, t in enumerate(ts):
-                row = [n, float(t), float(x_row[k])]
-                row.append("" if y_row is None else float(y_row[k]))
-                row += _coords(xs[n])
-                row += [""] * len(_coord_labels("y", xs[0])) if y_pt is None else _coords(y_pt)
-                writer.writerow(row)
+    with open(os.path.join(args.out, "solve_trace.csv"), "w", newline="", encoding="utf-8") as fh:
+        _write_trace(fh, mu, nu, grid, result.trace_x, result.trace_y)
 
     print(
         f"solve: status={result.status} stop_reason={result.stop_reason} iterations={result.iterations} "

@@ -272,12 +272,12 @@ class SuiteVerdict:
 
 
 def _samples(traces, count: int, randoms) -> list:
-    """Per trace, at most count of its points, evenly spread (one linspace
-    for all), then its instance's random points, as a copy."""
-    lens = np.array([len(t.column) for t in traces])
+    """Per trace column, at most count of its points, evenly spread (one
+    linspace for all), then its instance's random points, as a copy."""
+    lens = np.array([len(t) for t in traces])
     long = lens > count
     spread = iter(np.linspace(0, lens[long] - 1, count, axis=1).astype(int))
-    kept = (t.column[next(spread)] if cut else t.column for t, cut in zip(traces, long.tolist()))
+    kept = (t[next(spread)] if cut else t for t, cut in zip(traces, long.tolist()))
     return [np.concatenate([pts, r]) for pts, r in zip(kept, randoms)]
 
 

@@ -79,50 +79,16 @@ class ConclusionCheck:
     passed: bool
 
 
-class SequenceTrace:
-    """Points of a sequence plus consecutive-step nearness over a grid.
-
-    A trace may be empty: a scheme can fail before producing any iterate.
-    column holds the points given as one array, a read-only view, so the
-    caller's array keeps its flags.
-    The tuple of rows that points gives (ints on a finite carrier) and the
-    nearness rows, fm's mu_batch of consecutive points, of shape
-    (max(len(column) - 1, 0), len(grid)), are made when first read: the
-    suites read a few points of the column only.
-    """
-
-    __slots__ = ("column", "fm", "grid", "_points", "_nearness")
-
-    def __init__(self, column, fm: FuzzyMetric, grid: TGrid):
-        column = np.asarray(column).view()
-        column.setflags(write=False)
-        self.column, self.fm, self.grid, self._points, self._nearness = column, fm, grid, None, None
-
-    @property
-    def points(self) -> tuple:
-        if self._points is None:
-            self._points = _points(self.column)
-        return self._points
-
-    @property
-    @np.errstate(over="ignore", invalid="ignore")  # as in _iterate, where an orbit may overflow
-    def nearness(self) -> np.ndarray:
-        if self._nearness is None:
-            self._nearness = self.fm.mu_batch(self.column[:-1], self.column[1:], self.grid)
-        return self._nearness
-
-    def __len__(self) -> int:
-        return len(self.column)
-
-
 @dataclass(eq=False)
 class FixedPointResult:
     z: object
     w: object
     stop_reason: str
     iterations: int
-    trace_x: SequenceTrace | None  # None for a start of solve_problems that is not a problem's first
-    trace_y: SequenceTrace | None
+    # the read-only columns x_0..x_N and y_1..; None for a start of
+    # solve_problems that is not a problem's first
+    trace_x: np.ndarray | None
+    trace_y: np.ndarray | None
     conclusion_checks: tuple[ConclusionCheck, ...]
 
     @property
@@ -377,22 +343,24 @@ class _Runs:
         self.maps[self.ids] = 2 * self.steps
         self.z[self.ids], self.last_y[self.ids] = self.x, self.y
 
-    def columns(self):
-        """Each traced start's x and y columns up to its stop, as (start, x, y)."""
+    def columns(self) -> dict:
+        """Each traced start's x and y columns up to its stop, read-only, by start."""
         parts = {}
         for ids, xs, ys in self.trail:
             for i, x, y in zip(ids.tolist(), xs.swapaxes(0, 1), ys.swapaxes(0, 1)):
                 parts.setdefault(i, []).append((x, y))
+        columns = {}
         for i, chunks in parts.items():
             x, y = (np.concatenate(c) for c in zip(*chunks))
-            yield i, x[: self.maps[i] // 2 + 1], y[: (self.maps[i] + 1) // 2]
+            columns[i] = x[: self.maps[i] // 2 + 1], y[: (self.maps[i] + 1) // 2]
+            for column in columns[i]:
+                column.setflags(write=False)
+        return columns
 
 
-def _points(arr: np.ndarray) -> tuple:
-    """Rows of a read-only array, or on a finite carrier its ints."""
-    if arr.ndim == 1:
-        return tuple(arr.tolist())
-    return tuple(arr)
+def _point(arr: np.ndarray, i: int):
+    """Row i of a read-only array, or on a finite carrier its int."""
+    return arr[i].item() if arr.ndim == 1 else arr[i]
 
 
 @dataclass(eq=False)
@@ -412,8 +380,8 @@ class BatchResults:
     checks: dict
 
     def result(self, i: int) -> FixedPointResult:
-        z, reason, iterations = _points(self.z[i : i + 1])[0], _REASONS[self.reasons[i]], int(self.iterations[i])
-        w = _points(self.w[i : i + 1])[0] if self.has_w[i] else None
+        z, reason, iterations = _point(self.z, i), _REASONS[self.reasons[i]], int(self.iterations[i])
+        w = _point(self.w, i) if self.has_w[i] else None
         return FixedPointResult(z, w, reason, iterations, *self.traces.get(i, (None, None)), self.checks.get(i, ()))
 
 
@@ -477,8 +445,7 @@ def _iterate(problems, owner, mu, nu, starts, cfg, read: np.ndarray) -> BatchRes
     if len(heads):
         found = _conclusions(identities, at(heads), mu, nu, z[heads], w[heads], cfg.grid, cfg.verify_tol)
         checks = dict(zip(heads.tolist(), found))
-    traces = {i: (SequenceTrace(x, mu, cfg.grid), SequenceTrace(y, nu, cfg.grid)) for i, x, y in runs.columns()}
-    return BatchResults(runs.code, runs.maps // 2, z, w, has_w, traces, checks)
+    return BatchResults(runs.code, runs.maps // 2, z, w, has_w, runs.columns(), checks)
 
 
 def _scheme(problem):

@@ -10,9 +10,11 @@ equivalence tests compare the two bit for bit.  The step-recurrence
 checkers test the paper's recurrences along solver traces, one step at a
 time.  The inequality terms evaluate the contraction hypotheses at one
 tuple, the reference that the estimators' ratio arrays are tested against.
-jsonable, at the end, is the reference for the CLI's JSON artifacts.
+jsonable, at the end, is the reference for the CLI's JSON artifacts, and
+write_trace for its solve trace.
 """
 
+import csv
 import dataclasses
 import math
 from collections import deque
@@ -482,8 +484,8 @@ def solve(problem, mu, nu, x0, cfg=None):
         w=w,
         stop_reason=reason,
         iterations=len(xs) - 1,
-        trace_x=_trace(xs, x_rows, grid),
-        trace_y=_trace(ys, y_rows, grid),
+        trace_x=_trace(xs, x_rows, mu, grid),
+        trace_y=_trace(ys, y_rows, nu, grid),
         conclusion_checks=checks,
     )
 
@@ -522,18 +524,17 @@ def full_grid_nearness(runs, fm, d, a, b):
 @dataclass(frozen=True, eq=False)
 class Trace:
     """A sequence's points and the nearness rows of its consecutive steps,
-    as the solver's SequenceTrace gives them."""
+    each row one mu_grid call of fm over the grid.  The solver keeps the
+    points alone, as a column; the trace writer makes the rows."""
 
     points: tuple
     nearness: np.ndarray
+    fm: FuzzyMetric
     grid: TGrid
 
-    def __len__(self) -> int:
-        return len(self.points)
 
-
-def _trace(points, rows, grid):
-    return Trace(tuple(points), np.array(rows) if rows else np.empty((0, len(grid))), grid)
+def _trace(points, rows, fm, grid):
+    return Trace(tuple(points), np.array(rows) if rows else np.empty((0, len(grid))), fm, grid)
 
 
 def conclusions(problem, mu, nu, z, w, grid, tol):
@@ -621,8 +622,7 @@ def check_recurrence_pair(trace_x, trace_y, mu, nu, k, grid):
       y_step: k nu(y_n, y_n+1) >= min{nu(y_n-1, y_n), mu(x_n-1, x_n)}
     """
     report = _recurrence_start(trace_x, k)
-    xs = trace_x.points
-    ys = trace_y.points  # ys[i] is y_{i+1}
+    xs, ys = trace_x, trace_y  # ys[i] is y_{i+1}
     ts = grid.values
 
     def m(a, b):
@@ -654,9 +654,8 @@ def check_recurrence_quad(trace_x, trace_y, quad, mu, nu, k, grid):
       y_odd:  k nu(y_2n, y_2n-1) >= min{mu(x_2n, x_2n-1), nu(y_2n-2, y_2n-1)}, n >= 2
     """
     report = _recurrence_start(trace_x, k)
-    xs = trace_x.points
-    ys = trace_y.points
-    if ys and distance(nu.carrier, apply(quad.A, xs[0]), ys[0]) > DELTA_PT:
+    xs, ys = trace_x, trace_y
+    if len(ys) and distance(nu.carrier, apply(quad.A, xs[0]), ys[0]) > DELTA_PT:
         raise UsageError("trace does not follow the interleaved scheme")
     ts = grid.values
 
@@ -816,3 +815,35 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     return obj
+
+
+def _coord_labels(prefix, point):
+    if np.ndim(point) == 0:
+        return [prefix]
+    return [f"{prefix}_{i}" for i in range(len(point))]
+
+
+def _coords(point):
+    if np.ndim(point) == 0:
+        return [int(point)]
+    return [float(v) for v in point]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an orbit may overflow
+def write_trace(fh, mu, nu, grid, xs, ys):
+    """solve_trace.csv as csv.writer writes it, one row per iteration n and
+    scale t, from the columns x_0..x_N and y_1.. and the mu_batch nearness
+    of their consecutive points.  The y labels of the header come from the
+    y column's own point shape, also when it holds no point."""
+    writer = csv.writer(fh)
+    x_rows = mu.mu_batch(xs[:-1], xs[1:], grid)
+    y_rows = nu.mu_batch(ys[:-1], ys[1:], grid)
+    header = ["n", "t", "mu_step_x", "nu_step_y"]
+    header += _coord_labels("x", xs[0]) + _coord_labels("y", np.zeros(ys.shape[1:]))
+    writer.writerow(header)
+    for n in range(1, len(xs)):
+        y_row = y_rows[n - 2] if n >= 2 else None
+        for k, t in enumerate(grid.values):
+            row = [n, float(t), float(x_rows[n - 1][k])]
+            row.append("" if y_row is None else float(y_row[k]))
+            writer.writerow(row + _coords(xs[n]) + _coords(ys[n - 1]))

@@ -189,10 +189,8 @@ def test_criterion_5_vacuity_demonstration():
 def test_criterion_6_recurrence_validation():
     pair = linear_pair()
     res = solve(pair, MU, NU, np.array([0.0]))
-    grid = res.trace_x.grid
-    samples = SampleSet(
-        points_x=res.trace_x.points, grid=grid, exclude_diagonal=False
-    )
+    grid = TGrid.default()
+    samples = SampleSet(points_x=tuple(res.trace_x), grid=grid, exclude_diagonal=False)
     k_hat = estimate_k_pair(pair, MU, NU, samples).k_hat
 
     clean = oracles.check_recurrence_pair(res.trace_x, res.trace_y, MU, NU, k_hat, grid)

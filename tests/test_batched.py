@@ -711,10 +711,19 @@ def _same_point(a, b):
 
 
 def _same_trace(a, b):
-    assert len(a.points) == len(b.points)
-    assert all(_same_point(p, q) for p, q in zip(a.points, b.points))
-    assert a.nearness.shape == b.nearness.shape
-    assert a.nearness.tobytes() == np.ascontiguousarray(b.nearness).tobytes()
+    """a, a solver's read-only trace column, holds b's points bit for bit, b
+    being a column too or an oracle Trace.  Against a Trace, the nearness
+    of a's consecutive steps, as the trace writer computes it, is the
+    Trace's rows, made one step at a time."""
+    assert not a.flags.writeable
+    if isinstance(b, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        return
+    assert len(a) == len(b.points)
+    assert all(_same_point(p, q) for p, q in zip(a.tolist() if a.ndim == 1 else a, b.points))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = b.fm.mu_batch(a[:-1], a[1:], b.grid)
+    assert rows.shape == b.nearness.shape and rows.tobytes() == b.nearness.tobytes()
 
 
 def _same_results(a, b):
@@ -920,6 +929,8 @@ def test_escape_at_each_map_position_while_other_starts_run(scheme, position):
     reasons = [r.stop_reason for r in results]
     assert reasons[0] == "eps-reached" and reasons.count("codomain-escape") >= 3
     assert len({r.iterations for r in results[1:]}) > 1
+    # (maps + 1) // 2 y's beside maps // 2 + 1 x's: every row n <= N of the trace has y_n
+    assert all(len(r.trace_y) - (len(r.trace_x) - 1) in (0, 1) for r in results)
 
 
 @pytest.mark.parametrize("window", [7, 50])
@@ -998,27 +1009,24 @@ def _flag_reads(monkeypatch):
 
 @pytest.mark.parametrize("form", [induced_standard, induced_exponential])
 @pytest.mark.parametrize("scheme", ["pair", "quadruple"])
-def test_trace_nearness_is_mu_batch_of_its_points(monkeypatch, scheme, form):
+def test_flags_read_the_end_scales_of_the_traced_steps(monkeypatch, scheme, form):
     """The batch keeps no nearness rows and the judge computes most steps
-    at the two end scales only: a trace's rows are mu_batch over its
-    consecutive points, bit for bit, over runs of several chunks.  _flags
-    reads the tail of the last stall_window steps and the chunk's: in
-    chunks of one cycle, which end at the stop, the last read holds the end
-    columns of the trace's last stall_window + 1 (pair) or + 2 rows."""
+    at the two end scales only, over runs of several chunks.  _flags reads
+    the tail of the last stall_window steps and the chunk's: in chunks of
+    one cycle, which end at the stop, the last read holds the end columns
+    of the mu_batch nearness of the trace's last stall_window + 1 (pair)
+    or + 2 steps, bit for bit."""
     inst = gen_instance(InstanceSpec(scheme=scheme, dim=1, factor_lo=0.97, factor_hi=0.995, seed=3))
     mu, nu = form(inst.mu.carrier), form(inst.nu.carrier)
     result = solve(inst.problem, mu, nu, inst.x0)
     assert result.converged and result.iterations > 2 * 127  # past the chunk of cycles 64-127
-    for trace, fm in ((result.trace_x, mu), (result.trace_y, nu)):
-        points = np.array(trace.points)
-        rows = fm.mu_batch(points[:-1], points[1:], TGrid.default())
-        assert trace.nearness.tobytes() == rows.tobytes()
     monkeypatch.setattr(solver, "_CHUNK_CYCLES", 1)
     reads = _flag_reads(monkeypatch)
     _same_results([solve(inst.problem, mu, nu, inst.x0)], [result])
     low, top = reads[-1]
     assert len(low) == SolveConfig().stall_window + (1 if scheme == "pair" else 2)
-    rows = result.trace_x.nearness[-len(low) :]
+    column = result.trace_x[-len(low) - 1 :]
+    rows = mu.mu_batch(column[:-1], column[1:], TGrid.default())
     assert low.tobytes() == np.ascontiguousarray(rows[:, 0]).tobytes()
     assert top.tobytes() == np.ascontiguousarray(rows[:, -1]).tobytes()
 

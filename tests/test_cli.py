@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -14,6 +15,19 @@ import numpy as np
 import pytest
 
 import oracles
+from fuzzyfp import (
+    AffineMap,
+    BoxSpace,
+    FiniteSpace,
+    MapPair,
+    MapQuadruple,
+    SolveConfig,
+    TableFuzzyMetric,
+    TableMap,
+    induced_exponential,
+    induced_standard,
+    solve,
+)
 from fuzzyfp import cli, config
 from fuzzyfp.cli import _ratio_rows, main
 from fuzzyfp.metrics import TGrid
@@ -160,6 +174,154 @@ class TestSolveCommand:
         assert not all(c["passed"] for c in checks)
         # the conclusions whose maps escape the box fail with residual 0
         assert any(c["residual"] == 0.0 and not c["passed"] for c in checks)
+
+    def test_trace_header_takes_the_y_labels_from_y(self, tmp_path):
+        """T x = (20x, 20x) from a 1-D box into a 2-D one escapes at the first
+        map, so the trace has no row and no y; its header still names the
+        two coordinates of Y (it used to repeat the one label of X)."""
+        doc = {
+            "carrier": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
+            "carrier_y": {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+            "metric": {"form": "standard"},
+            "maps": {
+                "scheme": "pair",
+                "T": {"form": "affine", "matrix": [[20.0], [20.0]], "offset": [0.0, 0.0]},
+                "S": {"form": "affine", "matrix": [[1.0, 0.0]], "offset": [0.0]},
+            },
+            "solve": {"x0": [0.5]},
+        }
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", write_config(tmp_path / "c.json", doc), "--out", out]) == 1
+        with open(os.path.join(out, "solve_trace.csv"), "rb") as fh:
+            assert fh.read() == b"n,t,mu_step_x,nu_step_y,x_0,y_0,y_1\r\n"
+
+
+# -- the solve trace writer ---------------------------------------------------
+
+LINE = BoxSpace([-np.inf], [np.inf])
+
+
+def _solved(problem, mu, x0, cfg=SolveConfig()):
+    """The writer's arguments for a run of problem from x0 on one space."""
+    result = solve(problem, mu, mu, x0, cfg)
+    return mu, mu, cfg.grid, result.trace_x, result.trace_y
+
+
+def _box_run(scheme, crisp_metric):
+    """A contraction on a 3-D box: scaled rotations plus shifts (A = B and
+    S = T of a quadruple, whose iteration then converges)."""
+    box = BoxSpace([-10.0] * 3, [10.0] * 3, crisp_metric)
+    c, s = np.cos(0.7), np.sin(0.7)
+    turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    T, S = AffineMap(0.6 * turn, [0.1, -0.2, 0.3], box), AffineMap(0.5 * turn.T, [-0.3, 0.0, 0.2], box)
+    problem = MapPair(T=T, S=S) if scheme == "pair" else MapQuadruple(A=T, B=T, S=S, T=S)
+    return _solved(problem, induced_standard(box), np.array([5.0, -4.0, 3.0]))
+
+
+def _finite_run(scheme):
+    """Table maps on five points under Sapena's table nearness (min + t) / (max + t)."""
+    at = np.array([1.0, 2.0, 3.0, 5.0, 8.0])
+    grid = TGrid([0.25, 1.0, 4.0])
+    space = FiniteSpace(np.abs(at[:, None] - at))
+    values = (np.minimum.outer(at, at)[..., None] + grid.values) / (np.maximum.outer(at, at)[..., None] + grid.values)
+    mu = TableFuzzyMetric(space, grid, values)
+    up, ident = TableMap([1, 2, 3, 3, 4], space), TableMap(range(5), space)
+    problem = MapPair(T=up, S=ident) if scheme == "pair" else MapQuadruple(A=up, B=ident, S=ident, T=up)
+    return _solved(problem, mu, 0, SolveConfig(grid=grid))
+
+
+def _two_space_run():
+    """A pair from the line into the plane and back: the x and y cells differ in number."""
+    plane = BoxSpace([-np.inf] * 2, [np.inf] * 2)
+    T, S = AffineMap([[0.5], [-0.25]], [1.0, 2.0], plane), AffineMap([[0.5, 0.25]], [-1.0], LINE)
+    mu, nu = induced_standard(LINE), induced_standard(plane)
+    result = solve(MapPair(T=T, S=S), mu, nu, np.array([3.0]))
+    return mu, nu, TGrid.default(), result.trace_x, result.trace_y
+
+
+def _escape_run(scheme, position, x0):
+    """Identities on [-10, 10], except 3x at one position."""
+    box = BoxSpace([-10.0], [10.0])
+    maps = dict.fromkeys("TS" if scheme == "pair" else "ABST", AffineMap([[1.0]], [0.0], box))
+    maps[position] = AffineMap([[3.0]], [0.0], box)
+    problem = MapPair(**maps) if scheme == "pair" else MapQuadruple(**maps)
+    return _solved(problem, induced_standard(box), np.array([x0]))
+
+
+def _columns(n):
+    """Synthetic 2-D columns of n iterations: x_0..x_n and y_1..y_n."""
+    xs = np.linspace([0.0, 1.0], [3.0, -2.0], n + 1) ** 2
+    return xs, np.sqrt(xs[1:] + 1.0)
+
+
+PLANE = induced_standard(BoxSpace([-np.inf] * 2, [np.inf] * 2))
+TRACE_CASES = {
+    "line-pair": lambda: _solved(
+        MapPair(T=AffineMap([[0.5]], [1.0], LINE), S=AffineMap([[1 / 3]], [1.0], LINE)), induced_standard(LINE), np.array([0.0])
+    ),
+    **{f"3d-{m}-{s}": (lambda s=s, m=m: _box_run(s, m)) for s in ("pair", "quadruple") for m in ("euclidean", "max")},
+    **{f"finite-{s}": (lambda s=s: _finite_run(s)) for s in ("pair", "quadruple")},
+    "line-to-plane-pair": _two_space_run,
+    **{
+        f"escape-{scheme}-{p}-from-{x0:g}": (lambda scheme=scheme, p=p, x0=x0: _escape_run(scheme, p, x0))
+        for scheme, positions in (("pair", "TS"), ("quadruple", "ABST"))
+        for p in positions
+        for x0 in (3.0, 9.0)
+    },
+    # from 1e8 every step of 0.99 x sits at the 1e-300 floor of exp(-d/t)
+    "exponential-floor": lambda: _solved(
+        MapPair(T=AffineMap([[0.99]], [0.0], LINE), S=AffineMap([[0.99]], [0.0], LINE)),
+        induced_exponential(LINE),
+        np.array([1e8]),
+        SolveConfig(max_iter=80),
+    ),
+    **{
+        f"synthetic-{n}": (lambda n=n: (PLANE, PLANE, TGrid.default(), *_columns(n)))
+        for n in (cli._TRACE_ROWS - 1, cli._TRACE_ROWS, 2 * cli._TRACE_ROWS + 1)
+    },
+}
+
+
+def _trace_text(write, mu, nu, grid, xs, ys):
+    fh = io.StringIO(newline="")
+    write(fh, mu, nu, grid, xs, ys)
+    return fh.getvalue()
+
+
+@pytest.mark.parametrize("case", TRACE_CASES)
+def test_trace_writer_writes_the_bytes_of_csv_writer(case):
+    """The chunked writer against the row-by-row csv.writer reference; only
+    the rows of n = 1 have a blank nu_step_y, in every chunk."""
+    mu, nu, grid, xs, ys = TRACE_CASES[case]()
+    assert len(ys) - (len(xs) - 1) in (0, 1)
+    text, want = (_trace_text(write, mu, nu, grid, xs, ys) for write in (cli._write_trace, oracles.write_trace))
+    # the first line that differs: pytest's diff of two whole traces takes minutes
+    assert next(((a, b) for a, b in zip(text.splitlines(True), want.splitlines(True)) if a != b), None) is None
+    assert len(text) == len(want)
+    rows = list(csv.reader(io.StringIO(text)))
+    assert len(rows) == 1 + (len(xs) - 1) * len(grid)
+    assert [r[0] for r in rows[1:] if r[3] == ""] == ["1"] * len(grid) * (len(xs) > 1)
+
+
+def _trace_writer_peak(n):
+    """tracemalloc peak of the trace writer on the synthetic columns of n
+    iterations, written to os.devnull: the columns are made before tracing."""
+    xs, ys = _columns(n)
+    with open(os.devnull, "w", newline="", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            cli._write_trace(fh, PLANE, PLANE, TGrid.default(), xs, ys)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_trace_writer_memory_does_not_grow_with_the_iterations():
+    """The writer keeps the strings and nearness of one chunk of
+    _TRACE_ROWS iterations at a time, so ten times the iterations leave its
+    peak within 10 %."""
+    small, large = _trace_writer_peak(1_000), _trace_writer_peak(10_000)
+    assert abs(large - small) <= 0.1 * small
 
 
 class TestHypothesesCommand:

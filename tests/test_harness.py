@@ -168,26 +168,6 @@ class TestRunSuite:
         assert verdict.aggregates["diverging"] == 3
         assert all(r.status == "diverging" for r in verdict.rows)
 
-    def test_a_suite_computes_no_trace_nearness(self, monkeypatch):
-        """The suite reads only its traces' points; their nearness rows are
-        computed on first read, as solve's callers still get them."""
-        calls, nearness = [], solver.SequenceTrace.nearness.fget
-
-        def counted(trace):  # each computation, not each read
-            if trace._nearness is None:
-                calls.append(trace)
-            return nearness(trace)
-
-        monkeypatch.setattr(solver.SequenceTrace, "nearness", property(counted))
-        specs = [InstanceSpec(scheme=scheme, dim=2, seed=i) for scheme in ("pair", "quadruple") for i in range(2)]
-        run_suite(specs)
-        assert calls == []
-        inst = gen_instance(specs[0])
-        result = solve(inst.problem, inst.mu, inst.nu, np.zeros(2), SolveConfig())
-        rows = result.trace_x.nearness
-        assert len(calls) == 1 and rows is result.trace_x.nearness  # computed once, then kept
-        assert rows.shape == (len(result.trace_x) - 1, len(SolveConfig().grid))
-
     def test_verdict_serialization_reproducible(self):
         specs = [InstanceSpec(scheme="pair", dim=2, seed=i) for i in range(3)]
         a = json.dumps(run_suite(specs), default=_jsonable, sort_keys=True)
@@ -211,7 +191,7 @@ def test_k_hat_nondecreasing_in_t_max():
     spec = InstanceSpec(scheme="pair", dim=2, seed=17)
     inst = gen_instance(spec)
     res = solve(inst.problem, inst.mu, inst.nu, inst.x0)
-    pts = tuple(res.trace_x.points[:6]) + tuple(
+    pts = tuple(res.trace_x[:6]) + tuple(
         inst.mu.carrier.sample(__import__("fuzzyfp").SplitMix64(5), 4)
     )
     ks = []
@@ -301,10 +281,9 @@ def _suite_row(spec, cfg, starts=4, n_traj=8, n_rand=8, quad_n_traj=4, quad_n_ra
     x0 = solve(inst.problem, inst.mu, inst.nu, inst.x0, cfg)
     checks = () if x0.w is None else verify_conclusions(inst.problem, inst.mu, inst.nu, x0.z, x0.w, cfg.grid, cfg.verify_tol)
 
-    def trajectory(trace):
-        pts = trace.points
-        idx = range(len(pts)) if len(pts) <= n_traj else np.linspace(0, len(pts) - 1, n_traj).astype(int)
-        return [pts[i] for i in idx]
+    def trajectory(column):
+        idx = range(len(column)) if len(column) <= n_traj else np.linspace(0, len(column) - 1, n_traj).astype(int)
+        return [column[i] for i in idx]
 
     xs = trajectory(x0.trace_x) + list(random_x)
     ys = () if random_y is None else trajectory(x0.trace_y) + list(random_y)

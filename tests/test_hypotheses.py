@@ -746,7 +746,7 @@ class TestRecurrencePair:
     def test_constant_maps_zero_violations_for_large_k(self, line):
         pair = MapPair(T=ConstantMap([5.0], line), S=ConstantMap([2.0], line))
         res = solve(pair, MU, NU, np.array([17.0]))
-        grid = res.trace_x.grid
+        grid = TGrid.default()
         # the only checked step needs k >= max_t mu(17, 2, t) = 100/115
         rhs_max = float(np.max(MU.mu_grid(np.array([17.0]), np.array([2.0]), grid.values)))
         rep = check_recurrence_pair(res.trace_x, res.trace_y, MU, NU, rhs_max + 1e-6, grid)
@@ -757,18 +757,16 @@ class TestRecurrencePair:
     def test_k_near_one_sanity(self, linear_pair):
         res = solve(linear_pair, MU, NU, np.array([0.0]))
         rep = check_recurrence_pair(
-            res.trace_x, res.trace_y, MU, NU, 1.0 - 1e-12, res.trace_x.grid
+            res.trace_x, res.trace_y, MU, NU, 1.0 - 1e-12, TGrid.default()
         )
         assert rep.violation_count == 0
 
     def test_k_hat_from_trace_sample_gives_zero_violations(self, linear_pair):
         res = solve(linear_pair, MU, NU, np.array([0.0]))
-        grid = res.trace_x.grid
+        grid = TGrid.default()
         # diagonal inclusion keeps the near-coincident tail pairs in the
         # sample; their ratios are exactly what the recurrence cells need
-        samples = SampleSet(
-            points_x=res.trace_x.points, grid=grid, exclude_diagonal=False
-        )
+        samples = SampleSet(points_x=tuple(res.trace_x), grid=grid, exclude_diagonal=False)
         k_hat = estimate_k_pair(linear_pair, MU, NU, samples).k_hat
         assert k_hat < 1.0
         rep = check_recurrence_pair(res.trace_x, res.trace_y, MU, NU, k_hat, grid)
@@ -792,7 +790,7 @@ class TestRecurrenceQuad:
             T=ConstantMap(z0, line),
         )
         res = solve(quad, MU, NU, np.array([17.0]))
-        grid = res.trace_x.grid
+        grid = TGrid.default()
         # the stationary tail has cells with lhs = rhs = 1, where any k < 1
         # fails by 1 - k; only k within the violation tolerance of 1 passes
         rep = check_recurrence_quad(res.trace_x, res.trace_y, quad, MU, NU, 1.0 - 1e-13, grid)
@@ -816,8 +814,7 @@ class TestRecurrenceQuad:
 
         # recurrence-specific best constant, computed independently in a loop;
         # xs[i] is x_i and ys[i] is y_{i+1}
-        xs = res.trace_x.points
-        ys = res.trace_y.points
+        xs, ys = res.trace_x, res.trace_y
         ts = grid.values
 
         def x(n):

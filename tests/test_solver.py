@@ -1,10 +1,14 @@
 from fractions import Fraction as Fr
+from functools import reduce
 
 import numpy as np
 import pytest
 
 import oracles
 from fuzzyfp import (
+    LUKASIEWICZ,
+    MINIMUM,
+    PRODUCT,
     AffineMap,
     BoxSpace,
     ComposedMap,
@@ -12,6 +16,7 @@ from fuzzyfp import (
     MapPair,
     MapQuadruple,
     SolveConfig,
+    SplitMix64,
     TGrid,
     induced_exponential,
     induced_standard,
@@ -26,6 +31,13 @@ from fuzzyfp.harness import InstanceSpec, gen_instance
 LINE = BoxSpace([-np.inf], [np.inf])
 MU = induced_standard(LINE)
 NU = induced_standard(LINE)
+GRID = TGrid.default()
+
+
+def step_nearness(fm, column):
+    """The nearness rows over the default grid of a trace column's
+    consecutive steps, as the trace writer computes them."""
+    return fm.mu_batch(column[:-1], column[1:], GRID)
 
 
 class TestSolveConfig:
@@ -77,13 +89,20 @@ class TestIteratePair:
         assert res.status == "diverging"
         assert res.iterations <= 60
         # nearness at the smallest scale declines monotonically
-        col = res.trace_x.nearness[1:, 0]
+        col = step_nearness(MU, res.trace_x)[1:, 0]
         assert np.all(np.diff(col) < 0)
+
+    def test_trace_columns(self, linear_pair):
+        """x_0..x_N and y_1..y_N, read-only, with step nearness in (0, 1]."""
+        res = solve(linear_pair, MU, NU, np.array([0.0]))
+        assert len(res.trace_x) == res.iterations + 1 and len(res.trace_y) == res.iterations
+        for column in (res.trace_x, res.trace_y):
+            rows = step_nearness(MU, column)
+            assert not column.flags.writeable and np.all(rows > 0.0) and np.all(rows <= 1.0)
 
     def test_trace_step_identity(self, linear_pair):
         res = solve(linear_pair, MU, NU, np.array([0.0]))
-        xs = res.trace_x.points
-        ys = res.trace_y.points
+        xs, ys = res.trace_x, res.trace_y
         st = ComposedMap(linear_pair.S, linear_pair.T)
         for n in range(len(xs) - 1):
             assert np.array_equal(xs[n + 1], st(xs[n]))
@@ -92,25 +111,39 @@ class TestIteratePair:
     def test_y_trace_offset_convention(self, linear_pair):
         res = solve(linear_pair, MU, NU, np.array([0.0]))
         # trace_y[0] is y_1 = T(x_0)
-        assert np.array_equal(res.trace_y.points[0], linear_pair.T(np.array([0.0])))
+        assert np.array_equal(res.trace_y[0], linear_pair.T(np.array([0.0])))
 
     def test_determinism(self, linear_pair):
         r1 = solve(linear_pair, MU, NU, np.array([0.0]))
         r2 = solve(linear_pair, MU, NU, np.array([0.0]))
         assert r1.iterations == r2.iterations
-        assert all(
-            np.array_equal(a, b) for a, b in zip(r1.trace_x.points, r2.trace_x.points)
-        )
-        assert np.array_equal(r1.trace_x.nearness, r2.trace_x.nearness)
+        assert np.array_equal(r1.trace_x, r2.trace_x) and np.array_equal(r1.trace_y, r2.trace_y)
 
     def test_stopping_implies_sampled_cauchy(self, linear_pair):
         res = solve(linear_pair, MU, NU, np.array([0.0]))
         # 6x contraction: an 8-step tail is within ~6^8 of the last step,
         # so every stride p <= 8 back from x_n is 1e-3-near x_n on the grid
-        xs, ts = res.trace_x.points, res.trace_x.grid.values
+        xs, ts = res.trace_x, GRID.values
         assert len(xs) > 8
         for p in range(1, 9):
             assert np.all(oracles.mu_grid(MU, xs[-1 - p], xs[-1], ts) >= 1.0 - 1e-3)
+
+
+@pytest.mark.parametrize("op", [MINIMUM, PRODUCT, LUKASIEWICZ])
+@pytest.mark.parametrize("make", [induced_standard, induced_exponential])
+def test_chained_triangle_bound(make, op):
+    """mu(x_0, x_p, t) >= op-fold of consecutive nearness at t/p, the bound
+    behind the stride check above."""
+    box = BoxSpace([-100.0], [100.0])
+    fm = make(box)
+    rng = SplitMix64(2024)
+    for _ in range(50):
+        pts = box.sample(rng, rng.next_u64() % 5 + 2)
+        t = rng.uniform(0.01, 100.0)
+        direct = fm.mu_grid(pts[0], pts[-1], t)
+        t1 = t / (len(pts) - 1)
+        bound = reduce(op, (fm.mu_grid(a, b, t1) for a, b in zip(pts, pts[1:])))
+        assert direct >= bound - 1e-12
 
 
 class TestVerifyConclusionsPair:
@@ -188,13 +221,13 @@ class TestIterateQuadruple:
             x = x / 120.0 + 77.0 / 60.0
         assert x == pytest.approx(float(even), abs=1e-12)
 
-        xs = [float(p[0]) for p in res.trace_x.points]
+        xs = res.trace_x[:, 0].tolist()
         assert xs[-1] == pytest.approx(float(even), abs=1e-9) or xs[-1] == pytest.approx(
             float(odd), abs=1e-9
         )
         # even-index tail and odd-index tail approach their own limits
         assert xs[-2] == pytest.approx(float(odd if xs[-1] == pytest.approx(float(even), abs=1e-9) else even), abs=1e-9)
-        ys = [float(p[0]) for p in res.trace_y.points]
+        ys = res.trace_y[:, 0].tolist()
         assert sorted([ys[-1], ys[-2]]) == pytest.approx(
             [25.0 / 17.0, 28.0 / 17.0], abs=1e-9
         )
@@ -202,8 +235,7 @@ class TestIterateQuadruple:
     def test_interleave_identities(self, mixed_quad):
         cfg = SolveConfig(max_iter=20)
         res = solve(mixed_quad, MU, NU, np.array([0.0]), cfg)
-        xs = res.trace_x.points
-        ys = res.trace_y.points  # ys[i] is y_{i+1}
+        xs, ys = res.trace_x, res.trace_y  # ys[i] is y_{i+1}
         for n in range(1, len(ys) + 1):
             if n % 2 == 1:  # y_{2m-1} = A x_{2m-2}
                 assert np.array_equal(ys[n - 1], mixed_quad.A(xs[n - 1]))
@@ -317,8 +349,8 @@ class TestCollapseRule:
         res = solver.solve(inst.problem, inst.mu, inst.nu, np.array([9.669]))
         assert res.status == "converged"
         assert res.conclusions_passed
-        steps = np.abs(np.diff(np.array(res.trace_x.points)[:, 0]))
-        assert res.trace_x.nearness[:60, 0].min() <= 1e-300  # the floor was reached
+        steps = np.abs(np.diff(res.trace_x[:, 0]))
+        assert step_nearness(inst.mu, res.trace_x)[:60, 0].min() <= 1e-300  # the floor was reached
         assert steps[0] > steps[60]
 
     def test_expansive_exponential_pair_still_diverges(self, line):
@@ -326,7 +358,7 @@ class TestCollapseRule:
         mu = induced_exponential(line)
         res = solve(MapPair(T=double, S=double), mu, mu, np.array([1.0]))
         assert res.status == "diverging"
-        assert res.trace_x.nearness[-1, -1] <= 1e-300
+        assert step_nearness(mu, res.trace_x)[-1, -1] <= 1e-300
         assert res.iterations < 100  # stopped by the monitor, long before overflow
 
     def test_steps_at_the_floor_at_every_scale_converge(self, line):
@@ -335,7 +367,7 @@ class TestCollapseRule:
         shrink = AffineMap([[0.99]], [0.0], line)
         mu = induced_exponential(line)
         res = solve(MapPair(T=shrink, S=shrink), mu, mu, np.array([1e8]))
-        assert (res.trace_x.nearness[:60] <= 1e-300).all()
+        assert (step_nearness(mu, res.trace_x)[:60] <= 1e-300).all()
         assert res.status == "converged"
         assert res.conclusions_passed
 
@@ -344,7 +376,7 @@ class TestCollapseRule:
         mu = induced_exponential(line)
         cfg = SolveConfig()
         res = solve(MapPair(T=grow, S=grow), mu, mu, np.array([1e8]), cfg)
-        assert (res.trace_x.nearness <= 1e-300).all()
+        assert (step_nearness(mu, res.trace_x) <= 1e-300).all()
         assert res.status == "diverging"
         assert res.iterations <= cfg.stall_window + 1
 
@@ -373,7 +405,7 @@ class TestCollapseRule:
         mu = induced_exponential(line)
         cfg = SolveConfig(stall_window=window)
         res = solve(quad, mu, mu, np.array([30000.0]), cfg)
-        assert (res.trace_x.nearness[:100, 0] <= 1e-300).all()
+        assert (step_nearness(mu, res.trace_x)[:100, 0] <= 1e-300).all()
         assert res.status == "converged"
         assert res.conclusions_passed
 
@@ -392,7 +424,7 @@ class TestCollapseRule:
         mu = induced_exponential(plane)
         cfg = SolveConfig(stall_window=window)
         res = solve(quad, mu, mu, np.array([5.0, 3.0]), cfg)
-        steps = np.linalg.norm(np.diff(np.array(res.trace_x.points[:5]), axis=0), axis=1)
+        steps = np.linalg.norm(np.diff(res.trace_x[:5], axis=0), axis=1)
         assert len(set(np.round(steps, 6))) == 2
         assert res.status == "diverging"
         assert res.iterations <= window + 4
@@ -470,4 +502,4 @@ class TestStopReason:
         for start, res in zip(starts, results):
             alone = solver.solve(pair, mu, mu, start, cfg)
             assert (alone.stop_reason, alone.iterations) == (res.stop_reason, res.iterations)
-            assert np.array_equal(alone.trace_x.nearness, res.trace_x.nearness)
+            assert np.array_equal(alone.trace_x, res.trace_x)
