@@ -254,7 +254,7 @@ def _columns(n):
     return xs, np.sqrt(xs[1:] + 1.0)
 
 
-PLANE = induced_standard(BoxSpace([-np.inf] * 2, [np.inf] * 2))
+PLANE_MU = induced_standard(BoxSpace([-np.inf] * 2, [np.inf] * 2))
 TRACE_CASES = {
     "line-pair": lambda: _solved(
         MapPair(T=AffineMap([[0.5]], [1.0], LINE), S=AffineMap([[1 / 3]], [1.0], LINE)), induced_standard(LINE), np.array([0.0])
@@ -276,7 +276,7 @@ TRACE_CASES = {
         SolveConfig(max_iter=80),
     ),
     **{
-        f"synthetic-{n}": (lambda n=n: (PLANE, PLANE, TGrid.default(), *_columns(n)))
+        f"synthetic-{n}": (lambda n=n: (PLANE_MU, PLANE_MU, TGrid.default(), *_columns(n)))
         for n in (cli._TRACE_ROWS - 1, cli._TRACE_ROWS, 2 * cli._TRACE_ROWS + 1)
     },
 }
@@ -310,7 +310,7 @@ def _trace_writer_peak(n):
     with open(os.devnull, "w", newline="", encoding="utf-8") as fh:
         tracemalloc.start()
         try:
-            cli._write_trace(fh, PLANE, PLANE, TGrid.default(), xs, ys)
+            cli._write_trace(fh, PLANE_MU, PLANE_MU, TGrid.default(), xs, ys)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
