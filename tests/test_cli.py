@@ -178,7 +178,7 @@ class TestSolveCommand:
     def test_trace_header_takes_the_y_labels_from_y(self, tmp_path):
         """T x = (20x, 20x) from a 1-D box into a 2-D one escapes at the first
         map, so the trace has no row and no y; its header still names the
-        two coordinates of Y (it used to repeat the one label of X)."""
+        two coordinates of Y, not the one of X."""
         doc = {
             "carrier": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
             "carrier_y": {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
